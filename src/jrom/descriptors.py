@@ -24,8 +24,8 @@ _PRIM_CODES = {
 
 def type_code(descriptor):
     """3-bit type code for a field descriptor."""
-    c = descriptor[0]
-    if c in "L[":
+    c = descriptor[:1]
+    if c in ("L", "["):
         return TC_REF
     try:
         return _PRIM_CODES[c]
@@ -33,16 +33,16 @@ def type_code(descriptor):
         raise ClassFileError("bad field descriptor %r" % descriptor) from None
 
 
-def is_reference(descriptor):
-    return descriptor[0] in "L["
-
-
 def slot_width(descriptor):
     """Number of 32-bit slots a value of this type occupies (1 or 2)."""
+    if not descriptor:
+        raise ClassFileError("empty descriptor")
     return 2 if descriptor[0] in "JD" else 1
 
 
 def _scan_one(desc, i):
+    if i >= len(desc):
+        raise ClassFileError("truncated descriptor %r" % desc)
     c = desc[i]
     if c in "BCDFIJSZ":
         return i + 1

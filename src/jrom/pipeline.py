@@ -1,5 +1,6 @@
 """End-to-end orchestration shared by the command line driver and tests."""
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import lifecycle as lc
@@ -21,6 +22,21 @@ class VerifyOutcome:
     @property
     def ok(self):
         return not self.failures
+
+
+def _zone_difference(cls, other):
+    """First slot at which ``other`` starts a world from different zones."""
+    if other is None or other.state == lc.UNLOADED:
+        return "missing from the reloaded registry"
+    for base in ("live", "init"):
+        for zone, mine, theirs in zip("av", vf.base_zones(cls, base),
+                                      vf.base_zones(other, base)):
+            pairs = itertools.zip_longest(mine, theirs, fillvalue="absent")
+            for i, (x, y) in enumerate(pairs):
+                if x != y:
+                    return "%s %s-zone slot %d: %r vs %r" % (base, zone, i,
+                                                             x, y)
+    return None
 
 
 class Pipeline:
@@ -91,7 +107,7 @@ class Pipeline:
         if outcome.kind != "return":
             raise UnsupportedClinit("%s.<clinit> did not complete: %s"
                                     % (cls.name, outcome.kind))
-        # persist zone effects; only null and string references survive
+        # persist the touched zones; only null and string references survive
         persisted = {}
         for name, (a_rt, v_rt) in world.zones.items():
             new_a = []
@@ -153,9 +169,16 @@ class Pipeline:
         """Differential check of every subset-supported method.
 
         Compares the post-load dialect against the post-link one, or against
-        ``after_registry`` (a reloaded image) when given.
+        ``after_registry`` (a reloaded image) when given.  Worlds digest only
+        the zones that differ from where they started, so a reloaded image's
+        starting zones are first compared with the source registry's, once.
         """
         result = VerifyOutcome()
+        if after_registry is not None:
+            for cls in self.linked_classes():
+                detail = _zone_difference(cls, after_registry.get(cls.name))
+                if detail is not None:
+                    result.failures.append((cls.name, "<static zones>", detail))
         for cls in sorted(self.registry.loadable(), key=lambda c: c.name):
             if cls.state != lc.LINKED or cls.loaded_view is None:
                 continue

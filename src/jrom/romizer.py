@@ -506,6 +506,9 @@ def load_image(data):
         cls.raw_stats = rec.raw_stats
 
     # layout wants superclasses done first
+    record_of = {}
+    for rec in records:
+        record_of.setdefault(rec.name, rec)
     done = set()
     in_progress = set()
 
@@ -516,8 +519,7 @@ def load_image(data):
             raise Corrupt("superclass cycle through %s" % cls.name, r.pos)
         in_progress.add(cls.name)
         if cls.super_cls is not None and not cls.super_cls.synthetic:
-            sup_rec = records[classes.index(cls.super_cls)]
-            finish(cls.super_cls, sup_rec)
+            finish(cls.super_cls, record_of[cls.super_cls.name])
             cls.a_base = cls.super_cls.a_base + len(cls.super_cls.a_static_zone)
             cls.v_base = cls.super_cls.v_base + len(cls.super_cls.v_static_zone)
             cls.instance_base = cls.super_cls.instance_size

@@ -115,7 +115,11 @@ class Str:
 
 
 class MiniHeap:
-    """Objects, arrays and interned strings; ids are never reused."""
+    """Objects, arrays and interned strings; ids are never reused.
+
+    Objects and arrays count up from 1 and interned strings down from -1,
+    so object ids do not depend on which strings a run happened to intern.
+    """
 
     def __init__(self):
         self.items = {}
@@ -146,7 +150,8 @@ class MiniHeap:
     def intern(self, text):
         ref = self._interned.get(text)
         if ref is None:
-            ref = self._add(Str(text))
+            ref = Ref(-1 - len(self._interned))
+            self.items[ref.id] = Str(text)
             self._interned[text] = ref
         return ref
 
@@ -154,37 +159,44 @@ class MiniHeap:
         return self.items[ref.id]
 
 
+def base_zones(cls, base):
+    """The persisted (a_zone, v_zone) a world of this ``base`` starts from."""
+    if base == "init" and cls.zones_initial is not None:
+        return cls.zones_initial
+    return cls.a_static_zone, cls.v_static_zone
+
+
 class World:
-    """Execution snapshot: zone copies per class plus a fresh heap.
+    """Execution snapshot: copied static zones plus a fresh heap.
 
     ``base`` selects the persisted zone content to start from: "live" is
     the classes' current state, "init" the ConstantValue-only state saved
-    before <clinit> ran.
+    before <clinit> ran.  Nothing is copied up front: ``zone`` copies a
+    class's base content, interning its strings, the first time a run
+    touches it, so a run costs only the zones it reads or writes.
     """
 
     def __init__(self, registry, stage, base="live", trace=None):
         self.registry = registry
         self.stage = stage
+        self.base = base
         self.trace = trace
         self.heap = MiniHeap()
-        self.zones = {}
-        for name in sorted(registry.classes):
-            c = registry.classes[name]
-            if c.state == lc.UNLOADED or c.synthetic:
-                continue
-            if base == "init" and c.zones_initial is not None:
-                a_src, v_src = c.zones_initial
-            else:
-                a_src, v_src = c.a_static_zone, c.v_static_zone
-            a_rt = [self.heap.intern(s[1]) if isinstance(s, tuple) else s
-                    for s in a_src]
-            self.zones[name] = [a_rt, list(v_src)]
+        self.zones = {}     # class name -> [a_zone, v_zone], once touched
+        self.bases = {}     # class name -> the (a_zone, v_zone) copied
 
     def zone(self, cls):
         z = self.zones.get(cls.name)
         if z is None:
-            z = [[None] * len(cls.a_static_zone), list(cls.v_static_zone)]
+            c = self.registry.classes.get(cls.name)
+            if c is None or c.state == lc.UNLOADED or c.synthetic:
+                src = ([None] * len(cls.a_static_zone), cls.v_static_zone)
+            else:
+                src = base_zones(c, self.base)
+            z = [[self.heap.intern(s[1]) if isinstance(s, tuple) else s
+                  for s in src[0]], list(src[1])]
             self.zones[cls.name] = z
+            self.bases[cls.name] = src
         return z
 
     def view(self, cls):
@@ -1109,7 +1121,14 @@ def normalize_slot(slot, heap):
 
 
 def world_digest(world):
-    """Canonical observable state: zones plus the created heap graph."""
+    """Canonical observable state: changed zones plus the created objects.
+
+    Only touched zones that differ from their base after normalization are
+    included, which keeps the equality of digesting every zone as long as
+    both sides start from equal bases (``Pipeline.verify_all`` checks a
+    reloaded image's zones against the source registry once per run).
+    Interned strings compare by text and stay out of the heap part.
+    """
     def norm(v):
         if isinstance(v, Ref):
             item = world.heap.get(v)
@@ -1123,16 +1142,17 @@ def world_digest(world):
     zones = {}
     for name in sorted(world.zones):
         a, v = world.zones[name]
-        zones[name] = (tuple(norm(s) for s in a), tuple(v))
+        a_src, v_src = world.bases[name]
+        a = [norm(s) for s in a]
+        if a != list(a_src) or v != list(v_src):
+            zones[name] = (tuple(a), tuple(v))
     heap = []
     for rid in sorted(world.heap.items):
         item = world.heap.items[rid]
-        if isinstance(item, Str):
-            heap.append((rid, "str", item.text))
-        elif isinstance(item, Arr):
+        if isinstance(item, Arr):
             heap.append((rid, "arr", item.comp,
                          tuple(norm(e) for e in item.elems)))
-        else:
+        elif isinstance(item, Obj):
             heap.append((rid, "obj", item.cls_name,
                          tuple(norm(s) for s in item.slots)))
     return (zones, tuple(heap))
@@ -1225,21 +1245,3 @@ def seeded_vectors(method, seed, count=5):
                 vec.append(("null",))
         vectors.append(vec)
     return vectors
-
-
-def differential_check(cls_name, method_key, before, after, vectors,
-                       fuel=DEFAULT_FUEL):
-    """Compare outcomes and world effects across two execution contexts.
-
-    Returns (equal, detail); detail names the first diverging vector and
-    observable when unequal.
-    """
-    for k, vec in enumerate(vectors):
-        out_a, dig_a = run_method(before, cls_name, method_key, vec, fuel)
-        out_b, dig_b = run_method(after, cls_name, method_key, vec, fuel)
-        if (out_a.kind, out_a.value, out_a.exception) != \
-                (out_b.kind, out_b.value, out_b.exception):
-            return False, "vector %d: outcome %r vs %r" % (k, out_a, out_b)
-        if dig_a != dig_b:
-            return False, "vector %d: world effects differ" % k
-    return True, ""

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from jrom import classfile as cf
+from jrom import descriptors as dsc
 from jrom.errors import (BadIndex, BadMagic, BadUtf8, ClassFileError,
                          Truncated, UnsupportedVersion)
 
@@ -119,6 +120,28 @@ class TestParseErrors:
         struct.pack_into(">H", data, raw.pool_end + 2, utf8_idx)
         with pytest.raises(BadIndex):
             cf.parse_class(bytes(data))
+
+
+class TestDescriptorErrors:
+    """Descriptors come from class files and images: bad ones must raise
+    ClassFileError, not a Python error."""
+
+    def test_type_code_empty(self):
+        with pytest.raises(ClassFileError):
+            dsc.type_code("")
+
+    def test_slot_width_empty(self):
+        with pytest.raises(ClassFileError):
+            dsc.slot_width("")
+
+    def test_method_descriptor_without_return(self):
+        with pytest.raises(ClassFileError):
+            dsc.parse_method_descriptor("()")
+
+    @pytest.mark.parametrize("desc", ["(", "([)V", "()[", "(L)V", "()VV"])
+    def test_truncated_method_descriptors(self, desc):
+        with pytest.raises(ClassFileError):
+            dsc.parse_method_descriptor(desc)
 
 
 class TestModifiedUtf8:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jrom import lifecycle as lc
+from jrom import romizer as rz
 from jrom import verify as vf
 from jrom.errors import UnsupportedOpcode
 from jrom.pipeline import Pipeline
@@ -141,24 +142,14 @@ class TestDifferentialPairs:
             assert before.value == after.value
 
     def test_differential_check_equal(self, linked_pipeline):
-        reg = linked_pipeline.registry
-        m = next(x for x in reg.get("corpus/Arith").methods
-                 if x.name == "loopSum")
-        ok, detail = vf.differential_check(
-            "corpus/Arith", m.key,
-            vf.ExecContext(reg, lc.LOADED), vf.ExecContext(reg, lc.LINKED),
-            vf.seeded_vectors(m, seed=5))
-        assert ok, detail
+        out = linked_pipeline.verify_all(seed=5, only="corpus/Arith.loopSum")
+        assert out.checked == [("corpus/Arith", "loopSum(I)I")], out
+        assert not out.failures and not out.skipped
 
     def test_empty_method_equal(self, linked_pipeline):
-        reg = linked_pipeline.registry
-        m = next(x for x in reg.get("corpus/Empty").methods
-                 if x.name == "<init>")
-        ok, detail = vf.differential_check(
-            "corpus/Empty", m.key,
-            vf.ExecContext(reg, lc.LOADED), vf.ExecContext(reg, lc.LINKED),
-            [[]])
-        assert ok, detail
+        out = linked_pipeline.verify_all(vectors=1, only="corpus/Empty.<init>")
+        assert out.checked == [("corpus/Empty", "<init>()V")], out
+        assert not out.failures and not out.skipped
 
     def test_corrupted_operand_detected(self, corpus_dir):
         from .corpus import corpus_names
@@ -173,15 +164,11 @@ class TestDifferentialPairs:
                    for cls, meth, _ in out.failures)
 
     def test_clinit_differential_uses_initial_zones(self, linked_pipeline):
-        reg = linked_pipeline.registry
-        m = next(x for x in reg.get("corpus/Clinit").methods
-                 if x.name == "<clinit>")
-        ok, detail = vf.differential_check(
-            "corpus/Clinit", m.key,
-            vf.ExecContext(reg, lc.LOADED, base="init"),
-            vf.ExecContext(reg, lc.LINKED, base="init"),
-            [[]])
-        assert ok, detail
+        # verify_all runs <clinit> from zones_initial on both sides
+        out = linked_pipeline.verify_all(vectors=1,
+                                         only="corpus/Clinit.<clinit>")
+        assert out.checked == [("corpus/Clinit", "<clinit>()V")], out
+        assert not out.failures and not out.skipped
 
 
 class TestDeterminismAndFuel:
@@ -252,3 +239,65 @@ class TestWorldDigest:
         _, dig_a = vf.run_method(ctx, "corpus/Arrays", m.key, [("i", 3)])
         _, dig_b = vf.run_method(ctx, "corpus/Arrays", m.key, [("i", 4)])
         assert dig_a != dig_b
+
+
+def method_key_of(reg, cls_name, method_name):
+    return next(m.key for m in reg.get(cls_name).methods
+                if m.name == method_name)
+
+
+class TestLazyWorld:
+    """Invariants of worlds that copy and digest only what a run touches."""
+
+    def test_untouched_corrupt_static_in_reload_is_reported(
+            self, linked_pipeline):
+        reloaded = rz.load_image(linked_pipeline.emit_image())
+        cls = reloaded.get("corpus/Clinit")
+        total = next(f for f in cls.fields if f.name == "total")
+        _, local = cls.static_slot(total.zone, total.offset)
+        cls.v_static_zone[local] ^= 1       # only <clinit> reads it, from init
+        out = linked_pipeline.verify_all(vectors=1, after_registry=reloaded)
+        assert any(c == "corpus/Clinit" for c, _, _ in out.failures)
+
+    def test_read_only_run_digests_like_fresh_world(self, linked_pipeline):
+        reg = linked_pipeline.registry
+        fresh = vf.world_digest(vf.World(reg, lc.LINKED))
+        key = method_key_of(reg, "corpus/Statics", "readInt")
+        out, digest = vf.run_method(vf.ExecContext(reg, lc.LINKED),
+                                    "corpus/Statics", key, [])
+        assert out.kind == "return"
+        assert digest == fresh
+
+    def test_writing_base_value_back_is_unobservable(self, linked_pipeline):
+        reg = linked_pipeline.registry
+        fresh = vf.world_digest(vf.World(reg, lc.LINKED))
+        key = method_key_of(reg, "corpus/Statics", "setInt")
+        ctx = vf.ExecContext(reg, lc.LINKED)
+        _, same = vf.run_method(ctx, "corpus/Statics", key, [("i", 7)])
+        _, other = vf.run_method(ctx, "corpus/Statics", key, [("i", 8)])
+        assert same == fresh
+        assert other != fresh
+
+    def test_object_ids_ignore_string_static_reads(self, corpus_dir,
+                                                   tmp_path):
+        cb = ClassBuilder("vm/Ids")
+        cb.field("S", "Ljava/lang/String;", ACC_PUBLIC | ACC_STATIC,
+                 const=("s", "static text"))
+        cb.default_init()
+        for name, read_first in (("plain", False), ("afterRead", True)):
+            c = cb.method(name, "()Lvm/Ids;", ACC_PUBLIC | ACC_STATIC)
+            if read_first:
+                c.getstatic("vm/Ids", "S", "Ljava/lang/String;").op("pop")
+            c.new("vm/Ids").op("dup")
+            c.invoke("invokespecial", "vm/Ids", "<init>", "()V")
+            c.op("areturn")
+        (tmp_path / "vm").mkdir()
+        (tmp_path / "vm" / "Ids.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Ids"], closure=True)
+        assert pipe.ready_all() == []
+        assert pipe.link_all() == []
+        plain = run_static(pipe, "vm/Ids", "plain")
+        after_read = run_static(pipe, "vm/Ids", "afterRead")
+        assert plain.value[1][0] == "obj"
+        assert after_read.value == plain.value
