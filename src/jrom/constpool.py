@@ -356,30 +356,11 @@ def mark(pool, table, index):
         pool.a_marks[lo] = True
 
 
-def unmark(pool, table, index):
-    """Drop the mark on one entry (pair cells move together).
-
-    Used when a rewrite removes an instruction's last use of a cell; the
-    transitive atable marks are left alone since other users may remain.
-    """
-    space = {"atable": ATABLE, "vtable": VTABLE}.get(table, table)
-    if space == ATABLE:
-        pool.a_marks[index] = False
-        return
-    cell = pool.vtable[index]
-    if cell.kind in _PAIR_LO:
-        index -= 1
-    pool.v_marks[index] = False
-    if pool.vtable[index].kind in _PAIR_HI:
-        pool.v_marks[index + 1] = False
-
-
 def reset_marks(pool):
     """Clear every mark except the always-retained string literals.
 
-    Used to reconcile marks after instruction rewrites: a rewrite that
-    removes the last use of a cell must also release the handles that were
-    marked through it, which a plain per-cell unmark cannot know.
+    Linking calls it before marking from the final code, so a cell that a
+    rewrite stopped using releases the handles marked through it too.
     """
     pool.a_marks = [e.kind == A_STRING for e in pool.atable]
     pool.v_marks = [False] * len(pool.vtable)

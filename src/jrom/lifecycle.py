@@ -7,7 +7,6 @@ becomes ready once its statics are initialized, which may happen while it
 is merely loaded.
 """
 
-import struct
 from dataclasses import dataclass, field as dc_field
 
 from . import classfile as cf
@@ -71,8 +70,7 @@ class MethodCode:
     def instruction_sizes(self):
         """offset -> instruction size; quick rewrites never change sizes."""
         if self._size_cache is None:
-            self._size_cache = {off: size
-                                for off, _, size in ops.walk(self.bytecode)}
+            self._size_cache = ops.instruction_sizes(self.bytecode)
         return self._size_cache
 
 
@@ -334,10 +332,6 @@ class Loader:
         return cls
 
 
-def new_unloaded(registry, name):
-    return registry.new_unloaded(name)
-
-
 def load(cls, data, resolver):
     """Bring an unloaded class to state loaded from raw .class bytes.
 
@@ -366,38 +360,18 @@ def load_parsed(cls, raw, data, resolver):
         if any(k is cls for k in sup.hierarchy()):
             raise HierarchyCycle("%s <- %s" % (cls.name, raw.super_name))
         cls.super_cls = sup
-        cls.a_base = sup.a_base + len(sup.a_static_zone)
-        cls.v_base = sup.v_base + len(sup.v_static_zone)
-        cls.instance_base = sup.instance_size
     cls.access_flags = raw.access_flags
     cls.interfaces = [resolver(raw.class_name(i)) for i in raw.interfaces]
 
     cls.pool = pool
-    cls.fields = []
-    instance_offset = cls.instance_base
-    for fm in raw.fields:
-        f = FieldRep(cls, fm.name, fm.descriptor, fm.access_flags,
-                     fm.is_static, desc.type_code(fm.descriptor),
-                     constant_value=cf.constant_value_of(raw, fm))
-        if not f.is_static:
-            f.offset = instance_offset
-            instance_offset += f.width
-        cls.fields.append(f)
-    cls.instance_size = instance_offset
-    lay_out_statics(cls)
-
-    cls.methods = []
-    for mm in raw.methods:
-        m = MethodRep(cls, mm.name, mm.descriptor, mm.access_flags,
-                      desc.arg_slots(mm.descriptor, include_receiver=not mm.is_static))
-        code_attr = mm.attr("Code")
-        if code_attr is not None:
-            m.code = _method_code(code_attr.code, pool)
-            rewrite_load(m.code, pool)
-            m.code_loaded = m.code
-        cls.methods.append(m)
-
-    build_dispatch_table(cls)
+    lay_out_class(
+        cls,
+        ((fm.name, fm.descriptor, fm.access_flags, cf.constant_value_of(raw, fm))
+         for fm in raw.fields),
+        ((mm.name, mm.descriptor, mm.access_flags, _loaded_code(mm, pool))
+         for mm in raw.methods))
+    for m in cls.methods:
+        m.code_loaded = m.code
     cls.raw_stats = {
         "entries": cf.pool_entry_count(raw),
         "pool_bytes": cf.raw_pool_byte_size(raw),
@@ -409,7 +383,12 @@ def load_parsed(cls, raw, data, resolver):
                                 relinked=False)
 
 
-def _method_code(raw_code, pool):
+def _loaded_code(raw_method, pool):
+    """The method's code with its constant loads in quick form, or None."""
+    code_attr = raw_method.attr("Code")
+    if code_attr is None:
+        return None
+    raw_code = code_attr.code
     table = []
     for start, end, handler, catch in raw_code.exception_table:
         if catch == 0:
@@ -426,8 +405,41 @@ def _method_code(raw_code, pool):
         if a.retained:
             stack_maps = a.payload
             break
-    return MethodCode(bytearray(raw_code.code), raw_code.max_stack,
-                      raw_code.max_locals, table, stack_maps)
+    return rewrite_load(MethodCode(bytearray(raw_code.code), raw_code.max_stack,
+                                   raw_code.max_locals, table, stack_maps), pool)
+
+
+def lay_out_class(cls, fields, methods):
+    """Field offsets, static zones, methods and dispatch table of a class.
+
+    Shared by class-file and image loading.  ``fields`` yields (name,
+    descriptor, access flags, ConstantValue) and ``methods`` (name,
+    descriptor, access flags, code) tuples; the superclass, if any, must
+    already be laid out.
+    """
+    sup = cls.super_cls
+    if sup is not None:
+        cls.a_base = sup.a_base + len(sup.a_static_zone)
+        cls.v_base = sup.v_base + len(sup.v_static_zone)
+        cls.instance_base = sup.instance_size
+    cls.fields = []
+    instance_offset = cls.instance_base
+    for name, descriptor, flags, constant in fields:
+        f = FieldRep(cls, name, descriptor, flags, bool(flags & cf.ACC_STATIC),
+                     desc.type_code(descriptor), constant_value=constant)
+        if not f.is_static:
+            f.offset = instance_offset
+            instance_offset += f.width
+        cls.fields.append(f)
+    cls.instance_size = instance_offset
+    lay_out_statics(cls)
+    cls.methods = [
+        MethodRep(cls, name, descriptor, flags,
+                  desc.arg_slots(descriptor,
+                                 include_receiver=not flags & cf.ACC_STATIC),
+                  code=code)
+        for name, descriptor, flags, code in methods]
+    build_dispatch_table(cls)
 
 
 def lay_out_statics(cls):
@@ -457,77 +469,54 @@ def lay_out_statics(cls):
     cls.v_static_zone = [0] * (next_v - cls.v_base)
 
 
-def _check_u1(index, what):
-    if index > 0xFF:
-        raise PoolOverflow("%s index %d does not fit one byte" % (what, index))
-    return index
+_LDC_QUICK = {(cp.VTABLE, cp.V_INT): "ldc_quick_i",
+              (cp.VTABLE, cp.V_FLOAT): "ldc_quick_f",
+              (cp.VTABLE, cp.V_STRING): "ldc_quick_a"}
+# symbolic opcode -> (fault message, {(space, kind of the entry named):
+# quick form}); the quick form of ldc_w is the wide one
+_LOAD_QUICK = {
+    _OP["ldc"]: ("ldc operand %d is not an int/float/string", _LDC_QUICK),
+    _OP["ldc_w"]: ("ldc operand %d is not an int/float/string",
+                   {k: v + "_w" for k, v in _LDC_QUICK.items()}),
+    _OP["ldc2_w"]: ("ldc2_w operand %d is not a long/double",
+                    {(cp.VTABLE, cp.V_LONG_HI): "ldc2_quick_l",
+                     (cp.VTABLE, cp.V_DBL_HI): "ldc2_quick_d"}),
+    _OP["anewarray"]: ("anewarray operand %d is not a class constant",
+                       {(cp.ATABLE, cp.A_CLASS): "anewarray_quick"}),
+}
 
 
-def _check_u2(index, what):
-    if index > 0xFFFF:
-        raise PoolOverflow("%s index %d does not fit two bytes" % (what, index))
-    return index
-
-
-def rewrite_load(code, pool, origin=None):
+def rewrite_load(code, pool):
     """Replace constant-loading instructions with quick forms, in place.
 
     Every replacement keeps the original byte length, so offsets and branch
     targets never move.  Referenced pool entries are marked.
     """
-    origin = pool.origin if origin is None else origin
     bc = code.bytecode
-
-    def placed(raw_idx, off):
-        entry = origin.get(raw_idx)
-        if entry is None:
+    for off, op, size in ops.walk(bc):
+        rule = _LOAD_QUICK.get(op)
+        if rule is None:
+            continue
+        fault, forms = rule
+        _, raw_idx = ops.pool_operand(bc, off)
+        placed = pool.origin.get(raw_idx)
+        if placed is None:
             raise BadPoolRef("operand %d at offset %d is not a pool constant"
                              % (raw_idx, off))
-        return entry
-
-    for off, op, size in ops.walk(bc):
-        if op == _OP["ldc"] or op == _OP["ldc_w"]:
-            wide = op == _OP["ldc_w"]
-            raw_idx = struct.unpack_from(">H", bc, off + 1)[0] if wide else bc[off + 1]
-            space, idx = placed(raw_idx, off)
-            kind = pool.vtable[idx].kind if space == cp.VTABLE else None
-            if kind == cp.V_INT:
-                new_op, target = "ldc_quick_i", (cp.VTABLE, idx)
-            elif kind == cp.V_FLOAT:
-                new_op, target = "ldc_quick_f", (cp.VTABLE, idx)
-            elif kind == cp.V_STRING:
-                lit = pool.vtable[idx].value
-                new_op, target = "ldc_quick_a", (cp.ATABLE, lit)
-                idx = lit
-            else:
-                raise BadPoolRef("ldc operand %d is not an int/float/string" % raw_idx)
-            if wide:
-                bc[off] = _OP[new_op + "_w"]
-                struct.pack_into(">H", bc, off + 1, _check_u2(idx, new_op))
-            else:
-                bc[off] = _OP[new_op]
-                bc[off + 1] = _check_u1(idx, new_op)
-            cp.mark(pool, *target)
-        elif op == _OP["ldc2_w"]:
-            raw_idx = struct.unpack_from(">H", bc, off + 1)[0]
-            space, idx = placed(raw_idx, off)
-            kind = pool.vtable[idx].kind if space == cp.VTABLE else None
-            if kind == cp.V_LONG_HI:
-                bc[off] = _OP["ldc2_quick_l"]
-            elif kind == cp.V_DBL_HI:
-                bc[off] = _OP["ldc2_quick_d"]
-            else:
-                raise BadPoolRef("ldc2_w operand %d is not a long/double" % raw_idx)
-            struct.pack_into(">H", bc, off + 1, _check_u2(idx, "ldc2_quick"))
-            cp.mark(pool, cp.VTABLE, idx)
-        elif op == _OP["anewarray"]:
-            raw_idx = struct.unpack_from(">H", bc, off + 1)[0]
-            space, idx = placed(raw_idx, off)
-            if space != cp.ATABLE or pool.atable[idx].kind != cp.A_CLASS:
-                raise BadPoolRef("anewarray operand %d is not a class constant" % raw_idx)
-            bc[off] = _OP["anewarray_quick"]
-            struct.pack_into(">H", bc, off + 1, _check_u2(idx, "anewarray_quick"))
-            cp.mark(pool, cp.ATABLE, idx)
+        space, idx = placed
+        table = pool.vtable if space == cp.VTABLE else pool.atable
+        name = forms.get((space, table[idx].kind))
+        if name is None:
+            raise BadPoolRef(fault % raw_idx)
+        quick = ops.OPERANDS[_OP[name]]
+        if quick.space != space:        # a string cell names its literal
+            idx = table[idx].value
+        if idx >> (8 * quick.size):
+            raise PoolOverflow("%s index %d does not fit %s" % (
+                name, idx, "one byte" if quick.size == 1 else "two bytes"))
+        bc[off] = _OP[name]
+        ops.write_operand(bc, off, quick.size, idx)
+        cp.mark(pool, quick.space, idx)
     return code
 
 

@@ -1,13 +1,15 @@
 """Linking: resolve external references, compact call sites, pack the pool.
 
-Linking a class loads everything its pool mentions, unifies symbolic member
-handles with real field/method objects, structurally checks each method,
-rewrites the call and static-access instructions that no longer need the
-pool, marks what the bytecode still uses, packs the pool and finally remaps
-every surviving operand.
+Linking a class loads everything its pool mentions and unifies symbolic
+member handles with real field/method objects.  Each method's code is then
+decoded once (quick rewrites never change instruction sizes, so every pass
+shares that decode) and goes through, in order: the structural checks; the
+rewrites to quick forms that need no pool entry (invokevirtual compaction,
+static encoding, closed-field rewriting); one marking of what the final code
+still references; the pack; and the relink of every surviving operand
+through the pack remap.
 """
 
-import struct
 from dataclasses import dataclass, field
 
 from . import constpool as cp
@@ -69,278 +71,167 @@ def link(cls, ctx):
                                                 handle.descriptor))
         handle.resolved = found
 
+    decoded = []
     for m in cls.methods:
         if m.code is not None:
             m.code = m.code_loaded.clone()
-            prelink_method(m, pool, ctx)
-    for m in cls.methods:
-        if m.code is not None:
-            encode_static_refs(m, pool)
-    if ctx.private_field_opt or ctx.closed_world or ctx.closed_packages:
-        rewrite_private_fields(cls, ctx)
-    # rewrites above drop instruction references, but the handles those
-    # cells marked transitively are still flagged; recompute from the
-    # final code so nothing unreachable keeps a mark
+            sizes = _decode(m)
+            check_method(m, pool, sizes)
+            decoded.append((m, sizes))
+    for m, sizes in decoded:
+        rewrite_method(m, pool, sizes, ctx)
     cp.reset_marks(pool)
-    for m in cls.methods:
-        if m.code is not None:
-            _mark_method(m, pool)
+    for m, sizes in decoded:
+        mark_method(m, pool, sizes)
     mark_reflection(pool, cls, ctx)
     cls.pack_stats = cp.pack(pool)
-    for m in cls.methods:
-        if m.code is not None:
-            relink_method(m, pool)
+    for m, sizes in decoded:
+        relink_method(m, pool, sizes)
     cls.state = lc.LINKED
 
 
-# opcodes whose u2 operand names a member-ref cell, with the cell kind
-_INVOKES = {}
-_FIELD_OPS = {}
+def _decode(m):
+    """offset -> size of every instruction of the method's code.
+
+    The result lives only while the class links: a decode cached on every
+    linked method would stay in memory for the rest of the run.
+    """
+    try:
+        return ops.instruction_sizes(m.code.bytecode)
+    except (BadOpcode, Truncated) as e:
+        raise VerifyError("%s: %s" % (m, e)) from None
 
 
-def _init_tables():
-    _INVOKES[_OP["invokevirtual"]] = cp.V_METHODREF
-    _INVOKES[_OP["invokespecial"]] = cp.V_METHODREF
-    _INVOKES[_OP["invokestatic"]] = cp.V_METHODREF
-    _INVOKES[_OP["invokeinterface"]] = cp.V_IFACEREF
-    for n in ("getstatic", "putstatic", "getfield", "putfield"):
-        _FIELD_OPS[_OP[n]] = cp.V_FIELDREF
-
-
-_init_tables()
-
-_CLASS_OPS = {_OP[n] for n in ("new", "checkcast", "instanceof", "multianewarray")}
-_QUICK_KIND = {
-    _OP["ldc_quick_i"]: cp.V_INT, _OP["ldc_quick_i_w"]: cp.V_INT,
-    _OP["ldc_quick_f"]: cp.V_FLOAT, _OP["ldc_quick_f_w"]: cp.V_FLOAT,
-    _OP["ldc2_quick_l"]: cp.V_LONG_HI, _OP["ldc2_quick_d"]: cp.V_DBL_HI,
-}
-_LOCAL_1 = {_OP[n] for n in ("iload", "fload", "aload", "istore", "fstore",
-                             "astore", "ret")}
-_LOCAL_2 = {_OP[n] for n in ("lload", "dload", "lstore", "dstore")}
-_LOCAL_FIXED = {}
-for _base, _wide in (("iload", 1), ("lload", 2), ("fload", 1), ("dload", 2),
-                     ("aload", 1), ("istore", 1), ("lstore", 2), ("fstore", 1),
-                     ("dstore", 2), ("astore", 1)):
-    for _k in range(4):
-        _LOCAL_FIXED[_OP["%s_%d" % (_base, _k)]] = (_k, _wide)
-
-
-def _operand_u2(bc, off):
-    return struct.unpack_from(">H", bc, off + 1)[0]
-
-
-def _cell_for(pool, raw_idx, expect_kind, off):
+def _member_at(pool, bc, off):
+    """The resolved field or method a member-ref instruction names."""
+    entry, raw_idx = ops.pool_operand(bc, off)
     placed = pool.origin.get(raw_idx)
     if placed is None or placed[0] != cp.VTABLE:
         raise VerifyError("operand %d at %d is not a pool constant" % (raw_idx, off))
     cell = pool.vtable[placed[1]]
-    if cell.kind != expect_kind:
+    if cell.kind != entry.want:
         raise VerifyError("operand %d at %d holds %s, expected %s"
-                          % (raw_idx, off, cell.kind, expect_kind))
-    return placed[1], cell
+                          % (raw_idx, off, cell.kind, entry.want))
+    return pool.atable[cell.value & 0xFFFF].payload.resolved
 
 
-def _member_of(pool, cell):
-    _, member_aidx = cell.value >> 16, cell.value & 0xFFFF
-    return pool.atable[member_aidx].payload
-
-
-def prelink_method(m, pool, ctx):
-    """Structural checks, then invokevirtual compaction, then marking.
-
-    The marking pass runs over the rewritten code so compacted sites no
-    longer pin their pool entries.
-    """
-    if m.code is None:
-        return
+def check_method(m, pool, sizes):
+    """Structural and resolution checks of one decoded method."""
     bc = m.code.bytecode
-    try:
-        bounds = ops.boundaries(bc)
-    except (BadOpcode, Truncated) as e:
-        raise VerifyError("%s: %s" % (m, e)) from None
-
-    # pass 1: structural and resolution checks
-    for off, op, size in ops.walk(bc):
+    for off in sizes:
         for t in ops.branch_targets(bc, off):
-            if t not in bounds:
+            if t not in sizes:
                 raise VerifyError("%s: branch from %d to non-boundary %d"
                                   % (m, off, t))
-        if op in _LOCAL_1 or op in _LOCAL_2:
-            idx = bc[off + 1]
-            width = 2 if op in _LOCAL_2 else 1
+        local = ops.local_slot(bc, off)
+        if local is not None:
+            idx, width = local
             if idx + width > m.code.max_locals:
                 raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
-        elif op in _LOCAL_FIXED:
-            idx, width = _LOCAL_FIXED[op]
-            if idx + width > m.code.max_locals:
-                raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
-        elif op == ops.WIDE:
-            sub = bc[off + 1]
-            idx = _operand_u2(bc, off + 1)
-            width = 2 if sub in _LOCAL_2 else 1
-            if idx + width > m.code.max_locals:
-                raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
-        elif op == _OP["iinc"]:
-            if bc[off + 1] + 1 > m.code.max_locals:
-                raise VerifyError("%s: local %d out of range at %d"
-                                  % (m, bc[off + 1], off))
-        elif op in _INVOKES:
-            _, cell = _cell_for(pool, _operand_u2(bc, off), _INVOKES[op], off)
-            target = _member_of(pool, cell).resolved
-            if target is None:
-                raise VerifyError("%s: unresolved call at %d" % (m, off))
-            if op == _OP["invokestatic"]:
-                if not target.is_static:
-                    raise VerifyError("%s: invokestatic on instance method at %d"
-                                      % (m, off))
-            elif target.is_static:
-                raise VerifyError("%s: instance call on static method at %d"
-                                  % (m, off))
-            if op == _OP["invokeinterface"] and bc[off + 4] != 0:
-                raise VerifyError("%s: invokeinterface pad byte not zero at %d"
-                                  % (m, off))
-        elif op in _FIELD_OPS:
-            _, cell = _cell_for(pool, _operand_u2(bc, off), cp.V_FIELDREF, off)
-            f = _member_of(pool, cell).resolved
-            if f is None:
-                raise VerifyError("%s: unresolved field at %d" % (m, off))
-            is_static_op = op in (_OP["getstatic"], _OP["putstatic"])
-            if f.is_static != is_static_op:
-                raise VerifyError("%s: static/instance mismatch for %s at %d"
-                                  % (m, f.name, off))
-        elif op in _CLASS_OPS:
-            raw_idx = _operand_u2(bc, off)
-            placed = pool.origin.get(raw_idx)
+            continue
+        found = ops.pool_operand(bc, off)
+        if found is None:
+            continue
+        entry, idx = found
+        if entry.kind == ops.QUICK:
+            table = pool.vtable if entry.space == cp.VTABLE else pool.atable
+            if idx >= len(table) or table[idx].kind != entry.want:
+                raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
+        elif entry.want is None:
+            raise VerifyError("%s: raw constant load survived loading at %d"
+                              % (m, off))
+        elif entry.space == cp.ATABLE:
+            placed = pool.origin.get(idx)
             if placed is None or placed[0] != cp.ATABLE \
                     or pool.atable[placed[1]].kind != cp.A_CLASS:
                 raise VerifyError("%s: operand %d at %d is not a class constant"
-                                  % (m, raw_idx, off))
-        elif op in _QUICK_KIND:
-            idx = bc[off + 1] if size == 2 else _operand_u2(bc, off)
-            if idx >= len(pool.vtable) or pool.vtable[idx].kind != _QUICK_KIND[op]:
-                raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
-        elif op in ops.QUICK_A_U1 or op in ops.QUICK_A_U2:
-            idx = bc[off + 1] if size == 2 else _operand_u2(bc, off)
-            want = cp.A_STRING if op in (ops.BY_NAME["ldc_quick_a"],
-                                         ops.BY_NAME["ldc_quick_a_w"]) else cp.A_CLASS
-            if idx >= len(pool.atable) or pool.atable[idx].kind != want:
-                raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
-        elif op in (_OP["ldc"], _OP["ldc_w"], _OP["ldc2_w"]):
-            raise VerifyError("%s: raw constant load survived loading at %d"
-                              % (m, off))
+                                  % (m, idx, off))
+        else:
+            _check_member(m, bc, off, _member_at(pool, bc, off),
+                          entry.want == cp.V_FIELDREF)
 
     code_len = len(bc)
     for start, end, handler, catch in m.code.exception_table:
         if not (start < end <= code_len):
             raise VerifyError("%s: exception range [%d,%d) invalid" % (m, start, end))
-        if start not in bounds or handler not in bounds:
+        if start not in sizes or handler not in sizes:
             raise VerifyError("%s: exception boundary not on an instruction" % m)
-        if end != code_len and end not in bounds:
+        if end != code_len and end not in sizes:
             raise VerifyError("%s: exception range end %d not on an instruction"
                               % (m, end))
         if catch is not None and (catch >= len(pool.atable)
                                   or pool.atable[catch].kind != cp.A_CLASS):
             raise VerifyError("%s: catch type %s is not a class entry" % (m, catch))
 
-    # pass 2: compact invokevirtual sites where the encoding fits
-    for off, op, size in ops.walk(bc):
-        if op == _OP["invokevirtual"]:
-            _, cell = _cell_for(pool, _operand_u2(bc, off), cp.V_METHODREF, off)
-            target = _member_of(pool, cell).resolved
-            compact_invokevirtual(bc, off, target)
 
-    # pass 3: mark everything the final code still references
-    _mark_method(m, pool)
+def _check_member(m, bc, off, member, is_field):
+    op = bc[off]
+    static_op = op in (_OP["getstatic"], _OP["putstatic"], _OP["invokestatic"])
+    if is_field:
+        if member is None:
+            raise VerifyError("%s: unresolved field at %d" % (m, off))
+        if member.is_static != static_op:
+            raise VerifyError("%s: static/instance mismatch for %s at %d"
+                              % (m, member.name, off))
+        return
+    if member is None:
+        raise VerifyError("%s: unresolved call at %d" % (m, off))
+    if static_op:
+        if not member.is_static:
+            raise VerifyError("%s: invokestatic on instance method at %d"
+                              % (m, off))
+    elif member.is_static:
+        raise VerifyError("%s: instance call on static method at %d" % (m, off))
+    if op == _OP["invokeinterface"] and bc[off + 4] != 0:
+        raise VerifyError("%s: invokeinterface pad byte not zero at %d"
+                          % (m, off))
+
+
+def rewrite_method(m, pool, sizes, ctx):
+    """Rewrite the sites whose final form needs no pool entry.
+
+    invokevirtual sites are compacted where the encoding fits.  Static
+    accesses become quick forms carrying (offset << 3) | type when the
+    static is declared along the owning class's superclass chain: a 13-bit
+    offset is resolved by walking that chain at run time, so an unrelated
+    owner has to stay symbolic.  Under the closure flags, getfield/putfield
+    over closed fields become offsets the same way.
+    """
+    bc = m.code.bytecode
+    fields_closed = ctx.private_field_opt or ctx.closed_world or ctx.closed_packages
+    for off in sizes:
+        op = bc[off]
+        if op == _OP["invokevirtual"]:
+            compact_invokevirtual(bc, off, _member_at(pool, bc, off))
+        elif op in (_OP["getstatic"], _OP["putstatic"]):
+            f = _member_at(pool, bc, off)
+            if any(k is f.owner for k in m.owner.hierarchy()):
+                _encode_field(bc, off, f)
+        elif op in (_OP["getfield"], _OP["putfield"]) and fields_closed:
+            f = _member_at(pool, bc, off)
+            if _field_rewritable(f, m.owner, ctx) \
+                    and f.offset <= lc.MAX_STATIC_OFFSET:
+                _encode_field(bc, off, f)
 
 
 def compact_invokevirtual(bc, off, target):
     """Rewrite one invokevirtual site when both bytes fit.
 
     The 16-bit pool operand becomes (argument slot count, dispatch table
-    slot); returns True when rewritten.  Sites whose target has no dispatch
-    slot (private or otherwise non-virtual) are left alone.
+    slot).  Sites whose target has no dispatch slot (private or otherwise
+    non-virtual) are left alone.
     """
-    if target.dispatch_slot is None:
-        return False
-    if target.nargs >= 256 or target.dispatch_slot >= 256:
-        return False
-    bc[off] = _OP["invokevirtual_quick"]
-    bc[off + 1] = target.nargs
-    bc[off + 2] = target.dispatch_slot
-    return True
+    if target.dispatch_slot is not None and target.nargs < 256 \
+            and target.dispatch_slot < 256:
+        bc[off] = _OP["invokevirtual_quick"]
+        bc[off + 1] = target.nargs
+        bc[off + 2] = target.dispatch_slot
 
 
-def _mark_method(m, pool):
-    bc = m.code.bytecode
-    for off, op, size in ops.walk(bc):
-        if op in _INVOKES or op in _FIELD_OPS:
-            vidx, _ = _cell_for(pool, _operand_u2(bc, off),
-                                _INVOKES.get(op) or cp.V_FIELDREF, off)
-            cp.mark(pool, cp.VTABLE, vidx)
-        elif op in _CLASS_OPS:
-            placed = pool.origin[_operand_u2(bc, off)]
-            cp.mark(pool, cp.ATABLE, placed[1])
-        elif op in _QUICK_KIND:
-            idx = bc[off + 1] if ops.OPERAND_BYTES[op] == 1 else _operand_u2(bc, off)
-            cp.mark(pool, cp.VTABLE, idx)
-        elif op in ops.QUICK_A_U1:
-            cp.mark(pool, cp.ATABLE, bc[off + 1])
-        elif op in ops.QUICK_A_U2:
-            cp.mark(pool, cp.ATABLE, _operand_u2(bc, off))
-    for _, _, _, catch in m.code.exception_table:
-        if catch is not None:
-            cp.mark(pool, cp.ATABLE, catch)
-
-
-def encode_static_refs(m, pool):
-    """Turn static accesses into quick forms carrying (offset << 3) | type.
-
-    Only statics declared along the owning class's superclass chain are
-    rewritten: a 13-bit offset is resolved by walking that chain at run
-    time, so an unrelated owner has to stay symbolic.
-    """
-    if m.code is None:
-        return
-    bc = m.code.bytecode
-    for off, op, size in ops.walk(bc):
-        if op not in (_OP["getstatic"], _OP["putstatic"]):
-            continue
-        vidx, cell = _cell_for(pool, _operand_u2(bc, off), cp.V_FIELDREF, off)
-        f = _member_of(pool, cell).resolved
-        if not any(k is f.owner for k in m.owner.hierarchy()):
-            continue
-        bc[off] = _OP["getstatic_quick" if op == _OP["getstatic"]
-                      else "putstatic_quick"]
-        struct.pack_into(">H", bc, off + 1, (f.offset << 3) | f.type_code)
-        cp.unmark(pool, cp.VTABLE, vidx)
-
-
-def rewrite_private_fields(cls, ctx):
-    """Optional pass: getfield/putfield over closed fields become offsets.
-
-    Eligibility follows the closure flags: private fields of this class
-    under the private-field option, non-public fields of classes in closed
-    packages, and every field under a closed world.
-    """
-    pool = cls.pool
-    for m in cls.methods:
-        if m.code is None:
-            continue
-        bc = m.code.bytecode
-        for off, op, size in ops.walk(bc):
-            if op not in (_OP["getfield"], _OP["putfield"]):
-                continue
-            vidx, cell = _cell_for(pool, _operand_u2(bc, off), cp.V_FIELDREF, off)
-            f = _member_of(pool, cell).resolved
-            if not _field_rewritable(f, cls, ctx):
-                continue
-            if f.offset > lc.MAX_STATIC_OFFSET:
-                continue
-            bc[off] = _OP["getfield_quick" if op == _OP["getfield"]
-                          else "putfield_quick"]
-            struct.pack_into(">H", bc, off + 1, (f.offset << 3) | f.type_code)
-            cp.unmark(pool, cp.VTABLE, vidx)
+def _encode_field(bc, off, f):
+    """get/put static or field -> its quick form carrying (offset << 3) | type."""
+    bc[off] = _OP[ops.NAME[bc[off]] + "_quick"]
+    ops.write_operand(bc, off, 2, (f.offset << 3) | f.type_code)
 
 
 def _field_rewritable(f, cls, ctx):
@@ -349,6 +240,26 @@ def _field_rewritable(f, cls, ctx):
     if not f.is_public and ctx.package_closed(_package_of(f.owner.name)):
         return True
     return ctx.private_field_opt and f.is_private and f.owner is cls
+
+
+def _pool_entries(pool, bc, sizes):
+    """(offset, Operand, table index) of every pool operand of the code."""
+    for off in sizes:
+        found = ops.pool_operand(bc, off)
+        if found is not None:
+            entry, idx = found
+            if entry.kind == ops.POOL:
+                idx = pool.origin[idx][1]
+            yield off, entry, idx
+
+
+def mark_method(m, pool, sizes):
+    """Mark every entry the method's final code still references."""
+    for _, entry, idx in _pool_entries(pool, m.code.bytecode, sizes):
+        cp.mark(pool, entry.space, idx)
+    for _, _, _, catch in m.code.exception_table:
+        if catch is not None:
+            cp.mark(pool, cp.ATABLE, catch)
 
 
 def mark_reflection(pool, cls, ctx):
@@ -362,10 +273,8 @@ def mark_reflection(pool, cls, ctx):
                 cp.mark(pool, cp.ATABLE, aidx)
 
 
-def relink_method(m, pool):
+def relink_method(m, pool, sizes):
     """Rewrite every pool-referencing operand through the pack remap."""
-    if m.code is None:
-        return
     bc = m.code.bytecode
 
     def remap(space, idx, off):
@@ -376,24 +285,8 @@ def relink_method(m, pool):
             raise InternalError("%s: operand at %d references swept %s entry %d"
                                 % (m, off, space, idx)) from None
 
-    for off, op, size in ops.walk(bc):
-        if op in _INVOKES or op in _FIELD_OPS:
-            placed = pool.origin[_operand_u2(bc, off)]
-            struct.pack_into(">H", bc, off + 1, remap(cp.VTABLE, placed[1], off))
-        elif op in _CLASS_OPS:
-            placed = pool.origin[_operand_u2(bc, off)]
-            struct.pack_into(">H", bc, off + 1, remap(cp.ATABLE, placed[1], off))
-        elif op in _QUICK_KIND:
-            if ops.OPERAND_BYTES[op] == 1:
-                bc[off + 1] = remap(cp.VTABLE, bc[off + 1], off)
-            else:
-                struct.pack_into(">H", bc, off + 1,
-                                 remap(cp.VTABLE, _operand_u2(bc, off), off))
-        elif op in ops.QUICK_A_U1:
-            bc[off + 1] = remap(cp.ATABLE, bc[off + 1], off)
-        elif op in ops.QUICK_A_U2:
-            struct.pack_into(">H", bc, off + 1,
-                             remap(cp.ATABLE, _operand_u2(bc, off), off))
+    for off, entry, idx in _pool_entries(pool, bc, sizes):
+        ops.write_operand(bc, off, entry.size, remap(entry.space, idx, off))
     m.code.exception_table = [
         (s, e, h, None if c is None else remap(cp.ATABLE, c, 0))
         for s, e, h, c in m.code.exception_table]

@@ -1,4 +1,4 @@
-"""Opcode tables and instruction stream walking.
+"""Opcode tables, the operand table and instruction stream walking.
 
 Covers the pre-Java-5 instruction set plus the quick forms introduced by the
 load/link rewriters.  Quick opcodes live in the unassigned range starting at
@@ -8,7 +8,9 @@ differ in operand width.
 """
 
 import struct
+from typing import NamedTuple
 
+from . import constpool as cp
 from .errors import BadOpcode, Truncated
 
 # mnemonic -> opcode value, and the operand byte count (None = variable)
@@ -107,33 +109,73 @@ BY_NAME["tableswitch"] = TABLESWITCH
 BY_NAME["lookupswitch"] = LOOKUPSWITCH
 BY_NAME["wide"] = WIDE
 
-# opcodes legal under "wide" (besides iinc)
-_WIDE_OK = {BY_NAME[n] for n in
-            ("iload", "lload", "fload", "dload", "aload",
-             "istore", "lstore", "fstore", "dstore", "astore", "ret")}
+# --- operand table -------------------------------------------------------
+# What the operand field of each instruction names.  Load rewriting, the
+# link checks, marking, relinking and branch_targets all read operands
+# through this one table.
+POOL = "pool"              # raw constant-pool index (symbolic forms)
+QUICK = "quick"            # direct atable/vtable index (quick forms)
+LOCAL = "local"            # local variable slot
+BRANCH = "branch"          # signed offset from the instruction start
+IMMEDIATE = "immediate"    # (offset << 3) | type code of a quick field access
+NARGS_SLOT = "nargs_slot"  # invokevirtual_quick: argument slots, dispatch slot
+
+
+class Operand(NamedTuple):
+    kind: str
+    size: int               # bytes of the field at offset + 1; 0 = implied
+    space: str = None       # POOL, QUICK: cp.ATABLE or cp.VTABLE
+    want: object = None     # POOL, QUICK: kind of the entry named (None: any
+                            # constant, resolved at load); LOCAL: slot width
+    slot: int = None        # LOCAL of size 0: the implied slot
+
+
+def _operand_table():
+    V, A = cp.VTABLE, cp.ATABLE
+    rows = (
+        ("ldc", POOL, 1, V),
+        ("ldc_w ldc2_w", POOL, 2, V),
+        ("getstatic putstatic getfield putfield", POOL, 2, V, cp.V_FIELDREF),
+        ("invokevirtual invokespecial invokestatic", POOL, 2, V, cp.V_METHODREF),
+        ("invokeinterface", POOL, 2, V, cp.V_IFACEREF),
+        ("new anewarray checkcast instanceof multianewarray", POOL, 2, A,
+         cp.A_CLASS),
+        ("ldc_quick_i", QUICK, 1, V, cp.V_INT),
+        ("ldc_quick_i_w", QUICK, 2, V, cp.V_INT),
+        ("ldc_quick_f", QUICK, 1, V, cp.V_FLOAT),
+        ("ldc_quick_f_w", QUICK, 2, V, cp.V_FLOAT),
+        ("ldc2_quick_l", QUICK, 2, V, cp.V_LONG_HI),
+        ("ldc2_quick_d", QUICK, 2, V, cp.V_DBL_HI),
+        ("ldc_quick_a", QUICK, 1, A, cp.A_STRING),
+        ("ldc_quick_a_w", QUICK, 2, A, cp.A_STRING),
+        ("anewarray_quick", QUICK, 2, A, cp.A_CLASS),
+        ("iload fload aload istore fstore astore ret iinc", LOCAL, 1, None, 1),
+        ("lload dload lstore dstore", LOCAL, 1, None, 2),
+        ("ifeq ifne iflt ifge ifgt ifle if_icmpeq if_icmpne if_icmplt "
+         "if_icmpge if_icmpgt if_icmple if_acmpeq if_acmpne goto jsr ifnull "
+         "ifnonnull", BRANCH, 2),
+        ("goto_w jsr_w", BRANCH, 4),
+        ("getstatic_quick putstatic_quick getfield_quick putfield_quick",
+         IMMEDIATE, 2),
+        ("invokevirtual_quick", NARGS_SLOT, 2),
+    )
+    table = {}
+    for names, *entry in rows:
+        for name in names.split():
+            table[BY_NAME[name]] = Operand(*entry)
+    for op, entry in list(table.items()):      # xload_0 .. xstore_3
+        if entry.kind == LOCAL and NAME[op] not in ("ret", "iinc"):
+            for k in range(4):
+                fixed = BY_NAME["%s_%d" % (NAME[op], k)]
+                table[fixed] = entry._replace(size=0, slot=k)
+    return table
+
+
+OPERANDS = _operand_table()
+
+# opcodes legal under "wide": the one-byte local forms (iinc has 6 bytes)
+_WIDE_OK = {op for op, e in OPERANDS.items() if e.kind == LOCAL and e.size == 1}
 _IINC = BY_NAME["iinc"]
-
-# instructions whose u2 operand is a symbolic constant pool reference
-CP_U2 = {BY_NAME[n] for n in
-         ("ldc_w", "ldc2_w", "getstatic", "putstatic", "getfield", "putfield",
-          "invokevirtual", "invokespecial", "invokestatic", "invokeinterface",
-          "new", "anewarray", "checkcast", "instanceof", "multianewarray")}
-CP_U1 = {BY_NAME["ldc"]}
-
-# quick forms indexing the value table (vtable)
-QUICK_V_U1 = {BY_NAME["ldc_quick_i"], BY_NAME["ldc_quick_f"]}
-QUICK_V_U2 = {BY_NAME[n] for n in
-              ("ldc_quick_i_w", "ldc_quick_f_w", "ldc2_quick_l", "ldc2_quick_d")}
-# quick forms indexing the reference table (atable)
-QUICK_A_U1 = {BY_NAME["ldc_quick_a"]}
-QUICK_A_U2 = {BY_NAME["ldc_quick_a_w"], BY_NAME["anewarray_quick"]}
-
-BRANCH_U2 = {BY_NAME[n] for n in
-             ("ifeq", "ifne", "iflt", "ifge", "ifgt", "ifle",
-              "if_icmpeq", "if_icmpne", "if_icmplt", "if_icmpge",
-              "if_icmpgt", "if_icmple", "if_acmpeq", "if_acmpne",
-              "goto", "jsr", "ifnull", "ifnonnull")}
-BRANCH_U4 = {BY_NAME["goto_w"], BY_NAME["jsr_w"]}
 
 
 def size_at(code, offset):
@@ -198,19 +240,57 @@ def walk(code):
         offset += size
 
 
-def boundaries(code):
-    """Set of valid instruction start offsets."""
-    return {offset for offset, _, _ in walk(code)}
+def read_operand(code, offset, size):
+    """Unsigned 1- or 2-byte operand field of the instruction at ``offset``."""
+    if size == 1:
+        return code[offset + 1]
+    return (code[offset + 1] << 8) | code[offset + 2]
+
+
+def write_operand(code, offset, size, value):
+    if size == 1:
+        code[offset + 1] = value
+    else:
+        struct.pack_into(">H", code, offset + 1, value)
+
+
+def pool_operand(code, offset):
+    """(Operand, index) of the pool entry the instruction names, or None.
+
+    The index is a raw pool index for POOL operands and a direct atable or
+    vtable index for QUICK ones.
+    """
+    entry = OPERANDS.get(code[offset])
+    if entry is None or entry.space is None:
+        return None
+    return entry, read_operand(code, offset, entry.size)
+
+
+def local_slot(code, offset):
+    """(slot, width) of the local variable the instruction names, or None."""
+    op = code[offset]
+    if op == WIDE:
+        return (read_operand(code, offset + 1, 2),
+                OPERANDS[code[offset + 1]].want)
+    entry = OPERANDS.get(op)
+    if entry is None or entry.kind != LOCAL:
+        return None
+    slot = code[offset + 1] if entry.slot is None else entry.slot
+    return slot, entry.want
+
+
+def instruction_sizes(code):
+    """offset -> size of every instruction, in code order."""
+    return {offset: size for offset, _, size in walk(code)}
 
 
 def branch_targets(code, offset):
     """Absolute branch targets of the instruction at ``offset`` (may be empty)."""
     op = code[offset]
-    if op in BRANCH_U2:
-        rel = struct.unpack_from(">h", code, offset + 1)[0]
-        return [offset + rel]
-    if op in BRANCH_U4:
-        rel = struct.unpack_from(">i", code, offset + 1)[0]
+    entry = OPERANDS.get(op)
+    if entry is not None and entry.kind == BRANCH:
+        rel = struct.unpack_from(">h" if entry.size == 2 else ">i",
+                                 code, offset + 1)[0]
         return [offset + rel]
     if op == TABLESWITCH:
         pad = (4 - (offset + 1) % 4) % 4

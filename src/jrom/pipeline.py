@@ -24,19 +24,52 @@ class VerifyOutcome:
         return not self.failures
 
 
+def _slot_difference(zones, other):
+    """"<zone>-zone slot <i>: <a> vs <b>" at the first differing slot."""
+    for zone, mine, theirs in zip("av", zones, other):
+        pairs = itertools.zip_longest(mine, theirs, fillvalue="absent")
+        for i, (x, y) in enumerate(pairs):
+            if x != y:
+                return "%s-zone slot %d: %r vs %r" % (zone, i, x, y)
+    return None
+
+
 def _zone_difference(cls, other):
     """First slot at which ``other`` starts a world from different zones."""
     if other is None or other.state == lc.UNLOADED:
         return "missing from the reloaded registry"
     for base in ("live", "init"):
-        for zone, mine, theirs in zip("av", vf.base_zones(cls, base),
-                                      vf.base_zones(other, base)):
-            pairs = itertools.zip_longest(mine, theirs, fillvalue="absent")
-            for i, (x, y) in enumerate(pairs):
-                if x != y:
-                    return "%s %s-zone slot %d: %r vs %r" % (base, zone, i,
-                                                             x, y)
+        detail = _slot_difference(vf.base_zones(cls, base),
+                                  vf.base_zones(other, base))
+        if detail is not None:
+            return "%s %s" % (base, detail)
     return None
+
+
+def _world_difference(before, dig_a, after, dig_b):
+    """First static slot, else first heap object, where two digests differ.
+
+    A digest leaves out zones equal to their base, so a zone one side
+    left out is compared as that side's base.
+    """
+    def zones_of(ctx, digest, name):
+        if name in digest[0]:
+            return digest[0][name]
+        cls = ctx.registry.get(name)
+        return vf.base_zones(cls, ctx.base) if cls is not None else ((), ())
+
+    for name in sorted(set(dig_a[0]) | set(dig_b[0])):
+        detail = _slot_difference(zones_of(before, dig_a, name),
+                                  zones_of(after, dig_b, name))
+        if detail is not None:
+            return "static %s %s" % (name, detail)
+    heap_a = {obj[0]: obj[1:] for obj in dig_a[1]}
+    heap_b = {obj[0]: obj[1:] for obj in dig_b[1]}
+    for rid in sorted(set(heap_a) | set(heap_b)):
+        obj_a, obj_b = heap_a.get(rid, "absent"), heap_b.get(rid, "absent")
+        if obj_a != obj_b:
+            return "heap object %d: %r vs %r" % (rid, obj_a, obj_b)
+    return "world effects differ"
 
 
 class Pipeline:
@@ -223,7 +256,8 @@ class Pipeline:
                     (out_b.kind, out_b.value, out_b.exception):
                 return "vector %d: outcome %r vs %r" % (k, out_a, out_b)
             if dig_a != dig_b:
-                return "vector %d: world effects differ" % k
+                return "vector %d: %s" % (k, _world_difference(before, dig_a,
+                                                                after, dig_b))
         return None
 
     def corrupt(self, cls_name, method_name):

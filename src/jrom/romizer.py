@@ -12,7 +12,6 @@ import struct
 from dataclasses import dataclass
 
 from . import constpool as cp
-from . import descriptors as dsc
 from . import lifecycle as lc
 from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                      StageNotReached, VersionMismatch)
@@ -520,34 +519,9 @@ def load_image(data):
         in_progress.add(cls.name)
         if cls.super_cls is not None and not cls.super_cls.synthetic:
             finish(cls.super_cls, record_of[cls.super_cls.name])
-            cls.a_base = cls.super_cls.a_base + len(cls.super_cls.a_static_zone)
-            cls.v_base = cls.super_cls.v_base + len(cls.super_cls.v_static_zone)
-            cls.instance_base = cls.super_cls.instance_size
         in_progress.discard(cls.name)
         done.add(cls.name)
-
-        offset = cls.instance_base
-        cls.fields = []
-        for fname, fdesc, fflags, cv in rec.fields:
-            f = lc.FieldRep(cls, fname, fdesc, fflags,
-                            bool(fflags & 0x0008), dsc.type_code(fdesc),
-                            constant_value=cv)
-            if not f.is_static:
-                f.offset = offset
-                offset += f.width
-            cls.fields.append(f)
-        cls.instance_size = offset
-        lc.lay_out_statics(cls)
-
-        cls.methods = []
-        for mname, mdesc, mflags, code in rec.methods:
-            m = lc.MethodRep(cls, mname, mdesc, mflags,
-                             dsc.arg_slots(mdesc,
-                                           include_receiver=not bool(mflags & 0x0008)),
-                             code=code)
-            cls.methods.append(m)
-        lc.build_dispatch_table(cls)
-
+        lc.lay_out_class(cls, rec.fields, rec.methods)
         cls.a_static_zone, cls.v_static_zone = rec.zones
         cls.zones_initial = rec.zones_initial
 

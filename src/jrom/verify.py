@@ -13,6 +13,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
+from . import classfile as cf
 from . import constpool as cp
 from . import descriptors as dsc
 from . import lifecycle as lc
@@ -342,6 +343,10 @@ class Machine:
             if not stack:
                 raise StackUnderflow("%s at %d" % (method, pc))
             return stack.pop()
+
+        def need(n):
+            if len(stack) < n:
+                raise StackUnderflow("%s at %d" % (method, pc))
 
         def pop2():
             pop()
@@ -682,22 +687,29 @@ class Machine:
                 elif op == _OP["pop2"]:
                     pop2()
                 elif op == _OP["dup"]:
+                    need(1)
                     push(stack[-1])
                 elif op == _OP["dup_x1"]:
+                    need(2)
                     stack.insert(-2, stack[-1])
                 elif op == _OP["dup_x2"]:
+                    need(3)
                     stack.insert(-3, stack[-1])
                 elif op == _OP["dup2"]:
+                    need(2)
                     a, b = stack[-2], stack[-1]
                     push(a)
                     push(b)
                 elif op == _OP["dup2_x1"]:
+                    need(3)
                     stack.insert(-3, stack[-2])
                     stack.insert(-3, stack[-1])
                 elif op == _OP["dup2_x2"]:
+                    need(4)
                     stack.insert(-4, stack[-2])
                     stack.insert(-4, stack[-1])
                 elif op == _OP["swap"]:
+                    need(2)
                     stack[-1], stack[-2] = stack[-2], stack[-1]
 
                 # integer arithmetic
@@ -1178,12 +1190,12 @@ def run_method(ctx, cls_name, method_key, vector, fuel=DEFAULT_FUEL, trace=None)
 
 def _concrete_receiver_class(owner, registry):
     """A deterministic instantiable class for testing an instance method."""
-    if not (owner.access_flags & 0x0400) and not owner.is_interface:
+    if not (owner.access_flags & cf.ACC_ABSTRACT) and not owner.is_interface:
         return owner
     candidates = sorted(
         (c for c in registry.classes.values()
          if not c.synthetic and c.state != lc.UNLOADED
-         and not (c.access_flags & 0x0400) and not c.is_interface
+         and not (c.access_flags & cf.ACC_ABSTRACT) and not c.is_interface
          and c.is_subclass_of(owner)),
         key=lambda c: c.name)
     return candidates[0] if candidates else owner

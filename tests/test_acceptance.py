@@ -5,7 +5,6 @@ lines.  The corpus is assembled in-repo (no JDK is available here); every
 threshold below is fixed, not tuned at runtime.
 """
 
-import struct
 import time
 from contextlib import contextmanager
 
@@ -137,24 +136,13 @@ def _resolve_every_operand(cls, m):
     count = 0
     bc = m.code.bytecode
     for off, op, size in ops.walk(bc):
-        if op in lk._INVOKES or op in lk._FIELD_OPS:
-            vidx = struct.unpack_from(">H", bc, off + 1)[0]
-            want = lk._INVOKES.get(op) or cp.V_FIELDREF
-            assert pool.vtable[vidx].kind == want
-            cp.resolve(pool, "v", vidx)
-        elif op in lk._CLASS_OPS:
-            aidx = struct.unpack_from(">H", bc, off + 1)[0]
-            assert pool.atable[aidx].kind == cp.A_CLASS
-        elif op in lk._QUICK_KIND:
-            idx = bc[off + 1] if ops.OPERAND_BYTES[op] == 1 \
-                else struct.unpack_from(">H", bc, off + 1)[0]
-            assert pool.vtable[idx].kind == lk._QUICK_KIND[op]
-        elif op in ops.QUICK_A_U1 or op in ops.QUICK_A_U2:
-            idx = bc[off + 1] if op in ops.QUICK_A_U1 \
-                else struct.unpack_from(">H", bc, off + 1)[0]
-            assert pool.atable[idx].kind in (cp.A_STRING, cp.A_CLASS)
-        else:
+        found = ops.pool_operand(bc, off)
+        if found is None:
             continue
+        entry, idx = found
+        table = pool.vtable if entry.space == cp.VTABLE else pool.atable
+        assert table[idx].kind == entry.want
+        cp.resolve(pool, entry.space, idx)
         count += 1
     for *_, catch in m.code.exception_table:
         if catch is not None:

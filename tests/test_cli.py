@@ -137,6 +137,29 @@ class TestVerify:
         assert code == 0
         assert "0 methods checked" not in out or "warning" in out
 
+    @pytest.mark.parametrize("body", [
+        ("iconst_1", "dup_x2", "pop", "ireturn"),
+        ("dup", "ireturn"),
+        ("iconst_1", "swap", "ireturn"),
+    ], ids=["dup_x2", "dup", "swap"])
+    def test_short_stack_shuffle_is_skipped(self, tmp_path, capsys, body):
+        from .assembler import ClassBuilder, ACC_PUBLIC, ACC_STATIC
+        from .corpus import build_corpus
+        cb = ClassBuilder("only/Shuffle")
+        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
+        for name in body:
+            c.op(name)
+        (tmp_path / "only").mkdir()
+        (tmp_path / "only" / "Shuffle.class").write_bytes(cb.build())
+        obj = tmp_path / "java" / "lang"
+        obj.mkdir(parents=True)
+        (obj / "Object.class").write_bytes(
+            build_corpus()["java/lang/Object"][0])
+        code = run_cli("verify", "--classpath", str(tmp_path), "only/Shuffle")
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "1 skipped" in out
+
     def test_trace_with_method_filter(self, corpus_dir, capsys):
         code = run_cli("verify", "--classpath", corpus_dir, "--trace",
                        "--method", "corpus/Constants.intConst",

@@ -1,5 +1,6 @@
-"""Smoke test of `jrom romize --verify` on a class set from the benchmark's
-generator: <clinit> chains and cross-class getstatic across packages.
+"""Smoke tests of `jrom romize` on a class set from the benchmark's generator:
+<clinit> chains and cross-class getstatic across packages, under --verify
+and under the closed-world flags that rewrite field accesses.
 
 The generator is loaded by path, since ``perfbench/`` is not a package.
 No time bound is set; timing belongs to the benchmark.
@@ -7,8 +8,10 @@ No time bound is set; timing belongs to the benchmark.
 
 import importlib.util
 import os
+from types import SimpleNamespace
 
 from jrom import cli
+from jrom import opcodes as ops
 from jrom import romizer as rz
 
 GEN_PATH = os.path.join(os.path.dirname(os.path.dirname(
@@ -22,19 +25,42 @@ def load_generator():
     return gen
 
 
-def test_romize_verify_generated_set(tmp_path, capsys):
+def romize_generated(tmp_path, capsys, flags):
+    """Romize 30 generated classes; returns (class set, stdout, reloaded).
+
+    ``load_image`` does not return the header flags, so the round trip
+    re-emits under the flags the image was written with.
+    """
     gen = load_generator()
     class_set = gen.generate(30, 0)
     classes = tmp_path / "classes"
     gen.write(class_set.files, str(classes))
     image_path = tmp_path / "system.rom"
     rc = cli.main(["romize", "--classpath", str(classes),
-                   "--out", str(image_path), "--verify"]
+                   "--out", str(image_path)] + flags
                   + sorted(class_set.files))
     printed = capsys.readouterr()
     assert rc == 0, printed.err
-    assert ("verified %d methods (0 skipped)" % class_set.methods_with_code
-            in printed.out), printed.out
     image = image_path.read_bytes()
     reloaded = rz.load_image(image)
-    assert rz.emit_image(reloaded.loadable()) == image
+    emit_flags = SimpleNamespace(
+        introspection="--no-introspection" not in flags,
+        private_field_opt=False, closed_world="--closed-world" in flags)
+    assert rz.emit_image(reloaded.loadable(), emit_flags) == image
+    return class_set, printed.out, reloaded
+
+
+def test_romize_verify_generated_set(tmp_path, capsys):
+    class_set, out, _ = romize_generated(tmp_path, capsys, ["--verify"])
+    assert ("verified %d methods (0 skipped)" % class_set.methods_with_code
+            in out), out
+
+
+def test_romize_closed_world_generated_set(tmp_path, capsys):
+    """The scale-build flags: closed-field rewriting, no --verify."""
+    _, _, reloaded = romize_generated(tmp_path, capsys,
+                                      ["--closed-world", "--no-introspection"])
+    quick = {ops.BY_NAME["getfield_quick"], ops.BY_NAME["putfield_quick"]}
+    assert any(op in quick for cls in reloaded.loadable()
+               for m in cls.methods if m.code is not None
+               for _, op, _ in ops.walk(m.code.bytecode))

@@ -235,7 +235,8 @@ class TestRewriteLoad:
                 original = rm.attr("Code").code.code
                 rewritten = m.code.bytecode
                 assert len(original) == len(rewritten)
-                assert ops.boundaries(original) == ops.boundaries(rewritten)
+                assert [o for o, _, _ in ops.walk(original)] == \
+                    [o for o, _, _ in ops.walk(rewritten)]
 
     def test_ldc_string_index_overflow(self):
         with pytest.raises(PoolOverflow):
@@ -283,7 +284,6 @@ class TestRewriteLoad:
             lc.load(cls, bytes(data), reg.resolve)
 
     def test_every_quick_target_marked_after_load(self, corpus, corpus_dir):
-        import struct
         reg, loader = fresh_world(corpus_dir)
         for name in sorted(corpus):
             cls = loader.ensure_loaded(name)
@@ -293,16 +293,13 @@ class TestRewriteLoad:
                     continue
                 bc = m.code_loaded.bytecode
                 for off, op, size in ops.walk(bc):
-                    if op in ops.QUICK_V_U1:
-                        assert view.pool.v_marks[bc[off + 1]]
-                    elif op in ops.QUICK_V_U2:
-                        idx = struct.unpack_from(">H", bc, off + 1)[0]
-                        assert view.pool.v_marks[idx]
-                    elif op in ops.QUICK_A_U1:
-                        assert view.pool.a_marks[bc[off + 1]]
-                    elif op in ops.QUICK_A_U2:
-                        idx = struct.unpack_from(">H", bc, off + 1)[0]
-                        assert view.pool.a_marks[idx]
+                    found = ops.pool_operand(bc, off)
+                    if found is None or found[0].kind != ops.QUICK:
+                        continue
+                    entry, idx = found
+                    marks = view.pool.v_marks if entry.space == cp.VTABLE \
+                        else view.pool.a_marks
+                    assert marks[idx]
 
 
 class TestDispatchTable:

@@ -513,29 +513,11 @@ def _resolved_operands(code, pool, relinked):
     out = {}
     bc = code.bytecode
     for off, op, size in ops.walk(bc):
-        if op in (OP["getstatic_quick"], OP["putstatic_quick"],
-                  OP["getfield_quick"], OP["putfield_quick"],
-                  OP["invokevirtual_quick"]):
+        found = ops.pool_operand(bc, off)
+        if found is None:
             continue
-        spot = None
-        if op in lk._INVOKES or op in lk._FIELD_OPS:
-            operand = struct.unpack_from(">H", bc, off + 1)[0]
-            vidx = operand if relinked else pool.origin[operand][1]
-            spot = cp.resolve(pool, "v", vidx)
-        elif op in lk._CLASS_OPS:
-            operand = struct.unpack_from(">H", bc, off + 1)[0]
-            aidx = operand if relinked else pool.origin[operand][1]
-            spot = cp.resolve(pool, "a", aidx)
-        elif op in lk._QUICK_KIND:
-            idx = bc[off + 1] if ops.OPERAND_BYTES[op] == 1 \
-                else struct.unpack_from(">H", bc, off + 1)[0]
-            spot = cp.resolve(pool, "v", idx)
-        elif op in ops.QUICK_A_U1:
-            spot = cp.resolve(pool, "a", bc[off + 1])
-        elif op in ops.QUICK_A_U2:
-            spot = cp.resolve(pool, "a",
-                              struct.unpack_from(">H", bc, off + 1)[0])
-        else:
-            continue
-        out[off] = spot
+        entry, idx = found
+        if entry.kind == ops.POOL and not relinked:
+            idx = pool.origin[idx][1]
+        out[off] = cp.resolve(pool, entry.space, idx)
     return out

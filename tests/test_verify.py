@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom import verify as vf
-from jrom.errors import UnsupportedOpcode
-from jrom.pipeline import Pipeline
+from jrom import opcodes as ops
+from jrom.errors import StackUnderflow, UnsupportedOpcode
+from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
 
@@ -109,6 +110,27 @@ class TestBasics:
         assert (out.kind, out.exception) == ("throw",
                                              "java/lang/StackOverflowError")
 
+    def test_shuffle_on_short_stack_underflows(self, corpus_dir, tmp_path):
+        # each shuffle gets one slot fewer than it needs
+        need = {"dup": 1, "dup_x1": 2, "dup_x2": 3, "dup2": 2, "dup2_x1": 3,
+                "dup2_x2": 4, "swap": 2}
+        cb = ClassBuilder("vm/Short")
+        cb.default_init()
+        for name, n in need.items():
+            c = cb.method(name, "()I", ACC_PUBLIC | ACC_STATIC)
+            for _ in range(n - 1):
+                c.op("iconst_1")
+            c.op(name).op("ireturn")
+        d = tmp_path / "vm"
+        d.mkdir()
+        (d / "Short.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Short"], closure=True)
+        assert pipe.link_all() == []
+        for name in need:
+            with pytest.raises(StackUnderflow):
+                run_static(pipe, "vm/Short", name)
+
     def test_unsupported_opcode_names_offset(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Mon")
         cb.default_init()
@@ -169,6 +191,43 @@ class TestDifferentialPairs:
                                          only="corpus/Clinit.<clinit>")
         assert out.checked == [("corpus/Clinit", "<clinit>()V")], out
         assert not out.failures and not out.skipped
+
+
+class TestMismatchDetail:
+    def test_static_slot_difference_is_named(self, corpus_dir, tmp_path):
+        cb = ClassBuilder("vm/Slots")
+        cb.field("a", "I", ACC_PUBLIC | ACC_STATIC)
+        cb.field("b", "I", ACC_PUBLIC | ACC_STATIC)
+        cb.default_init()
+        c = cb.method("set", "()V", ACC_PUBLIC | ACC_STATIC)
+        c.op("iconst_5").putstatic("vm/Slots", "a", "I").op("return")
+        (tmp_path / "vm").mkdir()
+        (tmp_path / "vm" / "Slots.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Slots"], closure=True)
+        assert pipe.ready_all() == []
+        assert pipe.link_all() == []
+        cls = pipe.registry.get("vm/Slots")
+        b = next(f for f in cls.fields if f.name == "b")
+        bc = next(m for m in cls.methods if m.name == "set").code.bytecode
+        assert bc[1] == ops.BY_NAME["putstatic_quick"]
+        ops.write_operand(bc, 1, 2, (b.offset << 3) | b.type_code)
+        out = pipe.verify_all(vectors=1, only="vm/Slots.set")
+        assert [(c, m) for c, m, _ in out.failures] == [("vm/Slots", "set()V")]
+        detail = out.failures[0][2]
+        assert "vm/Slots" in detail and "v-zone" in detail, detail
+        assert "slot 0: 5 vs 0" in detail, detail
+
+    def test_heap_object_difference_is_named(self):
+        ctx = vf.ExecContext(None, lc.LINKED)
+        dig_a = ({}, ((1, "obj", "p/Q", (3,)),))
+        dig_b = ({}, ((1, "obj", "p/Q", (4,)), (2, "arr", "I", ())))
+        detail = _world_difference(ctx, dig_a, ctx, dig_b)
+        assert detail == "heap object 1: ('obj', 'p/Q', (3,)) vs " \
+                         "('obj', 'p/Q', (4,))"
+        detail = _world_difference(ctx, dig_b, ctx, dig_b[:1] + (dig_b[1][1:],))
+        assert detail.startswith("heap object 1: ('obj'")
+        assert detail.endswith("vs 'absent'")
 
 
 class TestDeterminismAndFuel:
