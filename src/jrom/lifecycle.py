@@ -89,6 +89,10 @@ class MethodRep:
     def key(self):
         return (self.name, self.descriptor)
 
+    def code_at(self, stage):
+        """The body run at a pipeline stage: as loaded, or as linked."""
+        return self.code_loaded if stage == LOADED else self.code
+
     @property
     def is_static(self):
         return bool(self.access_flags & cf.ACC_STATIC)
@@ -109,9 +113,8 @@ class MethodRep:
 
 @dataclass
 class StageView:
-    """Everything needed to execute a method at one pipeline stage."""
+    """The pool a class's methods run against at one pipeline stage."""
     pool: cp.RuntimePool
-    codes: dict             # (name, descriptor) -> MethodCode
     relinked: bool
 
 
@@ -155,8 +158,7 @@ class ClassRep:
             if self.loaded_view is None:
                 raise InvalidTransition("%s has no loaded snapshot" % self.name)
             return self.loaded_view
-        return StageView(self.pool, {m.key: m.code for m in self.methods},
-                         relinked=True)
+        return StageView(self.pool, relinked=True)
 
     def find_method(self, name, descriptor):
         """JVM-style resolution: the class, its supers, then interfaces."""
@@ -378,9 +380,7 @@ def load_parsed(cls, raw, data, resolver):
         "file_bytes": len(data) if data is not None else 0,
     }
     cls.state = LOADED
-    cls.loaded_view = StageView(pool.clone(),
-                                {m.key: m.code for m in cls.methods},
-                                relinked=False)
+    cls.loaded_view = StageView(pool.clone(), relinked=False)
 
 
 def _loaded_code(raw_method, pool):

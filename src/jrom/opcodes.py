@@ -186,8 +186,7 @@ def size_at(code, offset):
     """
     op = code[offset]
     if op == TABLESWITCH:
-        pad = (4 - (offset + 1) % 4) % 4
-        base = offset + 1 + pad
+        base = _switch_base(offset)
         if base + 12 > len(code):
             raise Truncated("tableswitch header at %d" % offset)
         low, high = struct.unpack_from(">ii", code, base + 4)
@@ -198,8 +197,7 @@ def size_at(code, offset):
             raise Truncated("tableswitch entries at %d" % offset)
         return end - offset
     if op == LOOKUPSWITCH:
-        pad = (4 - (offset + 1) % 4) % 4
-        base = offset + 1 + pad
+        base = _switch_base(offset)
         if base + 8 > len(code):
             raise Truncated("lookupswitch header at %d" % offset)
         npairs = struct.unpack_from(">i", code, base + 4)[0]
@@ -292,23 +290,39 @@ def branch_targets(code, offset):
         rel = struct.unpack_from(">h" if entry.size == 2 else ">i",
                                  code, offset + 1)[0]
         return [offset + rel]
-    if op == TABLESWITCH:
-        pad = (4 - (offset + 1) % 4) % 4
-        base = offset + 1 + pad
-        default, low, high = struct.unpack_from(">iii", code, base)
-        targets = [offset + default]
-        for i in range(high - low + 1):
-            targets.append(offset + struct.unpack_from(">i", code, base + 12 + 4 * i)[0])
-        return targets
-    if op == LOOKUPSWITCH:
-        pad = (4 - (offset + 1) % 4) % 4
-        base = offset + 1 + pad
-        default, npairs = struct.unpack_from(">ii", code, base)
-        targets = [offset + default]
-        for i in range(npairs):
-            targets.append(offset + struct.unpack_from(">i", code, base + 8 + 8 * i + 4)[0])
-        return targets
+    if op in (TABLESWITCH, LOOKUPSWITCH):
+        default, pairs = _switch_cases(code, offset)
+        return [offset + default] + [offset + rel for _, rel in pairs]
     return []
+
+
+def switch_target(code, offset, key):
+    """Absolute target the tableswitch or lookupswitch at ``offset`` takes."""
+    default, pairs = _switch_cases(code, offset)
+    return offset + next((rel for match, rel in pairs if match == key), default)
+
+
+def _switch_cases(code, offset):
+    """(default, [(key, relative target), ...]) of a switch, in code order."""
+    base = _switch_base(offset)
+    if code[offset] == TABLESWITCH:
+        default, low, high = struct.unpack_from(">iii", code, base)
+        rels = struct.unpack_from(">%di" % (high - low + 1), code, base + 12)
+        return default, list(zip(range(low, high + 1), rels))
+    default, npairs = struct.unpack_from(">ii", code, base)
+    flat = struct.unpack_from(">%di" % (2 * npairs), code, base + 8)
+    return default, list(zip(flat[::2], flat[1::2]))
+
+
+def _switch_base(offset):
+    """Offset of a switch's operands, padded to a multiple of four."""
+    return offset + 1 + (4 - (offset + 1) % 4) % 4
+
+
+def field_immediate(code, offset):
+    """(field offset, type code) of a quick field access's IMMEDIATE operand."""
+    imm = read_operand(code, offset, 2)
+    return imm >> 3, imm & 7
 
 
 def mnemonic(op):

@@ -73,7 +73,8 @@ def snapshot_stats(cls, stage):
         raise StageNotReached("unknown stage %r" % stage)
     pool_bytes = view.pool.byte_size()
     total = pool_bytes
-    for code in view.codes.values():
+    for m in cls.methods:
+        code = m.code_at(stage)
         if code is not None:
             total += _code_bytes(code)
     total += 8 * (len(cls.fields) + len(cls.methods))
@@ -517,8 +518,12 @@ def load_image(data):
         if cls.name in in_progress:
             raise Corrupt("superclass cycle through %s" % cls.name, r.pos)
         in_progress.add(cls.name)
-        if cls.super_cls is not None and not cls.super_cls.synthetic:
-            finish(cls.super_cls, record_of[cls.super_cls.name])
+        sup = cls.super_cls
+        if sup is not None and not sup.synthetic:
+            if sup.name not in record_of:
+                raise Corrupt("superclass %s of %s is not in the image"
+                              % (sup.name, cls.name), r.pos)
+            finish(sup, record_of[sup.name])
         in_progress.discard(cls.name)
         done.add(cls.name)
         lc.lay_out_class(cls, rec.fields, rec.methods)

@@ -1,13 +1,22 @@
 """Minimal stack-machine interpreter used as a differential oracle.
 
-It executes both the original (symbolic) and the quick-opcode dialects of a
-method body against a snapshot world, so every pipeline rewrite can be
-checked for semantic preservation: same outcome, same static-zone writes,
-same created objects.  Breadth over the rewritten opcodes matters here, not
-speed or VM completeness.
+It executes both the post-load dialect of a method body (symbolic member
+references) and the post-link one (quick forms) against a snapshot world,
+so every pipeline rewrite can be checked for semantic preservation: same
+outcome, same static-zone writes, same created objects.
+
+Dispatch is one lookup per instruction in ``_HANDLERS``, a table from
+opcode to handler.  A family of opcodes (the int operators, the conditional
+branches, the local loads, ...) shares one handler, which reads its operand
+through the ``opcodes.OPERANDS`` readers and what sets the members apart
+from a small table keyed by opcode.  An opcode without a handler (jsr/ret,
+the monitors, multianewarray, and the symbolic ldc forms and anewarray,
+which loading always rewrites) puts a method outside the subset the
+machine runs; ``in_subset`` asks the same table.
 """
 
 import math
+import operator
 import random
 import struct
 import zlib
@@ -18,7 +27,8 @@ from . import constpool as cp
 from . import descriptors as dsc
 from . import lifecycle as lc
 from . import opcodes as ops
-from .errors import InterpError, StackOverflow, StackUnderflow, UnsupportedOpcode
+from .errors import (InterpError, JromError, StackOverflow, StackUnderflow,
+                     UnsupportedOpcode)
 
 _OP = ops.BY_NAME
 
@@ -200,9 +210,6 @@ class World:
             self.bases[cls.name] = src
         return z
 
-    def view(self, cls):
-        return cls.view(self.stage)
-
 
 @dataclass
 class Outcome:
@@ -223,23 +230,132 @@ class _FuelOut(Exception):
     pass
 
 
-_UNSUPPORTED = {_OP[n] for n in ("jsr", "jsr_w", "ret", "monitorenter",
-                                 "monitorexit", "multianewarray")}
-
-
 def in_subset(code):
-    """True when every opcode of a method body is one the machine executes."""
+    """True when every opcode of a method body has a handler."""
     if code is None:
         return False
+    bc = code.bytecode
     try:
-        for off, op, size in ops.walk(code.bytecode):
-            if op in _UNSUPPORTED:
+        for off, op, _ in ops.walk(bc):
+            if op == ops.WIDE:
+                op = bc[off + 1]
+            if _HANDLERS[op] is _unsupported:
                 return False
-            if op == ops.WIDE and code.bytecode[off + 1] == _OP["ret"]:
-                return False
-    except Exception:
+    except JromError:
         return False
     return True
+
+
+class Frame:
+    """One activation: a method's code at the world's stage, locals, stack.
+
+    ``pc`` is the instruction being run and ``next_pc`` where control goes
+    after it; a handler that branches sets ``next_pc``.
+    """
+    __slots__ = ("method", "code", "bc", "pool", "relinked", "max_stack",
+                 "locals", "stack", "pc", "next_pc")
+
+    def __init__(self, method, code, view, args):
+        if len(args) > code.max_locals:
+            raise InterpError("%s: %d argument slots > max_locals %d"
+                              % (method, len(args), code.max_locals))
+        self.method = method
+        self.code = code
+        self.bc = code.bytecode
+        self.pool = view.pool
+        self.relinked = view.relinked
+        self.max_stack = code.max_stack
+        self.locals = list(args) + [PAD] * (code.max_locals - len(args))
+        self.stack = []
+        self.pc = 0
+        self.next_pc = 0
+
+    def where(self):
+        return "%s at %d" % (self.method, self.pc)
+
+    def push(self, slot):
+        self.stack.append(slot)
+        if len(self.stack) > self.max_stack:
+            raise StackOverflow(self.where())
+
+    def push_value(self, slot):
+        """Push a typed value; a long or double takes a padding slot too."""
+        self.push(slot)
+        if slot[0] in "jd":
+            self.push(PAD)
+
+    def pop(self):
+        if not self.stack:
+            raise StackUnderflow(self.where())
+        return self.stack.pop()
+
+    def pop_value(self, kind):
+        """Pop a value of this slot tag; a long or double drops its padding."""
+        if kind in "jd":
+            self.pop()
+        return self.pop()
+
+    def need(self, n):
+        if len(self.stack) < n:
+            raise StackUnderflow(self.where())
+
+    def pop_args(self, n):
+        self.need(n)
+        args = self.stack[len(self.stack) - n:]
+        del self.stack[len(self.stack) - n:]
+        return args
+
+    # --- operands, read through the opcodes.OPERANDS table ---
+
+    def pool_entry(self):
+        """(Operand, table index) of the instruction's pool operand.
+
+        Before relinking a symbolic operand is a raw pool index, placed
+        into its table through the pool's origin map; quick operands are
+        table indices at every stage.
+        """
+        entry, idx = ops.pool_operand(self.bc, self.pc)
+        if entry.kind == ops.POOL and not self.relinked:
+            placed = self.pool.origin.get(idx)
+            if placed is None or placed[0] != entry.space:
+                raise InterpError("%s: operand %d unresolvable at %d"
+                                  % (self.method, idx, self.pc))
+            idx = placed[1]
+        return entry, idx
+
+    def member(self):
+        """The field or method a symbolic member reference names."""
+        _, vidx = self.pool_entry()
+        cell = self.pool.vtable[vidx]
+        handle = self.pool.atable[cell.value & 0xFFFF].payload
+        if handle.resolved is not None:
+            return handle.resolved
+        if handle.is_field:
+            found = handle.owner.find_field(handle.name, handle.descriptor)
+        else:
+            found = handle.owner.find_method(handle.name, handle.descriptor)
+        if found is None:
+            raise InterpError("%s: unresolved %s.%s at %d"
+                              % (self.method, handle.owner.name, handle.name,
+                                 self.pc))
+        return found
+
+    def class_operand(self):
+        entry, aidx = self.pool_entry()
+        found = self.pool.atable[aidx]
+        if found.kind != entry.want:
+            raise InterpError("%s: operand is not a class at %d"
+                              % (self.method, self.pc))
+        return found.payload
+
+    def field(self):
+        """(owner, zone, offset, type code) of the field access."""
+        if ops.OPERANDS[self.bc[self.pc]].kind == ops.IMMEDIATE:
+            offset, tc = ops.field_immediate(self.bc, self.pc)
+            return (self.method.owner, "a" if tc == dsc.TC_REF else "v",
+                    offset, tc)
+        found = self.member()
+        return found.owner, found.zone, found.offset, found.type_code
 
 
 class Machine:
@@ -293,10 +409,52 @@ class Machine:
             return False
         return src_cls.is_subclass_of(dst_cls)
 
+    def is_instance(self, ref, cls):
+        src_cls, src_name = self.class_of_ref(ref)
+        return self.assignable(src_name, src_cls, cls)
+
     def dispatch_table(self, cls):
         if cls.synthetic and not cls.dispatch_table and cls.super_cls is not None:
             return cls.super_cls.dispatch_table
         return cls.dispatch_table
+
+    def zone_read(self, owner_cls, zone, offset, tc):
+        owner, local = owner_cls.static_slot(zone, offset)
+        az, vz = self.world.zone(owner)
+        kind = _kind_of(tc)
+        if kind == "a":
+            return ("a", az[local])
+        if kind == "f":
+            return ("f", bits_float(vz[local]))
+        if kind == "i":
+            return ("i", i32(vz[local]))
+        return _wide_slot(kind, (vz[local] << 32) | vz[local + 1])
+
+    def zone_write(self, owner_cls, zone, offset, tc, slot):
+        owner, local = owner_cls.static_slot(zone, offset)
+        az, vz = self.world.zone(owner)
+        kind, v = _kind_of(tc), slot[1]
+        if kind == "a":
+            az[local] = v
+        elif kind == "f":
+            vz[local] = float_bits(v)
+        elif kind == "i":
+            vz[local] = u32(_FIELD_NARROW.get(tc, _same)(v))
+        else:
+            bits = v & M64 if kind == "j" else double_bits(v)
+            vz[local], vz[local + 1] = bits >> 32, bits & M32
+
+    def object_at(self, ref):
+        if ref is None:
+            self.throw_named("java/lang/NullPointerException")
+        return self.world.heap.get(ref)
+
+    def element_of(self, aref, index):
+        """The array and a checked index into it."""
+        arr = self.object_at(aref)
+        if not 0 <= index < len(arr.elems):
+            self.throw_named("java/lang/ArrayIndexOutOfBoundsException")
+        return arr
 
     # --- invocation ---
 
@@ -314,191 +472,15 @@ class Machine:
             self.depth -= 1
 
     def _frame(self, method, args):
-        view = self.world.view(method.owner)
-        code = view.codes[method.key]
-        pool = view.pool
-        bc = code.bytecode
-        relinked = view.relinked
-
-        locals_ = list(args)
-        if len(locals_) > code.max_locals:
-            raise InterpError("%s: %d argument slots > max_locals %d"
-                              % (method, len(locals_), code.max_locals))
-        locals_.extend([PAD] * (code.max_locals - len(locals_)))
-        stack = []
-        pc = 0
-        heap = self.world.heap
-        sizes = code.instruction_sizes()
-
-        def push(slot):
-            stack.append(slot)
-            if len(stack) > code.max_stack:
-                raise StackOverflow("%s at %d" % (method, pc))
-
-        def push2(slot):
-            push(slot)
-            push(PAD)
-
-        def pop():
-            if not stack:
-                raise StackUnderflow("%s at %d" % (method, pc))
-            return stack.pop()
-
-        def need(n):
-            if len(stack) < n:
-                raise StackUnderflow("%s at %d" % (method, pc))
-
-        def pop2():
-            pop()
-            return pop()
-
-        def popi():
-            return pop()[1]
-
-        def ref_of(slot):
-            return slot[1]
-
-        def origin_chase(operand, want_space):
-            if relinked:
-                return operand
-            placed = pool.origin.get(operand)
-            if placed is None or placed[0] != want_space:
-                raise InterpError("%s: operand %d unresolvable at %d"
-                                  % (method, operand, pc))
-            return placed[1]
-
-        def member_at(operand):
-            vidx = origin_chase(operand, cp.VTABLE)
-            cell = pool.vtable[vidx]
-            handle = pool.atable[cell.value & 0xFFFF].payload
-            if handle.resolved is not None:
-                return handle.resolved
-            if handle.is_field:
-                found = handle.owner.find_field(handle.name, handle.descriptor)
-            else:
-                found = handle.owner.find_method(handle.name, handle.descriptor)
-            if found is None:
-                raise InterpError("%s: unresolved %s.%s at %d"
-                                  % (method, handle.owner.name, handle.name, pc))
-            return found
-
-        def class_at(operand):
-            aidx = origin_chase(operand, cp.ATABLE)
-            entry = pool.atable[aidx]
-            if entry.kind != cp.A_CLASS:
-                raise InterpError("%s: operand is not a class at %d" % (method, pc))
-            return entry.payload
-
-        def zone_read(owner_cls, zone, offset, tc):
-            owner, local = owner_cls.static_slot(zone, offset)
-            az, vz = self.world.zone(owner)
-            if tc == dsc.TC_REF:
-                return ("a", az[local])
-            if tc == dsc.TC_FLOAT:
-                return ("f", bits_float(vz[local]))
-            if tc == dsc.TC_LONG:
-                return ("j", i64((vz[local] << 32) | vz[local + 1]))
-            if tc == dsc.TC_DOUBLE:
-                return ("d", bits_double((vz[local] << 32) | vz[local + 1]))
-            return ("i", i32(vz[local]))
-
-        def zone_write(owner_cls, zone, offset, tc, slot):
-            owner, local = owner_cls.static_slot(zone, offset)
-            az, vz = self.world.zone(owner)
-            if tc == dsc.TC_REF:
-                az[local] = slot[1]
-            elif tc == dsc.TC_FLOAT:
-                vz[local] = float_bits(slot[1])
-            elif tc == dsc.TC_LONG:
-                bits = slot[1] & M64
-                vz[local] = bits >> 32
-                vz[local + 1] = bits & M32
-            elif tc == dsc.TC_DOUBLE:
-                bits = double_bits(slot[1])
-                vz[local] = bits >> 32
-                vz[local + 1] = bits & M32
-            elif tc == dsc.TC_BYTE:
-                vz[local] = u32(_sign8(slot[1]))
-            elif tc == dsc.TC_CHAR:
-                vz[local] = slot[1] & 0xFFFF
-            elif tc == dsc.TC_SHORT:
-                vz[local] = u32(_sign16(slot[1]))
-            else:
-                vz[local] = u32(slot[1])
-
-        def obj_read(ref, offset, tc):
-            if ref is None:
-                self.throw_named("java/lang/NullPointerException")
-            obj = heap.get(ref)
-            v = obj.slots[offset]
-            tag = {dsc.TC_REF: "a", dsc.TC_FLOAT: "f", dsc.TC_LONG: "j",
-                   dsc.TC_DOUBLE: "d"}.get(tc, "i")
-            return (tag, v)
-
-        def obj_write(ref, offset, tc, slot):
-            if ref is None:
-                self.throw_named("java/lang/NullPointerException")
-            obj = heap.get(ref)
-            v = slot[1]
-            if tc == dsc.TC_BYTE:
-                v = _sign8(v)
-            elif tc == dsc.TC_CHAR:
-                v = v & 0xFFFF
-            elif tc == dsc.TC_SHORT:
-                v = _sign16(v)
-            obj.slots[offset] = v
-            if tc in (dsc.TC_LONG, dsc.TC_DOUBLE):
-                obj.slots[offset + 1] = None
-
-        def do_invoke(target, has_receiver, dispatch):
-            n = target.nargs
-            if n > len(stack):
-                raise StackUnderflow("%s at %d" % (method, pc))
-            call_args = stack[len(stack) - n:]
-            del stack[len(stack) - n:]
-            actual = target
-            if has_receiver:
-                recv = call_args[0]
-                if recv[1] is None:
-                    self.throw_named("java/lang/NullPointerException")
-                if dispatch == "virtual":
-                    rc, rc_name = self.class_of_ref(recv[1])
-                    if rc is None or rc.state == lc.UNLOADED:
-                        raise InterpError("receiver class %s not loaded" % rc_name)
-                    actual = rc.find_method(target.name, target.descriptor)
-                    if actual is None:
-                        raise InterpError("no %s%s on %s"
-                                          % (target.name, target.descriptor, rc_name))
-            result = self.call(actual, call_args)
-            if result is not None:
-                if result[0] in ("j", "d"):
-                    push2(result)
-                else:
-                    push(result)
-
-        def do_invoke_quick(nargs, slot_idx):
-            if nargs > len(stack):
-                raise StackUnderflow("%s at %d" % (method, pc))
-            call_args = stack[len(stack) - nargs:]
-            del stack[len(stack) - nargs:]
-            recv = call_args[0]
-            if recv[1] is None:
-                self.throw_named("java/lang/NullPointerException")
-            rc, rc_name = self.class_of_ref(recv[1])
-            if rc is None:
-                raise InterpError("receiver class %s not loaded" % rc_name)
-            table = self.dispatch_table(rc)
-            if slot_idx >= len(table):
-                raise InterpError("dispatch slot %d out of range on %s"
-                                  % (slot_idx, rc_name))
-            result = self.call(table[slot_idx], call_args)
-            if result is not None:
-                if result[0] in ("j", "d"):
-                    push2(result)
-                else:
-                    push(result)
-
+        world = self.world
+        f = Frame(method, method.code_at(world.stage),
+                  method.owner.view(world.stage), args)
+        bc = f.bc
+        sizes = f.code.instruction_sizes()
+        trace = world.trace
+        handlers = _HANDLERS
         while True:
+            pc = f.pc
             if pc >= len(bc):
                 raise InterpError("%s: fell off the end of the code" % (method,))
             if self.fuel <= 0:
@@ -509,544 +491,21 @@ class Machine:
             if size is None:
                 raise InterpError("%s: pc %d not on an instruction boundary"
                                   % (method, pc))
-            if self.world.trace is not None:
-                self.world.trace("%5d %-20s depth=%d"
-                                 % (pc, ops.mnemonic(op), len(stack)))
+            if trace is not None:
+                trace("%5d %-20s depth=%d" % (pc, ops.mnemonic(op), len(f.stack)))
+            f.next_pc = pc + size
             try:
-                next_pc = pc + size
-
-                # constants
-                if op == _OP["nop"]:
-                    pass
-                elif op == _OP["aconst_null"]:
-                    push(("a", None))
-                elif _OP["iconst_m1"] <= op <= _OP["iconst_5"]:
-                    push(("i", op - _OP["iconst_0"]))
-                elif op in (_OP["lconst_0"], _OP["lconst_1"]):
-                    push2(("j", op - _OP["lconst_0"]))
-                elif _OP["fconst_0"] <= op <= _OP["fconst_2"]:
-                    push(("f", float(op - _OP["fconst_0"])))
-                elif op in (_OP["dconst_0"], _OP["dconst_1"]):
-                    push2(("d", float(op - _OP["dconst_0"])))
-                elif op == _OP["bipush"]:
-                    push(("i", _sign8(bc[pc + 1])))
-                elif op == _OP["sipush"]:
-                    push(("i", struct.unpack_from(">h", bc, pc + 1)[0]))
-                elif op in (_OP["ldc"], _OP["ldc_w"]):
-                    operand = bc[pc + 1] if op == _OP["ldc"] \
-                        else struct.unpack_from(">H", bc, pc + 1)[0]
-                    vidx = origin_chase(operand, cp.VTABLE)
-                    cell = pool.vtable[vidx]
-                    if cell.kind == cp.V_INT:
-                        push(("i", i32(cell.value)))
-                    elif cell.kind == cp.V_FLOAT:
-                        push(("f", bits_float(cell.value)))
-                    elif cell.kind == cp.V_STRING:
-                        text = pool.atable[cell.value].payload
-                        push(("a", heap.intern(text)))
-                    else:
-                        raise InterpError("%s: ldc of %s at %d"
-                                          % (method, cell.kind, pc))
-                elif op == _OP["ldc2_w"]:
-                    operand = struct.unpack_from(">H", bc, pc + 1)[0]
-                    vidx = origin_chase(operand, cp.VTABLE)
-                    cell = pool.vtable[vidx]
-                    bits = (cell.value << 32) | pool.vtable[vidx + 1].value
-                    if cell.kind == cp.V_LONG_HI:
-                        push2(("j", i64(bits)))
-                    elif cell.kind == cp.V_DBL_HI:
-                        push2(("d", bits_double(bits)))
-                    else:
-                        raise InterpError("%s: ldc2_w of %s at %d"
-                                          % (method, cell.kind, pc))
-                elif op in (_OP["ldc_quick_i"], _OP["ldc_quick_i_w"]):
-                    idx = bc[pc + 1] if op == _OP["ldc_quick_i"] \
-                        else struct.unpack_from(">H", bc, pc + 1)[0]
-                    push(("i", i32(pool.vtable[idx].value)))
-                elif op in (_OP["ldc_quick_f"], _OP["ldc_quick_f_w"]):
-                    idx = bc[pc + 1] if op == _OP["ldc_quick_f"] \
-                        else struct.unpack_from(">H", bc, pc + 1)[0]
-                    push(("f", bits_float(pool.vtable[idx].value)))
-                elif op in (_OP["ldc_quick_a"], _OP["ldc_quick_a_w"]):
-                    idx = bc[pc + 1] if op == _OP["ldc_quick_a"] \
-                        else struct.unpack_from(">H", bc, pc + 1)[0]
-                    push(("a", heap.intern(pool.atable[idx].payload)))
-                elif op in (_OP["ldc2_quick_l"], _OP["ldc2_quick_d"]):
-                    idx = struct.unpack_from(">H", bc, pc + 1)[0]
-                    bits = (pool.vtable[idx].value << 32) | pool.vtable[idx + 1].value
-                    if op == _OP["ldc2_quick_l"]:
-                        push2(("j", i64(bits)))
-                    else:
-                        push2(("d", bits_double(bits)))
-
-                # locals
-                elif op in (_OP["iload"], _OP["fload"], _OP["aload"]):
-                    push(locals_[bc[pc + 1]])
-                elif op in (_OP["lload"], _OP["dload"]):
-                    push2(locals_[bc[pc + 1]])
-                elif _OP["iload_0"] <= op <= _OP["aload_3"] and op < _OP["iaload"]:
-                    base = (op - _OP["iload_0"]) // 4
-                    k = (op - _OP["iload_0"]) % 4
-                    if base in (1, 3):      # lload_n / dload_n
-                        push2(locals_[k])
-                    else:
-                        push(locals_[k])
-                elif op in (_OP["istore"], _OP["fstore"], _OP["astore"]):
-                    locals_[bc[pc + 1]] = pop()
-                elif op in (_OP["lstore"], _OP["dstore"]):
-                    v = pop2()
-                    locals_[bc[pc + 1]] = v
-                    locals_[bc[pc + 1] + 1] = PAD
-                elif _OP["istore_0"] <= op <= _OP["astore_3"] and op < _OP["iastore"]:
-                    base = (op - _OP["istore_0"]) // 4
-                    k = (op - _OP["istore_0"]) % 4
-                    if base in (1, 3):      # lstore_n / dstore_n
-                        v = pop2()
-                        locals_[k] = v
-                        locals_[k + 1] = PAD
-                    else:
-                        locals_[k] = pop()
-                elif op == ops.WIDE:
-                    sub = bc[pc + 1]
-                    idx = struct.unpack_from(">H", bc, pc + 2)[0]
-                    if sub in (_OP["iload"], _OP["fload"], _OP["aload"]):
-                        push(locals_[idx])
-                    elif sub in (_OP["lload"], _OP["dload"]):
-                        push2(locals_[idx])
-                    elif sub in (_OP["istore"], _OP["fstore"], _OP["astore"]):
-                        locals_[idx] = pop()
-                    elif sub in (_OP["lstore"], _OP["dstore"]):
-                        v = pop2()
-                        locals_[idx] = v
-                        locals_[idx + 1] = PAD
-                    elif sub == _OP["iinc"]:
-                        delta = struct.unpack_from(">h", bc, pc + 4)[0]
-                        locals_[idx] = ("i", i32(locals_[idx][1] + delta))
-                    else:
-                        raise UnsupportedOpcode(sub, pc)
-                elif op == _OP["iinc"]:
-                    idx = bc[pc + 1]
-                    delta = _sign8(bc[pc + 2])
-                    locals_[idx] = ("i", i32(locals_[idx][1] + delta))
-
-                # array access
-                elif op in (_OP["iaload"], _OP["laload"], _OP["faload"],
-                            _OP["daload"], _OP["aaload"], _OP["baload"],
-                            _OP["caload"], _OP["saload"]):
-                    index = popi()
-                    aref = pop()[1]
-                    if aref is None:
-                        self.throw_named("java/lang/NullPointerException")
-                    arr = heap.get(aref)
-                    if not 0 <= index < len(arr.elems):
-                        self.throw_named("java/lang/ArrayIndexOutOfBoundsException")
-                    v = arr.elems[index]
-                    if op == _OP["laload"]:
-                        push2(("j", v))
-                    elif op == _OP["daload"]:
-                        push2(("d", v))
-                    elif op == _OP["faload"]:
-                        push(("f", v))
-                    elif op == _OP["aaload"]:
-                        push(("a", v))
-                    else:
-                        push(("i", v))
-                elif op in (_OP["iastore"], _OP["lastore"], _OP["fastore"],
-                            _OP["dastore"], _OP["aastore"], _OP["bastore"],
-                            _OP["castore"], _OP["sastore"]):
-                    if op in (_OP["lastore"], _OP["dastore"]):
-                        value = pop2()
-                    else:
-                        value = pop()
-                    index = popi()
-                    aref = pop()[1]
-                    if aref is None:
-                        self.throw_named("java/lang/NullPointerException")
-                    arr = heap.get(aref)
-                    if not 0 <= index < len(arr.elems):
-                        self.throw_named("java/lang/ArrayIndexOutOfBoundsException")
-                    v = value[1]
-                    if op == _OP["bastore"]:
-                        v = _sign8(v)
-                    elif op == _OP["castore"]:
-                        v = v & 0xFFFF
-                    elif op == _OP["sastore"]:
-                        v = _sign16(v)
-                    elif op == _OP["fastore"]:
-                        v = f32(v)
-                    arr.elems[index] = v
-                elif op == _OP["arraylength"]:
-                    aref = pop()[1]
-                    if aref is None:
-                        self.throw_named("java/lang/NullPointerException")
-                    push(("i", len(heap.get(aref).elems)))
-
-                # stack shuffling (physical slot semantics)
-                elif op == _OP["pop"]:
-                    pop()
-                elif op == _OP["pop2"]:
-                    pop2()
-                elif op == _OP["dup"]:
-                    need(1)
-                    push(stack[-1])
-                elif op == _OP["dup_x1"]:
-                    need(2)
-                    stack.insert(-2, stack[-1])
-                elif op == _OP["dup_x2"]:
-                    need(3)
-                    stack.insert(-3, stack[-1])
-                elif op == _OP["dup2"]:
-                    need(2)
-                    a, b = stack[-2], stack[-1]
-                    push(a)
-                    push(b)
-                elif op == _OP["dup2_x1"]:
-                    need(3)
-                    stack.insert(-3, stack[-2])
-                    stack.insert(-3, stack[-1])
-                elif op == _OP["dup2_x2"]:
-                    need(4)
-                    stack.insert(-4, stack[-2])
-                    stack.insert(-4, stack[-1])
-                elif op == _OP["swap"]:
-                    need(2)
-                    stack[-1], stack[-2] = stack[-2], stack[-1]
-
-                # integer arithmetic
-                elif op == _OP["iadd"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(a + b)))
-                elif op == _OP["isub"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(a - b)))
-                elif op == _OP["imul"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(a * b)))
-                elif op in (_OP["idiv"], _OP["irem"]):
-                    b, a = popi(), popi()
-                    if b == 0:
-                        self.throw_named("java/lang/ArithmeticException")
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    push(("i", i32(q if op == _OP["idiv"] else a - q * b)))
-                elif op == _OP["ineg"]:
-                    push(("i", i32(-popi())))
-                elif op == _OP["ishl"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(a << (b & 31))))
-                elif op == _OP["ishr"]:
-                    b, a = popi(), popi()
-                    push(("i", a >> (b & 31)))
-                elif op == _OP["iushr"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(u32(a) >> (b & 31))))
-                elif op == _OP["iand"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(u32(a) & u32(b))))
-                elif op == _OP["ior"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(u32(a) | u32(b))))
-                elif op == _OP["ixor"]:
-                    b, a = popi(), popi()
-                    push(("i", i32(u32(a) ^ u32(b))))
-
-                # long arithmetic
-                elif op == _OP["ladd"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64(a + b)))
-                elif op == _OP["lsub"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64(a - b)))
-                elif op == _OP["lmul"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64(a * b)))
-                elif op in (_OP["ldiv"], _OP["lrem"]):
-                    b, a = pop2()[1], pop2()[1]
-                    if b == 0:
-                        self.throw_named("java/lang/ArithmeticException")
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    push2(("j", i64(q if op == _OP["ldiv"] else a - q * b)))
-                elif op == _OP["lneg"]:
-                    push2(("j", i64(-pop2()[1])))
-                elif op in (_OP["lshl"], _OP["lshr"], _OP["lushr"]):
-                    b = popi()
-                    a = pop2()[1]
-                    s = b & 63
-                    if op == _OP["lshl"]:
-                        push2(("j", i64(a << s)))
-                    elif op == _OP["lshr"]:
-                        push2(("j", a >> s))
-                    else:
-                        push2(("j", i64((a & M64) >> s)))
-                elif op == _OP["land"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64((a & M64) & (b & M64))))
-                elif op == _OP["lor"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64((a & M64) | (b & M64))))
-                elif op == _OP["lxor"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("j", i64((a & M64) ^ (b & M64))))
-
-                # float/double arithmetic
-                elif op in (_OP["fadd"], _OP["fsub"], _OP["fmul"], _OP["fdiv"],
-                            _OP["frem"]):
-                    b, a = pop()[1], pop()[1]
-                    push(("f", f32(_float_op(op - _OP["fadd"], a, b))))
-                elif op == _OP["fneg"]:
-                    push(("f", f32(-pop()[1])))
-                elif op in (_OP["dadd"], _OP["dsub"], _OP["dmul"], _OP["ddiv"],
-                            _OP["drem"]):
-                    b, a = pop2()[1], pop2()[1]
-                    push2(("d", _float_op(op - _OP["dadd"], a, b)))
-                elif op == _OP["dneg"]:
-                    push2(("d", -pop2()[1]))
-
-                # conversions
-                elif op == _OP["i2l"]:
-                    push2(("j", popi()))
-                elif op == _OP["i2f"]:
-                    push(("f", f32(float(popi()))))
-                elif op == _OP["i2d"]:
-                    push2(("d", float(popi())))
-                elif op == _OP["l2i"]:
-                    push(("i", i32(pop2()[1])))
-                elif op == _OP["l2f"]:
-                    push(("f", f32(float(pop2()[1]))))
-                elif op == _OP["l2d"]:
-                    push2(("d", float(pop2()[1])))
-                elif op == _OP["f2i"]:
-                    push(("i", _to_int(pop()[1], 31)))
-                elif op == _OP["f2l"]:
-                    push2(("j", _to_int(pop()[1], 63)))
-                elif op == _OP["f2d"]:
-                    push2(("d", pop()[1]))
-                elif op == _OP["d2i"]:
-                    push(("i", _to_int(pop2()[1], 31)))
-                elif op == _OP["d2l"]:
-                    push2(("j", _to_int(pop2()[1], 63)))
-                elif op == _OP["d2f"]:
-                    push(("f", f32(pop2()[1])))
-                elif op == _OP["i2b"]:
-                    push(("i", _sign8(popi())))
-                elif op == _OP["i2c"]:
-                    push(("i", popi() & 0xFFFF))
-                elif op == _OP["i2s"]:
-                    push(("i", _sign16(popi())))
-
-                # comparisons
-                elif op == _OP["lcmp"]:
-                    b, a = pop2()[1], pop2()[1]
-                    push(("i", (a > b) - (a < b)))
-                elif op in (_OP["fcmpl"], _OP["fcmpg"], _OP["dcmpl"], _OP["dcmpg"]):
-                    wide2 = op in (_OP["dcmpl"], _OP["dcmpg"])
-                    b = pop2()[1] if wide2 else pop()[1]
-                    a = pop2()[1] if wide2 else pop()[1]
-                    if math.isnan(a) or math.isnan(b):
-                        push(("i", 1 if op in (_OP["fcmpg"], _OP["dcmpg"]) else -1))
-                    else:
-                        push(("i", (a > b) - (a < b)))
-
-                # branches
-                elif op in (_OP["ifeq"], _OP["ifne"], _OP["iflt"], _OP["ifge"],
-                            _OP["ifgt"], _OP["ifle"]):
-                    v = popi()
-                    taken = ((op == _OP["ifeq"] and v == 0)
-                             or (op == _OP["ifne"] and v != 0)
-                             or (op == _OP["iflt"] and v < 0)
-                             or (op == _OP["ifge"] and v >= 0)
-                             or (op == _OP["ifgt"] and v > 0)
-                             or (op == _OP["ifle"] and v <= 0))
-                    if taken:
-                        next_pc = pc + struct.unpack_from(">h", bc, pc + 1)[0]
-                elif op in (_OP["if_icmpeq"], _OP["if_icmpne"], _OP["if_icmplt"],
-                            _OP["if_icmpge"], _OP["if_icmpgt"], _OP["if_icmple"]):
-                    b, a = popi(), popi()
-                    taken = ((op == _OP["if_icmpeq"] and a == b)
-                             or (op == _OP["if_icmpne"] and a != b)
-                             or (op == _OP["if_icmplt"] and a < b)
-                             or (op == _OP["if_icmpge"] and a >= b)
-                             or (op == _OP["if_icmpgt"] and a > b)
-                             or (op == _OP["if_icmple"] and a <= b))
-                    if taken:
-                        next_pc = pc + struct.unpack_from(">h", bc, pc + 1)[0]
-                elif op in (_OP["if_acmpeq"], _OP["if_acmpne"]):
-                    b, a = pop()[1], pop()[1]
-                    same = (a == b)
-                    if (op == _OP["if_acmpeq"]) == same:
-                        next_pc = pc + struct.unpack_from(">h", bc, pc + 1)[0]
-                elif op in (_OP["ifnull"], _OP["ifnonnull"]):
-                    v = pop()[1]
-                    if (v is None) == (op == _OP["ifnull"]):
-                        next_pc = pc + struct.unpack_from(">h", bc, pc + 1)[0]
-                elif op == _OP["goto"]:
-                    next_pc = pc + struct.unpack_from(">h", bc, pc + 1)[0]
-                elif op == _OP["goto_w"]:
-                    next_pc = pc + struct.unpack_from(">i", bc, pc + 1)[0]
-                elif op == ops.TABLESWITCH:
-                    v = popi()
-                    pad = (4 - (pc + 1) % 4) % 4
-                    base = pc + 1 + pad
-                    default, low, high = struct.unpack_from(">iii", bc, base)
-                    if low <= v <= high:
-                        rel = struct.unpack_from(">i", bc, base + 12 + 4 * (v - low))[0]
-                    else:
-                        rel = default
-                    next_pc = pc + rel
-                elif op == ops.LOOKUPSWITCH:
-                    v = popi()
-                    pad = (4 - (pc + 1) % 4) % 4
-                    base = pc + 1 + pad
-                    default, npairs = struct.unpack_from(">ii", bc, base)
-                    rel = default
-                    for k in range(npairs):
-                        key, target = struct.unpack_from(">ii", bc, base + 8 + 8 * k)
-                        if key == v:
-                            rel = target
-                            break
-                    next_pc = pc + rel
-
-                # returns
-                elif op == _OP["ireturn"]:
-                    return ("i", popi())
-                elif op == _OP["lreturn"]:
-                    return ("j", pop2()[1])
-                elif op == _OP["freturn"]:
-                    return ("f", pop()[1])
-                elif op == _OP["dreturn"]:
-                    return ("d", pop2()[1])
-                elif op == _OP["areturn"]:
-                    return ("a", pop()[1])
-                elif op == _OP["return"]:
-                    return None
-
-                # field access
-                elif op in (_OP["getstatic"], _OP["putstatic"]):
-                    f = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    if op == _OP["getstatic"]:
-                        slot = zone_read(f.owner, f.zone, f.offset, f.type_code)
-                        push2(slot) if slot[0] in "jd" else push(slot)
-                    else:
-                        slot = pop2() if f.type_code in (dsc.TC_LONG, dsc.TC_DOUBLE) \
-                            else pop()
-                        zone_write(f.owner, f.zone, f.offset, f.type_code, slot)
-                elif op in (_OP["getstatic_quick"], _OP["putstatic_quick"]):
-                    imm = struct.unpack_from(">H", bc, pc + 1)[0]
-                    offset, tc = imm >> 3, imm & 7
-                    zone = "a" if tc == dsc.TC_REF else "v"
-                    if op == _OP["getstatic_quick"]:
-                        slot = zone_read(method.owner, zone, offset, tc)
-                        push2(slot) if slot[0] in "jd" else push(slot)
-                    else:
-                        slot = pop2() if tc in (dsc.TC_LONG, dsc.TC_DOUBLE) else pop()
-                        zone_write(method.owner, zone, offset, tc, slot)
-                elif op in (_OP["getfield"], _OP["putfield"]):
-                    f = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    if op == _OP["getfield"]:
-                        ref = pop()[1]
-                        slot = obj_read(ref, f.offset, f.type_code)
-                        push2(slot) if slot[0] in "jd" else push(slot)
-                    else:
-                        slot = pop2() if f.type_code in (dsc.TC_LONG, dsc.TC_DOUBLE) \
-                            else pop()
-                        ref = pop()[1]
-                        obj_write(ref, f.offset, f.type_code, slot)
-                elif op in (_OP["getfield_quick"], _OP["putfield_quick"]):
-                    imm = struct.unpack_from(">H", bc, pc + 1)[0]
-                    offset, tc = imm >> 3, imm & 7
-                    if op == _OP["getfield_quick"]:
-                        ref = pop()[1]
-                        slot = obj_read(ref, offset, tc)
-                        push2(slot) if slot[0] in "jd" else push(slot)
-                    else:
-                        slot = pop2() if tc in (dsc.TC_LONG, dsc.TC_DOUBLE) else pop()
-                        ref = pop()[1]
-                        obj_write(ref, offset, tc, slot)
-
-                # allocation
-                elif op == _OP["new"]:
-                    cls = class_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    if cls.state == lc.UNLOADED:
-                        raise InterpError("new of unloaded class %s" % cls.name)
-                    push(("a", heap.new_object(cls)))
-                elif op == _OP["newarray"]:
-                    comp = {4: "Z", 5: "C", 6: "F", 7: "D",
-                            8: "B", 9: "S", 10: "I", 11: "J"}.get(bc[pc + 1])
-                    if comp is None:
-                        raise InterpError("bad newarray type %d" % bc[pc + 1])
-                    length = popi()
-                    if length < 0:
-                        self.throw_named("java/lang/NegativeArraySizeException")
-                    push(("a", heap.new_array(comp, length)))
-                elif op in (_OP["anewarray"], _OP["anewarray_quick"]):
-                    operand = struct.unpack_from(">H", bc, pc + 1)[0]
-                    if op == _OP["anewarray"]:
-                        cls = class_at(operand)
-                    else:
-                        cls = pool.atable[operand].payload
-                    length = popi()
-                    if length < 0:
-                        self.throw_named("java/lang/NegativeArraySizeException")
-                    comp = cls.name if cls.name.startswith("[") \
-                        else "L%s;" % cls.name
-                    push(("a", heap.new_array(comp, length)))
-
-                # invocation
-                elif op == _OP["invokevirtual"]:
-                    target = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    do_invoke(target, has_receiver=True, dispatch="virtual")
-                elif op == _OP["invokevirtual_quick"]:
-                    do_invoke_quick(bc[pc + 1], bc[pc + 2])
-                elif op == _OP["invokespecial"]:
-                    target = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    do_invoke(target, has_receiver=True, dispatch="direct")
-                elif op == _OP["invokestatic"]:
-                    target = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    do_invoke(target, has_receiver=False, dispatch="direct")
-                elif op == _OP["invokeinterface"]:
-                    target = member_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    do_invoke(target, has_receiver=True, dispatch="virtual")
-
-                # type tests and throwing
-                elif op in (_OP["checkcast"], _OP["instanceof"]):
-                    cls = class_at(struct.unpack_from(">H", bc, pc + 1)[0])
-                    slot = pop()
-                    ref = slot[1]
-                    if ref is None:
-                        ok = True
-                        result = 0
-                    else:
-                        src_cls, src_name = self.class_of_ref(ref)
-                        ok = self.assignable(src_name, src_cls, cls)
-                        result = 1 if ok else 0
-                    if op == _OP["checkcast"]:
-                        if not ok:
-                            self.throw_named("java/lang/ClassCastException")
-                        push(slot)
-                    else:
-                        push(("i", result))
-                elif op == _OP["athrow"]:
-                    ref = pop()[1]
-                    if ref is None:
-                        self.throw_named("java/lang/NullPointerException")
-                    cls, name = self.class_of_ref(ref)
-                    raise _Thrown(ref, cls, name)
-
-                else:
-                    raise UnsupportedOpcode(op, pc)
-
-                pc = next_pc
-
+                result = handlers[op](self, f, op)
             except _Thrown as t:
-                handler = self._find_handler(code, pool, pc, t)
+                handler = self._find_handler(f.code, f.pool, pc, t)
                 if handler is None:
                     raise
-                del stack[:]
-                stack.append(("a", t.ref))
-                pc = handler
+                f.stack[:] = [("a", t.ref)]
+                f.next_pc = handler
+            else:
+                if result is not None:
+                    return result[0]
+            f.pc = f.next_pc
 
     def _find_handler(self, code, pool, pc, thrown):
         for start, end, handler, catch in code.exception_table:
@@ -1063,19 +522,160 @@ class Machine:
         return None
 
 
-def _float_op(which, a, b):
-    if which == 0:
-        return a + b
-    if which == 1:
-        return a - b
-    if which == 2:
-        return a * b
-    if which == 3:
-        if b == 0:
-            if a == 0 or math.isnan(a):
-                return math.nan
-            return math.inf if (a > 0) == (not _signbit(b)) else -math.inf
-        return a / b
+# --- instruction handlers ---------------------------------------------------
+# handler(machine, frame, opcode) runs one instruction.  It returns None to
+# go on at frame.next_pc, or a 1-tuple holding the method's result (None for
+# a void return).  A family of opcodes shares one handler and a table, keyed
+# by opcode, of what sets its members apart.
+
+def _by_opcode(table):
+    return {_OP[name]: value for name, value in table.items()}
+
+
+def _u16(v):
+    return v & 0xFFFF
+
+
+def _wide_slot(kind, bits):
+    """A long ("j") or double ("d") slot from its 64 bits."""
+    return (kind, i64(bits) if kind == "j" else bits_double(bits))
+
+
+_IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
+_INVOKESPECIAL, _INVOKESTATIC = _OP["invokespecial"], _OP["invokestatic"]
+
+_CONSTANTS = _by_opcode({
+    "aconst_null": ("a", None), "lconst_0": ("j", 0), "lconst_1": ("j", 1),
+    "fconst_0": ("f", 0.0), "fconst_1": ("f", 1.0), "fconst_2": ("f", 2.0),
+    "dconst_0": ("d", 0.0), "dconst_1": ("d", 1.0),
+    **{"iconst_%s" % ("m1" if k < 0 else k): ("i", k) for k in range(-1, 6)}})
+
+
+def _unsupported(m, f, op):
+    raise UnsupportedOpcode(op, f.pc)
+
+
+def _nop(m, f, op):
+    pass
+
+
+def _const(m, f, op):
+    f.push_value(_CONSTANTS[op])
+
+
+def _bipush(m, f, op):
+    f.push(("i", _sign8(f.bc[f.pc + 1])))
+
+
+def _sipush(m, f, op):
+    f.push(("i", struct.unpack_from(">h", f.bc, f.pc + 1)[0]))
+
+
+def _ldc_quick(m, f, op):
+    entry, idx = f.pool_entry()
+    table = f.pool.vtable
+    if entry.want == cp.A_STRING:
+        f.push(("a", m.world.heap.intern(f.pool.atable[idx].payload)))
+    elif entry.want == cp.V_INT:
+        f.push(("i", i32(table[idx].value)))
+    elif entry.want == cp.V_FLOAT:
+        f.push(("f", bits_float(table[idx].value)))
+    else:
+        bits = (table[idx].value << 32) | table[idx + 1].value
+        f.push_value(_wide_slot("j" if entry.want == cp.V_LONG_HI else "d",
+                                bits))
+
+
+def _load(m, f, op):
+    slot, width = ops.local_slot(f.bc, f.pc)
+    f.push(f.locals[slot])
+    if width == 2:
+        f.push(PAD)
+
+
+def _store(m, f, op):
+    slot, width = ops.local_slot(f.bc, f.pc)
+    if width == 2:
+        f.locals[slot] = f.pop_value("j")
+        f.locals[slot + 1] = PAD
+    else:
+        f.locals[slot] = f.pop()
+
+
+def _iinc(m, f, op):
+    slot, _ = ops.local_slot(f.bc, f.pc)
+    if f.bc[f.pc] == ops.WIDE:
+        delta = struct.unpack_from(">h", f.bc, f.pc + 4)[0]
+    else:
+        delta = _sign8(f.bc[f.pc + 2])
+    f.locals[slot] = ("i", i32(f.locals[slot][1] + delta))
+
+
+def _wide(m, f, op):
+    """A wide local access runs the handler of the opcode it modifies."""
+    sub = f.bc[f.pc + 1]
+    return _HANDLERS[sub](m, f, sub)
+
+
+_ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
+_NARROW = {"b": _sign8, "c": _u16, "s": _sign16, "f": f32}
+
+
+def _array_load(m, f, op):
+    kind = _ARRAY_KINDS[op - _IALOAD]
+    index = f.pop()[1]
+    arr = m.element_of(f.pop()[1], index)
+    f.push_value(("i" if kind in "bcs" else kind, arr.elems[index]))
+
+
+def _array_store(m, f, op):
+    kind = _ARRAY_KINDS[op - _IASTORE]
+    value = f.pop_value(kind)[1]
+    index = f.pop()[1]
+    arr = m.element_of(f.pop()[1], index)
+    arr.elems[index] = _NARROW.get(kind, _same)(value)
+
+
+def _arraylength(m, f, op):
+    f.push(("i", len(m.object_at(f.pop()[1]).elems)))
+
+
+def _pop(m, f, op):
+    f.pop()
+
+
+def _pop2(m, f, op):
+    f.pop()
+    f.pop()
+
+
+# (slots copied, depth below the top they are inserted at)
+_DUPS = _by_opcode({"dup": (1, 1), "dup_x1": (1, 2), "dup_x2": (1, 3),
+         "dup2": (2, 2), "dup2_x1": (2, 3), "dup2_x2": (2, 4)})
+
+
+def _dup(m, f, op):
+    count, depth = _DUPS[op]
+    f.need(depth)
+    f.stack[-depth:-depth] = f.stack[-count:]
+    if len(f.stack) > f.max_stack:
+        raise StackOverflow(f.where())
+
+
+def _swap(m, f, op):
+    f.need(2)
+    f.stack[-1], f.stack[-2] = f.stack[-2], f.stack[-1]
+
+
+def _fdiv(a, b):
+    if b == 0:
+        if a == 0 or math.isnan(a):
+            return math.nan
+        return math.inf if (a > 0) == (not _signbit(b)) else -math.inf
+    return a / b
+
+
+def _frem(a, b):
     if math.isnan(a) or math.isnan(b) or math.isinf(a) or b == 0:
         return math.nan
     return math.fmod(a, b)
@@ -1083,6 +683,15 @@ def _float_op(which, a, b):
 
 def _signbit(v):
     return math.copysign(1.0, v) < 0
+
+
+def _compare(a, b):
+    return (a > b) - (a < b)
+
+
+def _fcompare(nan_result):
+    return lambda a, b: (nan_result if math.isnan(a) or math.isnan(b)
+                         else _compare(a, b))
 
 
 def _to_int(v, bits):
@@ -1094,6 +703,313 @@ def _to_int(v, bits):
     if v >= hi:
         return hi
     return int(v)
+
+
+def _same(v):
+    return v
+
+
+# op -> (operand kind, result kind, function of the operands)
+_BINARY = _by_opcode({
+    "iadd": ("i", "i", lambda a, b: i32(a + b)),
+    "isub": ("i", "i", lambda a, b: i32(a - b)),
+    "imul": ("i", "i", lambda a, b: i32(a * b)),
+    "ishl": ("i", "i", lambda a, b: i32(a << (b & 31))),
+    "ishr": ("i", "i", lambda a, b: a >> (b & 31)),
+    "iushr": ("i", "i", lambda a, b: i32(u32(a) >> (b & 31))),
+    "iand": ("i", "i", lambda a, b: i32(u32(a) & u32(b))),
+    "ior": ("i", "i", lambda a, b: i32(u32(a) | u32(b))),
+    "ixor": ("i", "i", lambda a, b: i32(u32(a) ^ u32(b))),
+    "ladd": ("j", "j", lambda a, b: i64(a + b)),
+    "lsub": ("j", "j", lambda a, b: i64(a - b)),
+    "lmul": ("j", "j", lambda a, b: i64(a * b)),
+    "land": ("j", "j", lambda a, b: i64((a & M64) & (b & M64))),
+    "lor": ("j", "j", lambda a, b: i64((a & M64) | (b & M64))),
+    "lxor": ("j", "j", lambda a, b: i64((a & M64) ^ (b & M64))),
+    "fadd": ("f", "f", lambda a, b: f32(a + b)),
+    "fsub": ("f", "f", lambda a, b: f32(a - b)),
+    "fmul": ("f", "f", lambda a, b: f32(a * b)),
+    "fdiv": ("f", "f", lambda a, b: f32(_fdiv(a, b))),
+    "frem": ("f", "f", lambda a, b: f32(_frem(a, b))),
+    "dadd": ("d", "d", operator.add),
+    "dsub": ("d", "d", operator.sub),
+    "dmul": ("d", "d", operator.mul),
+    "ddiv": ("d", "d", _fdiv),
+    "drem": ("d", "d", _frem),
+    "lcmp": ("j", "i", _compare),
+    "fcmpl": ("f", "i", _fcompare(-1)),
+    "fcmpg": ("f", "i", _fcompare(1)),
+    "dcmpl": ("d", "i", _fcompare(-1)),
+    "dcmpg": ("d", "i", _fcompare(1)),
+})
+
+_UNARY = _by_opcode({
+    "ineg": ("i", "i", lambda v: i32(-v)),
+    "lneg": ("j", "j", lambda v: i64(-v)),
+    "fneg": ("f", "f", lambda v: f32(-v)),
+    "dneg": ("d", "d", operator.neg),
+    "i2l": ("i", "j", _same),
+    "i2f": ("i", "f", lambda v: f32(float(v))),
+    "i2d": ("i", "d", float),
+    "l2i": ("j", "i", i32),
+    "l2f": ("j", "f", lambda v: f32(float(v))),
+    "l2d": ("j", "d", float),
+    "f2i": ("f", "i", lambda v: _to_int(v, 31)),
+    "f2l": ("f", "j", lambda v: _to_int(v, 63)),
+    "f2d": ("f", "d", _same),
+    "d2i": ("d", "i", lambda v: _to_int(v, 31)),
+    "d2l": ("d", "j", lambda v: _to_int(v, 63)),
+    "d2f": ("d", "f", f32),
+    "i2b": ("i", "i", _sign8),
+    "i2c": ("i", "i", _u16),
+    "i2s": ("i", "i", _sign16),
+})
+
+# op -> (operand kind, wrap to width, remainder instead of quotient)
+_DIVIDES = _by_opcode({"idiv": ("i", i32, False), "irem": ("i", i32, True),
+            "ldiv": ("j", i64, False), "lrem": ("j", i64, True)})
+
+_LONG_SHIFTS = _by_opcode({"lshl": lambda a, s: i64(a << s),
+                           "lshr": lambda a, s: a >> s,
+                           "lushr": lambda a, s: i64((a & M64) >> s)})
+
+
+def _binary(m, f, op):
+    kind, result, fn = _BINARY[op]
+    b = f.pop_value(kind)[1]
+    a = f.pop_value(kind)[1]
+    f.push_value((result, fn(a, b)))
+
+
+def _unary(m, f, op):
+    kind, result, fn = _UNARY[op]
+    f.push_value((result, fn(f.pop_value(kind)[1])))
+
+
+def _divide(m, f, op):
+    kind, wrap, remainder = _DIVIDES[op]
+    b = f.pop_value(kind)[1]
+    a = f.pop_value(kind)[1]
+    if b == 0:
+        m.throw_named("java/lang/ArithmeticException")
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    f.push_value((kind, wrap(a - q * b if remainder else q)))
+
+
+def _long_shift(m, f, op):
+    s = f.pop()[1] & 63
+    f.push_value(("j", _LONG_SHIFTS[op](f.pop_value("j")[1], s)))
+
+
+_POPPED = object()      # the branch compares with a second popped value
+
+# op -> (test, the value the popped operand is compared with)
+_IF = _by_opcode({
+    "ifeq": (operator.eq, 0), "ifne": (operator.ne, 0),
+    "iflt": (operator.lt, 0), "ifge": (operator.ge, 0),
+    "ifgt": (operator.gt, 0), "ifle": (operator.le, 0),
+    "if_icmpeq": (operator.eq, _POPPED), "if_icmpne": (operator.ne, _POPPED),
+    "if_icmplt": (operator.lt, _POPPED), "if_icmpge": (operator.ge, _POPPED),
+    "if_icmpgt": (operator.gt, _POPPED), "if_icmple": (operator.le, _POPPED),
+    "if_acmpeq": (operator.eq, _POPPED), "if_acmpne": (operator.ne, _POPPED),
+    "ifnull": (operator.is_, None), "ifnonnull": (operator.is_not, None),
+})
+
+
+def _if(m, f, op):
+    test, other = _IF[op]
+    if other is _POPPED:
+        other = f.pop()[1]
+    if test(f.pop()[1], other):
+        f.next_pc = ops.branch_targets(f.bc, f.pc)[0]
+
+
+def _goto(m, f, op):
+    f.next_pc = ops.branch_targets(f.bc, f.pc)[0]
+
+
+def _switch(m, f, op):
+    f.next_pc = ops.switch_target(f.bc, f.pc, f.pop()[1])
+
+
+_RETURNS = _by_opcode({"ireturn": "i", "lreturn": "j", "freturn": "f",
+                       "dreturn": "d", "areturn": "a", "return": None})
+
+
+def _return(m, f, op):
+    kind = _RETURNS[op]
+    return (None if kind is None else (kind, f.pop_value(kind)[1]),)
+
+
+_TYPE_KIND = {dsc.TC_REF: "a", dsc.TC_FLOAT: "f", dsc.TC_LONG: "j",
+              dsc.TC_DOUBLE: "d"}
+_FIELD_NARROW = {dsc.TC_BYTE: _sign8, dsc.TC_CHAR: _u16, dsc.TC_SHORT: _sign16}
+
+
+def _kind_of(type_code):
+    """Slot tag of a field type code."""
+    return _TYPE_KIND.get(type_code, "i")
+
+
+def _getstatic(m, f, op):
+    owner, zone, offset, tc = f.field()
+    f.push_value(m.zone_read(owner, zone, offset, tc))
+
+
+def _putstatic(m, f, op):
+    owner, zone, offset, tc = f.field()
+    m.zone_write(owner, zone, offset, tc, f.pop_value(_kind_of(tc)))
+
+
+def _getfield(m, f, op):
+    _, _, offset, tc = f.field()
+    obj = m.object_at(f.pop()[1])
+    f.push_value((_kind_of(tc), obj.slots[offset]))
+
+
+def _putfield(m, f, op):
+    _, _, offset, tc = f.field()
+    v = f.pop_value(_kind_of(tc))[1]
+    obj = m.object_at(f.pop()[1])
+    obj.slots[offset] = _FIELD_NARROW.get(tc, _same)(v)
+    if tc in (dsc.TC_LONG, dsc.TC_DOUBLE):
+        obj.slots[offset + 1] = None
+
+
+def _new(m, f, op):
+    cls = f.class_operand()
+    if cls.state == lc.UNLOADED:
+        raise InterpError("new of unloaded class %s" % cls.name)
+    f.push(("a", m.world.heap.new_object(cls)))
+
+
+_NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
+                   11: "J"}
+
+
+def _newarray(m, f, op):
+    comp = _NEWARRAY_TYPES.get(f.bc[f.pc + 1])
+    if comp is None:
+        raise InterpError("bad newarray type %d" % f.bc[f.pc + 1])
+    _push_new_array(m, f, comp)
+
+
+def _anewarray_quick(m, f, op):
+    cls = f.class_operand()
+    _push_new_array(m, f, cls.name if cls.name.startswith("[")
+                    else "L%s;" % cls.name)
+
+
+def _push_new_array(m, f, comp):
+    length = f.pop()[1]
+    if length < 0:
+        m.throw_named("java/lang/NegativeArraySizeException")
+    f.push(("a", m.world.heap.new_array(comp, length)))
+
+
+def _invoke(m, f, op):
+    target = f.member()
+    args = f.pop_args(target.nargs)
+    if op != _INVOKESTATIC:
+        recv = args[0][1]
+        if recv is None:
+            m.throw_named("java/lang/NullPointerException")
+        if op != _INVOKESPECIAL:
+            rc, rc_name = m.class_of_ref(recv)
+            if rc is None or rc.state == lc.UNLOADED:
+                raise InterpError("receiver class %s not loaded" % rc_name)
+            found = rc.find_method(target.name, target.descriptor)
+            if found is None:
+                raise InterpError("no %s%s on %s"
+                                  % (target.name, target.descriptor, rc_name))
+            target = found
+    result = m.call(target, args)
+    if result is not None:
+        f.push_value(result)
+
+
+def _invoke_quick(m, f, op):
+    nargs, slot = f.bc[f.pc + 1], f.bc[f.pc + 2]
+    args = f.pop_args(nargs)
+    recv = args[0][1]
+    if recv is None:
+        m.throw_named("java/lang/NullPointerException")
+    rc, rc_name = m.class_of_ref(recv)
+    if rc is None:
+        raise InterpError("receiver class %s not loaded" % rc_name)
+    table = m.dispatch_table(rc)
+    if slot >= len(table):
+        raise InterpError("dispatch slot %d out of range on %s"
+                          % (slot, rc_name))
+    result = m.call(table[slot], args)
+    if result is not None:
+        f.push_value(result)
+
+
+def _checkcast(m, f, op):
+    cls = f.class_operand()
+    slot = f.pop()
+    if slot[1] is not None and not m.is_instance(slot[1], cls):
+        m.throw_named("java/lang/ClassCastException")
+    f.push(slot)
+
+
+def _instanceof(m, f, op):
+    cls = f.class_operand()
+    ref = f.pop()[1]
+    f.push(("i", int(ref is not None and m.is_instance(ref, cls))))
+
+
+def _athrow(m, f, op):
+    ref = f.pop()[1]
+    if ref is None:
+        m.throw_named("java/lang/NullPointerException")
+    cls, name = m.class_of_ref(ref)
+    raise _Thrown(ref, cls, name)
+
+
+def _handler_table():
+    """opcode -> handler; an opcode without one raises UnsupportedOpcode."""
+    table = [_unsupported] * 256
+    named = (
+        (_nop, "nop"), (_bipush, "bipush"), (_sipush, "sipush"),
+        (_ldc_quick, "ldc_quick_i ldc_quick_i_w ldc_quick_f ldc_quick_f_w "
+                     "ldc_quick_a ldc_quick_a_w ldc2_quick_l ldc2_quick_d"),
+        (_iinc, "iinc"), (_wide, "wide"), (_arraylength, "arraylength"),
+        (_pop, "pop"), (_pop2, "pop2"), (_swap, "swap"),
+        (_goto, "goto goto_w"), (_switch, "tableswitch lookupswitch"),
+        (_getstatic, "getstatic getstatic_quick"),
+        (_putstatic, "putstatic putstatic_quick"),
+        (_getfield, "getfield getfield_quick"),
+        (_putfield, "putfield putfield_quick"),
+        (_new, "new"), (_newarray, "newarray"),
+        (_anewarray_quick, "anewarray_quick"),
+        (_invoke, "invokevirtual invokespecial invokestatic invokeinterface"),
+        (_invoke_quick, "invokevirtual_quick"),
+        (_checkcast, "checkcast"), (_instanceof, "instanceof"),
+        (_athrow, "athrow"),
+    )
+    for handler, names in named:
+        for name in names.split():
+            table[_OP[name]] = handler
+    for handler, family in ((_const, _CONSTANTS), (_dup, _DUPS),
+                            (_binary, _BINARY), (_unary, _UNARY),
+                            (_divide, _DIVIDES), (_long_shift, _LONG_SHIFTS),
+                            (_if, _IF), (_return, _RETURNS)):
+        for op in family:
+            table[op] = handler
+    for k in range(len(_ARRAY_KINDS)):
+        table[_IALOAD + k] = _array_load
+        table[_IASTORE + k] = _array_store
+    for op, entry in ops.OPERANDS.items():
+        if entry.kind == ops.LOCAL and op not in (_OP["ret"], _OP["iinc"]):
+            table[op] = _load if "load" in ops.NAME[op] else _store
+    return table
+
+
+_HANDLERS = _handler_table()
 
 
 def execute(entry, args, world, fuel=DEFAULT_FUEL):

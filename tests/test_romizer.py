@@ -136,6 +136,20 @@ class TestLoadImage:
         with pytest.raises(Corrupt):
             rz.load_image(image + b"\x00")
 
+    def test_superclass_missing_from_image_is_corrupt(self, linked_pipeline):
+        # a synthetic superclass reference naming a class that is neither
+        # synthetic nor in the image
+        cls = linked_pipeline.registry.get("corpus/Empty")
+        saved = cls.super_cls
+        cls.super_cls = lc.ClassRep("<init>", synthetic=True)
+        try:
+            data = linked_pipeline.emit_image()
+        finally:
+            cls.super_cls = saved
+        with pytest.raises(Corrupt) as err:
+            rz.load_image(data)
+        assert "<init>" in str(err.value)
+
 
 class TestImageFuzz:
     def test_random_flips_fail_cleanly(self, image):

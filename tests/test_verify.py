@@ -8,7 +8,7 @@ from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom import verify as vf
 from jrom import opcodes as ops
-from jrom.errors import StackUnderflow, UnsupportedOpcode
+from jrom.errors import StackOverflow, StackUnderflow, UnsupportedOpcode
 from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -53,6 +53,15 @@ class TestBasics:
         assert run_static(pipe, "corpus/Statics", "readInt").value == ("i", 49)
         assert run_static(pipe, "corpus/Clinit", "snapshot").value == \
             ("j", (1 << 40) + 285 + 101)
+
+    def test_float_and_double_operators(self, linked_pipeline):
+        # ((a + b) - a * b) / b: each operator must compute its own result
+        out = run_static(linked_pipeline, "corpus/Arith", "floatMix",
+                         [("f", 5.0), ("f", 3.0)])
+        assert out.value == ("f", vf.float_bits(vf.f32(-7.0 / 3.0)))
+        out = run_static(linked_pipeline, "corpus/Arith", "doubleMix",
+                         [("d", 5.0), ("d", 3.0)])
+        assert out.value == ("d", vf.double_bits(-7.0 / 3.0))
 
     def test_string_interning_observable(self, linked_pipeline):
         out = run_static(linked_pipeline, "corpus/Strings", "interned")
@@ -131,6 +140,31 @@ class TestBasics:
             with pytest.raises(StackUnderflow):
                 run_static(pipe, "vm/Short", name)
 
+    def test_growing_shuffle_on_full_stack_overflows(self, corpus_dir,
+                                                    tmp_path):
+        # each shuffle gets exactly the slots it needs and no room to grow
+        need = {"dup_x1": (2, 1), "dup_x2": (3, 1), "dup2_x1": (3, 2),
+                "dup2_x2": (4, 2)}
+        cb = ClassBuilder("vm/Full")
+        cb.default_init()
+        for name, (n, grow) in need.items():
+            c = cb.method(name, "()I", ACC_PUBLIC | ACC_STATIC, max_stack=n)
+            for _ in range(n):
+                c.op("iconst_1")
+            c.op(name)
+            for _ in range(n + grow - 1):
+                c.op("iadd")
+            c.op("ireturn")
+        d = tmp_path / "vm"
+        d.mkdir()
+        (d / "Full.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Full"], closure=True)
+        assert pipe.link_all() == []
+        for name in need:
+            with pytest.raises(StackOverflow):
+                run_static(pipe, "vm/Full", name)
+
     def test_unsupported_opcode_names_offset(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Mon")
         cb.default_init()
@@ -145,6 +179,201 @@ class TestBasics:
         with pytest.raises(UnsupportedOpcode) as err:
             run_static(pipe, "vm/Mon", "m")
         assert err.value.offset == 1
+
+
+def _branch(test):
+    def emit(c):
+        c.op(test, "T").op("iconst_0").op("ireturn")
+        c.label("T").op("iconst_1").op("ireturn")
+    return emit
+
+
+def _shuffle(pushes, shuffle, subs):
+    def emit(c):
+        for op in pushes:
+            c.op(*op)
+        c.op(shuffle)
+        for _ in range(subs):
+            c.op("isub")
+        c.op("ireturn")
+    return emit
+
+
+def _instance_fields(c):
+    c.new("vm/Ops").op("dup")
+    c.invoke("invokespecial", "vm/Ops", "<init>", "()V")
+    c.op("astore_0")
+    c.op("aload_0").op("bipush", 9).putfield("vm/Ops", "v", "I")
+    c.op("aload_0").op("lconst_1").putfield("vm/Ops", "w", "J")
+    c.op("aload_0").getfield("vm/Ops", "v", "I")
+    c.op("aload_0").getfield("vm/Ops", "w", "J")
+    c.op("l2i").op("iadd").op("ireturn")
+
+
+F, D = vf.float_bits, vf.double_bits
+
+# Every opcode the corpus never executes, and ifnull/ifnonnull, which it
+# runs but no other check observes: (name, descriptor, emitter,
+# [(vector, normalized result)], quick forms the linked code must hold,
+# closed world).  Each result is checked at the loaded and linked stage.
+OPCODE_CASES = [
+    ("nop", "()I", lambda c: c.op("nop").op("iconst_1").op("ireturn"),
+     [((), ("i", 1))], (), False),
+    ("lconst_0", "()J", lambda c: c.op("lconst_0").op("lreturn"),
+     [((), ("j", 0))], (), False),
+    ("fconst_0", "()F", lambda c: c.op("fconst_0").op("freturn"),
+     [((), ("f", F(0.0)))], (), False),
+    ("dconst_0", "()D", lambda c: c.op("dconst_0").op("dreturn"),
+     [((), ("d", D(0.0)))], (), False),
+    ("sipush", "()I", lambda c: c.op("sipush", -1234).op("ireturn"),
+     [((), ("i", -1234))], (), False),
+    ("int_locals", "(I)I",
+     lambda c: c.op("iload", 0).op("istore", 1).op("iload", 1)
+     .op("istore_2").op("iload_2").op("ireturn"),
+     [([("i", 7)], ("i", 7))], (), False),
+    ("long_locals", "(IJ)J",
+     lambda c: c.op("lload", 1).op("lstore", 3).op("lload_3")
+     .op("lstore_1").op("lload_1").op("lreturn"),
+     [([("i", 0), ("j", 2**33 + 5)], ("j", 2**33 + 5))], (), False),
+    ("float_locals", "(FF)F",
+     lambda c: c.op("fload_1").op("fstore", 2).op("fload_2")
+     .op("fstore_3").op("fload_3").op("freturn"),
+     [([("f", 1.0), ("f", -2.5)], ("f", F(-2.5)))], (), False),
+    ("double_locals", "(IIID)D",
+     lambda c: c.op("dload_3").op("dstore", 5).op("dload", 5)
+     .op("dstore_1").op("dload_1").op("dreturn"),
+     [([("i", 0), ("i", 0), ("i", 0), ("d", 3.25)], ("d", D(3.25)))],
+     (), False),
+    ("pop2", "()I",
+     lambda c: c.op("iconst_1").op("iconst_2").op("iconst_3").op("pop2")
+     .op("ireturn"),
+     [((), ("i", 1))], (), False),
+    # [1 2] -> [2 1 2]
+    ("dup_x1", "()I", _shuffle([("iconst_1",), ("iconst_2",)], "dup_x1", 2),
+     [((), ("i", 3))], (), False),
+    # [10 4 1] -> [1 10 4 1]
+    ("dup_x2", "()I",
+     _shuffle([("bipush", 10), ("iconst_4",), ("iconst_1",)], "dup_x2", 3),
+     [((), ("i", -6))], (), False),
+    # [10 4 1] -> [4 1 10 4 1]
+    ("dup2_x1", "()I",
+     _shuffle([("bipush", 10), ("iconst_4",), ("iconst_1",)], "dup2_x1", 4),
+     [((), ("i", 10))], (), False),
+    # [20 10 4 1] -> [4 1 20 10 4 1]
+    ("dup2_x2", "()I",
+     _shuffle([("bipush", 20), ("bipush", 10), ("iconst_4",),
+               ("iconst_1",)], "dup2_x2", 5),
+     [((), ("i", 16))], (), False),
+    ("swap", "()I", _shuffle([("bipush", 10), ("iconst_3",)], "swap", 1),
+     [((), ("i", -7))], (), False),
+    ("i2f", "(I)F", lambda c: c.op("iload_0").op("i2f").op("freturn"),
+     [([("i", -7)], ("f", F(-7.0)))], (), False),
+    # f2d shows that l2f rounded to float
+    ("l2f", "(J)D", lambda c: c.op("lload_0").op("l2f").op("f2d").op("dreturn"),
+     [([("j", 2**24 + 1)], ("d", D(2.0**24)))], (), False),
+    ("d2l", "(D)J", lambda c: c.op("dload_0").op("d2l").op("lreturn"),
+     [([("d", -2.5)], ("j", -2)), ([("d", 1e30)], ("j", 2**63 - 1))],
+     (), False),
+    ("iflt", "(I)I", lambda c: (c.op("iload_0"), _branch("iflt")(c)),
+     [([("i", -3)], ("i", 1)), ([("i", 0)], ("i", 0))], (), False),
+    ("if_icmpne", "(II)I",
+     lambda c: (c.op("iload_0").op("iload_1"), _branch("if_icmpne")(c)),
+     [([("i", 2), ("i", 2)], ("i", 0)), ([("i", 2), ("i", 3)], ("i", 1))],
+     (), False),
+    ("if_icmple", "(II)I",
+     lambda c: (c.op("iload_0").op("iload_1"), _branch("if_icmple")(c)),
+     [([("i", 3), ("i", 2)], ("i", 0)), ([("i", 2), ("i", 2)], ("i", 1))],
+     (), False),
+    ("if_acmpne", "(Ljava/lang/String;)I",
+     lambda c: (c.op("aload_0").op("aconst_null"), _branch("if_acmpne")(c)),
+     [([("null",)], ("i", 0)), ([("str", "x")], ("i", 1))], (), False),
+    ("ifnull", "(Ljava/lang/String;)I",
+     lambda c: (c.op("aload_0"), _branch("ifnull")(c)),
+     [([("null",)], ("i", 1)), ([("str", "x")], ("i", 0))], (), False),
+    ("ifnonnull", "(Ljava/lang/String;)I",
+     lambda c: (c.op("aload_0"), _branch("ifnonnull")(c)),
+     [([("null",)], ("i", 0)), ([("str", "x")], ("i", 1))], (), False),
+    # 0: goto_w +7; 5: iconst_0; 6: ireturn; 7: iconst_1; 8: ireturn
+    ("goto_w", "()I",
+     lambda c: c.op("goto_w", 0, 0, 0, 7).op("iconst_0").op("ireturn")
+     .op("iconst_1").op("ireturn"),
+     [((), ("i", 1))], (), False),
+    ("fields_quick", "()I", _instance_fields,
+     [((), ("i", 10))], ("getfield_quick", "putfield_quick"), True),
+    ("ldc_quick_a_w", "()Ljava/lang/String;",
+     lambda c: c.ldc_str("wide text", wide=True).op("areturn"),
+     [((), ("a", ("str", "wide text")))], ("ldc_quick_a_w",), False),
+]
+
+
+@pytest.fixture(scope="module")
+def opcode_pipelines(corpus_dir, tmp_path_factory):
+    """vm/Ops holding every OPCODE_CASES method, linked open and closed."""
+    cb = ClassBuilder("vm/Ops")
+    cb.field("v", "I")
+    cb.field("w", "J")
+    cb.default_init()
+    for name, desc, emit, _, _, _ in OPCODE_CASES:
+        emit(cb.method(name, desc, ACC_PUBLIC | ACC_STATIC,
+                       max_stack=1 if name == "goto_w" else None))
+    root = tmp_path_factory.mktemp("opcodes")
+    (root / "vm").mkdir()
+    (root / "vm" / "Ops.class").write_bytes(cb.build())
+    pipes = {}
+    for closed in (False, True):
+        pipe = Pipeline([str(root), corpus_dir], closed_world=closed)
+        pipe.load_targets(["vm/Ops"], closure=True)
+        assert pipe.ready_all() == []
+        assert pipe.link_all() == []
+        pipes[closed] = pipe
+    return pipes
+
+
+@pytest.mark.parametrize("name,desc,emit,runs,quick,closed", OPCODE_CASES,
+                         ids=[case[0] for case in OPCODE_CASES])
+def test_opcode_result(opcode_pipelines, name, desc, emit, runs, quick,
+                       closed):
+    pipe = opcode_pipelines[closed]
+    method = next(m for m in pipe.registry.get("vm/Ops").methods
+                  if m.name == name)
+    linked_ops = {ops.mnemonic(op) for _, op, _ in ops.walk(method.code.bytecode)}
+    assert set(quick) <= linked_ops, linked_ops
+    assert vf.in_subset(method.code_loaded) and vf.in_subset(method.code)
+    for vector, expected in runs:
+        for stage in (lc.LOADED, lc.LINKED):
+            out = run_static(pipe, "vm/Ops", name, vector, stage=stage)
+            assert (out.kind, out.value) == ("return", expected), (stage, out)
+
+
+def _single_instruction(op, sub=None):
+    """A body holding one instruction of ``op`` with zeroed operands."""
+    if op == ops.TABLESWITCH:     # at offset 0: 3 pad bytes, low = high = 0
+        return bytes([op]) + bytes(3 + 16)
+    if op == ops.LOOKUPSWITCH:    # no pairs
+        return bytes([op]) + bytes(3 + 8)
+    if op == ops.WIDE:
+        return bytes([op, sub]) + bytes(4 if sub == ops.BY_NAME["iinc"] else 2)
+    return bytes([op]) + bytes(ops.OPERAND_BYTES[op])
+
+
+def test_every_post_load_opcode_has_a_handler():
+    # loading rewrites these to quick forms or rejects the class
+    rewritten = {ops.BY_NAME[n] for n in ("ldc", "ldc_w", "ldc2_w", "anewarray")}
+    assert set(lc._LOAD_QUICK) == rewritten
+    unsupported = {ops.BY_NAME[n] for n in ("jsr", "jsr_w", "ret",
+                                            "monitorenter", "monitorexit",
+                                            "multianewarray")}
+    for op in range(256):
+        handled = vf._HANDLERS[op] is not vf._unsupported
+        expected = op in ops.NAME and op not in rewritten | unsupported
+        assert handled == expected, ops.mnemonic(op)
+        if op in ops.NAME and op != ops.WIDE:
+            code = lc.MethodCode(bytearray(_single_instruction(op)), 2, 4, [])
+            assert vf.in_subset(code) == expected, ops.mnemonic(op)
+    for name in ("iload", "lstore", "iinc", "ret"):
+        code = lc.MethodCode(
+            bytearray(_single_instruction(ops.WIDE, ops.BY_NAME[name])), 2, 4, [])
+        assert vf.in_subset(code) == (name != "ret"), name
 
 
 class TestDifferentialPairs:
