@@ -54,7 +54,10 @@ CONSTANT_VALUE_TAGS = frozenset(
 
 
 def decode_mutf8(data):
-    """Decode JVM modified UTF-8; lone surrogates are kept as-is."""
+    """Decode JVM modified UTF-8; a surrogate pair becomes the character it
+    encodes, lone surrogates are kept as-is."""
+    if data.isascii() and 0 not in data:
+        return data.decode("ascii")
     out = []
     i = 0
     n = len(data)
@@ -78,11 +81,14 @@ def decode_mutf8(data):
             i += 3
         else:
             raise BadUtf8("bad modified-UTF-8 byte 0x%02x at %d" % (b0, i))
-    return "".join(out)
+    return "".join(out).encode("utf-16-le", "surrogatepass").decode(
+        "utf-16-le", "surrogatepass")
 
 
 def encode_mutf8(text):
-    """Inverse of decode_mutf8 (used by the image writer and by tests)."""
+    """Inverse of decode_mutf8 (used to size pool text, and by tests)."""
+    if text.isascii() and "\0" not in text:
+        return text.encode("ascii")
     out = bytearray()
     for ch in text:
         cp = ord(ch)
@@ -191,26 +197,74 @@ class RawClassFile:
         return self.utf8(self.constant(index, TAG_CLASS).value)
 
 
-class _Reader:
+def read_one(layout):
+    """A ByteReader method reading one value of ``layout`` at the offset."""
+    size, unpack_from = layout.size, layout.unpack_from
+
+    def read(self, what):
+        pos = self.pos
+        if pos + size > len(self.data):
+            raise self.truncated(what)
+        self.pos = pos + size
+        return unpack_from(self.data, pos)[0]
+    return read
+
+
+_U2 = struct.Struct(">H")
+_U4 = struct.Struct(">I")
+
+
+class ByteReader:
+    """Bounds-checked big-endian reads at a moving offset; a short input
+    raises Truncated.  The image reader has its own layouts and error."""
+
     def __init__(self, data):
         self.data = data
         self.pos = 0
 
+    def truncated(self, what):
+        return Truncated("input ends inside %s" % what)
+
     def take(self, n, what):
         if self.pos + n > len(self.data):
-            raise Truncated("input ends inside %s" % what)
+            raise self.truncated(what)
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
-    def u1(self, what="byte"):
-        return self.take(1, what)[0]
+    def unpack(self, layout, what):
+        pos = self.pos
+        if pos + layout.size > len(self.data):
+            raise self.truncated(what)
+        self.pos = pos + layout.size
+        return layout.unpack_from(self.data, pos)
 
-    def u2(self, what="u2"):
-        return struct.unpack(">H", self.take(2, what))[0]
+    def u1(self, what):
+        pos = self.pos
+        if pos >= len(self.data):
+            raise self.truncated(what)
+        self.pos = pos + 1
+        return self.data[pos]
 
-    def u4(self, what="u4"):
-        return struct.unpack(">I", self.take(4, what))[0]
+    u2 = read_one(_U2)
+    u4 = read_one(_U4)
+
+
+_REF = struct.Struct(">HH")
+_EXCEPTION_ENTRY = struct.Struct(">HHHH")
+# tag -> (layout, what a truncation names) of the fixed-size pool entries
+_POOL_ENTRIES = {
+    TAG_INTEGER: (struct.Struct(">i"), "Integer"),
+    TAG_FLOAT: (_U4, "Float"),
+    TAG_LONG: (struct.Struct(">q"), "Long"),
+    TAG_DOUBLE: (struct.Struct(">Q"), "Double"),
+    TAG_CLASS: (_U2, "index"),
+    TAG_STRING: (_U2, "index"),
+    TAG_FIELDREF: (_REF, "index"),
+    TAG_METHODREF: (_REF, "index"),
+    TAG_IFACEMETHODREF: (_REF, "index"),
+    TAG_NAMEANDTYPE: (_REF, "index"),
+}
 
 
 def _read_pool(r):
@@ -222,23 +276,15 @@ def _read_pool(r):
             length = r.u2("Utf8 length")
             data = r.take(length, "Utf8 bytes")
             pool.append(RawConstant(tag, data, decode_mutf8(data)))
-        elif tag == TAG_INTEGER:
-            pool.append(RawConstant(tag, struct.unpack(">i", r.take(4, "Integer"))[0]))
-        elif tag == TAG_FLOAT:
-            pool.append(RawConstant(tag, struct.unpack(">I", r.take(4, "Float"))[0]))
-        elif tag == TAG_LONG:
-            pool.append(RawConstant(tag, struct.unpack(">q", r.take(8, "Long"))[0]))
-            pool.append(RawConstant(TAG_PLACEHOLDER))
-        elif tag == TAG_DOUBLE:
-            pool.append(RawConstant(tag, struct.unpack(">Q", r.take(8, "Double"))[0]))
-            pool.append(RawConstant(TAG_PLACEHOLDER))
-        elif tag in (TAG_CLASS, TAG_STRING):
-            pool.append(RawConstant(tag, r.u2("index")))
-        elif tag in (TAG_FIELDREF, TAG_METHODREF, TAG_IFACEMETHODREF,
-                     TAG_NAMEANDTYPE):
-            pool.append(RawConstant(tag, (r.u2("index"), r.u2("index"))))
-        else:
+            continue
+        entry = _POOL_ENTRIES.get(tag)
+        if entry is None:
             raise BadTag("unknown constant pool tag %d" % tag)
+        value = r.unpack(*entry)
+        # a reference keeps both of its indices
+        pool.append(RawConstant(tag, value[0] if len(value) == 1 else value))
+        if tag == TAG_LONG or tag == TAG_DOUBLE:
+            pool.append(RawConstant(TAG_PLACEHOLDER))
     if len(pool) != count:
         # a Long/Double in the last slot pushed us past the declared count
         raise BadIndex("8-byte constant overflows the pool count")
@@ -251,21 +297,8 @@ def serialize_constant(c):
         return b""
     if c.tag == TAG_UTF8:
         return struct.pack(">BH", c.tag, len(c.value)) + c.value
-    if c.tag == TAG_INTEGER:
-        return struct.pack(">Bi", c.tag, c.value)
-    if c.tag == TAG_FLOAT:
-        return struct.pack(">BI", c.tag, c.value)
-    if c.tag == TAG_LONG:
-        return struct.pack(">Bq", c.tag, c.value)
-    if c.tag == TAG_DOUBLE:
-        return struct.pack(">BQ", c.tag, c.value)
-    if c.tag in (TAG_CLASS, TAG_STRING):
-        return struct.pack(">BH", c.tag, c.value)
-    return struct.pack(">BHH", c.tag, c.value[0], c.value[1])
-
-
-def _constant_byte_size(c):
-    return len(serialize_constant(c))
+    value = c.value if isinstance(c.value, tuple) else (c.value,)
+    return bytes((c.tag,)) + _POOL_ENTRIES[c.tag][0].pack(*value)
 
 
 def _read_attribute(r, raw_pool, inside_code):
@@ -297,8 +330,7 @@ def _read_code(r, raw_pool, declared_len):
     exc_count = r.u2("exception table count")
     table = []
     for _ in range(exc_count):
-        entry = struct.unpack(">HHHH", r.take(8, "exception table entry"))
-        table.append(entry)
+        table.append(r.unpack(_EXCEPTION_ENTRY, "exception table entry"))
     attr_count = r.u2("code attribute count")
     attrs = [_read_attribute(r, raw_pool, inside_code=True)
              for _ in range(attr_count)]
@@ -323,7 +355,7 @@ def _read_members(r, raw_pool):
 
 def parse_class(data):
     """Parse .class bytes; raises a ClassFileError subclass on bad input."""
-    r = _Reader(data)
+    r = ByteReader(data)
     if len(data) < 4:
         raise Truncated("input shorter than the magic number")
     magic = r.u4("magic")
@@ -408,8 +440,9 @@ def pool_entry_count(raw):
 
 
 def raw_pool_byte_size(raw):
-    """On-disk byte length of the pool region: tag bytes plus payloads."""
-    return sum(_constant_byte_size(c) for c in raw.raw_pool)
+    """On-disk byte length of the pool region, entry by entry (loading reads
+    it from the parser's offsets; tests check that the two agree)."""
+    return sum(len(serialize_constant(c)) for c in raw.raw_pool)
 
 
 def constant_value_of(raw, member):

@@ -137,23 +137,16 @@ class RuntimePool:
 
     def entry_count(self):
         """Live entries: pair cells count once, dead entries not at all."""
-        n = self._pending
-        n += sum(1 for i, e in enumerate(self.atable) if not self.a_dead[i])
-        n += sum(1 for i, c in enumerate(self.vtable)
-                 if c.kind not in _PAIR_LO and not self.v_dead[i])
-        return n
+        return (self._pending + self.a_dead.count(False)
+                + sum(1 for c, dead in zip(self.vtable, self.v_dead)
+                      if not dead and c.kind not in _PAIR_LO))
 
     def byte_size(self):
         """Modeled footprint: text = 2+len, handles = 4, each 32-bit cell = 4."""
-        total = 0
-        for i, e in enumerate(self.atable):
-            if self.a_dead[i]:
-                continue
-            if e.kind in (A_UTF8, A_STRING):
-                total += 2 + len(encode_mutf8(e.payload))
-            else:
-                total += 4
-        total += 4 * sum(1 for i in range(len(self.vtable)) if not self.v_dead[i])
+        total = 4 * (self.a_dead.count(False) + self.v_dead.count(False))
+        for e, dead in zip(self.atable, self.a_dead):
+            if not dead and e.kind in (A_UTF8, A_STRING):
+                total += len(encode_mutf8(e.payload)) - 2   # in place of 4
         return total
 
     # --- cloning (for the loaded-stage snapshot) ---

@@ -256,6 +256,7 @@ class Registry:
 
     def __init__(self):
         self.classes = {}
+        self.image_flags = None     # an image's link flags, set by load_image
         for p in self.PRIMITIVES:
             self.classes[p] = ClassRep(p, synthetic=True)
 
@@ -376,7 +377,7 @@ def load_parsed(cls, raw, data, resolver):
         m.code_loaded = m.code
     cls.raw_stats = {
         "entries": cf.pool_entry_count(raw),
-        "pool_bytes": cf.raw_pool_byte_size(raw),
+        "pool_bytes": raw.pool_end - raw.pool_entries_start,
         "file_bytes": len(data) if data is not None else 0,
     }
     cls.state = LOADED

@@ -7,12 +7,16 @@ without touching any .class file.  The module also produces the per-stage
 footprint reports.
 """
 
+import bisect
 import json
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
+from . import classfile as cf
 from . import constpool as cp
 from . import lifecycle as lc
+from . import linker as lk
 from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                      StageNotReached, VersionMismatch)
 
@@ -83,9 +87,13 @@ def snapshot_stats(cls, stage):
 
 # --- image writing ---
 
+# the image's integer layouts, for writing and reading
+_U16, _U32, _U64 = (struct.Struct(f) for f in ("<H", "<I", "<Q"))
+
+
 class _Writer:
     def __init__(self):
-        self.parts = []
+        self.out = bytearray()
         self.strings = []
         self._string_ids = {}
 
@@ -98,19 +106,19 @@ class _Writer:
         return sid
 
     def u8(self, v):
-        self.parts.append(struct.pack("<B", v))
+        self.out.append(v)
 
     def u16(self, v):
-        self.parts.append(struct.pack("<H", v))
+        self.out += _U16.pack(v)
 
     def u32(self, v):
-        self.parts.append(struct.pack("<I", v))
+        self.out += _U32.pack(v)
 
     def u64(self, v):
-        self.parts.append(struct.pack("<Q", v))
+        self.out += _U64.pack(v)
 
     def raw(self, data):
-        self.parts.append(bytes(data))
+        self.out += data
 
     def blob(self, data):
         self.u32(len(data))
@@ -299,38 +307,25 @@ def emit_image(classes, flags=None):
             w.u8(1)
             zones_out(*cls.zones_initial)
 
-    return b"".join(w.parts)
+    return bytes(w.out)
 
 
 # --- image reading ---
 
-class _ImageReader:
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
+class _ImageReader(cf.ByteReader):
+    """Little-endian reads; a short image raises Corrupt at the read's offset."""
+    u8 = cf.ByteReader.u1
+    u16 = cf.read_one(_U16)
+    u32 = cf.read_one(_U32)
+    u64 = cf.read_one(_U64)
 
-    def take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise Corrupt("truncated %s" % what, self.pos)
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what="u8"):
-        return self.take(1, what)[0]
-
-    def u16(self, what="u16"):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what="u32"):
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what="u64"):
-        return struct.unpack("<Q", self.take(8, what))[0]
+    def truncated(self, what):
+        return Corrupt("truncated %s" % what, self.pos)
 
 
 def load_image(data):
-    """Reconstruct a registry of linked (and ready) classes from an image."""
+    """Reconstruct a registry of linked (and ready) classes from an image;
+    its ``image_flags`` hold the header's flags and closed packages."""
     r = _ImageReader(data)
     if r.take(4, "magic") != IMAGE_MAGIC:
         raise BadImageMagic("not a romized image")
@@ -338,11 +333,10 @@ def load_image(data):
     if version != IMAGE_VERSION:
         raise VersionMismatch("image format %d, expected %d"
                               % (version, IMAGE_VERSION))
-    r.u16("flags")
+    flag_bits = r.u16("flags")
     class_count = r.u32("class count")
-    pkg_count = r.u16("closed package count")
-    for _ in range(pkg_count):
-        r.u32("closed package")
+    pkg_ids = [r.u32("closed package")
+               for _ in range(r.u16("closed package count"))]
 
     string_count = r.u32("string count")
     strings = []
@@ -360,6 +354,11 @@ def load_image(data):
         return strings[sid]
 
     registry = lc.Registry()
+    registry.image_flags = lk.LinkContext(
+        registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
+        private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
+        closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
+        closed_packages={string_at(sid, "closed package") for sid in pkg_ids})
     # first create every class so cross references can be wired directly
     records = []
     classes = []
@@ -610,8 +609,9 @@ class FootprintReport:
                 stages[stage] = snapshot_stats(cls, stage)
             except StageNotReached:
                 stages[stage] = None
-        self.classes.append(ClassReport(cls.name, stages, error))
-        self.classes.sort(key=lambda c: c.name)
+        # after any equal name, as a stable sort would place it
+        bisect.insort(self.classes, ClassReport(cls.name, stages, error),
+                      key=attrgetter("name"))
 
     def aggregate(self, stage):
         totals = StageStats(0, 0, 0)

@@ -55,7 +55,23 @@ def u32(v):
 
 
 def f32(v):
-    return struct.unpack(">f", struct.pack(">f", v))[0]
+    """Round a double to float; past the float range that is an infinity."""
+    try:
+        return struct.unpack(">f", struct.pack(">f", v))[0]
+    except OverflowError:
+        return math.copysign(math.inf, v)
+
+
+def l2f(v):
+    """Round a long to float once, half to even, as the JVM does (through
+    a double it would round twice)."""
+    shift = abs(v).bit_length() - 24
+    if shift > 0:
+        half = 1 << (shift - 1)
+        q, r = divmod(abs(v), half << 1)
+        q += r > half or (r == half and q & 1)
+        v = q << shift if v > 0 else -(q << shift)
+    return f32(float(v))
 
 
 def float_bits(v):
@@ -752,7 +768,7 @@ _UNARY = _by_opcode({
     "i2f": ("i", "f", lambda v: f32(float(v))),
     "i2d": ("i", "d", float),
     "l2i": ("j", "i", i32),
-    "l2f": ("j", "f", lambda v: f32(float(v))),
+    "l2f": ("j", "f", l2f),
     "l2d": ("j", "d", float),
     "f2i": ("f", "i", lambda v: _to_int(v, 31)),
     "f2l": ("f", "j", lambda v: _to_int(v, 63)),

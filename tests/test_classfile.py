@@ -1,9 +1,10 @@
 """Parser tests: builder-manifest oracle, error paths, fuzz safety."""
 
+import re
 import struct
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jrom import classfile as cf
@@ -95,6 +96,15 @@ class TestParseErrors:
         with pytest.raises(Truncated):
             cf.parse_class(data[:14])
 
+    def test_every_strict_prefix_raises(self, corpus):
+        for name, (data, _) in corpus.items():
+            for cut in range(len(data)):
+                with pytest.raises(ClassFileError):
+                    cf.parse_class(data[:cut])
+        with pytest.raises(Truncated,
+                           match="^input ends inside constant pool count$"):
+            cf.parse_class(_empty_class_bytes()[:9])
+
     def test_trailing_garbage(self):
         with pytest.raises(Truncated):
             cf.parse_class(_empty_class_bytes() + b"\x00")
@@ -166,6 +176,22 @@ class TestModifiedUtf8:
     def test_truncated_sequence(self):
         with pytest.raises(BadUtf8):
             cf.decode_mutf8(b"\xc3")
+
+    # a high surrogate followed by a low one encodes an astral character,
+    # so such a pair decodes to that character, not to itself
+    @given(st.text(st.characters(exclude_categories=())).filter(
+        lambda t: not re.search("[\ud800-\udbff][\udc00-\udfff]", t)))
+    @example("\0")
+    @example("a\ud800b\udfff")
+    @example("\U0001f600\0x")
+    def test_round_trip_any_text(self, text):
+        assert cf.decode_mutf8(cf.encode_mutf8(text)) == text
+
+    @given(st.binary(max_size=40), st.integers(min_value=0, max_value=40))
+    def test_ascii_with_nul_rejected(self, data, at):
+        ascii_bytes = bytes(b & 0x7F for b in data)
+        with pytest.raises(BadUtf8):
+            cf.decode_mutf8(ascii_bytes[:at] + b"\0" + ascii_bytes[at:])
 
 
 class TestStats:

@@ -8,7 +8,6 @@ No time bound is set; timing belongs to the benchmark.
 
 import importlib.util
 import os
-from types import SimpleNamespace
 
 from jrom import cli
 from jrom import opcodes as ops
@@ -28,8 +27,7 @@ def load_generator():
 def romize_generated(tmp_path, capsys, flags):
     """Romize 30 generated classes; returns (class set, stdout, reloaded).
 
-    ``load_image`` does not return the header flags, so the round trip
-    re-emits under the flags the image was written with.
+    The round trip re-emits under the flags the image's header holds.
     """
     gen = load_generator()
     class_set = gen.generate(30, 0)
@@ -43,10 +41,10 @@ def romize_generated(tmp_path, capsys, flags):
     assert rc == 0, printed.err
     image = image_path.read_bytes()
     reloaded = rz.load_image(image)
-    emit_flags = SimpleNamespace(
-        introspection="--no-introspection" not in flags,
-        private_field_opt=False, closed_world="--closed-world" in flags)
-    assert rz.emit_image(reloaded.loadable(), emit_flags) == image
+    header = reloaded.image_flags
+    assert (header.introspection, header.closed_world) == (
+        "--no-introspection" not in flags, "--closed-world" in flags)
+    assert rz.emit_image(reloaded.loadable(), header) == image
     return class_set, printed.out, reloaded
 
 

@@ -11,6 +11,7 @@ from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                          StageNotReached, VersionMismatch)
 from jrom.pipeline import Pipeline
 
+from .conftest import make_pipeline
 from .corpus import build_corpus, corpus_names
 
 
@@ -136,6 +137,18 @@ class TestLoadImage:
         with pytest.raises(Corrupt):
             rz.load_image(image + b"\x00")
 
+    def test_header_flags_kept(self, corpus_dir):
+        pipe = make_pipeline(corpus_dir, introspection=False,
+                             private_field_opt=True,
+                             closed_packages={"corpus/sealed", "vm"})
+        image = pipe.emit_image()
+        reloaded = rz.load_image(image)
+        header = reloaded.image_flags
+        assert (header.introspection, header.private_field_opt,
+                header.closed_world, header.closed_packages) == \
+            (False, True, False, {"corpus/sealed", "vm"})
+        assert rz.emit_image(reloaded.loadable(), header) == image
+
     def test_superclass_missing_from_image_is_corrupt(self, linked_pipeline):
         # a synthetic superclass reference naming a class that is neither
         # synthetic nor in the image
@@ -167,9 +180,12 @@ class TestImageFuzz:
 
     def test_every_truncation_fails_cleanly(self, image):
         from jrom.errors import JromError
-        for cut in range(0, len(image), 61):
+        for cut in range(len(image)):
             with pytest.raises(JromError):
                 rz.load_image(image[:cut])
+        with pytest.raises(Corrupt, match=r"^truncated class count "
+                                          r"\(at image offset 8\)$"):
+            rz.load_image(image[:10])
 
 
 class TestCArray:
@@ -216,3 +232,28 @@ class TestReport:
         table = linked_pipeline.build_report().to_table()
         assert "model:" in table
         assert "introspection=on" in table
+
+    def test_rows_in_name_order_whatever_the_adding_order(self,
+                                                          linked_pipeline):
+        classes = linked_pipeline.registry.loadable()
+        names = sorted(c.name for c in classes)
+        shuffled = sorted(classes, key=lambda c: (len(c.name), c.name[::-1]))
+        assert [c.name for c in shuffled] != names
+        report = rz.FootprintReport("test")
+        for cls in shuffled:
+            report.add_class(cls)
+        # equal names keep the order they were added in
+        report.add_class(shuffled[0], error="second")
+        report.add_class(shuffled[0], error="third")
+        rows = report.to_table().splitlines()
+        first = rows.index(next(r for r in rows if r.startswith("-"))) + 1
+        table_names = [r.split()[0] for r in rows[first:first + len(names) + 2]]
+        want = sorted(names + [shuffled[0].name] * 2)
+        assert table_names == want
+        records = [json.loads(line)
+                   for line in report.to_records().splitlines()[1:]]
+        record_names = [r["class"] for r in records if "class" in r]
+        assert record_names == sorted(record_names)
+        errors = [r["error"] for r in records
+                  if r.get("class") == shuffled[0].name and "error" in r]
+        assert errors == ["second", "third"]

@@ -269,8 +269,16 @@ OPCODE_CASES = [
     ("i2f", "(I)F", lambda c: c.op("iload_0").op("i2f").op("freturn"),
      [([("i", -7)], ("f", F(-7.0)))], (), False),
     # f2d shows that l2f rounded to float
+    # 2**60 + 2**36 + 1 rounds up: through a double it would round to 2**60
     ("l2f", "(J)D", lambda c: c.op("lload_0").op("l2f").op("f2d").op("dreturn"),
-     [([("j", 2**24 + 1)], ("d", D(2.0**24)))], (), False),
+     [([("j", 2**24 + 1)], ("d", D(2.0**24))),
+      ([("j", 2**60 + 2**36 + 1)], ("d", D(2.0**60 + 2**37))),
+      ([("j", -(2**60 + 2**36 + 1))], ("d", D(-(2.0**60 + 2**37)))),
+      ([("j", -(2**40 + 2**20))], ("d", D(-(2.0**40 + 2**20))))], (), False),
+    # past the float range d2f gives an infinity of the double's sign
+    ("d2f", "(D)F", lambda c: c.op("dload_0").op("d2f").op("freturn"),
+     [([("d", 1e300)], ("f", 0x7F800000)),
+      ([("d", -1e300)], ("f", 0xFF800000))], (), False),
     ("d2l", "(D)J", lambda c: c.op("dload_0").op("d2l").op("lreturn"),
      [([("d", -2.5)], ("j", -2)), ([("d", 1e30)], ("j", 2**63 - 1))],
      (), False),
