@@ -439,12 +439,6 @@ def pool_entry_count(raw):
     return sum(1 for c in raw.raw_pool if not c.is_placeholder)
 
 
-def raw_pool_byte_size(raw):
-    """On-disk byte length of the pool region, entry by entry (loading reads
-    it from the parser's offsets; tests check that the two agree)."""
-    return sum(len(serialize_constant(c)) for c in raw.raw_pool)
-
-
 def constant_value_of(raw, member):
     """Decoded ConstantValue of a field, or None.
 

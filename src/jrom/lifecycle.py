@@ -59,19 +59,15 @@ class MethodCode:
     exception_table: list   # (start, end, handler, catch atable index or None)
     stack_maps: bytes = None
     relinked: bool = False
-    _size_cache: dict = dc_field(default=None, repr=False, compare=False)
+    # (StageView, steps) of verify's decode; whoever rewrites the bytecode
+    # in place sets it back to None
+    decoded: tuple = dc_field(default=None, repr=False, compare=False)
 
     def clone(self):
         return MethodCode(bytearray(self.bytecode), self.max_stack,
                           self.max_locals,
                           [tuple(e) for e in self.exception_table],
                           self.stack_maps, self.relinked)
-
-    def instruction_sizes(self):
-        """offset -> instruction size; quick rewrites never change sizes."""
-        if self._size_cache is None:
-            self._size_cache = ops.instruction_sizes(self.bytecode)
-        return self._size_cache
 
 
 @dataclass
@@ -144,6 +140,7 @@ class ClassRep:
         self.pack_stats = None
         self.zones_initial = None
         self._defaults = None
+        self._linked_view = None
 
     def __repr__(self):
         flag = "+ready" if self.ready else ""
@@ -158,7 +155,9 @@ class ClassRep:
             if self.loaded_view is None:
                 raise InvalidTransition("%s has no loaded snapshot" % self.name)
             return self.loaded_view
-        return StageView(self.pool, relinked=True)
+        if self._linked_view is None or self._linked_view.pool is not self.pool:
+            self._linked_view = StageView(self.pool, relinked=True)
+        return self._linked_view
 
     def find_method(self, name, descriptor):
         """JVM-style resolution: the class, its supers, then interfaces."""
@@ -257,6 +256,7 @@ class Registry:
     def __init__(self):
         self.classes = {}
         self.image_flags = None     # an image's link flags, set by load_image
+        self.shared_steps = {}      # verify.decoded keeps equal steps as one
         for p in self.PRIMITIVES:
             self.classes[p] = ClassRep(p, synthetic=True)
 

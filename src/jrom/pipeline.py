@@ -272,7 +272,7 @@ class Pipeline:
             for off, op, size in ops.walk(bc):
                 if size > 1 and op != ops.BY_NAME["invokevirtual_quick"]:
                     bc[off + size - 1] ^= 0x01
-                    m.code._size_cache = None
+                    m.code.decoded = None
                     return "%s.%s+%d" % (cls_name, method_name, off + size - 1)
         raise JromError("no corruptible operand in %s.%s"
                         % (cls_name, method_name))

@@ -5,14 +5,21 @@ references) and the post-link one (quick forms) against a snapshot world,
 so every pipeline rewrite can be checked for semantic preservation: same
 outcome, same static-zone writes, same created objects.
 
-Dispatch is one lookup per instruction in ``_HANDLERS``, a table from
-opcode to handler.  A family of opcodes (the int operators, the conditional
-branches, the local loads, ...) shares one handler, which reads its operand
-through the ``opcodes.OPERANDS`` readers and what sets the members apart
-from a small table keyed by opcode.  An opcode without a handler (jsr/ret,
-the monitors, multianewarray, and the symbolic ldc forms and anewarray,
-which loading always rewrites) puts a method outside the subset the
-machine runs; ``in_subset`` asks the same table.
+Each method body is decoded once per stage view, the first time it runs,
+into a list indexed by pc (``decoded``).  An instruction's entry holds its
+handler, its opcode, its size and its operand already read: a local slot, a
+constant, a branch target, a pool operand placed into its table, or the row
+of its family's table (a family of opcodes, such as the int operators or
+the conditional branches, shares one handler).  Any other pc holds None, so
+dispatch is one list index per instruction.  Decode reads only what the
+bytecode and the stage's pool layout fix: members are resolved, zones read
+and objects made when an instruction runs, and an operand that cannot be
+used raises only if its instruction runs.  One loop in ``Machine.call``
+runs a method and every call it makes: a call pushes the caller's frame on
+a list instead of recursing in Python.  An opcode without a handler
+(jsr/ret, the monitors, multianewarray, and the symbolic ldc forms and
+anewarray, which loading always rewrites) puts a method outside the subset
+the machine runs; ``in_subset`` asks the same table.
 """
 
 import math
@@ -246,6 +253,11 @@ class _FuelOut(Exception):
     pass
 
 
+class _Call(tuple):
+    """What an invoke handler returns: (method, argument slots) to run."""
+    __slots__ = ()
+
+
 def in_subset(code):
     """True when every opcode of a method body has a handler."""
     if code is None:
@@ -263,28 +275,24 @@ def in_subset(code):
 
 
 class Frame:
-    """One activation: a method's code at the world's stage, locals, stack.
-
-    ``pc`` is the instruction being run and ``next_pc`` where control goes
-    after it; a handler that branches sets ``next_pc``.
+    """One activation: a method's code at the world's stage, its decoded
+    steps, locals and stack.  ``pc`` is the instruction being run, or in a
+    caller the invoke waiting for its call to return.
     """
-    __slots__ = ("method", "code", "bc", "pool", "relinked", "max_stack",
-                 "locals", "stack", "pc", "next_pc")
+    __slots__ = ("method", "code", "steps", "pool", "max_stack", "locals",
+                 "stack", "pc")
 
-    def __init__(self, method, code, view, args):
+    def __init__(self, method, code, pool, args):
         if len(args) > code.max_locals:
             raise InterpError("%s: %d argument slots > max_locals %d"
                               % (method, len(args), code.max_locals))
         self.method = method
         self.code = code
-        self.bc = code.bytecode
-        self.pool = view.pool
-        self.relinked = view.relinked
+        self.pool = pool
         self.max_stack = code.max_stack
         self.locals = list(args) + [PAD] * (code.max_locals - len(args))
         self.stack = []
         self.pc = 0
-        self.next_pc = 0
 
     def where(self):
         return "%s at %d" % (self.method, self.pc)
@@ -316,32 +324,27 @@ class Frame:
             raise StackUnderflow(self.where())
 
     def pop_args(self, n):
-        self.need(n)
-        args = self.stack[len(self.stack) - n:]
-        del self.stack[len(self.stack) - n:]
+        s = self.stack
+        base = len(s) - n
+        if base < 0:
+            raise StackUnderflow(self.where())
+        args = s[base:]
+        del s[base:]
         return args
 
-    # --- operands, read through the opcodes.OPERANDS table ---
+    # --- pool operands, placed into their tables by decode ---
 
-    def pool_entry(self):
-        """(Operand, table index) of the instruction's pool operand.
-
-        Before relinking a symbolic operand is a raw pool index, placed
-        into its table through the pool's origin map; quick operands are
-        table indices at every stage.
-        """
-        entry, idx = ops.pool_operand(self.bc, self.pc)
-        if entry.kind == ops.POOL and not self.relinked:
-            placed = self.pool.origin.get(idx)
-            if placed is None or placed[0] != entry.space:
-                raise InterpError("%s: operand %d unresolvable at %d"
-                                  % (self.method, idx, self.pc))
-            idx = placed[1]
+    def pool_entry(self, operand):
+        """(Operand, table index) of a decoded pool operand."""
+        entry, idx, raw = operand
+        if idx is None:
+            raise InterpError("%s: operand %d unresolvable at %d"
+                              % (self.method, raw, self.pc))
         return entry, idx
 
-    def member(self):
+    def member(self, operand):
         """The field or method a symbolic member reference names."""
-        _, vidx = self.pool_entry()
+        _, vidx = self.pool_entry(operand)
         cell = self.pool.vtable[vidx]
         handle = self.pool.atable[cell.value & 0xFFFF].payload
         if handle.resolved is not None:
@@ -356,21 +359,19 @@ class Frame:
                                  self.pc))
         return found
 
-    def class_operand(self):
-        entry, aidx = self.pool_entry()
+    def class_operand(self, operand):
+        entry, aidx = self.pool_entry(operand)
         found = self.pool.atable[aidx]
         if found.kind != entry.want:
             raise InterpError("%s: operand is not a class at %d"
                               % (self.method, self.pc))
         return found.payload
 
-    def field(self):
+    def field(self, operand):
         """(owner, zone, offset, type code) of the field access."""
-        if ops.OPERANDS[self.bc[self.pc]].kind == ops.IMMEDIATE:
-            offset, tc = ops.field_immediate(self.bc, self.pc)
-            return (self.method.owner, "a" if tc == dsc.TC_REF else "v",
-                    offset, tc)
-        found = self.member()
+        if operand[0] is None:          # quick form: (None, zone, offset, tc)
+            return (self.method.owner,) + operand[1:]
+        found = self.member(operand)
         return found.owner, found.zone, found.offset, found.type_code
 
 
@@ -378,7 +379,6 @@ class Machine:
     def __init__(self, world, fuel):
         self.world = world
         self.fuel = fuel
-        self.depth = 0
 
     # --- helpers ---
 
@@ -475,61 +475,92 @@ class Machine:
     # --- invocation ---
 
     def call(self, method, args):
-        """Run one frame; returns the (tag, value) result or None for void."""
-        if method.code is None:
-            raise InterpError("no bytecode for %s" % (method,))
-        self.depth += 1
-        if self.depth > MAX_CALL_DEPTH:
-            self.depth -= 1
-            self.throw_named("java/lang/StackOverflowError")
-        try:
-            return self._frame(method, args)
-        finally:
-            self.depth -= 1
-
-    def _frame(self, method, args):
-        world = self.world
-        f = Frame(method, method.code_at(world.stage),
-                  method.owner.view(world.stage), args)
-        bc = f.bc
-        sizes = f.code.instruction_sizes()
-        trace = world.trace
-        handlers = _HANDLERS
+        """Run a method and the calls it makes; returns the (tag, value)
+        result or None for void.  A call pushes the caller on a list rather
+        than recursing, so Python's stack stays flat however deep calls go.
+        """
+        trace = self.world.trace
+        callers = []        # frames waiting for a call to return, innermost last
+        f = self._frame(method, args, 0)
+        steps, pc = f.steps, 0
         while True:
-            pc = f.pc
-            if pc >= len(bc):
-                raise InterpError("%s: fell off the end of the code" % (method,))
+            try:
+                handler, op, operand, size = steps[pc]
+            except (TypeError, IndexError):     # None, or past the end
+                self._off_boundary(f.method, pc, len(steps))
             if self.fuel <= 0:
                 raise _FuelOut()
             self.fuel -= 1
-            op = bc[pc]
-            size = sizes.get(pc)
-            if size is None:
-                raise InterpError("%s: pc %d not on an instruction boundary"
-                                  % (method, pc))
             if trace is not None:
                 trace("%5d %-20s depth=%d" % (pc, ops.mnemonic(op), len(f.stack)))
-            f.next_pc = pc + size
+            f.pc = pc
             try:
-                result = handlers[op](self, f, op)
+                result = handler(self, f, operand)
+                if result is None:
+                    pc += size
+                    continue
+                if result.__class__ is _Call:
+                    callee = self._frame(*result, len(callers) + 1)
+                    callers.append(f)
+                    f, steps, pc = callee, callee.steps, 0
+                    continue
             except _Thrown as t:
-                handler = self._find_handler(f.code, f.pool, pc, t)
-                if handler is None:
-                    raise
+                while (target := self._find_handler(f, t)) is None:
+                    if not callers:
+                        raise
+                    f = callers.pop()
                 f.stack[:] = [("a", t.ref)]
-                f.next_pc = handler
-            else:
-                if result is not None:
-                    return result[0]
-            f.pc = f.next_pc
+                steps, pc = f.steps, target
+                continue
+            if result.__class__ is int:
+                if result < 0:
+                    self._off_boundary(f.method, result, len(steps))
+                pc = result
+                continue
+            value = result[0]
+            if not callers:
+                return value
+            f = callers.pop()           # back to the invoke that made the call
+            steps, pc = f.steps, f.pc
+            pc += steps[pc][3]
+            if value is not None:
+                s = f.stack
+                s += (value, PAD) if value[0] in "jd" else (value,)
+                if len(s) > f.max_stack:
+                    raise StackOverflow(f.where())
 
-    def _find_handler(self, code, pool, pc, thrown):
-        for start, end, handler, catch in code.exception_table:
-            if not start <= pc < end:
+    def _frame(self, method, args, depth):
+        """A new activation of ``method`` under ``depth`` active ones."""
+        if method.code is None:
+            raise InterpError("no bytecode for %s" % (method,))
+        if depth >= MAX_CALL_DEPTH:
+            self.throw_named("java/lang/StackOverflowError")
+        world = self.world
+        view = method.owner.view(world.stage)
+        code = method.code_at(world.stage)
+        f = Frame(method, code, view.pool, args)
+        f.steps = decoded(code, view, world.registry.shared_steps)
+        return f
+
+    def _off_boundary(self, method, pc, end):
+        """Raise for a pc that holds no instruction.  Past the end that is
+        at once; anywhere else it costs fuel, as an instruction would."""
+        if pc >= end:
+            raise InterpError("%s: fell off the end of the code" % (method,))
+        if self.fuel <= 0:
+            raise _FuelOut()
+        self.fuel -= 1
+        raise InterpError("%s: pc %d not on an instruction boundary"
+                          % (method, pc))
+
+    def _find_handler(self, f, thrown):
+        """The pc of the frame's handler for the thrown exception, or None."""
+        for start, end, handler, catch in f.code.exception_table:
+            if not start <= f.pc < end:
                 continue
             if catch is None:
                 return handler
-            catch_cls = pool.atable[catch].payload
+            catch_cls = f.pool.atable[catch].payload
             if thrown.cls is not None:
                 if thrown.cls.is_subclass_of(catch_cls):
                     return handler
@@ -539,10 +570,11 @@ class Machine:
 
 
 # --- instruction handlers ---------------------------------------------------
-# handler(machine, frame, opcode) runs one instruction.  It returns None to
-# go on at frame.next_pc, or a 1-tuple holding the method's result (None for
-# a void return).  A family of opcodes shares one handler and a table, keyed
-# by opcode, of what sets its members apart.
+# handler(machine, frame, operand) runs one instruction; decode read its
+# operand.  It returns None to go on at the next instruction, a pc to branch
+# to, a _Call to make, or a 1-tuple holding the method's result (None for a
+# void return).  A family of opcodes shares one handler, and its operand is
+# the row, keyed by opcode, of what sets the members apart.
 
 def _by_opcode(table):
     return {_OP[name]: value for name, value in table.items()}
@@ -560,35 +592,32 @@ def _wide_slot(kind, bits):
 _IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
 _INVOKESPECIAL, _INVOKESTATIC = _OP["invokespecial"], _OP["invokestatic"]
 
+# op -> the slots pushed
 _CONSTANTS = _by_opcode({
-    "aconst_null": ("a", None), "lconst_0": ("j", 0), "lconst_1": ("j", 1),
-    "fconst_0": ("f", 0.0), "fconst_1": ("f", 1.0), "fconst_2": ("f", 2.0),
-    "dconst_0": ("d", 0.0), "dconst_1": ("d", 1.0),
-    **{"iconst_%s" % ("m1" if k < 0 else k): ("i", k) for k in range(-1, 6)}})
+    "aconst_null": (("a", None),), "lconst_0": (("j", 0), PAD),
+    "lconst_1": (("j", 1), PAD), "fconst_0": (("f", 0.0),),
+    "fconst_1": (("f", 1.0),), "fconst_2": (("f", 2.0),),
+    "dconst_0": (("d", 0.0), PAD), "dconst_1": (("d", 1.0), PAD),
+    **{"iconst_%s" % ("m1" if k < 0 else k): (("i", k),) for k in range(-1, 6)}})
 
 
 def _unsupported(m, f, op):
     raise UnsupportedOpcode(op, f.pc)
 
 
-def _nop(m, f, op):
+def _nop(m, f, _):
     pass
 
 
-def _const(m, f, op):
-    f.push_value(_CONSTANTS[op])
+def _const(m, f, slots):
+    s = f.stack
+    s += slots
+    if len(s) > f.max_stack:
+        raise StackOverflow(f.where())
 
 
-def _bipush(m, f, op):
-    f.push(("i", _sign8(f.bc[f.pc + 1])))
-
-
-def _sipush(m, f, op):
-    f.push(("i", struct.unpack_from(">h", f.bc, f.pc + 1)[0]))
-
-
-def _ldc_quick(m, f, op):
-    entry, idx = f.pool_entry()
+def _ldc_quick(m, f, operand):
+    entry, idx = f.pool_entry(operand)
     table = f.pool.vtable
     if entry.want == cp.A_STRING:
         f.push(("a", m.world.heap.intern(f.pool.atable[idx].payload)))
@@ -602,65 +631,62 @@ def _ldc_quick(m, f, op):
                                 bits))
 
 
-def _load(m, f, op):
-    slot, width = ops.local_slot(f.bc, f.pc)
-    f.push(f.locals[slot])
-    if width == 2:
-        f.push(PAD)
+def _load(m, f, slot):
+    s = f.stack
+    s.append(f.locals[slot])
+    if len(s) > f.max_stack:
+        raise StackOverflow(f.where())
 
 
-def _store(m, f, op):
-    slot, width = ops.local_slot(f.bc, f.pc)
-    if width == 2:
-        f.locals[slot] = f.pop_value("j")
-        f.locals[slot + 1] = PAD
-    else:
-        f.locals[slot] = f.pop()
+def _load2(m, f, slot):
+    s = f.stack
+    s += (f.locals[slot], PAD)
+    if len(s) > f.max_stack:
+        raise StackOverflow(f.where())
 
 
-def _iinc(m, f, op):
-    slot, _ = ops.local_slot(f.bc, f.pc)
-    if f.bc[f.pc] == ops.WIDE:
-        delta = struct.unpack_from(">h", f.bc, f.pc + 4)[0]
-    else:
-        delta = _sign8(f.bc[f.pc + 2])
+def _store(m, f, slot):
+    if not f.stack:
+        raise StackUnderflow(f.where())
+    f.locals[slot] = f.stack.pop()
+
+
+def _store2(m, f, slot):
+    f.locals[slot] = f.pop_value("j")
+    f.locals[slot + 1] = PAD
+
+
+def _iinc(m, f, operand):
+    slot, delta = operand
     f.locals[slot] = ("i", i32(f.locals[slot][1] + delta))
-
-
-def _wide(m, f, op):
-    """A wide local access runs the handler of the opcode it modifies."""
-    sub = f.bc[f.pc + 1]
-    return _HANDLERS[sub](m, f, sub)
 
 
 _ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
 _NARROW = {"b": _sign8, "c": _u16, "s": _sign16, "f": f32}
 
 
-def _array_load(m, f, op):
-    kind = _ARRAY_KINDS[op - _IALOAD]
+def _array_load(m, f, kind):
     index = f.pop()[1]
     arr = m.element_of(f.pop()[1], index)
     f.push_value(("i" if kind in "bcs" else kind, arr.elems[index]))
 
 
-def _array_store(m, f, op):
-    kind = _ARRAY_KINDS[op - _IASTORE]
+def _array_store(m, f, kind):
     value = f.pop_value(kind)[1]
     index = f.pop()[1]
     arr = m.element_of(f.pop()[1], index)
     arr.elems[index] = _NARROW.get(kind, _same)(value)
 
 
-def _arraylength(m, f, op):
+def _arraylength(m, f, _):
     f.push(("i", len(m.object_at(f.pop()[1]).elems)))
 
 
-def _pop(m, f, op):
+def _pop(m, f, _):
     f.pop()
 
 
-def _pop2(m, f, op):
+def _pop2(m, f, _):
     f.pop()
     f.pop()
 
@@ -670,15 +696,15 @@ _DUPS = _by_opcode({"dup": (1, 1), "dup_x1": (1, 2), "dup_x2": (1, 3),
          "dup2": (2, 2), "dup2_x1": (2, 3), "dup2_x2": (2, 4)})
 
 
-def _dup(m, f, op):
-    count, depth = _DUPS[op]
+def _dup(m, f, row):
+    count, depth = row
     f.need(depth)
     f.stack[-depth:-depth] = f.stack[-count:]
     if len(f.stack) > f.max_stack:
         raise StackOverflow(f.where())
 
 
-def _swap(m, f, op):
+def _swap(m, f, _):
     f.need(2)
     f.stack[-1], f.stack[-2] = f.stack[-2], f.stack[-1]
 
@@ -790,20 +816,24 @@ _LONG_SHIFTS = _by_opcode({"lshl": lambda a, s: i64(a << s),
                            "lushr": lambda a, s: i64((a & M64) >> s)})
 
 
-def _binary(m, f, op):
-    kind, result, fn = _BINARY[op]
-    b = f.pop_value(kind)[1]
-    a = f.pop_value(kind)[1]
-    f.push_value((result, fn(a, b)))
+def _binary(m, f, row):
+    depth, result, fn = row         # depth: slots of the two operands
+    s = f.stack
+    try:
+        a = s[-depth][1]
+    except IndexError:
+        raise StackUnderflow(f.where()) from None
+    value = (result, fn(a, s[-(depth // 2)][1]))
+    s[-depth:] = (value, PAD) if result in "jd" else (value,)
 
 
-def _unary(m, f, op):
-    kind, result, fn = _UNARY[op]
+def _unary(m, f, row):
+    kind, result, fn = row
     f.push_value((result, fn(f.pop_value(kind)[1])))
 
 
-def _divide(m, f, op):
-    kind, wrap, remainder = _DIVIDES[op]
+def _divide(m, f, row):
+    kind, wrap, remainder = row
     b = f.pop_value(kind)[1]
     a = f.pop_value(kind)[1]
     if b == 0:
@@ -814,9 +844,9 @@ def _divide(m, f, op):
     f.push_value((kind, wrap(a - q * b if remainder else q)))
 
 
-def _long_shift(m, f, op):
+def _long_shift(m, f, fn):
     s = f.pop()[1] & 63
-    f.push_value(("j", _LONG_SHIFTS[op](f.pop_value("j")[1], s)))
+    f.push_value(("j", fn(f.pop_value("j")[1], s)))
 
 
 _POPPED = object()      # the branch compares with a second popped value
@@ -834,29 +864,41 @@ _IF = _by_opcode({
 })
 
 
-def _if(m, f, op):
-    test, other = _IF[op]
-    if other is _POPPED:
-        other = f.pop()[1]
-    if test(f.pop()[1], other):
-        f.next_pc = ops.branch_targets(f.bc, f.pc)[0]
+def _if(m, f, operand):
+    test, other, target = operand
+    s = f.stack
+    try:
+        if other is _POPPED:
+            other = s.pop()[1]
+        value = s.pop()[1]
+    except IndexError:
+        raise StackUnderflow(f.where()) from None
+    if test(value, other):
+        return target
 
 
-def _goto(m, f, op):
-    f.next_pc = ops.branch_targets(f.bc, f.pc)[0]
+def _goto(m, f, target):
+    return target
 
 
-def _switch(m, f, op):
-    f.next_pc = ops.switch_target(f.bc, f.pc, f.pop()[1])
+def _switch(m, f, _):
+    return ops.switch_target(f.code.bytecode, f.pc, f.pop()[1])
 
 
-_RETURNS = _by_opcode({"ireturn": "i", "lreturn": "j", "freturn": "f",
-                       "dreturn": "d", "areturn": "a", "return": None})
+# op -> None for a void return, or (kind, slots of the value)
+_RETURNS = _by_opcode({"ireturn": ("i", 1), "lreturn": ("j", 2),
+                       "freturn": ("f", 1), "dreturn": ("d", 2),
+                       "areturn": ("a", 1), "return": None})
 
 
-def _return(m, f, op):
-    kind = _RETURNS[op]
-    return (None if kind is None else (kind, f.pop_value(kind)[1]),)
+def _return(m, f, row):
+    if row is None:
+        return (None,)
+    kind, depth = row
+    try:
+        return ((kind, f.stack[-depth][1]),)
+    except IndexError:
+        raise StackUnderflow(f.where()) from None
 
 
 _TYPE_KIND = {dsc.TC_REF: "a", dsc.TC_FLOAT: "f", dsc.TC_LONG: "j",
@@ -869,24 +911,24 @@ def _kind_of(type_code):
     return _TYPE_KIND.get(type_code, "i")
 
 
-def _getstatic(m, f, op):
-    owner, zone, offset, tc = f.field()
+def _getstatic(m, f, operand):
+    owner, zone, offset, tc = f.field(operand)
     f.push_value(m.zone_read(owner, zone, offset, tc))
 
 
-def _putstatic(m, f, op):
-    owner, zone, offset, tc = f.field()
+def _putstatic(m, f, operand):
+    owner, zone, offset, tc = f.field(operand)
     m.zone_write(owner, zone, offset, tc, f.pop_value(_kind_of(tc)))
 
 
-def _getfield(m, f, op):
-    _, _, offset, tc = f.field()
+def _getfield(m, f, operand):
+    _, _, offset, tc = f.field(operand)
     obj = m.object_at(f.pop()[1])
     f.push_value((_kind_of(tc), obj.slots[offset]))
 
 
-def _putfield(m, f, op):
-    _, _, offset, tc = f.field()
+def _putfield(m, f, operand):
+    _, _, offset, tc = f.field(operand)
     v = f.pop_value(_kind_of(tc))[1]
     obj = m.object_at(f.pop()[1])
     obj.slots[offset] = _FIELD_NARROW.get(tc, _same)(v)
@@ -894,8 +936,8 @@ def _putfield(m, f, op):
         obj.slots[offset + 1] = None
 
 
-def _new(m, f, op):
-    cls = f.class_operand()
+def _new(m, f, operand):
+    cls = f.class_operand(operand)
     if cls.state == lc.UNLOADED:
         raise InterpError("new of unloaded class %s" % cls.name)
     f.push(("a", m.world.heap.new_object(cls)))
@@ -905,15 +947,15 @@ _NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
                    11: "J"}
 
 
-def _newarray(m, f, op):
-    comp = _NEWARRAY_TYPES.get(f.bc[f.pc + 1])
+def _newarray(m, f, atype):
+    comp = _NEWARRAY_TYPES.get(atype)
     if comp is None:
-        raise InterpError("bad newarray type %d" % f.bc[f.pc + 1])
+        raise InterpError("bad newarray type %d" % atype)
     _push_new_array(m, f, comp)
 
 
-def _anewarray_quick(m, f, op):
-    cls = f.class_operand()
+def _anewarray_quick(m, f, operand):
+    cls = f.class_operand(operand)
     _push_new_array(m, f, cls.name if cls.name.startswith("[")
                     else "L%s;" % cls.name)
 
@@ -925,8 +967,9 @@ def _push_new_array(m, f, comp):
     f.push(("a", m.world.heap.new_array(comp, length)))
 
 
-def _invoke(m, f, op):
-    target = f.member()
+def _invoke(m, f, operand):
+    op, ref = operand
+    target = f.member(ref)
     args = f.pop_args(target.nargs)
     if op != _INVOKESTATIC:
         recv = args[0][1]
@@ -941,13 +984,11 @@ def _invoke(m, f, op):
                 raise InterpError("no %s%s on %s"
                                   % (target.name, target.descriptor, rc_name))
             target = found
-    result = m.call(target, args)
-    if result is not None:
-        f.push_value(result)
+    return _Call((target, args))
 
 
-def _invoke_quick(m, f, op):
-    nargs, slot = f.bc[f.pc + 1], f.bc[f.pc + 2]
+def _invoke_quick(m, f, operand):
+    nargs, slot = operand
     args = f.pop_args(nargs)
     recv = args[0][1]
     if recv is None:
@@ -959,26 +1000,24 @@ def _invoke_quick(m, f, op):
     if slot >= len(table):
         raise InterpError("dispatch slot %d out of range on %s"
                           % (slot, rc_name))
-    result = m.call(table[slot], args)
-    if result is not None:
-        f.push_value(result)
+    return _Call((table[slot], args))
 
 
-def _checkcast(m, f, op):
-    cls = f.class_operand()
+def _checkcast(m, f, operand):
+    cls = f.class_operand(operand)
     slot = f.pop()
     if slot[1] is not None and not m.is_instance(slot[1], cls):
         m.throw_named("java/lang/ClassCastException")
     f.push(slot)
 
 
-def _instanceof(m, f, op):
-    cls = f.class_operand()
+def _instanceof(m, f, operand):
+    cls = f.class_operand(operand)
     ref = f.pop()[1]
     f.push(("i", int(ref is not None and m.is_instance(ref, cls))))
 
 
-def _athrow(m, f, op):
+def _athrow(m, f, _):
     ref = f.pop()[1]
     if ref is None:
         m.throw_named("java/lang/NullPointerException")
@@ -987,13 +1026,13 @@ def _athrow(m, f, op):
 
 
 def _handler_table():
-    """opcode -> handler; an opcode without one raises UnsupportedOpcode."""
+    """opcode -> handler, and opcode -> the row of its family's table."""
     table = [_unsupported] * 256
     named = (
-        (_nop, "nop"), (_bipush, "bipush"), (_sipush, "sipush"),
+        (_nop, "nop"), (_const, "bipush sipush"),
         (_ldc_quick, "ldc_quick_i ldc_quick_i_w ldc_quick_f ldc_quick_f_w "
                      "ldc_quick_a ldc_quick_a_w ldc2_quick_l ldc2_quick_d"),
-        (_iinc, "iinc"), (_wide, "wide"), (_arraylength, "arraylength"),
+        (_iinc, "iinc"), (_arraylength, "arraylength"),
         (_pop, "pop"), (_pop2, "pop2"), (_swap, "swap"),
         (_goto, "goto goto_w"), (_switch, "tableswitch lookupswitch"),
         (_getstatic, "getstatic getstatic_quick"),
@@ -1010,22 +1049,95 @@ def _handler_table():
     for handler, names in named:
         for name in names.split():
             table[_OP[name]] = handler
-    for handler, family in ((_const, _CONSTANTS), (_dup, _DUPS),
-                            (_binary, _BINARY), (_unary, _UNARY),
-                            (_divide, _DIVIDES), (_long_shift, _LONG_SHIFTS),
-                            (_if, _IF), (_return, _RETURNS)):
-        for op in family:
+    binary = {op: (4 if kind in "jd" else 2, result, fn)
+              for op, (kind, result, fn) in _BINARY.items()}
+    rows = {}
+    for handler, family in (
+            (_const, _CONSTANTS), (_dup, _DUPS), (_binary, binary),
+            (_unary, _UNARY), (_divide, _DIVIDES),
+            (_long_shift, _LONG_SHIFTS), (_if, _IF), (_return, _RETURNS),
+            (_array_load, {_IALOAD + k: kind
+                           for k, kind in enumerate(_ARRAY_KINDS)}),
+            (_array_store, {_IASTORE + k: kind
+                            for k, kind in enumerate(_ARRAY_KINDS)})):
+        for op, row in family.items():
             table[op] = handler
-    for k in range(len(_ARRAY_KINDS)):
-        table[_IALOAD + k] = _array_load
-        table[_IASTORE + k] = _array_store
+            rows[op] = row
     for op, entry in ops.OPERANDS.items():
         if entry.kind == ops.LOCAL and op not in (_OP["ret"], _OP["iinc"]):
-            table[op] = _load if "load" in ops.NAME[op] else _store
-    return table
+            by_width = ((_load, _load2) if "load" in ops.NAME[op]
+                        else (_store, _store2))
+            table[op] = by_width[entry.want - 1]
+    table[ops.WIDE] = None      # decode folds it into the opcode it modifies
+    return table, rows
 
 
-_HANDLERS = _handler_table()
+_HANDLERS, _ROWS = _handler_table()
+
+
+# --- decode -----------------------------------------------------------------
+
+def _operand(bc, off, op, view):
+    """What the handler of ``op`` at ``off`` runs with, read mostly through
+    the ``opcodes.OPERANDS`` table.  A pool operand is (Operand, table
+    index, pool index); an index that does not place into its table is
+    None, and the instruction raises when it runs."""
+    entry = ops.OPERANDS.get(op)
+    kind = entry.kind if entry is not None else None
+    if _HANDLERS[op] is _unsupported:
+        return op
+    if kind == ops.LOCAL:
+        slot = ops.local_slot(bc, off)[0]
+        if op != _OP["iinc"]:
+            return slot
+        if bc[off] == ops.WIDE:
+            return slot, struct.unpack_from(">h", bc, off + 4)[0]
+        return slot, _sign8(bc[off + 2])
+    if kind == ops.BRANCH:
+        target = ops.branch_targets(bc, off)[0]
+        return _IF[op] + (target,) if op in _IF else target
+    if kind == ops.IMMEDIATE:
+        offset, tc = ops.field_immediate(bc, off)
+        return None, "a" if tc == dsc.TC_REF else "v", offset, tc
+    if kind == ops.NARGS_SLOT:
+        return bc[off + 1], bc[off + 2]
+    if kind is not None:            # POOL or QUICK
+        idx = table_idx = ops.read_operand(bc, off, entry.size)
+        if kind == ops.POOL and not view.relinked:
+            placed = view.pool.origin.get(idx)
+            ok = placed is not None and placed[0] == entry.space
+            table_idx = placed[1] if ok else None
+        ref = (entry, table_idx, idx)
+        return (op, ref) if _HANDLERS[op] is _invoke else ref
+    if op == _OP["bipush"]:
+        return (("i", _sign8(bc[off + 1])),)
+    if op == _OP["sipush"]:
+        return (("i", struct.unpack_from(">h", bc, off + 1)[0]),)
+    if op == _OP["newarray"]:
+        return bc[off + 1]
+    return _ROWS.get(op)
+
+
+def decoded(code, view, shared):
+    """The method body as steps indexed by pc, decoded once per stage view.
+
+    An instruction's pc holds (handler, opcode, operand, size), with ``wide``
+    folded into the opcode it modifies, and any other pc holds None.  Steps
+    equal to one in ``shared`` are that one tuple, which keeps the decodes of
+    a large class set small.  The code keeps its steps until its bytecode is
+    rewritten.
+    """
+    cached = code.decoded
+    if cached is not None and cached[0] is view:
+        return cached[1]
+    bc = code.bytecode
+    steps = [None] * len(bc)
+    for off, op, size in ops.walk(bc):
+        sub = bc[off + 1] if op == ops.WIDE else op
+        step = (_HANDLERS[sub], op, _operand(bc, off, sub, view), size)
+        steps[off] = shared.setdefault(step, step)
+    code.decoded = (view, steps)
+    return steps
 
 
 def execute(entry, args, world, fuel=DEFAULT_FUEL):
@@ -1113,7 +1225,10 @@ class ExecContext:
 def run_method(ctx, cls_name, method_key, vector, fuel=DEFAULT_FUEL, trace=None):
     """Execute one method in a fresh world; returns (Outcome, digest)."""
     cls = ctx.registry.get(cls_name)
-    method = next(m for m in cls.methods if m.key == method_key)
+    methods = cls.methods if cls is not None else ()
+    method = next((m for m in methods if m.key == method_key), None)
+    if method is None:
+        raise InterpError("no method %s.%s%s" % ((cls_name,) + method_key))
     world = World(ctx.registry, ctx.stage, base=ctx.base, trace=trace)
     args = materialize_args(method, vector, world)
     outcome = execute(method, args, world, fuel)

@@ -286,7 +286,10 @@ def _mutf8(text):
     out = bytearray()
     for ch in text:
         cp = ord(ch)
-        if 1 <= cp <= 0x7F:
+        if cp > 0xFFFF:     # a surrogate pair, each half in the 3-byte form
+            cp -= 0x10000
+            out += _mutf8(chr(0xD800 + (cp >> 10)) + chr(0xDC00 + (cp & 0x3FF)))
+        elif 1 <= cp <= 0x7F:
             out.append(cp)
         elif cp <= 0x7FF:
             out.extend((0xC0 | (cp >> 6), 0x80 | (cp & 0x3F)))

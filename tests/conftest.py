@@ -2,6 +2,7 @@
 
 import pytest
 
+from jrom import classfile as cf
 from jrom.pipeline import Pipeline
 
 from .corpus import build_corpus, write_corpus
@@ -17,6 +18,12 @@ def corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def corpus():
     return build_corpus()
+
+
+def raw_pool_byte_size(raw):
+    """On-disk byte length of the pool region, entry by entry: loading reads
+    it from the parser's offsets, and tests check that the two agree."""
+    return sum(len(cf.serialize_constant(c)) for c in raw.raw_pool)
 
 
 def make_pipeline(corpus_dir, **flags):

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from jrom import classfile as cf
 from jrom import descriptors as dsc
+from jrom import lifecycle as lc
 from jrom.errors import (BadIndex, BadMagic, BadUtf8, ClassFileError,
                          Truncated, UnsupportedVersion)
+from jrom.pipeline import Pipeline
 
 from .assembler import ClassBuilder
+from .conftest import raw_pool_byte_size
 from .corpus import build_corpus
 
 
@@ -43,13 +46,13 @@ class TestParseCorpus:
     def test_pool_bytes_match_builder(self, corpus):
         for name, (data, cb) in corpus.items():
             raw = cf.parse_class(data)
-            assert cf.raw_pool_byte_size(raw) == cb.pool.byte_size(), name
+            assert raw_pool_byte_size(raw) == cb.pool.byte_size(), name
 
     def test_pool_bytes_match_file_offsets(self, corpus):
         # the measured region in the actual file is the independent check
         for name, (data, _) in corpus.items():
             raw = cf.parse_class(data)
-            assert cf.raw_pool_byte_size(raw) == raw.pool_end - raw.pool_entries_start
+            assert raw_pool_byte_size(raw) == raw.pool_end - raw.pool_entries_start
 
     def test_empty_resolves_names(self):
         raw = cf.parse_class(_empty_class_bytes())
@@ -155,6 +158,20 @@ class TestDescriptorErrors:
 
 
 class TestModifiedUtf8:
+    def test_assembler_writes_astral_text_as_surrogate_pair(self, corpus_dir,
+                                                            tmp_path):
+        name = "p/X\U0001f600"
+        cb = ClassBuilder(name)
+        cb.default_init()
+        data = cb.build()
+        assert cf.encode_mutf8(name) in data
+        assert cf.parse_class(data).name == name
+        (tmp_path / "p").mkdir()
+        (tmp_path / (name + ".class")).write_bytes(data)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets([name], closure=True)
+        assert pipe.registry.get(name).state == lc.LOADED
+
     def test_round_trip_ascii(self):
         assert cf.decode_mutf8(cf.encode_mutf8("hello/World$1")) == "hello/World$1"
 
@@ -212,13 +229,13 @@ class TestStats:
         pool = [cf.RawConstant(cf.TAG_PLACEHOLDER),
                 cf.RawConstant(cf.TAG_INTEGER, 1)]
         raw = cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
-        assert cf.raw_pool_byte_size(raw) == 5
+        assert raw_pool_byte_size(raw) == 5
 
     def test_utf8_ab_is_five_bytes(self):
         pool = [cf.RawConstant(cf.TAG_PLACEHOLDER),
                 cf.RawConstant(cf.TAG_UTF8, b"AB", "AB")]
         raw = cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
-        assert cf.raw_pool_byte_size(raw) == 5
+        assert raw_pool_byte_size(raw) == 5
 
 
 class TestRetention:

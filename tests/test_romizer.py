@@ -11,7 +11,7 @@ from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                          StageNotReached, VersionMismatch)
 from jrom.pipeline import Pipeline
 
-from .conftest import make_pipeline
+from .conftest import make_pipeline, raw_pool_byte_size
 from .corpus import build_corpus, corpus_names
 
 
@@ -27,7 +27,7 @@ class TestSnapshotStats:
             raw = cf.parse_class(data)
             stats = rz.snapshot_stats(cls, "unloaded")
             assert stats.entries == cf.pool_entry_count(raw)
-            assert stats.pool_bytes == cf.raw_pool_byte_size(raw)
+            assert stats.pool_bytes == raw_pool_byte_size(raw)
             assert stats.class_bytes == len(data)
 
     def test_monotone_across_stages(self, linked_pipeline):

@@ -1,5 +1,7 @@
 """Interpreter tests: direct execution, differential pairs, fuel behavior."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,12 @@ from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom import verify as vf
 from jrom import opcodes as ops
-from jrom.errors import StackOverflow, StackUnderflow, UnsupportedOpcode
+from jrom.errors import (InterpError, StackOverflow, StackUnderflow,
+                         UnsupportedOpcode)
 from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .conftest import make_pipeline
 
 
 def run_static(pipe, cls_name, method_name, vector=(), stage=lc.LINKED,
@@ -597,3 +601,110 @@ class TestLazyWorld:
         after_read = run_static(pipe, "vm/Ids", "afterRead")
         assert plain.value[1][0] == "obj"
         assert after_read.value == plain.value
+
+
+# the whole trace stream of verify_all(seed=0) on the linked corpus: any
+# change to which instructions run, in what order, at what stack depth shows
+GOLDEN_TRACE_LINES = 830_358
+GOLDEN_TRACE_SHA256 = \
+    "f5fb82c6e00d4c889ebcb8370daedeee1ab645afbff853fb1826d99bd56e32a3"
+
+
+def _write_class(root, cb):
+    path = root / (cb.name + ".class")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(cb.build())
+
+
+class TestDecode:
+    """Decoding each body once keeps every outcome, error and trace line of
+    reading each operand as its instruction runs."""
+
+    def test_golden_trace(self, corpus_dir):
+        digest, lines = hashlib.sha256(), []
+
+        def trace(line):
+            lines.append(None)
+            digest.update(line.encode() + b"\n")
+        out = make_pipeline(corpus_dir).verify_all(seed=0, trace=trace)
+        assert len(out.checked) == 168 and not out.failures
+        assert len(lines) == GOLDEN_TRACE_LINES
+        assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+
+    def test_dead_operands_raise_only_when_run(self, corpus_dir, tmp_path):
+        cb = ClassBuilder("vm/Lazy")
+        cb.default_init()
+        c = cb.method("badType", "(I)I", ACC_PUBLIC | ACC_STATIC)
+        c.op("iload_0").op("ifeq", "DEAD").op("iconst_1").op("ireturn")
+        c.label("DEAD").op("iconst_2").op("newarray", 99).op("pop")
+        c.op("iconst_0").op("ireturn")
+        c = cb.method("unplaced", "(I)I", ACC_PUBLIC | ACC_STATIC)
+        c.op("iload_0").op("ifeq", "DEAD").op("iconst_1").op("ireturn")
+        # a field access naming a class constant: it places in no vtable
+        c.label("DEAD").op("getstatic", cb.pool.klass("vm/Lazy"))
+        c.op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Lazy"], closure=True)
+        for name, error in (("badType", "bad newarray type 99"),
+                            ("unplaced", "unresolvable at 6")):
+            for _ in range(2):      # the second run reads the cached decode
+                out = run_static(pipe, "vm/Lazy", name, [("i", 1)],
+                                 stage=lc.LOADED)
+                assert (out.kind, out.value) == ("return", ("i", 1))
+                with pytest.raises(InterpError, match=error):
+                    run_static(pipe, "vm/Lazy", name, [("i", 0)],
+                               stage=lc.LOADED)
+
+    def test_branch_off_an_instruction_boundary(self, corpus_dir, tmp_path):
+        # 0: bipush 7; 2: goto +3; 5: ireturn
+        cb = ClassBuilder("vm/Jump")
+        cb.default_init()
+        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.op("bipush", 7).op("goto", "R").label("R").op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Jump"], closure=True)
+        assert pipe.link_all() == []
+        code = next(m for m in pipe.registry.get("vm/Jump").methods
+                    if m.name == "m").code
+        assert run_static(pipe, "vm/Jump", "m").value == ("i", 7)
+        for rel, error in ((-1, "pc 1 not on an instruction boundary"),
+                           (-4, "pc -2 not on an instruction boundary"),
+                           (-100, "pc -98 not on an instruction boundary"),
+                           (4, "fell off the end of the code")):
+            ops.write_operand(code.bytecode, 2, 2, rel & 0xFFFF)
+            code.decoded = None
+            with pytest.raises(InterpError, match=error):
+                run_static(pipe, "vm/Jump", "m")
+        # a bad branch target costs fuel like an instruction, the end does not
+        for rel, outcome in ((-1, "fuel"), (4, None)):
+            ops.write_operand(code.bytecode, 2, 2, rel & 0xFFFF)
+            code.decoded = None
+            if outcome is None:
+                with pytest.raises(InterpError, match="fell off the end"):
+                    run_static(pipe, "vm/Jump", "m", fuel=2)
+            else:
+                assert run_static(pipe, "vm/Jump", "m", fuel=2).kind == outcome
+
+    def test_corrupt_after_a_run_is_detected(self, corpus_dir):
+        pipe = make_pipeline(corpus_dir)
+        only = "corpus/Constants.intConst"
+        assert pipe.verify_all(vectors=1, only=only).checked
+        pipe.corrupt("corpus/Constants", "intConst")
+        out = pipe.verify_all(vectors=1, only=only)
+        assert [(c, m) for c, m, _ in out.failures] == \
+            [("corpus/Constants", "intConst()I")]
+
+    def test_method_missing_from_reload_is_a_failure(self, linked_pipeline):
+        reloaded = rz.load_image(linked_pipeline.emit_image())
+        arith = reloaded.get("corpus/Arith")
+        arith.methods = [m for m in arith.methods if m.name != "loopSum"]
+        out = linked_pipeline.verify_all(vectors=1, after_registry=reloaded)
+        assert ("corpus/Arith", "loopSum(I)I") in \
+            [(c, m) for c, m, _ in out.failures]
+        ctx = vf.ExecContext(reloaded, lc.LINKED)
+        for cls_name in ("corpus/Arith", "corpus/Gone"):
+            with pytest.raises(InterpError,
+                               match="no method %s.loopSum" % cls_name):
+                vf.run_method(ctx, cls_name, ("loopSum", "(I)I"), [("i", 1)])
