@@ -291,16 +291,6 @@ def _read_pool(r):
     return pool
 
 
-def serialize_constant(c):
-    """On-disk bytes of one pool entry (placeholders serialize to nothing)."""
-    if c.tag == TAG_PLACEHOLDER:
-        return b""
-    if c.tag == TAG_UTF8:
-        return struct.pack(">BH", c.tag, len(c.value)) + c.value
-    value = c.value if isinstance(c.value, tuple) else (c.value,)
-    return bytes((c.tag,)) + _POOL_ENTRIES[c.tag][0].pack(*value)
-
-
 def _read_attribute(r, raw_pool, inside_code):
     name_index = r.u2("attribute name index")
     if not 1 <= name_index < len(raw_pool) or raw_pool[name_index].tag != TAG_UTF8:

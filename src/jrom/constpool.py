@@ -1,14 +1,20 @@
 """Two-table runtime constant pool with prelinking, marking and packing.
 
-A parsed pool is split into an ``atable`` of reference entries (text, class
-handles, member handles) and a ``vtable`` of 32-bit cells (immediates and
-packed index pairs).  Prelinking resolves the symbolic constants into direct
-handles, which strips most Utf8 text out of the live set.  Marking during
-method processing selects the entries the bytecode really uses, and pack()
-sweeps the rest, producing a remap that the bytecode rewriter applies.
+A parsed pool is split into an atable of reference entries (text, class
+handles, member handles) and a vtable of 32-bit cells (immediates and
+packed index pairs).  Each table is stored flat, as parallel lists:
+``a_kind``/``a_payload`` for the atable and ``v_kind``/``v_value`` for the
+vtable, with the mark and dead flags of every entry in ``bytearray``s, so a
+pool is a handful of containers however many entries it has.  Prelinking
+resolves the symbolic constants into direct handles, which strips most
+Utf8 text out of the live set.  Marking during method processing selects
+the entries the bytecode really uses, and pack() sweeps the rest into new
+lists, rewriting the atable indexes that surviving cells hold as it copies
+them, and leaves the remap that the bytecode rewriter applies.
 """
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import classfile as cf
 from .classfile import encode_mutf8
@@ -45,6 +51,9 @@ _REF_KIND = {
     cf.TAG_METHODREF: V_METHODREF,
     cf.TAG_IFACEMETHODREF: V_IFACEREF,
 }
+# member-ref cell kind -> kind of the handle its low 16 bits name
+_HANDLE_KIND = {V_FIELDREF: A_FIELD, V_METHODREF: A_METHOD,
+                V_IFACEREF: A_METHOD}
 
 
 @dataclass
@@ -61,26 +70,6 @@ class MemberHandle:
     resolved: object = None
 
 
-@dataclass
-class AEntry:
-    kind: str
-    payload: object         # str | ClassRep | MemberHandle
-
-
-@dataclass
-class VCell:
-    kind: str
-    value: int              # unsigned 32-bit bit pattern
-
-
-@dataclass
-class PackStats:
-    entries_before: int
-    entries_after: int
-    bytes_before: int
-    bytes_after: int
-
-
 def _pack16(hi, lo):
     if hi > 0xFFFF or lo > 0xFFFF:
         raise PoolOverflow("atable index does not fit 16 bits")
@@ -92,13 +81,19 @@ def _unpack16(value):
 
 
 class RuntimePool:
+    """Atable entry i is (a_kind[i], a_payload[i]): a str for text, a
+    ClassRep or a MemberHandle.  Vtable cell i is (v_kind[i], v_value[i]),
+    the value an unsigned 32-bit bit pattern."""
+
     def __init__(self):
-        self.atable = []
-        self.vtable = []
-        self.a_marks = []
-        self.v_marks = []
-        self.a_dead = []        # resolved-away at load; excluded from stats
-        self.v_dead = []
+        self.a_kind = []
+        self.a_payload = []
+        self.v_kind = []
+        self.v_value = []
+        self.a_marks = bytearray()
+        self.v_marks = bytearray()
+        self.a_dead = bytearray()   # resolved-away at load; excluded from stats
+        self.v_dead = bytearray()
         self.origin = {}        # raw pool index -> (space, table index)
         self.remap_a = None     # populated by pack()
         self.remap_v = None
@@ -110,55 +105,63 @@ class RuntimePool:
 
     # --- construction helpers ---
 
-    def add_a(self, entry, marked=False):
-        self.atable.append(entry)
+    def add_a(self, kind, payload, marked=False):
+        self.a_kind.append(kind)
+        self.a_payload.append(payload)
         self.a_marks.append(marked)
         self.a_dead.append(False)
-        return len(self.atable) - 1
+        return len(self.a_kind) - 1
 
-    def add_v(self, cell, marked=False):
-        self.vtable.append(cell)
-        self.v_marks.append(marked)
+    def add_v(self, kind, value):
+        self.v_kind.append(kind)
+        self.v_value.append(value)
+        self.v_marks.append(False)
         self.v_dead.append(False)
-        return len(self.vtable) - 1
+        return len(self.v_kind) - 1
 
     def intern_string(self, text):
         idx = self._string_index.get(text)
         if idx is None:
             # literals are always retained; their text is the runtime value
-            idx = self.add_a(AEntry(A_STRING, text), marked=True)
+            idx = self.add_a(A_STRING, text, marked=True)
             self._string_index[text] = idx
         return idx
 
     def utf8_aindex(self, text):
         return self._utf8_index.get(text)
 
+    def kinds(self, space):
+        """The kind list of the atable or the vtable."""
+        return self.v_kind if space == VTABLE else self.a_kind
+
     # --- stats ---
 
     def entry_count(self):
         """Live entries: pair cells count once, dead entries not at all."""
-        return (self._pending + self.a_dead.count(False)
-                + sum(1 for c, dead in zip(self.vtable, self.v_dead)
-                      if not dead and c.kind not in _PAIR_LO))
+        return (self._pending + self.a_dead.count(0)
+                + sum(1 for kind, dead in zip(self.v_kind, self.v_dead)
+                      if not dead and kind not in _PAIR_LO))
 
     def byte_size(self):
         """Modeled footprint: text = 2+len, handles = 4, each 32-bit cell = 4."""
-        total = 4 * (self.a_dead.count(False) + self.v_dead.count(False))
-        for e, dead in zip(self.atable, self.a_dead):
-            if not dead and e.kind in (A_UTF8, A_STRING):
-                total += len(encode_mutf8(e.payload)) - 2   # in place of 4
+        total = 4 * (self.a_dead.count(0) + self.v_dead.count(0))
+        for kind, payload, dead in zip(self.a_kind, self.a_payload, self.a_dead):
+            if not dead and kind in (A_UTF8, A_STRING):
+                total += len(encode_mutf8(payload)) - 2   # in place of 4
         return total
 
     # --- cloning (for the loaded-stage snapshot) ---
 
     def clone(self):
         c = RuntimePool.__new__(RuntimePool)
-        c.atable = list(self.atable)
-        c.vtable = [VCell(x.kind, x.value) for x in self.vtable]
-        c.a_marks = list(self.a_marks)
-        c.v_marks = list(self.v_marks)
-        c.a_dead = list(self.a_dead)
-        c.v_dead = list(self.v_dead)
+        c.a_kind = list(self.a_kind)
+        c.a_payload = list(self.a_payload)
+        c.v_kind = list(self.v_kind)
+        c.v_value = list(self.v_value)
+        c.a_marks = bytearray(self.a_marks)
+        c.v_marks = bytearray(self.v_marks)
+        c.a_dead = bytearray(self.a_dead)
+        c.v_dead = bytearray(self.v_dead)
         c.origin = dict(self.origin)
         c.remap_a = None
         c.remap_v = None
@@ -168,6 +171,20 @@ class RuntimePool:
         c._member_index = dict(self._member_index)
         c._pending = self._pending
         return c
+
+
+def set_packed(pool, a_kind, a_payload, v_kind, v_value):
+    """Make these the tables of ``pool``, every entry live and marked, as
+    pack() leaves them.  Only prelinking and the marking before a pack read
+    the text and member indexes, so a packed pool has empty ones."""
+    pool.a_kind, pool.a_payload = a_kind, a_payload
+    pool.v_kind, pool.v_value = v_kind, v_value
+    pool.a_marks = bytearray(b"\x01") * len(a_kind)
+    pool.v_marks = bytearray(b"\x01") * len(v_kind)
+    pool.a_dead = bytearray(len(a_kind))
+    pool.v_dead = bytearray(len(v_kind))
+    pool.packed = True
+    pool._utf8_index, pool._string_index, pool._member_index = {}, {}, {}
 
 
 def build_pool(raw):
@@ -182,21 +199,21 @@ def build_pool(raw):
         if c.is_placeholder:
             continue
         if c.tag == cf.TAG_UTF8:
-            aidx = pool.add_a(AEntry(A_UTF8, c.text))
+            aidx = pool.add_a(A_UTF8, c.text)
             pool.origin[idx] = (ATABLE, aidx)
             pool._utf8_index.setdefault(c.text, aidx)
         elif c.tag == cf.TAG_INTEGER:
-            pool.origin[idx] = (VTABLE, pool.add_v(VCell(V_INT, c.value & 0xFFFFFFFF)))
+            pool.origin[idx] = (VTABLE, pool.add_v(V_INT, c.value & 0xFFFFFFFF))
         elif c.tag == cf.TAG_FLOAT:
-            pool.origin[idx] = (VTABLE, pool.add_v(VCell(V_FLOAT, c.value)))
+            pool.origin[idx] = (VTABLE, pool.add_v(V_FLOAT, c.value))
         elif c.tag == cf.TAG_LONG:
             bits = c.value & 0xFFFFFFFFFFFFFFFF
-            vidx = pool.add_v(VCell(V_LONG_HI, bits >> 32))
-            pool.add_v(VCell(V_LONG_LO, bits & 0xFFFFFFFF))
+            vidx = pool.add_v(V_LONG_HI, bits >> 32)
+            pool.add_v(V_LONG_LO, bits & 0xFFFFFFFF)
             pool.origin[idx] = (VTABLE, vidx)
         elif c.tag == cf.TAG_DOUBLE:
-            vidx = pool.add_v(VCell(V_DBL_HI, c.value >> 32))
-            pool.add_v(VCell(V_DBL_LO, c.value & 0xFFFFFFFF))
+            vidx = pool.add_v(V_DBL_HI, c.value >> 32)
+            pool.add_v(V_DBL_LO, c.value & 0xFFFFFFFF)
             pool.origin[idx] = (VTABLE, vidx)
         else:
             pool._pending += 1
@@ -205,12 +222,10 @@ def build_pool(raw):
 
 def _utf8_origin(pool, raw_idx):
     placed = pool.origin.get(raw_idx)
-    if placed is None or placed[0] != ATABLE:
+    if placed is None or placed[0] != ATABLE \
+            or pool.a_kind[placed[1]] != A_UTF8:
         raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
-    aidx = placed[1]
-    if pool.atable[aidx].kind != A_UTF8:
-        raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
-    return aidx
+    return placed[1]
 
 
 def prelink_pass1(pool, raw, resolver):
@@ -220,23 +235,22 @@ def prelink_pass1(pool, raw, resolver):
     String constants become vtable cells naming an interned literal;
     NameAndType becomes one cell packing two Utf8 atable indexes.
     """
+    text = pool.a_payload
     for idx, c in enumerate(raw.raw_pool):
         if c.tag == cf.TAG_CLASS:
-            name_aidx = _utf8_origin(pool, c.value)
-            cls = resolver(pool.atable[name_aidx].payload)
-            pool.origin[idx] = (ATABLE, pool.add_a(AEntry(A_CLASS, cls)))
+            cls = resolver(text[_utf8_origin(pool, c.value)])
+            pool.origin[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
             pool._pending -= 1
         elif c.tag == cf.TAG_STRING:
-            text = pool.atable[_utf8_origin(pool, c.value)].payload
-            lit = pool.intern_string(text)
+            lit = pool.intern_string(text[_utf8_origin(pool, c.value)])
             if lit > 0xFFFFFFFF:
                 raise PoolOverflow("atable too large")
-            pool.origin[idx] = (VTABLE, pool.add_v(VCell(V_STRING, lit)))
+            pool.origin[idx] = (VTABLE, pool.add_v(V_STRING, lit))
             pool._pending -= 1
         elif c.tag == cf.TAG_NAMEANDTYPE:
             n_aidx = _utf8_origin(pool, c.value[0])
             d_aidx = _utf8_origin(pool, c.value[1])
-            pool.origin[idx] = (VTABLE, pool.add_v(VCell(V_NAT, _pack16(n_aidx, d_aidx))))
+            pool.origin[idx] = (VTABLE, pool.add_v(V_NAT, _pack16(n_aidx, d_aidx)))
             pool._pending -= 1
     _refresh_dead(pool, raw)
 
@@ -248,31 +262,32 @@ def prelink_pass2(pool, raw):
     atable entry.  The NameAndType cells and the Utf8 text feeding them
     become dead unless something else still needs them.
     """
+    payload = pool.a_payload
     for idx, c in enumerate(raw.raw_pool):
         if c.tag not in _REF_KIND:
             continue
         cls_placed = pool.origin.get(c.value[0])
         if cls_placed is None or cls_placed[0] != ATABLE \
-                or pool.atable[cls_placed[1]].kind != A_CLASS:
+                or pool.a_kind[cls_placed[1]] != A_CLASS:
             raise DanglingIndex("member ref %d names a missing Class constant" % idx)
         nat_placed = pool.origin.get(c.value[1])
         if nat_placed is None or nat_placed[0] != VTABLE \
-                or pool.vtable[nat_placed[1]].kind != V_NAT:
+                or pool.v_kind[nat_placed[1]] != V_NAT:
             raise DanglingIndex("member ref %d names a missing NameAndType" % idx)
         class_aidx = cls_placed[1]
-        n_aidx, d_aidx = _unpack16(pool.vtable[nat_placed[1]].value)
-        name = pool.atable[n_aidx].payload
-        desc = pool.atable[d_aidx].payload
+        n_aidx, d_aidx = _unpack16(pool.v_value[nat_placed[1]])
+        name = payload[n_aidx]
+        desc = payload[d_aidx]
         kind = A_FIELD if c.tag == cf.TAG_FIELDREF else A_METHOD
         key = (class_aidx, name, desc, kind)
         handle_aidx = pool._member_index.get(key)
         if handle_aidx is None:
-            handle = MemberHandle(pool.atable[class_aidx].payload, name, desc,
+            handle = MemberHandle(payload[class_aidx], name, desc,
                                   is_field=(kind == A_FIELD))
-            handle_aidx = pool.add_a(AEntry(kind, handle))
+            handle_aidx = pool.add_a(kind, handle)
             pool._member_index[key] = handle_aidx
-        cell = VCell(_REF_KIND[c.tag], _pack16(class_aidx, handle_aidx))
-        pool.origin[idx] = (VTABLE, pool.add_v(cell))
+        pool.origin[idx] = (VTABLE, pool.add_v(
+            _REF_KIND[c.tag], _pack16(class_aidx, handle_aidx)))
         pool._pending -= 1
     _refresh_dead(pool, raw)
 
@@ -308,43 +323,44 @@ def _refresh_dead(pool, raw):
             if placed and placed[0] == VTABLE:
                 live_nat.add(placed[1])
 
-    for vidx, cell in enumerate(pool.vtable):
-        if cell.kind == V_NAT:
+    for vidx, (kind, value) in enumerate(zip(pool.v_kind, pool.v_value)):
+        if kind == V_NAT:
             pool.v_dead[vidx] = vidx not in live_nat
             if vidx in live_nat:
-                hi, lo = _unpack16(cell.value)
+                hi, lo = _unpack16(value)
                 live_utf8.add(hi)
                 live_utf8.add(lo)
 
-    for aidx, entry in enumerate(pool.atable):
-        if entry.kind == A_UTF8:
+    for aidx, (kind, text) in enumerate(zip(pool.a_kind, pool.a_payload)):
+        if kind == A_UTF8:
             pool.a_dead[aidx] = (aidx not in live_utf8
-                                 and entry.payload not in member_texts)
+                                 and text not in member_texts)
 
 
 def mark(pool, table, index):
     """Mark one entry as used; index pairs propagate into the atable."""
     space = {"atable": ATABLE, "vtable": VTABLE}.get(table, table)
     if space == ATABLE:
-        if not 0 <= index < len(pool.atable):
+        if not 0 <= index < len(pool.a_kind):
             raise IndexOutOfRange("atable index %s" % index)
         pool.a_marks[index] = True
         return
     if space != VTABLE:
         raise IndexOutOfRange("unknown table %r" % table)
-    if not 0 <= index < len(pool.vtable):
+    if not 0 <= index < len(pool.v_kind):
         raise IndexOutOfRange("vtable index %s" % index)
-    cell = pool.vtable[index]
-    if cell.kind in _PAIR_LO:
+    kind = pool.v_kind[index]
+    if kind in _PAIR_LO:
         index -= 1
-        cell = pool.vtable[index]
+        kind = pool.v_kind[index]
     pool.v_marks[index] = True
-    if cell.kind in _PAIR_HI:
+    value = pool.v_value[index]
+    if kind in _PAIR_HI:
         pool.v_marks[index + 1] = True
-    elif cell.kind == V_STRING:
-        pool.a_marks[cell.value] = True
-    elif cell.kind == V_NAT or cell.kind in _REFS:
-        hi, lo = _unpack16(cell.value)
+    elif kind == V_STRING:
+        pool.a_marks[value] = True
+    elif kind == V_NAT or kind in _REFS:
+        hi, lo = _unpack16(value)
         pool.a_marks[hi] = True
         pool.a_marks[lo] = True
 
@@ -355,85 +371,77 @@ def reset_marks(pool):
     Linking calls it before marking from the final code, so a cell that a
     rewrite stopped using releases the handles marked through it too.
     """
-    pool.a_marks = [e.kind == A_STRING for e in pool.atable]
-    pool.v_marks = [False] * len(pool.vtable)
+    pool.a_marks = bytearray(kind == A_STRING for kind in pool.a_kind)
+    pool.v_marks = bytearray(len(pool.v_kind))
 
 
 def pack(pool):
     """Sweep unmarked entries, keeping relative order, and build the remap.
 
-    Surviving vtable cells that pack atable indexes are rewritten through
-    the atable remap on the spot.
+    The surviving vtable cells that hold atable indexes are copied with
+    those indexes rewritten through the atable remap.
     """
-    before_entries = pool.entry_count()
-    before_bytes = pool.byte_size()
-
-    remap_a = {}
-    new_atable = []
-    for idx, entry in enumerate(pool.atable):
-        if pool.a_marks[idx]:
-            remap_a[idx] = len(new_atable)
-            new_atable.append(entry)
-
-    remap_v = {}
-    new_vtable = []
-    for idx, cell in enumerate(pool.vtable):
-        if pool.v_marks[idx]:
-            remap_v[idx] = len(new_vtable)
-            new_vtable.append(cell)
-
-    for cell in new_vtable:
-        try:
-            if cell.kind == V_STRING:
-                cell.value = remap_a[cell.value]
-            elif cell.kind == V_NAT or cell.kind in _REFS:
-                hi, lo = _unpack16(cell.value)
-                cell.value = _pack16(remap_a[hi], remap_a[lo])
-        except KeyError:
-            raise InternalError("surviving cell references a swept atable entry")
-
-    pool.atable = new_atable
-    pool.vtable = new_vtable
-    pool.a_marks = [True] * len(new_atable)
-    pool.v_marks = [True] * len(new_vtable)
-    pool.a_dead = [False] * len(new_atable)
-    pool.v_dead = [False] * len(new_vtable)
+    a_marks, v_marks = pool.a_marks, pool.v_marks
+    remap_a = {old: new for new, old in
+               enumerate(compress(range(len(a_marks)), a_marks))}
+    remap_v = {old: new for new, old in
+               enumerate(compress(range(len(v_marks)), v_marks))}
+    v_kind = list(compress(pool.v_kind, v_marks))
+    v_value = []
+    try:
+        for kind, value in zip(v_kind, compress(pool.v_value, v_marks)):
+            if kind == V_STRING:
+                value = remap_a[value]
+            elif kind == V_NAT or kind in _REFS:
+                value = _pack16(remap_a[value >> 16], remap_a[value & 0xFFFF])
+            v_value.append(value)
+    except KeyError:
+        raise InternalError("surviving cell references a swept atable entry")
+    set_packed(pool, list(compress(pool.a_kind, a_marks)),
+               list(compress(pool.a_payload, a_marks)), v_kind, v_value)
     pool.remap_a = remap_a
     pool.remap_v = remap_v
-    pool.packed = True
-    pool._utf8_index = {e.payload: i for i, e in reversed(list(enumerate(new_atable)))
-                        if e.kind == A_UTF8}
-    pool._string_index = {e.payload: i for i, e in enumerate(new_atable)
-                          if e.kind == A_STRING}
-    pool._member_index = {}
-    return PackStats(before_entries, pool.entry_count(),
-                     before_bytes, pool.byte_size())
+
+
+def holds(pool, space, index, want):
+    """Whether table index ``index`` names an entry of kind ``want`` (None:
+    any kind) that can be read whole: the low cell of a long or double, and
+    the member handle of a member-ref cell, are inside their tables too."""
+    kinds = pool.kinds(space)
+    if not 0 <= index < len(kinds):
+        return False
+    if want is None:
+        return True
+    if kinds[index] != want:
+        return False
+    if want in _PAIR_HI:
+        return index + 1 < len(kinds)
+    handle_kind = _HANDLE_KIND.get(want)
+    if handle_kind is None:
+        return True
+    handle = pool.v_value[index] & 0xFFFF
+    return handle < len(pool.a_kind) and pool.a_kind[handle] == handle_kind
 
 
 def resolve(pool, space, index):
     """Canonical payload of an entry, for before/after comparisons."""
     if space == ATABLE:
-        e = pool.atable[index]
-        if e.kind in (A_UTF8, A_STRING):
-            return (e.kind, e.payload)
-        if e.kind == A_CLASS:
-            return (A_CLASS, e.payload.name)
-        h = e.payload
-        return (e.kind, h.owner.name, h.name, h.descriptor)
-    cell = pool.vtable[index]
-    if cell.kind == V_INT:
-        return (V_INT, cell.value)
-    if cell.kind == V_FLOAT:
-        return (V_FLOAT, cell.value)
-    if cell.kind in _PAIR_HI:
-        lo = pool.vtable[index + 1]
-        return (cell.kind, (cell.value << 32) | lo.value)
-    if cell.kind in _PAIR_LO:
-        hi = pool.vtable[index - 1]
-        return (hi.kind, (hi.value << 32) | cell.value)
-    if cell.kind == V_STRING:
-        return (V_STRING, pool.atable[cell.value].payload)
-    hi, lo = _unpack16(cell.value)
-    if cell.kind == V_NAT:
-        return (V_NAT, pool.atable[hi].payload, pool.atable[lo].payload)
-    return (cell.kind,) + resolve(pool, ATABLE, hi)[1:] + resolve(pool, ATABLE, lo)[1:]
+        kind, payload = pool.a_kind[index], pool.a_payload[index]
+        if kind in (A_UTF8, A_STRING):
+            return (kind, payload)
+        if kind == A_CLASS:
+            return (A_CLASS, payload.name)
+        return (kind, payload.owner.name, payload.name, payload.descriptor)
+    kind, value = pool.v_kind[index], pool.v_value[index]
+    if kind in (V_INT, V_FLOAT):
+        return (kind, value)
+    if kind in _PAIR_HI:
+        return (kind, (value << 32) | pool.v_value[index + 1])
+    if kind in _PAIR_LO:
+        return (pool.v_kind[index - 1], (pool.v_value[index - 1] << 32) | value)
+    if kind == V_STRING:
+        return (V_STRING, pool.a_payload[value])
+    hi, lo = _unpack16(value)
+    if kind == V_NAT:
+        return (V_NAT, pool.a_payload[hi], pool.a_payload[lo])
+    return (kind,) + resolve(pool, ATABLE, hi)[1:] + resolve(pool, ATABLE, lo)[1:]

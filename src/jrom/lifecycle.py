@@ -137,7 +137,6 @@ class ClassRep:
         self.instance_size = 0
         self.raw_stats = None
         self.loaded_view = None
-        self.pack_stats = None
         self.zones_initial = None
         self._defaults = None
         self._linked_view = None
@@ -397,7 +396,7 @@ def _loaded_code(raw_method, pool):
         else:
             placed = pool.origin.get(catch)
             if placed is None or placed[0] != cp.ATABLE \
-                    or pool.atable[placed[1]].kind != cp.A_CLASS:
+                    or pool.a_kind[placed[1]] != cp.A_CLASS:
                 raise BadPoolRef("catch type index %d is not a class constant" % catch)
             aidx = placed[1]
         table.append((start, end, handler, aidx))
@@ -505,13 +504,12 @@ def rewrite_load(code, pool):
             raise BadPoolRef("operand %d at offset %d is not a pool constant"
                              % (raw_idx, off))
         space, idx = placed
-        table = pool.vtable if space == cp.VTABLE else pool.atable
-        name = forms.get((space, table[idx].kind))
+        name = forms.get((space, pool.kinds(space)[idx]))
         if name is None:
             raise BadPoolRef(fault % raw_idx)
         quick = ops.OPERANDS[_OP[name]]
         if quick.space != space:        # a string cell names its literal
-            idx = table[idx].value
+            idx = pool.v_value[idx]
         if idx >> (8 * quick.size):
             raise PoolOverflow("%s index %d does not fit %s" % (
                 name, idx, "one byte" if quick.size == 1 else "two bytes"))

@@ -44,19 +44,17 @@ def link(cls, ctx):
         raise InvalidTransition("%s is %s, cannot link" % (cls.name, cls.state))
     pool = cls.pool
 
-    for entry in pool.atable:
-        if entry.kind != cp.A_CLASS:
+    for kind, ref in zip(pool.a_kind, pool.a_payload):
+        if kind != cp.A_CLASS:
             continue
-        ref = entry.payload
         if ref.state == lc.UNLOADED:
             if ctx.loader is None:
                 raise ClassNotFound(ref.name)
             ctx.loader.ensure_loaded(ref.name)
 
-    for entry in pool.atable:
-        if entry.kind not in (cp.A_FIELD, cp.A_METHOD):
+    for kind, handle in zip(pool.a_kind, pool.a_payload):
+        if kind not in (cp.A_FIELD, cp.A_METHOD):
             continue
-        handle = entry.payload
         if handle.resolved is not None:
             continue
         if handle.is_field:
@@ -84,7 +82,7 @@ def link(cls, ctx):
     for m, sizes in decoded:
         mark_method(m, pool, sizes)
     mark_reflection(pool, cls, ctx)
-    cls.pack_stats = cp.pack(pool)
+    cp.pack(pool)
     for m, sizes in decoded:
         relink_method(m, pool, sizes)
     cls.state = lc.LINKED
@@ -108,11 +106,11 @@ def _member_at(pool, bc, off):
     placed = pool.origin.get(raw_idx)
     if placed is None or placed[0] != cp.VTABLE:
         raise VerifyError("operand %d at %d is not a pool constant" % (raw_idx, off))
-    cell = pool.vtable[placed[1]]
-    if cell.kind != entry.want:
+    vidx = placed[1]
+    if pool.v_kind[vidx] != entry.want:
         raise VerifyError("operand %d at %d holds %s, expected %s"
-                          % (raw_idx, off, cell.kind, entry.want))
-    return pool.atable[cell.value & 0xFFFF].payload.resolved
+                          % (raw_idx, off, pool.v_kind[vidx], entry.want))
+    return pool.a_payload[pool.v_value[vidx] & 0xFFFF].resolved
 
 
 def check_method(m, pool, sizes):
@@ -134,8 +132,7 @@ def check_method(m, pool, sizes):
             continue
         entry, idx = found
         if entry.kind == ops.QUICK:
-            table = pool.vtable if entry.space == cp.VTABLE else pool.atable
-            if idx >= len(table) or table[idx].kind != entry.want:
+            if not cp.holds(pool, entry.space, idx, entry.want):
                 raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
         elif entry.want is None:
             raise VerifyError("%s: raw constant load survived loading at %d"
@@ -143,7 +140,7 @@ def check_method(m, pool, sizes):
         elif entry.space == cp.ATABLE:
             placed = pool.origin.get(idx)
             if placed is None or placed[0] != cp.ATABLE \
-                    or pool.atable[placed[1]].kind != cp.A_CLASS:
+                    or pool.a_kind[placed[1]] != cp.A_CLASS:
                 raise VerifyError("%s: operand %d at %d is not a class constant"
                                   % (m, idx, off))
         else:
@@ -159,8 +156,8 @@ def check_method(m, pool, sizes):
         if end != code_len and end not in sizes:
             raise VerifyError("%s: exception range end %d not on an instruction"
                               % (m, end))
-        if catch is not None and (catch >= len(pool.atable)
-                                  or pool.atable[catch].kind != cp.A_CLASS):
+        if catch is not None and not cp.holds(pool, cp.ATABLE, catch,
+                                              cp.A_CLASS):
             raise VerifyError("%s: catch type %s is not a class entry" % (m, catch))
 
 

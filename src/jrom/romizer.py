@@ -131,9 +131,10 @@ def _collect_strings(w, classes, flag_obj):
         w.string_id(pkg)
     for cls in classes:
         w.string_id(cls.name)
-        for e in cls.pool.atable:
-            if e.kind in (cp.A_UTF8, cp.A_STRING):
-                w.string_id(e.payload)
+        pool = cls.pool
+        for kind, payload in zip(pool.a_kind, pool.a_payload):
+            if kind in (cp.A_UTF8, cp.A_STRING):
+                w.string_id(payload)
         for f in cls.fields:
             w.string_id(f.name)
             w.string_id(f.descriptor)
@@ -147,9 +148,9 @@ def _collect_strings(w, classes, flag_obj):
             for slot in zone:
                 if isinstance(slot, tuple):
                     w.string_id(slot[1])
-        for e in cls.pool.atable:
-            if e.kind == cp.A_CLASS and e.payload.synthetic:
-                w.string_id(e.payload.name)
+        for kind, payload in zip(pool.a_kind, pool.a_payload):
+            if kind == cp.A_CLASS and payload.synthetic:
+                w.string_id(payload.name)
 
 
 def emit_image(classes, flags=None):
@@ -165,12 +166,12 @@ def emit_image(classes, flags=None):
         for dep in [cls.super_cls] + cls.interfaces:
             if dep is not None and not dep.synthetic and dep.name not in index:
                 missing.add(dep.name)
-        for e in cls.pool.atable:
-            if e.kind == cp.A_CLASS and not e.payload.synthetic \
-                    and e.payload.name not in index:
-                missing.add(e.payload.name)
-            elif e.kind in (cp.A_FIELD, cp.A_METHOD):
-                owner = e.payload.resolved.owner
+        for kind, payload in zip(cls.pool.a_kind, cls.pool.a_payload):
+            if kind == cp.A_CLASS and not payload.synthetic \
+                    and payload.name not in index:
+                missing.add(payload.name)
+            elif kind in (cp.A_FIELD, cp.A_METHOD):
+                owner = payload.resolved.owner
                 if not owner.synthetic and owner.name not in index:
                     missing.add(owner.name)
     if missing:
@@ -225,23 +226,23 @@ def emit_image(classes, flags=None):
         w.u32(cls.raw_stats["file_bytes"] if cls.raw_stats else 0)
 
         pool = cls.pool
-        w.u16(len(pool.atable))
-        for e in pool.atable:
-            w.u8(_A_KIND_CODE[e.kind])
-            if e.kind in (cp.A_UTF8, cp.A_STRING):
-                w.u32(w.string_id(e.payload))
-            elif e.kind == cp.A_CLASS:
-                classref(e.payload)
+        w.u16(len(pool.a_kind))
+        for kind, payload in zip(pool.a_kind, pool.a_payload):
+            w.u8(_A_KIND_CODE[kind])
+            if kind in (cp.A_UTF8, cp.A_STRING):
+                w.u32(w.string_id(payload))
+            elif kind == cp.A_CLASS:
+                classref(payload)
             else:
-                member = e.payload.resolved
+                member = payload.resolved
                 owner = member.owner
                 w.u16(index[owner.name])
-                members = owner.fields if e.kind == cp.A_FIELD else owner.methods
+                members = owner.fields if kind == cp.A_FIELD else owner.methods
                 w.u16(members.index(member))
-        w.u16(len(pool.vtable))
-        for cell in pool.vtable:
-            w.u8(_V_KIND_CODE[cell.kind])
-            w.u32(cell.value)
+        w.u16(len(pool.v_kind))
+        for kind, value in zip(pool.v_kind, pool.v_value):
+            w.u8(_V_KIND_CODE[kind])
+            w.u32(value)
 
         w.u16(len(cls.fields))
         for f in cls.fields:
@@ -392,29 +393,31 @@ def load_image(data):
         rec.raw_stats = {"entries": r.u32("raw entries"),
                          "pool_bytes": r.u32("raw pool bytes"),
                          "file_bytes": r.u32("raw file bytes")}
-        rec.atable = []
+        rec.a_kind, rec.a_payload = [], []
         for _ in range(r.u16("atable size")):
             code = r.u8("atable kind")
             kind = _A_CODE_KIND.get(code)
             if kind is None:
                 raise Corrupt("bad atable kind %d" % code, r.pos)
+            rec.a_kind.append(kind)
             if kind in (cp.A_UTF8, cp.A_STRING):
-                rec.atable.append((kind, string_at(r.u32("text"), "text")))
+                rec.a_payload.append(string_at(r.u32("text"), "text"))
             elif kind == cp.A_CLASS:
-                rec.atable.append((kind, classref("class handle")))
+                rec.a_payload.append(classref("class handle"))
             else:
                 owner_idx = r.u16("owner")
                 if owner_idx >= class_count:
                     raise Corrupt("member owner %d out of range" % owner_idx,
                                   r.pos)
-                rec.atable.append((kind, (owner_idx, r.u16("member"))))
-        rec.vtable = []
+                rec.a_payload.append((owner_idx, r.u16("member")))
+        rec.v_kind, rec.v_value = [], []
         for _ in range(r.u16("vtable size")):
             code = r.u8("vtable kind")
             kind = _V_CODE_KIND.get(code)
             if kind is None:
                 raise Corrupt("bad vtable kind %d" % code, r.pos)
-            rec.vtable.append(cp.VCell(kind, r.u32("cell")))
+            rec.v_kind.append(kind)
+            rec.v_value.append(r.u32("cell"))
 
         rec.fields = []
         for _ in range(r.u16("field count")):
@@ -534,16 +537,12 @@ def load_image(data):
 
     # pools last: member handles point at finished FieldRep/MethodRep
     for cls, rec in zip(classes, records):
-        pool = cp.RuntimePool()
-        for kind, payload in rec.atable:
+        a_payload = []
+        for kind, payload in zip(rec.a_kind, rec.a_payload):
             if kind in (cp.A_UTF8, cp.A_STRING):
-                pool.add_a(cp.AEntry(kind, payload), marked=True)
-                if kind == cp.A_UTF8:
-                    pool._utf8_index.setdefault(payload, len(pool.atable) - 1)
-                else:
-                    pool._string_index.setdefault(payload, len(pool.atable) - 1)
+                a_payload.append(payload)
             elif kind == cp.A_CLASS:
-                pool.add_a(cp.AEntry(kind, deref(payload)), marked=True)
+                a_payload.append(deref(payload))
             else:
                 owner_idx, member_idx = payload
                 owner = classes[owner_idx]
@@ -552,14 +551,11 @@ def load_image(data):
                     raise Corrupt("member index %d out of range" % member_idx,
                                   r.pos)
                 member = members[member_idx]
-                handle = cp.MemberHandle(owner, member.name, member.descriptor,
-                                         is_field=(kind == cp.A_FIELD),
-                                         resolved=member)
-                pool.add_a(cp.AEntry(kind, handle), marked=True)
-        for cell in rec.vtable:
-            pool.add_v(cp.VCell(cell.kind, cell.value), marked=True)
-        pool.packed = True
-        cls.pool = pool
+                a_payload.append(cp.MemberHandle(
+                    owner, member.name, member.descriptor,
+                    is_field=(kind == cp.A_FIELD), resolved=member))
+        cls.pool = cp.RuntimePool()
+        cp.set_packed(cls.pool, rec.a_kind, a_payload, rec.v_kind, rec.v_value)
 
         table = []
         for owner_idx, method_idx in rec.dispatch:

@@ -345,8 +345,8 @@ class Frame:
     def member(self, operand):
         """The field or method a symbolic member reference names."""
         _, vidx = self.pool_entry(operand)
-        cell = self.pool.vtable[vidx]
-        handle = self.pool.atable[cell.value & 0xFFFF].payload
+        pool = self.pool
+        handle = pool.a_payload[pool.v_value[vidx] & 0xFFFF]
         if handle.resolved is not None:
             return handle.resolved
         if handle.is_field:
@@ -360,12 +360,7 @@ class Frame:
         return found
 
     def class_operand(self, operand):
-        entry, aidx = self.pool_entry(operand)
-        found = self.pool.atable[aidx]
-        if found.kind != entry.want:
-            raise InterpError("%s: operand is not a class at %d"
-                              % (self.method, self.pc))
-        return found.payload
+        return self.pool.a_payload[self.pool_entry(operand)[1]]
 
     def field(self, operand):
         """(owner, zone, offset, type code) of the field access."""
@@ -560,7 +555,7 @@ class Machine:
                 continue
             if catch is None:
                 return handler
-            catch_cls = f.pool.atable[catch].payload
+            catch_cls = f.pool.a_payload[catch]
             if thrown.cls is not None:
                 if thrown.cls.is_subclass_of(catch_cls):
                     return handler
@@ -618,15 +613,15 @@ def _const(m, f, slots):
 
 def _ldc_quick(m, f, operand):
     entry, idx = f.pool_entry(operand)
-    table = f.pool.vtable
+    values = f.pool.v_value
     if entry.want == cp.A_STRING:
-        f.push(("a", m.world.heap.intern(f.pool.atable[idx].payload)))
+        f.push(("a", m.world.heap.intern(f.pool.a_payload[idx])))
     elif entry.want == cp.V_INT:
-        f.push(("i", i32(table[idx].value)))
+        f.push(("i", i32(values[idx])))
     elif entry.want == cp.V_FLOAT:
-        f.push(("f", bits_float(table[idx].value)))
+        f.push(("f", bits_float(values[idx])))
     else:
-        bits = (table[idx].value << 32) | table[idx + 1].value
+        bits = (values[idx] << 32) | values[idx + 1]
         f.push_value(_wide_slot("j" if entry.want == cp.V_LONG_HI else "d",
                                 bits))
 
@@ -1080,8 +1075,9 @@ _HANDLERS, _ROWS = _handler_table()
 def _operand(bc, off, op, view):
     """What the handler of ``op`` at ``off`` runs with, read mostly through
     the ``opcodes.OPERANDS`` table.  A pool operand is (Operand, table
-    index, pool index); an index that does not place into its table is
-    None, and the instruction raises when it runs."""
+    index, pool index); an index that does not place into its table, or
+    places on an entry of another kind than the operand wants, is None,
+    and the instruction raises when it runs."""
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
     if _HANDLERS[op] is _unsupported:
@@ -1107,6 +1103,9 @@ def _operand(bc, off, op, view):
             placed = view.pool.origin.get(idx)
             ok = placed is not None and placed[0] == entry.space
             table_idx = placed[1] if ok else None
+        if table_idx is not None and not cp.holds(view.pool, entry.space,
+                                                  table_idx, entry.want):
+            table_idx = None
         ref = (entry, table_idx, idx)
         return (op, ref) if _HANDLERS[op] is _invoke else ref
     if op == _OP["bipush"]:

@@ -1,5 +1,7 @@
 """Shared fixtures: the assembled corpus on disk and ready-made pipelines."""
 
+import struct
+
 import pytest
 
 from jrom import classfile as cf
@@ -20,10 +22,29 @@ def corpus():
     return build_corpus()
 
 
+# tag -> struct format of the bytes after the tag byte
+_CONSTANT_FORMATS = {
+    cf.TAG_INTEGER: "i", cf.TAG_FLOAT: "I", cf.TAG_LONG: "q", cf.TAG_DOUBLE: "Q",
+    cf.TAG_CLASS: "H", cf.TAG_STRING: "H", cf.TAG_FIELDREF: "HH",
+    cf.TAG_METHODREF: "HH", cf.TAG_IFACEMETHODREF: "HH",
+    cf.TAG_NAMEANDTYPE: "HH",
+}
+
+
+def serialize_constant(c):
+    """On-disk bytes of one pool entry (placeholders serialize to nothing)."""
+    if c.tag == cf.TAG_PLACEHOLDER:
+        return b""
+    if c.tag == cf.TAG_UTF8:
+        return struct.pack(">BH", c.tag, len(c.value)) + c.value
+    value = c.value if isinstance(c.value, tuple) else (c.value,)
+    return struct.pack(">B" + _CONSTANT_FORMATS[c.tag], c.tag, *value)
+
+
 def raw_pool_byte_size(raw):
     """On-disk byte length of the pool region, entry by entry: loading reads
     it from the parser's offsets, and tests check that the two agree."""
-    return sum(len(cf.serialize_constant(c)) for c in raw.raw_pool)
+    return sum(len(serialize_constant(c)) for c in raw.raw_pool)
 
 
 def make_pipeline(corpus_dir, **flags):

@@ -140,13 +140,12 @@ def _resolve_every_operand(cls, m):
         if found is None:
             continue
         entry, idx = found
-        table = pool.vtable if entry.space == cp.VTABLE else pool.atable
-        assert table[idx].kind == entry.want
+        assert pool.kinds(entry.space)[idx] == entry.want
         cp.resolve(pool, entry.space, idx)
         count += 1
     for *_, catch in m.code.exception_table:
         if catch is not None:
-            assert pool.atable[catch].kind == cp.A_CLASS
+            assert pool.a_kind[catch] == cp.A_CLASS
             count += 1
     return count
 
@@ -186,11 +185,11 @@ def test_criterion_6_closed_world_monotonicity(corpus_dir):
     def survivors(pipe):
         bag = {}
         for cls in pipe.registry.loadable():
-            for i in range(len(cls.pool.atable)):
+            for i in range(len(cls.pool.a_kind)):
                 key = (cls.name,) + cp.resolve(cls.pool, "a", i)
                 bag[key] = bag.get(key, 0) + 1
-            for i, cell in enumerate(cls.pool.vtable):
-                if cell.kind in (cp.V_LONG_LO, cp.V_DBL_LO):
+            for i, kind in enumerate(cls.pool.v_kind):
+                if kind in (cp.V_LONG_LO, cp.V_DBL_LO):
                     continue
                 key = (cls.name,) + cp.resolve(cls.pool, "v", i)
                 bag[key] = bag.get(key, 0) + 1

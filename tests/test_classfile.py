@@ -15,7 +15,7 @@ from jrom.errors import (BadIndex, BadMagic, BadUtf8, ClassFileError,
 from jrom.pipeline import Pipeline
 
 from .assembler import ClassBuilder
-from .conftest import raw_pool_byte_size
+from .conftest import raw_pool_byte_size, serialize_constant
 from .corpus import build_corpus
 
 
@@ -274,7 +274,7 @@ class TestRoundTrip:
     def test_pool_reserializes_exactly(self, corpus):
         for name, (data, _) in corpus.items():
             raw = cf.parse_class(data)
-            encoded = b"".join(cf.serialize_constant(c) for c in raw.raw_pool)
+            encoded = b"".join(serialize_constant(c) for c in raw.raw_pool)
             assert encoded == data[raw.pool_entries_start:raw.pool_end], name
 
     def test_code_bytes_are_verbatim(self, corpus):

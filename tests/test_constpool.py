@@ -34,24 +34,24 @@ def prelinked(raw, registry=None):
 class TestBuildPool:
     def test_integer_goes_to_vtable(self):
         pool = cp.build_pool(raw_pool((cf.TAG_INTEGER, 42)))
-        assert [c.value for c in pool.vtable] == [42]
-        assert pool.atable == []
+        assert pool.v_value == [42]
+        assert pool.a_kind == []
 
     def test_long_spans_two_cells(self):
         value = 1 << 33
         pool = cp.build_pool(raw_pool((cf.TAG_LONG, value)))
-        assert len(pool.vtable) == 2
-        rebuilt = (pool.vtable[0].value << 32) | pool.vtable[1].value
+        assert len(pool.v_kind) == 2
+        rebuilt = (pool.v_value[0] << 32) | pool.v_value[1]
         assert rebuilt == value
 
     def test_negative_long_bits(self):
         pool = cp.build_pool(raw_pool((cf.TAG_LONG, -2)))
-        rebuilt = (pool.vtable[0].value << 32) | pool.vtable[1].value
+        rebuilt = (pool.v_value[0] << 32) | pool.v_value[1]
         assert rebuilt == (-2) & 0xFFFFFFFFFFFFFFFF
 
     def test_utf8_goes_to_atable(self):
         pool = cp.build_pool(raw_pool((cf.TAG_UTF8, "hi")))
-        assert [(e.kind, e.payload) for e in pool.atable] == [(cp.A_UTF8, "hi")]
+        assert list(zip(pool.a_kind, pool.a_payload)) == [(cp.A_UTF8, "hi")]
 
     def test_entry_count_includes_pending(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1))
@@ -65,9 +65,10 @@ class TestPass1:
         registry = Registry()
         pool = cp.build_pool(raw)
         cp.prelink_pass1(pool, raw, registry.resolve)
-        handles = [e for e in pool.atable if e.kind == cp.A_CLASS]
+        handles = [p for k, p in zip(pool.a_kind, pool.a_payload)
+                   if k == cp.A_CLASS]
         assert len(handles) == 1
-        assert handles[0].payload.name == "java/lang/Object"
+        assert handles[0].name == "java/lang/Object"
         # nothing else references the Utf8: dropped from the live set
         assert pool.a_dead[0]
         assert pool.entry_count() == 1
@@ -76,26 +77,27 @@ class TestPass1:
         raw = raw_pool()
         pool = cp.build_pool(raw)
         cp.prelink_pass1(pool, raw, Registry().resolve)
-        assert pool.atable == [] and pool.vtable == []
+        assert pool.a_kind == [] and pool.v_kind == []
 
     def test_string_literals_interned(self):
         raw = raw_pool((cf.TAG_UTF8, "a"), (cf.TAG_STRING, 1),
                        (cf.TAG_STRING, 1))
         pool = cp.build_pool(raw)
         cp.prelink_pass1(pool, raw, Registry().resolve)
-        cells = [c for c in pool.vtable if c.kind == cp.V_STRING]
+        cells = [v for k, v in zip(pool.v_kind, pool.v_value)
+                 if k == cp.V_STRING]
         assert len(cells) == 2
-        assert cells[0].value == cells[1].value
-        lit = pool.atable[cells[0].value]
-        assert lit.kind == cp.A_STRING and lit.payload == "a"
+        assert cells[0] == cells[1]
+        assert pool.a_kind[cells[0]] == cp.A_STRING \
+            and pool.a_payload[cells[0]] == "a"
 
     def test_nat_packs_two_indexes(self):
         raw = raw_pool((cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (1, 2)))
         pool = cp.build_pool(raw)
         cp.prelink_pass1(pool, raw, Registry().resolve)
-        nat = next(c for c in pool.vtable if c.kind == cp.V_NAT)
-        assert (nat.value >> 16, nat.value & 0xFFFF) == (0, 1)
+        nat = pool.v_value[pool.v_kind.index(cp.V_NAT)]
+        assert (nat >> 16, nat & 0xFFFF) == (0, 1)
 
     def test_dangling_class_index(self):
         raw = raw_pool((cf.TAG_CLASS, 9))
@@ -111,16 +113,15 @@ class TestPass2:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)))
         pool = prelinked(raw)
-        ref = next(c for c in pool.vtable if c.kind == cp.V_METHODREF)
-        class_aidx, member_aidx = ref.value >> 16, ref.value & 0xFFFF
-        assert pool.atable[class_aidx].kind == cp.A_CLASS
-        handle = pool.atable[member_aidx]
-        assert handle.kind == cp.A_METHOD
-        assert handle.payload.name == "f"
-        assert handle.payload.descriptor == "()V"
+        ref = pool.v_value[pool.v_kind.index(cp.V_METHODREF)]
+        class_aidx, member_aidx = ref >> 16, ref & 0xFFFF
+        assert pool.a_kind[class_aidx] == cp.A_CLASS
+        handle = pool.a_payload[member_aidx]
+        assert pool.a_kind[member_aidx] == cp.A_METHOD
+        assert handle.name == "f"
+        assert handle.descriptor == "()V"
         # the NameAndType fed the ref and died
-        nat_idx = next(i for i, c in enumerate(pool.vtable)
-                       if c.kind == cp.V_NAT)
+        nat_idx = pool.v_kind.index(cp.V_NAT)
         assert pool.v_dead[nat_idx]
 
     def test_two_fieldrefs_share_one_handle(self):
@@ -130,19 +131,19 @@ class TestPass2:
                        (cf.TAG_FIELDREF, (2, 5)),
                        (cf.TAG_FIELDREF, (2, 5)))
         pool = prelinked(raw)
-        refs = [c for c in pool.vtable if c.kind == cp.V_FIELDREF]
+        refs = [v for k, v in zip(pool.v_kind, pool.v_value)
+                if k == cp.V_FIELDREF]
         assert len(refs) == 2
-        assert refs[0].value == refs[1].value
-        handles = [e for e in pool.atable if e.kind == cp.A_FIELD]
-        assert len(handles) == 1
+        assert refs[0] == refs[1]
+        assert pool.a_kind.count(cp.A_FIELD) == 1
 
     def test_no_refs_is_identity(self):
         raw = raw_pool((cf.TAG_INTEGER, 3))
         pool = cp.build_pool(raw)
         cp.prelink_pass1(pool, raw, Registry().resolve)
-        before = [(c.kind, c.value) for c in pool.vtable]
+        before = list(zip(pool.v_kind, pool.v_value))
         cp.prelink_pass2(pool, raw)
-        assert [(c.kind, c.value) for c in pool.vtable] == before
+        assert list(zip(pool.v_kind, pool.v_value)) == before
 
     def test_entry_count_never_increases(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
@@ -160,8 +161,8 @@ class TestPass2:
         at_pass2 = pool.entry_count()
         assert at_build >= at_pass1 >= at_pass2
         cp.mark(pool, "v", 0)
-        stats = cp.pack(pool)
-        assert at_pass2 >= stats.entries_after
+        cp.pack(pool)
+        assert at_pass2 >= pool.entry_count()
 
 
 class TestMark:
@@ -175,26 +176,24 @@ class TestMark:
 
     def test_ref_cell_marks_both_handles(self):
         pool = self._pool()
-        vidx = next(i for i, c in enumerate(pool.vtable)
-                    if c.kind == cp.V_METHODREF)
+        vidx = pool.v_kind.index(cp.V_METHODREF)
         cp.mark(pool, "vtable", vidx)
-        cell = pool.vtable[vidx]
-        assert pool.a_marks[cell.value >> 16]
-        assert pool.a_marks[cell.value & 0xFFFF]
+        cell = pool.v_value[vidx]
+        assert pool.a_marks[cell >> 16]
+        assert pool.a_marks[cell & 0xFFFF]
 
     def test_mark_idempotent(self):
         pool = self._pool()
         cp.mark(pool, "v", 0)
-        snapshot = (list(pool.a_marks), list(pool.v_marks))
+        snapshot = (bytes(pool.a_marks), bytes(pool.v_marks))
         cp.mark(pool, "v", 0)
         assert (pool.a_marks, pool.v_marks) == snapshot
 
     def test_string_cell_marks_literal(self):
         pool = self._pool()
-        vidx = next(i for i, c in enumerate(pool.vtable)
-                    if c.kind == cp.V_STRING)
+        vidx = pool.v_kind.index(cp.V_STRING)
         cp.mark(pool, "v", vidx)
-        assert pool.a_marks[pool.vtable[vidx].value]
+        assert pool.a_marks[pool.v_value[vidx]]
 
     def test_out_of_range(self):
         pool = self._pool()
@@ -202,6 +201,31 @@ class TestMark:
             cp.mark(pool, "v", 99)
         with pytest.raises(IndexOutOfRange):
             cp.mark(pool, "a", -1)
+
+
+class TestHolds:
+    def test_kind_bounds_and_whole_reads(self):
+        raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
+                       (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
+                       (cf.TAG_NAMEANDTYPE, (3, 4)),
+                       (cf.TAG_METHODREF, (2, 5)), (cf.TAG_LONG, 5))
+        pool = prelinked(raw)
+        ref = pool.v_kind.index(cp.V_METHODREF)
+        hi = pool.v_kind.index(cp.V_LONG_HI)
+        assert cp.holds(pool, "v", ref, cp.V_METHODREF)
+        assert cp.holds(pool, "v", hi, cp.V_LONG_HI)
+        assert cp.holds(pool, "v", ref, None)
+        assert not cp.holds(pool, "v", ref, cp.V_FIELDREF)
+        assert not cp.holds(pool, "v", len(pool.v_kind), None)
+        assert not cp.holds(pool, "a", len(pool.a_kind), cp.A_CLASS)
+        # a member-ref cell whose handle is not a method handle
+        pool.v_value[ref] = (pool.v_value[ref] >> 16) * 0x10001
+        assert not cp.holds(pool, "v", ref, cp.V_METHODREF)
+        pool.v_value[ref] = len(pool.a_kind)
+        assert not cp.holds(pool, "v", ref, cp.V_METHODREF)
+        # a long whose low cell is past the table
+        del pool.v_kind[hi + 1:], pool.v_value[hi + 1:]
+        assert not cp.holds(pool, "v", hi, cp.V_LONG_HI)
 
 
 class TestPack:
@@ -230,14 +254,14 @@ class TestPack:
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_UTF8, "gone"))
         pool = prelinked(raw)
         cp.pack(pool)
-        assert pool.atable == [] and pool.vtable == []
+        assert pool.a_kind == [] and pool.v_kind == []
 
     def test_long_pair_moves_together(self):
         raw = raw_pool((cf.TAG_INTEGER, 7), (cf.TAG_LONG, 1 << 40))
         pool = prelinked(raw)
         cp.mark(pool, "v", 1)    # the long's first cell
         cp.pack(pool)
-        assert [c.kind for c in pool.vtable] == [cp.V_LONG_HI, cp.V_LONG_LO]
+        assert pool.v_kind == [cp.V_LONG_HI, cp.V_LONG_LO]
         assert cp.resolve(pool, "v", 0) == (cp.V_LONG_HI, 1 << 40)
 
     def test_surviving_ref_cells_are_rewritten(self):
@@ -246,29 +270,29 @@ class TestPack:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)))
         pool = prelinked(raw)
-        vidx = next(i for i, c in enumerate(pool.vtable)
-                    if c.kind == cp.V_METHODREF)
+        vidx = pool.v_kind.index(cp.V_METHODREF)
         before = cp.resolve(pool, "v", vidx)
         cp.mark(pool, "v", vidx)
         cp.pack(pool)
         new_vidx = pool.remap_v[vidx]
         assert cp.resolve(pool, "v", new_vidx) == before
-        cell = pool.vtable[new_vidx]
-        assert (cell.value >> 16) < len(pool.atable)
-        assert (cell.value & 0xFFFF) < len(pool.atable)
+        cell = pool.v_value[new_vidx]
+        assert (cell >> 16) < len(pool.a_kind)
+        assert (cell & 0xFFFF) < len(pool.a_kind)
 
     def test_stats_count_before_and_after(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2),
                        (cf.TAG_UTF8, "z"), (cf.TAG_STRING, 3))
         pool = prelinked(raw)
         cp.mark(pool, "v", 0)
-        stats = cp.pack(pool)
+        entries_before, bytes_before = pool.entry_count(), pool.byte_size()
+        cp.pack(pool)
         # live before: two ints, the string cell and its literal; the "z"
         # Utf8 fed the String constant and died during prelinking
-        assert stats.entries_before == 4
-        assert stats.entries_after == 2    # one int plus the kept literal
-        assert stats.bytes_before == 4 + 4 + 4 + (2 + 1)
-        assert stats.bytes_after == 4 + (2 + 1)
+        assert entries_before == 4
+        assert pool.entry_count() == 2    # one int plus the kept literal
+        assert bytes_before == 4 + 4 + 4 + (2 + 1)
+        assert pool.byte_size() == 4 + (2 + 1)
 
     def test_atable_overflow_rejected(self):
         # a NameAndType cannot pack an index above 16 bits
@@ -288,7 +312,7 @@ def test_pack_preserves_resolution_of_marked(marks):
                    (cf.TAG_LONG, 1 << 35))
     pool = prelinked(raw)
     targets = []
-    kinds = [c.kind for c in pool.vtable]
+    kinds = pool.v_kind
     for should_mark, vidx in zip(marks, [i for i, k in enumerate(kinds)
                                          if k != cp.V_LONG_LO]):
         if should_mark:

@@ -1,27 +1,42 @@
 """Smoke tests of `jrom romize` on a class set from the benchmark's generator:
 <clinit> chains and cross-class getstatic across packages, under --verify
-and under the closed-world flags that rewrite field accesses.
+and under the closed-world flags that rewrite field accesses.  One more
+test checks that the benchmark's spans still see every layer.
 
-The generator is loaded by path, since ``perfbench/`` is not a package.
-No time bound is set; timing belongs to the benchmark.
+The generator and the spans are loaded by path, since ``perfbench/`` is not
+a package.  No time bound is set; timing belongs to the benchmark.
 """
 
 import importlib.util
 import os
 
 from jrom import cli
+from jrom import constpool as cp
 from jrom import opcodes as ops
 from jrom import romizer as rz
 
-GEN_PATH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench", "gen.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
 
 
-def load_generator():
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def romize_argv(tmp_path, flags):
+    """(class set, image path, romize argv) for 30 generated classes."""
+    gen = load_perfbench("gen")
+    class_set = gen.generate(30, 0)
+    classes = tmp_path / "classes"
+    gen.write(class_set.files, str(classes))
+    image_path = tmp_path / "system.rom"
+    return class_set, image_path, (["romize", "--classpath", str(classes),
+                                    "--out", str(image_path)] + flags
+                                   + sorted(class_set.files))
 
 
 def romize_generated(tmp_path, capsys, flags):
@@ -29,14 +44,8 @@ def romize_generated(tmp_path, capsys, flags):
 
     The round trip re-emits under the flags the image's header holds.
     """
-    gen = load_generator()
-    class_set = gen.generate(30, 0)
-    classes = tmp_path / "classes"
-    gen.write(class_set.files, str(classes))
-    image_path = tmp_path / "system.rom"
-    rc = cli.main(["romize", "--classpath", str(classes),
-                   "--out", str(image_path)] + flags
-                  + sorted(class_set.files))
+    class_set, image_path, argv = romize_argv(tmp_path, flags)
+    rc = cli.main(argv)
     printed = capsys.readouterr()
     assert rc == 0, printed.err
     image = image_path.read_bytes()
@@ -62,3 +71,24 @@ def test_romize_closed_world_generated_set(tmp_path, capsys):
     assert any(op in quick for cls in reloaded.loadable()
                for m in cls.methods if m.code is not None
                for _, op, _ in ops.walk(m.code.bytecode))
+
+
+def test_benchmark_spans_see_every_layer(tmp_path, capsys):
+    """perfbench/spans.py wraps jrom functions by module attribute, so a
+    renamed function, or one a caller bound with ``from ... import``, would
+    leave its span silently at zero in the traced benchmark."""
+    spans = load_perfbench("spans")
+    _, _, argv = romize_argv(tmp_path, [])
+    pack = cp.pack
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert rc == 0, capsys.readouterr().err
+    assert cp.pack is pack
+    for name in ("classfile.parse", "constpool.prelink", "constpool.pack",
+                 "lifecycle.load", "lifecycle.ready", "linker.link",
+                 "romizer.emit", "romizer.report"):
+        assert tracer.calls[name] >= 1, name

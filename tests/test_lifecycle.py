@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
+from jrom import romizer as rz
 from jrom.errors import (InvalidName, InvalidTransition, NameMismatch,
                          PoolOverflow, StaticOverflow)
 from jrom.pipeline import Pipeline
@@ -98,6 +99,25 @@ class TestLoad:
         with pytest.raises(lc.HierarchyCycle):
             loader.ensure_loaded("cyc/A")
 
+    def test_loaded_snapshot_unchanged_by_linking(self, corpus, corpus_dir):
+        """The loaded snapshot copies the pool's lists, not its entries;
+        linking (reset_marks, pack, relink) must leave that copy as it was."""
+        def snapshot(cls):
+            pool = cls.loaded_view.pool
+            return ([id(p) for p in pool.a_payload], list(pool.a_kind),
+                    list(pool.v_kind), list(pool.v_value), bytes(pool.a_marks),
+                    bytes(pool.v_marks), bytes(pool.a_dead), bytes(pool.v_dead),
+                    rz.snapshot_stats(cls, lc.LOADED))
+        pipe = Pipeline([corpus_dir])
+        pipe.load_targets(sorted(corpus), closure=True)
+        loaded = pipe.registry.loadable()
+        before = {cls.name: snapshot(cls) for cls in loaded}
+        assert pipe.link_all() == []
+        for cls in loaded:
+            assert cls.state == lc.LINKED and cls.pool.packed
+            assert cls.pool is not cls.loaded_view.pool
+            assert snapshot(cls) == before[cls.name], cls.name
+
 
 class TestStaticLayout:
     def _layout(self, fields):
@@ -166,7 +186,7 @@ class TestRewriteLoad:
             lambda c: c.ldc_int(42).op("ireturn"))
         bc = m.code.bytecode
         assert bc[0] == OP["ldc_quick_i"]
-        assert cls.pool.vtable[bc[1]].value == 42
+        assert cls.pool.v_value[bc[1]] == 42
 
     def test_ldc_float_distinct_opcode(self):
         cls, m = _single_method_class(
@@ -174,7 +194,7 @@ class TestRewriteLoad:
         bc = m.code.bytecode
         assert bc[0] == OP["ldc_quick_f"]
         assert bc[0] != OP["ldc_quick_i"]
-        assert cls.pool.vtable[bc[1]].value == struct.unpack(
+        assert cls.pool.v_value[bc[1]] == struct.unpack(
             ">I", struct.pack(">f", 1.0))[0]
 
     def test_ldc_string_points_at_literal(self):
@@ -182,8 +202,8 @@ class TestRewriteLoad:
             lambda c: c.ldc_str("lit").op("areturn"), "()Ljava/lang/String;")
         bc = m.code.bytecode
         assert bc[0] == OP["ldc_quick_a"]
-        entry = cls.pool.atable[bc[1]]
-        assert entry.kind == cp.A_STRING and entry.payload == "lit"
+        assert cls.pool.a_kind[bc[1]] == cp.A_STRING \
+            and cls.pool.a_payload[bc[1]] == "lit"
 
     def test_ldc_w_uses_wide_quick_form(self):
         cls, m = _single_method_class(
@@ -191,7 +211,7 @@ class TestRewriteLoad:
         bc = m.code.bytecode
         assert bc[0] == OP["ldc_quick_i_w"]
         idx = struct.unpack_from(">H", bc, 1)[0]
-        assert cls.pool.vtable[idx].value == 7
+        assert cls.pool.v_value[idx] == 7
 
     def test_ldc2_long_and_double(self):
         cls, m = _single_method_class(
@@ -208,7 +228,7 @@ class TestRewriteLoad:
         bc = m.code.bytecode
         assert bc[1] == OP["anewarray_quick"]
         idx = struct.unpack_from(">H", bc, 2)[0]
-        assert cls.pool.atable[idx].kind == cp.A_CLASS
+        assert cls.pool.a_kind[idx] == cp.A_CLASS
 
     def test_rewrite_marks_entries(self):
         cls, m = _single_method_class(

@@ -44,8 +44,8 @@ class TestLink:
         lk.link(cls, ctx)
         callee = reg.get("lk/B")
         assert callee.state == lc.LOADED
-        handle = next(e.payload for e in cls.pool.atable
-                      if e.kind == cp.A_METHOD and e.payload.name == "f")
+        handle = next(p for k, p in zip(cls.pool.a_kind, cls.pool.a_payload)
+                      if k == cp.A_METHOD and p.name == "f")
         assert handle.resolved is next(m for m in callee.methods
                                        if m.name == "f")
 
@@ -129,7 +129,7 @@ class TestPreverify:
         cls, m = self._linked_method(
             tmp_path, corpus_dir, lambda c: c.ldc_int(77).op("ireturn"))
         idx = m.code.bytecode[1]
-        assert cls.pool.vtable[idx].kind == cp.V_INT
+        assert cls.pool.v_kind[idx] == cp.V_INT
         assert cls.pool.v_marks[idx]
 
     def test_catch_type_marked_and_survives(self, tmp_path, corpus_dir):
@@ -141,9 +141,8 @@ class TestPreverify:
             c.handler("s", "e", "h", "corpus/MyError")
         cls, m = self._linked_method(tmp_path, corpus_dir, build)
         catch = m.code.exception_table[0][3]
-        entry = cls.pool.atable[catch]
-        assert entry.kind == cp.A_CLASS
-        assert entry.payload.name == "corpus/MyError"
+        assert cls.pool.a_kind[catch] == cp.A_CLASS
+        assert cls.pool.a_payload[catch].name == "corpus/MyError"
 
     def test_getfield_on_static_rejected(self, tmp_path, corpus_dir):
         def build(c):
@@ -264,9 +263,10 @@ class TestCompactInvokevirtual:
         assert OP["invokevirtual_quick"] not in ops_b
         assert OP["invokevirtual"] in ops_b
         # the uncompacted site keeps its pool entry alive
-        survivors = [e for e in edge.pool.atable if e.kind == cp.A_METHOD]
-        assert any(h.payload.resolved is at_256 for h in survivors)
-        assert not any(h.payload.resolved is at_255 for h in survivors)
+        survivors = [p for k, p in zip(edge.pool.a_kind, edge.pool.a_payload)
+                     if k == cp.A_METHOD]
+        assert any(h.resolved is at_256 for h in survivors)
+        assert not any(h.resolved is at_255 for h in survivors)
 
     def test_nargs_255_compacts_256_does_not(self, tmp_path, corpus_dir):
         # 254 int params + receiver = 255 slots; 255 params = 256
@@ -379,7 +379,8 @@ class TestEncodeStaticRefs:
     def test_own_static_pool_entries_swept(self, linked_pipeline):
         reg = linked_pipeline.registry
         statics = reg.get("corpus/Statics")
-        fields = [e for e in statics.pool.atable if e.kind == cp.A_FIELD]
+        fields = [p for k, p in zip(statics.pool.a_kind, statics.pool.a_payload)
+                  if k == cp.A_FIELD]
         assert fields == []
 
 
@@ -452,22 +453,24 @@ class TestMarkReflection:
         for cls in nointro_pipeline.registry.loadable():
             with_intro = linked_pipeline.registry.get(cls.name)
             bag = {}
-            for i in range(len(with_intro.pool.atable)):
+            for i in range(len(with_intro.pool.a_kind)):
                 key = cp.resolve(with_intro.pool, "a", i)
                 bag[key] = bag.get(key, 0) + 1
-            for i in range(len(cls.pool.atable)):
+            for i in range(len(cls.pool.a_kind)):
                 key = cp.resolve(cls.pool, "a", i)
                 assert bag.get(key, 0) > 0, (cls.name, key)
                 bag[key] -= 1
 
     def test_member_text_survives_with_introspection(self, linked_pipeline):
         cls = linked_pipeline.registry.get("corpus/Recurse")
-        texts = {e.payload for e in cls.pool.atable if e.kind == cp.A_UTF8}
+        texts = {p for k, p in zip(cls.pool.a_kind, cls.pool.a_payload)
+                 if k == cp.A_UTF8}
         assert {"fact", "fib", "(I)I"} <= texts
 
     def test_member_text_swept_without_introspection(self, nointro_pipeline):
         cls = nointro_pipeline.registry.get("corpus/Recurse")
-        texts = {e.payload for e in cls.pool.atable if e.kind == cp.A_UTF8}
+        texts = {p for k, p in zip(cls.pool.a_kind, cls.pool.a_payload)
+                 if k == cp.A_UTF8}
         assert "fact" not in texts and "(I)I" not in texts
 
 
@@ -475,14 +478,14 @@ class TestRelink:
     def test_no_dangling_index_in_packed_pools(self, linked_pipeline):
         for cls in linked_pipeline.registry.loadable():
             pool = cls.pool
-            for cell in pool.vtable:
-                if cell.kind == cp.V_STRING:
-                    assert 0 <= cell.value < len(pool.atable)
-                    assert pool.atable[cell.value].kind == cp.A_STRING
-                elif cell.kind in (cp.V_NAT, cp.V_FIELDREF, cp.V_METHODREF,
-                                   cp.V_IFACEREF):
-                    hi, lo = cell.value >> 16, cell.value & 0xFFFF
-                    assert hi < len(pool.atable) and lo < len(pool.atable)
+            for kind, value in zip(pool.v_kind, pool.v_value):
+                if kind == cp.V_STRING:
+                    assert 0 <= value < len(pool.a_kind)
+                    assert pool.a_kind[value] == cp.A_STRING
+                elif kind in (cp.V_NAT, cp.V_FIELDREF, cp.V_METHODREF,
+                              cp.V_IFACEREF):
+                    hi, lo = value >> 16, value & 0xFFFF
+                    assert hi < len(pool.a_kind) and lo < len(pool.a_kind)
 
     def test_no_pool_method_unchanged(self, linked_pipeline):
         cls = linked_pipeline.registry.get("corpus/Arith")

@@ -426,6 +426,25 @@ class TestDifferentialPairs:
         assert any(cls == "corpus/Constants" and meth.startswith("intConst")
                    for cls, meth, _ in out.failures)
 
+    def test_operand_past_its_table_is_a_failure(self, corpus_dir):
+        # ldc_quick_i naming cell 250 of a 16-cell vtable raises InterpError
+        # when it runs, which verify_all reports, and no IndexError escapes
+        from .corpus import corpus_names
+        pipe = Pipeline([corpus_dir])
+        pipe.load_targets(corpus_names(), closure=True)
+        pipe.ready_all()
+        assert pipe.link_all() == []
+        cls = pipe.registry.get("corpus/Constants")
+        code = next(m for m in cls.methods if m.name == "intConst").code
+        assert code.bytecode[0] == ops.BY_NAME["ldc_quick_i"]
+        assert len(cls.pool.v_kind) < 250
+        code.bytecode[1] = 250
+        out = pipe.verify_all(vectors=1, only="corpus/Constants.intConst")
+        assert out.checked == []
+        [(owner, method, why)] = out.failures
+        assert (owner, method) == ("corpus/Constants", "intConst()I")
+        assert "error/InterpError" in why
+
     def test_clinit_differential_uses_initial_zones(self, linked_pipeline):
         # verify_all runs <clinit> from zones_initial on both sides
         out = linked_pipeline.verify_all(vectors=1,
