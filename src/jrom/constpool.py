@@ -1,16 +1,17 @@
 """Two-table runtime constant pool with prelinking, marking and packing.
 
 A parsed pool is split into an atable of reference entries (text, class
-handles, member handles) and a vtable of 32-bit cells (immediates and
-packed index pairs).  Each table is stored flat, as parallel lists:
+handles, member handles) and a vtable of 32-bit cells (immediates and packed
+index pairs).  Each table is stored flat, as parallel lists:
 ``a_kind``/``a_payload`` for the atable and ``v_kind``/``v_value`` for the
-vtable, with the mark and dead flags of every entry in ``bytearray``s, so a
-pool is a handful of containers however many entries it has.  Prelinking
-resolves the symbolic constants into direct handles, which strips most
-Utf8 text out of the live set.  Marking during method processing selects
-the entries the bytecode really uses, and pack() sweeps the rest into new
-lists, rewriting the atable indexes that surviving cells hold as it copies
-them, and leaves the remap that the bytecode rewriter applies.
+vtable, with the dead flags of every entry in ``bytearray``s, so a pool is a
+handful of containers however many entries it has.  Prelinking resolves the
+symbolic constants into direct handles, which strips most Utf8 text out of
+the live set; nothing changes the pool after that, so it is the loaded
+snapshot.  Linking marks the entries its final code uses into flags of its
+own (new_marks), and pack() copies them into a new pool, rewriting the
+atable indexes that surviving cells hold, and returns the remaps that the
+bytecode rewriter applies.
 """
 
 from dataclasses import dataclass
@@ -90,14 +91,9 @@ class RuntimePool:
         self.a_payload = []
         self.v_kind = []
         self.v_value = []
-        self.a_marks = bytearray()
-        self.v_marks = bytearray()
         self.a_dead = bytearray()   # resolved-away at load; excluded from stats
         self.v_dead = bytearray()
         self.origin = {}        # raw pool index -> (space, table index)
-        self.remap_a = None     # populated by pack()
-        self.remap_v = None
-        self.packed = False
         self._utf8_index = {}   # text -> atable index of the Utf8 entry
         self._string_index = {} # text -> atable index of the interned literal
         self._member_index = {} # (class aidx, name, desc, kind) -> aidx
@@ -105,25 +101,22 @@ class RuntimePool:
 
     # --- construction helpers ---
 
-    def add_a(self, kind, payload, marked=False):
+    def add_a(self, kind, payload):
         self.a_kind.append(kind)
         self.a_payload.append(payload)
-        self.a_marks.append(marked)
         self.a_dead.append(False)
         return len(self.a_kind) - 1
 
     def add_v(self, kind, value):
         self.v_kind.append(kind)
         self.v_value.append(value)
-        self.v_marks.append(False)
         self.v_dead.append(False)
         return len(self.v_kind) - 1
 
     def intern_string(self, text):
         idx = self._string_index.get(text)
         if idx is None:
-            # literals are always retained; their text is the runtime value
-            idx = self.add_a(A_STRING, text, marked=True)
+            idx = self.add_a(A_STRING, text)
             self._string_index[text] = idx
         return idx
 
@@ -150,41 +143,17 @@ class RuntimePool:
                 total += len(encode_mutf8(payload)) - 2   # in place of 4
         return total
 
-    # --- cloning (for the loaded-stage snapshot) ---
 
-    def clone(self):
-        c = RuntimePool.__new__(RuntimePool)
-        c.a_kind = list(self.a_kind)
-        c.a_payload = list(self.a_payload)
-        c.v_kind = list(self.v_kind)
-        c.v_value = list(self.v_value)
-        c.a_marks = bytearray(self.a_marks)
-        c.v_marks = bytearray(self.v_marks)
-        c.a_dead = bytearray(self.a_dead)
-        c.v_dead = bytearray(self.v_dead)
-        c.origin = dict(self.origin)
-        c.remap_a = None
-        c.remap_v = None
-        c.packed = False
-        c._utf8_index = dict(self._utf8_index)
-        c._string_index = dict(self._string_index)
-        c._member_index = dict(self._member_index)
-        c._pending = self._pending
-        return c
-
-
-def set_packed(pool, a_kind, a_payload, v_kind, v_value):
-    """Make these the tables of ``pool``, every entry live and marked, as
-    pack() leaves them.  Only prelinking and the marking before a pack read
-    the text and member indexes, so a packed pool has empty ones."""
+def packed_pool(a_kind, a_payload, v_kind, v_value):
+    """A pool of these tables, every entry live, as pack() builds it.  Only
+    code that reads a loaded pool uses the origin map and the text and
+    member indexes, so a packed pool has empty ones."""
+    pool = RuntimePool()
     pool.a_kind, pool.a_payload = a_kind, a_payload
     pool.v_kind, pool.v_value = v_kind, v_value
-    pool.a_marks = bytearray(b"\x01") * len(a_kind)
-    pool.v_marks = bytearray(b"\x01") * len(v_kind)
     pool.a_dead = bytearray(len(a_kind))
     pool.v_dead = bytearray(len(v_kind))
-    pool.packed = True
-    pool._utf8_index, pool._string_index, pool._member_index = {}, {}, {}
+    return pool
 
 
 def build_pool(raw):
@@ -337,13 +306,22 @@ def _refresh_dead(pool, raw):
                                  and text not in member_texts)
 
 
-def mark(pool, table, index):
+def new_marks(pool):
+    """Fresh (atable, vtable) mark flags for one link of ``pool``, with
+    only the string literals set: they are always retained, since their
+    text is the runtime value."""
+    return (bytearray(kind == A_STRING for kind in pool.a_kind),
+            bytearray(len(pool.v_kind)))
+
+
+def mark(pool, marks, table, index):
     """Mark one entry as used; index pairs propagate into the atable."""
+    a_marks, v_marks = marks
     space = {"atable": ATABLE, "vtable": VTABLE}.get(table, table)
     if space == ATABLE:
         if not 0 <= index < len(pool.a_kind):
             raise IndexOutOfRange("atable index %s" % index)
-        pool.a_marks[index] = True
+        a_marks[index] = True
         return
     if space != VTABLE:
         raise IndexOutOfRange("unknown table %r" % table)
@@ -353,54 +331,46 @@ def mark(pool, table, index):
     if kind in _PAIR_LO:
         index -= 1
         kind = pool.v_kind[index]
-    pool.v_marks[index] = True
+    v_marks[index] = True
     value = pool.v_value[index]
     if kind in _PAIR_HI:
-        pool.v_marks[index + 1] = True
+        v_marks[index + 1] = True
     elif kind == V_STRING:
-        pool.a_marks[value] = True
+        a_marks[value] = True
     elif kind == V_NAT or kind in _REFS:
         hi, lo = _unpack16(value)
-        pool.a_marks[hi] = True
-        pool.a_marks[lo] = True
+        a_marks[hi] = True
+        a_marks[lo] = True
 
 
-def reset_marks(pool):
-    """Clear every mark except the always-retained string literals.
-
-    Linking calls it before marking from the final code, so a cell that a
-    rewrite stopped using releases the handles marked through it too.
-    """
-    pool.a_marks = bytearray(kind == A_STRING for kind in pool.a_kind)
-    pool.v_marks = bytearray(len(pool.v_kind))
-
-
-def pack(pool):
-    """Sweep unmarked entries, keeping relative order, and build the remap.
+def pack(pool, marks):
+    """The marked entries of ``pool`` as a new pool, in their relative
+    order, with the (atable, vtable) remaps from old index to new.
 
     The surviving vtable cells that hold atable indexes are copied with
-    those indexes rewritten through the atable remap.
+    those indexes rewritten through the atable remap.  ``pool`` is left as
+    it was.
     """
-    a_marks, v_marks = pool.a_marks, pool.v_marks
-    remap_a = {old: new for new, old in
+    a_marks, v_marks = marks
+    a_remap = {old: new for new, old in
                enumerate(compress(range(len(a_marks)), a_marks))}
-    remap_v = {old: new for new, old in
+    v_remap = {old: new for new, old in
                enumerate(compress(range(len(v_marks)), v_marks))}
     v_kind = list(compress(pool.v_kind, v_marks))
     v_value = []
     try:
         for kind, value in zip(v_kind, compress(pool.v_value, v_marks)):
             if kind == V_STRING:
-                value = remap_a[value]
+                value = a_remap[value]
             elif kind == V_NAT or kind in _REFS:
-                value = _pack16(remap_a[value >> 16], remap_a[value & 0xFFFF])
+                value = _pack16(a_remap[value >> 16], a_remap[value & 0xFFFF])
             v_value.append(value)
     except KeyError:
         raise InternalError("surviving cell references a swept atable entry")
-    set_packed(pool, list(compress(pool.a_kind, a_marks)),
-               list(compress(pool.a_payload, a_marks)), v_kind, v_value)
-    pool.remap_a = remap_a
-    pool.remap_v = remap_v
+    packed = packed_pool(list(compress(pool.a_kind, a_marks)),
+                         list(compress(pool.a_payload, a_marks)),
+                         v_kind, v_value)
+    return packed, a_remap, v_remap
 
 
 def holds(pool, space, index, want):
@@ -421,27 +391,3 @@ def holds(pool, space, index, want):
         return True
     handle = pool.v_value[index] & 0xFFFF
     return handle < len(pool.a_kind) and pool.a_kind[handle] == handle_kind
-
-
-def resolve(pool, space, index):
-    """Canonical payload of an entry, for before/after comparisons."""
-    if space == ATABLE:
-        kind, payload = pool.a_kind[index], pool.a_payload[index]
-        if kind in (A_UTF8, A_STRING):
-            return (kind, payload)
-        if kind == A_CLASS:
-            return (A_CLASS, payload.name)
-        return (kind, payload.owner.name, payload.name, payload.descriptor)
-    kind, value = pool.v_kind[index], pool.v_value[index]
-    if kind in (V_INT, V_FLOAT):
-        return (kind, value)
-    if kind in _PAIR_HI:
-        return (kind, (value << 32) | pool.v_value[index + 1])
-    if kind in _PAIR_LO:
-        return (pool.v_kind[index - 1], (pool.v_value[index - 1] << 32) | value)
-    if kind == V_STRING:
-        return (V_STRING, pool.a_payload[value])
-    hi, lo = _unpack16(value)
-    if kind == V_NAT:
-        return (V_NAT, pool.a_payload[hi], pool.a_payload[lo])
-    return (kind,) + resolve(pool, ATABLE, hi)[1:] + resolve(pool, ATABLE, lo)[1:]

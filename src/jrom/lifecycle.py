@@ -58,7 +58,6 @@ class MethodCode:
     max_locals: int
     exception_table: list   # (start, end, handler, catch atable index or None)
     stack_maps: bytes = None
-    relinked: bool = False
     # (StageView, steps) of verify's decode; whoever rewrites the bytecode
     # in place sets it back to None
     decoded: tuple = dc_field(default=None, repr=False, compare=False)
@@ -67,7 +66,7 @@ class MethodCode:
         return MethodCode(bytearray(self.bytecode), self.max_stack,
                           self.max_locals,
                           [tuple(e) for e in self.exception_table],
-                          self.stack_maps, self.relinked)
+                          self.stack_maps)
 
 
 @dataclass
@@ -380,7 +379,7 @@ def load_parsed(cls, raw, data, resolver):
         "file_bytes": len(data) if data is not None else 0,
     }
     cls.state = LOADED
-    cls.loaded_view = StageView(pool.clone(), relinked=False)
+    cls.loaded_view = StageView(pool, relinked=False)
 
 
 def _loaded_code(raw_method, pool):
@@ -490,7 +489,7 @@ def rewrite_load(code, pool):
     """Replace constant-loading instructions with quick forms, in place.
 
     Every replacement keeps the original byte length, so offsets and branch
-    targets never move.  Referenced pool entries are marked.
+    targets never move.
     """
     bc = code.bytecode
     for off, op, size in ops.walk(bc):
@@ -515,7 +514,6 @@ def rewrite_load(code, pool):
                 name, idx, "one byte" if quick.size == 1 else "two bytes"))
         bc[off] = _OP[name]
         ops.write_operand(bc, off, quick.size, idx)
-        cp.mark(pool, quick.space, idx)
     return code
 
 

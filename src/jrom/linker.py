@@ -6,8 +6,9 @@ decoded once (quick rewrites never change instruction sizes, so every pass
 shares that decode) and goes through, in order: the structural checks; the
 rewrites to quick forms that need no pool entry (invokevirtual compaction,
 static encoding, closed-field rewriting); one marking of what the final code
-still references; the pack; and the relink of every surviving operand
-through the pack remap.
+still references, into marks that live only while the class links; the
+pack, which leaves the loaded pool as it was and makes the linked pool
+new; and the relink of every surviving operand through the pack remaps.
 """
 
 from dataclasses import dataclass, field
@@ -78,13 +79,13 @@ def link(cls, ctx):
             decoded.append((m, sizes))
     for m, sizes in decoded:
         rewrite_method(m, pool, sizes, ctx)
-    cp.reset_marks(pool)
+    marks = cp.new_marks(pool)
     for m, sizes in decoded:
-        mark_method(m, pool, sizes)
-    mark_reflection(pool, cls, ctx)
-    cp.pack(pool)
+        mark_method(m, pool, marks, sizes)
+    mark_reflection(pool, marks, cls, ctx)
+    cls.pool, *remaps = cp.pack(pool, marks)
     for m, sizes in decoded:
-        relink_method(m, pool, sizes)
+        relink_method(m, pool, remaps, sizes)
     cls.state = lc.LINKED
 
 
@@ -250,16 +251,16 @@ def _pool_entries(pool, bc, sizes):
             yield off, entry, idx
 
 
-def mark_method(m, pool, sizes):
+def mark_method(m, pool, marks, sizes):
     """Mark every entry the method's final code still references."""
     for _, entry, idx in _pool_entries(pool, m.code.bytecode, sizes):
-        cp.mark(pool, entry.space, idx)
+        cp.mark(pool, marks, entry.space, idx)
     for _, _, _, catch in m.code.exception_table:
         if catch is not None:
-            cp.mark(pool, cp.ATABLE, catch)
+            cp.mark(pool, marks, cp.ATABLE, catch)
 
 
-def mark_reflection(pool, cls, ctx):
+def mark_reflection(pool, marks, cls, ctx):
     """Keep member name and descriptor text alive when introspection is on."""
     if not ctx.introspection:
         return
@@ -267,15 +268,17 @@ def mark_reflection(pool, cls, ctx):
         for text in (member.name, member.descriptor):
             aidx = pool.utf8_aindex(text)
             if aidx is not None:
-                cp.mark(pool, cp.ATABLE, aidx)
+                cp.mark(pool, marks, cp.ATABLE, aidx)
 
 
-def relink_method(m, pool, sizes):
-    """Rewrite every pool-referencing operand through the pack remap."""
+def relink_method(m, pool, remaps, sizes):
+    """Rewrite every operand naming an entry of the loaded ``pool`` through
+    the (atable, vtable) remaps of its pack."""
     bc = m.code.bytecode
+    a_remap, v_remap = remaps
 
     def remap(space, idx, off):
-        table = pool.remap_a if space == cp.ATABLE else pool.remap_v
+        table = a_remap if space == cp.ATABLE else v_remap
         try:
             return table[idx]
         except KeyError:
@@ -287,4 +290,3 @@ def relink_method(m, pool, sizes):
     m.code.exception_table = [
         (s, e, h, None if c is None else remap(cp.ATABLE, c, 0))
         for s, e, h, c in m.code.exception_table]
-    m.code.relinked = True

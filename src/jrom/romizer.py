@@ -464,8 +464,7 @@ def load_image(data):
                 maps = None
                 if r.u8("stack map flag"):
                     maps = bytes(r.take(r.u32("stack map length"), "stack maps"))
-                code = lc.MethodCode(bc, max_stack, max_locals, exc, maps,
-                                     relinked=True)
+                code = lc.MethodCode(bc, max_stack, max_locals, exc, maps)
             rec.methods.append((mname, mdesc, mflags, code))
 
         rec.dispatch = []
@@ -554,8 +553,16 @@ def load_image(data):
                 a_payload.append(cp.MemberHandle(
                     owner, member.name, member.descriptor,
                     is_field=(kind == cp.A_FIELD), resolved=member))
-        cls.pool = cp.RuntimePool()
-        cp.set_packed(cls.pool, rec.a_kind, a_payload, rec.v_kind, rec.v_value)
+        cls.pool = cp.packed_pool(rec.a_kind, a_payload, rec.v_kind,
+                                  rec.v_value)
+        for m in cls.methods:
+            if m.code is None:
+                continue
+            for _, _, _, catch in m.code.exception_table:
+                if catch is not None and not cp.holds(cls.pool, cp.ATABLE,
+                                                      catch, cp.A_CLASS):
+                    raise Corrupt("catch type %d of %s is not a class entry"
+                                  % (catch, m), r.pos)
 
         table = []
         for owner_idx, method_idx in rec.dispatch:

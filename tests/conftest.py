@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from jrom import classfile as cf
+from jrom import constpool as cp
 from jrom.pipeline import Pipeline
 
 from .corpus import build_corpus, write_corpus
@@ -45,6 +46,32 @@ def raw_pool_byte_size(raw):
     """On-disk byte length of the pool region, entry by entry: loading reads
     it from the parser's offsets, and tests check that the two agree."""
     return sum(len(serialize_constant(c)) for c in raw.raw_pool)
+
+
+def resolve(pool, space, index):
+    """Canonical payload of a pool entry, for before/after comparisons."""
+    if space == cp.ATABLE:
+        kind, payload = pool.a_kind[index], pool.a_payload[index]
+        if kind in (cp.A_UTF8, cp.A_STRING):
+            return (kind, payload)
+        if kind == cp.A_CLASS:
+            return (cp.A_CLASS, payload.name)
+        return (kind, payload.owner.name, payload.name, payload.descriptor)
+    kind, value = pool.v_kind[index], pool.v_value[index]
+    if kind in (cp.V_INT, cp.V_FLOAT):
+        return (kind, value)
+    if kind in (cp.V_LONG_HI, cp.V_DBL_HI):
+        return (kind, (value << 32) | pool.v_value[index + 1])
+    if kind in (cp.V_LONG_LO, cp.V_DBL_LO):
+        return (pool.v_kind[index - 1],
+                (pool.v_value[index - 1] << 32) | value)
+    if kind == cp.V_STRING:
+        return (cp.V_STRING, pool.a_payload[value])
+    hi, lo = value >> 16, value & 0xFFFF
+    if kind == cp.V_NAT:
+        return (cp.V_NAT, pool.a_payload[hi], pool.a_payload[lo])
+    return ((kind,) + resolve(pool, cp.ATABLE, hi)[1:]
+            + resolve(pool, cp.ATABLE, lo)[1:])
 
 
 def make_pipeline(corpus_dir, **flags):

@@ -19,6 +19,7 @@ from jrom.errors import InvalidTransition, PoolOverflow, StaticOverflow
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .conftest import resolve
 from .corpus import build_corpus, corpus_names
 
 OP = ops.BY_NAME
@@ -141,7 +142,7 @@ def _resolve_every_operand(cls, m):
             continue
         entry, idx = found
         assert pool.kinds(entry.space)[idx] == entry.want
-        cp.resolve(pool, entry.space, idx)
+        resolve(pool, entry.space, idx)
         count += 1
     for *_, catch in m.code.exception_table:
         if catch is not None:
@@ -186,12 +187,12 @@ def test_criterion_6_closed_world_monotonicity(corpus_dir):
         bag = {}
         for cls in pipe.registry.loadable():
             for i in range(len(cls.pool.a_kind)):
-                key = (cls.name,) + cp.resolve(cls.pool, "a", i)
+                key = (cls.name,) + resolve(cls.pool, "a", i)
                 bag[key] = bag.get(key, 0) + 1
             for i, kind in enumerate(cls.pool.v_kind):
                 if kind in (cp.V_LONG_LO, cp.V_DBL_LO):
                     continue
-                key = (cls.name,) + cp.resolve(cls.pool, "v", i)
+                key = (cls.name,) + resolve(cls.pool, "v", i)
                 bag[key] = bag.get(key, 0) + 1
         return bag
 

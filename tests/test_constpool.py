@@ -9,6 +9,8 @@ from jrom import constpool as cp
 from jrom.errors import DanglingIndex, IndexOutOfRange, PoolOverflow
 from jrom.lifecycle import Registry
 
+from .conftest import resolve
+
 
 def raw_pool(*constants):
     """Hand-built RawClassFile around a pool; slot 0 implied."""
@@ -160,9 +162,10 @@ class TestPass2:
         cp.prelink_pass2(pool, raw)
         at_pass2 = pool.entry_count()
         assert at_build >= at_pass1 >= at_pass2
-        cp.mark(pool, "v", 0)
-        cp.pack(pool)
-        assert at_pass2 >= pool.entry_count()
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", 0)
+        packed, _, _ = cp.pack(pool, marks)
+        assert at_pass2 >= packed.entry_count()
 
 
 class TestMark:
@@ -177,30 +180,34 @@ class TestMark:
     def test_ref_cell_marks_both_handles(self):
         pool = self._pool()
         vidx = pool.v_kind.index(cp.V_METHODREF)
-        cp.mark(pool, "vtable", vidx)
+        a_marks, v_marks = marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "vtable", vidx)
         cell = pool.v_value[vidx]
-        assert pool.a_marks[cell >> 16]
-        assert pool.a_marks[cell & 0xFFFF]
+        assert a_marks[cell >> 16]
+        assert a_marks[cell & 0xFFFF]
 
     def test_mark_idempotent(self):
         pool = self._pool()
-        cp.mark(pool, "v", 0)
-        snapshot = (bytes(pool.a_marks), bytes(pool.v_marks))
-        cp.mark(pool, "v", 0)
-        assert (pool.a_marks, pool.v_marks) == snapshot
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", 0)
+        snapshot = (bytes(marks[0]), bytes(marks[1]))
+        cp.mark(pool, marks, "v", 0)
+        assert marks == snapshot
 
     def test_string_cell_marks_literal(self):
         pool = self._pool()
         vidx = pool.v_kind.index(cp.V_STRING)
-        cp.mark(pool, "v", vidx)
-        assert pool.a_marks[pool.v_value[vidx]]
+        a_marks, _ = marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", vidx)
+        assert a_marks[pool.v_value[vidx]]
 
     def test_out_of_range(self):
         pool = self._pool()
+        marks = cp.new_marks(pool)
         with pytest.raises(IndexOutOfRange):
-            cp.mark(pool, "v", 99)
+            cp.mark(pool, marks, "v", 99)
         with pytest.raises(IndexOutOfRange):
-            cp.mark(pool, "a", -1)
+            cp.mark(pool, marks, "a", -1)
 
 
 class TestHolds:
@@ -234,35 +241,38 @@ class TestPack:
                        (cf.TAG_INTEGER, 12), (cf.TAG_INTEGER, 13),
                        (cf.TAG_INTEGER, 14))
         pool = prelinked(raw)
+        marks = cp.new_marks(pool)
         for i in (0, 1, 2, 4):
-            cp.mark(pool, "v", i)
-        resolved_before = {i: cp.resolve(pool, "v", i) for i in (0, 1, 2, 4)}
-        cp.pack(pool)
-        assert pool.remap_v == {0: 0, 1: 1, 2: 2, 4: 3}
-        for old, new in pool.remap_v.items():
-            assert cp.resolve(pool, "v", new) == resolved_before[old]
+            cp.mark(pool, marks, "v", i)
+        resolved_before = {i: resolve(pool, "v", i) for i in (0, 1, 2, 4)}
+        packed, _, v_remap = cp.pack(pool, marks)
+        assert v_remap == {0: 0, 1: 1, 2: 2, 4: 3}
+        for old, new in v_remap.items():
+            assert resolve(packed, "v", new) == resolved_before[old]
 
     def test_all_marked_identity(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2))
         pool = prelinked(raw)
-        cp.mark(pool, "v", 0)
-        cp.mark(pool, "v", 1)
-        cp.pack(pool)
-        assert pool.remap_v == {0: 0, 1: 1}
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", 0)
+        cp.mark(pool, marks, "v", 1)
+        _, _, v_remap = cp.pack(pool, marks)
+        assert v_remap == {0: 0, 1: 1}
 
     def test_none_marked_empties_tables(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_UTF8, "gone"))
         pool = prelinked(raw)
-        cp.pack(pool)
-        assert pool.a_kind == [] and pool.v_kind == []
+        packed, _, _ = cp.pack(pool, cp.new_marks(pool))
+        assert packed.a_kind == [] and packed.v_kind == []
 
     def test_long_pair_moves_together(self):
         raw = raw_pool((cf.TAG_INTEGER, 7), (cf.TAG_LONG, 1 << 40))
         pool = prelinked(raw)
-        cp.mark(pool, "v", 1)    # the long's first cell
-        cp.pack(pool)
-        assert pool.v_kind == [cp.V_LONG_HI, cp.V_LONG_LO]
-        assert cp.resolve(pool, "v", 0) == (cp.V_LONG_HI, 1 << 40)
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", 1)    # the long's first cell
+        packed, _, _ = cp.pack(pool, marks)
+        assert packed.v_kind == [cp.V_LONG_HI, cp.V_LONG_LO]
+        assert resolve(packed, "v", 0) == (cp.V_LONG_HI, 1 << 40)
 
     def test_surviving_ref_cells_are_rewritten(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
@@ -271,28 +281,48 @@ class TestPack:
                        (cf.TAG_METHODREF, (2, 5)))
         pool = prelinked(raw)
         vidx = pool.v_kind.index(cp.V_METHODREF)
-        before = cp.resolve(pool, "v", vidx)
-        cp.mark(pool, "v", vidx)
-        cp.pack(pool)
-        new_vidx = pool.remap_v[vidx]
-        assert cp.resolve(pool, "v", new_vidx) == before
-        cell = pool.v_value[new_vidx]
-        assert (cell >> 16) < len(pool.a_kind)
-        assert (cell & 0xFFFF) < len(pool.a_kind)
+        before = resolve(pool, "v", vidx)
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", vidx)
+        packed, _, v_remap = cp.pack(pool, marks)
+        new_vidx = v_remap[vidx]
+        assert resolve(packed, "v", new_vidx) == before
+        cell = packed.v_value[new_vidx]
+        assert (cell >> 16) < len(packed.a_kind)
+        assert (cell & 0xFFFF) < len(packed.a_kind)
 
     def test_stats_count_before_and_after(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2),
                        (cf.TAG_UTF8, "z"), (cf.TAG_STRING, 3))
         pool = prelinked(raw)
-        cp.mark(pool, "v", 0)
-        entries_before, bytes_before = pool.entry_count(), pool.byte_size()
-        cp.pack(pool)
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", 0)
+        packed, _, _ = cp.pack(pool, marks)
         # live before: two ints, the string cell and its literal; the "z"
         # Utf8 fed the String constant and died during prelinking
-        assert entries_before == 4
-        assert pool.entry_count() == 2    # one int plus the kept literal
-        assert bytes_before == 4 + 4 + 4 + (2 + 1)
-        assert pool.byte_size() == 4 + (2 + 1)
+        assert pool.entry_count() == 4
+        assert packed.entry_count() == 2    # one int plus the kept literal
+        assert pool.byte_size() == 4 + 4 + 4 + (2 + 1)
+        assert packed.byte_size() == 4 + (2 + 1)
+
+    def test_pool_left_as_it_was(self):
+        raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
+                       (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
+                       (cf.TAG_NAMEANDTYPE, (3, 4)),
+                       (cf.TAG_METHODREF, (2, 5)), (cf.TAG_INTEGER, 3))
+        pool = prelinked(raw)
+
+        def tables(p):
+            return (list(p.a_kind), list(p.a_payload), list(p.v_kind),
+                    list(p.v_value), bytes(p.a_dead), bytes(p.v_dead),
+                    dict(p.origin))
+        before = tables(pool)
+        marks = cp.new_marks(pool)
+        cp.mark(pool, marks, "v", pool.v_kind.index(cp.V_METHODREF))
+        packed, _, _ = cp.pack(pool, marks)
+        assert packed is not pool and tables(pool) == before
+        assert packed.origin == {}
+        assert len(packed.v_kind) < len(pool.v_kind)
 
     def test_atable_overflow_rejected(self):
         # a NameAndType cannot pack an index above 16 bits
@@ -311,13 +341,14 @@ def test_pack_preserves_resolution_of_marked(marks):
                    (cf.TAG_UTF8, "a"), (cf.TAG_STRING, 3),
                    (cf.TAG_LONG, 1 << 35))
     pool = prelinked(raw)
+    pool_marks = cp.new_marks(pool)
     targets = []
     kinds = pool.v_kind
     for should_mark, vidx in zip(marks, [i for i, k in enumerate(kinds)
                                          if k != cp.V_LONG_LO]):
         if should_mark:
-            cp.mark(pool, "v", vidx)
-            targets.append((vidx, cp.resolve(pool, "v", vidx)))
-    cp.pack(pool)
+            cp.mark(pool, pool_marks, "v", vidx)
+            targets.append((vidx, resolve(pool, "v", vidx)))
+    packed, _, v_remap = cp.pack(pool, pool_marks)
     for old, value in targets:
-        assert cp.resolve(pool, "v", pool.remap_v[old]) == value
+        assert resolve(packed, "v", v_remap[old]) == value

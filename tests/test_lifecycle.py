@@ -99,14 +99,24 @@ class TestLoad:
         with pytest.raises(lc.HierarchyCycle):
             loader.ensure_loaded("cyc/A")
 
-    def test_loaded_snapshot_unchanged_by_linking(self, corpus, corpus_dir):
-        """The loaded snapshot copies the pool's lists, not its entries;
-        linking (reset_marks, pack, relink) must leave that copy as it was."""
+    def test_loaded_snapshot_unchanged_by_linking(self, corpus, corpus_dir,
+                                                  monkeypatch):
+        """The pool loading builds is the loaded snapshot itself; linking
+        packs into a new pool, leaves the loaded one's lists and dead flags
+        as they were, and keeps no raw-index origin map on the linked one."""
+        built = {}
+        build_pool = cp.build_pool
+
+        def recording_build_pool(raw):
+            built[raw.name] = pool = build_pool(raw)
+            return pool
+        monkeypatch.setattr(cp, "build_pool", recording_build_pool)
+
         def snapshot(cls):
             pool = cls.loaded_view.pool
             return ([id(p) for p in pool.a_payload], list(pool.a_kind),
-                    list(pool.v_kind), list(pool.v_value), bytes(pool.a_marks),
-                    bytes(pool.v_marks), bytes(pool.a_dead), bytes(pool.v_dead),
+                    list(pool.v_kind), list(pool.v_value), bytes(pool.a_dead),
+                    bytes(pool.v_dead), dict(pool.origin),
                     rz.snapshot_stats(cls, lc.LOADED))
         pipe = Pipeline([corpus_dir])
         pipe.load_targets(sorted(corpus), closure=True)
@@ -114,8 +124,10 @@ class TestLoad:
         before = {cls.name: snapshot(cls) for cls in loaded}
         assert pipe.link_all() == []
         for cls in loaded:
-            assert cls.state == lc.LINKED and cls.pool.packed
+            assert cls.state == lc.LINKED
+            assert cls.loaded_view.pool is built[cls.name]
             assert cls.pool is not cls.loaded_view.pool
+            assert cls.pool.origin == {}
             assert snapshot(cls) == before[cls.name], cls.name
 
 
@@ -230,10 +242,12 @@ class TestRewriteLoad:
         idx = struct.unpack_from(">H", bc, 2)[0]
         assert cls.pool.a_kind[idx] == cp.A_CLASS
 
-    def test_rewrite_marks_entries(self):
+    def test_rewrite_operand_holds_its_kind(self):
         cls, m = _single_method_class(
             lambda c: c.ldc_int(5).op("ireturn"))
-        assert cls.pool.v_marks[m.code.bytecode[1]]
+        bc = m.code.bytecode
+        entry = ops.OPERANDS[bc[0]]
+        assert cp.holds(cls.pool, entry.space, bc[1], entry.want)
 
     def test_plain_method_unchanged(self):
         cls, m = _single_method_class(
@@ -303,7 +317,8 @@ class TestRewriteLoad:
         with pytest.raises(BadPoolRef):
             lc.load(cls, bytes(data), reg.resolve)
 
-    def test_every_quick_target_marked_after_load(self, corpus, corpus_dir):
+    def test_every_quick_target_holds_its_kind_after_load(self, corpus,
+                                                         corpus_dir):
         reg, loader = fresh_world(corpus_dir)
         for name in sorted(corpus):
             cls = loader.ensure_loaded(name)
@@ -317,9 +332,7 @@ class TestRewriteLoad:
                     if found is None or found[0].kind != ops.QUICK:
                         continue
                     entry, idx = found
-                    marks = view.pool.v_marks if entry.space == cp.VTABLE \
-                        else view.pool.a_marks
-                    assert marks[idx]
+                    assert cp.holds(view.pool, entry.space, idx, entry.want)
 
 
 class TestDispatchTable:

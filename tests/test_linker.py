@@ -12,6 +12,7 @@ from jrom.errors import ClassNotFound, NoSuchField, NoSuchMethod, VerifyError
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .conftest import resolve
 
 OP = ops.BY_NAME
 
@@ -130,7 +131,10 @@ class TestPreverify:
             tmp_path, corpus_dir, lambda c: c.ldc_int(77).op("ireturn"))
         idx = m.code.bytecode[1]
         assert cls.pool.v_kind[idx] == cp.V_INT
-        assert cls.pool.v_marks[idx]
+        # marked: the cell survived the pack, and the operand names it
+        loaded = cls.loaded_view.pool
+        assert resolve(cls.pool, cp.VTABLE, idx) == resolve(
+            loaded, cp.VTABLE, m.code_loaded.bytecode[1])
 
     def test_catch_type_marked_and_survives(self, tmp_path, corpus_dir):
         def build(c):
@@ -454,10 +458,10 @@ class TestMarkReflection:
             with_intro = linked_pipeline.registry.get(cls.name)
             bag = {}
             for i in range(len(with_intro.pool.a_kind)):
-                key = cp.resolve(with_intro.pool, "a", i)
+                key = resolve(with_intro.pool, "a", i)
                 bag[key] = bag.get(key, 0) + 1
             for i in range(len(cls.pool.a_kind)):
-                key = cp.resolve(cls.pool, "a", i)
+                key = resolve(cls.pool, "a", i)
                 assert bag.get(key, 0) > 0, (cls.name, key)
                 bag[key] -= 1
 
@@ -522,5 +526,5 @@ def _resolved_operands(code, pool, relinked):
         entry, idx = found
         if entry.kind == ops.POOL and not relinked:
             idx = pool.origin[idx][1]
-        out[off] = cp.resolve(pool, entry.space, idx)
+        out[off] = resolve(pool, entry.space, idx)
     return out

@@ -1,10 +1,12 @@
 """Romizer tests: stats, image determinism, round trips, reports."""
 
+import hashlib
 import json
 
 import pytest
 
 from jrom import classfile as cf
+from jrom import cli
 from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
@@ -76,6 +78,31 @@ class TestEmit:
         pipe.load_targets(["corpus/Empty"], closure=True)
         with pytest.raises(NotLinked):
             rz.emit_image(pipe.registry.loadable(), pipe.ctx)
+
+    # sha256 of the corpus image and its report under each flag set
+    GOLDEN = {
+        (): ("836498ad3e267856d5964ad8e7d3cc89a680073e5a69a60be80ebc0b07bdb0bc",
+             "4f8c37f75fc2808993ee54b851b18c0faec313382d02553c5fba5e42b8e6d3b5"),
+        ("--no-introspection",): (
+            "6ed59e238d0edb25bb80ee3571a66673509dbc160f9d9c0d7ba10ffb2b4acba4",
+            "694cef060cf5b9ccb9302a356a84cd0b32b4bac810e81017469a18823cd11b97"),
+        ("--private-field-opt",): (
+            "21e19cdded7b88afc35616fd0b6aa86725812db714eb8b4e75916366802d5bcb",
+            "37ae0f02c9f8de63ee50599213efb1d3c8b021ef2c6a053d04114fefb8a1a796"),
+        ("--closed-world",): (
+            "3ff765b08b8af01f5e9cea9a01c053841f340a142cfd179f10e6ab9839063055",
+            "15b2f43369a005c3fe759861b9d1f7bead8927412d8016a64faf2bbc618ce9ca"),
+    }
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN),
+                             ids=lambda flags: "-".join(flags) or "default")
+    def test_golden_image_and_report(self, corpus_dir, tmp_path, flags):
+        out = str(tmp_path / "corpus.rom")
+        assert cli.main(["romize", "--classpath", corpus_dir, "--out", out,
+                         *flags, *corpus_names()]) == 0
+        digests = tuple(hashlib.sha256(open(path, "rb").read()).hexdigest()
+                        for path in (out, out + ".report.txt"))
+        assert digests == self.GOLDEN[flags]
 
 
 class TestLoadImage:
@@ -162,6 +189,22 @@ class TestLoadImage:
         with pytest.raises(Corrupt) as err:
             rz.load_image(data)
         assert "<init>" in str(err.value)
+
+    def test_catch_type_past_the_atable_is_corrupt(self, corpus_dir):
+        pipe = make_pipeline(corpus_dir)
+        typed = 0
+        for cls in pipe.registry.loadable():
+            for m in cls.methods:
+                if m.code is None:
+                    continue
+                typed += sum(c is not None
+                             for _, _, _, c in m.code.exception_table)
+                m.code.exception_table = [
+                    (s, e, h, None if c is None else 999)
+                    for s, e, h, c in m.code.exception_table]
+        assert typed > 0
+        with pytest.raises(Corrupt, match="catch type 999"):
+            rz.load_image(pipe.emit_image())
 
 
 class TestImageFuzz:
