@@ -216,7 +216,7 @@ _U4 = struct.Struct(">I")
 
 class ByteReader:
     """Bounds-checked big-endian reads at a moving offset; a short input
-    raises Truncated.  The image reader has its own layouts and error."""
+    raises Truncated."""
 
     def __init__(self, data):
         self.data = data

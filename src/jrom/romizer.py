@@ -10,10 +10,11 @@ footprint reports.
 import bisect
 import json
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
-from . import classfile as cf
 from . import constpool as cp
 from . import lifecycle as lc
 from . import linker as lk
@@ -29,11 +30,9 @@ FLAG_CLOSED_WORLD = 4
 
 _A_KIND_CODE = {cp.A_UTF8: 0, cp.A_STRING: 1, cp.A_CLASS: 2,
                 cp.A_FIELD: 3, cp.A_METHOD: 4}
-_A_CODE_KIND = {v: k for k, v in _A_KIND_CODE.items()}
 _V_KIND_CODE = {cp.V_INT: 0, cp.V_FLOAT: 1, cp.V_LONG_HI: 2, cp.V_LONG_LO: 3,
                 cp.V_DBL_HI: 4, cp.V_DBL_LO: 5, cp.V_STRING: 6, cp.V_NAT: 7,
                 cp.V_FIELDREF: 8, cp.V_METHODREF: 9, cp.V_IFACEREF: 10}
-_V_CODE_KIND = {v: k for k, v in _V_KIND_CODE.items()}
 
 # sizing model shared by reports: text entries cost their bytes plus a
 # 2-byte length, handles and 32-bit cells cost 4 bytes each; class bytes
@@ -85,426 +84,515 @@ def snapshot_stats(cls, stage):
     return StageStats(view.pool.entry_count(), pool_bytes, total)
 
 
+# --- the image schema ---
+#
+# The image is a header, the string section and one record per class, in
+# name order.  Each is described once, below, and emit_image and load_image
+# both walk that description.  A record is fields and parts in order.  A
+# field is one fixed-size value; its type packs it and reads it back with
+# its range check, which raises Corrupt at the offset just past the value.
+# A part (array, option, union, blob) is a fixed-size head, a count, flag,
+# kind code or length, then a rest whose size the head decides.  A run of
+# fields, with the head of the part that ends it, is one struct, and an
+# array of fixed-size records is one iter_unpack.
+
+class _Cursor:
+    """A walk's place in one image, and the string section and class table
+    that its string ids and class indexes name."""
+
+    def __init__(self, data, string_ids=None, class_index=None):
+        self.data, self.pos, self.strings, self.class_count = data, 0, [], 0
+        self.string_ids, self.class_index = string_ids, class_index
+        self.missing = set()        # classes referenced but not written
+
+
+class Field:
+    """A fixed-size value: its struct code and the name a short image
+    reports.  A subclass converts the value as it is written (dump), and
+    checks and converts it as it is read (load)."""
+    dump = load = None
+
+    def __init__(self, fmt, what):
+        self.fmt, self.what, self.head = fmt, what, self
+        self.layout = struct.Struct("<" + fmt)
+
+
+U8, U16, U32, U64 = (partial(Field, fmt) for fmt in "BHIQ")
+
+
+class Expect(Field):
+    """A value the image must hold, or ``error(value)`` is raised."""
+
+    def __init__(self, fmt, what, value, error):
+        super().__init__(fmt, what)
+        self.value, self.error = value, error
+
+    def load(self, cur, value, at):
+        if value != self.value:
+            raise self.error(value)
+        return value
+
+
+class StringId(Field):
+    """A string, as its index in the string section."""
+
+    def __init__(self, what, fmt="I"):
+        super().__init__(fmt, what)
+
+    def dump(self, cur, text):
+        return cur.string_ids[text]
+
+    def load(self, cur, sid, at):
+        try:
+            return cur.strings[sid]
+        except IndexError:
+            raise Corrupt("bad %s string id %d" % (self.what, sid),
+                          at) from None
+
+
+class ZoneString(StringId):
+    """A static zone slot holding an interned string, ("str", text)."""
+
+    def dump(self, cur, slot):
+        return cur.string_ids[slot[1]]
+
+    def load(self, cur, sid, at):
+        return "str", super().load(cur, sid, at)
+
+
+class ClassIndex(Field):
+    """A class of the image, as its index in the name-sorted class table."""
+
+    def __init__(self, what, label):
+        super().__init__("H", what)
+        self.label = label
+
+    def dump(self, cur, cls):
+        if cls.name not in cur.class_index:
+            cur.missing.add(cls.name)
+        return cur.class_index.get(cls.name, 0)
+
+    def load(self, cur, idx, at):
+        if idx >= cur.class_count:
+            raise Corrupt("%s %d out of range" % (self.label, idx), at)
+        return idx
+
+
+class Code(Field):
+    """A kind, as its one-byte code."""
+
+    def __init__(self, codes, what, label=None):
+        super().__init__("B", what)
+        self.codes, self.label = codes, label or what
+        self.kinds = {code: kind for kind, code in codes.items()}
+
+    def dump(self, cur, kind):
+        return self.codes[kind]
+
+    def load(self, cur, code, at):
+        if code not in self.kinds:
+            raise Corrupt("bad %s %d" % (self.label, code), at)
+        return self.kinds[code]
+
+
+class Catch(Field):
+    """A catch type: an atable index, or 0xFFFF (None) for any exception."""
+
+    def dump(self, cur, catch):
+        return 0xFFFF if catch is None else catch
+
+    def load(self, cur, value, at):
+        return None if value == 0xFFFF else value
+
+
+class Int32(Field):
+    """An int, sign-extended to 64 bits; read back from the low 32."""
+
+    def load(self, cur, value, at):
+        value &= 0xFFFFFFFF
+        return value - (1 << 32) if value >= 1 << 31 else value
+
+
+class Record:
+    """Fields and parts in order.  Its value is the list of theirs, or for a
+    record of one member, that member's value."""
+
+    def __init__(self, *members):
+        self.runs, run = [], []     # (layout, members, part or None)
+        for i, m in enumerate(members):
+            run.append(m)
+            if m.head is not m or i == len(members) - 1:
+                self.runs.append((
+                    struct.Struct("<" + "".join(r.head.fmt for r in run)),
+                    run, m if m.head is not m else None))
+                run = []
+        layout, run, part = self.runs[0]
+        self.single = len(members) == 1
+        # a fixed-size record: its layout, and its loads by index from the end
+        self.flat = None if part or len(self.runs) > 1 else (
+            layout, [(k - len(run), m.load)
+                     for k, m in enumerate(run) if m.load])
+        self.read, self.write = self._generate()
+
+    def _generate(self):
+        """The record's read and write, generated once as straight-line
+        code: each run is one unpack into locals or one pack from them, with
+        its loads or dumps and the rest of its part.  Read by a loop over
+        the runs, a method record took a third longer."""
+        env, names, read, write = {"short": _short}, [], [], []
+        for i, (layout, members, part) in enumerate(self.runs):
+            run = ["v%d" % k for k in range(len(names),
+                                            len(names) + len(members))]
+            names += run
+            env["layout%d" % i] = layout
+            env["fields%d" % i] = [m.head for m in members]
+            read += ["    pos = cur.pos",
+                     "    cur.pos = end = pos + %d" % layout.size,
+                     "    if end > limit:",
+                     "        short(cur, pos, fields%d)" % i,
+                     "    %s, = layout%d.unpack_from(data, pos)"
+                     % (", ".join(run), i)]
+            packed, end = [], 0
+            for name, m in zip(run, members):
+                end += m.head.layout.size
+                if m.head.load:
+                    env["load_" + name] = m.head.load
+                    read.append("    %s = load_%s(cur, %s, pos + %d)"
+                                % (name, name, name, end))
+                if m.dump:
+                    env["dump_" + name] = m.dump
+                    name = "dump_%s(cur, %s)" % (name, name)
+                packed.append(name)
+            write.append("    cur.data += layout%d.pack(%s)"
+                         % (i, ", ".join(packed)))
+            if part:
+                last = run[-1]
+                env["rest_" + last] = part.rest
+                env["write_" + last] = part.write_rest
+                rest = "rest_%s(cur, %s)" % (last, last)
+                if part.empty:      # after a zero head nothing follows
+                    rest += " if %s else %s" % (last, part.empty)
+                read.append("    %s = %s" % (last, rest))
+                write.append("    write_%s(cur, %s)" % (last, last))
+        values = ", ".join(names) if self.single else "[%s]" % ", ".join(names)
+        src = "\n".join(["def read(cur):", "    data = cur.data",
+                         "    limit = len(data)"] + read
+                        + ["    return " + values,
+                           "def write(cur, value):",
+                           "    %s = value" % values] + write)
+        exec(compile(src, "<image record>", "exec"), env)
+        return env["read"], env["write"]
+
+
+def _short(cur, pos, fields):
+    """Raise for a run the image ends inside, as reading its fields one by
+    one would: check those that fit, then name the first that does not."""
+    for f in fields:
+        end = pos + f.layout.size
+        if end > len(cur.data):
+            raise Corrupt("truncated %s" % f.what, pos)
+        if f.load:
+            f.load(cur, f.layout.unpack_from(cur.data, pos)[0], end)
+        pos = end
+
+
+def _record(node):
+    return node if isinstance(node, Record) else Record(node)
+
+
+class Array:
+    """A count, then that many elements."""
+    empty = "[]"
+
+    def __init__(self, count, elem):
+        self.head, self.elem = count, _record(elem)
+
+    def dump(self, cur, items):
+        return len(items)
+
+    def rest(self, cur, n):
+        pos, flat, read = cur.pos, self.elem.flat, self.elem.read
+        end = pos + n * flat[0].size if flat else 0
+        if not flat or end > len(cur.data):
+            return [read(cur) for _ in range(n)]
+        rows = [list(row) for row in flat[0].iter_unpack(cur.data[pos:end])]
+        try:
+            for row in rows:
+                for k, load in flat[1]:
+                    row[k] = load(cur, row[k], end)
+        except Corrupt:         # read one by one, to raise at its offset
+            return [read(cur) for _ in range(n)]
+        cur.pos = end
+        return [row[0] for row in rows] if self.elem.single else rows
+
+    def write_rest(self, cur, items):
+        write = self.elem.write
+        for item in items:
+            write(cur, item)
+
+
+class Option:
+    """A flag, then the body if the flag is set; None stands for no body."""
+    empty = "None"
+
+    def __init__(self, flag, body):
+        self.head, self.body = flag, _record(body)
+
+    def dump(self, cur, value):
+        return value is not None
+
+    def rest(self, cur, flag):
+        return self.body.read(cur) if flag else None
+
+    def write_rest(self, cur, value):
+        if value is not None:
+            self.body.write(cur, value)
+
+
+class Union:
+    """A kind code, then the body of that kind; the value is (kind, the
+    body's value), with None for a kind that has no body."""
+    empty = None
+
+    def __init__(self, code, bodies):
+        self.head = code
+        self.bodies = {kind: body and _record(body)
+                       for kind, body in bodies.items()}
+
+    def dump(self, cur, value):
+        return self.head.dump(cur, value[0])
+
+    def rest(self, cur, kind):
+        body = self.bodies[kind]
+        return kind, body and body.read(cur)
+
+    def write_rest(self, cur, value):
+        if self.bodies[value[0]]:
+            self.bodies[value[0]].write(cur, value[1])
+
+
+class Blob:
+    """A byte length, then the bytes, or a string's UTF-8 if ``text``."""
+
+    def __init__(self, length, what, text=False):
+        self.head, self.what, self.text = length, what, text
+        self.empty = "''" if text else "b''"
+
+    def dump(self, cur, data):
+        return len(self._bytes(data))
+
+    def rest(self, cur, n):
+        pos = cur.pos
+        if pos + n > len(cur.data):
+            raise Corrupt("truncated %s" % self.what, pos)
+        cur.pos = pos + n
+        if not self.text:
+            return cur.data[pos:pos + n]
+        try:
+            return cur.data[pos:pos + n].decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            raise Corrupt("undecodable string table entry", cur.pos) from None
+
+    def write_rest(self, cur, data):
+        cur.data += self._bytes(data)
+
+    def _bytes(self, data):
+        return data.encode("utf-8", "surrogatepass") if self.text else data
+
+
+def _class_ref(what):
+    """A class: its index in the image, the name of a synthetic (array or
+    primitive) class, or none."""
+    return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
+                      "class reference tag"),
+                 {"index": ClassIndex(what, "class index"),
+                  "synthetic": StringId(what), None: None})
+
+
+_ZONES = (Array(U16("a zone size"),
+                Option(U8("a slot tag"), ZoneString("a slot"))),
+          Array(U16("v zone size"), U32("v slot")))
+
+
+_HEADER = Record(
+    Expect("4s", "magic", IMAGE_MAGIC,
+           lambda _: BadImageMagic("not a romized image")),
+    Expect("H", "version", IMAGE_VERSION,
+           lambda v: VersionMismatch("image format %d, expected %d"
+                                     % (v, IMAGE_VERSION))),
+    U16("flags"), U32("class count"),
+    # string ids, resolved once the string section after them is read
+    Array(U16("closed package count"), U32("closed package")))
+_CLOSED_PACKAGE = StringId("closed package")
+
+_STRINGS = Record(Array(U32("string count"),
+                        Blob(U16("string length"), "string data", text=True)))
+
+_MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
+
+_CLASS = Record(
+    StringId("class name"), U16("access flags"), U8("ready flag"),
+    _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
+    U32("raw entries"), U32("raw pool bytes"), U32("raw file bytes"),
+    Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+        cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
+        cp.A_CLASS: _class_ref("class handle"),
+        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
+    Array(U16("vtable size"),
+          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
+    Array(U16("field count"), Record(
+        StringId("field name"), StringId("field descriptor"),
+        U16("field flags"), Option(U8("constant value flag"), Union(
+            Code({kind: ord(kind) for kind in "ijfds"},
+                 "constant value kind"),
+            {"i": Int32("q", "constant value"),
+             "j": Field("q", "constant value"),
+             "f": U64("constant value"), "d": U64("constant value"),
+             "s": StringId("constant value", "Q")})))),
+    Array(U16("method count"), Record(
+        StringId("method name"), StringId("method descriptor"),
+        U16("method flags"), Option(U8("code flag"), Record(
+            U16("max stack"), U16("max locals"),
+            Blob(U32("code length"), "bytecode"),
+            Array(U16("exception count"), Record(
+                U16("start"), U16("end"), U16("handler"),
+                Catch("H", "catch"))),
+            Option(U8("stack map flag"),
+                   Blob(U32("stack map length"), "stack maps")))))),
+    Array(U16("dispatch size"), Record(
+        ClassIndex("table owner", "dispatch owner"), U16("table method"))),
+    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)))
+# the values of a class record, in order
+_ClassValues = namedtuple("_ClassValues", (
+    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
+    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
+    " zones_initial"))
+
+
 # --- image writing ---
 
-# the image's integer layouts, for writing and reading
-_U16, _U32, _U64 = (struct.Struct(f) for f in ("<H", "<I", "<Q"))
-
-
-class _Writer:
-    def __init__(self):
-        self.out = bytearray()
-        self.strings = []
-        self._string_ids = {}
-
-    def string_id(self, text):
-        sid = self._string_ids.get(text)
-        if sid is None:
-            sid = len(self.strings)
-            self.strings.append(text)
-            self._string_ids[text] = sid
-        return sid
-
-    def u8(self, v):
-        self.out.append(v)
-
-    def u16(self, v):
-        self.out += _U16.pack(v)
-
-    def u32(self, v):
-        self.out += _U32.pack(v)
-
-    def u64(self, v):
-        self.out += _U64.pack(v)
-
-    def raw(self, data):
-        self.out += data
-
-    def blob(self, data):
-        self.u32(len(data))
-        self.raw(data)
-
-
-def _collect_strings(w, classes, flag_obj):
-    """First pass so the string section can sit ahead of the class records."""
-    for pkg in sorted(getattr(flag_obj, "closed_packages", ()) or ()):
-        w.string_id(pkg)
+def _collect_strings(classes, flags):
+    """The string section as text -> id, in first-use order; it sits ahead
+    of the class records, so every string is collected first."""
+    texts = sorted(flags.closed_packages)
     for cls in classes:
-        w.string_id(cls.name)
         pool = cls.pool
-        for kind, payload in zip(pool.a_kind, pool.a_payload):
-            if kind in (cp.A_UTF8, cp.A_STRING):
-                w.string_id(payload)
+        texts.append(cls.name)
+        texts += [payload for kind, payload in zip(pool.a_kind, pool.a_payload)
+                  if kind in (cp.A_UTF8, cp.A_STRING)]
         for f in cls.fields:
-            w.string_id(f.name)
-            w.string_id(f.descriptor)
+            texts += (f.name, f.descriptor)
             if f.constant_value is not None and f.constant_value[0] == "s":
-                w.string_id(f.constant_value[1])
+                texts.append(f.constant_value[1])
         for m in cls.methods:
-            w.string_id(m.name)
-            w.string_id(m.descriptor)
-        for zone in (cls.a_static_zone,
-                     (cls.zones_initial or ((), ()))[0]):
-            for slot in zone:
-                if isinstance(slot, tuple):
-                    w.string_id(slot[1])
-        for kind, payload in zip(pool.a_kind, pool.a_payload):
-            if kind == cp.A_CLASS and payload.synthetic:
-                w.string_id(payload.name)
+            texts += (m.name, m.descriptor)
+        for zone in (cls.a_static_zone, (cls.zones_initial or ((),))[0]):
+            texts += [slot[1] for slot in zone if isinstance(slot, tuple)]
+        texts += [payload.name for kind, payload
+                  in zip(pool.a_kind, pool.a_payload)
+                  if kind == cp.A_CLASS and payload.synthetic]
+    for cls in classes:
+        texts += [sup.name for sup in [cls.super_cls] + cls.interfaces
+                  if sup is not None and sup.synthetic]
+    return {text: i for i, text in enumerate(dict.fromkeys(texts))}
 
 
-def emit_image(classes, flags=None):
+def _ref(cls):
+    if cls is None:
+        return None, None
+    return ("synthetic", cls.name) if cls.synthetic else ("index", cls)
+
+
+def _entry(kind, payload):
+    if kind == cp.A_CLASS:
+        return kind, _ref(payload)
+    if kind in (cp.A_FIELD, cp.A_METHOD):
+        member = payload.resolved
+        owner = member.owner
+        members = owner.fields if kind == cp.A_FIELD else owner.methods
+        return kind, (owner, members.index(member))
+    return kind, payload
+
+
+def emit_image(classes, flags):
     """Serialize a linked, closed class set; byte-identical per input set."""
     ordered = sorted(classes, key=lambda c: c.name)
-    index = {c.name: i for i, c in enumerate(ordered)}
     for cls in ordered:
         if cls.state != lc.LINKED:
             raise NotLinked(cls.name)
-
-    missing = set()
+    cur = _Cursor(bytearray(), _collect_strings(ordered, flags),
+                  {c.name: i for i, c in enumerate(ordered)})
+    _HEADER.write(cur, (
+        IMAGE_MAGIC, IMAGE_VERSION,
+        (FLAG_INTROSPECTION if flags.introspection else 0)
+        | (FLAG_PRIVATE_OPT if flags.private_field_opt else 0)
+        | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
+        len(ordered),
+        [cur.string_ids[pkg] for pkg in sorted(flags.closed_packages)]))
+    _STRINGS.write(cur, list(cur.string_ids))
     for cls in ordered:
-        for dep in [cls.super_cls] + cls.interfaces:
-            if dep is not None and not dep.synthetic and dep.name not in index:
-                missing.add(dep.name)
-        for kind, payload in zip(cls.pool.a_kind, cls.pool.a_payload):
-            if kind == cp.A_CLASS and not payload.synthetic \
-                    and payload.name not in index:
-                missing.add(payload.name)
-            elif kind in (cp.A_FIELD, cp.A_METHOD):
-                owner = payload.resolved.owner
-                if not owner.synthetic and owner.name not in index:
-                    missing.add(owner.name)
-    if missing:
-        raise IncompleteClosure(missing)
-
-    w = _Writer()
-    _collect_strings(w, ordered, flags)
-
-    flag_bits = 0
-    closed_pkgs = sorted(getattr(flags, "closed_packages", ()) or ())
-    if flags is None or getattr(flags, "introspection", True):
-        flag_bits |= FLAG_INTROSPECTION
-    if flags is not None and getattr(flags, "private_field_opt", False):
-        flag_bits |= FLAG_PRIVATE_OPT
-    if flags is not None and getattr(flags, "closed_world", False):
-        flag_bits |= FLAG_CLOSED_WORLD
-
-    w.raw(IMAGE_MAGIC)
-    w.u16(IMAGE_VERSION)
-    w.u16(flag_bits)
-    w.u32(len(ordered))
-    w.u16(len(closed_pkgs))
-    for pkg in closed_pkgs:
-        w.u32(w.string_id(pkg))
-
-    w.u32(len(w.strings))
-    for text in w.strings:
-        data = text.encode("utf-8", "surrogatepass")
-        w.u16(len(data))
-        w.raw(data)
-
-    def classref(c):
-        if c is None:
-            w.u8(2)
-        elif c.synthetic:
-            w.u8(1)
-            w.u32(w.string_id(c.name))
-        else:
-            w.u8(0)
-            w.u16(index[c.name])
-
-    for cls in ordered:
-        w.u32(w.string_id(cls.name))
-        w.u16(cls.access_flags)
-        w.u8(1 if cls.ready else 0)
-        classref(cls.super_cls)
-        w.u16(len(cls.interfaces))
-        for iface in cls.interfaces:
-            classref(iface)
-        w.u32(cls.raw_stats["entries"] if cls.raw_stats else 0)
-        w.u32(cls.raw_stats["pool_bytes"] if cls.raw_stats else 0)
-        w.u32(cls.raw_stats["file_bytes"] if cls.raw_stats else 0)
-
-        pool = cls.pool
-        w.u16(len(pool.a_kind))
-        for kind, payload in zip(pool.a_kind, pool.a_payload):
-            w.u8(_A_KIND_CODE[kind])
-            if kind in (cp.A_UTF8, cp.A_STRING):
-                w.u32(w.string_id(payload))
-            elif kind == cp.A_CLASS:
-                classref(payload)
-            else:
-                member = payload.resolved
-                owner = member.owner
-                w.u16(index[owner.name])
-                members = owner.fields if kind == cp.A_FIELD else owner.methods
-                w.u16(members.index(member))
-        w.u16(len(pool.v_kind))
-        for kind, value in zip(pool.v_kind, pool.v_value):
-            w.u8(_V_KIND_CODE[kind])
-            w.u32(value)
-
-        w.u16(len(cls.fields))
-        for f in cls.fields:
-            w.u32(w.string_id(f.name))
-            w.u32(w.string_id(f.descriptor))
-            w.u16(f.access_flags)
-            if f.constant_value is None:
-                w.u8(0)
-            else:
-                kind, value = f.constant_value
-                w.u8(1)
-                w.raw(kind.encode())
-                if kind == "s":
-                    w.u64(w.string_id(value))
-                else:
-                    w.u64(value & 0xFFFFFFFFFFFFFFFF)
-
-        w.u16(len(cls.methods))
-        for m in cls.methods:
-            w.u32(w.string_id(m.name))
-            w.u32(w.string_id(m.descriptor))
-            w.u16(m.access_flags)
-            if m.code is None:
-                w.u8(0)
-                continue
-            w.u8(1)
-            w.u16(m.code.max_stack)
-            w.u16(m.code.max_locals)
-            w.blob(m.code.bytecode)
-            w.u16(len(m.code.exception_table))
-            for s, e, h, catch in m.code.exception_table:
-                w.u16(s)
-                w.u16(e)
-                w.u16(h)
-                w.u16(0xFFFF if catch is None else catch)
-            if m.code.stack_maps is None:
-                w.u8(0)
-            else:
-                w.u8(1)
-                w.blob(m.code.stack_maps)
-
-        w.u16(len(cls.dispatch_table))
-        for m in cls.dispatch_table:
-            w.u16(index[m.owner.name])
-            w.u16(m.owner.methods.index(m))
-
-        def zones_out(a_zone, v_zone):
-            w.u16(len(a_zone))
-            for slot in a_zone:
-                if slot is None:
-                    w.u8(0)
-                else:
-                    w.u8(1)
-                    w.u32(w.string_id(slot[1]))
-            w.u16(len(v_zone))
-            for cell in v_zone:
-                w.u32(cell)
-
-        zones_out(cls.a_static_zone, cls.v_static_zone)
-        if cls.zones_initial is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            zones_out(*cls.zones_initial)
-
-    return bytes(w.out)
+        pool, raw = cls.pool, cls.raw_stats or {}
+        _CLASS.write(cur, _ClassValues(
+            cls.name, cls.access_flags, int(cls.ready), _ref(cls.super_cls),
+            [_ref(c) for c in cls.interfaces], raw.get("entries", 0),
+            raw.get("pool_bytes", 0), raw.get("file_bytes", 0),
+            [_entry(k, p) for k, p in zip(pool.a_kind, pool.a_payload)],
+            list(zip(pool.v_kind, pool.v_value)),
+            [(f.name, f.descriptor, f.access_flags, f.constant_value)
+             for f in cls.fields],
+            [(m.name, m.descriptor, m.access_flags, m.code and (
+                m.code.max_stack, m.code.max_locals, m.code.bytecode,
+                m.code.exception_table, m.code.stack_maps))
+             for m in cls.methods],
+            [(m.owner, m.owner.methods.index(m)) for m in cls.dispatch_table],
+            cls.a_static_zone, cls.v_static_zone, cls.zones_initial))
+    if cur.missing:
+        raise IncompleteClosure(cur.missing)
+    return bytes(cur.data)
 
 
 # --- image reading ---
 
-class _ImageReader(cf.ByteReader):
-    """Little-endian reads; a short image raises Corrupt at the read's offset."""
-    u8 = cf.ByteReader.u1
-    u16 = cf.read_one(_U16)
-    u32 = cf.read_one(_U32)
-    u64 = cf.read_one(_U64)
-
-    def truncated(self, what):
-        return Corrupt("truncated %s" % what, self.pos)
-
-
 def load_image(data):
     """Reconstruct a registry of linked (and ready) classes from an image;
     its ``image_flags`` hold the header's flags and closed packages."""
-    r = _ImageReader(data)
-    if r.take(4, "magic") != IMAGE_MAGIC:
-        raise BadImageMagic("not a romized image")
-    version = r.u16("version")
-    if version != IMAGE_VERSION:
-        raise VersionMismatch("image format %d, expected %d"
-                              % (version, IMAGE_VERSION))
-    flag_bits = r.u16("flags")
-    class_count = r.u32("class count")
-    pkg_ids = [r.u32("closed package")
-               for _ in range(r.u16("closed package count"))]
-
-    string_count = r.u32("string count")
-    strings = []
-    for _ in range(string_count):
-        n = r.u16("string length")
-        raw = r.take(n, "string data")
-        try:
-            strings.append(raw.decode("utf-8", "surrogatepass"))
-        except UnicodeDecodeError:
-            raise Corrupt("undecodable string table entry", r.pos) from None
-
-    def string_at(sid, what):
-        if sid >= len(strings):
-            raise Corrupt("bad %s string id %d" % (what, sid), r.pos)
-        return strings[sid]
-
+    cur = _Cursor(data)
+    _, _, flag_bits, cur.class_count, package_ids = _HEADER.read(cur)
+    cur.strings = _STRINGS.read(cur)
     registry = lc.Registry()
     registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
-        closed_packages={string_at(sid, "closed package") for sid in pkg_ids})
-    # first create every class so cross references can be wired directly
-    records = []
-    classes = []
-
-    class _Rec:
-        pass
-
-    # class names appear inside the records, so parse in two passes over
-    # the same byte range is impossible; instead read fully into records
-    for ci in range(class_count):
-        rec = _Rec()
-        rec.name = string_at(r.u32("class name"), "class name")
-        rec.access_flags = r.u16("access flags")
-        rec.ready = r.u8("ready flag")
-
-        def classref(what):
-            tag = r.u8(what)
-            if tag == 2:
-                return None
-            if tag == 1:
-                return ("synthetic", string_at(r.u32(what), what))
-            if tag != 0:
-                raise Corrupt("bad class reference tag %d" % tag, r.pos)
-            idx = r.u16(what)
-            if idx >= class_count:
-                raise Corrupt("class index %d out of range" % idx, r.pos)
-            return ("index", idx)
-
-        rec.super_ref = classref("superclass")
-        rec.interfaces = [classref("interface") for _ in range(r.u16("ifaces"))]
-        rec.raw_stats = {"entries": r.u32("raw entries"),
-                         "pool_bytes": r.u32("raw pool bytes"),
-                         "file_bytes": r.u32("raw file bytes")}
-        rec.a_kind, rec.a_payload = [], []
-        for _ in range(r.u16("atable size")):
-            code = r.u8("atable kind")
-            kind = _A_CODE_KIND.get(code)
-            if kind is None:
-                raise Corrupt("bad atable kind %d" % code, r.pos)
-            rec.a_kind.append(kind)
-            if kind in (cp.A_UTF8, cp.A_STRING):
-                rec.a_payload.append(string_at(r.u32("text"), "text"))
-            elif kind == cp.A_CLASS:
-                rec.a_payload.append(classref("class handle"))
-            else:
-                owner_idx = r.u16("owner")
-                if owner_idx >= class_count:
-                    raise Corrupt("member owner %d out of range" % owner_idx,
-                                  r.pos)
-                rec.a_payload.append((owner_idx, r.u16("member")))
-        rec.v_kind, rec.v_value = [], []
-        for _ in range(r.u16("vtable size")):
-            code = r.u8("vtable kind")
-            kind = _V_CODE_KIND.get(code)
-            if kind is None:
-                raise Corrupt("bad vtable kind %d" % code, r.pos)
-            rec.v_kind.append(kind)
-            rec.v_value.append(r.u32("cell"))
-
-        rec.fields = []
-        for _ in range(r.u16("field count")):
-            fname = string_at(r.u32("field name"), "field name")
-            fdesc = string_at(r.u32("field descriptor"), "field descriptor")
-            fflags = r.u16("field flags")
-            cv = None
-            if r.u8("constant value flag"):
-                kind_byte = r.u8("constant value kind")
-                kind = chr(kind_byte)
-                if kind not in ("i", "j", "f", "d", "s"):
-                    raise Corrupt("bad constant value kind %d" % kind_byte,
-                                  r.pos)
-                raw = r.u64("constant value")
-                if kind == "s":
-                    cv = ("s", string_at(raw, "constant value"))
-                elif kind in ("i", "j"):
-                    width = 32 if kind == "i" else 64
-                    v = raw & ((1 << width) - 1)
-                    if v >= 1 << (width - 1):
-                        v -= 1 << width
-                    cv = (kind, v)
-                else:
-                    cv = (kind, raw)
-            rec.fields.append((fname, fdesc, fflags, cv))
-
-        rec.methods = []
-        for _ in range(r.u16("method count")):
-            mname = string_at(r.u32("method name"), "method name")
-            mdesc = string_at(r.u32("method descriptor"), "method descriptor")
-            mflags = r.u16("method flags")
-            code = None
-            if r.u8("code flag"):
-                max_stack = r.u16("max stack")
-                max_locals = r.u16("max locals")
-                bc = bytearray(r.take(r.u32("code length"), "bytecode"))
-                exc = []
-                for _ in range(r.u16("exception count")):
-                    s = r.u16("start")
-                    e = r.u16("end")
-                    h = r.u16("handler")
-                    c = r.u16("catch")
-                    exc.append((s, e, h, None if c == 0xFFFF else c))
-                maps = None
-                if r.u8("stack map flag"):
-                    maps = bytes(r.take(r.u32("stack map length"), "stack maps"))
-                code = lc.MethodCode(bc, max_stack, max_locals, exc, maps)
-            rec.methods.append((mname, mdesc, mflags, code))
-
-        rec.dispatch = []
-        for _ in range(r.u16("dispatch size")):
-            owner_idx = r.u16("table owner")
-            if owner_idx >= class_count:
-                raise Corrupt("dispatch owner %d out of range" % owner_idx,
-                              r.pos)
-            rec.dispatch.append((owner_idx, r.u16("table method")))
-
-        def zones_in():
-            a_zone = []
-            for _ in range(r.u16("a zone size")):
-                if r.u8("a slot tag"):
-                    a_zone.append(("str", string_at(r.u32("a slot"), "a slot")))
-                else:
-                    a_zone.append(None)
-            v_zone = [r.u32("v slot") for _ in range(r.u16("v zone size"))]
-            return a_zone, v_zone
-
-        rec.zones = zones_in()
-        rec.zones_initial = zones_in() if r.u8("initial zones flag") else None
+        closed_packages={_CLOSED_PACKAGE.load(cur, sid, cur.pos)
+                         for sid in package_ids})
+    records, classes = [], []
+    for _ in range(cur.class_count):
+        rec = _ClassValues._make(_CLASS.read(cur))
+        for method in rec.methods:
+            code = method[3]
+            if code is not None:
+                method[3] = lc.MethodCode(bytearray(code[2]), code[0],
+                                          code[1], code[3], code[4])
         records.append(rec)
         classes.append(registry.new_unloaded(rec.name))
-
-    if r.pos != len(data):
-        raise Corrupt("trailing bytes after last class record", r.pos)
+    end = len(data)
+    if cur.pos != end:
+        raise Corrupt("trailing bytes after last class record", cur.pos)
 
     def deref(ref):
-        if ref is None:
-            return None
-        if ref[0] == "synthetic":
-            return registry.new_unloaded(ref[1])
-        return classes[ref[1]]
+        kind, value = ref
+        if kind == "index":
+            return classes[value]
+        return None if kind is None else registry.new_unloaded(value)
 
     for cls, rec in zip(classes, records):
         cls.access_flags = rec.access_flags
-        cls.super_cls = deref(rec.super_ref)
-        cls.interfaces = [deref(x) for x in rec.interfaces]
-        cls.raw_stats = rec.raw_stats
+        cls.super_cls = deref(rec.superclass)
+        cls.interfaces = [deref(ref) for ref in rec.interfaces]
+        cls.raw_stats = {"entries": rec.raw_entries,
+                         "pool_bytes": rec.raw_pool_bytes,
+                         "file_bytes": rec.raw_file_bytes}
 
     # layout wants superclasses done first
     record_of = {}
@@ -517,58 +605,56 @@ def load_image(data):
         if cls.name in done:
             return
         if cls.name in in_progress:
-            raise Corrupt("superclass cycle through %s" % cls.name, r.pos)
+            raise Corrupt("superclass cycle through %s" % cls.name, end)
         in_progress.add(cls.name)
         sup = cls.super_cls
         if sup is not None and not sup.synthetic:
             if sup.name not in record_of:
                 raise Corrupt("superclass %s of %s is not in the image"
-                              % (sup.name, cls.name), r.pos)
+                              % (sup.name, cls.name), end)
             finish(sup, record_of[sup.name])
         in_progress.discard(cls.name)
         done.add(cls.name)
         lc.lay_out_class(cls, rec.fields, rec.methods)
-        cls.a_static_zone, cls.v_static_zone = rec.zones
-        cls.zones_initial = rec.zones_initial
+        cls.a_static_zone, cls.v_static_zone = rec.a_zone, rec.v_zone
+        cls.zones_initial = rec.zones_initial and tuple(rec.zones_initial)
 
     for cls, rec in zip(classes, records):
         finish(cls, rec)
 
     # pools last: member handles point at finished FieldRep/MethodRep
     for cls, rec in zip(classes, records):
-        a_payload = []
-        for kind, payload in zip(rec.a_kind, rec.a_payload):
-            if kind in (cp.A_UTF8, cp.A_STRING):
-                a_payload.append(payload)
-            elif kind == cp.A_CLASS:
-                a_payload.append(deref(payload))
-            else:
-                owner_idx, member_idx = payload
-                owner = classes[owner_idx]
+        a_kind, a_payload = [], []
+        for kind, value in rec.atable:
+            if kind == cp.A_CLASS:
+                value = deref(value)
+            elif kind in (cp.A_FIELD, cp.A_METHOD):
+                owner = classes[value[0]]
                 members = owner.fields if kind == cp.A_FIELD else owner.methods
-                if member_idx >= len(members):
-                    raise Corrupt("member index %d out of range" % member_idx,
-                                  r.pos)
-                member = members[member_idx]
-                a_payload.append(cp.MemberHandle(
+                if value[1] >= len(members):
+                    raise Corrupt("member index %d out of range" % value[1],
+                                  end)
+                member = members[value[1]]
+                value = cp.MemberHandle(
                     owner, member.name, member.descriptor,
-                    is_field=(kind == cp.A_FIELD), resolved=member))
-        cls.pool = cp.packed_pool(rec.a_kind, a_payload, rec.v_kind,
-                                  rec.v_value)
+                    is_field=(kind == cp.A_FIELD), resolved=member)
+            a_kind.append(kind)
+            a_payload.append(value)
+        cls.pool = cp.packed_pool(a_kind, a_payload,
+                                  [kind for kind, _ in rec.vtable],
+                                  [cell for _, cell in rec.vtable])
         for m in cls.methods:
-            if m.code is None:
-                continue
-            for _, _, _, catch in m.code.exception_table:
+            for _, _, _, catch in m.code.exception_table if m.code else ():
                 if catch is not None and not cp.holds(cls.pool, cp.ATABLE,
                                                       catch, cp.A_CLASS):
                     raise Corrupt("catch type %d of %s is not a class entry"
-                                  % (catch, m), r.pos)
+                                  % (catch, m), end)
 
         table = []
         for owner_idx, method_idx in rec.dispatch:
             owner = classes[owner_idx]
             if method_idx >= len(owner.methods):
-                raise Corrupt("dispatch method index out of range", r.pos)
+                raise Corrupt("dispatch method index out of range", end)
             table.append(owner.methods[method_idx])
         cls.dispatch_table = table
 

@@ -651,6 +651,11 @@ def _store2(m, f, slot):
     f.locals[slot + 1] = PAD
 
 
+def _local_past_max(m, f, local):
+    raise InterpError("%s: local %d (width %d) past max_locals %d at %d"
+                      % (f.method, local[0], local[1], f.code.max_locals, f.pc))
+
+
 def _iinc(m, f, operand):
     slot, delta = operand
     f.locals[slot] = ("i", i32(f.locals[slot][1] + delta))
@@ -965,6 +970,9 @@ def _push_new_array(m, f, comp):
 def _invoke(m, f, operand):
     op, ref = operand
     target = f.member(ref)
+    if op != _INVOKESTATIC and target.access_flags & cf.ACC_STATIC:
+        raise InterpError("%s: %s of static %r at %d"
+                          % (f.method, ops.NAME[op], target, f.pc))
     args = f.pop_args(target.nargs)
     if op != _INVOKESTATIC:
         recv = args[0][1]
@@ -1068,6 +1076,8 @@ def _handler_table():
 
 
 _HANDLERS, _ROWS = _handler_table()
+_LOCAL_OPS = {op for op, entry in ops.OPERANDS.items()
+              if entry.kind == ops.LOCAL and _HANDLERS[op] is not _unsupported}
 
 
 # --- decode -----------------------------------------------------------------
@@ -1123,8 +1133,9 @@ def decoded(code, view, shared):
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  Steps
     equal to one in ``shared`` are that one tuple, which keeps the decodes of
-    a large class set small.  The code keeps its steps until its bytecode is
-    rewritten.
+    a large class set small.  A local operand past ``max_locals`` decodes to
+    a step that raises when it runs, as an unresolvable pool operand does.
+    The code keeps its steps until its bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is view:
@@ -1133,7 +1144,11 @@ def decoded(code, view, shared):
     steps = [None] * len(bc)
     for off, op, size in ops.walk(bc):
         sub = bc[off + 1] if op == ops.WIDE else op
-        step = (_HANDLERS[sub], op, _operand(bc, off, sub, view), size)
+        local = ops.local_slot(bc, off) if sub in _LOCAL_OPS else None
+        if local is not None and sum(local) > code.max_locals:
+            step = (_local_past_max, op, local, size)
+        else:
+            step = (_HANDLERS[sub], op, _operand(bc, off, sub, view), size)
         steps[off] = shared.setdefault(step, step)
     code.decoded = (view, steps)
     return steps

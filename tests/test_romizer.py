@@ -106,10 +106,17 @@ class TestEmit:
 
 
 class TestLoadImage:
-    def test_round_trip_emit_is_identical(self, linked_pipeline, image):
+    @pytest.mark.parametrize("flags", sorted(TestEmit.GOLDEN),
+                             ids=lambda flags: "-".join(flags) or "default")
+    def test_round_trip_emit_is_identical(self, corpus_dir, tmp_path, flags):
+        out = str(tmp_path / "corpus.rom")
+        assert cli.main(["romize", "--classpath", corpus_dir, "--out", out,
+                         *flags, *corpus_names()]) == 0
+        with open(out, "rb") as fh:
+            image = fh.read()
         reg2 = rz.load_image(image)
         classes = sorted(reg2.loadable(), key=lambda c: c.name)
-        assert rz.emit_image(classes, linked_pipeline.ctx) == image
+        assert rz.emit_image(classes, reg2.image_flags) == image
 
     def test_reloaded_classes_are_linked_and_ready(self, image):
         reg2 = rz.load_image(image)
@@ -190,6 +197,21 @@ class TestLoadImage:
             rz.load_image(data)
         assert "<init>" in str(err.value)
 
+    def test_synthetic_superclass_name_is_in_the_string_section(
+            self, linked_pipeline):
+        # a synthetic superclass named by no other string still gets a
+        # string id inside the section, so loading reaches the layout check
+        cls = linked_pipeline.registry.get("corpus/Empty")
+        saved = cls.super_cls
+        cls.super_cls = lc.ClassRep("corpus/Ghost", synthetic=True)
+        try:
+            data = linked_pipeline.emit_image()
+        finally:
+            cls.super_cls = saved
+        with pytest.raises(Corrupt, match="superclass corpus/Ghost of "
+                                          "corpus/Empty is not in the image"):
+            rz.load_image(data)
+
     def test_catch_type_past_the_atable_is_corrupt(self, corpus_dir):
         pipe = make_pipeline(corpus_dir)
         typed = 0
@@ -224,8 +246,9 @@ class TestImageFuzz:
     def test_every_truncation_fails_cleanly(self, image):
         from jrom.errors import JromError
         for cut in range(len(image)):
-            with pytest.raises(JromError):
+            with pytest.raises(JromError) as err:
                 rz.load_image(image[:cut])
+            assert isinstance(err.value, Corrupt) and err.value.offset <= cut
         with pytest.raises(Corrupt, match=r"^truncated class count "
                                           r"\(at image offset 8\)$"):
             rz.load_image(image[:10])

@@ -727,3 +727,33 @@ class TestDecode:
             with pytest.raises(InterpError,
                                match="no method %s.loopSum" % cls_name):
                 vf.run_method(ctx, cls_name, ("loopSum", "(I)I"), [("i", 1)])
+
+    @staticmethod
+    def reload_failures(pipe, image):
+        out = pipe.verify_all(vectors=1, after_registry=rz.load_image(image))
+        return [(c, m) for c, m, _ in out.failures]
+
+    def test_local_past_max_locals_in_reload_is_a_failure(self, corpus_dir):
+        # callAll(I)I stores its Overloads in local 1; the image says it
+        # has one local, so the reloaded astore_1 is past max_locals
+        pipe = make_pipeline(corpus_dir)
+        call_all = next(m for m in pipe.registry.get("corpus/Overloads").methods
+                        if m.name == "callAll")
+        call_all.code.max_locals = 1
+        assert ("corpus/Overloads", "callAll(I)I") in \
+            self.reload_failures(pipe, pipe.emit_image())
+
+    def test_instance_invoke_of_static_in_reload_is_a_failure(
+            self, corpus_dir):
+        # callAll(I)I makes an Overloads through invokespecial <init>()V,
+        # which the image marks static, so it takes no receiver
+        pipe = make_pipeline(corpus_dir)
+        init = next(m for m in pipe.registry.get("corpus/Overloads").methods
+                    if m.name == "<init>")
+        init.access_flags |= ACC_STATIC
+        try:
+            image = pipe.emit_image()
+        finally:
+            init.access_flags &= ~ACC_STATIC
+        assert ("corpus/Overloads", "callAll(I)I") in \
+            self.reload_failures(pipe, image)
