@@ -5,6 +5,8 @@ static/field instructions: they say which zone holds a value and how wide
 it is.
 """
 
+import functools
+
 from .errors import ClassFileError
 
 TC_REF = 0
@@ -57,7 +59,23 @@ def _scan_one(desc, i):
 
 
 def parse_method_descriptor(desc):
-    """Split ``(...)R`` into a list of parameter descriptors and the return."""
+    """Split ``(...)R`` into a tuple of parameter descriptors and the
+    return."""
+    return _method(desc)[:2]
+
+
+def arg_slots(desc, include_receiver):
+    """32-bit argument slots of a method, counting long/double as two."""
+    n = _method(desc)[2]
+    return n + 1 if include_receiver else n
+
+
+@functools.lru_cache(maxsize=4096)
+def _method(desc):
+    """(parameters, return, argument slots) of a method descriptor.  Each
+    distinct descriptor is parsed once: a class set names few of them, and
+    loading lays out every method.  A bad one is not kept, so it raises
+    each time it is asked for."""
     if not desc.startswith("("):
         raise ClassFileError("bad method descriptor %r" % desc)
     params = []
@@ -75,11 +93,4 @@ def parse_method_descriptor(desc):
             raise ClassFileError("trailing junk in %r" % desc)
     elif len(ret) != 1:
         raise ClassFileError("trailing junk in %r" % desc)
-    return params, ret
-
-
-def arg_slots(desc, include_receiver):
-    """32-bit argument slots of a method, counting long/double as two."""
-    params, _ = parse_method_descriptor(desc)
-    n = sum(slot_width(p) for p in params)
-    return n + 1 if include_receiver else n
+    return tuple(params), ret, sum(slot_width(p) for p in params)

@@ -255,6 +255,7 @@ class Registry:
         self.classes = {}
         self.image_flags = None     # an image's link flags, set by load_image
         self.shared_steps = {}      # verify.decoded keeps equal steps as one
+        self.step_shapes = {}       # block shape -> its compiled verify step
         for p in self.PRIMITIVES:
             self.classes[p] = ClassRep(p, synthetic=True)
 

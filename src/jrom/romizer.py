@@ -503,6 +503,12 @@ def _ref(cls):
     return ("synthetic", cls.name) if cls.synthetic else ("index", cls)
 
 
+def _position(member, members):
+    """The index of ``member`` in its owner's ``members``, found by
+    identity: two members of a class can compare equal."""
+    return next(i for i, m in enumerate(members) if m is member)
+
+
 def _entry(kind, payload):
     if kind == cp.A_CLASS:
         return kind, _ref(payload)
@@ -510,7 +516,7 @@ def _entry(kind, payload):
         member = payload.resolved
         owner = member.owner
         members = owner.fields if kind == cp.A_FIELD else owner.methods
-        return kind, (owner, members.index(member))
+        return kind, (owner, _position(member, members))
     return kind, payload
 
 
@@ -544,7 +550,8 @@ def emit_image(classes, flags):
                 m.code.max_stack, m.code.max_locals, m.code.bytecode,
                 m.code.exception_table, m.code.stack_maps))
              for m in cls.methods],
-            [(m.owner, m.owner.methods.index(m)) for m in cls.dispatch_table],
+            [(m.owner, _position(m, m.owner.methods))
+             for m in cls.dispatch_table],
             cls.a_static_zone, cls.v_static_zone, cls.zones_initial))
     if cur.missing:
         raise IncompleteClosure(cur.missing)

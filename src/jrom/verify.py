@@ -9,25 +9,42 @@ Each method body is decoded once per stage view, the first time it runs,
 into a list indexed by pc (``decoded``).  An instruction's entry holds its
 handler, its opcode, its size and its operand already read: a local slot, a
 constant, a branch target, a pool operand placed into its table, or the row
-of its family's table (a family of opcodes, such as the int operators or
-the conditional branches, shares one handler).  Any other pc holds None, so
-dispatch is one list index per instruction.  Decode reads only what the
-bytecode and the stage's pool layout fix: members are resolved, zones read
-and objects made when an instruction runs, and an operand that cannot be
-used raises only if its instruction runs.  One loop in ``Machine.call``
-runs a method and every call it makes: a call pushes the caller's frame on
-a list instead of recursing in Python.  An opcode without a handler
-(jsr/ret, the monitors, multianewarray, and the symbolic ldc forms and
-anewarray, which loading always rewrites) puts a method outside the subset
-the machine runs; ``in_subset`` asks the same table.
+of its family's table (a family of opcodes, such as the array loads or the
+divisions, shares one handler).  Any other pc holds None, so dispatch is
+one list index per instruction.  Decode reads only what the bytecode and
+the stage's pool layout fix: members are resolved, zones read and objects
+made when an instruction runs, and an operand that cannot be used raises
+only if its instruction runs.
+
+Decode also splits the body into basic blocks: a leader is pc 0, a branch,
+switch or handler target, or the instruction after one that is not
+straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
+unary or binary operator).  Those families, the conditional branches, goto
+and the returns are each one template that writes Python source, and a
+template run alone is its instruction's step.  Where templates write two or
+more of a block's instructions, its leader holds one generated step:
+statements over Python temporaries, ending in an inline test and return or
+in a call of the last instruction's handler once ``f.pc`` is set to it.
+The step first checks that the machine has fuel for the whole block, that
+no trace is set, and that the stack depth stays within [need, max_stack -
+top]; if not, it runs only its first instruction, so trace lines,
+fuel-outs, stack errors and ``Machine.fuel`` are those of single steps.
+Each block shape is compiled once per registry (``Registry.step_shapes``).
+
+One loop in ``Machine.call`` runs a method and every call it makes: a call
+pushes the caller's frame on a list instead of recursing in Python.  An
+opcode without a handler (jsr/ret, the monitors, multianewarray, and the
+symbolic ldc forms and anewarray, which loading always rewrites) puts a
+method outside the subset the machine runs; ``in_subset`` asks the same
+table.
 """
 
 import math
-import operator
 import random
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 from . import classfile as cf
 from . import constpool as cp
@@ -319,10 +336,6 @@ class Frame:
             self.pop()
         return self.pop()
 
-    def need(self, n):
-        if len(self.stack) < n:
-            raise StackUnderflow(self.where())
-
     def pop_args(self, n):
         s = self.stack
         base = len(s) - n
@@ -374,6 +387,7 @@ class Machine:
     def __init__(self, world, fuel):
         self.world = world
         self.fuel = fuel
+        self.trace = world.trace
 
     # --- helpers ---
 
@@ -474,7 +488,7 @@ class Machine:
         result or None for void.  A call pushes the caller on a list rather
         than recursing, so Python's stack stays flat however deep calls go.
         """
-        trace = self.world.trace
+        trace = self.trace
         callers = []        # frames waiting for a call to return, innermost last
         f = self._frame(method, args, 0)
         steps, pc = f.steps, 0
@@ -534,7 +548,7 @@ class Machine:
         view = method.owner.view(world.stage)
         code = method.code_at(world.stage)
         f = Frame(method, code, view.pool, args)
-        f.steps = decoded(code, view, world.registry.shared_steps)
+        f.steps = decoded(code, view, world.registry)
         return f
 
     def _off_boundary(self, method, pc, end):
@@ -569,7 +583,9 @@ class Machine:
 # operand.  It returns None to go on at the next instruction, a pc to branch
 # to, a _Call to make, or a 1-tuple holding the method's result (None for a
 # void return).  A family of opcodes shares one handler, and its operand is
-# the row, keyed by opcode, of what sets the members apart.
+# the row, keyed by opcode, of what sets the members apart.  The handlers of
+# the straight-line families and of the jumps are generated from templates
+# (see "generated steps" below), so their tables hold source text.
 
 def _by_opcode(table):
     return {_OP[name]: value for name, value in table.items()}
@@ -587,28 +603,16 @@ def _wide_slot(kind, bits):
 _IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
 _INVOKESPECIAL, _INVOKESTATIC = _OP["invokespecial"], _OP["invokestatic"]
 
-# op -> the slots pushed
+# op -> the slot pushed; a long or double pushes PAD after it
 _CONSTANTS = _by_opcode({
-    "aconst_null": (("a", None),), "lconst_0": (("j", 0), PAD),
-    "lconst_1": (("j", 1), PAD), "fconst_0": (("f", 0.0),),
-    "fconst_1": (("f", 1.0),), "fconst_2": (("f", 2.0),),
-    "dconst_0": (("d", 0.0), PAD), "dconst_1": (("d", 1.0), PAD),
-    **{"iconst_%s" % ("m1" if k < 0 else k): (("i", k),) for k in range(-1, 6)}})
+    "aconst_null": ("a", None), "lconst_0": ("j", 0), "lconst_1": ("j", 1),
+    "fconst_0": ("f", 0.0), "fconst_1": ("f", 1.0), "fconst_2": ("f", 2.0),
+    "dconst_0": ("d", 0.0), "dconst_1": ("d", 1.0),
+    **{"iconst_%s" % ("m1" if k < 0 else k): ("i", k) for k in range(-1, 6)}})
 
 
 def _unsupported(m, f, op):
     raise UnsupportedOpcode(op, f.pc)
-
-
-def _nop(m, f, _):
-    pass
-
-
-def _const(m, f, slots):
-    s = f.stack
-    s += slots
-    if len(s) > f.max_stack:
-        raise StackOverflow(f.where())
 
 
 def _ldc_quick(m, f, operand):
@@ -626,39 +630,9 @@ def _ldc_quick(m, f, operand):
                                 bits))
 
 
-def _load(m, f, slot):
-    s = f.stack
-    s.append(f.locals[slot])
-    if len(s) > f.max_stack:
-        raise StackOverflow(f.where())
-
-
-def _load2(m, f, slot):
-    s = f.stack
-    s += (f.locals[slot], PAD)
-    if len(s) > f.max_stack:
-        raise StackOverflow(f.where())
-
-
-def _store(m, f, slot):
-    if not f.stack:
-        raise StackUnderflow(f.where())
-    f.locals[slot] = f.stack.pop()
-
-
-def _store2(m, f, slot):
-    f.locals[slot] = f.pop_value("j")
-    f.locals[slot + 1] = PAD
-
-
 def _local_past_max(m, f, local):
     raise InterpError("%s: local %d (width %d) past max_locals %d at %d"
                       % (f.method, local[0], local[1], f.code.max_locals, f.pc))
-
-
-def _iinc(m, f, operand):
-    slot, delta = operand
-    f.locals[slot] = ("i", i32(f.locals[slot][1] + delta))
 
 
 _ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
@@ -682,31 +656,9 @@ def _arraylength(m, f, _):
     f.push(("i", len(m.object_at(f.pop()[1]).elems)))
 
 
-def _pop(m, f, _):
-    f.pop()
-
-
-def _pop2(m, f, _):
-    f.pop()
-    f.pop()
-
-
 # (slots copied, depth below the top they are inserted at)
 _DUPS = _by_opcode({"dup": (1, 1), "dup_x1": (1, 2), "dup_x2": (1, 3),
          "dup2": (2, 2), "dup2_x1": (2, 3), "dup2_x2": (2, 4)})
-
-
-def _dup(m, f, row):
-    count, depth = row
-    f.need(depth)
-    f.stack[-depth:-depth] = f.stack[-count:]
-    if len(f.stack) > f.max_stack:
-        raise StackOverflow(f.where())
-
-
-def _swap(m, f, _):
-    f.need(2)
-    f.stack[-1], f.stack[-2] = f.stack[-2], f.stack[-1]
 
 
 def _fdiv(a, b):
@@ -731,9 +683,8 @@ def _compare(a, b):
     return (a > b) - (a < b)
 
 
-def _fcompare(nan_result):
-    return lambda a, b: (nan_result if math.isnan(a) or math.isnan(b)
-                         else _compare(a, b))
+def _fcompare(a, b, nan_result):
+    return nan_result if math.isnan(a) or math.isnan(b) else _compare(a, b)
 
 
 def _to_int(v, bits):
@@ -751,86 +702,70 @@ def _same(v):
     return v
 
 
-# op -> (operand kind, result kind, function of the operands)
+# op -> (operand kind, or the kinds of {a} and {b}, result kind, the
+# result's source in the values {a} and {b})
 _BINARY = _by_opcode({
-    "iadd": ("i", "i", lambda a, b: i32(a + b)),
-    "isub": ("i", "i", lambda a, b: i32(a - b)),
-    "imul": ("i", "i", lambda a, b: i32(a * b)),
-    "ishl": ("i", "i", lambda a, b: i32(a << (b & 31))),
-    "ishr": ("i", "i", lambda a, b: a >> (b & 31)),
-    "iushr": ("i", "i", lambda a, b: i32(u32(a) >> (b & 31))),
-    "iand": ("i", "i", lambda a, b: i32(u32(a) & u32(b))),
-    "ior": ("i", "i", lambda a, b: i32(u32(a) | u32(b))),
-    "ixor": ("i", "i", lambda a, b: i32(u32(a) ^ u32(b))),
-    "ladd": ("j", "j", lambda a, b: i64(a + b)),
-    "lsub": ("j", "j", lambda a, b: i64(a - b)),
-    "lmul": ("j", "j", lambda a, b: i64(a * b)),
-    "land": ("j", "j", lambda a, b: i64((a & M64) & (b & M64))),
-    "lor": ("j", "j", lambda a, b: i64((a & M64) | (b & M64))),
-    "lxor": ("j", "j", lambda a, b: i64((a & M64) ^ (b & M64))),
-    "fadd": ("f", "f", lambda a, b: f32(a + b)),
-    "fsub": ("f", "f", lambda a, b: f32(a - b)),
-    "fmul": ("f", "f", lambda a, b: f32(a * b)),
-    "fdiv": ("f", "f", lambda a, b: f32(_fdiv(a, b))),
-    "frem": ("f", "f", lambda a, b: f32(_frem(a, b))),
-    "dadd": ("d", "d", operator.add),
-    "dsub": ("d", "d", operator.sub),
-    "dmul": ("d", "d", operator.mul),
-    "ddiv": ("d", "d", _fdiv),
-    "drem": ("d", "d", _frem),
-    "lcmp": ("j", "i", _compare),
-    "fcmpl": ("f", "i", _fcompare(-1)),
-    "fcmpg": ("f", "i", _fcompare(1)),
-    "dcmpl": ("d", "i", _fcompare(-1)),
-    "dcmpg": ("d", "i", _fcompare(1)),
+    "iadd": ("i", "i", "i32({a} + {b})"),
+    "isub": ("i", "i", "i32({a} - {b})"),
+    "imul": ("i", "i", "i32({a} * {b})"),
+    "ishl": ("i", "i", "i32({a} << ({b} & 31))"),
+    "ishr": ("i", "i", "{a} >> ({b} & 31)"),
+    "iushr": ("i", "i", "i32(u32({a}) >> ({b} & 31))"),
+    "iand": ("i", "i", "i32(u32({a}) & u32({b}))"),
+    "ior": ("i", "i", "i32(u32({a}) | u32({b}))"),
+    "ixor": ("i", "i", "i32(u32({a}) ^ u32({b}))"),
+    "ladd": ("j", "j", "i64({a} + {b})"),
+    "lsub": ("j", "j", "i64({a} - {b})"),
+    "lmul": ("j", "j", "i64({a} * {b})"),
+    "land": ("j", "j", "i64(({a} & M64) & ({b} & M64))"),
+    "lor": ("j", "j", "i64(({a} & M64) | ({b} & M64))"),
+    "lxor": ("j", "j", "i64(({a} & M64) ^ ({b} & M64))"),
+    "lshl": ("ji", "j", "i64({a} << ({b} & 63))"),
+    "lshr": ("ji", "j", "{a} >> ({b} & 63)"),
+    "lushr": ("ji", "j", "i64(({a} & M64) >> ({b} & 63))"),
+    "fadd": ("f", "f", "f32({a} + {b})"),
+    "fsub": ("f", "f", "f32({a} - {b})"),
+    "fmul": ("f", "f", "f32({a} * {b})"),
+    "fdiv": ("f", "f", "f32(_fdiv({a}, {b}))"),
+    "frem": ("f", "f", "f32(_frem({a}, {b}))"),
+    "dadd": ("d", "d", "{a} + {b}"),
+    "dsub": ("d", "d", "{a} - {b}"),
+    "dmul": ("d", "d", "{a} * {b}"),
+    "ddiv": ("d", "d", "_fdiv({a}, {b})"),
+    "drem": ("d", "d", "_frem({a}, {b})"),
+    "lcmp": ("j", "i", "_compare({a}, {b})"),
+    "fcmpl": ("f", "i", "_fcompare({a}, {b}, -1)"),
+    "fcmpg": ("f", "i", "_fcompare({a}, {b}, 1)"),
+    "dcmpl": ("d", "i", "_fcompare({a}, {b}, -1)"),
+    "dcmpg": ("d", "i", "_fcompare({a}, {b}, 1)"),
 })
 
+# op -> (operand kind, result kind, the result's source in the value {v})
 _UNARY = _by_opcode({
-    "ineg": ("i", "i", lambda v: i32(-v)),
-    "lneg": ("j", "j", lambda v: i64(-v)),
-    "fneg": ("f", "f", lambda v: f32(-v)),
-    "dneg": ("d", "d", operator.neg),
-    "i2l": ("i", "j", _same),
-    "i2f": ("i", "f", lambda v: f32(float(v))),
-    "i2d": ("i", "d", float),
-    "l2i": ("j", "i", i32),
-    "l2f": ("j", "f", l2f),
-    "l2d": ("j", "d", float),
-    "f2i": ("f", "i", lambda v: _to_int(v, 31)),
-    "f2l": ("f", "j", lambda v: _to_int(v, 63)),
-    "f2d": ("f", "d", _same),
-    "d2i": ("d", "i", lambda v: _to_int(v, 31)),
-    "d2l": ("d", "j", lambda v: _to_int(v, 63)),
-    "d2f": ("d", "f", f32),
-    "i2b": ("i", "i", _sign8),
-    "i2c": ("i", "i", _u16),
-    "i2s": ("i", "i", _sign16),
+    "ineg": ("i", "i", "i32(-{v})"),
+    "lneg": ("j", "j", "i64(-{v})"),
+    "fneg": ("f", "f", "f32(-{v})"),
+    "dneg": ("d", "d", "-{v}"),
+    "i2l": ("i", "j", "{v}"),
+    "i2f": ("i", "f", "f32(float({v}))"),
+    "i2d": ("i", "d", "float({v})"),
+    "l2i": ("j", "i", "i32({v})"),
+    "l2f": ("j", "f", "l2f({v})"),
+    "l2d": ("j", "d", "float({v})"),
+    "f2i": ("f", "i", "_to_int({v}, 31)"),
+    "f2l": ("f", "j", "_to_int({v}, 63)"),
+    "f2d": ("f", "d", "{v}"),
+    "d2i": ("d", "i", "_to_int({v}, 31)"),
+    "d2l": ("d", "j", "_to_int({v}, 63)"),
+    "d2f": ("d", "f", "f32({v})"),
+    "i2b": ("i", "i", "_sign8({v})"),
+    "i2c": ("i", "i", "_u16({v})"),
+    "i2s": ("i", "i", "_sign16({v})"),
 })
 
 # op -> (operand kind, wrap to width, remainder instead of quotient)
 _DIVIDES = _by_opcode({"idiv": ("i", i32, False), "irem": ("i", i32, True),
             "ldiv": ("j", i64, False), "lrem": ("j", i64, True)})
-
-_LONG_SHIFTS = _by_opcode({"lshl": lambda a, s: i64(a << s),
-                           "lshr": lambda a, s: a >> s,
-                           "lushr": lambda a, s: i64((a & M64) >> s)})
-
-
-def _binary(m, f, row):
-    depth, result, fn = row         # depth: slots of the two operands
-    s = f.stack
-    try:
-        a = s[-depth][1]
-    except IndexError:
-        raise StackUnderflow(f.where()) from None
-    value = (result, fn(a, s[-(depth // 2)][1]))
-    s[-depth:] = (value, PAD) if result in "jd" else (value,)
-
-
-def _unary(m, f, row):
-    kind, result, fn = row
-    f.push_value((result, fn(f.pop_value(kind)[1])))
-
 
 def _divide(m, f, row):
     kind, wrap, remainder = row
@@ -844,61 +779,26 @@ def _divide(m, f, row):
     f.push_value((kind, wrap(a - q * b if remainder else q)))
 
 
-def _long_shift(m, f, fn):
-    s = f.pop()[1] & 63
-    f.push_value(("j", fn(f.pop_value("j")[1], s)))
-
-
-_POPPED = object()      # the branch compares with a second popped value
-
-# op -> (test, the value the popped operand is compared with)
+# op -> (comparison, the source of what the popped value is compared with,
+# or None for a second popped value, the one above it)
 _IF = _by_opcode({
-    "ifeq": (operator.eq, 0), "ifne": (operator.ne, 0),
-    "iflt": (operator.lt, 0), "ifge": (operator.ge, 0),
-    "ifgt": (operator.gt, 0), "ifle": (operator.le, 0),
-    "if_icmpeq": (operator.eq, _POPPED), "if_icmpne": (operator.ne, _POPPED),
-    "if_icmplt": (operator.lt, _POPPED), "if_icmpge": (operator.ge, _POPPED),
-    "if_icmpgt": (operator.gt, _POPPED), "if_icmple": (operator.le, _POPPED),
-    "if_acmpeq": (operator.eq, _POPPED), "if_acmpne": (operator.ne, _POPPED),
-    "ifnull": (operator.is_, None), "ifnonnull": (operator.is_not, None),
+    "ifeq": ("==", "0"), "ifne": ("!=", "0"), "iflt": ("<", "0"),
+    "ifge": (">=", "0"), "ifgt": (">", "0"), "ifle": ("<=", "0"),
+    "if_icmpeq": ("==", None), "if_icmpne": ("!=", None),
+    "if_icmplt": ("<", None), "if_icmpge": (">=", None),
+    "if_icmpgt": (">", None), "if_icmple": ("<=", None),
+    "if_acmpeq": ("==", None), "if_acmpne": ("!=", None),
+    "ifnull": ("is", "None"), "ifnonnull": ("is not", "None"),
 })
-
-
-def _if(m, f, operand):
-    test, other, target = operand
-    s = f.stack
-    try:
-        if other is _POPPED:
-            other = s.pop()[1]
-        value = s.pop()[1]
-    except IndexError:
-        raise StackUnderflow(f.where()) from None
-    if test(value, other):
-        return target
-
-
-def _goto(m, f, target):
-    return target
 
 
 def _switch(m, f, _):
     return ops.switch_target(f.code.bytecode, f.pc, f.pop()[1])
 
 
-# op -> None for a void return, or (kind, slots of the value)
-_RETURNS = _by_opcode({"ireturn": ("i", 1), "lreturn": ("j", 2),
-                       "freturn": ("f", 1), "dreturn": ("d", 2),
-                       "areturn": ("a", 1), "return": None})
-
-
-def _return(m, f, row):
-    if row is None:
-        return (None,)
-    kind, depth = row
-    try:
-        return ((kind, f.stack[-depth][1]),)
-    except IndexError:
-        raise StackUnderflow(f.where()) from None
+# op -> the kind of the value returned, or None for a void return
+_RETURNS = _by_opcode({"ireturn": "i", "lreturn": "j", "freturn": "f",
+                       "dreturn": "d", "areturn": "a", "return": None})
 
 
 _TYPE_KIND = {dsc.TC_REF: "a", dsc.TC_FLOAT: "f", dsc.TC_LONG: "j",
@@ -1028,16 +928,203 @@ def _athrow(m, f, _):
     raise _Thrown(ref, cls, name)
 
 
+# --- generated steps --------------------------------------------------------
+# A template writes the Python source of one instruction on a _Source.  Run
+# on its own, it gives that instruction's single step; run one after
+# another over a basic block, templates give the block's step (``_block``).
+
+class _Source:
+    """The source of one generated step, as its templates write it: a
+    symbolic stack of slot sources (operand parts, PAD, locals, temporaries,
+    and s[-k] for the k-th slot below the depth the step started at), which
+    the step writes back to the frame's stack once, at its end."""
+
+    def __init__(self):
+        self.lines, self.stack = [], []
+        self.below = 0          # slots read from below the entry depth
+        self.top = -1           # highest depth a push reaches, or -1
+        self.ended = None       # where the end of the step starts
+
+    def pop(self):
+        if self.stack:
+            return self.stack.pop()
+        self.below += 1
+        return "s[-%d]" % self.below
+
+    def push(self, slot):
+        self.stack.append(slot)
+        self.top = max(self.top, len(self.stack) - self.below)
+
+    def temp(self, source):
+        name = "t%d" % len(self.lines)
+        self.lines.append("%s = %s" % (name, source))
+        return name
+
+    def store(self, slot, source):
+        """Write a local, first reading any load of one still on the stack,
+        since the two may be the same."""
+        self.stack = [self.temp(s) if s[0] == "L" else s for s in self.stack]
+        self.lines.append("L[%s] = %s" % (slot, source))
+
+    def end(self, *ending, test=None, write=True):
+        """End the step with the lines ``ending``, run only if ``test`` is
+        true, after writing the stack back unless the frame ends with them."""
+        if test is not None:
+            ending = ["if %s:" % self.temp(test)] + ["    " + ln
+                                                    for ln in ending]
+        self.ended = len(self.lines)
+        listed = "(%s)" % "".join(slot + ", " for slot in self.stack)
+        if write and self.below:
+            self.lines.append("s[-%d:] = %s" % (self.below, listed))
+        elif write and self.stack:
+            self.lines.append("s += " + listed)
+        self.lines += ending
+
+    def single(self):
+        """A single step's body: it checks the stack as the handler of one
+        instruction would, underflow before computing and overflow after.
+        A push below the depth it started at cannot overflow."""
+        if self.ended is None:
+            self.end()
+        if self.top >= 0:
+            self.lines.insert(self.ended, "if len(s) > f.max_stack - %d: "
+                              "raise StackOverflow(f.where())" % self.top)
+        if self.below:
+            self.lines.insert(0, "if len(s) < %d: raise StackUnderflow("
+                              "f.where())" % self.below)
+        return ["s, L = f.stack, f.locals"] + self.lines
+
+    def block(self, n, params):
+        """A block step's body: with fuel for its ``n`` instructions, no
+        trace, and the stack in bounds throughout, it runs them all; if
+        not, it runs only the first, by its single step."""
+        if self.ended is None:
+            self.end()
+        return ["s, L = f.stack, f.locals",
+                "if m.trace is not None or m.fuel < %d or not %d <= len(s) "
+                "<= f.max_stack - %d:" % (n - 1, self.below, self.top),
+                "    return _first_step(m, f, o[0])",
+                "m.fuel -= %d" % (n - 1),
+                "_, %s = o" % "".join(p + ", " for p in params)] + self.lines
+
+
+def _first_step(m, f, step):
+    """Run a block's first instruction alone; returns the pc after it."""
+    step[0](m, f, step[2])
+    return f.pc + step[3]
+
+
+def _compile(body):
+    scope = {}
+    source = "\n".join(["def step(m, f, o):"] + ["    " + ln for ln in body])
+    exec(compile(source, "<generated step>", "exec"), globals(), scope)
+    return scope["step"]
+
+
+# template(row..., g, operand): it writes on the _Source g, and gets the
+# instruction's operand, if it takes one, as Python source
+
+def _t_push(width, form, g, part):
+    g.push(form % part)
+    if width == 2:
+        g.push("PAD")
+
+
+def _t_store(width, g, slot):
+    if width == 2:
+        g.pop()
+    g.store(slot, g.pop())
+    if width == 2:
+        g.store(slot + " + 1", "PAD")
+
+
+def _t_iinc(g, operand):         # (slot, delta)
+    g.store(operand + "[0]",
+            "('i', i32(L[%s[0]][1] + %s[1]))" % (operand, operand))
+
+
+def _t_pop(count, g):
+    for _ in range(count):
+        g.pop()
+
+
+def _t_dup(count, depth, g):
+    slots = [g.pop() for _ in range(depth)][::-1]
+    for slot in slots[-count:] + slots:
+        g.push(slot)
+
+
+def _t_swap(g):
+    top, under = g.pop(), g.pop()
+    g.push(top)
+    g.push(under)
+
+
+def _value(g, kind):
+    """Pop a value of this slot tag; the source of its Python value."""
+    if kind in "jd":
+        g.pop()
+    return g.pop() + "[1]"
+
+
+def _t_unary(kind, result, source, g):
+    g.push(g.temp("(%r, %s)" % (result, source.format(v=_value(g, kind)))))
+    if result in "jd":
+        g.push("PAD")
+
+
+def _t_binary(kind, result, source, g):
+    b, a = _value(g, kind[-1]), _value(g, kind[0])
+    g.push(g.temp("(%r, %s)" % (result, source.format(a=a, b=b))))
+    if result in "jd":
+        g.push("PAD")
+
+
+def _t_if(test, other, g, target):
+    other = other or g.pop() + "[1]"
+    g.end("return " + target, test="%s[1] %s %s" % (g.pop(), test, other))
+
+
+def _t_goto(g, target):
+    g.end("return " + target)
+
+
+def _t_return(kind, g):
+    g.end("return (%s,)" % ("None" if kind is None else
+                            "(%r, %s)" % (kind, _value(g, kind))),
+          write=False)
+
+
+_TEMPLATES = {}     # generated step -> (template, whether it takes an operand)
+_STRAIGHT = set()   # the generated steps of straight-line instructions
+
+
+def _generated(template, operand=False):
+    """The single step of a template."""
+    g = _Source()
+    template(g, *(["o"] if operand else []))
+    straight = g.ended is None
+    step = _compile(g.single())
+    _TEMPLATES[step] = (template, operand)
+    if straight:
+        _STRAIGHT.add(step)
+    return step
+
+
 def _handler_table():
     """opcode -> handler, and opcode -> the row of its family's table."""
     table = [_unsupported] * 256
+    const = {w: _generated(partial(_t_push, w, "%s"), True) for w in (1, 2)}
     named = (
-        (_nop, "nop"), (_const, "bipush sipush"),
+        (_generated(partial(_t_pop, 0)), "nop"),
+        (_generated(partial(_t_pop, 1)), "pop"),
+        (_generated(partial(_t_pop, 2)), "pop2"),
+        (_generated(_t_swap), "swap"), (const[1], "bipush sipush"),
+        (_generated(_t_iinc, True), "iinc"),
+        (_generated(_t_goto, True), "goto goto_w"),
         (_ldc_quick, "ldc_quick_i ldc_quick_i_w ldc_quick_f ldc_quick_f_w "
                      "ldc_quick_a ldc_quick_a_w ldc2_quick_l ldc2_quick_d"),
-        (_iinc, "iinc"), (_arraylength, "arraylength"),
-        (_pop, "pop"), (_pop2, "pop2"), (_swap, "swap"),
-        (_goto, "goto goto_w"), (_switch, "tableswitch lookupswitch"),
+        (_arraylength, "arraylength"), (_switch, "tableswitch lookupswitch"),
         (_getstatic, "getstatic getstatic_quick"),
         (_putstatic, "putstatic putstatic_quick"),
         (_getfield, "getfield getfield_quick"),
@@ -1052,13 +1139,19 @@ def _handler_table():
     for handler, names in named:
         for name in names.split():
             table[_OP[name]] = handler
-    binary = {op: (4 if kind in "jd" else 2, result, fn)
-              for op, (kind, result, fn) in _BINARY.items()}
-    rows = {}
+    for template, family, operand in ((_t_binary, _BINARY, False),
+                                      (_t_unary, _UNARY, False),
+                                      (_t_dup, _DUPS, False),
+                                      (_t_if, _IF, True)):
+        for op, row in family.items():
+            table[op] = _generated(partial(template, *row), operand)
+    for op, kind in _RETURNS.items():
+        table[op] = _generated(partial(_t_return, kind))
+    rows = dict(_CONSTANTS)
+    for op, slot in _CONSTANTS.items():
+        table[op] = const[2 if slot[0] in "jd" else 1]
     for handler, family in (
-            (_const, _CONSTANTS), (_dup, _DUPS), (_binary, binary),
-            (_unary, _UNARY), (_divide, _DIVIDES),
-            (_long_shift, _LONG_SHIFTS), (_if, _IF), (_return, _RETURNS),
+            (_divide, _DIVIDES),
             (_array_load, {_IALOAD + k: kind
                            for k, kind in enumerate(_ARRAY_KINDS)}),
             (_array_store, {_IASTORE + k: kind
@@ -1066,11 +1159,15 @@ def _handler_table():
         for op, row in family.items():
             table[op] = handler
             rows[op] = row
+    local = {}      # (load, width) -> step
     for op, entry in ops.OPERANDS.items():
         if entry.kind == ops.LOCAL and op not in (_OP["ret"], _OP["iinc"]):
-            by_width = ((_load, _load2) if "load" in ops.NAME[op]
-                        else (_store, _store2))
-            table[op] = by_width[entry.want - 1]
+            key = ("load" in ops.NAME[op], entry.want)
+            if key not in local:
+                local[key] = _generated(
+                    partial(_t_push, entry.want, "L[%s]") if key[0]
+                    else partial(_t_store, entry.want), True)
+            table[op] = local[key]
     table[ops.WIDE] = None      # decode folds it into the opcode it modifies
     return table, rows
 
@@ -1078,6 +1175,13 @@ def _handler_table():
 _HANDLERS, _ROWS = _handler_table()
 _LOCAL_OPS = {op for op, entry in ops.OPERANDS.items()
               if entry.kind == ops.LOCAL and _HANDLERS[op] is not _unsupported}
+# op -> its step, for the one-byte opcodes whose step the opcode alone fixes
+_FIXED = {op: (_HANDLERS[op], op,
+               op if _HANDLERS[op] is _unsupported else _ROWS.get(op), 1)
+          for op, nbytes in ops.OPERAND_BYTES.items()
+          if nbytes == 0 and op not in _LOCAL_OPS}
+_JUMPS = {op for op, entry in ops.OPERANDS.items()
+          if entry.kind == ops.BRANCH} | {ops.TABLESWITCH, ops.LOOKUPSWITCH}
 
 
 # --- decode -----------------------------------------------------------------
@@ -1100,8 +1204,7 @@ def _operand(bc, off, op, view):
             return slot, struct.unpack_from(">h", bc, off + 4)[0]
         return slot, _sign8(bc[off + 2])
     if kind == ops.BRANCH:
-        target = ops.branch_targets(bc, off)[0]
-        return _IF[op] + (target,) if op in _IF else target
+        return ops.branch_targets(bc, off)[0]
     if kind == ops.IMMEDIATE:
         offset, tc = ops.field_immediate(bc, off)
         return None, "a" if tc == dsc.TC_REF else "v", offset, tc
@@ -1119,39 +1222,107 @@ def _operand(bc, off, op, view):
         ref = (entry, table_idx, idx)
         return (op, ref) if _HANDLERS[op] is _invoke else ref
     if op == _OP["bipush"]:
-        return (("i", _sign8(bc[off + 1])),)
+        return ("i", _sign8(bc[off + 1]))
     if op == _OP["sipush"]:
-        return (("i", struct.unpack_from(">h", bc, off + 1)[0]),)
+        return ("i", struct.unpack_from(">h", bc, off + 1)[0])
     if op == _OP["newarray"]:
         return bc[off + 1]
-    return _ROWS.get(op)
+    return None                     # a switch reads its table as it runs
 
 
-def decoded(code, view, shared):
+def decoded(code, view, registry):
     """The method body as steps indexed by pc, decoded once per stage view.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
-    folded into the opcode it modifies, and any other pc holds None.  Steps
-    equal to one in ``shared`` are that one tuple, which keeps the decodes of
-    a large class set small.  A local operand past ``max_locals`` decodes to
-    a step that raises when it runs, as an unresolvable pool operand does.
-    The code keeps its steps until its bytecode is rewritten.
+    folded into the opcode it modifies, and any other pc holds None.  The
+    leader of a basic block may hold the block's step instead (``_block``):
+    (function, first opcode, operand, block size).  Steps equal to one in
+    the registry's ``shared_steps`` are that one tuple, which keeps the
+    decodes of a large class set small.  A local operand past
+    ``max_locals`` decodes to a step that raises when it runs, as an
+    unresolvable pool operand does.  The code keeps its steps until its
+    bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is view:
         return cached[1]
+    shared = registry.shared_steps
     bc = code.bytecode
     steps = [None] * len(bc)
+    order, leaders = [], {pc for _, _, pc, _ in code.exception_table}
     for off, op, size in ops.walk(bc):
-        sub = bc[off + 1] if op == ops.WIDE else op
-        local = ops.local_slot(bc, off) if sub in _LOCAL_OPS else None
-        if local is not None and sum(local) > code.max_locals:
-            step = (_local_past_max, op, local, size)
-        else:
-            step = (_HANDLERS[sub], op, _operand(bc, off, sub, view), size)
-        steps[off] = shared.setdefault(step, step)
+        step = _FIXED.get(op)
+        if step is None:
+            sub = bc[off + 1] if op == ops.WIDE else op
+            local = ops.local_slot(bc, off) if sub in _LOCAL_OPS else None
+            if local is not None and sum(local) > code.max_locals:
+                step = (_local_past_max, op, local, size)
+            else:
+                step = (_HANDLERS[sub], op, _operand(bc, off, sub, view),
+                        size)
+                if sub in _JUMPS:
+                    leaders.update(ops.branch_targets(bc, off))
+            step = shared.setdefault(step, step)
+        steps[off] = step
+        order.append(off)
+        if step[0] not in _STRAIGHT:
+            leaders.add(off + size)
+    run = []            # the basic block so far
+    for off in order:
+        if off in leaders and run:
+            _block(run, steps, registry)
+            run = []
+        run.append(off)
+    _block(run, steps, registry)
     code.decoded = (view, steps)
     return steps
+
+
+def _block(run, steps, registry):
+    """Put a basic block's step at its leader, where templates write two or
+    more of its instructions (one and a call save a dispatch, less than the
+    step costs to form where methods run a few times each).  The shape is
+    each handler, but for a last one run by its handler, its pc in the
+    block.  The operand is the first instruction's single step, then every
+    operand, and that handler, in order."""
+    if len(run) - (steps[run[-1]][0] not in _TEMPLATES) < 2:
+        return
+    start = run[0]
+    shape, site = [], [steps[start]]
+    for off in run:
+        handler, _, operand, _ = steps[off]
+        spec = _TEMPLATES.get(handler)
+        if spec is None:
+            shape.append(off - start)
+            site += (handler, operand)
+        else:
+            shape.append(handler)
+            if spec[1]:
+                site.append(operand)
+    shape = tuple(shape)
+    fn = registry.step_shapes.get(shape)
+    if fn is None:
+        fn = registry.step_shapes[shape] = _block_step(shape)
+    step = (fn, steps[start][1], tuple(site),
+            run[-1] + steps[run[-1]][3] - start)
+    steps[start] = registry.shared_steps.setdefault(step, step)
+
+
+def _block_step(shape):
+    """The function of a block shape's step, from its templates."""
+    g, params = _Source(), []
+
+    def param():
+        params.append("o%d" % (len(params) + 1))
+        return params[-1]
+    for item in shape:
+        if item.__class__ is int:       # the last, run by its handler
+            g.end("f.pc += %d" % item,
+                  "return %s(m, f, %s)" % (param(), param()))
+        else:
+            template, operand = _TEMPLATES[item]
+            template(g, *([param()] if operand else []))
+    return _compile(g.block(len(shape), params))
 
 
 def execute(entry, args, world, fuel=DEFAULT_FUEL):

@@ -153,8 +153,28 @@ class TestDescriptorErrors:
 
     @pytest.mark.parametrize("desc", ["(", "([)V", "()[", "(L)V", "()VV"])
     def test_truncated_method_descriptors(self, desc):
-        with pytest.raises(ClassFileError):
-            dsc.parse_method_descriptor(desc)
+        # parsed descriptors are kept; a bad one must raise every time
+        for _ in range(2):
+            with pytest.raises(ClassFileError):
+                dsc.parse_method_descriptor(desc)
+            with pytest.raises(ClassFileError):
+                dsc.arg_slots(desc, include_receiver=False)
+
+
+class TestMethodDescriptors:
+    def test_parse_and_slots(self):
+        for _ in range(2):
+            assert dsc.parse_method_descriptor("(IJ[Ljava/lang/String;D)V") \
+                == (("I", "J", "[Ljava/lang/String;", "D"), "V")
+            assert dsc.arg_slots("(IJ[Ljava/lang/String;D)V", False) == 6
+            assert dsc.arg_slots("(IJ[Ljava/lang/String;D)V", True) == 7
+
+    def test_kept_parameters_cannot_be_changed_by_a_caller(self):
+        params, _ = dsc.parse_method_descriptor("(II)I")
+        with pytest.raises((TypeError, AttributeError)):
+            params.append("J")
+        assert dsc.parse_method_descriptor("(II)I") == (("I", "I"), "I")
+        assert dsc.arg_slots("(II)I", include_receiver=False) == 2
 
 
 class TestModifiedUtf8:

@@ -1,14 +1,18 @@
 """Smoke tests of `jrom romize` on a class set from the benchmark's generator:
 <clinit> chains and cross-class getstatic across packages, under --verify
-and under the closed-world flags that rewrite field accesses.  One more
-test checks that the benchmark's spans still see every layer.
+and under the closed-world flags that rewrite field accesses.  Two more
+tests check that the benchmark's spans still see every layer, and that one
+traced pass of the benchmark harness on the corpus checks out.
 
 The generator and the spans are loaded by path, since ``perfbench/`` is not
 a package.  No time bound is set; timing belongs to the benchmark.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 from jrom import cli
 from jrom import constpool as cp
@@ -92,3 +96,21 @@ def test_benchmark_spans_see_every_layer(tmp_path, capsys):
                  "lifecycle.load", "lifecycle.ready", "linker.link",
                  "romizer.emit", "romizer.report"):
         assert tracer.calls[name] >= 1, name
+
+
+def test_benchmark_harness_smoke():
+    """One traced pass of corpus-verify: the harness's own output checks
+    pass and the interpreter's counts repeat exactly.  It runs in its own
+    process, since the harness patches Pipeline.build_report for good."""
+    done = subprocess.run(
+        [sys.executable, os.path.join(PERFBENCH, "run.py"), "--workload",
+         "corpus-verify", "--seconds", "0", "--trace", "1"],
+        cwd=os.path.dirname(PERFBENCH), capture_output=True, text=True,
+        timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert metrics["verify.instructions"] == 830_504
+    assert metrics["verify.fuel_outs"] == 8
+    assert metrics["verify.methods_checked"] == 168

@@ -1,5 +1,6 @@
 """Romizer tests: stats, image determinism, round trips, reports."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from jrom import classfile as cf
 from jrom import cli
+from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
@@ -144,6 +146,24 @@ class TestLoadImage:
                     for m in cls.dispatch_table] == \
                 [(m.owner.name, m.name, m.descriptor)
                  for m in redone.dispatch_table]
+
+    def test_equal_members_are_told_apart_by_identity(self, corpus_dir):
+        """A method ref and a dispatch entry name the member object they
+        hold, even where an equal copy of it comes first in the class."""
+        pipe = make_pipeline(corpus_dir)
+        owner = pipe.registry.get("corpus/Measurable")
+        size = next(m for m in owner.methods if m.name == "size")
+        at = next(i for i, m in enumerate(owner.methods) if m is size)
+        owner.methods.insert(at, dataclasses.replace(size))
+        reg2 = rz.load_image(pipe.emit_image())
+        redone = reg2.get("corpus/Measurable")
+        slot = next(i for i, m in enumerate(owner.dispatch_table)
+                    if m is size)
+        assert redone.dispatch_table[slot] is redone.methods[at + 1]
+        user = reg2.get("corpus/IfaceUser").pool
+        refs = [p.resolved for k, p in zip(user.a_kind, user.a_payload)
+                if k == cp.A_METHOD and p.name == "size"]
+        assert refs and all(r is redone.methods[at + 1] for r in refs)
 
     def test_reloaded_zones_equal(self, linked_pipeline, image):
         reg2 = rz.load_image(image)

@@ -10,8 +10,8 @@ from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom import verify as vf
 from jrom import opcodes as ops
-from jrom.errors import (InterpError, StackOverflow, StackUnderflow,
-                         UnsupportedOpcode)
+from jrom.errors import (InterpError, JromError, StackOverflow,
+                         StackUnderflow, UnsupportedOpcode)
 from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -757,3 +757,119 @@ class TestDecode:
             init.access_flags &= ~ACC_STATIC
         assert ("corpus/Overloads", "callAll(I)I") in \
             self.reload_failures(pipe, image)
+
+
+def machine_run(registry, stage, method, vector, fuel, trace=None):
+    """One run through ``Machine.call``: (how it ended, world digest, fuel
+    left).  It ends with the normalized result, the class thrown, fuel, or
+    the type of the error raised and, for a JromError, its message.  A
+    trace makes the machine run every instruction by its single step."""
+    base = "init" if method.name == "<clinit>" else "live"
+    world = vf.World(registry, stage, base=base, trace=trace)
+    args = vf.materialize_args(method, vector, world)
+    machine = vf.Machine(world, fuel)
+    try:
+        result = machine.call(method, args)
+        end = ("return", result and vf.normalize_slot(result, world.heap))
+    except vf._Thrown as t:
+        end = ("throw", t.cls_name)
+    except vf._FuelOut:
+        end = ("fuel",)
+    except Exception as e:      # noqa: BLE001 -- both ways must agree
+        end = (type(e), str(e) if isinstance(e, JromError) else None)
+    return end, vf.world_digest(world), machine.fuel
+
+
+def _ignore(line):
+    pass
+
+
+class TestBlocks:
+    """A basic block's step runs as its instructions' single steps would,
+    and falls back to them where it cannot run whole."""
+
+    @pytest.mark.parametrize("fuel", [100_000, 500, 37])
+    def test_blocks_run_as_single_steps(self, linked_pipeline, fuel):
+        reg = linked_pipeline.registry
+        runs = 0
+        for cls in linked_pipeline.linked_classes():
+            for m in cls.methods:
+                if m.code is None or m.code_loaded is None:
+                    continue
+                for vector in vf.seeded_vectors(m, 0, 5):
+                    for stage in (lc.LOADED, lc.LINKED):
+                        blocks = machine_run(reg, stage, m, vector, fuel)
+                        single = machine_run(reg, stage, m, vector, fuel,
+                                             trace=_ignore)
+                        assert blocks == single, (m, stage, vector)
+                        runs += 1
+        assert runs > 1500 and reg.step_shapes
+
+    def test_stack_errors_name_the_instruction(self, corpus_dir, tmp_path):
+        cb = ClassBuilder("vm/Blocks")
+        cb.default_init()
+        # max_stack 1: the second push overflows
+        c = cb.method("over", "()I", ACC_PUBLIC | ACC_STATIC, max_stack=1)
+        c.op("iconst_1").op("iconst_2").op("iadd").op("ireturn")
+        # the second pop underflows
+        c = cb.method("under", "()I", ACC_PUBLIC | ACC_STATIC, max_stack=1)
+        c.op("iconst_1").op("pop").op("pop").op("iconst_0").op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Blocks"], closure=True)
+        assert pipe.link_all() == []
+        for name, error, pc in (("over", StackOverflow, 1),
+                                ("under", StackUnderflow, 2)):
+            method = next(m for m in pipe.registry.get("vm/Blocks").methods
+                          if m.name == name)
+            for trace in (None, _ignore):
+                end, _, fuel = machine_run(pipe.registry, lc.LINKED, method,
+                                           [], 100, trace)
+                assert end == (error, "%r at %d" % (method, pc))
+                assert fuel == 100 - pc - 1
+            steps = method.code.decoded[1]
+            assert steps[0][3] == len(method.code.bytecode)    # one block
+
+    @pytest.fixture(autouse=True)
+    def _stash_pipeline(self, linked_pipeline):
+        TestBlocks._pipe = linked_pipeline
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([lc.LOADED, lc.LINKED]),
+           st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)),
+                    min_size=1, max_size=2))
+    def test_mutated_bodies_run_as_single_steps(self, data, stage, flips):
+        pipe = TestBlocks._pipe
+        methods = [m for cls in pipe.linked_classes() for m in cls.methods
+                   if m.code is not None and m.code_loaded is not None]
+        method = data.draw(st.sampled_from(methods))
+        attr = "code_loaded" if stage == lc.LOADED else "code"
+        original = getattr(method, attr)
+        code = original.clone()
+        for at, byte in flips:
+            code.bytecode[at % len(code.bytecode)] = byte
+        vector = vf.seeded_vectors(method, 0, 1)[0]
+        setattr(method, attr, code)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vf.MiniHeap, "new_array", _small_arrays)
+                blocks = machine_run(pipe.registry, stage, method, vector,
+                                     2_000)
+                single = machine_run(pipe.registry, stage, method, vector,
+                                     2_000, trace=_ignore)
+        finally:
+            setattr(method, attr, original)
+        assert blocks[0] == single[0]
+        if blocks[0][0] in ("return", "throw", "fuel"):
+            assert blocks[1] == single[1]
+
+
+_NEW_ARRAY = vf.MiniHeap.new_array
+
+
+def _small_arrays(heap, comp, length):
+    """A mutated body may ask for an array of any length; past 4096
+    elements both runs stop here alike."""
+    if length > 4096:
+        raise InterpError("array of %d elements" % length)
+    return _NEW_ARRAY(heap, comp, length)
