@@ -37,12 +37,9 @@ TAG_NAMES = {
 
 ACC_PUBLIC = 0x0001
 ACC_PRIVATE = 0x0002
-ACC_PROTECTED = 0x0004
 ACC_STATIC = 0x0008
-ACC_FINAL = 0x0010
 ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400
-ACC_NATIVE = 0x0100
 
 # member-level attributes kept after parsing; everything else is discarded
 RETAINED_ATTRS = frozenset({"Code", "ConstantValue"})

@@ -6,9 +6,13 @@ index pairs).  Each table is stored flat, as parallel lists:
 ``a_kind``/``a_payload`` for the atable and ``v_kind``/``v_value`` for the
 vtable, with the dead flags of every entry in ``bytearray``s, so a pool is a
 handful of containers however many entries it has.  Prelinking resolves the
-symbolic constants into direct handles, which strips most Utf8 text out of
-the live set; nothing changes the pool after that, so it is the loaded
-snapshot.  Linking marks the entries its final code uses into flags of its
+symbolic constants into direct handles; its second pass places the last of
+them and then sets the dead flags once, for the whole pool, which strips the
+NameAndType cells and most Utf8 text out of the live set.  The lookup dicts
+that deduplicate literals and member handles live only inside the pass that
+fills them, so a loaded pool keeps just its tables, flags and origin map.
+Nothing changes the pool after prelinking, so it is the loaded snapshot.
+Linking marks the entries its final code uses into flags of its
 own (new_marks), and pack() copies them into a new pool, rewriting the
 atable indexes that surviving cells hold, and returns the remaps that the
 bytecode rewriter applies.
@@ -91,37 +95,21 @@ class RuntimePool:
         self.a_payload = []
         self.v_kind = []
         self.v_value = []
-        self.a_dead = bytearray()   # resolved-away at load; excluded from stats
-        self.v_dead = bytearray()
+        self.a_dead = bytearray()   # resolved-away at load, excluded from
+        self.v_dead = bytearray()   # stats; set once, by prelink_pass2
         self.origin = {}        # raw pool index -> (space, table index)
-        self._utf8_index = {}   # text -> atable index of the Utf8 entry
-        self._string_index = {} # text -> atable index of the interned literal
-        self._member_index = {} # (class aidx, name, desc, kind) -> aidx
-        self._pending = 0       # raw constants not yet placed by prelinking
 
     # --- construction helpers ---
 
     def add_a(self, kind, payload):
         self.a_kind.append(kind)
         self.a_payload.append(payload)
-        self.a_dead.append(False)
         return len(self.a_kind) - 1
 
     def add_v(self, kind, value):
         self.v_kind.append(kind)
         self.v_value.append(value)
-        self.v_dead.append(False)
         return len(self.v_kind) - 1
-
-    def intern_string(self, text):
-        idx = self._string_index.get(text)
-        if idx is None:
-            idx = self.add_a(A_STRING, text)
-            self._string_index[text] = idx
-        return idx
-
-    def utf8_aindex(self, text):
-        return self._utf8_index.get(text)
 
     def kinds(self, space):
         """The kind list of the atable or the vtable."""
@@ -131,7 +119,7 @@ class RuntimePool:
 
     def entry_count(self):
         """Live entries: pair cells count once, dead entries not at all."""
-        return (self._pending + self.a_dead.count(0)
+        return (self.a_dead.count(0)
                 + sum(1 for kind, dead in zip(self.v_kind, self.v_dead)
                       if not dead and kind not in _PAIR_LO))
 
@@ -146,8 +134,8 @@ class RuntimePool:
 
 def packed_pool(a_kind, a_payload, v_kind, v_value):
     """A pool of these tables, every entry live, as pack() builds it.  Only
-    code that reads a loaded pool uses the origin map and the text and
-    member indexes, so a packed pool has empty ones."""
+    code that reads a loaded pool uses the origin map, so a packed pool has
+    an empty one."""
     pool = RuntimePool()
     pool.a_kind, pool.a_payload = a_kind, a_payload
     pool.v_kind, pool.v_value = v_kind, v_value
@@ -170,7 +158,6 @@ def build_pool(raw):
         if c.tag == cf.TAG_UTF8:
             aidx = pool.add_a(A_UTF8, c.text)
             pool.origin[idx] = (ATABLE, aidx)
-            pool._utf8_index.setdefault(c.text, aidx)
         elif c.tag == cf.TAG_INTEGER:
             pool.origin[idx] = (VTABLE, pool.add_v(V_INT, c.value & 0xFFFFFFFF))
         elif c.tag == cf.TAG_FLOAT:
@@ -184,17 +171,14 @@ def build_pool(raw):
             vidx = pool.add_v(V_DBL_HI, c.value >> 32)
             pool.add_v(V_DBL_LO, c.value & 0xFFFFFFFF)
             pool.origin[idx] = (VTABLE, vidx)
-        else:
-            pool._pending += 1
     return pool
 
 
 def _utf8_origin(pool, raw_idx):
-    placed = pool.origin.get(raw_idx)
-    if placed is None or placed[0] != ATABLE \
-            or pool.a_kind[placed[1]] != A_UTF8:
+    aidx = placed(pool, raw_idx, ATABLE, A_UTF8)
+    if aidx is None:
         raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
-    return placed[1]
+    return aidx
 
 
 def prelink_pass1(pool, raw, resolver):
@@ -205,105 +189,65 @@ def prelink_pass1(pool, raw, resolver):
     NameAndType becomes one cell packing two Utf8 atable indexes.
     """
     text = pool.a_payload
+    literals = {}           # text -> atable index of its interned literal
     for idx, c in enumerate(raw.raw_pool):
         if c.tag == cf.TAG_CLASS:
             cls = resolver(text[_utf8_origin(pool, c.value)])
             pool.origin[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
-            pool._pending -= 1
         elif c.tag == cf.TAG_STRING:
-            lit = pool.intern_string(text[_utf8_origin(pool, c.value)])
+            literal = text[_utf8_origin(pool, c.value)]
+            lit = literals.get(literal)
+            if lit is None:
+                lit = literals[literal] = pool.add_a(A_STRING, literal)
             if lit > 0xFFFFFFFF:
                 raise PoolOverflow("atable too large")
             pool.origin[idx] = (VTABLE, pool.add_v(V_STRING, lit))
-            pool._pending -= 1
         elif c.tag == cf.TAG_NAMEANDTYPE:
             n_aidx = _utf8_origin(pool, c.value[0])
             d_aidx = _utf8_origin(pool, c.value[1])
             pool.origin[idx] = (VTABLE, pool.add_v(V_NAT, _pack16(n_aidx, d_aidx)))
-            pool._pending -= 1
-    _refresh_dead(pool, raw)
 
 
 def prelink_pass2(pool, raw):
-    """Resolve member refs into (class handle, member handle) index pairs.
+    """Resolve member refs into (class handle, member handle) index pairs,
+    then set the dead flags of the whole pool.
 
     Handles are deduplicated, so two refs to the same member share one
-    atable entry.  The NameAndType cells and the Utf8 text feeding them
-    become dead unless something else still needs them.
+    atable entry.  This pass places the last raw constants, so nothing
+    references a NameAndType cell or a Utf8 after it: every NameAndType
+    cell is dead, and so is every Utf8 that does not spell a name or
+    descriptor of this class's own members (those stay eligible for
+    reflection marking).
     """
     payload = pool.a_payload
+    handles = {}            # (class aidx, name, descriptor, kind) -> aidx
     for idx, c in enumerate(raw.raw_pool):
         if c.tag not in _REF_KIND:
             continue
-        cls_placed = pool.origin.get(c.value[0])
-        if cls_placed is None or cls_placed[0] != ATABLE \
-                or pool.a_kind[cls_placed[1]] != A_CLASS:
+        class_aidx = placed(pool, c.value[0], ATABLE, A_CLASS)
+        if class_aidx is None:
             raise DanglingIndex("member ref %d names a missing Class constant" % idx)
-        nat_placed = pool.origin.get(c.value[1])
-        if nat_placed is None or nat_placed[0] != VTABLE \
-                or pool.v_kind[nat_placed[1]] != V_NAT:
+        nat_vidx = placed(pool, c.value[1], VTABLE, V_NAT)
+        if nat_vidx is None:
             raise DanglingIndex("member ref %d names a missing NameAndType" % idx)
-        class_aidx = cls_placed[1]
-        n_aidx, d_aidx = _unpack16(pool.v_value[nat_placed[1]])
+        n_aidx, d_aidx = _unpack16(pool.v_value[nat_vidx])
         name = payload[n_aidx]
         desc = payload[d_aidx]
         kind = A_FIELD if c.tag == cf.TAG_FIELDREF else A_METHOD
         key = (class_aidx, name, desc, kind)
-        handle_aidx = pool._member_index.get(key)
+        handle_aidx = handles.get(key)
         if handle_aidx is None:
             handle = MemberHandle(payload[class_aidx], name, desc,
                                   is_field=(kind == A_FIELD))
-            handle_aidx = pool.add_a(kind, handle)
-            pool._member_index[key] = handle_aidx
+            handle_aidx = handles[key] = pool.add_a(kind, handle)
         pool.origin[idx] = (VTABLE, pool.add_v(
             _REF_KIND[c.tag], _pack16(class_aidx, handle_aidx)))
-        pool._pending -= 1
-    _refresh_dead(pool, raw)
 
-
-def _refresh_dead(pool, raw):
-    """Flag entries that load-time resolution made unreachable.
-
-    A Utf8 stays live while a still-pending raw constant or a live
-    NameAndType cell references it, or while it spells a member name or
-    descriptor of this class (those stay eligible for reflection marking).
-    """
-    member_texts = set()
-    for m in raw.fields + raw.methods:
-        member_texts.add(m.name)
-        member_texts.add(m.descriptor)
-
-    live_utf8 = set()
-    live_nat = set()
-    for idx, c in enumerate(raw.raw_pool):
-        if idx in pool.origin or c.is_placeholder:
-            continue
-        if c.tag in (cf.TAG_CLASS, cf.TAG_STRING):
-            placed = pool.origin.get(c.value)
-            if placed and placed[0] == ATABLE:
-                live_utf8.add(placed[1])
-        elif c.tag == cf.TAG_NAMEANDTYPE:
-            for ref in c.value:
-                placed = pool.origin.get(ref)
-                if placed and placed[0] == ATABLE:
-                    live_utf8.add(placed[1])
-        elif c.tag in _REF_KIND:
-            placed = pool.origin.get(c.value[1])
-            if placed and placed[0] == VTABLE:
-                live_nat.add(placed[1])
-
-    for vidx, (kind, value) in enumerate(zip(pool.v_kind, pool.v_value)):
-        if kind == V_NAT:
-            pool.v_dead[vidx] = vidx not in live_nat
-            if vidx in live_nat:
-                hi, lo = _unpack16(value)
-                live_utf8.add(hi)
-                live_utf8.add(lo)
-
-    for aidx, (kind, text) in enumerate(zip(pool.a_kind, pool.a_payload)):
-        if kind == A_UTF8:
-            pool.a_dead[aidx] = (aidx not in live_utf8
-                                 and text not in member_texts)
+    member_texts = {text for m in raw.fields + raw.methods
+                    for text in (m.name, m.descriptor)}
+    pool.v_dead = bytearray(kind == V_NAT for kind in pool.v_kind)
+    pool.a_dead = bytearray(kind == A_UTF8 and text not in member_texts
+                            for kind, text in zip(pool.a_kind, payload))
 
 
 def new_marks(pool):
@@ -391,3 +335,13 @@ def holds(pool, space, index, want):
         return True
     handle = pool.v_value[index] & 0xFFFF
     return handle < len(pool.a_kind) and pool.a_kind[handle] == handle_kind
+
+
+def placed(pool, raw_idx, space, want):
+    """The ``space`` table index where prelinking placed raw constant
+    ``raw_idx``, if that entry ``holds`` kind ``want``; otherwise None."""
+    where = pool.origin.get(raw_idx)
+    if where is None or where[0] != space \
+            or not holds(pool, space, where[1], want):
+        return None
+    return where[1]

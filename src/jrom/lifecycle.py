@@ -149,7 +149,9 @@ class ClassRep:
         return bool(self.access_flags & cf.ACC_INTERFACE)
 
     def view(self, stage):
-        if stage == LOADED:
+        """The stage's view of this class; a class that is not linked (its
+        link failed, or has not run) has only its loaded one."""
+        if stage == LOADED or self.state != LINKED:
             if self.loaded_view is None:
                 raise InvalidTransition("%s has no loaded snapshot" % self.name)
             return self.loaded_view
@@ -391,14 +393,11 @@ def _loaded_code(raw_method, pool):
     raw_code = code_attr.code
     table = []
     for start, end, handler, catch in raw_code.exception_table:
-        if catch == 0:
-            aidx = None
-        else:
-            placed = pool.origin.get(catch)
-            if placed is None or placed[0] != cp.ATABLE \
-                    or pool.a_kind[placed[1]] != cp.A_CLASS:
+        aidx = None
+        if catch != 0:
+            aidx = cp.placed(pool, catch, cp.ATABLE, cp.A_CLASS)
+            if aidx is None:
                 raise BadPoolRef("catch type index %d is not a class constant" % catch)
-            aidx = placed[1]
         table.append((start, end, handler, aidx))
     stack_maps = None
     for a in raw_code.attributes:

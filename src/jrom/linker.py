@@ -104,13 +104,10 @@ def _decode(m):
 def _member_at(pool, bc, off):
     """The resolved field or method a member-ref instruction names."""
     entry, raw_idx = ops.pool_operand(bc, off)
-    placed = pool.origin.get(raw_idx)
-    if placed is None or placed[0] != cp.VTABLE:
-        raise VerifyError("operand %d at %d is not a pool constant" % (raw_idx, off))
-    vidx = placed[1]
-    if pool.v_kind[vidx] != entry.want:
-        raise VerifyError("operand %d at %d holds %s, expected %s"
-                          % (raw_idx, off, pool.v_kind[vidx], entry.want))
+    vidx = cp.placed(pool, raw_idx, cp.VTABLE, entry.want)
+    if vidx is None:
+        raise VerifyError("operand %d at %d is not a %s constant"
+                          % (raw_idx, off, entry.want))
     return pool.a_payload[pool.v_value[vidx] & 0xFFFF].resolved
 
 
@@ -139,9 +136,7 @@ def check_method(m, pool, sizes):
             raise VerifyError("%s: raw constant load survived loading at %d"
                               % (m, off))
         elif entry.space == cp.ATABLE:
-            placed = pool.origin.get(idx)
-            if placed is None or placed[0] != cp.ATABLE \
-                    or pool.a_kind[placed[1]] != cp.A_CLASS:
+            if cp.placed(pool, idx, cp.ATABLE, cp.A_CLASS) is None:
                 raise VerifyError("%s: operand %d at %d is not a class constant"
                                   % (m, idx, off))
         else:
@@ -264,9 +259,13 @@ def mark_reflection(pool, marks, cls, ctx):
     """Keep member name and descriptor text alive when introspection is on."""
     if not ctx.introspection:
         return
+    utf8 = {}               # text -> atable index of its first Utf8
+    for aidx, (kind, text) in enumerate(zip(pool.a_kind, pool.a_payload)):
+        if kind == cp.A_UTF8:
+            utf8.setdefault(text, aidx)
     for member in cls.fields + cls.methods:
         for text in (member.name, member.descriptor):
-            aidx = pool.utf8_aindex(text)
+            aidx = utf8.get(text)
             if aidx is not None:
                 cp.mark(pool, marks, cp.ATABLE, aidx)
 

@@ -1213,11 +1213,8 @@ def _operand(bc, off, op, view):
     if kind is not None:            # POOL or QUICK
         idx = table_idx = ops.read_operand(bc, off, entry.size)
         if kind == ops.POOL and not view.relinked:
-            placed = view.pool.origin.get(idx)
-            ok = placed is not None and placed[0] == entry.space
-            table_idx = placed[1] if ok else None
-        if table_idx is not None and not cp.holds(view.pool, entry.space,
-                                                  table_idx, entry.want):
+            table_idx = cp.placed(view.pool, idx, entry.space, entry.want)
+        elif not cp.holds(view.pool, entry.space, idx, entry.want):
             table_idx = None
         ref = (entry, table_idx, idx)
         return (op, ref) if _HANDLERS[op] is _invoke else ref

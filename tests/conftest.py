@@ -6,6 +6,7 @@ import pytest
 
 from jrom import classfile as cf
 from jrom import constpool as cp
+from jrom.lifecycle import Registry
 from jrom.pipeline import Pipeline
 
 from .corpus import build_corpus, write_corpus
@@ -72,6 +73,27 @@ def resolve(pool, space, index):
         return (cp.V_NAT, pool.a_payload[hi], pool.a_payload[lo])
     return ((kind,) + resolve(pool, cp.ATABLE, hi)[1:]
             + resolve(pool, cp.ATABLE, lo)[1:])
+
+
+def raw_pool(*constants):
+    """Hand-built RawClassFile around a pool; slot 0 implied."""
+    pool = [cf.RawConstant(cf.TAG_PLACEHOLDER)]
+    for tag, value in constants:
+        if tag == cf.TAG_UTF8:
+            pool.append(cf.RawConstant(tag, cf.encode_mutf8(value), value))
+        else:
+            pool.append(cf.RawConstant(tag, value))
+        if tag in (cf.TAG_LONG, cf.TAG_DOUBLE):
+            pool.append(cf.RawConstant(cf.TAG_PLACEHOLDER))
+    return cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
+
+
+def prelinked(raw, registry=None):
+    registry = registry or Registry()
+    pool = cp.build_pool(raw)
+    cp.prelink_pass1(pool, raw, registry.resolve)
+    cp.prelink_pass2(pool, raw)
+    return pool
 
 
 def make_pipeline(corpus_dir, **flags):

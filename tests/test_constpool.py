@@ -9,28 +9,7 @@ from jrom import constpool as cp
 from jrom.errors import DanglingIndex, IndexOutOfRange, PoolOverflow
 from jrom.lifecycle import Registry
 
-from .conftest import resolve
-
-
-def raw_pool(*constants):
-    """Hand-built RawClassFile around a pool; slot 0 implied."""
-    pool = [cf.RawConstant(cf.TAG_PLACEHOLDER)]
-    for tag, value in constants:
-        if tag == cf.TAG_UTF8:
-            pool.append(cf.RawConstant(tag, cf.encode_mutf8(value), value))
-        else:
-            pool.append(cf.RawConstant(tag, value))
-        if tag in (cf.TAG_LONG, cf.TAG_DOUBLE):
-            pool.append(cf.RawConstant(cf.TAG_PLACEHOLDER))
-    return cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
-
-
-def prelinked(raw, registry=None):
-    registry = registry or Registry()
-    pool = cp.build_pool(raw)
-    cp.prelink_pass1(pool, raw, registry.resolve)
-    cp.prelink_pass2(pool, raw)
-    return pool
+from .conftest import prelinked, raw_pool, resolve
 
 
 class TestBuildPool:
@@ -55,18 +34,11 @@ class TestBuildPool:
         pool = cp.build_pool(raw_pool((cf.TAG_UTF8, "hi")))
         assert list(zip(pool.a_kind, pool.a_payload)) == [(cp.A_UTF8, "hi")]
 
-    def test_entry_count_includes_pending(self):
-        raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1))
-        pool = cp.build_pool(raw)
-        assert pool.entry_count() == 2
-
 
 class TestPass1:
     def test_class_constant_becomes_handle(self):
         raw = raw_pool((cf.TAG_UTF8, "java/lang/Object"), (cf.TAG_CLASS, 1))
-        registry = Registry()
-        pool = cp.build_pool(raw)
-        cp.prelink_pass1(pool, raw, registry.resolve)
+        pool = prelinked(raw)
         handles = [p for k, p in zip(pool.a_kind, pool.a_payload)
                    if k == cp.A_CLASS]
         assert len(handles) == 1
@@ -154,18 +126,11 @@ class TestPass2:
                        (cf.TAG_METHODREF, (2, 5)),
                        (cf.TAG_UTF8, "x"), (cf.TAG_STRING, 7),
                        (cf.TAG_LONG, 99))
-        registry = Registry()
-        pool = cp.build_pool(raw)
-        at_build = pool.entry_count()
-        cp.prelink_pass1(pool, raw, registry.resolve)
-        at_pass1 = pool.entry_count()
-        cp.prelink_pass2(pool, raw)
-        at_pass2 = pool.entry_count()
-        assert at_build >= at_pass1 >= at_pass2
+        pool = prelinked(raw)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         packed, _, _ = cp.pack(pool, marks)
-        assert at_pass2 >= packed.entry_count()
+        assert pool.entry_count() >= packed.entry_count()
 
 
 class TestMark:
@@ -352,3 +317,116 @@ def test_pack_preserves_resolution_of_marked(marks):
     packed, _, v_remap = cp.pack(pool, pool_marks)
     for old, value in targets:
         assert resolve(packed, "v", v_remap[old]) == value
+
+
+_TEXTS = ("p/A", "p/B", "x", "I", "()V")
+_REF_KINDS = {cf.TAG_FIELDREF: cp.V_FIELDREF, cf.TAG_METHODREF: cp.V_METHODREF,
+              cf.TAG_IFACEMETHODREF: cp.V_IFACEREF}
+
+
+@st.composite
+def _class_files(draw):
+    """A valid raw class file whose pool holds every constant kind in a
+    shuffled order, so references point both forward and back, with
+    repeated Utf8 and String texts and repeated member refs."""
+    texts = draw(st.lists(st.sampled_from(_TEXTS), min_size=1, max_size=6))
+    utf8 = st.integers(0, len(texts) - 1)
+    # (tag, value) with references given as positions in this list
+    logical = [(cf.TAG_UTF8, t) for t in texts]
+    for tag, values in ((cf.TAG_INTEGER, st.integers(-2**31, 2**31 - 1)),
+                        (cf.TAG_FLOAT, st.integers(0, 2**32 - 1)),
+                        (cf.TAG_LONG, st.integers(-2**63, 2**63 - 1)),
+                        (cf.TAG_DOUBLE, st.integers(0, 2**64 - 1))):
+        logical += [(tag, v) for v in draw(st.lists(values, max_size=2))]
+    classes = range(len(logical), len(logical) + draw(st.integers(0, 3)))
+    logical += [(cf.TAG_CLASS, draw(utf8)) for _ in classes]
+    logical += [(cf.TAG_STRING, draw(utf8))
+                for _ in range(draw(st.integers(0, 4)))]
+    nats = range(len(logical), len(logical) + draw(st.integers(0, 3)))
+    logical += [(cf.TAG_NAMEANDTYPE, (draw(utf8), draw(utf8))) for _ in nats]
+    if classes and nats:
+        logical += [(draw(st.sampled_from(sorted(_REF_KINDS))),
+                     (draw(st.sampled_from(classes)),
+                      draw(st.sampled_from(nats))))
+                    for _ in range(draw(st.integers(0, 6)))]
+    order = draw(st.permutations(range(len(logical))))
+    at, idx = {}, 1
+    for i in order:
+        at[i] = idx
+        idx += 2 if logical[i][0] in (cf.TAG_LONG, cf.TAG_DOUBLE) else 1
+
+    def placed_value(tag, value):
+        if tag in (cf.TAG_CLASS, cf.TAG_STRING):
+            return at[value]
+        if tag == cf.TAG_NAMEANDTYPE or tag in _REF_KINDS:
+            return at[value[0]], at[value[1]]
+        return value
+    raw = raw_pool(*((logical[i][0], placed_value(*logical[i]))
+                     for i in order))
+    members = st.builds(lambda name, desc: cf.RawMember(0, 0, 0, [], name,
+                                                        desc),
+                        st.sampled_from(_TEXTS + ("absent",)),
+                        st.sampled_from(_TEXTS))
+    raw.fields = draw(st.lists(members, max_size=2))
+    raw.methods = draw(st.lists(members, max_size=2))
+    return raw
+
+
+def _denotes(raw, idx):
+    """What raw constant ``idx`` means, in ``resolve``'s terms."""
+    c = raw.raw_pool[idx]
+    if c.tag == cf.TAG_UTF8:
+        return (cp.A_UTF8, c.text)
+    if c.tag in (cf.TAG_INTEGER, cf.TAG_LONG):
+        kind, bits = ((cp.V_INT, 32) if c.tag == cf.TAG_INTEGER
+                      else (cp.V_LONG_HI, 64))
+        return (kind, c.value & ((1 << bits) - 1))
+    if c.tag in (cf.TAG_FLOAT, cf.TAG_DOUBLE):
+        return (cp.V_FLOAT if c.tag == cf.TAG_FLOAT else cp.V_DBL_HI, c.value)
+    if c.tag == cf.TAG_CLASS:
+        return (cp.A_CLASS, raw.utf8(c.value))
+    if c.tag == cf.TAG_STRING:
+        return (cp.V_STRING, raw.utf8(c.value))
+    if c.tag == cf.TAG_NAMEANDTYPE:
+        return (cp.V_NAT, raw.utf8(c.value[0]), raw.utf8(c.value[1]))
+    owner = raw.class_name(c.value[0])
+    _, name, desc = _denotes(raw, c.value[1])
+    return (_REF_KINDS[c.tag], owner, owner, name, desc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_class_files())
+def test_prelink_places_every_constant(raw):
+    pool = prelinked(raw)
+    constants = [i for i, c in enumerate(raw.raw_pool) if not c.is_placeholder]
+    assert sorted(pool.origin) == constants
+    for i in constants:
+        assert resolve(pool, *pool.origin[i]) == _denotes(raw, i), i
+
+    # equal literals share one atable entry
+    literal_at = {}
+    for kind, value in zip(pool.v_kind, pool.v_value):
+        if kind == cp.V_STRING:
+            assert literal_at.setdefault(pool.a_payload[value], value) == value
+    assert pool.a_kind.count(cp.A_STRING) == len(literal_at)
+
+    # equal member refs (one Class constant, one name, descriptor and kind)
+    # share one handle, and no two handles are equal
+    handle_at = {}
+    for kind, value in zip(pool.v_kind, pool.v_value):
+        if kind in _REF_KINDS.values():
+            handle = value & 0xFFFF
+            key = (value >> 16, pool.a_kind[handle]) \
+                + resolve(pool, cp.ATABLE, handle)[2:]
+            assert handle_at.setdefault(key, handle) == handle
+    assert (pool.a_kind.count(cp.A_FIELD) + pool.a_kind.count(cp.A_METHOD)
+            == len(handle_at))
+
+    # nothing reads a NameAndType cell or a Utf8 once prelinking is done,
+    # except reflection, which reads the names and descriptors of members
+    member_texts = {t for m in raw.fields + raw.methods
+                    for t in (m.name, m.descriptor)}
+    assert list(pool.v_dead) == [k == cp.V_NAT for k in pool.v_kind]
+    assert list(pool.a_dead) == [
+        k == cp.A_UTF8 and text not in member_texts
+        for k, text in zip(pool.a_kind, pool.a_payload)]

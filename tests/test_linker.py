@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from jrom import classfile as cf
 from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import linker as lk
@@ -12,7 +13,7 @@ from jrom.errors import ClassNotFound, NoSuchField, NoSuchMethod, VerifyError
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
-from .conftest import resolve
+from .conftest import prelinked, raw_pool, resolve
 
 OP = ops.BY_NAME
 
@@ -476,6 +477,16 @@ class TestMarkReflection:
         texts = {p for k, p in zip(cls.pool.a_kind, cls.pool.a_payload)
                  if k == cp.A_UTF8}
         assert "fact" not in texts and "(I)I" not in texts
+
+    def test_first_spelling_of_a_member_text_is_kept(self):
+        raw = raw_pool((cf.TAG_UTF8, "run"), (cf.TAG_UTF8, "()V"),
+                       (cf.TAG_UTF8, "run"))
+        raw.methods = [cf.RawMember(0, 1, 2, [], "run", "()V")]
+        pool = prelinked(raw)
+        a_marks, _ = marks = cp.new_marks(pool)
+        # the raw class file has the member names that a ClassRep would
+        lk.mark_reflection(pool, marks, raw, lk.LinkContext(lc.Registry()))
+        assert list(a_marks) == [1, 1, 0]
 
 
 class TestRelink:

@@ -445,6 +445,34 @@ class TestDifferentialPairs:
         assert (owner, method) == ("corpus/Constants", "intConst()I")
         assert "error/InterpError" in why
 
+    def test_call_into_class_whose_link_failed(self, corpus_dir, tmp_path):
+        # vb/B fails to link (h reads a missing field), so it stays loaded:
+        # vb/A's linked code must run B.g against B's loaded pool, reading
+        # its operands as raw indexes, on both sides of the comparison
+        b = ClassBuilder("vb/B")
+        b.field("K", "I", ACC_PUBLIC | ACC_STATIC, const=("i", 7))
+        b.default_init()
+        g = b.method("g", "()I", ACC_PUBLIC | ACC_STATIC)
+        g.getstatic("vb/B", "K", "I").op("ireturn")
+        h = b.method("h", "()V", ACC_PUBLIC | ACC_STATIC)
+        h.getstatic("vb/B", "missing", "I").op("pop").op("return")
+        a = ClassBuilder("vb/A")
+        a.default_init()
+        m = a.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
+        m.invoke("invokestatic", "vb/B", "g", "()I").op("ireturn")
+        (tmp_path / "vb").mkdir()
+        (tmp_path / "vb" / "B.class").write_bytes(b.build())
+        (tmp_path / "vb" / "A.class").write_bytes(a.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vb/A", "vb/B"], closure=True)
+        pipe.ready_all()
+        failures = pipe.link_all()
+        assert [name for name, _ in failures] == ["vb/B"], failures
+        assert pipe.registry.get("vb/B").state == lc.LOADED
+        out = pipe.verify_all(vectors=1, only="vb/A.m")
+        assert out.checked == [("vb/A", "m()I")], out
+        assert not out.failures and not out.skipped
+
     def test_clinit_differential_uses_initial_zones(self, linked_pipeline):
         # verify_all runs <clinit> from zones_initial on both sides
         out = linked_pipeline.verify_all(vectors=1,
