@@ -1,9 +1,10 @@
 """Parsing of .class files into a faithful raw representation.
 
-Only the pre-Java-5 format (major version <= 49) is accepted.  Attributes
-that play no part in execution (debug tables, source names, and so on) are
-dropped at parse time; their byte lengths are kept so footprint reports can
-say how much was discarded.
+Only the pre-Java-5 format (major version <= 49) is accepted.  The
+constant pool is read into parallel tag and value arrays, with no object
+per constant.  Attributes that play no part in execution (debug tables,
+source names, and so on) are dropped at parse time; their byte lengths are
+kept so footprint reports can say how much was discarded.
 """
 
 import struct
@@ -46,8 +47,10 @@ RETAINED_ATTRS = frozenset({"Code", "ConstantValue"})
 # attributes kept inside a Code attribute (stack maps in either spelling)
 CODE_RETAINED_ATTRS = frozenset({"StackMapTable", "StackMap"})
 
-CONSTANT_VALUE_TAGS = frozenset(
-    {TAG_INTEGER, TAG_FLOAT, TAG_LONG, TAG_DOUBLE, TAG_STRING})
+# tag of a ConstantValue constant -> the type char constant_value_of gives it
+CONSTANT_VALUE_KINDS = {TAG_INTEGER: "i", TAG_FLOAT: "f", TAG_LONG: "j",
+                        TAG_DOUBLE: "d", TAG_STRING: "s"}
+_REF_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_IFACEMETHODREF})
 
 
 def decode_mutf8(data):
@@ -108,17 +111,6 @@ def encode_mutf8(text):
 
 
 @dataclass
-class RawConstant:
-    tag: int
-    value: object = None    # tag-dependent; see parse_class
-    text: str = None        # decoded form, Utf8 only
-
-    @property
-    def is_placeholder(self):
-        return self.tag == TAG_PLACEHOLDER
-
-
-@dataclass
 class RawAttribute:
     name: str
     payload: bytes          # empty when not retained
@@ -152,16 +144,13 @@ class RawMember:
                 return a
         return None
 
-    @property
-    def is_static(self):
-        return bool(self.access_flags & ACC_STATIC)
-
 
 @dataclass
 class RawClassFile:
     minor_version: int
     major_version: int
-    raw_pool: list          # index 0 and long/double followers are placeholders
+    pool_tags: bytearray    # tag per pool slot; slot 0 and the slot after a
+    pool_values: list       # Long/Double hold TAG_PLACEHOLDER; see _read_pool
     access_flags: int
     this_class: int
     super_class: int
@@ -169,29 +158,29 @@ class RawClassFile:
     fields: list
     methods: list
     attributes: list
-    file_size: int = 0
     pool_entries_start: int = 0   # offset just past the pool count field
     pool_end: int = 0
     name: str = field(default=None)
     super_name: str = field(default=None)
 
     def constant(self, index, tag=None):
-        if not 1 <= index < len(self.raw_pool):
+        """The value in slot ``index``, which must hold a ``tag`` constant."""
+        if not 1 <= index < len(self.pool_tags):
             raise BadIndex("pool index %d out of range" % index)
-        c = self.raw_pool[index]
-        if c.is_placeholder:
+        found = self.pool_tags[index]
+        if found == TAG_PLACEHOLDER:
             raise BadIndex("pool index %d is a placeholder slot" % index)
-        if tag is not None and c.tag != tag:
+        if tag is not None and found != tag:
             raise BadIndex("pool index %d holds %s, expected %s"
-                           % (index, TAG_NAMES.get(c.tag, c.tag),
+                           % (index, TAG_NAMES.get(found, found),
                               TAG_NAMES.get(tag, tag)))
-        return c
+        return self.pool_values[index]
 
     def utf8(self, index):
-        return self.constant(index, TAG_UTF8).text
+        return self.constant(index, TAG_UTF8)
 
     def class_name(self, index):
-        return self.utf8(self.constant(index, TAG_CLASS).value)
+        return self.utf8(self.constant(index, TAG_CLASS))
 
 
 def read_one(layout):
@@ -236,19 +225,14 @@ class ByteReader:
         self.pos = pos + layout.size
         return layout.unpack_from(self.data, pos)
 
-    def u1(self, what):
-        pos = self.pos
-        if pos >= len(self.data):
-            raise self.truncated(what)
-        self.pos = pos + 1
-        return self.data[pos]
-
     u2 = read_one(_U2)
     u4 = read_one(_U4)
 
 
 _REF = struct.Struct(">HH")
-_EXCEPTION_ENTRY = struct.Struct(">HHHH")
+_EXCEPTION_ENTRY = _MEMBER_HEADER = struct.Struct(">HHHH")
+_MEMBER_FIELDS = ("member access flags", "member name index",
+                  "member descriptor index", "member attribute count")
 # tag -> (layout, what a truncation names) of the fixed-size pool entries
 _POOL_ENTRIES = {
     TAG_INTEGER: (struct.Struct(">i"), "Integer"),
@@ -264,48 +248,72 @@ _POOL_ENTRIES = {
 }
 
 
-def _read_pool(r):
-    count = r.u2("constant pool count")
-    pool = [RawConstant(TAG_PLACEHOLDER)]
-    while len(pool) < count:
-        tag = r.u1("constant tag")
+def _read_pool(data, pos):
+    """The pool whose count is at ``pos`` as (tags, values, end offset):
+    one tag (a bytearray) and one value per slot.  Slot 0 and the slot
+    after a Long or Double hold TAG_PLACEHOLDER and None; a Utf8 value is
+    its text, a reference's its pair of indices, any other its number."""
+    end = len(data)
+    if pos + 2 > end:
+        raise Truncated("input ends inside constant pool count")
+    count = (data[pos] << 8) | data[pos + 1]
+    if count == 0:
+        raise BadIndex("constant pool count is 0, but it counts slot 0 too")
+    pos += 2
+    tags = bytearray(count)
+    values = [None] * count
+    entries = _POOL_ENTRIES
+    i = 1
+    while i < count:
+        if pos >= end:
+            raise Truncated("input ends inside constant tag")
+        tag = data[pos]
         if tag == TAG_UTF8:
-            length = r.u2("Utf8 length")
-            data = r.take(length, "Utf8 bytes")
-            pool.append(RawConstant(tag, data, decode_mutf8(data)))
-            continue
-        entry = _POOL_ENTRIES.get(tag)
-        if entry is None:
-            raise BadTag("unknown constant pool tag %d" % tag)
-        value = r.unpack(*entry)
-        # a reference keeps both of its indices
-        pool.append(RawConstant(tag, value[0] if len(value) == 1 else value))
-        if tag == TAG_LONG or tag == TAG_DOUBLE:
-            pool.append(RawConstant(TAG_PLACEHOLDER))
-    if len(pool) != count:
+            start = pos + 3
+            if start > end:
+                raise Truncated("input ends inside Utf8 length")
+            pos = start + ((data[pos + 1] << 8) | data[pos + 2])
+            if pos > end:
+                raise Truncated("input ends inside Utf8 bytes")
+            values[i] = decode_mutf8(data[start:pos])
+        else:
+            entry = entries.get(tag)
+            if entry is None:
+                raise BadTag("unknown constant pool tag %d" % tag)
+            layout, what = entry
+            if pos + 1 + layout.size > end:
+                raise Truncated("input ends inside %s" % what)
+            value = layout.unpack_from(data, pos + 1)
+            pos += 1 + layout.size
+            values[i] = value if len(value) == 2 else value[0]
+        tags[i] = tag
+        # a Long or Double takes two slots; the second stays a placeholder
+        i += 2 if tag == TAG_LONG or tag == TAG_DOUBLE else 1
+    if i != count:
         # a Long/Double in the last slot pushed us past the declared count
         raise BadIndex("8-byte constant overflows the pool count")
-    return pool
+    return tags, values, pos
 
 
-def _read_attribute(r, raw_pool, inside_code):
+def _read_attribute(r, pool, inside_code):
+    tags, values = pool
     name_index = r.u2("attribute name index")
-    if not 1 <= name_index < len(raw_pool) or raw_pool[name_index].tag != TAG_UTF8:
+    if name_index >= len(tags) or tags[name_index] != TAG_UTF8:
         raise BadIndex("attribute name index %d is not a Utf8 slot" % name_index)
-    name = raw_pool[name_index].text
+    name = values[name_index]
     length = r.u4("attribute length")
     whitelist = CODE_RETAINED_ATTRS if inside_code else RETAINED_ATTRS
     if name in whitelist:
         if name == "Code":
             return RawAttribute(name, b"", True, length,
-                                code=_read_code(r, raw_pool, length))
+                                code=_read_code(r, pool, length))
         payload = r.take(length, "attribute %s" % name)
         return RawAttribute(name, payload, True, length)
     r.take(length, "attribute %s" % name)
     return RawAttribute(name, b"", False, length)
 
 
-def _read_code(r, raw_pool, declared_len):
+def _read_code(r, pool, declared_len):
     start = r.pos
     max_stack = r.u2("max_stack")
     max_locals = r.u2("max_locals")
@@ -319,22 +327,25 @@ def _read_code(r, raw_pool, declared_len):
     for _ in range(exc_count):
         table.append(r.unpack(_EXCEPTION_ENTRY, "exception table entry"))
     attr_count = r.u2("code attribute count")
-    attrs = [_read_attribute(r, raw_pool, inside_code=True)
+    attrs = [_read_attribute(r, pool, inside_code=True)
              for _ in range(attr_count)]
     if r.pos - start != declared_len:
         raise Truncated("Code attribute length disagrees with content")
     return RawCode(max_stack, max_locals, code, table, attrs, code_offset)
 
 
-def _read_members(r, raw_pool):
+def _read_members(r, pool):
     count = r.u2("member count")
     members = []
     for _ in range(count):
-        flags = r.u2("member access flags")
-        name_index = r.u2("member name index")
-        desc_index = r.u2("member descriptor index")
-        attr_count = r.u2("member attribute count")
-        attrs = [_read_attribute(r, raw_pool, inside_code=False)
+        left = len(r.data) - r.pos
+        if left < _MEMBER_HEADER.size:
+            # name the first field that does not fit, each one a u2
+            raise r.truncated(_MEMBER_FIELDS[left // 2])
+        flags, name_index, desc_index, attr_count = \
+            _MEMBER_HEADER.unpack_from(r.data, r.pos)
+        r.pos += _MEMBER_HEADER.size
+        attrs = [_read_attribute(r, pool, inside_code=False)
                  for _ in range(attr_count)]
         members.append(RawMember(flags, name_index, desc_index, attrs))
     return members
@@ -354,7 +365,8 @@ def parse_class(data):
         raise UnsupportedVersion("class file major version %d > %d"
                                  % (major, MAX_MAJOR))
     pool_entries_start = r.pos + 2
-    raw_pool = _read_pool(r)
+    tags, values, r.pos = _read_pool(data, r.pos)
+    pool = (tags, values)
     pool_end = r.pos
 
     access_flags = r.u2("access flags")
@@ -362,17 +374,16 @@ def parse_class(data):
     super_class = r.u2("super class")
     iface_count = r.u2("interface count")
     interfaces = [r.u2("interface index") for _ in range(iface_count)]
-    fields = _read_members(r, raw_pool)
-    methods = _read_members(r, raw_pool)
+    fields = _read_members(r, pool)
+    methods = _read_members(r, pool)
     attr_count = r.u2("class attribute count")
-    attributes = [_read_attribute(r, raw_pool, inside_code=False)
+    attributes = [_read_attribute(r, pool, inside_code=False)
                   for _ in range(attr_count)]
     if r.pos != len(data):
         raise Truncated("trailing bytes after class structure")
 
-    raw = RawClassFile(minor, major, raw_pool, access_flags, this_class,
+    raw = RawClassFile(minor, major, tags, values, access_flags, this_class,
                        super_class, interfaces, fields, methods, attributes,
-                       file_size=len(data),
                        pool_entries_start=pool_entries_start,
                        pool_end=pool_end)
     _validate(raw)
@@ -380,17 +391,24 @@ def parse_class(data):
 
 
 def _validate(raw):
-    for i, c in enumerate(raw.raw_pool):
-        if c.tag == TAG_CLASS:
-            raw.utf8(c.value)
-        elif c.tag == TAG_STRING:
-            raw.utf8(c.value)
-        elif c.tag == TAG_NAMEANDTYPE:
-            raw.utf8(c.value[0])
-            raw.utf8(c.value[1])
-        elif c.tag in (TAG_FIELDREF, TAG_METHODREF, TAG_IFACEMETHODREF):
-            raw.constant(c.value[0], TAG_CLASS)
-            raw.constant(c.value[1], TAG_NAMEANDTYPE)
+    # each index is checked inline; only a bad one goes to the RawClassFile
+    # method that raises the error naming it
+    tags, values = raw.pool_tags, raw.pool_values
+    n = len(tags)
+    for tag, value in zip(tags, values):
+        if tag == TAG_CLASS or tag == TAG_STRING:
+            if value >= n or tags[value] != TAG_UTF8:
+                raw.utf8(value)
+        elif tag == TAG_NAMEANDTYPE:
+            for index in value:
+                if index >= n or tags[index] != TAG_UTF8:
+                    raw.utf8(index)
+        elif tag in _REF_TAGS:
+            owner, nat = value
+            if owner >= n or tags[owner] != TAG_CLASS:
+                raw.constant(owner, TAG_CLASS)
+            if nat >= n or tags[nat] != TAG_NAMEANDTYPE:
+                raw.constant(nat, TAG_NAMEANDTYPE)
 
     raw.name = raw.class_name(raw.this_class)
     if raw.super_class == 0:
@@ -403,15 +421,17 @@ def _validate(raw):
         raw.class_name(idx)
 
     for m in raw.fields + raw.methods:
-        m.name = raw.utf8(m.name_index)
-        m.descriptor = raw.utf8(m.descriptor_index)
+        i, j = m.name_index, m.descriptor_index
+        m.name = values[i] if i < n and tags[i] == TAG_UTF8 else raw.utf8(i)
+        m.descriptor = values[j] if j < n and tags[j] == TAG_UTF8 else raw.utf8(j)
     for m in raw.fields:
         cv = m.attr("ConstantValue")
         if cv is not None:
             if cv.orig_len != 2:
                 raise BadIndex("ConstantValue payload must be 2 bytes")
-            idx = struct.unpack(">H", cv.payload)[0]
-            if raw.constant(idx).tag not in CONSTANT_VALUE_TAGS:
+            idx = _U2.unpack(cv.payload)[0]
+            raw.constant(idx)
+            if tags[idx] not in CONSTANT_VALUE_KINDS:
                 raise BadIndex("ConstantValue index %d has a non-value tag" % idx)
     for m in raw.methods:
         code_attr = m.attr("Code")
@@ -423,7 +443,7 @@ def _validate(raw):
 
 def pool_entry_count(raw):
     """Number of real constants (slot 0 and placeholders excluded)."""
-    return sum(1 for c in raw.raw_pool if not c.is_placeholder)
+    return len(raw.pool_tags) - raw.pool_tags.count(TAG_PLACEHOLDER)
 
 
 def constant_value_of(raw, member):
@@ -435,9 +455,7 @@ def constant_value_of(raw, member):
     cv = member.attr("ConstantValue")
     if cv is None:
         return None
-    idx = struct.unpack(">H", cv.payload)[0]
-    c = raw.constant(idx)
-    if c.tag == TAG_STRING:
-        return ("s", raw.utf8(c.value))
-    kind = {TAG_INTEGER: "i", TAG_FLOAT: "f", TAG_LONG: "j", TAG_DOUBLE: "d"}[c.tag]
-    return (kind, c.value)
+    idx = _U2.unpack(cv.payload)[0]     # checked by _validate
+    kind = CONSTANT_VALUE_KINDS[raw.pool_tags[idx]]
+    value = raw.pool_values[idx]
+    return (kind, raw.utf8(value) if kind == "s" else value)

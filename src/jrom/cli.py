@@ -197,6 +197,9 @@ def main(argv=None):
     except SystemExit2 as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
+    except JromError as e:   # from a class that only the closure loads
+        print("FAIL %s: %s" % (type(e).__name__, e), file=sys.stderr)
+        return EXIT_CLASS_FAILURES
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

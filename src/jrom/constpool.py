@@ -128,7 +128,8 @@ class RuntimePool:
         total = 4 * (self.a_dead.count(0) + self.v_dead.count(0))
         for kind, payload, dead in zip(self.a_kind, self.a_payload, self.a_dead):
             if not dead and kind in (A_UTF8, A_STRING):
-                total += len(encode_mutf8(payload)) - 2   # in place of 4
+                plain = payload.isascii() and "\0" not in payload   # its own mUTF-8
+                total += (len(payload) if plain else len(encode_mutf8(payload))) - 2
         return total
 
 
@@ -144,6 +145,24 @@ def packed_pool(a_kind, a_payload, v_kind, v_value):
     return pool
 
 
+# immediate tag -> its vtable cell kinds, high word first
+_IMMEDIATES = {cf.TAG_INTEGER: (V_INT,), cf.TAG_FLOAT: (V_FLOAT,),
+               cf.TAG_LONG: (V_LONG_HI, V_LONG_LO),
+               cf.TAG_DOUBLE: (V_DBL_HI, V_DBL_LO)}
+
+
+def _slots_of(*wanted):
+    """A function giving the raw pool slots, in order, whose tag is one of
+    ``wanted``; it scans in C, so a pass pays only for the slots it places."""
+    keep = bytes(tag in wanted for tag in range(256))
+    return lambda tags: compress(range(len(tags)), tags.translate(keep))
+
+
+_build_slots = _slots_of(cf.TAG_UTF8, *_IMMEDIATES)
+_pass1_slots = _slots_of(cf.TAG_CLASS, cf.TAG_STRING, cf.TAG_NAMEANDTYPE)
+_pass2_slots = _slots_of(*_REF_KIND)
+
+
 def build_pool(raw):
     """First loading step: Utf8 to atable, immediates to vtable.
 
@@ -152,33 +171,24 @@ def build_pool(raw):
     rewriter can chase it later.
     """
     pool = RuntimePool()
-    for idx, c in enumerate(raw.raw_pool):
-        if c.is_placeholder:
+    a_kind, a_payload = pool.a_kind, pool.a_payload
+    v_kind, v_value = pool.v_kind, pool.v_value
+    origin = pool.origin
+    tags, values = raw.pool_tags, raw.pool_values
+    for idx in _build_slots(tags):
+        tag, value = tags[idx], values[idx]
+        if tag == cf.TAG_UTF8:
+            origin[idx] = (ATABLE, len(a_kind))
+            a_kind.append(A_UTF8)
+            a_payload.append(value)
             continue
-        if c.tag == cf.TAG_UTF8:
-            aidx = pool.add_a(A_UTF8, c.text)
-            pool.origin[idx] = (ATABLE, aidx)
-        elif c.tag == cf.TAG_INTEGER:
-            pool.origin[idx] = (VTABLE, pool.add_v(V_INT, c.value & 0xFFFFFFFF))
-        elif c.tag == cf.TAG_FLOAT:
-            pool.origin[idx] = (VTABLE, pool.add_v(V_FLOAT, c.value))
-        elif c.tag == cf.TAG_LONG:
-            bits = c.value & 0xFFFFFFFFFFFFFFFF
-            vidx = pool.add_v(V_LONG_HI, bits >> 32)
-            pool.add_v(V_LONG_LO, bits & 0xFFFFFFFF)
-            pool.origin[idx] = (VTABLE, vidx)
-        elif c.tag == cf.TAG_DOUBLE:
-            vidx = pool.add_v(V_DBL_HI, c.value >> 32)
-            pool.add_v(V_DBL_LO, c.value & 0xFFFFFFFF)
-            pool.origin[idx] = (VTABLE, vidx)
+        kinds = _IMMEDIATES[tag]
+        origin[idx] = (VTABLE, len(v_kind))
+        v_kind.extend(kinds)
+        if len(kinds) == 2:
+            v_value.append((value >> 32) & 0xFFFFFFFF)
+        v_value.append(value & 0xFFFFFFFF)
     return pool
-
-
-def _utf8_origin(pool, raw_idx):
-    aidx = placed(pool, raw_idx, ATABLE, A_UTF8)
-    if aidx is None:
-        raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
-    return aidx
 
 
 def prelink_pass1(pool, raw, resolver):
@@ -188,24 +198,33 @@ def prelink_pass1(pool, raw, resolver):
     String constants become vtable cells naming an interned literal;
     NameAndType becomes one cell packing two Utf8 atable indexes.
     """
-    text = pool.a_payload
+    tags, values = raw.pool_tags, raw.pool_values
+    origin, text = pool.origin, pool.a_payload
+
+    def utf8_at(raw_idx):
+        # build_pool placed every raw Utf8, and nothing else, as atable text
+        where = origin.get(raw_idx)
+        if where is None or tags[raw_idx] != cf.TAG_UTF8:
+            raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
+        return where[1]
+
     literals = {}           # text -> atable index of its interned literal
-    for idx, c in enumerate(raw.raw_pool):
-        if c.tag == cf.TAG_CLASS:
-            cls = resolver(text[_utf8_origin(pool, c.value)])
-            pool.origin[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
-        elif c.tag == cf.TAG_STRING:
-            literal = text[_utf8_origin(pool, c.value)]
+    for idx in _pass1_slots(tags):
+        tag, value = tags[idx], values[idx]
+        if tag == cf.TAG_CLASS:
+            cls = resolver(text[utf8_at(value)])
+            origin[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
+        elif tag == cf.TAG_STRING:
+            literal = text[utf8_at(value)]
             lit = literals.get(literal)
             if lit is None:
                 lit = literals[literal] = pool.add_a(A_STRING, literal)
             if lit > 0xFFFFFFFF:
                 raise PoolOverflow("atable too large")
-            pool.origin[idx] = (VTABLE, pool.add_v(V_STRING, lit))
-        elif c.tag == cf.TAG_NAMEANDTYPE:
-            n_aidx = _utf8_origin(pool, c.value[0])
-            d_aidx = _utf8_origin(pool, c.value[1])
-            pool.origin[idx] = (VTABLE, pool.add_v(V_NAT, _pack16(n_aidx, d_aidx)))
+            origin[idx] = (VTABLE, pool.add_v(V_STRING, lit))
+        elif tag == cf.TAG_NAMEANDTYPE:
+            origin[idx] = (VTABLE, pool.add_v(
+                V_NAT, _pack16(utf8_at(value[0]), utf8_at(value[1]))))
 
 
 def prelink_pass2(pool, raw):
@@ -219,29 +238,32 @@ def prelink_pass2(pool, raw):
     descriptor of this class's own members (those stay eligible for
     reflection marking).
     """
-    payload = pool.a_payload
+    tags, values = raw.pool_tags, raw.pool_values
+    origin, payload = pool.origin, pool.a_payload
     handles = {}            # (class aidx, name, descriptor, kind) -> aidx
-    for idx, c in enumerate(raw.raw_pool):
-        if c.tag not in _REF_KIND:
-            continue
-        class_aidx = placed(pool, c.value[0], ATABLE, A_CLASS)
-        if class_aidx is None:
+    for idx in _pass2_slots(tags):
+        tag, (class_raw, nat_raw) = tags[idx], values[idx]
+        # pass 1 placed every raw Class and NameAndType, and nothing else,
+        # as class handles and NameAndType cells
+        class_at = origin.get(class_raw)
+        if class_at is None or tags[class_raw] != cf.TAG_CLASS:
             raise DanglingIndex("member ref %d names a missing Class constant" % idx)
-        nat_vidx = placed(pool, c.value[1], VTABLE, V_NAT)
-        if nat_vidx is None:
+        nat_at = origin.get(nat_raw)
+        if nat_at is None or tags[nat_raw] != cf.TAG_NAMEANDTYPE:
             raise DanglingIndex("member ref %d names a missing NameAndType" % idx)
-        n_aidx, d_aidx = _unpack16(pool.v_value[nat_vidx])
+        class_aidx = class_at[1]
+        n_aidx, d_aidx = _unpack16(pool.v_value[nat_at[1]])
         name = payload[n_aidx]
         desc = payload[d_aidx]
-        kind = A_FIELD if c.tag == cf.TAG_FIELDREF else A_METHOD
+        kind = A_FIELD if tag == cf.TAG_FIELDREF else A_METHOD
         key = (class_aidx, name, desc, kind)
         handle_aidx = handles.get(key)
         if handle_aidx is None:
             handle = MemberHandle(payload[class_aidx], name, desc,
                                   is_field=(kind == A_FIELD))
             handle_aidx = handles[key] = pool.add_a(kind, handle)
-        pool.origin[idx] = (VTABLE, pool.add_v(
-            _REF_KIND[c.tag], _pack16(class_aidx, handle_aidx)))
+        origin[idx] = (VTABLE, pool.add_v(
+            _REF_KIND[tag], _pack16(class_aidx, handle_aidx)))
 
     member_texts = {text for m in raw.fields + raw.methods
                     for text in (m.name, m.descriptor)}

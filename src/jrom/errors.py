@@ -87,6 +87,10 @@ class ClassNotFound(JromError):
     pass
 
 
+class ClassUnreadable(JromError):
+    """A class file is on the classpath but could not be read."""
+
+
 # --- linking ---
 
 class VerifyError(JromError):

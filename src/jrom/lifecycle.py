@@ -7,15 +7,17 @@ becomes ready once its statics are initialized, which may happen while it
 is merely loaded.
 """
 
+import os
 from dataclasses import dataclass, field as dc_field
 
 from . import classfile as cf
 from . import constpool as cp
 from . import descriptors as desc
 from . import opcodes as ops
-from .errors import (BadPoolRef, ClassNotFound, HierarchyCycle, InvalidName,
-                     InvalidTransition, NameMismatch, PoolOverflow,
-                     StaticOverflow, UnsupportedClinit)
+from .errors import (BadPoolRef, ClassNotFound, ClassUnreadable,
+                     HierarchyCycle, InvalidName, InvalidTransition,
+                     NameMismatch, PoolOverflow, StaticOverflow,
+                     UnsupportedClinit)
 
 UNLOADED = "unloaded"
 LOADED = "loaded"
@@ -296,13 +298,18 @@ class Classpath:
         self.paths = list(paths)
 
     def find(self, name):
-        import os
+        """The bytes of the first ``name``.class on the path, or None."""
         rel = name.replace("/", os.sep) + ".class"
         for p in self.paths:
             full = os.path.join(p, rel)
-            if os.path.isfile(full):
+            try:
                 with open(full, "rb") as fh:
                     return fh.read()
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                continue
+            except OSError as e:
+                raise ClassUnreadable("cannot read class %s from %s: %s"
+                                      % (name, full, e.strerror or e))
         return None
 
 

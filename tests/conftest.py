@@ -1,11 +1,13 @@
 """Shared fixtures: the assembled corpus on disk and ready-made pipelines."""
 
 import struct
+from dataclasses import dataclass
 
 import pytest
 
 from jrom import classfile as cf
 from jrom import constpool as cp
+from jrom.errors import BadIndex, BadTag, Truncated
 from jrom.lifecycle import Registry
 from jrom.pipeline import Pipeline
 
@@ -33,20 +35,67 @@ _CONSTANT_FORMATS = {
 }
 
 
-def serialize_constant(c):
-    """On-disk bytes of one pool entry (placeholders serialize to nothing)."""
-    if c.tag == cf.TAG_PLACEHOLDER:
+def serialize_constant(tag, value):
+    """On-disk bytes of one pool slot given as its tag and value, as the
+    parser returns them (placeholders serialize to nothing)."""
+    if tag == cf.TAG_PLACEHOLDER:
         return b""
-    if c.tag == cf.TAG_UTF8:
-        return struct.pack(">BH", c.tag, len(c.value)) + c.value
-    value = c.value if isinstance(c.value, tuple) else (c.value,)
-    return struct.pack(">B" + _CONSTANT_FORMATS[c.tag], c.tag, *value)
+    if tag == cf.TAG_UTF8:
+        data = cf.encode_mutf8(value)
+        return struct.pack(">BH", tag, len(data)) + data
+    value = value if isinstance(value, tuple) else (value,)
+    return struct.pack(">B" + _CONSTANT_FORMATS[tag], tag, *value)
 
 
 def raw_pool_byte_size(raw):
-    """On-disk byte length of the pool region, entry by entry: loading reads
+    """On-disk byte length of the pool region, slot by slot: loading reads
     it from the parser's offsets, and tests check that the two agree."""
-    return sum(len(serialize_constant(c)) for c in raw.raw_pool)
+    return sum(len(serialize_constant(tag, value))
+               for tag, value in zip(raw.pool_tags, raw.pool_values))
+
+
+@dataclass
+class RefConstant:
+    """One slot of the reference pool reader; placeholders have tag 0."""
+    tag: int
+    value: object = None    # the number or index pair; Utf8: its bytes
+    text: str = None        # decoded form, Utf8 only
+
+
+def read_reference_pool(data):
+    """The constant pool whose count field starts ``data``, read entry by
+    entry into one RefConstant per slot: an oracle for the parser's
+    array reader.  Returns (slots, offset just past the pool) and raises
+    the same ClassFileError subclasses."""
+    pos = 0
+
+    def take(n, what):
+        nonlocal pos
+        if pos + n > len(data):
+            raise Truncated("input ends inside %s" % what)
+        pos += n
+        return data[pos - n:pos]
+
+    count, = struct.unpack(">H", take(2, "constant pool count"))
+    pool = [RefConstant(cf.TAG_PLACEHOLDER)]
+    while len(pool) < count:
+        tag = take(1, "constant tag")[0]
+        if tag == cf.TAG_UTF8:
+            length, = struct.unpack(">H", take(2, "Utf8 length"))
+            text = take(length, "Utf8 bytes")
+            pool.append(RefConstant(tag, text, cf.decode_mutf8(text)))
+            continue
+        fmt = _CONSTANT_FORMATS.get(tag)
+        if fmt is None:
+            raise BadTag("unknown constant pool tag %d" % tag)
+        what = "index" if tag >= cf.TAG_CLASS else cf.TAG_NAMES[tag]
+        value = struct.unpack(">" + fmt, take(struct.calcsize(">" + fmt), what))
+        pool.append(RefConstant(tag, value[0] if len(value) == 1 else value))
+        if tag in (cf.TAG_LONG, cf.TAG_DOUBLE):
+            pool.append(RefConstant(cf.TAG_PLACEHOLDER))
+    if len(pool) != count:
+        raise BadIndex("pool of count %d ends at slot %d" % (count, len(pool)))
+    return pool, pos
 
 
 def resolve(pool, space, index):
@@ -76,16 +125,16 @@ def resolve(pool, space, index):
 
 
 def raw_pool(*constants):
-    """Hand-built RawClassFile around a pool; slot 0 implied."""
-    pool = [cf.RawConstant(cf.TAG_PLACEHOLDER)]
+    """Hand-built RawClassFile around a pool of (tag, value) constants, in
+    the parser's array form; slot 0 implied."""
+    tags, values = bytearray(1), [None]
     for tag, value in constants:
-        if tag == cf.TAG_UTF8:
-            pool.append(cf.RawConstant(tag, cf.encode_mutf8(value), value))
-        else:
-            pool.append(cf.RawConstant(tag, value))
+        tags.append(tag)
+        values.append(value)
         if tag in (cf.TAG_LONG, cf.TAG_DOUBLE):
-            pool.append(cf.RawConstant(cf.TAG_PLACEHOLDER))
-    return cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
+            tags.append(cf.TAG_PLACEHOLDER)
+            values.append(None)
+    return cf.RawClassFile(0, 48, tags, values, 0, 0, 0, [], [], [], [])
 
 
 def prelinked(raw, registry=None):

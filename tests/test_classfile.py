@@ -15,7 +15,8 @@ from jrom.errors import (BadIndex, BadMagic, BadUtf8, ClassFileError,
 from jrom.pipeline import Pipeline
 
 from .assembler import ClassBuilder
-from .conftest import raw_pool_byte_size, serialize_constant
+from .conftest import (raw_pool, raw_pool_byte_size, read_reference_pool,
+                       serialize_constant)
 from .corpus import build_corpus
 
 
@@ -108,6 +109,16 @@ class TestParseErrors:
                            match="^input ends inside constant pool count$"):
             cf.parse_class(_empty_class_bytes()[:9])
 
+    def test_pool_count_zero(self):
+        data = _empty_class_bytes()
+        with pytest.raises(BadIndex, match="^constant pool count is 0"):
+            cf.parse_class(data[:8] + b"\0\0" + data[10:])
+
+    def test_long_in_the_last_slot_overflows_the_count(self):
+        pool = struct.pack(">HBq", 2, cf.TAG_LONG, 5)
+        with pytest.raises(BadIndex, match="overflows the pool count"):
+            cf.parse_class(_empty_class_bytes()[:8] + pool)
+
     def test_trailing_garbage(self):
         with pytest.raises(Truncated):
             cf.parse_class(_empty_class_bytes() + b"\x00")
@@ -128,8 +139,7 @@ class TestParseErrors:
         data = bytearray(cb.build())
         raw = cf.parse_class(bytes(data))
         # point this_class at a Utf8 slot
-        utf8_idx = next(i for i, c in enumerate(raw.raw_pool)
-                        if c.tag == cf.TAG_UTF8)
+        utf8_idx = raw.pool_tags.index(cf.TAG_UTF8)
         struct.pack_into(">H", data, raw.pool_end + 2, utf8_idx)
         with pytest.raises(BadIndex):
             cf.parse_class(bytes(data))
@@ -233,29 +243,19 @@ class TestModifiedUtf8:
 
 class TestStats:
     def test_minimal_pool_is_empty(self):
-        raw = cf.RawClassFile(0, 48, [cf.RawConstant(cf.TAG_PLACEHOLDER)],
-                              0, 0, 0, [], [], [], [])
+        raw = raw_pool()
         assert cf.pool_entry_count(raw) == 0
 
     def test_placeholder_excluded(self):
-        pool = [cf.RawConstant(cf.TAG_PLACEHOLDER),
-                cf.RawConstant(cf.TAG_LONG, 5),
-                cf.RawConstant(cf.TAG_PLACEHOLDER),
-                cf.RawConstant(cf.TAG_UTF8, b"x", "x")]
-        raw = cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
+        raw = raw_pool((cf.TAG_LONG, 5), (cf.TAG_UTF8, "x"))
+        assert len(raw.pool_tags) == 4
         assert cf.pool_entry_count(raw) == 2
 
     def test_integer_is_five_bytes(self):
-        pool = [cf.RawConstant(cf.TAG_PLACEHOLDER),
-                cf.RawConstant(cf.TAG_INTEGER, 1)]
-        raw = cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
-        assert raw_pool_byte_size(raw) == 5
+        assert raw_pool_byte_size(raw_pool((cf.TAG_INTEGER, 1))) == 5
 
     def test_utf8_ab_is_five_bytes(self):
-        pool = [cf.RawConstant(cf.TAG_PLACEHOLDER),
-                cf.RawConstant(cf.TAG_UTF8, b"AB", "AB")]
-        raw = cf.RawClassFile(0, 48, pool, 0, 0, 0, [], [], [], [])
-        assert raw_pool_byte_size(raw) == 5
+        assert raw_pool_byte_size(raw_pool((cf.TAG_UTF8, "AB"))) == 5
 
 
 class TestRetention:
@@ -294,7 +294,8 @@ class TestRoundTrip:
     def test_pool_reserializes_exactly(self, corpus):
         for name, (data, _) in corpus.items():
             raw = cf.parse_class(data)
-            encoded = b"".join(serialize_constant(c) for c in raw.raw_pool)
+            encoded = b"".join(serialize_constant(tag, value) for tag, value
+                               in zip(raw.pool_tags, raw.pool_values))
             assert encoded == data[raw.pool_entries_start:raw.pool_end], name
 
     def test_code_bytes_are_verbatim(self, corpus):
@@ -331,3 +332,65 @@ def test_fuzz_mutated_valid_class(data):
         cf.parse_class(bytes(base))
     except ClassFileError:
         pass
+
+
+# any pool constant as (tag, value) in the parser's form; references point
+# anywhere, since the readers do not follow them
+_CONSTANTS = st.one_of(
+    st.tuples(st.just(cf.TAG_UTF8),
+              st.text(st.characters(exclude_categories=("Cs",)), max_size=6)),
+    st.tuples(st.just(cf.TAG_INTEGER), st.integers(-2**31, 2**31 - 1)),
+    st.tuples(st.just(cf.TAG_FLOAT), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just(cf.TAG_LONG), st.integers(-2**63, 2**63 - 1)),
+    st.tuples(st.just(cf.TAG_DOUBLE), st.integers(0, 2**64 - 1)),
+    st.tuples(st.sampled_from([cf.TAG_CLASS, cf.TAG_STRING]),
+              st.integers(0, 0xFFFF)),
+    st.tuples(st.sampled_from([cf.TAG_FIELDREF, cf.TAG_METHODREF,
+                               cf.TAG_IFACEMETHODREF, cf.TAG_NAMEANDTYPE]),
+              st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF))))
+
+
+def _pool_bytes(constants):
+    raw = raw_pool(*constants)
+    return struct.pack(">H", len(raw.pool_tags)) + b"".join(
+        serialize_constant(tag, value)
+        for tag, value in zip(raw.pool_tags, raw.pool_values))
+
+
+def _assert_readers_agree(data):
+    """The parser's array reader gives the reference reader's tags, values
+    and end offset, or raises the same error type."""
+    try:
+        slots, end = read_reference_pool(data)
+    except ClassFileError as e:
+        with pytest.raises(type(e)):
+            cf._read_pool(data, 0)
+        return
+    tags, values, array_end = cf._read_pool(data, 0)
+    assert list(tags) == [c.tag for c in slots]
+    assert values == [c.text if c.tag == cf.TAG_UTF8 else c.value
+                      for c in slots]
+    assert array_end == end
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CONSTANTS, max_size=12))
+def test_pool_readers_agree_on_random_pools(constants):
+    data = _pool_bytes(constants)
+    _assert_readers_agree(data)
+    _assert_readers_agree(data + b"\x07")
+    tags, values, _ = cf._read_pool(data, 0)
+    assert (tags, values) == (raw_pool(*constants).pool_tags,
+                              raw_pool(*constants).pool_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONSTANTS, max_size=8), st.data())
+def test_pool_readers_agree_on_mutated_pools(constants, draw):
+    data = bytearray(_pool_bytes(constants))
+    for _ in range(draw.draw(st.integers(1, 4))):
+        pos = draw.draw(st.integers(0, len(data) - 1))
+        data[pos] = draw.draw(st.integers(0, 255))
+    cut = draw.draw(st.integers(0, len(data)))
+    _assert_readers_agree(bytes(data))
+    _assert_readers_agree(bytes(data[:cut]))

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from jrom import classfile as cf
+from jrom import lifecycle as lc
 from jrom.cli import main
 
 from .corpus import corpus_names
@@ -167,3 +169,38 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "ldc_quick_i" in out
+
+
+class TestClasspath:
+    def test_directory_named_like_the_class_is_skipped(self, corpus_dir,
+                                                      tmp_path, capsys):
+        (tmp_path / "corpus" / "Empty.class").mkdir(parents=True)
+        (tmp_path / "file").write_bytes(b"")
+        data = lc.Classpath([str(tmp_path), str(tmp_path / "file"),
+                             corpus_dir]).find("corpus/Empty")
+        assert cf.parse_class(data).name == "corpus/Empty"
+        code = run_cli("report", "--classpath", str(tmp_path),
+                       "--classpath", corpus_dir, "corpus/Empty")
+        assert code == 0
+
+    @pytest.mark.parametrize("target, unreadable", [
+        ("corpus/Empty", "Empty.class"),
+        # a class that only the closure pulls in
+        ("corpus/app/Driver", "Box.class")])
+    def test_unreadable_class_is_a_class_failure(self, corpus_dir, monkeypatch,
+                                                 out_dir, capsys, target,
+                                                 unreadable):
+        real_open = open
+
+        def deny(path, *args, **kwargs):
+            if path.endswith(os.sep + unreadable):
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, *args, **kwargs)
+        monkeypatch.setattr(lc, "open", deny, raising=False)
+        code = run_cli("romize", "--classpath", corpus_dir,
+                       "--out", str(out_dir / "x.rom"), target)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ClassUnreadable" in err
+        assert unreadable[:-len(".class")] in err
+        assert "Permission denied" in err

@@ -133,6 +133,15 @@ class TestPass2:
         assert pool.entry_count() >= packed.entry_count()
 
 
+class TestByteSize:
+    @pytest.mark.parametrize("text", [
+        "", "java/lang/Object", "nul\0inside", "caf\u00e9", "\u20ac\u0416",
+        "astral \U0001f600", "\ud800 lone"])
+    def test_text_is_sized_as_its_modified_utf8(self, text):
+        pool = cp.packed_pool([cp.A_UTF8, cp.A_STRING], [text, text], [], [])
+        assert pool.byte_size() == 2 * (2 + len(cf.encode_mutf8(text)))
+
+
 class TestMark:
     def _pool(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
@@ -374,31 +383,32 @@ def _class_files(draw):
 
 def _denotes(raw, idx):
     """What raw constant ``idx`` means, in ``resolve``'s terms."""
-    c = raw.raw_pool[idx]
-    if c.tag == cf.TAG_UTF8:
-        return (cp.A_UTF8, c.text)
-    if c.tag in (cf.TAG_INTEGER, cf.TAG_LONG):
-        kind, bits = ((cp.V_INT, 32) if c.tag == cf.TAG_INTEGER
+    tag, value = raw.pool_tags[idx], raw.pool_values[idx]
+    if tag == cf.TAG_UTF8:
+        return (cp.A_UTF8, value)
+    if tag in (cf.TAG_INTEGER, cf.TAG_LONG):
+        kind, bits = ((cp.V_INT, 32) if tag == cf.TAG_INTEGER
                       else (cp.V_LONG_HI, 64))
-        return (kind, c.value & ((1 << bits) - 1))
-    if c.tag in (cf.TAG_FLOAT, cf.TAG_DOUBLE):
-        return (cp.V_FLOAT if c.tag == cf.TAG_FLOAT else cp.V_DBL_HI, c.value)
-    if c.tag == cf.TAG_CLASS:
-        return (cp.A_CLASS, raw.utf8(c.value))
-    if c.tag == cf.TAG_STRING:
-        return (cp.V_STRING, raw.utf8(c.value))
-    if c.tag == cf.TAG_NAMEANDTYPE:
-        return (cp.V_NAT, raw.utf8(c.value[0]), raw.utf8(c.value[1]))
-    owner = raw.class_name(c.value[0])
-    _, name, desc = _denotes(raw, c.value[1])
-    return (_REF_KINDS[c.tag], owner, owner, name, desc)
+        return (kind, value & ((1 << bits) - 1))
+    if tag in (cf.TAG_FLOAT, cf.TAG_DOUBLE):
+        return (cp.V_FLOAT if tag == cf.TAG_FLOAT else cp.V_DBL_HI, value)
+    if tag == cf.TAG_CLASS:
+        return (cp.A_CLASS, raw.utf8(value))
+    if tag == cf.TAG_STRING:
+        return (cp.V_STRING, raw.utf8(value))
+    if tag == cf.TAG_NAMEANDTYPE:
+        return (cp.V_NAT, raw.utf8(value[0]), raw.utf8(value[1]))
+    owner = raw.class_name(value[0])
+    _, name, desc = _denotes(raw, value[1])
+    return (_REF_KINDS[tag], owner, owner, name, desc)
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw=_class_files())
 def test_prelink_places_every_constant(raw):
     pool = prelinked(raw)
-    constants = [i for i, c in enumerate(raw.raw_pool) if not c.is_placeholder]
+    constants = [i for i, tag in enumerate(raw.pool_tags)
+                 if tag != cf.TAG_PLACEHOLDER]
     assert sorted(pool.origin) == constants
     for i in constants:
         assert resolve(pool, *pool.origin[i]) == _denotes(raw, i), i

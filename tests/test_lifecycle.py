@@ -305,8 +305,7 @@ class TestRewriteLoad:
         c.ldc_int(42).op("ireturn")
         data = bytearray(cb.build())
         raw = cf.parse_class(bytes(data))
-        int_idx = next(i for i, k in enumerate(raw.raw_pool)
-                       if k.tag == cf.TAG_INTEGER)
+        int_idx = raw.pool_tags.index(cf.TAG_INTEGER)
         pattern = bytes([ops.BY_NAME["ldc"], int_idx])
         at = bytes(data).index(pattern)
         data[at + 1] = raw.this_class     # now loads a Class constant
