@@ -77,6 +77,13 @@ def _prepare(args, closure):
     return pipe, targets, failures
 
 
+def _fail(failures):
+    """Print each per-class failure to stderr; the exit code they give."""
+    for name, err in failures:
+        print("FAIL %s: %s" % (name, err), file=sys.stderr)
+    return EXIT_CLASS_FAILURES
+
+
 def cmd_report(args):
     pipe, targets, failures = _prepare(args, args.closure)
     report = pipe.build_report(targets, errors=failures)
@@ -87,17 +94,13 @@ def cmd_report(args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    for name, err in failures:
-        print("FAIL %s: %s" % (name, err), file=sys.stderr)
-    return EXIT_CLASS_FAILURES if failures else EXIT_OK
+    return _fail(failures) if failures else EXIT_OK
 
 
 def cmd_romize(args):
     pipe, _, failures = _prepare(args, closure=True)
     if failures:
-        for name, err in failures:
-            print("FAIL %s: %s" % (name, err), file=sys.stderr)
-        return EXIT_CLASS_FAILURES
+        return _fail(failures)
     if args.verify:
         outcome = pipe.verify_all(seed=args.seed)
         print("verified %d methods (%d skipped)"
@@ -110,8 +113,7 @@ def cmd_romize(args):
     try:
         image = pipe.emit_image()
     except JromError as e:
-        print("FAIL %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return EXIT_CLASS_FAILURES
+        return _fail([(type(e).__name__, e)])
     with open(args.out, "wb") as fh:
         fh.write(image)
     report_path = args.out + ".report.txt"
@@ -130,9 +132,7 @@ def cmd_romize(args):
 def cmd_verify(args):
     pipe, _, failures = _prepare(args, closure=True)
     if failures:
-        for name, err in failures:
-            print("FAIL %s: %s" % (name, err), file=sys.stderr)
-        return EXIT_CLASS_FAILURES
+        return _fail(failures)
     if args.corrupt:
         cls_name, _, method = args.corrupt.rpartition(".")
         try:
@@ -198,8 +198,7 @@ def main(argv=None):
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     except JromError as e:   # from a class that only the closure loads
-        print("FAIL %s: %s" % (type(e).__name__, e), file=sys.stderr)
-        return EXIT_CLASS_FAILURES
+        return _fail([(type(e).__name__, e)])
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG

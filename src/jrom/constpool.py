@@ -8,9 +8,12 @@ vtable, with the dead flags of every entry in ``bytearray``s, so a pool is a
 handful of containers however many entries it has.  Prelinking resolves the
 symbolic constants into direct handles; its second pass places the last of
 them and then sets the dead flags once, for the whole pool, which strips the
-NameAndType cells and most Utf8 text out of the live set.  The lookup dicts
-that deduplicate literals and member handles live only inside the pass that
-fills them, so a loaded pool keeps just its tables, flags and origin map.
+NameAndType cells and most Utf8 text out of the live set.  Where each raw
+constant went is a map that build_pool returns and the passes extend; only
+loading reads it (placed), to rewrite every pool operand of the class's code
+to its table index, and nothing keeps it after the class has loaded.  The
+lookup dicts that deduplicate literals and member handles live only inside
+the pass that fills them, so a loaded pool keeps just its tables and flags.
 Nothing changes the pool after prelinking, so it is the loaded snapshot.
 Linking marks the entries its final code uses into flags of its
 own (new_marks), and pack() copies them into a new pool, rewriting the
@@ -97,7 +100,6 @@ class RuntimePool:
         self.v_value = []
         self.a_dead = bytearray()   # resolved-away at load, excluded from
         self.v_dead = bytearray()   # stats; set once, by prelink_pass2
-        self.origin = {}        # raw pool index -> (space, table index)
 
     # --- construction helpers ---
 
@@ -134,9 +136,8 @@ class RuntimePool:
 
 
 def packed_pool(a_kind, a_payload, v_kind, v_value):
-    """A pool of these tables, every entry live, as pack() builds it.  Only
-    code that reads a loaded pool uses the origin map, so a packed pool has
-    an empty one."""
+    """A pool of these tables, every entry live, as pack() and image
+    loading build it."""
     pool = RuntimePool()
     pool.a_kind, pool.a_payload = a_kind, a_payload
     pool.v_kind, pool.v_value = v_kind, v_value
@@ -166,32 +167,32 @@ _pass2_slots = _slots_of(*_REF_KIND)
 def build_pool(raw):
     """First loading step: Utf8 to atable, immediates to vtable.
 
-    Symbolic constants stay pending until the prelink passes place them.
-    The origin map remembers where every raw index went so the bytecode
-    rewriter can chase it later.
+    Returns the pool and the map from raw index to (space, table index) of
+    every constant placed so far.  Symbolic constants stay pending until
+    the prelink passes place them into both.
     """
     pool = RuntimePool()
     a_kind, a_payload = pool.a_kind, pool.a_payload
     v_kind, v_value = pool.v_kind, pool.v_value
-    origin = pool.origin
+    placement = {}
     tags, values = raw.pool_tags, raw.pool_values
     for idx in _build_slots(tags):
         tag, value = tags[idx], values[idx]
         if tag == cf.TAG_UTF8:
-            origin[idx] = (ATABLE, len(a_kind))
+            placement[idx] = (ATABLE, len(a_kind))
             a_kind.append(A_UTF8)
             a_payload.append(value)
             continue
         kinds = _IMMEDIATES[tag]
-        origin[idx] = (VTABLE, len(v_kind))
+        placement[idx] = (VTABLE, len(v_kind))
         v_kind.extend(kinds)
         if len(kinds) == 2:
             v_value.append((value >> 32) & 0xFFFFFFFF)
         v_value.append(value & 0xFFFFFFFF)
-    return pool
+    return pool, placement
 
 
-def prelink_pass1(pool, raw, resolver):
+def prelink_pass1(pool, placement, raw, resolver):
     """Resolve Class, String and NameAndType constants.
 
     Class constants become class handles created through ``resolver``;
@@ -199,11 +200,11 @@ def prelink_pass1(pool, raw, resolver):
     NameAndType becomes one cell packing two Utf8 atable indexes.
     """
     tags, values = raw.pool_tags, raw.pool_values
-    origin, text = pool.origin, pool.a_payload
+    text = pool.a_payload
 
     def utf8_at(raw_idx):
         # build_pool placed every raw Utf8, and nothing else, as atable text
-        where = origin.get(raw_idx)
+        where = placement.get(raw_idx)
         if where is None or tags[raw_idx] != cf.TAG_UTF8:
             raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
         return where[1]
@@ -213,7 +214,7 @@ def prelink_pass1(pool, raw, resolver):
         tag, value = tags[idx], values[idx]
         if tag == cf.TAG_CLASS:
             cls = resolver(text[utf8_at(value)])
-            origin[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
+            placement[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
         elif tag == cf.TAG_STRING:
             literal = text[utf8_at(value)]
             lit = literals.get(literal)
@@ -221,13 +222,13 @@ def prelink_pass1(pool, raw, resolver):
                 lit = literals[literal] = pool.add_a(A_STRING, literal)
             if lit > 0xFFFFFFFF:
                 raise PoolOverflow("atable too large")
-            origin[idx] = (VTABLE, pool.add_v(V_STRING, lit))
+            placement[idx] = (VTABLE, pool.add_v(V_STRING, lit))
         elif tag == cf.TAG_NAMEANDTYPE:
-            origin[idx] = (VTABLE, pool.add_v(
+            placement[idx] = (VTABLE, pool.add_v(
                 V_NAT, _pack16(utf8_at(value[0]), utf8_at(value[1]))))
 
 
-def prelink_pass2(pool, raw):
+def prelink_pass2(pool, placement, raw):
     """Resolve member refs into (class handle, member handle) index pairs,
     then set the dead flags of the whole pool.
 
@@ -239,16 +240,16 @@ def prelink_pass2(pool, raw):
     reflection marking).
     """
     tags, values = raw.pool_tags, raw.pool_values
-    origin, payload = pool.origin, pool.a_payload
+    payload = pool.a_payload
     handles = {}            # (class aidx, name, descriptor, kind) -> aidx
     for idx in _pass2_slots(tags):
         tag, (class_raw, nat_raw) = tags[idx], values[idx]
         # pass 1 placed every raw Class and NameAndType, and nothing else,
         # as class handles and NameAndType cells
-        class_at = origin.get(class_raw)
+        class_at = placement.get(class_raw)
         if class_at is None or tags[class_raw] != cf.TAG_CLASS:
             raise DanglingIndex("member ref %d names a missing Class constant" % idx)
-        nat_at = origin.get(nat_raw)
+        nat_at = placement.get(nat_raw)
         if nat_at is None or tags[nat_raw] != cf.TAG_NAMEANDTYPE:
             raise DanglingIndex("member ref %d names a missing NameAndType" % idx)
         class_aidx = class_at[1]
@@ -262,7 +263,7 @@ def prelink_pass2(pool, raw):
             handle = MemberHandle(payload[class_aidx], name, desc,
                                   is_field=(kind == A_FIELD))
             handle_aidx = handles[key] = pool.add_a(kind, handle)
-        origin[idx] = (VTABLE, pool.add_v(
+        placement[idx] = (VTABLE, pool.add_v(
             _REF_KIND[tag], _pack16(class_aidx, handle_aidx)))
 
     member_texts = {text for m in raw.fields + raw.methods
@@ -283,13 +284,12 @@ def new_marks(pool):
 def mark(pool, marks, table, index):
     """Mark one entry as used; index pairs propagate into the atable."""
     a_marks, v_marks = marks
-    space = {"atable": ATABLE, "vtable": VTABLE}.get(table, table)
-    if space == ATABLE:
+    if table == ATABLE:
         if not 0 <= index < len(pool.a_kind):
             raise IndexOutOfRange("atable index %s" % index)
         a_marks[index] = True
         return
-    if space != VTABLE:
+    if table != VTABLE:
         raise IndexOutOfRange("unknown table %r" % table)
     if not 0 <= index < len(pool.v_kind):
         raise IndexOutOfRange("vtable index %s" % index)
@@ -359,10 +359,11 @@ def holds(pool, space, index, want):
     return handle < len(pool.a_kind) and pool.a_kind[handle] == handle_kind
 
 
-def placed(pool, raw_idx, space, want):
+def placed(pool, placement, raw_idx, space, want):
     """The ``space`` table index where prelinking placed raw constant
-    ``raw_idx``, if that entry ``holds`` kind ``want``; otherwise None."""
-    where = pool.origin.get(raw_idx)
+    ``raw_idx`` (``placement`` is build_pool's map), if that entry ``holds``
+    kind ``want``; otherwise None."""
+    where = placement.get(raw_idx)
     if where is None or where[0] != space \
             or not holds(pool, space, where[1], want):
         return None

@@ -1,10 +1,10 @@
 """Class lifecycle: unloaded -> loaded -> linked, plus the ready flag.
 
 Loading parses the class file, builds and prelinks the runtime pool, lays
-out fields, rewrites the constant-loading instructions to their quick forms
-and builds the dispatch table.  The ready flag is orthogonal: a class
-becomes ready once its statics are initialized, which may happen while it
-is merely loaded.
+out fields, rewrites every pool operand to its table index (and the
+constant-loading instructions to their quick forms) and builds the
+dispatch table.  The ready flag is orthogonal: a class becomes ready once
+its statics are initialized, which may happen while it is merely loaded.
 """
 
 import os
@@ -60,8 +60,8 @@ class MethodCode:
     max_locals: int
     exception_table: list   # (start, end, handler, catch atable index or None)
     stack_maps: bytes = None
-    # (StageView, steps) of verify's decode; whoever rewrites the bytecode
-    # in place sets it back to None
+    # (pool, steps) of verify's decode against that pool; whoever rewrites
+    # the bytecode in place sets it back to None
     decoded: tuple = dc_field(default=None, repr=False, compare=False)
 
     def clone(self):
@@ -108,13 +108,6 @@ class MethodRep:
                                      self.name, self.descriptor)
 
 
-@dataclass
-class StageView:
-    """The pool a class's methods run against at one pipeline stage."""
-    pool: cp.RuntimePool
-    relinked: bool
-
-
 class ClassRep:
     """A class known to the registry, in any lifecycle state."""
 
@@ -137,10 +130,9 @@ class ClassRep:
         self.instance_base = 0
         self.instance_size = 0
         self.raw_stats = None
-        self.loaded_view = None
+        self.loaded_pool = None
         self.zones_initial = None
         self._defaults = None
-        self._linked_view = None
 
     def __repr__(self):
         flag = "+ready" if self.ready else ""
@@ -150,16 +142,15 @@ class ClassRep:
     def is_interface(self):
         return bool(self.access_flags & cf.ACC_INTERFACE)
 
-    def view(self, stage):
-        """The stage's view of this class; a class that is not linked (its
-        link failed, or has not run) has only its loaded one."""
+    def pool_at(self, stage):
+        """The pool this class's methods run against at a stage; a class
+        that is not linked (its link failed, or has not run) has only its
+        loaded one."""
         if stage == LOADED or self.state != LINKED:
-            if self.loaded_view is None:
+            if self.loaded_pool is None:
                 raise InvalidTransition("%s has no loaded snapshot" % self.name)
-            return self.loaded_view
-        if self._linked_view is None or self._linked_view.pool is not self.pool:
-            self._linked_view = StageView(self.pool, relinked=True)
-        return self._linked_view
+            return self.loaded_pool
+        return self.pool
 
     def find_method(self, name, descriptor):
         """JVM-style resolution: the class, its supers, then interfaces."""
@@ -359,9 +350,10 @@ def load(cls, data, resolver):
 
 
 def load_parsed(cls, raw, data, resolver):
-    pool = cp.build_pool(raw)
-    cp.prelink_pass1(pool, raw, resolver)
-    cp.prelink_pass2(pool, raw)
+    # raw pool index -> (space, table index): read only while the class loads
+    pool, placement = cp.build_pool(raw)
+    cp.prelink_pass1(pool, placement, raw, resolver)
+    cp.prelink_pass2(pool, placement, raw)
 
     if raw.super_name is not None:
         sup = resolver(raw.super_name)
@@ -379,7 +371,8 @@ def load_parsed(cls, raw, data, resolver):
         cls,
         ((fm.name, fm.descriptor, fm.access_flags, cf.constant_value_of(raw, fm))
          for fm in raw.fields),
-        ((mm.name, mm.descriptor, mm.access_flags, _loaded_code(mm, pool))
+        ((mm.name, mm.descriptor, mm.access_flags,
+          _loaded_code(mm, pool, placement))
          for mm in raw.methods))
     for m in cls.methods:
         m.code_loaded = m.code
@@ -389,11 +382,12 @@ def load_parsed(cls, raw, data, resolver):
         "file_bytes": len(data) if data is not None else 0,
     }
     cls.state = LOADED
-    cls.loaded_view = StageView(pool, relinked=False)
+    cls.loaded_pool = pool
 
 
-def _loaded_code(raw_method, pool):
-    """The method's code with its constant loads in quick form, or None."""
+def _loaded_code(raw_method, pool, placement):
+    """The method's code with its pool operands and catch types rewritten
+    to table indexes and its constant loads in quick form, or None."""
     code_attr = raw_method.attr("Code")
     if code_attr is None:
         return None
@@ -402,7 +396,7 @@ def _loaded_code(raw_method, pool):
     for start, end, handler, catch in raw_code.exception_table:
         aidx = None
         if catch != 0:
-            aidx = cp.placed(pool, catch, cp.ATABLE, cp.A_CLASS)
+            aidx = cp.placed(pool, placement, catch, cp.ATABLE, cp.A_CLASS)
             if aidx is None:
                 raise BadPoolRef("catch type index %d is not a class constant" % catch)
         table.append((start, end, handler, aidx))
@@ -412,7 +406,8 @@ def _loaded_code(raw_method, pool):
             stack_maps = a.payload
             break
     return rewrite_load(MethodCode(bytearray(raw_code.code), raw_code.max_stack,
-                                   raw_code.max_locals, table, stack_maps), pool)
+                                   raw_code.max_locals, table, stack_maps),
+                        pool, placement)
 
 
 def lay_out_class(cls, fields, methods):
@@ -475,6 +470,9 @@ def lay_out_statics(cls):
     cls.v_static_zone = [0] * (next_v - cls.v_base)
 
 
+# the instructions whose operand a class file gives as a raw pool index
+_RAW = {op: entry for op, entry in ops.OPERANDS.items()
+        if entry.kind == ops.TABLE and op < ops.FIRST_QUICK}
 _LDC_QUICK = {(cp.VTABLE, cp.V_INT): "ldc_quick_i",
               (cp.VTABLE, cp.V_FLOAT): "ldc_quick_f",
               (cp.VTABLE, cp.V_STRING): "ldc_quick_a"}
@@ -492,35 +490,45 @@ _LOAD_QUICK = {
 }
 
 
-def rewrite_load(code, pool):
-    """Replace constant-loading instructions with quick forms, in place.
+def rewrite_load(code, pool, placement):
+    """Rewrite every raw pool operand to the table index where prelinking
+    placed its constant, in place, and each constant load to its quick form.
 
-    Every replacement keeps the original byte length, so offsets and branch
-    targets never move.
+    An operand that does not place on an entry of the kind its instruction
+    wants raises BadPoolRef.  Every replacement keeps the instruction's byte
+    length, so offsets and branch targets never move.
     """
     bc = code.bytecode
     for off, op, size in ops.walk(bc):
+        entry = _RAW.get(op)
+        if entry is None:
+            continue
+        raw_idx = ops.read_operand(bc, off, entry.size)
         rule = _LOAD_QUICK.get(op)
         if rule is None:
-            continue
-        fault, forms = rule
-        _, raw_idx = ops.pool_operand(bc, off)
-        placed = pool.origin.get(raw_idx)
-        if placed is None:
-            raise BadPoolRef("operand %d at offset %d is not a pool constant"
-                             % (raw_idx, off))
-        space, idx = placed
-        name = forms.get((space, pool.kinds(space)[idx]))
-        if name is None:
-            raise BadPoolRef(fault % raw_idx)
-        quick = ops.OPERANDS[_OP[name]]
-        if quick.space != space:        # a string cell names its literal
-            idx = pool.v_value[idx]
-        if idx >> (8 * quick.size):
+            idx = cp.placed(pool, placement, raw_idx, entry.space, entry.want)
+            if idx is None:
+                raise BadPoolRef("operand %d at offset %d is not a %s constant"
+                                 % (raw_idx, off, entry.want))
+        else:
+            fault, forms = rule
+            where = placement.get(raw_idx)
+            if where is None:
+                raise BadPoolRef("operand %d at offset %d is not a pool constant"
+                                 % (raw_idx, off))
+            space, idx = where
+            name = forms.get((space, pool.kinds(space)[idx]))
+            if name is None:
+                raise BadPoolRef(fault % raw_idx)
+            op = _OP[name]
+            entry = ops.OPERANDS[op]
+            if entry.space != space:        # a string cell names its literal
+                idx = pool.v_value[idx]
+        if idx >> (8 * entry.size):
             raise PoolOverflow("%s index %d does not fit %s" % (
-                name, idx, "one byte" if quick.size == 1 else "two bytes"))
-        bc[off] = _OP[name]
-        ops.write_operand(bc, off, quick.size, idx)
+                ops.NAME[op], idx, "one byte" if entry.size == 1 else "two bytes"))
+        bc[off] = op
+        ops.write_operand(bc, off, entry.size, idx)
     return code
 
 

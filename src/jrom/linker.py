@@ -20,6 +20,7 @@ from .errors import (BadOpcode, ClassNotFound, InternalError, InvalidTransition,
                      NoSuchField, NoSuchMethod, Truncated, VerifyError)
 
 _OP = ops.BY_NAME
+_MEMBER_REFS = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
 
 
 @dataclass
@@ -85,7 +86,7 @@ def link(cls, ctx):
     mark_reflection(pool, marks, cls, ctx)
     cls.pool, *remaps = cp.pack(pool, marks)
     for m, sizes in decoded:
-        relink_method(m, pool, remaps, sizes)
+        relink_method(m, remaps, sizes)
     cls.state = lc.LINKED
 
 
@@ -103,11 +104,10 @@ def _decode(m):
 
 def _member_at(pool, bc, off):
     """The resolved field or method a member-ref instruction names."""
-    entry, raw_idx = ops.pool_operand(bc, off)
-    vidx = cp.placed(pool, raw_idx, cp.VTABLE, entry.want)
-    if vidx is None:
+    entry, vidx = ops.pool_operand(bc, off)
+    if not cp.holds(pool, cp.VTABLE, vidx, entry.want):
         raise VerifyError("operand %d at %d is not a %s constant"
-                          % (raw_idx, off, entry.want))
+                          % (vidx, off, entry.want))
     return pool.a_payload[pool.v_value[vidx] & 0xFFFF].resolved
 
 
@@ -129,19 +129,14 @@ def check_method(m, pool, sizes):
         if found is None:
             continue
         entry, idx = found
-        if entry.kind == ops.QUICK:
-            if not cp.holds(pool, entry.space, idx, entry.want):
-                raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
-        elif entry.want is None:
+        if entry.want is None:
             raise VerifyError("%s: raw constant load survived loading at %d"
                               % (m, off))
-        elif entry.space == cp.ATABLE:
-            if cp.placed(pool, idx, cp.ATABLE, cp.A_CLASS) is None:
-                raise VerifyError("%s: operand %d at %d is not a class constant"
-                                  % (m, idx, off))
-        else:
+        if entry.want in _MEMBER_REFS:
             _check_member(m, bc, off, _member_at(pool, bc, off),
                           entry.want == cp.V_FIELDREF)
+        elif not cp.holds(pool, entry.space, idx, entry.want):
+            raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
 
     code_len = len(bc)
     for start, end, handler, catch in m.code.exception_table:
@@ -235,20 +230,17 @@ def _field_rewritable(f, cls, ctx):
     return ctx.private_field_opt and f.is_private and f.owner is cls
 
 
-def _pool_entries(pool, bc, sizes):
+def _pool_entries(bc, sizes):
     """(offset, Operand, table index) of every pool operand of the code."""
     for off in sizes:
         found = ops.pool_operand(bc, off)
         if found is not None:
-            entry, idx = found
-            if entry.kind == ops.POOL:
-                idx = pool.origin[idx][1]
-            yield off, entry, idx
+            yield off, *found
 
 
 def mark_method(m, pool, marks, sizes):
     """Mark every entry the method's final code still references."""
-    for _, entry, idx in _pool_entries(pool, m.code.bytecode, sizes):
+    for _, entry, idx in _pool_entries(m.code.bytecode, sizes):
         cp.mark(pool, marks, entry.space, idx)
     for _, _, _, catch in m.code.exception_table:
         if catch is not None:
@@ -270,9 +262,9 @@ def mark_reflection(pool, marks, cls, ctx):
                 cp.mark(pool, marks, cp.ATABLE, aidx)
 
 
-def relink_method(m, pool, remaps, sizes):
-    """Rewrite every operand naming an entry of the loaded ``pool`` through
-    the (atable, vtable) remaps of its pack."""
+def relink_method(m, remaps, sizes):
+    """Rewrite every operand, an index into the loaded pool, through the
+    (atable, vtable) remaps of its pack."""
     bc = m.code.bytecode
     a_remap, v_remap = remaps
 
@@ -284,7 +276,7 @@ def relink_method(m, pool, remaps, sizes):
             raise InternalError("%s: operand at %d references swept %s entry %d"
                                 % (m, off, space, idx)) from None
 
-    for off, entry, idx in _pool_entries(pool, bc, sizes):
+    for off, entry, idx in _pool_entries(bc, sizes):
         ops.write_operand(bc, off, entry.size, remap(entry.space, idx, off))
     m.code.exception_table = [
         (s, e, h, None if c is None else remap(cp.ATABLE, c, 0))

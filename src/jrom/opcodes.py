@@ -108,13 +108,16 @@ NAME[WIDE] = "wide"
 BY_NAME["tableswitch"] = TABLESWITCH
 BY_NAME["lookupswitch"] = LOOKUPSWITCH
 BY_NAME["wide"] = WIDE
+FIRST_QUICK = BY_NAME["ldc_quick_i"]
 
 # --- operand table -------------------------------------------------------
 # What the operand field of each instruction names.  Load rewriting, the
 # link checks, marking, relinking and branch_targets all read operands
-# through this one table.
-POOL = "pool"              # raw constant-pool index (symbolic forms)
-QUICK = "quick"            # direct atable/vtable index (quick forms)
+# through this one table.  A class file gives the TABLE operand of a
+# standard instruction (below FIRST_QUICK) as a raw constant-pool index;
+# loading rewrites each one to its table index, so in loaded and linked
+# code every TABLE operand is an atable or vtable index.
+TABLE = "table"            # atable or vtable index
 LOCAL = "local"            # local variable slot
 BRANCH = "branch"          # signed offset from the instruction start
 IMMEDIATE = "immediate"    # (offset << 3) | type code of a quick field access
@@ -124,8 +127,8 @@ NARGS_SLOT = "nargs_slot"  # invokevirtual_quick: argument slots, dispatch slot
 class Operand(NamedTuple):
     kind: str
     size: int               # bytes of the field at offset + 1; 0 = implied
-    space: str = None       # POOL, QUICK: cp.ATABLE or cp.VTABLE
-    want: object = None     # POOL, QUICK: kind of the entry named (None: any
+    space: str = None       # TABLE: cp.ATABLE or cp.VTABLE
+    want: object = None     # TABLE: kind of the entry named (None: any
                             # constant, resolved at load); LOCAL: slot width
     slot: int = None        # LOCAL of size 0: the implied slot
 
@@ -133,22 +136,22 @@ class Operand(NamedTuple):
 def _operand_table():
     V, A = cp.VTABLE, cp.ATABLE
     rows = (
-        ("ldc", POOL, 1, V),
-        ("ldc_w ldc2_w", POOL, 2, V),
-        ("getstatic putstatic getfield putfield", POOL, 2, V, cp.V_FIELDREF),
-        ("invokevirtual invokespecial invokestatic", POOL, 2, V, cp.V_METHODREF),
-        ("invokeinterface", POOL, 2, V, cp.V_IFACEREF),
-        ("new anewarray checkcast instanceof multianewarray", POOL, 2, A,
+        ("ldc", TABLE, 1, V),
+        ("ldc_w ldc2_w", TABLE, 2, V),
+        ("getstatic putstatic getfield putfield", TABLE, 2, V, cp.V_FIELDREF),
+        ("invokevirtual invokespecial invokestatic", TABLE, 2, V, cp.V_METHODREF),
+        ("invokeinterface", TABLE, 2, V, cp.V_IFACEREF),
+        ("new anewarray checkcast instanceof multianewarray", TABLE, 2, A,
          cp.A_CLASS),
-        ("ldc_quick_i", QUICK, 1, V, cp.V_INT),
-        ("ldc_quick_i_w", QUICK, 2, V, cp.V_INT),
-        ("ldc_quick_f", QUICK, 1, V, cp.V_FLOAT),
-        ("ldc_quick_f_w", QUICK, 2, V, cp.V_FLOAT),
-        ("ldc2_quick_l", QUICK, 2, V, cp.V_LONG_HI),
-        ("ldc2_quick_d", QUICK, 2, V, cp.V_DBL_HI),
-        ("ldc_quick_a", QUICK, 1, A, cp.A_STRING),
-        ("ldc_quick_a_w", QUICK, 2, A, cp.A_STRING),
-        ("anewarray_quick", QUICK, 2, A, cp.A_CLASS),
+        ("ldc_quick_i", TABLE, 1, V, cp.V_INT),
+        ("ldc_quick_i_w", TABLE, 2, V, cp.V_INT),
+        ("ldc_quick_f", TABLE, 1, V, cp.V_FLOAT),
+        ("ldc_quick_f_w", TABLE, 2, V, cp.V_FLOAT),
+        ("ldc2_quick_l", TABLE, 2, V, cp.V_LONG_HI),
+        ("ldc2_quick_d", TABLE, 2, V, cp.V_DBL_HI),
+        ("ldc_quick_a", TABLE, 1, A, cp.A_STRING),
+        ("ldc_quick_a_w", TABLE, 2, A, cp.A_STRING),
+        ("anewarray_quick", TABLE, 2, A, cp.A_CLASS),
         ("iload fload aload istore fstore astore ret iinc", LOCAL, 1, None, 1),
         ("lload dload lstore dstore", LOCAL, 1, None, 2),
         ("ifeq ifne iflt ifge ifgt ifle if_icmpeq if_icmpne if_icmplt "
@@ -253,11 +256,8 @@ def write_operand(code, offset, size, value):
 
 
 def pool_operand(code, offset):
-    """(Operand, index) of the pool entry the instruction names, or None.
-
-    The index is a raw pool index for POOL operands and a direct atable or
-    vtable index for QUICK ones.
-    """
+    """(Operand, table index) of the pool entry the instruction names, or
+    None."""
     entry = OPERANDS.get(code[offset])
     if entry is None or entry.space is None:
         return None

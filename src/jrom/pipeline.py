@@ -213,7 +213,7 @@ class Pipeline:
                 if detail is not None:
                     result.failures.append((cls.name, "<static zones>", detail))
         for cls in sorted(self.registry.loadable(), key=lambda c: c.name):
-            if cls.state != lc.LINKED or cls.loaded_view is None:
+            if cls.state != lc.LINKED or cls.loaded_pool is None:
                 continue
             for m in cls.methods:
                 if only is not None and "%s.%s" % (cls.name, m.name) != only:

@@ -65,23 +65,23 @@ def snapshot_stats(cls, stage):
         return StageStats(cls.raw_stats["entries"], cls.raw_stats["pool_bytes"],
                           cls.raw_stats["file_bytes"])
     if stage == lc.LOADED:
-        if cls.loaded_view is None:
+        if cls.loaded_pool is None:
             raise StageNotReached("%s has no loaded snapshot" % cls.name)
-        view = cls.loaded_view
+        pool = cls.loaded_pool
     elif stage == lc.LINKED:
         if cls.state != lc.LINKED:
             raise StageNotReached("%s is %s" % (cls.name, cls.state))
-        view = cls.view(lc.LINKED)
+        pool = cls.pool
     else:
         raise StageNotReached("unknown stage %r" % stage)
-    pool_bytes = view.pool.byte_size()
+    pool_bytes = pool.byte_size()
     total = pool_bytes
     for m in cls.methods:
         code = m.code_at(stage)
         if code is not None:
             total += _code_bytes(code)
     total += 8 * (len(cls.fields) + len(cls.methods))
-    return StageStats(view.pool.entry_count(), pool_bytes, total)
+    return StageStats(pool.entry_count(), pool_bytes, total)
 
 
 # --- the image schema ---

@@ -5,16 +5,16 @@ references) and the post-link one (quick forms) against a snapshot world,
 so every pipeline rewrite can be checked for semantic preservation: same
 outcome, same static-zone writes, same created objects.
 
-Each method body is decoded once per stage view, the first time it runs,
+Each method body is decoded once per pool it runs against, the first time,
 into a list indexed by pc (``decoded``).  An instruction's entry holds its
-handler, its opcode, its size and its operand already read: a local slot, a
-constant, a branch target, a pool operand placed into its table, or the row
-of its family's table (a family of opcodes, such as the array loads or the
-divisions, shares one handler).  Any other pc holds None, so dispatch is
-one list index per instruction.  Decode reads only what the bytecode and
-the stage's pool layout fix: members are resolved, zones read and objects
-made when an instruction runs, and an operand that cannot be used raises
-only if its instruction runs.
+handler, its opcode, its size and its operand already read: a local slot,
+a constant, a branch target, a pool operand checked against its table, or
+the row of its family's table (a family of opcodes, such as the array loads
+or the divisions, shares one handler).  Any other pc holds None, so
+dispatch is one list index per instruction.  Decode reads only what the
+bytecode and the stage's pool layout fix: members are resolved, zones read
+and objects made when an instruction runs, and an operand that cannot be
+used raises only if its instruction runs.
 
 Decode also splits the body into basic blocks: a leader is pc 0, a branch,
 switch or handler target, or the instruction after one that is not
@@ -345,7 +345,7 @@ class Frame:
         del s[base:]
         return args
 
-    # --- pool operands, placed into their tables by decode ---
+    # --- pool operands, checked against their tables by decode ---
 
     def pool_entry(self, operand):
         """(Operand, table index) of a decoded pool operand."""
@@ -545,10 +545,10 @@ class Machine:
         if depth >= MAX_CALL_DEPTH:
             self.throw_named("java/lang/StackOverflowError")
         world = self.world
-        view = method.owner.view(world.stage)
+        pool = method.owner.pool_at(world.stage)
         code = method.code_at(world.stage)
-        f = Frame(method, code, view.pool, args)
-        f.steps = decoded(code, view, world.registry)
+        f = Frame(method, code, pool, args)
+        f.steps = decoded(code, pool, world.registry)
         return f
 
     def _off_boundary(self, method, pc, end):
@@ -1186,12 +1186,12 @@ _JUMPS = {op for op, entry in ops.OPERANDS.items()
 
 # --- decode -----------------------------------------------------------------
 
-def _operand(bc, off, op, view):
+def _operand(bc, off, op, pool):
     """What the handler of ``op`` at ``off`` runs with, read mostly through
     the ``opcodes.OPERANDS`` table.  A pool operand is (Operand, table
-    index, pool index); an index that does not place into its table, or
-    places on an entry of another kind than the operand wants, is None,
-    and the instruction raises when it runs."""
+    index, index read); a table index that does not name an entry of the
+    kind the operand wants is None, and the instruction raises when it
+    runs."""
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
     if _HANDLERS[op] is _unsupported:
@@ -1210,13 +1210,10 @@ def _operand(bc, off, op, view):
         return None, "a" if tc == dsc.TC_REF else "v", offset, tc
     if kind == ops.NARGS_SLOT:
         return bc[off + 1], bc[off + 2]
-    if kind is not None:            # POOL or QUICK
-        idx = table_idx = ops.read_operand(bc, off, entry.size)
-        if kind == ops.POOL and not view.relinked:
-            table_idx = cp.placed(view.pool, idx, entry.space, entry.want)
-        elif not cp.holds(view.pool, entry.space, idx, entry.want):
-            table_idx = None
-        ref = (entry, table_idx, idx)
+    if kind is not None:            # TABLE
+        idx = ops.read_operand(bc, off, entry.size)
+        ref = (entry, idx if cp.holds(pool, entry.space, idx, entry.want)
+               else None, idx)
         return (op, ref) if _HANDLERS[op] is _invoke else ref
     if op == _OP["bipush"]:
         return ("i", _sign8(bc[off + 1]))
@@ -1227,8 +1224,8 @@ def _operand(bc, off, op, view):
     return None                     # a switch reads its table as it runs
 
 
-def decoded(code, view, registry):
-    """The method body as steps indexed by pc, decoded once per stage view.
+def decoded(code, pool, registry):
+    """The method body as steps indexed by pc, decoded once per pool.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  The
@@ -1241,7 +1238,7 @@ def decoded(code, view, registry):
     bytecode is rewritten.
     """
     cached = code.decoded
-    if cached is not None and cached[0] is view:
+    if cached is not None and cached[0] is pool:
         return cached[1]
     shared = registry.shared_steps
     bc = code.bytecode
@@ -1255,7 +1252,7 @@ def decoded(code, view, registry):
             if local is not None and sum(local) > code.max_locals:
                 step = (_local_past_max, op, local, size)
             else:
-                step = (_HANDLERS[sub], op, _operand(bc, off, sub, view),
+                step = (_HANDLERS[sub], op, _operand(bc, off, sub, pool),
                         size)
                 if sub in _JUMPS:
                     leaders.update(ops.branch_targets(bc, off))
@@ -1271,7 +1268,7 @@ def decoded(code, view, registry):
             run = []
         run.append(off)
     _block(run, steps, registry)
-    code.decoded = (view, steps)
+    code.decoded = (pool, steps)
     return steps
 
 

@@ -138,11 +138,13 @@ def raw_pool(*constants):
 
 
 def prelinked(raw, registry=None):
+    """The prelinked pool of ``raw`` and the map from raw index to (space,
+    table index) that loading rewrites operands through."""
     registry = registry or Registry()
-    pool = cp.build_pool(raw)
-    cp.prelink_pass1(pool, raw, registry.resolve)
-    cp.prelink_pass2(pool, raw)
-    return pool
+    pool, placement = cp.build_pool(raw)
+    cp.prelink_pass1(pool, placement, raw, registry.resolve)
+    cp.prelink_pass2(pool, placement, raw)
+    return pool, placement
 
 
 def make_pipeline(corpus_dir, **flags):

@@ -14,31 +14,31 @@ from .conftest import prelinked, raw_pool, resolve
 
 class TestBuildPool:
     def test_integer_goes_to_vtable(self):
-        pool = cp.build_pool(raw_pool((cf.TAG_INTEGER, 42)))
+        pool, _ = cp.build_pool(raw_pool((cf.TAG_INTEGER, 42)))
         assert pool.v_value == [42]
         assert pool.a_kind == []
 
     def test_long_spans_two_cells(self):
         value = 1 << 33
-        pool = cp.build_pool(raw_pool((cf.TAG_LONG, value)))
+        pool, _ = cp.build_pool(raw_pool((cf.TAG_LONG, value)))
         assert len(pool.v_kind) == 2
         rebuilt = (pool.v_value[0] << 32) | pool.v_value[1]
         assert rebuilt == value
 
     def test_negative_long_bits(self):
-        pool = cp.build_pool(raw_pool((cf.TAG_LONG, -2)))
+        pool, _ = cp.build_pool(raw_pool((cf.TAG_LONG, -2)))
         rebuilt = (pool.v_value[0] << 32) | pool.v_value[1]
         assert rebuilt == (-2) & 0xFFFFFFFFFFFFFFFF
 
     def test_utf8_goes_to_atable(self):
-        pool = cp.build_pool(raw_pool((cf.TAG_UTF8, "hi")))
+        pool, _ = cp.build_pool(raw_pool((cf.TAG_UTF8, "hi")))
         assert list(zip(pool.a_kind, pool.a_payload)) == [(cp.A_UTF8, "hi")]
 
 
 class TestPass1:
     def test_class_constant_becomes_handle(self):
         raw = raw_pool((cf.TAG_UTF8, "java/lang/Object"), (cf.TAG_CLASS, 1))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         handles = [p for k, p in zip(pool.a_kind, pool.a_payload)
                    if k == cp.A_CLASS]
         assert len(handles) == 1
@@ -49,15 +49,15 @@ class TestPass1:
 
     def test_empty_pool_is_noop(self):
         raw = raw_pool()
-        pool = cp.build_pool(raw)
-        cp.prelink_pass1(pool, raw, Registry().resolve)
+        pool, placement = cp.build_pool(raw)
+        cp.prelink_pass1(pool, placement, raw, Registry().resolve)
         assert pool.a_kind == [] and pool.v_kind == []
 
     def test_string_literals_interned(self):
         raw = raw_pool((cf.TAG_UTF8, "a"), (cf.TAG_STRING, 1),
                        (cf.TAG_STRING, 1))
-        pool = cp.build_pool(raw)
-        cp.prelink_pass1(pool, raw, Registry().resolve)
+        pool, placement = cp.build_pool(raw)
+        cp.prelink_pass1(pool, placement, raw, Registry().resolve)
         cells = [v for k, v in zip(pool.v_kind, pool.v_value)
                  if k == cp.V_STRING]
         assert len(cells) == 2
@@ -68,16 +68,16 @@ class TestPass1:
     def test_nat_packs_two_indexes(self):
         raw = raw_pool((cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (1, 2)))
-        pool = cp.build_pool(raw)
-        cp.prelink_pass1(pool, raw, Registry().resolve)
+        pool, placement = cp.build_pool(raw)
+        cp.prelink_pass1(pool, placement, raw, Registry().resolve)
         nat = pool.v_value[pool.v_kind.index(cp.V_NAT)]
         assert (nat >> 16, nat & 0xFFFF) == (0, 1)
 
     def test_dangling_class_index(self):
         raw = raw_pool((cf.TAG_CLASS, 9))
-        pool = cp.build_pool(raw)
+        pool, placement = cp.build_pool(raw)
         with pytest.raises(DanglingIndex):
-            cp.prelink_pass1(pool, raw, Registry().resolve)
+            cp.prelink_pass1(pool, placement, raw, Registry().resolve)
 
 
 class TestPass2:
@@ -86,7 +86,7 @@ class TestPass2:
                        (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         ref = pool.v_value[pool.v_kind.index(cp.V_METHODREF)]
         class_aidx, member_aidx = ref >> 16, ref & 0xFFFF
         assert pool.a_kind[class_aidx] == cp.A_CLASS
@@ -104,7 +104,7 @@ class TestPass2:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_FIELDREF, (2, 5)),
                        (cf.TAG_FIELDREF, (2, 5)))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         refs = [v for k, v in zip(pool.v_kind, pool.v_value)
                 if k == cp.V_FIELDREF]
         assert len(refs) == 2
@@ -113,10 +113,10 @@ class TestPass2:
 
     def test_no_refs_is_identity(self):
         raw = raw_pool((cf.TAG_INTEGER, 3))
-        pool = cp.build_pool(raw)
-        cp.prelink_pass1(pool, raw, Registry().resolve)
+        pool, placement = cp.build_pool(raw)
+        cp.prelink_pass1(pool, placement, raw, Registry().resolve)
         before = list(zip(pool.v_kind, pool.v_value))
-        cp.prelink_pass2(pool, raw)
+        cp.prelink_pass2(pool, placement, raw)
         assert list(zip(pool.v_kind, pool.v_value)) == before
 
     def test_entry_count_never_increases(self):
@@ -126,7 +126,7 @@ class TestPass2:
                        (cf.TAG_METHODREF, (2, 5)),
                        (cf.TAG_UTF8, "x"), (cf.TAG_STRING, 7),
                        (cf.TAG_LONG, 99))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         packed, _, _ = cp.pack(pool, marks)
@@ -149,13 +149,13 @@ class TestMark:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)),
                        (cf.TAG_UTF8, "s"), (cf.TAG_STRING, 7))
-        return prelinked(raw)
+        return prelinked(raw)[0]
 
     def test_ref_cell_marks_both_handles(self):
         pool = self._pool()
         vidx = pool.v_kind.index(cp.V_METHODREF)
         a_marks, v_marks = marks = cp.new_marks(pool)
-        cp.mark(pool, marks, "vtable", vidx)
+        cp.mark(pool, marks, cp.VTABLE, vidx)
         cell = pool.v_value[vidx]
         assert a_marks[cell >> 16]
         assert a_marks[cell & 0xFFFF]
@@ -182,6 +182,9 @@ class TestMark:
             cp.mark(pool, marks, "v", 99)
         with pytest.raises(IndexOutOfRange):
             cp.mark(pool, marks, "a", -1)
+        for table in ("vtable", "atable", "x"):
+            with pytest.raises(IndexOutOfRange):
+                cp.mark(pool, marks, table, 0)
 
 
 class TestHolds:
@@ -190,7 +193,7 @@ class TestHolds:
                        (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)), (cf.TAG_LONG, 5))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         ref = pool.v_kind.index(cp.V_METHODREF)
         hi = pool.v_kind.index(cp.V_LONG_HI)
         assert cp.holds(pool, "v", ref, cp.V_METHODREF)
@@ -214,7 +217,7 @@ class TestPack:
         raw = raw_pool((cf.TAG_INTEGER, 10), (cf.TAG_INTEGER, 11),
                        (cf.TAG_INTEGER, 12), (cf.TAG_INTEGER, 13),
                        (cf.TAG_INTEGER, 14))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         marks = cp.new_marks(pool)
         for i in (0, 1, 2, 4):
             cp.mark(pool, marks, "v", i)
@@ -226,7 +229,7 @@ class TestPack:
 
     def test_all_marked_identity(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         cp.mark(pool, marks, "v", 1)
@@ -235,13 +238,13 @@ class TestPack:
 
     def test_none_marked_empties_tables(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_UTF8, "gone"))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         packed, _, _ = cp.pack(pool, cp.new_marks(pool))
         assert packed.a_kind == [] and packed.v_kind == []
 
     def test_long_pair_moves_together(self):
         raw = raw_pool((cf.TAG_INTEGER, 7), (cf.TAG_LONG, 1 << 40))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 1)    # the long's first cell
         packed, _, _ = cp.pack(pool, marks)
@@ -253,7 +256,7 @@ class TestPack:
                        (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         vidx = pool.v_kind.index(cp.V_METHODREF)
         before = resolve(pool, "v", vidx)
         marks = cp.new_marks(pool)
@@ -268,7 +271,7 @@ class TestPack:
     def test_stats_count_before_and_after(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2),
                        (cf.TAG_UTF8, "z"), (cf.TAG_STRING, 3))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         packed, _, _ = cp.pack(pool, marks)
@@ -284,18 +287,17 @@ class TestPack:
                        (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)), (cf.TAG_INTEGER, 3))
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
 
         def tables(p):
             return (list(p.a_kind), list(p.a_payload), list(p.v_kind),
-                    list(p.v_value), bytes(p.a_dead), bytes(p.v_dead),
-                    dict(p.origin))
+                    list(p.v_value), bytes(p.a_dead), bytes(p.v_dead))
         before = tables(pool)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", pool.v_kind.index(cp.V_METHODREF))
         packed, _, _ = cp.pack(pool, marks)
         assert packed is not pool and tables(pool) == before
-        assert packed.origin == {}
+        assert not hasattr(pool, "origin") and not hasattr(packed, "origin")
         assert len(packed.v_kind) < len(pool.v_kind)
 
     def test_atable_overflow_rejected(self):
@@ -303,9 +305,9 @@ class TestPack:
         constants = [(cf.TAG_UTF8, "u%d" % i) for i in range(70000)]
         constants.append((cf.TAG_NAMEANDTYPE, (69999, 70000)))
         raw = raw_pool(*constants)
-        pool = cp.build_pool(raw)
+        pool, placement = cp.build_pool(raw)
         with pytest.raises(PoolOverflow):
-            cp.prelink_pass1(pool, raw, Registry().resolve)
+            cp.prelink_pass1(pool, placement, raw, Registry().resolve)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +316,7 @@ def test_pack_preserves_resolution_of_marked(marks):
     raw = raw_pool((cf.TAG_INTEGER, 100), (cf.TAG_INTEGER, 101),
                    (cf.TAG_UTF8, "a"), (cf.TAG_STRING, 3),
                    (cf.TAG_LONG, 1 << 35))
-    pool = prelinked(raw)
+    pool, _ = prelinked(raw)
     pool_marks = cp.new_marks(pool)
     targets = []
     kinds = pool.v_kind
@@ -406,12 +408,12 @@ def _denotes(raw, idx):
 @settings(max_examples=150, deadline=None)
 @given(raw=_class_files())
 def test_prelink_places_every_constant(raw):
-    pool = prelinked(raw)
+    pool, placement = prelinked(raw)
     constants = [i for i, tag in enumerate(raw.pool_tags)
                  if tag != cf.TAG_PLACEHOLDER]
-    assert sorted(pool.origin) == constants
+    assert sorted(placement) == constants
     for i in constants:
-        assert resolve(pool, *pool.origin[i]) == _denotes(raw, i), i
+        assert resolve(pool, *placement[i]) == _denotes(raw, i), i
 
     # equal literals share one atable entry
     literal_at = {}

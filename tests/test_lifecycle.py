@@ -103,21 +103,21 @@ class TestLoad:
                                                   monkeypatch):
         """The pool loading builds is the loaded snapshot itself; linking
         packs into a new pool, leaves the loaded one's lists and dead flags
-        as they were, and keeps no raw-index origin map on the linked one."""
+        as they were, and neither pool keeps a raw-index map."""
         built = {}
         build_pool = cp.build_pool
 
         def recording_build_pool(raw):
-            built[raw.name] = pool = build_pool(raw)
-            return pool
+            pool, placement = build_pool(raw)
+            built[raw.name] = pool
+            return pool, placement
         monkeypatch.setattr(cp, "build_pool", recording_build_pool)
 
         def snapshot(cls):
-            pool = cls.loaded_view.pool
+            pool = cls.loaded_pool
             return ([id(p) for p in pool.a_payload], list(pool.a_kind),
                     list(pool.v_kind), list(pool.v_value), bytes(pool.a_dead),
-                    bytes(pool.v_dead), dict(pool.origin),
-                    rz.snapshot_stats(cls, lc.LOADED))
+                    bytes(pool.v_dead), rz.snapshot_stats(cls, lc.LOADED))
         pipe = Pipeline([corpus_dir])
         pipe.load_targets(sorted(corpus), closure=True)
         loaded = pipe.registry.loadable()
@@ -125,9 +125,10 @@ class TestLoad:
         assert pipe.link_all() == []
         for cls in loaded:
             assert cls.state == lc.LINKED
-            assert cls.loaded_view.pool is built[cls.name]
-            assert cls.pool is not cls.loaded_view.pool
-            assert cls.pool.origin == {}
+            assert cls.loaded_pool is built[cls.name]
+            assert cls.pool is not cls.loaded_pool
+            assert not hasattr(cls.pool, "origin")
+            assert not hasattr(cls.loaded_pool, "origin")
             assert snapshot(cls) == before[cls.name], cls.name
 
 
@@ -297,41 +298,43 @@ class TestRewriteLoad:
             lc.load(cls, bytes(data), reg.resolve)
 
     def test_ldc_of_class_constant_rejected(self):
-        from jrom import classfile as cf
+        """An operand naming a constant of another kind than its instruction
+        wants fails loading, even where no path reaches it."""
         from jrom.errors import BadPoolRef
-        cb = ClassBuilder("T")
-        cb.default_init()
-        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
-        c.ldc_int(42).op("ireturn")
-        data = bytearray(cb.build())
-        raw = cf.parse_class(bytes(data))
-        int_idx = raw.pool_tags.index(cf.TAG_INTEGER)
-        pattern = bytes([ops.BY_NAME["ldc"], int_idx])
-        at = bytes(data).index(pattern)
-        data[at + 1] = raw.this_class     # now loads a Class constant
-        reg = lc.Registry()
-        obj = reg.new_unloaded("java/lang/Object")
-        obj.state = lc.LOADED
-        cls = reg.new_unloaded("T")
-        with pytest.raises(BadPoolRef):
-            lc.load(cls, bytes(data), reg.resolve)
+        for op, constant in (
+                ("ldc", lambda p: p.klass("T")),
+                ("getstatic", lambda p: p.klass("T")),
+                ("invokevirtual", lambda p: p.fieldref("T", "f", "I")),
+                ("new", lambda p: p.integer(42))):
+            cb = ClassBuilder("T")
+            cb.default_init()
+            c = cb.method("m", "(I)I", ACC_PUBLIC | ACC_STATIC)
+            c.op("iload_0").op("ifeq", "DEAD").op("iconst_1").op("ireturn")
+            c.label("DEAD").op(op, constant(cb.pool)).op("ireturn")
+            reg = lc.Registry()
+            obj = reg.new_unloaded("java/lang/Object")
+            obj.state = lc.LOADED
+            cls = reg.new_unloaded("T")
+            with pytest.raises(BadPoolRef):
+                lc.load(cls, cb.build(), reg.resolve)
+            assert cls.state == lc.UNLOADED, op
 
     def test_every_quick_target_holds_its_kind_after_load(self, corpus,
                                                          corpus_dir):
         reg, loader = fresh_world(corpus_dir)
         for name in sorted(corpus):
             cls = loader.ensure_loaded(name)
-            view = cls.loaded_view
             for m in cls.methods:
                 if m.code_loaded is None:
                     continue
                 bc = m.code_loaded.bytecode
                 for off, op, size in ops.walk(bc):
                     found = ops.pool_operand(bc, off)
-                    if found is None or found[0].kind != ops.QUICK:
+                    if found is None:
                         continue
                     entry, idx = found
-                    assert cp.holds(view.pool, entry.space, idx, entry.want)
+                    assert cp.holds(cls.loaded_pool, entry.space, idx,
+                                    entry.want)
 
 
 class TestDispatchTable:

@@ -133,7 +133,7 @@ class TestPreverify:
         idx = m.code.bytecode[1]
         assert cls.pool.v_kind[idx] == cp.V_INT
         # marked: the cell survived the pack, and the operand names it
-        loaded = cls.loaded_view.pool
+        loaded = cls.loaded_pool
         assert resolve(cls.pool, cp.VTABLE, idx) == resolve(
             loaded, cp.VTABLE, m.code_loaded.bytecode[1])
 
@@ -482,7 +482,7 @@ class TestMarkReflection:
         raw = raw_pool((cf.TAG_UTF8, "run"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_UTF8, "run"))
         raw.methods = [cf.RawMember(0, 1, 2, [], "run", "()V")]
-        pool = prelinked(raw)
+        pool, _ = prelinked(raw)
         a_marks, _ = marks = cp.new_marks(pool)
         # the raw class file has the member names that a ClassRep would
         lk.mark_reflection(pool, marks, raw, lk.LinkContext(lc.Registry()))
@@ -511,12 +511,11 @@ class TestRelink:
         """Resolving every operand pre-pack equals post-relink resolution."""
         checked = 0
         for cls in linked_pipeline.registry.loadable():
-            loaded = cls.loaded_view
             for m in cls.methods:
                 if m.code is None:
                     continue
-                before = _resolved_operands(m.code_loaded, loaded.pool, False)
-                after = _resolved_operands(m.code, cls.pool, True)
+                before = _resolved_operands(m.code_loaded, cls.loaded_pool)
+                after = _resolved_operands(m.code, cls.pool)
                 # sites may leave the pool entirely (compaction, static
                 # encoding) but never the other way around
                 assert set(after) <= set(before), m
@@ -526,7 +525,7 @@ class TestRelink:
         assert checked > 200
 
 
-def _resolved_operands(code, pool, relinked):
+def _resolved_operands(code, pool):
     """offset -> canonical resolution for every pool-referencing site."""
     out = {}
     bc = code.bytecode
@@ -535,7 +534,5 @@ def _resolved_operands(code, pool, relinked):
         if found is None:
             continue
         entry, idx = found
-        if entry.kind == ops.POOL and not relinked:
-            idx = pool.origin[idx][1]
         out[off] = resolve(pool, entry.space, idx)
     return out

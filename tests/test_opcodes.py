@@ -18,7 +18,7 @@ def _expected_kind(name):
         return ops.NARGS_SLOT
     if re.match(r"ldc|get|put|invoke|new$|anewarray|multianewarray|checkcast"
                 r"|instanceof", name):
-        return ops.QUICK if "_quick" in name else ops.POOL
+        return ops.TABLE
     return None
 
 
@@ -41,7 +41,7 @@ def test_entry_widths_agree_with_operand_bytes():
             assert 0 < entry.size < nbytes, name
         else:
             assert entry.size == nbytes, name
-        if entry.kind in (ops.POOL, ops.QUICK):
+        if entry.kind == ops.TABLE:
             assert entry.space in (cp.ATABLE, cp.VTABLE) and entry.size in (1, 2)
         elif entry.kind == ops.LOCAL:
             assert entry.want in (1, 2) and entry.space is None
