@@ -62,15 +62,9 @@ def _pipeline(args):
 def _prepare(args, closure):
     """Load, initialize and link; returns (pipeline, targets, failures)."""
     pipe = _pipeline(args)
-    failures = []
-    targets = []
-    for name in args.targets:
-        try:
-            targets.append(pipe.loader.ensure_loaded(name))
-        except JromError as e:
-            failures.append((name, "%s: %s" % (type(e).__name__, e)))
+    targets, failures = pipe.load_each(args.targets)
     if closure:
-        pipe.load_closure()
+        failures.extend(pipe.load_closure())
         targets = pipe.registry.loadable()
     failures.extend(pipe.ready_all())
     failures.extend(pipe.link_all())
@@ -197,7 +191,7 @@ def main(argv=None):
     except SystemExit2 as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
-    except JromError as e:   # from a class that only the closure loads
+    except JromError as e:   # last resort: every stage reports its own
         return _fail([(type(e).__name__, e)])
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)

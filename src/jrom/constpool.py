@@ -220,8 +220,6 @@ def prelink_pass1(pool, placement, raw, resolver):
             lit = literals.get(literal)
             if lit is None:
                 lit = literals[literal] = pool.add_a(A_STRING, literal)
-            if lit > 0xFFFFFFFF:
-                raise PoolOverflow("atable too large")
             placement[idx] = (VTABLE, pool.add_v(V_STRING, lit))
         elif tag == cf.TAG_NAMEANDTYPE:
             placement[idx] = (VTABLE, pool.add_v(

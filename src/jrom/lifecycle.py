@@ -14,9 +14,9 @@ from . import classfile as cf
 from . import constpool as cp
 from . import descriptors as desc
 from . import opcodes as ops
-from .errors import (BadPoolRef, ClassNotFound, ClassUnreadable,
+from .errors import (BadOpcode, BadPoolRef, ClassNotFound, ClassUnreadable,
                      HierarchyCycle, InvalidName, InvalidTransition,
-                     NameMismatch, PoolOverflow, StaticOverflow,
+                     JromError, NameMismatch, PoolOverflow, StaticOverflow,
                      UnsupportedClinit)
 
 UNLOADED = "unloaded"
@@ -310,25 +310,32 @@ class Loader:
     def __init__(self, classpath, registry):
         self.classpath = classpath
         self.registry = registry
+        self.failed = {}    # name -> the error its load raised, raised again
         self._in_progress = []
 
     def ensure_loaded(self, name):
         cls = self.registry.new_unloaded(name)
         if cls.state != UNLOADED:
             return cls
+        if name in self.failed:
+            raise self.failed[name]
         if name in self._in_progress:
             raise HierarchyCycle(" -> ".join(self._in_progress + [name]))
-        data = self.classpath.find(name)
-        if data is None:
-            raise ClassNotFound(name)
-        raw = cf.parse_class(data)
-        if raw.name != name:
-            raise NameMismatch("file declares %s, expected %s" % (raw.name, name))
         self._in_progress.append(name)
         try:
+            data = self.classpath.find(name)
+            if data is None:
+                raise ClassNotFound(name)
+            raw = cf.parse_class(data)
+            if raw.name != name:
+                raise NameMismatch("file declares %s, expected %s"
+                                   % (raw.name, name))
             if raw.super_name is not None:
                 self.ensure_loaded(raw.super_name)
             load_parsed(cls, raw, data, self.registry.resolve)
+        except JromError as e:
+            self.failed[name] = e
+            raise
         finally:
             self._in_progress.pop()
         return cls
@@ -360,6 +367,8 @@ def load_parsed(cls, raw, data, resolver):
         if sup.state == UNLOADED:
             raise ClassNotFound("superclass %s of %s is not loaded"
                                 % (raw.super_name, cls.name))
+        # an array class's superclass is java/lang/Object, so Loader misses
+        # the cycle of an Object that declares an array superclass
         if any(k is cls for k in sup.hierarchy()):
             raise HierarchyCycle("%s <- %s" % (cls.name, raw.super_name))
         cls.super_cls = sup
@@ -392,14 +401,10 @@ def _loaded_code(raw_method, pool, placement):
     if code_attr is None:
         return None
     raw_code = code_attr.code
-    table = []
-    for start, end, handler, catch in raw_code.exception_table:
-        aidx = None
-        if catch != 0:
-            aidx = cp.placed(pool, placement, catch, cp.ATABLE, cp.A_CLASS)
-            if aidx is None:
-                raise BadPoolRef("catch type index %d is not a class constant" % catch)
-        table.append((start, end, handler, aidx))
+    # parse_class checked that each catch type names a Class constant, and
+    # prelinking placed every one in the atable
+    table = [(start, end, handler, placement[catch][1] if catch else None)
+             for start, end, handler, catch in raw_code.exception_table]
     stack_maps = None
     for a in raw_code.attributes:
         if a.retained:
@@ -494,14 +499,18 @@ def rewrite_load(code, pool, placement):
     """Rewrite every raw pool operand to the table index where prelinking
     placed its constant, in place, and each constant load to its quick form.
 
-    An operand that does not place on an entry of the kind its instruction
-    wants raises BadPoolRef.  Every replacement keeps the instruction's byte
-    length, so offsets and branch targets never move.
+    The one check of a class file's pool operands: an operand that does not
+    place on an entry of the kind its instruction wants raises BadPoolRef,
+    and a quick opcode, which only jrom writes, raises BadOpcode.  Every
+    replacement keeps the instruction's byte length, so offsets and branch
+    targets never move.
     """
     bc = code.bytecode
     for off, op, size in ops.walk(bc):
         entry = _RAW.get(op)
         if entry is None:
+            if op >= ops.FIRST_QUICK:
+                raise BadOpcode("reserved opcode 0x%02x at offset %d" % (op, off))
             continue
         raw_idx = ops.read_operand(bc, off, entry.size)
         rule = _LOAD_QUICK.get(op)

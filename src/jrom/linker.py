@@ -1,14 +1,18 @@
 """Linking: resolve external references, compact call sites, pack the pool.
 
 Linking a class loads everything its pool mentions and unifies symbolic
-member handles with real field/method objects.  Each method's code is then
-decoded once (quick rewrites never change instruction sizes, so every pass
-shares that decode) and goes through, in order: the structural checks; the
-rewrites to quick forms that need no pool entry (invokevirtual compaction,
-static encoding, closed-field rewriting); one marking of what the final code
-still references, into marks that live only while the class links; the
-pack, which leaves the loaded pool as it was and makes the linked pool
-new; and the relink of every surviving operand through the pack remaps.
+member handles with real field/method objects, so every member handle of
+a linked pool is resolved.  Each method's code is then decoded once (quick
+rewrites never change instruction sizes, so every pass shares that decode)
+and goes through, in order: the checks loading cannot make (check_method);
+the rewrites to quick forms that need no pool entry (invokevirtual
+compaction, static encoding, closed-field rewriting); one marking of what
+the final code still references, into marks that live only while the class
+links; the pack, which leaves the loaded pool as it was and makes the
+linked pool new; and the relink of every surviving operand through the
+pack remaps.  Loading already decoded the same bytes, rejected quick
+opcodes and checked every pool operand (parsing, every catch type), so
+link does not.
 """
 
 from dataclasses import dataclass, field
@@ -16,8 +20,8 @@ from dataclasses import dataclass, field
 from . import constpool as cp
 from . import lifecycle as lc
 from . import opcodes as ops
-from .errors import (BadOpcode, ClassNotFound, InternalError, InvalidTransition,
-                     NoSuchField, NoSuchMethod, Truncated, VerifyError)
+from .errors import (ClassNotFound, InternalError, InvalidTransition,
+                     NoSuchField, NoSuchMethod, VerifyError)
 
 _OP = ops.BY_NAME
 _MEMBER_REFS = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
@@ -71,11 +75,12 @@ def link(cls, ctx):
                                                 handle.descriptor))
         handle.resolved = found
 
+    # offset -> size of every instruction, kept only while the class links
     decoded = []
     for m in cls.methods:
         if m.code is not None:
             m.code = m.code_loaded.clone()
-            sizes = _decode(m)
+            sizes = ops.instruction_sizes(m.code.bytecode)
             check_method(m, pool, sizes)
             decoded.append((m, sizes))
     for m, sizes in decoded:
@@ -90,29 +95,21 @@ def link(cls, ctx):
     cls.state = lc.LINKED
 
 
-def _decode(m):
-    """offset -> size of every instruction of the method's code.
-
-    The result lives only while the class links: a decode cached on every
-    linked method would stay in memory for the rest of the run.
-    """
-    try:
-        return ops.instruction_sizes(m.code.bytecode)
-    except (BadOpcode, Truncated) as e:
-        raise VerifyError("%s: %s" % (m, e)) from None
-
-
 def _member_at(pool, bc, off):
     """The resolved field or method a member-ref instruction names."""
-    entry, vidx = ops.pool_operand(bc, off)
-    if not cp.holds(pool, cp.VTABLE, vidx, entry.want):
-        raise VerifyError("operand %d at %d is not a %s constant"
-                          % (vidx, off, entry.want))
+    vidx = ops.pool_operand(bc, off)[1]
     return pool.a_payload[pool.v_value[vidx] & 0xFFFF].resolved
 
 
 def check_method(m, pool, sizes):
-    """Structural and resolution checks of one decoded method."""
+    """The checks of one decoded method that loading cannot make.
+
+    Link owns these: every branch target and exception boundary falls on an
+    instruction, every local slot is below max_locals, every exception
+    range lies inside the code, a static instruction names a static member
+    and an instance one an instance member, and the pad byte of
+    invokeinterface is zero.
+    """
     bc = m.code.bytecode
     for off in sizes:
         for t in ops.branch_targets(bc, off):
@@ -125,18 +122,10 @@ def check_method(m, pool, sizes):
             if idx + width > m.code.max_locals:
                 raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
             continue
-        found = ops.pool_operand(bc, off)
-        if found is None:
-            continue
-        entry, idx = found
-        if entry.want is None:
-            raise VerifyError("%s: raw constant load survived loading at %d"
-                              % (m, off))
-        if entry.want in _MEMBER_REFS:
+        entry = ops.OPERANDS.get(bc[off])
+        if entry is not None and entry.want in _MEMBER_REFS:
             _check_member(m, bc, off, _member_at(pool, bc, off),
                           entry.want == cp.V_FIELDREF)
-        elif not cp.holds(pool, entry.space, idx, entry.want):
-            raise VerifyError("%s: quick operand %d bad at %d" % (m, idx, off))
 
     code_len = len(bc)
     for start, end, handler, catch in m.code.exception_table:
@@ -147,23 +136,16 @@ def check_method(m, pool, sizes):
         if end != code_len and end not in sizes:
             raise VerifyError("%s: exception range end %d not on an instruction"
                               % (m, end))
-        if catch is not None and not cp.holds(pool, cp.ATABLE, catch,
-                                              cp.A_CLASS):
-            raise VerifyError("%s: catch type %s is not a class entry" % (m, catch))
 
 
 def _check_member(m, bc, off, member, is_field):
     op = bc[off]
     static_op = op in (_OP["getstatic"], _OP["putstatic"], _OP["invokestatic"])
     if is_field:
-        if member is None:
-            raise VerifyError("%s: unresolved field at %d" % (m, off))
         if member.is_static != static_op:
             raise VerifyError("%s: static/instance mismatch for %s at %d"
                               % (m, member.name, off))
         return
-    if member is None:
-        raise VerifyError("%s: unresolved call at %d" % (m, off))
     if static_op:
         if not member.is_static:
             raise VerifyError("%s: invokestatic on instance method at %d"

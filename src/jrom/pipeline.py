@@ -96,21 +96,36 @@ class Pipeline:
     # --- loading ---
 
     def load_targets(self, names, closure=False):
+        """Load the named classes (and their closure); a failure raises."""
         targets = [self.loader.ensure_loaded(n) for n in names]
         if closure:
-            self.load_closure()
+            failures = self.load_closure()
+            if failures:
+                raise self.loader.failed[failures[0][0]]
             targets = sorted(self.registry.loadable(), key=lambda c: c.name)
         return targets
 
+    def load_each(self, names):
+        """Load each named class; returns (loaded classes, failures)."""
+        loaded, failures = [], []
+        for name in names:
+            try:
+                loaded.append(self.loader.ensure_loaded(name))
+            except JromError as e:
+                failures.append((name, "%s: %s" % (type(e).__name__, e)))
+        return loaded, failures
+
     def load_closure(self):
-        """Load until no referenced class remains unloaded."""
+        """Load until every referenced class is loaded or has failed to,
+        loading none twice; returns per-class failures."""
+        failures = []
         while True:
-            pending = [c for c in self.registry.loadable()
-                       if c.state == lc.UNLOADED]
+            pending = [c.name for c in self.registry.loadable()
+                       if c.state == lc.UNLOADED
+                       and c.name not in self.loader.failed]
             if not pending:
-                return
-            for cls in pending:
-                self.loader.ensure_loaded(cls.name)
+                return failures
+            failures.extend(self.load_each(pending)[1])
 
     # --- ready (static initialization) ---
 
@@ -212,15 +227,14 @@ class Pipeline:
                 detail = _zone_difference(cls, after_registry.get(cls.name))
                 if detail is not None:
                     result.failures.append((cls.name, "<static zones>", detail))
-        for cls in sorted(self.registry.loadable(), key=lambda c: c.name):
-            if cls.state != lc.LINKED or cls.loaded_pool is None:
-                continue
+        for cls in self.linked_classes():
             for m in cls.methods:
                 if only is not None and "%s.%s" % (cls.name, m.name) != only:
                     continue
                 if m.code is None:
                     continue
-                if not vf.in_subset(m.code_loaded) or not vf.in_subset(m.code):
+                # linking writes only quick forms that have handlers
+                if not vf.in_subset(m.code):
                     result.skipped.append((cls.name, m.name + m.descriptor))
                     continue
                 base = "init" if m.name == "<clinit>" else "live"

@@ -2,13 +2,17 @@
 
 import json
 import os
+import struct
 
 import pytest
 
 from jrom import classfile as cf
+from jrom import descriptors as desc
 from jrom import lifecycle as lc
+from jrom import opcodes as ops
 from jrom.cli import main
 
+from .assembler import ACC_PUBLIC, ClassBuilder
 from .corpus import corpus_names
 
 
@@ -162,6 +166,30 @@ class TestVerify:
         assert code in (0, 1)
         assert "1 skipped" in out
 
+    def test_quick_opcode_in_class_file_is_a_class_failure(
+            self, corpus_dir, tmp_path, capsys):
+        """A getfield patched to getfield_quick at field offset 100, far past
+        the one field the class has, fails loading and is named."""
+        cb = ClassBuilder("probe/Q")
+        cb.field("f", "I")
+        cb.default_init()
+        cb.method("get", "()I", ACC_PUBLIC).op("aload_0") \
+            .getfield("probe/Q", "f", "I").op("ireturn")
+        data = bytearray(cb.build())
+        raw = cf.parse_class(bytes(data))
+        code = next(m for m in raw.methods if m.name == "get").attr("Code").code
+        at = code.code_offset + 1
+        assert data[at] == ops.BY_NAME["getfield"]
+        data[at] = ops.BY_NAME["getfield_quick"]
+        struct.pack_into(">H", data, at + 1, (100 << 3) | desc.type_code("I"))
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "Q.class").write_bytes(data)
+        code = run_cli("verify", "--classpath", str(tmp_path),
+                       "--classpath", corpus_dir, "probe/Q")
+        assert code == 1
+        assert "FAIL probe/Q: BadOpcode: reserved opcode 0xd4 at offset 1" \
+            in capsys.readouterr().err
+
     def test_trace_with_method_filter(self, corpus_dir, capsys):
         code = run_cli("verify", "--classpath", corpus_dir, "--trace",
                        "--method", "corpus/Constants.intConst",
@@ -204,3 +232,27 @@ class TestClasspath:
         assert "ClassUnreadable" in err
         assert unreadable[:-len(".class")] in err
         assert "Permission denied" in err
+
+
+class TestClosureFailures:
+    @pytest.mark.parametrize("command", ["romize", "verify", "report"])
+    def test_failed_target_reported_once_by_name(self, corpus_dir, tmp_path,
+                                                 capsys, command):
+        """A target whose load fails is not loaded again by the closure: its
+        one failure names it, and the report of the rest is still written."""
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "T.class").write_bytes(
+            ClassBuilder("probe/T").build()[:-3])
+        out = str(tmp_path / "out")
+        argv = [command, "--classpath", str(tmp_path), "--classpath",
+                corpus_dir, "--closure", "probe/T", "corpus/Empty"]
+        if command != "verify":
+            argv[1:1] = ["--out", out]
+        assert run_cli(*argv) == 1
+        fails = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("FAIL")]
+        assert len(fails) == 1
+        assert fails[0].startswith("FAIL probe/T: Truncated: ")
+        if command == "report":
+            text = open(out).read()
+            assert "corpus/Empty" in text and "probe/T" not in text

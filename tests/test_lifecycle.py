@@ -10,8 +10,8 @@ from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom import romizer as rz
-from jrom.errors import (InvalidName, InvalidTransition, NameMismatch,
-                         PoolOverflow, StaticOverflow)
+from jrom.errors import (BadOpcode, InvalidName, InvalidTransition,
+                         NameMismatch, PoolOverflow, StaticOverflow, Truncated)
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -98,6 +98,47 @@ class TestLoad:
         reg, loader = fresh_world(corpus_dir, str(tmp_path))
         with pytest.raises(lc.HierarchyCycle):
             loader.ensure_loaded("cyc/A")
+
+    def test_object_with_array_superclass_is_a_cycle(self, tmp_path):
+        """An array class is loaded with java/lang/Object as its superclass,
+        so an Object declaring an array superclass would be its own
+        ancestor, and find_method would never return."""
+        cb = ClassBuilder("java/lang/Object", super_name="[Ljava/lang/Object;")
+        path = tmp_path / "java" / "lang" / "Object.class"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(cb.build())
+        reg, loader = fresh_world(str(tmp_path))
+        with pytest.raises(lc.HierarchyCycle):
+            loader.ensure_loaded("java/lang/Object")
+
+    def test_failed_load_is_not_read_again(self, corpus_dir, tmp_path):
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "T.class").write_bytes(
+            ClassBuilder("probe/T").build()[:-3])
+        reg, loader = fresh_world(corpus_dir, str(tmp_path))
+        with pytest.raises(Truncated) as first:
+            loader.ensure_loaded("probe/T")
+        loader.classpath = None         # any further read would fail
+        with pytest.raises(Truncated) as again:
+            loader.ensure_loaded("probe/T")
+        assert again.value is first.value
+        assert reg.get("probe/T").state == lc.UNLOADED
+
+    def test_closure_failure_raises_from_load_targets(self, corpus_dir,
+                                                      tmp_path):
+        a = ClassBuilder("probe/A")
+        a.default_init()
+        a.method("go", "()V", ACC_PUBLIC | ACC_STATIC).new("probe/T") \
+            .op("pop").op("return")
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "A.class").write_bytes(a.build())
+        (tmp_path / "probe" / "T.class").write_bytes(
+            ClassBuilder("probe/T").build()[:-3])
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        with pytest.raises(Truncated):
+            pipe.load_targets(["probe/A"], closure=True)
+        assert pipe.registry.get("probe/A").state == lc.LOADED
+        assert pipe.load_closure() == []    # probe/T is not loaded again
 
     def test_loaded_snapshot_unchanged_by_linking(self, corpus, corpus_dir,
                                                   monkeypatch):
@@ -293,9 +334,29 @@ class TestRewriteLoad:
         obj = reg.new_unloaded("java/lang/Object")
         obj.state = lc.LOADED
         cls = reg.new_unloaded("T")
-        from jrom.errors import BadOpcode
         with pytest.raises(BadOpcode):
             lc.load(cls, bytes(data), reg.resolve)
+
+    @pytest.mark.parametrize("op", sorted(op for op in ops.NAME
+                                          if op >= ops.FIRST_QUICK),
+                             ids=ops.NAME.get)
+    def test_quick_opcode_rejected_at_load(self, corpus_dir, tmp_path, op):
+        """jrom's quick forms exist only inside jrom: a class file holding
+        one at an instruction start fails loading, whatever its operand."""
+        cb = ClassBuilder("q/T")
+        cb.default_init()
+        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.op("iconst_2").op("nop").op("nop").op("ireturn")
+        data = bytearray(cb.build())
+        at = bytes(data).index(bytes([OP["iconst_2"], 0, 0, OP["ireturn"]]))
+        data[at + 1] = op
+        (tmp_path / "q").mkdir()
+        (tmp_path / "q" / "T.class").write_bytes(data)
+        reg, loader = fresh_world(corpus_dir, str(tmp_path))
+        with pytest.raises(BadOpcode,
+                           match="reserved opcode 0x%02x at offset 1" % op):
+            loader.ensure_loaded("q/T")
+        assert reg.get("q/T").state == lc.UNLOADED
 
     def test_ldc_of_class_constant_rejected(self):
         """An operand naming a constant of another kind than its instruction

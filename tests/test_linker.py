@@ -9,11 +9,12 @@ from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import linker as lk
 from jrom import opcodes as ops
+from jrom import verify as vf
 from jrom.errors import ClassNotFound, NoSuchField, NoSuchMethod, VerifyError
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
-from .conftest import prelinked, raw_pool, resolve
+from .conftest import make_pipeline, prelinked, raw_pool, resolve
 
 OP = ops.BY_NAME
 
@@ -186,6 +187,42 @@ class TestPreverify:
         failures = pipe.link_all()
         assert [name for name, _ in failures] == ["pv/Bad"]
         assert pipe.registry.get("pv/Good").state == lc.LINKED
+
+
+# the link flags of the golden corpus images
+GOLDEN_FLAGS = {"default": {}, "no-introspection": {"introspection": False},
+                "private-field-opt": {"private_field_opt": True},
+                "closed-world": {"closed_world": True}}
+
+
+class TestLinkInvariants:
+    """Facts that link's checks and verify_all take as given."""
+
+    @pytest.fixture(scope="class", params=sorted(GOLDEN_FLAGS))
+    def pipe(self, request, corpus_dir):
+        return make_pipeline(corpus_dir, **GOLDEN_FLAGS[request.param])
+
+    def test_every_member_handle_resolved(self, pipe):
+        """Link's resolution loop leaves no member handle unresolved."""
+        handles = 0
+        for cls in pipe.registry.loadable():
+            for pool in (cls.loaded_pool, cls.pool):
+                for kind, handle in zip(pool.a_kind, pool.a_payload):
+                    if kind in (cp.A_FIELD, cp.A_METHOD):
+                        assert handle.resolved is not None, (cls, handle.name)
+                        handles += 1
+        assert handles > 100
+
+    def test_linking_keeps_the_subset(self, pipe):
+        """Linking writes only quick forms that have handlers, so the linked
+        body runs in the interpreter exactly when the loaded one does."""
+        counts = {True: 0, False: 0}
+        for cls in pipe.registry.loadable():
+            for m in cls.methods:
+                supported = vf.in_subset(m.code)
+                assert vf.in_subset(m.code_loaded) == supported, m
+                counts[supported] += 1
+        assert counts[True] > 100 and counts[False] > 0
 
 
 class TestCompactInvokevirtual:
