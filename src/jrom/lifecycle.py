@@ -143,14 +143,13 @@ class ClassRep:
         return bool(self.access_flags & cf.ACC_INTERFACE)
 
     def pool_at(self, stage):
-        """The pool this class's methods run against at a stage; a class
-        that is not linked (its link failed, or has not run) has only its
-        loaded one."""
-        if stage == LOADED or self.state != LINKED:
-            if self.loaded_pool is None:
-                raise InvalidTransition("%s has no loaded snapshot" % self.name)
-            return self.loaded_pool
-        return self.pool
+        """The pool this class's methods run against at a stage: the loaded
+        one, or the current one, which stays the loaded one until a link
+        succeeds."""
+        pool = self.loaded_pool if stage == LOADED else self.pool
+        if pool is None:
+            raise InvalidTransition("%s has no %s pool" % (self.name, stage))
+        return pool
 
     def find_method(self, name, descriptor):
         """JVM-style resolution: the class, its supers, then interfaces."""
@@ -364,13 +363,12 @@ def load_parsed(cls, raw, data, resolver):
 
     if raw.super_name is not None:
         sup = resolver(raw.super_name)
+        if sup.synthetic:
+            raise InvalidName("superclass %s of %s is not a class"
+                              % (raw.super_name, cls.name))
         if sup.state == UNLOADED:
             raise ClassNotFound("superclass %s of %s is not loaded"
                                 % (raw.super_name, cls.name))
-        # an array class's superclass is java/lang/Object, so Loader misses
-        # the cycle of an Object that declares an array superclass
-        if any(k is cls for k in sup.hierarchy()):
-            raise HierarchyCycle("%s <- %s" % (cls.name, raw.super_name))
         cls.super_cls = sup
     cls.access_flags = raw.access_flags
     cls.interfaces = [resolver(raw.class_name(i)) for i in raw.interfaces]

@@ -1,18 +1,19 @@
 """Linking: resolve external references, compact call sites, pack the pool.
 
-Linking a class loads everything its pool mentions and unifies symbolic
-member handles with real field/method objects, so every member handle of
-a linked pool is resolved.  Each method's code is then decoded once (quick
-rewrites never change instruction sizes, so every pass shares that decode)
-and goes through, in order: the checks loading cannot make (check_method);
-the rewrites to quick forms that need no pool entry (invokevirtual
-compaction, static encoding, closed-field rewriting); one marking of what
-the final code still references, into marks that live only while the class
-links; the pack, which leaves the loaded pool as it was and makes the
-linked pool new; and the relink of every surviving operand through the
-pack remaps.  Loading already decoded the same bytes, rejected quick
-opcodes and checked every pool operand (parsing, every catch type), so
-link does not.
+Linking a class loads everything its pool mentions and resolves every
+member handle to a real field or method.  Each method's loaded code is
+then cloned, decoded once and walked once (link_method): per instruction,
+the checks loading cannot make, the rewrite to a quick form where one
+needs no pool entry, and the marking of the entry the final instruction
+still names, into marks that live only while the class links.  The walk
+records each kept pool operand, so after the pack, which copies the
+marked entries into a new pool and leaves the loaded one as it was, the
+relink rewrites those sites through the pack remaps without decoding
+again.  All of this is built on the side: the class gets its linked code,
+its packed pool and its resolved handles only once every step has
+succeeded, so a link that fails leaves the class as loaded.  Loading
+already rejected quick opcodes and checked every pool operand (parsing,
+every catch type), so link does not.
 """
 
 from dataclasses import dataclass, field
@@ -45,72 +46,73 @@ def _package_of(name):
 
 
 def link(cls, ctx):
-    """Bring a loaded class to state linked."""
+    """Bring a loaded class to state linked, or leave it as loaded."""
     if cls.state != lc.LOADED:
         raise InvalidTransition("%s is %s, cannot link" % (cls.name, cls.state))
     pool = cls.pool
 
-    for kind, ref in zip(pool.a_kind, pool.a_payload):
-        if kind != cp.A_CLASS:
-            continue
-        if ref.state == lc.UNLOADED:
-            if ctx.loader is None:
-                raise ClassNotFound(ref.name)
-            ctx.loader.ensure_loaded(ref.name)
+    # prelinking places every Class constant before any member handle, so
+    # each handle's owner is loaded by the time the handle resolves
+    members = {}            # atable index of a member handle -> its member
+    for aidx, (kind, entry) in enumerate(zip(pool.a_kind, pool.a_payload)):
+        if kind == cp.A_CLASS:
+            if entry.state == lc.UNLOADED:
+                if ctx.loader is None:
+                    raise ClassNotFound(entry.name)
+                ctx.loader.ensure_loaded(entry.name)
+        elif kind in (cp.A_FIELD, cp.A_METHOD):
+            members[aidx] = _resolve(entry)
 
-    for kind, handle in zip(pool.a_kind, pool.a_payload):
-        if kind not in (cp.A_FIELD, cp.A_METHOD):
-            continue
-        if handle.resolved is not None:
-            continue
-        if handle.is_field:
-            found = handle.owner.find_field(handle.name, handle.descriptor)
-            if found is None:
-                raise NoSuchField("%s.%s:%s" % (handle.owner.name, handle.name,
-                                                handle.descriptor))
-        else:
-            found = handle.owner.find_method(handle.name, handle.descriptor)
-            if found is None:
-                raise NoSuchMethod("%s.%s%s" % (handle.owner.name, handle.name,
-                                                handle.descriptor))
-        handle.resolved = found
-
-    # offset -> size of every instruction, kept only while the class links
-    decoded = []
-    for m in cls.methods:
-        if m.code is not None:
-            m.code = m.code_loaded.clone()
-            sizes = ops.instruction_sizes(m.code.bytecode)
-            check_method(m, pool, sizes)
-            decoded.append((m, sizes))
-    for m, sizes in decoded:
-        rewrite_method(m, pool, sizes, ctx)
     marks = cp.new_marks(pool)
-    for m, sizes in decoded:
-        mark_method(m, pool, marks, sizes)
-    mark_reflection(pool, marks, cls, ctx)
-    cls.pool, *remaps = cp.pack(pool, marks)
-    for m, sizes in decoded:
-        relink_method(m, remaps, sizes)
+    linked = []             # (method, its linked code, its kept pool sites)
+    for m in cls.methods:
+        if m.code_loaded is not None:
+            code = m.code_loaded.clone()
+            linked.append((m, code, link_method(m, code, pool, members,
+                                                marks, ctx)))
+    mark_reflection(pool, marks, ctx)
+    packed, *remaps = cp.pack(pool, marks)
+    for m, code, sites in linked:
+        relink_method(m, code, sites, remaps)
+
+    for m, code, _ in linked:
+        m.code = code
+    for aidx, member in members.items():
+        pool.a_payload[aidx].resolved = member
+    cls.pool = packed
     cls.state = lc.LINKED
 
 
-def _member_at(pool, bc, off):
-    """The resolved field or method a member-ref instruction names."""
-    vidx = ops.pool_operand(bc, off)[1]
-    return pool.a_payload[pool.v_value[vidx] & 0xFFFF].resolved
+def _resolve(handle):
+    if handle.is_field:
+        found = handle.owner.find_field(handle.name, handle.descriptor)
+        if found is None:
+            raise NoSuchField("%s.%s:%s" % (handle.owner.name, handle.name,
+                                            handle.descriptor))
+    else:
+        found = handle.owner.find_method(handle.name, handle.descriptor)
+        if found is None:
+            raise NoSuchMethod("%s.%s%s" % (handle.owner.name, handle.name,
+                                            handle.descriptor))
+    return found
 
 
-def check_method(m, pool, sizes):
-    """The checks of one decoded method that loading cannot make.
+def link_method(m, code, pool, members, marks, ctx):
+    """One pass over one decode of ``code``, a clone of the loaded code.
 
-    Link owns these: every branch target and exception boundary falls on an
-    instruction, every local slot is below max_locals, every exception
-    range lies inside the code, a static instruction names a static member
-    and an instance one an instance member, and the pad byte of
-    invokeinterface is zero.
+    Per instruction: the checks that loading cannot make (the branch
+    targets fall on instructions, the local slot is below max_locals, a
+    static instruction names a static member and an instance one an
+    instance member, the pad byte of invokeinterface is zero); the rewrite
+    to a quick form that needs no pool entry; the marking of the entry the
+    final instruction still names.  Then every exception range must lie
+    inside the code on instruction boundaries, and its catch type is
+    marked.  Returns (offset, Operand, index) of every pool operand kept,
+    for the relink.
     """
-    bc = m.code.bytecode
+    bc = code.bytecode
+    sizes = ops.instruction_sizes(bc)
+    sites = []
     for off in sizes:
         for t in ops.branch_targets(bc, off):
             if t not in sizes:
@@ -119,16 +121,25 @@ def check_method(m, pool, sizes):
         local = ops.local_slot(bc, off)
         if local is not None:
             idx, width = local
-            if idx + width > m.code.max_locals:
+            if idx + width > code.max_locals:
                 raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
             continue
-        entry = ops.OPERANDS.get(bc[off])
-        if entry is not None and entry.want in _MEMBER_REFS:
-            _check_member(m, bc, off, _member_at(pool, bc, off),
-                          entry.want == cp.V_FIELDREF)
+        found = ops.pool_operand(bc, off)
+        if found is None:
+            continue
+        entry, idx = found
+        if entry.want in _MEMBER_REFS:
+            op = bc[off]
+            member = members[pool.v_value[idx] & 0xFFFF]
+            _check_member(m, bc, off, member, entry.want == cp.V_FIELDREF)
+            _rewrite_member(m, bc, off, member, ctx)
+            if bc[off] != op:           # a quick form names no pool entry
+                continue
+        cp.mark(pool, marks, entry.space, idx)
+        sites.append((off, entry, idx))
 
     code_len = len(bc)
-    for start, end, handler, catch in m.code.exception_table:
+    for start, end, handler, catch in code.exception_table:
         if not (start < end <= code_len):
             raise VerifyError("%s: exception range [%d,%d) invalid" % (m, start, end))
         if start not in sizes or handler not in sizes:
@@ -136,6 +147,9 @@ def check_method(m, pool, sizes):
         if end != code_len and end not in sizes:
             raise VerifyError("%s: exception range end %d not on an instruction"
                               % (m, end))
+        if catch is not None:
+            cp.mark(pool, marks, cp.ATABLE, catch)
+    return sites
 
 
 def _check_member(m, bc, off, member, is_field):
@@ -157,51 +171,35 @@ def _check_member(m, bc, off, member, is_field):
                           % (m, off))
 
 
-def rewrite_method(m, pool, sizes, ctx):
-    """Rewrite the sites whose final form needs no pool entry.
+def _rewrite_member(m, bc, off, member, ctx):
+    """Rewrite a member site to a quick form that needs no pool entry.
 
-    invokevirtual sites are compacted where the encoding fits.  Static
+    An invokevirtual site becomes invokevirtual_quick (argument slot count,
+    dispatch table slot) when both fit a byte; a target with no dispatch
+    slot (private or otherwise non-virtual) stays symbolic.  Static
     accesses become quick forms carrying (offset << 3) | type when the
     static is declared along the owning class's superclass chain: a 13-bit
     offset is resolved by walking that chain at run time, so an unrelated
     owner has to stay symbolic.  Under the closure flags, getfield/putfield
     over closed fields become offsets the same way.
     """
-    bc = m.code.bytecode
-    fields_closed = ctx.private_field_opt or ctx.closed_world or ctx.closed_packages
-    for off in sizes:
-        op = bc[off]
-        if op == _OP["invokevirtual"]:
-            compact_invokevirtual(bc, off, _member_at(pool, bc, off))
-        elif op in (_OP["getstatic"], _OP["putstatic"]):
-            f = _member_at(pool, bc, off)
-            if any(k is f.owner for k in m.owner.hierarchy()):
-                _encode_field(bc, off, f)
-        elif op in (_OP["getfield"], _OP["putfield"]) and fields_closed:
-            f = _member_at(pool, bc, off)
-            if _field_rewritable(f, m.owner, ctx) \
-                    and f.offset <= lc.MAX_STATIC_OFFSET:
-                _encode_field(bc, off, f)
-
-
-def compact_invokevirtual(bc, off, target):
-    """Rewrite one invokevirtual site when both bytes fit.
-
-    The 16-bit pool operand becomes (argument slot count, dispatch table
-    slot).  Sites whose target has no dispatch slot (private or otherwise
-    non-virtual) are left alone.
-    """
-    if target.dispatch_slot is not None and target.nargs < 256 \
-            and target.dispatch_slot < 256:
-        bc[off] = _OP["invokevirtual_quick"]
-        bc[off + 1] = target.nargs
-        bc[off + 2] = target.dispatch_slot
-
-
-def _encode_field(bc, off, f):
-    """get/put static or field -> its quick form carrying (offset << 3) | type."""
-    bc[off] = _OP[ops.NAME[bc[off]] + "_quick"]
-    ops.write_operand(bc, off, 2, (f.offset << 3) | f.type_code)
+    op = bc[off]
+    if op == _OP["invokevirtual"]:
+        slot = member.dispatch_slot
+        if slot is not None and slot < 256 and member.nargs < 256:
+            bc[off:off + 3] = bytes((_OP["invokevirtual_quick"], member.nargs,
+                                     slot))
+        return
+    if op in (_OP["getstatic"], _OP["putstatic"]):
+        quick = any(k is member.owner for k in m.owner.hierarchy())
+    elif op in (_OP["getfield"], _OP["putfield"]):
+        quick = _field_rewritable(member, m.owner, ctx) \
+            and member.offset <= lc.MAX_STATIC_OFFSET
+    else:
+        return
+    if quick:
+        bc[off] = _OP[ops.NAME[op] + "_quick"]
+        ops.write_operand(bc, off, 2, (member.offset << 3) | member.type_code)
 
 
 def _field_rewritable(f, cls, ctx):
@@ -212,42 +210,28 @@ def _field_rewritable(f, cls, ctx):
     return ctx.private_field_opt and f.is_private and f.owner is cls
 
 
-def _pool_entries(bc, sizes):
-    """(offset, Operand, table index) of every pool operand of the code."""
-    for off in sizes:
-        found = ops.pool_operand(bc, off)
-        if found is not None:
-            yield off, *found
+def mark_reflection(pool, marks, ctx):
+    """Keep member name and descriptor text alive when introspection is on.
 
-
-def mark_method(m, pool, marks, sizes):
-    """Mark every entry the method's final code still references."""
-    for _, entry, idx in _pool_entries(m.code.bytecode, sizes):
-        cp.mark(pool, marks, entry.space, idx)
-    for _, _, _, catch in m.code.exception_table:
-        if catch is not None:
-            cp.mark(pool, marks, cp.ATABLE, catch)
-
-
-def mark_reflection(pool, marks, cls, ctx):
-    """Keep member name and descriptor text alive when introspection is on."""
+    Prelinking left live exactly the Utf8s that spell a name or descriptor
+    of the class's own members; the first of each text is kept.
+    """
     if not ctx.introspection:
         return
-    utf8 = {}               # text -> atable index of its first Utf8
-    for aidx, (kind, text) in enumerate(zip(pool.a_kind, pool.a_payload)):
-        if kind == cp.A_UTF8:
-            utf8.setdefault(text, aidx)
-    for member in cls.fields + cls.methods:
-        for text in (member.name, member.descriptor):
-            aidx = utf8.get(text)
-            if aidx is not None:
-                cp.mark(pool, marks, cp.ATABLE, aidx)
+    a_marks = marks[0]
+    seen = set()
+    for aidx, (kind, text, dead) in enumerate(
+            zip(pool.a_kind, pool.a_payload, pool.a_dead)):
+        if kind == cp.A_UTF8 and not dead and text not in seen:
+            seen.add(text)
+            a_marks[aidx] = True
 
 
-def relink_method(m, remaps, sizes):
-    """Rewrite every operand, an index into the loaded pool, through the
-    (atable, vtable) remaps of its pack."""
-    bc = m.code.bytecode
+def relink_method(m, code, sites, remaps):
+    """Rewrite each kept pool operand of ``code``, and each catch type, an
+    index into the loaded pool, through the (atable, vtable) remaps of its
+    pack."""
+    bc = code.bytecode
     a_remap, v_remap = remaps
 
     def remap(space, idx, off):
@@ -258,8 +242,8 @@ def relink_method(m, remaps, sizes):
             raise InternalError("%s: operand at %d references swept %s entry %d"
                                 % (m, off, space, idx)) from None
 
-    for off, entry, idx in _pool_entries(bc, sizes):
+    for off, entry, idx in sites:
         ops.write_operand(bc, off, entry.size, remap(entry.space, idx, off))
-    m.code.exception_table = [
+    code.exception_table = [
         (s, e, h, None if c is None else remap(cp.ATABLE, c, 0))
-        for s, e, h, c in m.code.exception_table]
+        for s, e, h, c in code.exception_table]

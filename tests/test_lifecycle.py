@@ -1,5 +1,6 @@
 """Lifecycle tests: states, loading, layout, rewriting, dispatch, ready."""
 
+import re
 import struct
 
 import pytest
@@ -99,17 +100,24 @@ class TestLoad:
         with pytest.raises(lc.HierarchyCycle):
             loader.ensure_loaded("cyc/A")
 
-    def test_object_with_array_superclass_is_a_cycle(self, tmp_path):
-        """An array class is loaded with java/lang/Object as its superclass,
-        so an Object declaring an array superclass would be its own
-        ancestor, and find_method would never return."""
-        cb = ClassBuilder("java/lang/Object", super_name="[Ljava/lang/Object;")
-        path = tmp_path / "java" / "lang" / "Object.class"
+    @pytest.mark.parametrize("name, super_name", [
+        ("java/lang/Object", "[Ljava/lang/Object;"),
+        ("probe/X", "[I"),
+        ("probe/X", "int"),
+    ])
+    def test_synthetic_superclass_rejected(self, corpus_dir, tmp_path, name,
+                                           super_name):
+        """JVMS 4.1: super_class names a class, and an array or primitive
+        class is none.  An Object declaring an array superclass would also
+        be its own ancestor, since every array's superclass is Object."""
+        path = tmp_path / (name + ".class")
         path.parent.mkdir(parents=True)
-        path.write_bytes(cb.build())
-        reg, loader = fresh_world(str(tmp_path))
-        with pytest.raises(lc.HierarchyCycle):
-            loader.ensure_loaded("java/lang/Object")
+        path.write_bytes(ClassBuilder(name, super_name=super_name).build())
+        reg, loader = fresh_world(corpus_dir, str(tmp_path))
+        with pytest.raises(InvalidName, match=re.escape(
+                "superclass %s of %s is not a class" % (super_name, name))):
+            loader.ensure_loaded(name)
+        assert reg.get(name).state == lc.UNLOADED
 
     def test_failed_load_is_not_read_again(self, corpus_dir, tmp_path):
         (tmp_path / "probe").mkdir()

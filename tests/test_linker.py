@@ -84,6 +84,20 @@ class TestLink:
         with pytest.raises(NoSuchField, match="ghost"):
             lk.link(cls, ctx)
 
+    def test_class_handles_precede_member_handles(self, linked_pipeline):
+        """link loads each referenced class and resolves each member handle
+        in one atable walk; that needs every Class entry placed first."""
+        pools = 0
+        for cls in linked_pipeline.registry.loadable():
+            kinds = cls.loaded_pool.a_kind
+            classes = [i for i, k in enumerate(kinds) if k == cp.A_CLASS]
+            members = [i for i, k in enumerate(kinds)
+                       if k in (cp.A_FIELD, cp.A_METHOD)]
+            if classes and members:
+                assert max(classes) < min(members), cls.name
+                pools += 1
+        assert pools > 20
+
     def test_mutually_recursive_classes_link(self, linked_pipeline):
         reg = linked_pipeline.registry
         assert reg.get("corpus/MutualA").state == lc.LINKED
@@ -187,6 +201,48 @@ class TestPreverify:
         failures = pipe.link_all()
         assert [name for name, _ in failures] == ["pv/Bad"]
         assert pipe.registry.get("pv/Good").state == lc.LINKED
+
+
+class TestFailedLink:
+    """A link that fails commits nothing: the class keeps its loaded pool,
+    its loaded code objects and unresolved member handles."""
+
+    def _loaded(self, tmp_path, corpus_dir, build_bad):
+        cb = ClassBuilder("fl/T")
+        cb.field("s", "I", ACC_PUBLIC | ACC_STATIC)
+        cb.default_init()
+        # a good method first: linking rewrites it and remaps its operands
+        c = cb.method("good", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.getstatic("fl/T", "s", "I").ldc_int(77).op("iadd").op("ireturn")
+        build_bad(cb.method("bad", "()I", ACC_PUBLIC | ACC_STATIC))
+        reg, loader, ctx = _world(tmp_path, corpus_dir, cb)
+        cls = loader.ensure_loaded("fl/T")
+        return cls, ctx
+
+    def _assert_as_loaded(self, cls, loaded_code):
+        pool = cls.loaded_pool
+        assert cls.state == lc.LOADED
+        assert cls.pool is pool and cls.pool_at(lc.LINKED) is pool
+        assert [m.code is m.code_loaded for m in cls.methods] == [True] * 3
+        assert [bytes(m.code_loaded.bytecode) for m in cls.methods] \
+            == loaded_code
+        assert all(h.resolved is None
+                   for k, h in zip(pool.a_kind, pool.a_payload)
+                   if k in (cp.A_FIELD, cp.A_METHOD))
+
+    @pytest.mark.parametrize("error, build_bad", [
+        (VerifyError, lambda c: c.op("aconst_null")
+            .getfield("corpus/Statics", "sInt", "I").op("ireturn")),
+        (NoSuchMethod, lambda c: c.invoke("invokestatic", "corpus/Empty",
+                                          "nope", "()I").op("ireturn")),
+    ], ids=["verify-error", "no-such-method"])
+    def test_failed_link_leaves_class_as_loaded(self, tmp_path, corpus_dir,
+                                                error, build_bad):
+        cls, ctx = self._loaded(tmp_path, corpus_dir, build_bad)
+        loaded_code = [bytes(m.code_loaded.bytecode) for m in cls.methods]
+        with pytest.raises(error):
+            lk.link(cls, ctx)
+        self._assert_as_loaded(cls, loaded_code)
 
 
 # the link flags of the golden corpus images
@@ -521,8 +577,8 @@ class TestMarkReflection:
         raw.methods = [cf.RawMember(0, 1, 2, [], "run", "()V")]
         pool, _ = prelinked(raw)
         a_marks, _ = marks = cp.new_marks(pool)
-        # the raw class file has the member names that a ClassRep would
-        lk.mark_reflection(pool, marks, raw, lk.LinkContext(lc.Registry()))
+        # prelinking left both spellings of "run" live; only the first is kept
+        lk.mark_reflection(pool, marks, lk.LinkContext(lc.Registry()))
         assert list(a_marks) == [1, 1, 0]
 
 

@@ -3,13 +3,15 @@
 Each mutation overwrites one to three random bytes inside one corpus
 method's code array, then loads that class with its closure and links
 everything loaded.  Whatever the bytes say, the class either links or fails
-with a JromError: no other exception may escape.
+with a JromError: no other exception may escape, and a class whose link
+fails stays exactly as loaded.
 """
 
 import os
 import random
 
 from jrom import classfile as cf
+from jrom import lifecycle as lc
 from jrom.errors import JromError
 from jrom.pipeline import Pipeline
 
@@ -41,13 +43,22 @@ def mutations(corpus, seed, count):
 
 
 def load_and_link(classpath, name):
-    """"linked", "link failure", or the name of the JromError raised."""
+    """"linked", "link failure", or the name of the JromError raised.
+
+    A class whose link fails must be left as loaded: its loaded pool and
+    its loaded code objects, never a half-linked copy.
+    """
     pipe = Pipeline(classpath)
     try:
         pipe.load_targets([name], closure=True)
-        return "link failure" if pipe.link_all() else "linked"
+        failures = pipe.link_all()
     except JromError as e:
         return type(e).__name__
+    for failed, _ in failures:
+        cls = pipe.registry.get(failed)
+        assert cls.state == lc.LOADED and cls.pool is cls.loaded_pool \
+            and all(m.code is m.code_loaded for m in cls.methods), failed
+    return "link failure" if failures else "linked"
 
 
 def test_mutated_code_fails_only_with_jrom_errors(corpus, corpus_dir,
