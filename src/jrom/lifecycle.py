@@ -1,10 +1,12 @@
 """Class lifecycle: unloaded -> loaded -> linked, plus the ready flag.
 
 Loading parses the class file, builds and prelinks the runtime pool, lays
-out fields, rewrites every pool operand to its table index (and the
-constant-loading instructions to their quick forms) and builds the
-dispatch table.  The ready flag is orthogonal: a class becomes ready once
-its statics are initialized, which may happen while it is merely loaded.
+out fields, builds the dispatch table, walks each method body once into
+its shape, which makes the body's structural checks, and over the shape
+rewrites every pool operand to its table index (and the constant-loading
+instructions to their quick forms).  The ready flag is orthogonal: a class
+becomes ready once its statics are initialized, which may happen while it
+is merely loaded.
 """
 
 import os
@@ -60,15 +62,24 @@ class MethodCode:
     max_locals: int
     exception_table: list   # (start, end, handler, catch atable index or None)
     stack_maps: bytes = None
+    # the body's ops.Shape (shape_of), which a clone shares; whoever moves
+    # or retargets an instruction sets it back to None
+    shape: ops.Shape = dc_field(default=None, repr=False, compare=False)
     # (pool, steps) of verify's decode against that pool; whoever rewrites
     # the bytecode in place sets it back to None
     decoded: tuple = dc_field(default=None, repr=False, compare=False)
+
+    def shape_of(self, method):
+        """The body's shape, built once; a VerifyError names ``method``."""
+        if self.shape is None:
+            self.shape = ops.method_shape(self, method)
+        return self.shape
 
     def clone(self):
         return MethodCode(bytearray(self.bytecode), self.max_stack,
                           self.max_locals,
                           [tuple(e) for e in self.exception_table],
-                          self.stack_maps)
+                          self.stack_maps, self.shape)
 
 
 @dataclass
@@ -378,10 +389,11 @@ def load_parsed(cls, raw, data, resolver):
         cls,
         ((fm.name, fm.descriptor, fm.access_flags, cf.constant_value_of(raw, fm))
          for fm in raw.fields),
-        ((mm.name, mm.descriptor, mm.access_flags,
-          _loaded_code(mm, pool, placement))
+        ((mm.name, mm.descriptor, mm.access_flags, _raw_code(mm, placement))
          for mm in raw.methods))
     for m in cls.methods:
+        if m.code is not None:
+            rewrite_load(m, pool, placement)
         m.code_loaded = m.code
     cls.raw_stats = {
         "entries": cf.pool_entry_count(raw),
@@ -392,9 +404,9 @@ def load_parsed(cls, raw, data, resolver):
     cls.loaded_pool = pool
 
 
-def _loaded_code(raw_method, pool, placement):
-    """The method's code with its pool operands and catch types rewritten
-    to table indexes and its constant loads in quick form, or None."""
+def _raw_code(raw_method, placement):
+    """The method's code as the class file gives it, but for its catch
+    types, which are table indexes, or None."""
     code_attr = raw_method.attr("Code")
     if code_attr is None:
         return None
@@ -408,9 +420,8 @@ def _loaded_code(raw_method, pool, placement):
         if a.retained:
             stack_maps = a.payload
             break
-    return rewrite_load(MethodCode(bytearray(raw_code.code), raw_code.max_stack,
-                                   raw_code.max_locals, table, stack_maps),
-                        pool, placement)
+    return MethodCode(bytearray(raw_code.code), raw_code.max_stack,
+                      raw_code.max_locals, table, stack_maps)
 
 
 def lay_out_class(cls, fields, methods):
@@ -493,18 +504,19 @@ _LOAD_QUICK = {
 }
 
 
-def rewrite_load(code, pool, placement):
-    """Rewrite every raw pool operand to the table index where prelinking
-    placed its constant, in place, and each constant load to its quick form.
+def rewrite_load(m, pool, placement):
+    """Over the shape of ``m``'s code, built (and checked) first, rewrite
+    every raw pool operand in place to the table index where prelinking
+    placed its constant, and each constant load to its quick form.
 
     The one check of a class file's pool operands: an operand that does not
     place on an entry of the kind its instruction wants raises BadPoolRef,
     and a quick opcode, which only jrom writes, raises BadOpcode.  Every
-    replacement keeps the instruction's byte length, so offsets and branch
-    targets never move.
+    replacement keeps the instruction's byte length, so the shape holds.
     """
-    bc = code.bytecode
-    for off, op, size in ops.walk(bc):
+    bc = m.code.bytecode
+    for off in m.code.shape_of(m).starts:
+        op = bc[off]
         entry = _RAW.get(op)
         if entry is None:
             if op >= ops.FIRST_QUICK:
@@ -536,7 +548,6 @@ def rewrite_load(code, pool, placement):
                 ops.NAME[op], idx, "one byte" if entry.size == 1 else "two bytes"))
         bc[off] = op
         ops.write_operand(bc, off, entry.size, idx)
-    return code
 
 
 def build_dispatch_table(cls):

@@ -2,8 +2,8 @@
 
 Linking a class loads everything its pool mentions and resolves every
 member handle to a real field or method.  Each method's loaded code is
-then cloned, decoded once and walked once (link_method): per instruction,
-the checks loading cannot make, the rewrite to a quick form where one
+then cloned and walked once over its shape (link_method): per instruction,
+the checks that need resolution, the rewrite to a quick form where one
 needs no pool entry, and the marking of the entry the final instruction
 still names, into marks that live only while the class links.  The walk
 records each kept pool operand, so after the pack, which copies the
@@ -12,8 +12,8 @@ relink rewrites those sites through the pack remaps without decoding
 again.  All of this is built on the side: the class gets its linked code,
 its packed pool and its resolved handles only once every step has
 succeeded, so a link that fails leaves the class as loaded.  Loading
-already rejected quick opcodes and checked every pool operand (parsing,
-every catch type), so link does not.
+already made the structural checks, with each body's shape, rejected
+quick opcodes and checked every pool operand, so link does not.
 """
 
 from dataclasses import dataclass, field
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from . import constpool as cp
 from . import lifecycle as lc
 from . import opcodes as ops
-from .errors import (ClassNotFound, InternalError, InvalidTransition,
-                     NoSuchField, NoSuchMethod, VerifyError)
+from .errors import (ClassNotFound, InvalidTransition, NoSuchField,
+                     NoSuchMethod, VerifyError)
 
 _OP = ops.BY_NAME
 _MEMBER_REFS = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
@@ -72,8 +72,8 @@ def link(cls, ctx):
                                                 marks, ctx)))
     mark_reflection(pool, marks, ctx)
     packed, *remaps = cp.pack(pool, marks)
-    for m, code, sites in linked:
-        relink_method(m, code, sites, remaps)
+    for _, code, sites in linked:
+        relink_method(code, sites, remaps)
 
     for m, code, _ in linked:
         m.code = code
@@ -98,32 +98,18 @@ def _resolve(handle):
 
 
 def link_method(m, code, pool, members, marks, ctx):
-    """One pass over one decode of ``code``, a clone of the loaded code.
+    """One pass over the shape of ``code``, a clone of the loaded code.
 
-    Per instruction: the checks that loading cannot make (the branch
-    targets fall on instructions, the local slot is below max_locals, a
-    static instruction names a static member and an instance one an
-    instance member, the pad byte of invokeinterface is zero); the rewrite
-    to a quick form that needs no pool entry; the marking of the entry the
-    final instruction still names.  Then every exception range must lie
-    inside the code on instruction boundaries, and its catch type is
-    marked.  Returns (offset, Operand, index) of every pool operand kept,
-    for the relink.
+    Per instruction: the checks that need resolution (a static instruction
+    names a static member and an instance one an instance member, the pad
+    byte of invokeinterface is zero); the rewrite to a quick form that
+    needs no pool entry; the marking of the entry the final instruction
+    still names.  Then each catch type is marked.  Returns (offset,
+    Operand, index) of every pool operand kept, for the relink.
     """
     bc = code.bytecode
-    sizes = ops.instruction_sizes(bc)
     sites = []
-    for off in sizes:
-        for t in ops.branch_targets(bc, off):
-            if t not in sizes:
-                raise VerifyError("%s: branch from %d to non-boundary %d"
-                                  % (m, off, t))
-        local = ops.local_slot(bc, off)
-        if local is not None:
-            idx, width = local
-            if idx + width > code.max_locals:
-                raise VerifyError("%s: local %d out of range at %d" % (m, idx, off))
-            continue
+    for off in code.shape_of(m).starts:
         found = ops.pool_operand(bc, off)
         if found is None:
             continue
@@ -138,15 +124,7 @@ def link_method(m, code, pool, members, marks, ctx):
         cp.mark(pool, marks, entry.space, idx)
         sites.append((off, entry, idx))
 
-    code_len = len(bc)
-    for start, end, handler, catch in code.exception_table:
-        if not (start < end <= code_len):
-            raise VerifyError("%s: exception range [%d,%d) invalid" % (m, start, end))
-        if start not in sizes or handler not in sizes:
-            raise VerifyError("%s: exception boundary not on an instruction" % m)
-        if end != code_len and end not in sizes:
-            raise VerifyError("%s: exception range end %d not on an instruction"
-                              % (m, end))
+    for *_, catch in code.exception_table:
         if catch is not None:
             cp.mark(pool, marks, cp.ATABLE, catch)
     return sites
@@ -227,23 +205,14 @@ def mark_reflection(pool, marks, ctx):
             a_marks[aidx] = True
 
 
-def relink_method(m, code, sites, remaps):
+def relink_method(code, sites, remaps):
     """Rewrite each kept pool operand of ``code``, and each catch type, an
     index into the loaded pool, through the (atable, vtable) remaps of its
-    pack."""
+    pack.  link_method marked every one, so each remap holds it."""
     bc = code.bytecode
     a_remap, v_remap = remaps
-
-    def remap(space, idx, off):
-        table = a_remap if space == cp.ATABLE else v_remap
-        try:
-            return table[idx]
-        except KeyError:
-            raise InternalError("%s: operand at %d references swept %s entry %d"
-                                % (m, off, space, idx)) from None
-
     for off, entry, idx in sites:
-        ops.write_operand(bc, off, entry.size, remap(entry.space, idx, off))
-    code.exception_table = [
-        (s, e, h, None if c is None else remap(cp.ATABLE, c, 0))
-        for s, e, h, c in code.exception_table]
+        table = a_remap if entry.space == cp.ATABLE else v_remap
+        ops.write_operand(bc, off, entry.size, table[idx])
+    code.exception_table = [(s, e, h, None if c is None else a_remap[c])
+                            for s, e, h, c in code.exception_table]

@@ -11,7 +11,7 @@ import struct
 from typing import NamedTuple
 
 from . import constpool as cp
-from .errors import BadOpcode, Truncated
+from .errors import BadOpcode, Truncated, VerifyError
 
 # mnemonic -> opcode value, and the operand byte count (None = variable)
 # fmt: off
@@ -111,12 +111,12 @@ BY_NAME["wide"] = WIDE
 FIRST_QUICK = BY_NAME["ldc_quick_i"]
 
 # --- operand table -------------------------------------------------------
-# What the operand field of each instruction names.  Load rewriting, the
-# link checks, marking, relinking and branch_targets all read operands
-# through this one table.  A class file gives the TABLE operand of a
-# standard instruction (below FIRST_QUICK) as a raw constant-pool index;
-# loading rewrites each one to its table index, so in loaded and linked
-# code every TABLE operand is an atable or vtable index.
+# What the operand field of each instruction names.  The shape's checks,
+# load rewriting, the link checks, marking, relinking and branch_targets
+# all read operands through this one table.  A class file gives the TABLE
+# operand of a standard instruction (below FIRST_QUICK) as a raw
+# constant-pool index; loading rewrites each one to its table index, so in
+# loaded and linked code every TABLE operand is an atable or vtable index.
 TABLE = "table"            # atable or vtable index
 LOCAL = "local"            # local variable slot
 BRANCH = "branch"          # signed offset from the instruction start
@@ -277,9 +277,49 @@ def local_slot(code, offset):
     return slot, entry.want
 
 
-def instruction_sizes(code):
-    """offset -> size of every instruction, in code order."""
-    return {offset: size for offset, _, size in walk(code)}
+class Shape(NamedTuple):
+    """What no rewrite of a method body changes, so every stage shares."""
+    starts: tuple           # instruction start offsets, in code order
+    targets: tuple          # each branch and switch target and handler pc,
+                            # once (a tuple is a quarter of a small set)
+
+
+def method_shape(code, method):
+    """The Shape of a MethodCode, from one walk of its bytecode.
+
+    Makes the structural checks that read no pool, raising VerifyError
+    naming ``method``: each branch and switch target is an instruction
+    start, each local slot is below max_locals, and each exception range
+    lies inside the code on instruction boundaries, with its handler on
+    one.  size_at raises for an unknown opcode or truncated operands.
+    """
+    bc = code.bytecode
+    end = len(bc)
+    starts = [offset for offset, _, _ in walk(bc)]
+    boundary = set(starts)
+    targets = set()
+    for offset in starts:
+        for target in branch_targets(bc, offset):
+            if target not in boundary:
+                raise VerifyError("%s: branch from %d to non-boundary %d"
+                                  % (method, offset, target))
+            targets.add(target)
+        local = local_slot(bc, offset)
+        if local is not None and sum(local) > code.max_locals:
+            raise VerifyError("%s: local %d out of range at %d"
+                              % (method, local[0], offset))
+    for start, stop, handler, _ in code.exception_table:
+        if not start < stop <= end:
+            raise VerifyError("%s: exception range [%d,%d) invalid"
+                              % (method, start, stop))
+        if start not in boundary or handler not in boundary:
+            raise VerifyError("%s: exception boundary not on an instruction"
+                              % method)
+        if stop != end and stop not in boundary:
+            raise VerifyError("%s: exception range end %d not on an "
+                              "instruction" % (method, stop))
+        targets.add(handler)
+    return Shape(tuple(starts), tuple(targets))
 
 
 def branch_targets(code, offset):

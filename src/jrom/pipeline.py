@@ -233,8 +233,9 @@ class Pipeline:
                     continue
                 if m.code is None:
                     continue
-                # linking writes only quick forms that have handlers
-                if not vf.in_subset(m.code):
+                # linking writes only quick forms that have handlers; asking
+                # the loaded body lets a --corrupt linked one run and fail
+                if not vf.in_subset(m.code_loaded):
                     result.skipped.append((cls.name, m.name + m.descriptor))
                     continue
                 base = "init" if m.name == "<clinit>" else "live"
@@ -275,7 +276,8 @@ class Pipeline:
         return None
 
     def corrupt(self, cls_name, method_name):
-        """Test hook: flip one quick-form operand byte in post-link code."""
+        """Test hook: flip one quick-form operand byte in post-link code and
+        drop the code's shape and decode, so a flipped branch is rechecked."""
         cls = self.registry.get(cls_name)
         if cls is None:
             raise JromError("no such class %s" % cls_name)
@@ -283,11 +285,12 @@ class Pipeline:
             if m.name != method_name or m.code is None:
                 continue
             bc = m.code.bytecode
-            for off, op, size in ops.walk(bc):
-                if size > 1 and op != ops.BY_NAME["invokevirtual_quick"]:
-                    bc[off + size - 1] ^= 0x01
-                    m.code.decoded = None
-                    return "%s.%s+%d" % (cls_name, method_name, off + size - 1)
+            starts = m.code.shape_of(m).starts
+            for off, end in zip(starts, starts[1:] + (len(bc),)):
+                if end - off > 1 and bc[off] != ops.BY_NAME["invokevirtual_quick"]:
+                    bc[end - 1] ^= 0x01
+                    m.code.shape = m.code.decoded = None
+                    return "%s.%s+%d" % (cls_name, method_name, end - 1)
         raise JromError("no corruptible operand in %s.%s"
                         % (cls_name, method_name))
 

@@ -11,13 +11,15 @@ handler, its opcode, its size and its operand already read: a local slot,
 a constant, a branch target, a pool operand checked against its table, or
 the row of its family's table (a family of opcodes, such as the array loads
 or the divisions, shares one handler).  Any other pc holds None, so
-dispatch is one list index per instruction.  Decode reads only what the
-bytecode and the stage's pool layout fix: members are resolved, zones read
-and objects made when an instruction runs, and an operand that cannot be
-used raises only if its instruction runs.
+dispatch is one list index per instruction.  Decode walks no bytecode: it
+reads the body's shape, checked at load or, for a reloaded body, at its
+first decode.  Decode reads only what the bytecode and the stage's pool
+layout fix: members are resolved, zones read and objects made when an
+instruction runs, and an operand that cannot be used raises only if its
+instruction runs.
 
-Decode also splits the body into basic blocks: a leader is pc 0, a branch,
-switch or handler target, or the instruction after one that is not
+Decode also splits the body into basic blocks: a leader is pc 0, one of
+the shape's jump targets, or the instruction after one that is not
 straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
 unary or binary operator).  Those families, the conditional branches, goto
 and the returns are each one template that writes Python source, and a
@@ -276,18 +278,18 @@ class _Call(tuple):
 
 
 def in_subset(code):
-    """True when every opcode of a method body has a handler."""
+    """True when a method body has a shape and a handler for each opcode."""
     if code is None:
         return False
     bc = code.bytecode
     try:
-        for off, op, _ in ops.walk(bc):
-            if op == ops.WIDE:
-                op = bc[off + 1]
-            if _HANDLERS[op] is _unsupported:
-                return False
+        starts = code.shape_of(None).starts     # no error message is shown
     except JromError:
         return False
+    for off in starts:
+        op = bc[off]
+        if _HANDLERS[bc[off + 1] if op == ops.WIDE else op] is _unsupported:
+            return False
     return True
 
 
@@ -495,8 +497,9 @@ class Machine:
         while True:
             try:
                 handler, op, operand, size = steps[pc]
-            except (TypeError, IndexError):     # None, or past the end
-                self._off_boundary(f.method, pc, len(steps))
+            except IndexError:      # the shape puts every jump on a step
+                raise InterpError("%s: fell off the end of the code"
+                                  % (f.method,)) from None
             if self.fuel <= 0:
                 raise _FuelOut()
             self.fuel -= 1
@@ -522,8 +525,6 @@ class Machine:
                 steps, pc = f.steps, target
                 continue
             if result.__class__ is int:
-                if result < 0:
-                    self._off_boundary(f.method, result, len(steps))
                 pc = result
                 continue
             value = result[0]
@@ -548,19 +549,8 @@ class Machine:
         pool = method.owner.pool_at(world.stage)
         code = method.code_at(world.stage)
         f = Frame(method, code, pool, args)
-        f.steps = decoded(code, pool, world.registry)
+        f.steps = decoded(method, code, pool, world.registry)
         return f
-
-    def _off_boundary(self, method, pc, end):
-        """Raise for a pc that holds no instruction.  Past the end that is
-        at once; anywhere else it costs fuel, as an instruction would."""
-        if pc >= end:
-            raise InterpError("%s: fell off the end of the code" % (method,))
-        if self.fuel <= 0:
-            raise _FuelOut()
-        self.fuel -= 1
-        raise InterpError("%s: pc %d not on an instruction boundary"
-                          % (method, pc))
 
     def _find_handler(self, f, thrown):
         """The pc of the frame's handler for the thrown exception, or None."""
@@ -628,11 +618,6 @@ def _ldc_quick(m, f, operand):
         bits = (values[idx] << 32) | values[idx + 1]
         f.push_value(_wide_slot("j" if entry.want == cp.V_LONG_HI else "d",
                                 bits))
-
-
-def _local_past_max(m, f, local):
-    raise InterpError("%s: local %d (width %d) past max_locals %d at %d"
-                      % (f.method, local[0], local[1], f.code.max_locals, f.pc))
 
 
 _ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
@@ -1173,15 +1158,11 @@ def _handler_table():
 
 
 _HANDLERS, _ROWS = _handler_table()
-_LOCAL_OPS = {op for op, entry in ops.OPERANDS.items()
-              if entry.kind == ops.LOCAL and _HANDLERS[op] is not _unsupported}
 # op -> its step, for the one-byte opcodes whose step the opcode alone fixes
 _FIXED = {op: (_HANDLERS[op], op,
                op if _HANDLERS[op] is _unsupported else _ROWS.get(op), 1)
           for op, nbytes in ops.OPERAND_BYTES.items()
-          if nbytes == 0 and op not in _LOCAL_OPS}
-_JUMPS = {op for op, entry in ops.OPERANDS.items()
-          if entry.kind == ops.BRANCH} | {ops.TABLESWITCH, ops.LOOKUPSWITCH}
+          if nbytes == 0 and op not in ops.OPERANDS}
 
 
 # --- decode -----------------------------------------------------------------
@@ -1224,45 +1205,40 @@ def _operand(bc, off, op, pool):
     return None                     # a switch reads its table as it runs
 
 
-def decoded(code, pool, registry):
-    """The method body as steps indexed by pc, decoded once per pool.
+def decoded(method, code, pool, registry):
+    """The body of ``method`` as steps indexed by pc, decoded once per pool.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  The
     leader of a basic block may hold the block's step instead (``_block``):
     (function, first opcode, operand, block size).  Steps equal to one in
     the registry's ``shared_steps`` are that one tuple, which keeps the
-    decodes of a large class set small.  A local operand past
-    ``max_locals`` decodes to a step that raises when it runs, as an
-    unresolvable pool operand does.  The code keeps its steps until its
-    bytecode is rewritten.
+    decodes of a large class set small.  A body with no shape yet (one
+    reloaded from an image) gets it here, so a structurally bad one raises
+    VerifyError before any step is built.  The code keeps its steps until
+    its bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is pool:
         return cached[1]
+    shape = code.shape_of(method)
     shared = registry.shared_steps
     bc = code.bytecode
     steps = [None] * len(bc)
-    order, leaders = [], {pc for _, _, pc, _ in code.exception_table}
-    for off, op, size in ops.walk(bc):
+    starts, leaders = shape.starts, set(shape.targets)
+    for off, end in zip(starts, starts[1:] + (len(bc),)):
+        op = bc[off]
         step = _FIXED.get(op)
         if step is None:
             sub = bc[off + 1] if op == ops.WIDE else op
-            local = ops.local_slot(bc, off) if sub in _LOCAL_OPS else None
-            if local is not None and sum(local) > code.max_locals:
-                step = (_local_past_max, op, local, size)
-            else:
-                step = (_HANDLERS[sub], op, _operand(bc, off, sub, pool),
-                        size)
-                if sub in _JUMPS:
-                    leaders.update(ops.branch_targets(bc, off))
+            step = (_HANDLERS[sub], op, _operand(bc, off, sub, pool),
+                    end - off)
             step = shared.setdefault(step, step)
         steps[off] = step
-        order.append(off)
         if step[0] not in _STRAIGHT:
-            leaders.add(off + size)
+            leaders.add(end)
     run = []            # the basic block so far
-    for off in order:
+    for off in starts:
         if off in leaders and run:
             _block(run, steps, registry)
             run = []

@@ -105,42 +105,47 @@ class TestLink:
 
 
 class TestPreverify:
-    def _linked_method(self, tmp_path, corpus_dir, build, descriptor="()I",
-                       tweak=None):
+    """Link checks what needs resolution; loading already checked each
+    body's structure, so a structurally bad class file fails its load."""
+
+    def _loaded(self, tmp_path, corpus_dir, build, descriptor="()I",
+                patch=None, **limits):
+        """Load pv/T, whose static m is ``build`` with ``limits``; ``patch``
+        is (code offset, bytes) written over m's code in the class file."""
         cb = ClassBuilder("pv/T")
         cb.default_init()
-        code = cb.method("m", descriptor, ACC_PUBLIC | ACC_STATIC)
-        build(code)
+        build(cb.method("m", descriptor, ACC_PUBLIC | ACC_STATIC, **limits))
         reg, loader, ctx = _world(tmp_path, corpus_dir, cb)
+        if patch is not None:
+            path = tmp_path / "extra" / "pv" / "T.class"
+            data = path.read_bytes()
+            m = next(x for x in cf.parse_class(data).methods if x.name == "m")
+            at = m.attr("Code").code.code_offset + patch[0]
+            path.write_bytes(data[:at] + patch[1] + data[at + len(patch[1]):])
         cls = loader.ensure_loaded("pv/T")
-        m = next(x for x in cls.methods if x.name == "m")
-        if tweak is not None:
-            tweak(cls, m)
+        return cls, next(x for x in cls.methods if x.name == "m"), ctx
+
+    def _linked_method(self, tmp_path, corpus_dir, build, descriptor="()I"):
+        cls, m, ctx = self._loaded(tmp_path, corpus_dir, build, descriptor)
         lk.link(cls, ctx)
         return cls, m
 
     def test_branch_into_middle_of_instruction(self, tmp_path, corpus_dir):
-        def corrupt(cls, m):
-            # retarget the branch into the operand byte of the ldc-quick
-            bc = m.code_loaded.bytecode
-            assert bc[2] == OP["ifeq"]
-            struct.pack_into(">h", bc, 3, -1)
-        with pytest.raises(VerifyError, match="non-boundary"):
-            self._linked_method(
+        # retarget the ifeq at 2 into the operand byte of the ldc at 0
+        with pytest.raises(VerifyError, match=r"<method pv/T\.m\(\)I>: "
+                           "branch from 2 to non-boundary 1"):
+            self._loaded(
                 tmp_path, corpus_dir,
                 lambda c: c.ldc_int(9).op("ifeq", "z").op("iconst_1")
                            .op("ireturn").label("z").op("iconst_0")
                            .op("ireturn"),
-                tweak=corrupt)
+                patch=(3, struct.pack(">h", -1)))
 
     def test_local_out_of_range(self, tmp_path, corpus_dir):
-        def corrupt(cls, m):
-            m.code_loaded.max_locals = 0
-        with pytest.raises(VerifyError, match="local"):
-            self._linked_method(
-                tmp_path, corpus_dir,
-                lambda c: c.op("iload_0").op("ireturn"), "(I)I",
-                tweak=corrupt)
+        with pytest.raises(VerifyError, match="local 0 out of range at 0"):
+            self._loaded(tmp_path, corpus_dir,
+                         lambda c: c.op("iload_0").op("ireturn"), "(I)I",
+                         max_locals=0)
 
     def test_quick_operand_marked(self, tmp_path, corpus_dir):
         cls, m = self._linked_method(
@@ -172,19 +177,23 @@ class TestPreverify:
         with pytest.raises(VerifyError, match="mismatch"):
             self._linked_method(tmp_path, corpus_dir, build)
 
+    @staticmethod
+    def _backwards_range(c):
+        # the range [1, 0): it ends before it starts
+        c.label("e").op("iconst_1").label("s").op("ireturn")
+        c.handler("s", "e", "e", None)
+
     def test_exception_range_checked(self, tmp_path, corpus_dir):
-        def corrupt(cls, m):
-            m.code_loaded.exception_table = [(5, 2, 0, None)]
-        with pytest.raises(VerifyError, match="exception range"):
-            self._linked_method(
-                tmp_path, corpus_dir,
-                lambda c: c.op("iconst_1").op("ireturn"), tweak=corrupt)
+        with pytest.raises(VerifyError, match=r"exception range \[1,0\) "
+                                              "invalid"):
+            self._loaded(tmp_path, corpus_dir, self._backwards_range,
+                         max_stack=1)
 
     def test_verify_error_does_not_kill_batch(self, tmp_path, corpus_dir):
         bad = ClassBuilder("pv/Bad")
         bad.default_init()
-        c = bad.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
-        c.op("iconst_1").op("ireturn")
+        self._backwards_range(bad.method("m", "()I", ACC_PUBLIC | ACC_STATIC,
+                                         max_stack=1))
         good = ClassBuilder("pv/Good")
         good.default_init()
         extra = tmp_path / "extra2"
@@ -193,14 +202,16 @@ class TestPreverify:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(cb.build())
         pipe = Pipeline([str(extra), corpus_dir])
-        pipe.load_targets(["pv/Bad", "pv/Good"], closure=True)
+        loaded, failures = pipe.load_each(["pv/Bad", "pv/Good"])
+        assert [c.name for c in loaded] == ["pv/Good"]
+        assert failures == [("pv/Bad", "VerifyError: <method pv/Bad.m()I>: "
+                                       "exception range [1,0) invalid")]
+        # the failed class is not loaded again, so it is reported once
+        assert pipe.load_closure() == []
         pipe.ready_all()
-        m = next(x for x in pipe.registry.get("pv/Bad").methods
-                 if x.name == "m")
-        m.code_loaded.exception_table = [(9, 1, 0, None)]
-        failures = pipe.link_all()
-        assert [name for name, _ in failures] == ["pv/Bad"]
+        assert pipe.link_all() == []
         assert pipe.registry.get("pv/Good").state == lc.LINKED
+        assert pipe.registry.get("pv/Bad").state == lc.UNLOADED
 
 
 class TestFailedLink:
@@ -279,6 +290,30 @@ class TestLinkInvariants:
                 assert vf.in_subset(m.code_loaded) == supported, m
                 counts[supported] += 1
         assert counts[True] > 100 and counts[False] > 0
+
+
+@pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+def test_load_and_link_walk_each_body_once(corpus, corpus_dir, monkeypatch,
+                                           flags):
+    """Loading walks each class-file body once, into its shape, and the
+    linked body shares that shape: size_at runs once per instruction."""
+    instructions = sum(1 for data, _ in corpus.values()
+                       for m in cf.parse_class(data).methods
+                       if m.attr("Code") is not None
+                       for _ in ops.walk(m.attr("Code").code.code))
+    calls = []
+    size_at = ops.size_at
+
+    def counted(code, offset):
+        calls.append(offset)
+        return size_at(code, offset)
+    monkeypatch.setattr(ops, "size_at", counted)
+    pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
+    assert {c.name for c in pipe.registry.loadable()} == set(corpus)
+    assert instructions > 1000 and len(calls) == instructions
+    assert all(m.code.shape is m.code_loaded.shape
+               for c in pipe.registry.loadable() for m in c.methods
+               if m.code is not None)
 
 
 class TestCompactInvokevirtual:

@@ -1,10 +1,13 @@
-"""Fixed-seed mutation gate for loading and linking.
+"""Fixed-seed mutation gates for loading, linking and reloaded code.
 
 Each mutation overwrites one to three random bytes inside one corpus
-method's code array, then loads that class with its closure and links
-everything loaded.  Whatever the bytes say, the class either links or fails
-with a JromError: no other exception may escape, and a class whose link
-fails stays exactly as loaded.
+method's code array.  Through a class file, that class is then loaded with
+its closure and everything loaded is linked: whatever the bytes say, the
+class either links or fails with a JromError, no other exception may
+escape, and a class whose link fails stays exactly as loaded.  Through a
+reloaded image, the method's body is decoded: it either decodes or fails
+with a JromError, and a body without a valid shape fails before decode
+builds any step.
 """
 
 import os
@@ -12,11 +15,15 @@ import random
 
 from jrom import classfile as cf
 from jrom import lifecycle as lc
+from jrom import romizer as rz
+from jrom import verify as vf
 from jrom.errors import JromError
 from jrom.pipeline import Pipeline
 
 SEED = 8
 MUTATIONS = 2000
+IMAGE_SEED = 9
+IMAGE_MUTATIONS = 20000
 
 
 def code_arrays(corpus):
@@ -79,3 +86,38 @@ def test_mutated_code_fails_only_with_jrom_errors(corpus, corpus_dir,
     # the gate exercises both sides: code that still links, and code that
     # loading or linking rejects
     assert outcomes["linked"] > 0 and len(outcomes) > 3, outcomes
+
+
+def test_mutated_image_code_decodes_or_fails_with_jrom_errors(
+        linked_pipeline, monkeypatch):
+    registry = rz.load_image(linked_pipeline.emit_image())
+    bodies = [m for cls in sorted(registry.loadable(), key=lambda c: c.name)
+              for m in cls.methods if m.code is not None and m.code.bytecode]
+    built = []                  # one entry per step decode builds
+    operand = vf._operand
+    monkeypatch.setattr(vf, "_operand",
+                        lambda *args: built.append(1) or operand(*args))
+    rng = random.Random(IMAGE_SEED)
+    outcomes, escaped = {}, []
+    for i in range(IMAGE_MUTATIONS):
+        m = rng.choice(bodies)
+        code = m.code.clone()
+        for _ in range(rng.randint(1, 3)):
+            code.bytecode[rng.randrange(len(code.bytecode))] = \
+                rng.randrange(256)
+        built.clear()
+        try:
+            vf.decoded(m, code, m.owner.pool, registry)
+            outcome = "decoded"
+        except JromError as e:
+            outcome = type(e).__name__
+            assert code.shape is None and code.decoded is None, i
+            assert not built, (i, m, e)
+        except Exception as e:
+            escaped.append((i, m, repr(e)))
+            continue
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert not escaped, escaped[:5]
+    # both sides: bodies that still decode, and each kind of structural fault
+    assert outcomes["decoded"] > 0 and outcomes["VerifyError"] > 0, outcomes
+    assert len(outcomes) > 2, outcomes

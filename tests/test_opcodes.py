@@ -2,8 +2,12 @@
 
 import re
 
+import pytest
+
 from jrom import constpool as cp
+from jrom import lifecycle as lc
 from jrom import opcodes as ops
+from jrom.errors import VerifyError
 
 
 def _expected_kind(name):
@@ -59,4 +63,8 @@ def test_wide_operands_come_from_the_table():
     assert ops.local_slot(code, 0) == (0x102, 2)
     assert ops.local_slot(code, 4) == (3, 2)
     assert ops.branch_targets(code, 5) == [0]
-    assert list(ops.instruction_sizes(code).items()) == [(0, 4), (4, 1), (5, 5)]
+    body = lc.MethodCode(bytearray(code), 0, 0x104, [])
+    assert ops.method_shape(body, "m") == ops.Shape((0, 4, 5), (0,))
+    body.max_locals -= 1        # the wide dload's pair reaches past it
+    with pytest.raises(VerifyError, match="m: local 258 out of range at 0"):
+        ops.method_shape(body, "m")

@@ -11,7 +11,7 @@ from jrom import romizer as rz
 from jrom import verify as vf
 from jrom import opcodes as ops
 from jrom.errors import (InterpError, JromError, StackOverflow,
-                         StackUnderflow, UnsupportedOpcode)
+                         StackUnderflow, UnsupportedOpcode, VerifyError)
 from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -380,7 +380,8 @@ def test_every_post_load_opcode_has_a_handler():
         expected = op in ops.NAME and op not in rewritten | unsupported
         assert handled == expected, ops.mnemonic(op)
         if op in ops.NAME and op != ops.WIDE:
-            code = lc.MethodCode(bytearray(_single_instruction(op)), 2, 4, [])
+            # five locals: lload_3 and dstore_3 use slots 3 and 4
+            code = lc.MethodCode(bytearray(_single_instruction(op)), 2, 5, [])
             assert vf.in_subset(code) == expected, ops.mnemonic(op)
     for name in ("iload", "lstore", "iinc", "ret"):
         code = lc.MethodCode(
@@ -709,23 +710,20 @@ class TestDecode:
         code = next(m for m in pipe.registry.get("vm/Jump").methods
                     if m.name == "m").code
         assert run_static(pipe, "vm/Jump", "m").value == ("i", 7)
-        for rel, error in ((-1, "pc 1 not on an instruction boundary"),
-                           (-4, "pc -2 not on an instruction boundary"),
-                           (-100, "pc -98 not on an instruction boundary"),
-                           (4, "fell off the end of the code")):
+        # a body changed after loading is checked again once its shape is
+        # dropped: its first decode raises before any instruction runs
+        for rel in (-1, -4, -100, 4):
             ops.write_operand(code.bytecode, 2, 2, rel & 0xFFFF)
-            code.decoded = None
-            with pytest.raises(InterpError, match=error):
-                run_static(pipe, "vm/Jump", "m")
-        # a bad branch target costs fuel like an instruction, the end does not
-        for rel, outcome in ((-1, "fuel"), (4, None)):
-            ops.write_operand(code.bytecode, 2, 2, rel & 0xFFFF)
-            code.decoded = None
-            if outcome is None:
-                with pytest.raises(InterpError, match="fell off the end"):
-                    run_static(pipe, "vm/Jump", "m", fuel=2)
-            else:
-                assert run_static(pipe, "vm/Jump", "m", fuel=2).kind == outcome
+            code.shape = code.decoded = None
+            with pytest.raises(VerifyError, match=r"<method vm/Jump\.m\(\)I>:"
+                               " branch from 2 to non-boundary %d" % (2 + rel)):
+                run_static(pipe, "vm/Jump", "m", fuel=0)
+        # past the last instruction there is no step to run
+        ops.write_operand(code.bytecode, 2, 2, 3)
+        code.bytecode[5] = ops.BY_NAME["nop"]
+        code.shape = code.decoded = None
+        with pytest.raises(InterpError, match="fell off the end of the code"):
+            run_static(pipe, "vm/Jump", "m")
 
     def test_corrupt_after_a_run_is_detected(self, corpus_dir):
         pipe = make_pipeline(corpus_dir)
@@ -735,6 +733,23 @@ class TestDecode:
         out = pipe.verify_all(vectors=1, only=only)
         assert [(c, m) for c, m, _ in out.failures] == \
             [("corpus/Constants", "intConst()I")]
+
+    def test_corrupted_branch_is_checked_again(self, corpus_dir, tmp_path):
+        # 0: goto +3; 3: iconst_1; 4: ireturn.  The flip makes the goto
+        # jump to 2, inside itself.
+        cb = ClassBuilder("vm/Leap")
+        cb.default_init()
+        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.op("goto", "R").label("R").op("iconst_1").op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Leap"], closure=True)
+        assert pipe.link_all() == []
+        assert pipe.verify_all(vectors=1, only="vm/Leap.m").checked
+        assert pipe.corrupt("vm/Leap", "m") == "vm/Leap.m+2"
+        out = pipe.verify_all(vectors=1, only="vm/Leap.m")
+        assert out.failures == [("vm/Leap", "m()I",
+                                 "vector 0: return/None vs error/VerifyError")]
 
     def test_method_missing_from_reload_is_a_failure(self, linked_pipeline):
         reloaded = rz.load_image(linked_pipeline.emit_image())
@@ -869,6 +884,7 @@ class TestBlocks:
         code = original.clone()
         for at, byte in flips:
             code.bytecode[at % len(code.bytecode)] = byte
+        code.shape = None       # the flips may move or retarget instructions
         vector = vf.seeded_vectors(method, 0, 1)[0]
         setattr(method, attr, code)
         try:
