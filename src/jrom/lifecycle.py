@@ -69,10 +69,14 @@ class MethodCode:
     # the bytecode in place sets it back to None
     decoded: tuple = dc_field(default=None, repr=False, compare=False)
 
-    def shape_of(self, method):
-        """The body's shape, built once; a VerifyError names ``method``."""
+    def shape_of(self, method, shared=None):
+        """The body's shape, built once; a VerifyError names ``method``.
+        A new shape equal to one in ``shared`` (a registry's
+        ``shared_shapes``) is that one."""
         if self.shape is None:
-            self.shape = ops.method_shape(self, method)
+            shape = ops.method_shape(self, method)
+            self.shape = shape if shared is None \
+                else shared.setdefault(shape, shape)
         return self.shape
 
     def clone(self):
@@ -133,6 +137,7 @@ class ClassRep:
         self.pool = None
         self.fields = []
         self.methods = []
+        self.method_keys = None     # declared_method's map, once built
         self.dispatch_table = []
         self.a_static_zone = []
         self.v_static_zone = []
@@ -153,6 +158,16 @@ class ClassRep:
     def is_interface(self):
         return bool(self.access_flags & cf.ACC_INTERFACE)
 
+    def declared_method(self, key):
+        """This class's first method of a (name, descriptor) key, or None.
+        The key map is built at the first lookup, since a class reloaded
+        from an image may never need one; whoever replaces ``methods``
+        after a lookup drops it, as ``lay_out_class`` does."""
+        if self.method_keys is None:
+            self.method_keys = {(m.name, m.descriptor): m
+                                for m in reversed(self.methods)}
+        return self.method_keys.get(key)
+
     def pool_at(self, stage):
         """The pool this class's methods run against at a stage: the loaded
         one, or the current one, which stays the loaded one until a link
@@ -164,11 +179,12 @@ class ClassRep:
 
     def find_method(self, name, descriptor):
         """JVM-style resolution: the class, its supers, then interfaces."""
+        key = (name, descriptor)
         k = self
         while k is not None:
-            for m in k.methods:
-                if m.name == name and m.descriptor == descriptor:
-                    return m
+            m = k.declared_method(key)
+            if m is not None:
+                return m
             k = k.super_cls
         seen = set()
         stack = []
@@ -181,9 +197,9 @@ class ClassRep:
             if iface.name in seen:
                 continue
             seen.add(iface.name)
-            for m in iface.methods:
-                if m.name == name and m.descriptor == descriptor:
-                    return m
+            m = iface.declared_method(key)
+            if m is not None:
+                return m
             stack.extend(iface.interfaces)
         return None
 
@@ -259,7 +275,10 @@ class Registry:
     def __init__(self):
         self.classes = {}
         self.image_flags = None     # an image's link flags, set by load_image
-        self.shared_steps = {}      # verify.decoded keeps equal steps as one
+        # equal steps and locals pads of verify.decoded, and equal
+        # ops.Shapes of loading and decode, are each kept as one
+        self.shared_steps = {}
+        self.shared_shapes = {}
         self.step_shapes = {}       # block shape -> its compiled verify step
         for p in self.PRIMITIVES:
             self.classes[p] = ClassRep(p, synthetic=True)
@@ -342,7 +361,8 @@ class Loader:
                                    % (raw.name, name))
             if raw.super_name is not None:
                 self.ensure_loaded(raw.super_name)
-            load_parsed(cls, raw, data, self.registry.resolve)
+            load_parsed(cls, raw, data, self.registry.resolve,
+                        self.registry.shared_shapes)
         except JromError as e:
             self.failed[name] = e
             raise
@@ -366,7 +386,7 @@ def load(cls, data, resolver):
     load_parsed(cls, raw, data, resolver)
 
 
-def load_parsed(cls, raw, data, resolver):
+def load_parsed(cls, raw, data, resolver, shapes=None):
     # raw pool index -> (space, table index): read only while the class loads
     pool, placement = cp.build_pool(raw)
     cp.prelink_pass1(pool, placement, raw, resolver)
@@ -393,7 +413,7 @@ def load_parsed(cls, raw, data, resolver):
          for mm in raw.methods))
     for m in cls.methods:
         if m.code is not None:
-            rewrite_load(m, pool, placement)
+            rewrite_load(m, pool, placement, shapes)
         m.code_loaded = m.code
     cls.raw_stats = {
         "entries": cf.pool_entry_count(raw),
@@ -454,6 +474,7 @@ def lay_out_class(cls, fields, methods):
                                  include_receiver=not flags & cf.ACC_STATIC),
                   code=code)
         for name, descriptor, flags, code in methods]
+    cls.method_keys = None      # a lookup while unloaded built an empty one
     build_dispatch_table(cls)
 
 
@@ -504,8 +525,9 @@ _LOAD_QUICK = {
 }
 
 
-def rewrite_load(m, pool, placement):
-    """Over the shape of ``m``'s code, built (and checked) first, rewrite
+def rewrite_load(m, pool, placement, shapes):
+    """Over the shape of ``m``'s code, built (and checked) first and kept
+    as one of ``shapes`` where equal (``MethodCode.shape_of``), rewrite
     every raw pool operand in place to the table index where prelinking
     placed its constant, and each constant load to its quick form.
 
@@ -515,7 +537,7 @@ def rewrite_load(m, pool, placement):
     replacement keeps the instruction's byte length, so the shape holds.
     """
     bc = m.code.bytecode
-    for off in m.code.shape_of(m).starts:
+    for off in m.code.shape_of(m, shapes).starts:
         op = bc[off]
         entry = _RAW.get(op)
         if entry is None:

@@ -13,10 +13,13 @@ the row of its family's table (a family of opcodes, such as the array loads
 or the divisions, shares one handler).  Any other pc holds None, so
 dispatch is one list index per instruction.  Decode walks no bytecode: it
 reads the body's shape, checked at load or, for a reloaded body, at its
-first decode.  Decode reads only what the bytecode and the stage's pool
-layout fix: members are resolved, zones read and objects made when an
-instruction runs, and an operand that cannot be used raises only if its
-instruction runs.
+first decode.  Decode reads what the bytecode, the stage's pool and the
+loaded classes fix: it resolves each member operand, and a member
+instruction's step is a quick body that holds the member, or, where the
+member does not resolve yet, a lazy step that resolves as it runs.  Zones
+are read and objects made when an instruction runs, and an operand that
+cannot be used raises only if its instruction runs.  The decode is the
+body's entry record, (pool, steps, locals pad), which a call checks once.
 
 Decode also splits the body into basic blocks: a leader is pc 0, one of
 the shape's jump targets, or the instruction after one that is not
@@ -301,15 +304,13 @@ class Frame:
     __slots__ = ("method", "code", "steps", "pool", "max_stack", "locals",
                  "stack", "pc")
 
-    def __init__(self, method, code, pool, args):
-        if len(args) > code.max_locals:
-            raise InterpError("%s: %d argument slots > max_locals %d"
-                              % (method, len(args), code.max_locals))
+    def __init__(self, method, code, steps, pool, local_slots):
         self.method = method
         self.code = code
+        self.steps = steps
         self.pool = pool
         self.max_stack = code.max_stack
-        self.locals = list(args) + [PAD] * (code.max_locals - len(args))
+        self.locals = local_slots
         self.stack = []
         self.pc = 0
 
@@ -358,17 +359,12 @@ class Frame:
         return entry, idx
 
     def member(self, operand):
-        """The field or method a symbolic member reference names."""
+        """The field or method a symbolic member reference names (the one
+        ``_resolve`` finds), or raise."""
         _, vidx = self.pool_entry(operand)
-        pool = self.pool
-        handle = pool.a_payload[pool.v_value[vidx] & 0xFFFF]
-        if handle.resolved is not None:
-            return handle.resolved
-        if handle.is_field:
-            found = handle.owner.find_field(handle.name, handle.descriptor)
-        else:
-            found = handle.owner.find_method(handle.name, handle.descriptor)
+        found = _resolve(self.pool, vidx)
         if found is None:
+            handle = self.pool.a_payload[self.pool.v_value[vidx] & 0xFFFF]
             raise InterpError("%s: unresolved %s.%s at %d"
                               % (self.method, handle.owner.name, handle.name,
                                  self.pc))
@@ -377,12 +373,17 @@ class Frame:
     def class_operand(self, operand):
         return self.pool.a_payload[self.pool_entry(operand)[1]]
 
-    def field(self, operand):
-        """(owner, zone, offset, type code) of the field access."""
-        if operand[0] is None:          # quick form: (None, zone, offset, tc)
-            return (self.method.owner,) + operand[1:]
-        found = self.member(operand)
-        return found.owner, found.zone, found.offset, found.type_code
+
+def _resolve(pool, vidx):
+    """The field or method the member-ref cell ``vidx`` names, or None: its
+    handle's member, set when the owner linked, or else the one a lookup
+    over the loaded classes finds."""
+    handle = pool.a_payload[pool.v_value[vidx] & 0xFFFF]
+    if handle.resolved is not None:
+        return handle.resolved
+    if handle.is_field:
+        return handle.owner.find_field(handle.name, handle.descriptor)
+    return handle.owner.find_method(handle.name, handle.descriptor)
 
 
 class Machine:
@@ -540,17 +541,24 @@ class Machine:
                     raise StackOverflow(f.where())
 
     def _frame(self, method, args, depth):
-        """A new activation of ``method`` under ``depth`` active ones."""
-        if method.code is None:
+        """A new activation of ``method`` under ``depth`` active ones: one
+        check of its body's entry record (``decoded``), and its locals as
+        the argument slots and the record's pad past them."""
+        world = self.world
+        code = method.code_at(world.stage)
+        if code is None:
             raise InterpError("no bytecode for %s" % (method,))
         if depth >= MAX_CALL_DEPTH:
             self.throw_named("java/lang/StackOverflowError")
-        world = self.world
         pool = method.owner.pool_at(world.stage)
-        code = method.code_at(world.stage)
-        f = Frame(method, code, pool, args)
-        f.steps = decoded(method, code, pool, world.registry)
-        return f
+        n = len(args)
+        if n > code.max_locals:
+            raise InterpError("%s: %d argument slots > max_locals %d"
+                              % (method, n, code.max_locals))
+        entry = code.decoded
+        if entry is None or entry[0] is not pool:
+            entry = decoded(method, code, pool, world.registry)
+        return Frame(method, code, entry[1], pool, [*args, *entry[2][n:]])
 
     def _find_handler(self, f, thrown):
         """The pc of the frame's handler for the thrown exception, or None."""
@@ -591,7 +599,6 @@ def _wide_slot(kind, bits):
 
 
 _IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
-_INVOKESPECIAL, _INVOKESTATIC = _OP["invokespecial"], _OP["invokestatic"]
 
 # op -> the slot pushed; a long or double pushes PAD after it
 _CONSTANTS = _by_opcode({
@@ -796,29 +803,118 @@ def _kind_of(type_code):
     return _TYPE_KIND.get(type_code, "i")
 
 
+# The quick bodies of the member instructions: each holds what decode read
+# from the resolved member (``_member_step``), or from a quick form's operand.
+
 def _getstatic(m, f, operand):
-    owner, zone, offset, tc = f.field(operand)
-    f.push_value(m.zone_read(owner, zone, offset, tc))
+    f.push_value(m.zone_read(*operand))
 
 
 def _putstatic(m, f, operand):
-    owner, zone, offset, tc = f.field(operand)
-    m.zone_write(owner, zone, offset, tc, f.pop_value(_kind_of(tc)))
+    m.zone_write(*operand, f.pop_value(_kind_of(operand[3])))
 
 
 def _getfield(m, f, operand):
-    _, _, offset, tc = f.field(operand)
-    obj = m.object_at(f.pop()[1])
-    f.push_value((_kind_of(tc), obj.slots[offset]))
+    offset, kind, _ = operand
+    s = f.stack
+    if not s:
+        raise StackUnderflow(f.where())
+    ref = s.pop()[1]
+    if ref is None:
+        m.throw_named("java/lang/NullPointerException")
+    s.append((kind, m.world.heap.get(ref).slots[offset]))
+    if kind in "jd":
+        f.push(PAD)
 
 
 def _putfield(m, f, operand):
-    _, _, offset, tc = f.field(operand)
-    v = f.pop_value(_kind_of(tc))[1]
-    obj = m.object_at(f.pop()[1])
-    obj.slots[offset] = _FIELD_NARROW.get(tc, _same)(v)
-    if tc in (dsc.TC_LONG, dsc.TC_DOUBLE):
-        obj.slots[offset + 1] = None
+    offset, kind, narrow = operand
+    s = f.stack
+    wide = kind in "jd"
+    if len(s) < 2 + wide:
+        raise StackUnderflow(f.where())
+    if wide:
+        s.pop()
+    v = s.pop()[1]
+    ref = s.pop()[1]
+    if ref is None:
+        m.throw_named("java/lang/NullPointerException")
+    slots = m.world.heap.get(ref).slots
+    slots[offset] = v if narrow is None else narrow(v)
+    if wide:
+        slots[offset + 1] = None
+
+
+def _invokestatic(m, f, target):
+    return _Call((target, f.pop_args(target.nargs)))
+
+
+def _invokespecial(m, f, target):
+    args = f.pop_args(target.nargs)
+    if args[0][1] is None:
+        m.throw_named("java/lang/NullPointerException")
+    return _Call((target, args))
+
+
+def _invoke_virtual(m, f, target):
+    """invokevirtual and invokeinterface: the receiver's class's method of
+    the resolved method's name and descriptor."""
+    args = f.pop_args(target.nargs)
+    recv = args[0][1]
+    if recv is None:
+        m.throw_named("java/lang/NullPointerException")
+    rc, rc_name = m.class_of_ref(recv)
+    if rc is None or rc.state == lc.UNLOADED:
+        raise InterpError("receiver class %s not loaded" % rc_name)
+    found = rc.find_method(target.name, target.descriptor)
+    if found is None:
+        raise InterpError("no %s%s on %s"
+                          % (target.name, target.descriptor, rc_name))
+    return _Call((found, args))
+
+
+_QUICK = _by_opcode({
+    "getstatic": _getstatic, "putstatic": _putstatic,
+    "getfield": _getfield, "putfield": _putfield,
+    "invokestatic": _invokestatic, "invokespecial": _invokespecial,
+    "invokevirtual": _invoke_virtual, "invokeinterface": _invoke_virtual})
+_HOLDS_METHOD = {_invokestatic, _invokespecial, _invoke_virtual}
+_STATICS = {_OP[name] for name in ("getstatic", "putstatic", "getstatic_quick",
+                                   "putstatic_quick")}
+_INSTANCE_INVOKES = {_OP[name] for name in ("invokevirtual", "invokespecial",
+                                            "invokeinterface")}
+
+
+def _field_operand(op, owner, zone, offset, tc):
+    """The operand of the body of field instruction ``op``."""
+    if op in _STATICS:
+        return owner, zone, offset, tc
+    return offset, _kind_of(tc), _FIELD_NARROW.get(tc)
+
+
+def _member_step(op, ref, pool):
+    """(handler, operand) of member instruction ``op``: its quick body if
+    its pool operand ``ref`` resolves now to a member it can use, else the
+    lazy step."""
+    found = None if ref[1] is None else _resolve(pool, ref[1])
+    if found is None or (op in _INSTANCE_INVOKES and found.is_static):
+        return _lazy, (op, ref)
+    if _QUICK[op] in _HOLDS_METHOD:
+        return _QUICK[op], found
+    return _QUICK[op], _field_operand(op, found.owner, found.zone,
+                                      found.offset, found.type_code)
+
+
+def _lazy(m, f, operand):
+    """A member instruction whose operand did not resolve at decode: each
+    run resolves it again and runs the quick body, or raises as the
+    operand is unusable (``Frame.member`` first, so its faults come first)."""
+    op, ref = operand
+    handler, quick = _member_step(op, ref, f.pool)
+    if handler is _lazy:
+        raise InterpError("%s: %s of static %r at %d"
+                          % (f.method, ops.NAME[op], f.member(ref), f.pc))
+    return handler(m, f, quick)
 
 
 def _new(m, f, operand):
@@ -850,29 +946,6 @@ def _push_new_array(m, f, comp):
     if length < 0:
         m.throw_named("java/lang/NegativeArraySizeException")
     f.push(("a", m.world.heap.new_array(comp, length)))
-
-
-def _invoke(m, f, operand):
-    op, ref = operand
-    target = f.member(ref)
-    if op != _INVOKESTATIC and target.access_flags & cf.ACC_STATIC:
-        raise InterpError("%s: %s of static %r at %d"
-                          % (f.method, ops.NAME[op], target, f.pc))
-    args = f.pop_args(target.nargs)
-    if op != _INVOKESTATIC:
-        recv = args[0][1]
-        if recv is None:
-            m.throw_named("java/lang/NullPointerException")
-        if op != _INVOKESPECIAL:
-            rc, rc_name = m.class_of_ref(recv)
-            if rc is None or rc.state == lc.UNLOADED:
-                raise InterpError("receiver class %s not loaded" % rc_name)
-            found = rc.find_method(target.name, target.descriptor)
-            if found is None:
-                raise InterpError("no %s%s on %s"
-                                  % (target.name, target.descriptor, rc_name))
-            target = found
-    return _Call((target, args))
 
 
 def _invoke_quick(m, f, operand):
@@ -1110,13 +1183,12 @@ def _handler_table():
         (_ldc_quick, "ldc_quick_i ldc_quick_i_w ldc_quick_f ldc_quick_f_w "
                      "ldc_quick_a ldc_quick_a_w ldc2_quick_l ldc2_quick_d"),
         (_arraylength, "arraylength"), (_switch, "tableswitch lookupswitch"),
-        (_getstatic, "getstatic getstatic_quick"),
-        (_putstatic, "putstatic putstatic_quick"),
-        (_getfield, "getfield getfield_quick"),
-        (_putfield, "putfield putfield_quick"),
+        (_getstatic, "getstatic_quick"), (_putstatic, "putstatic_quick"),
+        (_getfield, "getfield_quick"), (_putfield, "putfield_quick"),
+        (_lazy, "getstatic putstatic getfield putfield invokevirtual "
+                "invokespecial invokestatic invokeinterface"),
         (_new, "new"), (_newarray, "newarray"),
         (_anewarray_quick, "anewarray_quick"),
-        (_invoke, "invokevirtual invokespecial invokestatic invokeinterface"),
         (_invoke_quick, "invokevirtual_quick"),
         (_checkcast, "checkcast"), (_instanceof, "instanceof"),
         (_athrow, "athrow"),
@@ -1167,12 +1239,12 @@ _FIXED = {op: (_HANDLERS[op], op,
 
 # --- decode -----------------------------------------------------------------
 
-def _operand(bc, off, op, pool):
-    """What the handler of ``op`` at ``off`` runs with, read mostly through
-    the ``opcodes.OPERANDS`` table.  A pool operand is (Operand, table
-    index, index read); a table index that does not name an entry of the
-    kind the operand wants is None, and the instruction raises when it
-    runs."""
+def _operand(bc, off, op, pool, owner):
+    """What the handler of ``op`` at ``off``, in a method of ``owner``,
+    runs with, read mostly through the ``opcodes.OPERANDS`` table.  A pool
+    operand is (Operand, table index, index read); a table index that does
+    not name an entry of the kind the operand wants is None, and the
+    instruction raises when it runs."""
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
     if _HANDLERS[op] is _unsupported:
@@ -1188,14 +1260,14 @@ def _operand(bc, off, op, pool):
         return ops.branch_targets(bc, off)[0]
     if kind == ops.IMMEDIATE:
         offset, tc = ops.field_immediate(bc, off)
-        return None, "a" if tc == dsc.TC_REF else "v", offset, tc
+        return _field_operand(op, owner, "a" if tc == dsc.TC_REF else "v",
+                              offset, tc)
     if kind == ops.NARGS_SLOT:
         return bc[off + 1], bc[off + 2]
     if kind is not None:            # TABLE
         idx = ops.read_operand(bc, off, entry.size)
-        ref = (entry, idx if cp.holds(pool, entry.space, idx, entry.want)
-               else None, idx)
-        return (op, ref) if _HANDLERS[op] is _invoke else ref
+        return (entry, idx if cp.holds(pool, entry.space, idx, entry.want)
+                else None, idx)
     if op == _OP["bipush"]:
         return ("i", _sign8(bc[off + 1]))
     if op == _OP["sipush"]:
@@ -1206,22 +1278,28 @@ def _operand(bc, off, op, pool):
 
 
 def decoded(method, code, pool, registry):
-    """The body of ``method`` as steps indexed by pc, decoded once per pool.
+    """The entry record of ``method``'s body against ``pool``, built once
+    per pool: (pool, steps indexed by pc, locals pad).  A call checks the
+    pool and makes its locals from the argument slots and the pad past them.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  The
     leader of a basic block may hold the block's step instead (``_block``):
-    (function, first opcode, operand, block size).  Steps equal to one in
-    the registry's ``shared_steps`` are that one tuple, which keeps the
-    decodes of a large class set small.  A body with no shape yet (one
-    reloaded from an image) gets it here, so a structurally bad one raises
-    VerifyError before any step is built.  The code keeps its steps until
-    its bytecode is rewritten.
+    (function, first opcode, operand, block size).  Member operands are
+    resolved here, once: resolution reads only loaded classes, whose
+    members never change.  Such a step is the quick body holding the
+    member, or, where the member does not resolve yet, the lazy step
+    (``_member_step``).  Steps and pads equal to one in the registry's
+    ``shared_steps`` are that one tuple, which keeps the decodes of a large
+    class set small; a step holding a method, which does not hash, is its
+    own.  A body with no shape yet (one reloaded from an image) gets it
+    here, so a structurally bad one raises VerifyError before any step is
+    built.  The code keeps its record until its bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is pool:
-        return cached[1]
-    shape = code.shape_of(method)
+        return cached
+    shape = code.shape_of(method, registry.shared_shapes)
     shared = registry.shared_steps
     bc = code.bytecode
     steps = [None] * len(bc)
@@ -1231,9 +1309,13 @@ def decoded(method, code, pool, registry):
         step = _FIXED.get(op)
         if step is None:
             sub = bc[off + 1] if op == ops.WIDE else op
-            step = (_HANDLERS[sub], op, _operand(bc, off, sub, pool),
-                    end - off)
-            step = shared.setdefault(step, step)
+            handler = _HANDLERS[sub]
+            operand = _operand(bc, off, sub, pool, method.owner)
+            if handler is _lazy:        # a member operand, resolved now
+                handler, operand = _member_step(sub, operand, pool)
+            step = (handler, op, operand, end - off)
+            if handler not in _HOLDS_METHOD:
+                step = shared.setdefault(step, step)
         steps[off] = step
         if step[0] not in _STRAIGHT:
             leaders.add(end)
@@ -1244,8 +1326,9 @@ def decoded(method, code, pool, registry):
             run = []
         run.append(off)
     _block(run, steps, registry)
-    code.decoded = (pool, steps)
-    return steps
+    pad = (PAD,) * code.max_locals
+    code.decoded = (pool, steps, shared.setdefault(pad, pad))
+    return code.decoded
 
 
 def _block(run, steps, registry):
@@ -1275,7 +1358,9 @@ def _block(run, steps, registry):
         fn = registry.step_shapes[shape] = _block_step(shape)
     step = (fn, steps[start][1], tuple(site),
             run[-1] + steps[run[-1]][3] - start)
-    steps[start] = registry.shared_steps.setdefault(step, step)
+    if steps[run[-1]][0] not in _HOLDS_METHOD:
+        step = registry.shared_steps.setdefault(step, step)
+    steps[start] = step
 
 
 def _block_step(shape):
@@ -1380,8 +1465,7 @@ class ExecContext:
 def run_method(ctx, cls_name, method_key, vector, fuel=DEFAULT_FUEL, trace=None):
     """Execute one method in a fresh world; returns (Outcome, digest)."""
     cls = ctx.registry.get(cls_name)
-    methods = cls.methods if cls is not None else ()
-    method = next((m for m in methods if m.key == method_key), None)
+    method = cls.declared_method(method_key) if cls is not None else None
     if method is None:
         raise InterpError("no method %s.%s%s" % ((cls_name,) + method_key))
     world = World(ctx.registry, ctx.stage, base=ctx.base, trace=trace)

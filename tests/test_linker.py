@@ -296,7 +296,8 @@ class TestLinkInvariants:
 def test_load_and_link_walk_each_body_once(corpus, corpus_dir, monkeypatch,
                                            flags):
     """Loading walks each class-file body once, into its shape, and the
-    linked body shares that shape: size_at runs once per instruction."""
+    linked body shares that shape: size_at runs once per instruction.
+    Equal shapes are one object per registry."""
     instructions = sum(1 for data, _ in corpus.values()
                        for m in cf.parse_class(data).methods
                        if m.attr("Code") is not None
@@ -314,6 +315,9 @@ def test_load_and_link_walk_each_body_once(corpus, corpus_dir, monkeypatch,
     assert all(m.code.shape is m.code_loaded.shape
                for c in pipe.registry.loadable() for m in c.methods
                if m.code is not None)
+    shapes = [m.code.shape for c in pipe.registry.loadable()
+              for m in c.methods if m.code is not None]
+    assert len({id(s) for s in shapes}) == len(set(shapes)) < len(shapes)
 
 
 class TestCompactInvokevirtual:

@@ -16,6 +16,7 @@ from jrom.pipeline import Pipeline, _world_difference
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .conftest import make_pipeline
+from .test_linker import GOLDEN_FLAGS
 
 
 def run_static(pipe, cls_name, method_name, vector=(), stage=lc.LINKED,
@@ -793,6 +794,166 @@ class TestDecode:
             init.access_flags &= ~ACC_STATIC
         assert ("corpus/Overloads", "callAll(I)I") in \
             self.reload_failures(pipe, image)
+
+class TestMemberSteps:
+    """Decode resolves each member operand once, into a quick body that
+    holds the member; an operand it cannot resolve keeps the lazy step,
+    which resolves, or raises, each time it runs."""
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+    def test_decode_holds_the_member_the_lazy_resolve_finds(self, corpus_dir,
+                                                            flags):
+        pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
+        counts = {lc.LOADED: 0, lc.LINKED: 0}
+        for cls in pipe.linked_classes():
+            for m in cls.methods:
+                for stage in counts:
+                    code, pool = m.code_at(stage), cls.pool_at(stage)
+                    if code is None:
+                        continue
+                    steps = vf.decoded(m, code, pool, pipe.registry)[1]
+                    frame = vf.Frame(m, code, steps, pool, [])
+                    for off in code.shape.starts:
+                        op = code.bytecode[off]
+                        if op not in vf._QUICK:
+                            continue
+                        entry, idx = ops.pool_operand(code.bytecode, off)
+                        found = frame.member((entry, idx, idx))
+                        handler, _, operand, _ = steps[off]
+                        assert handler is vf._QUICK[op], (m, stage, off)
+                        if handler in vf._HOLDS_METHOD:
+                            assert operand is found, (m, stage, off)
+                        elif found.is_static:
+                            assert operand == (found.owner, found.zone,
+                                               found.offset, found.type_code)
+                        else:
+                            assert operand[:2] == (
+                                found.offset, vf._kind_of(found.type_code))
+                        counts[stage] += 1
+        assert counts[lc.LOADED] > 150 and counts[lc.LINKED] > 0, counts
+
+    def test_verify_all_resolves_no_member_as_it_runs(self, corpus_dir,
+                                                      monkeypatch):
+        pipe = make_pipeline(corpus_dir)
+        calls = []
+        member = vf.Frame.member
+        monkeypatch.setattr(vf.Frame, "member",
+                            lambda f, ref: calls.append(ref) or member(f, ref))
+        out = pipe.verify_all(seed=0, vectors=5)
+        assert len(out.checked) == 168 and not out.failures
+        assert not calls
+
+    @staticmethod
+    def _member(pipe, cls_name, name):
+        return next(m for m in pipe.registry.get(cls_name).methods
+                    if m.name == name)
+
+    def test_missing_method_raises_only_when_called(self, corpus_dir,
+                                                    tmp_path):
+        # 0: iload_0; 1: ifeq 6; 4: iconst_1; 5: ireturn; 6: invokestatic
+        cb = ClassBuilder("vm/Missing")
+        cb.default_init()
+        c = cb.method("m", "(I)I", ACC_PUBLIC | ACC_STATIC)
+        c.op("iload_0").op("ifeq", "CALL").op("iconst_1").op("ireturn")
+        c.label("CALL").invoke("invokestatic", "vm/Later", "gone", "()I")
+        c.op("ireturn")
+        _write_class(tmp_path, cb)
+        later = ClassBuilder("vm/Later")
+        later.default_init()
+        later.method("gone", "()I", ACC_PUBLIC | ACC_STATIC) \
+            .op("bipush", 9).op("ireturn")
+        _write_class(tmp_path, later)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Missing"])
+        assert pipe.registry.get("vm/Later").state == lc.UNLOADED
+        for _ in range(2):      # the second run reads the cached decode
+            out = run_static(pipe, "vm/Missing", "m", [("i", 1)],
+                             stage=lc.LOADED)
+            assert (out.kind, out.value) == ("return", ("i", 1))
+            with pytest.raises(InterpError, match=r"<method vm/Missing\.m"
+                               r"\(I\)I>: unresolved vm/Later\.gone at 6"):
+                run_static(pipe, "vm/Missing", "m", [("i", 0)],
+                           stage=lc.LOADED)
+        assert self._member(pipe, "vm/Missing", "m") \
+            .code.decoded[1][6][0] is vf._lazy
+        # the lazy step keeps no failure: once its owner loads, it resolves
+        pipe.loader.ensure_loaded("vm/Later")
+        assert run_static(pipe, "vm/Missing", "m", [("i", 0)],
+                          stage=lc.LOADED).value == ("i", 9)
+
+    def test_invokevirtual_of_a_static_raises_when_run(self, corpus_dir,
+                                                       tmp_path):
+        # 0: new; 3: dup; 4: invokespecial; 7: invokevirtual s()I
+        cb = ClassBuilder("vm/Stat")
+        cb.default_init()
+        cb.method("s", "()I", ACC_PUBLIC | ACC_STATIC) \
+            .op("iconst_3").op("ireturn")
+        c = cb.method("v", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.new("vm/Stat").op("dup")
+        c.invoke("invokespecial", "vm/Stat", "<init>", "()V")
+        c.invoke("invokevirtual", "vm/Stat", "s", "()I").op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Stat"], closure=True)
+        for trace in (None, _ignore):
+            with pytest.raises(InterpError, match=r"<method vm/Stat\.v\(\)I>:"
+                               r" invokevirtual of static <method vm/Stat\.s"
+                               r"\(\)I> at 7"):
+                ctx = vf.ExecContext(pipe.registry, lc.LOADED)
+                vf.run_method(ctx, "vm/Stat", ("v", "()I"), [], trace=trace)
+
+    @pytest.mark.parametrize("closed_world", [False, True])
+    def test_null_field_access_throws_where_it_is_caught(
+            self, corpus_dir, tmp_path, closed_world):
+        npe = "java/lang/NullPointerException"
+        cb = ClassBuilder("vm/Nul")
+        cb.field("x", "I")
+        cb.default_init()
+        for name, put in (("get", False), ("put", True)):
+            # a block of templates, then the access alone in its range, so
+            # only the access's own pc finds the handler
+            c = cb.method(name, "(Lvm/Nul;)I", ACC_PUBLIC | ACC_STATIC)
+            c.op("iconst_0").op("pop").op("aload_0")
+            if put:
+                c.op("iconst_5").label("A").putfield("vm/Nul", "x", "I")
+                c.label("B").op("iconst_0")
+            else:
+                c.label("A").getfield("vm/Nul", "x", "I").label("B")
+            c.op("ireturn").label("H").op("pop").op("iconst_m1")
+            c.op("ireturn").handler("A", "B", "H", npe)
+            c = cb.method(name + "Bare", "(Lvm/Nul;)I",
+                          ACC_PUBLIC | ACC_STATIC)
+            c.op("aload_0")
+            if put:
+                c.op("iconst_5").putfield("vm/Nul", "x", "I").op("iconst_0")
+            else:
+                c.getfield("vm/Nul", "x", "I")
+            c.op("ireturn")
+            c = cb.method(name + "Caller", "()I", ACC_PUBLIC | ACC_STATIC)
+            c.label("A").op("aconst_null")
+            c.invoke("invokestatic", "vm/Nul", name + "Bare", "(Lvm/Nul;)I")
+            c.op("ireturn").label("B").label("H").op("pop").op("bipush", 7)
+            c.op("ireturn").handler("A", "B", "H", npe)
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir], closed_world=closed_world)
+        pipe.load_targets(["vm/Nul"], closure=True)
+        assert pipe.link_all() == []
+        for stage in (lc.LOADED, lc.LINKED):
+            for name, value in (("get", -1), ("put", -1), ("getCaller", 7),
+                                ("putCaller", 7)):
+                for trace in (None, _ignore):
+                    ctx = vf.ExecContext(pipe.registry, stage)
+                    method = self._member(pipe, "vm/Nul", name)
+                    out, _ = vf.run_method(ctx, "vm/Nul", method.key,
+                                           [("null",)][:method.nargs],
+                                           trace=trace)
+                    assert (out.kind, out.value) == ("return", ("i", value))
+            for name, handler in (("get", vf._getfield),
+                                  ("put", vf._putfield)):
+                steps = self._member(pipe, "vm/Nul", name) \
+                    .code_at(stage).decoded[1]
+                assert any(s is not None and s[0] is handler for s in steps)
+                assert steps[0][2][-2] is handler    # the block calls it
 
 
 def machine_run(registry, stage, method, vector, fuel, trace=None):
