@@ -6,6 +6,7 @@ Exit codes are stable for CI use: 0 success, 1 per-class failures,
 
 import argparse
 import os
+import re
 import sys
 
 from . import romizer as rz
@@ -114,8 +115,11 @@ def cmd_romize(args):
     with open(report_path, "w") as fh:
         fh.write(pipe.build_report().to_table())
     if args.c_out:
-        symbol = os.path.splitext(os.path.basename(args.out))[0]
-        symbol = "".join(c if c.isalnum() else "_" for c in symbol) or "rom"
+        # a C identifier: ASCII letters, digits and _, not led by a digit
+        symbol = re.sub(r"\W", "_", os.path.splitext(
+            os.path.basename(args.out))[0], flags=re.ASCII) or "rom"
+        if symbol[0].isdigit():
+            symbol = "rom_" + symbol
         with open(args.c_out, "w") as fh:
             fh.write(rz.emit_c_array(image, symbol))
     print("image: %s (%d bytes), report: %s" % (args.out, len(image),

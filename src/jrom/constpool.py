@@ -77,6 +77,12 @@ class MemberHandle:
     is_field: bool
     resolved: object = None
 
+    def lookup(self):
+        """The owner's field or method of this name and descriptor, or None."""
+        owner = self.owner
+        find = owner.find_field if self.is_field else owner.find_method
+        return find(self.name, self.descriptor)
+
 
 def _pack16(hi, lo):
     if hi > 0xFFFF or lo > 0xFFFF:

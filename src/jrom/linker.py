@@ -84,17 +84,14 @@ def link(cls, ctx):
 
 
 def _resolve(handle):
+    found = handle.lookup()
+    if found is not None:
+        return found
     if handle.is_field:
-        found = handle.owner.find_field(handle.name, handle.descriptor)
-        if found is None:
-            raise NoSuchField("%s.%s:%s" % (handle.owner.name, handle.name,
-                                            handle.descriptor))
-    else:
-        found = handle.owner.find_method(handle.name, handle.descriptor)
-        if found is None:
-            raise NoSuchMethod("%s.%s%s" % (handle.owner.name, handle.name,
-                                            handle.descriptor))
-    return found
+        raise NoSuchField("%s.%s:%s" % (handle.owner.name, handle.name,
+                                        handle.descriptor))
+    raise NoSuchMethod("%s.%s%s" % (handle.owner.name, handle.name,
+                                    handle.descriptor))
 
 
 def link_method(m, code, pool, members, marks, ctx):

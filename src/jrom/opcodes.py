@@ -331,27 +331,25 @@ def branch_targets(code, offset):
                                  code, offset + 1)[0]
         return [offset + rel]
     if op in (TABLESWITCH, LOOKUPSWITCH):
-        default, pairs = _switch_cases(code, offset)
-        return [offset + default] + [offset + rel for _, rel in pairs]
+        default, cases = switch_cases(code, offset)
+        return [default] + [target for _, target in cases]
     return []
 
 
-def switch_target(code, offset, key):
-    """Absolute target the tableswitch or lookupswitch at ``offset`` takes."""
-    default, pairs = _switch_cases(code, offset)
-    return offset + next((rel for match, rel in pairs if match == key), default)
-
-
-def _switch_cases(code, offset):
-    """(default, [(key, relative target), ...]) of a switch, in code order."""
+def switch_cases(code, offset):
+    """(default, ((key, target), ...)) of the tableswitch or lookupswitch
+    at ``offset``, in code order, with absolute targets."""
     base = _switch_base(offset)
     if code[offset] == TABLESWITCH:
         default, low, high = struct.unpack_from(">iii", code, base)
         rels = struct.unpack_from(">%di" % (high - low + 1), code, base + 12)
-        return default, list(zip(range(low, high + 1), rels))
-    default, npairs = struct.unpack_from(">ii", code, base)
-    flat = struct.unpack_from(">%di" % (2 * npairs), code, base + 8)
-    return default, list(zip(flat[::2], flat[1::2]))
+        keys = range(low, high + 1)
+    else:
+        default, npairs = struct.unpack_from(">ii", code, base)
+        flat = struct.unpack_from(">%di" % (2 * npairs), code, base + 8)
+        keys, rels = flat[::2], flat[1::2]
+    return offset + default, tuple((key, offset + rel)
+                                   for key, rel in zip(keys, rels))
 
 
 def _switch_base(offset):

@@ -6,20 +6,21 @@ so every pipeline rewrite can be checked for semantic preservation: same
 outcome, same static-zone writes, same created objects.
 
 Each method body is decoded once per pool it runs against, the first time,
-into a list indexed by pc (``decoded``).  An instruction's entry holds its
-handler, its opcode, its size and its operand already read: a local slot,
-a constant, a branch target, a pool operand checked against its table, or
-the row of its family's table (a family of opcodes, such as the array loads
-or the divisions, shares one handler).  Any other pc holds None, so
-dispatch is one list index per instruction.  Decode walks no bytecode: it
-reads the body's shape, checked at load or, for a reloaded body, at its
-first decode.  Decode reads what the bytecode, the stage's pool and the
-loaded classes fix: it resolves each member operand, and a member
-instruction's step is a quick body that holds the member, or, where the
-member does not resolve yet, a lazy step that resolves as it runs.  Zones
-are read and objects made when an instruction runs, and an operand that
-cannot be used raises only if its instruction runs.  The decode is the
-body's entry record, (pool, steps, locals pad), which a call checks once.
+into its entry record (``decoded``): (pool, steps, locals pad, handler
+table), which a call checks once.  The steps are a list indexed by pc; an
+instruction's entry holds its handler, its opcode, its size and its
+operand, and any other pc holds None, so dispatch is one list index per
+instruction.  Decode is the one place that reads an operand (``_decode``):
+a local slot, a branch target, a switch's targets, the row of its family's
+table (a family of opcodes, such as the array loads or the divisions,
+shares one handler), or what a pool entry names: a member, a class, a
+constant, a string's text.  A member that does not resolve yet gives a
+lazy step that resolves as it runs.  The handler table holds each catch
+type as its class.  So no step reads the pool or the bytecode.  Decode
+walks no bytecode either: it reads the body's shape, checked at load or,
+for a reloaded body, at its first decode.  Zones are read and objects
+made when an instruction runs, and an operand that cannot be used raises
+only if its instruction runs.
 
 Decode also splits the body into basic blocks: a leader is pc 0, one of
 the shape's jump targets, or the instruction after one that is not
@@ -67,6 +68,7 @@ M64 = 0xFFFFFFFFFFFFFFFF
 
 DEFAULT_FUEL = 1_000_000
 MAX_CALL_DEPTH = 200
+MAX_ARRAY_ELEMENTS = 1 << 22    # in all of one world's arrays together
 
 
 def i32(v):
@@ -181,6 +183,7 @@ class MiniHeap:
         self.items = {}
         self._next = 1
         self._interned = {}
+        self._elements = 0
 
     def _add(self, item):
         rid = self._next
@@ -195,6 +198,10 @@ class MiniHeap:
         return self._add(Obj(None, cls_name, []))
 
     def new_array(self, comp, length):
+        self._elements += length
+        if self._elements > MAX_ARRAY_ELEMENTS:
+            raise InterpError("arrays of more than %d elements in one run"
+                              % MAX_ARRAY_ELEMENTS)
         if comp in ("F", "D"):
             elems = [0.0] * length
         elif comp[0] in "L[":
@@ -297,19 +304,17 @@ def in_subset(code):
 
 
 class Frame:
-    """One activation: a method's code at the world's stage, its decoded
-    steps, locals and stack.  ``pc`` is the instruction being run, or in a
-    caller the invoke waiting for its call to return.
+    """One activation: a method's decoded steps and handler table (its
+    entry record's), locals and stack.  ``pc`` is the instruction being
+    run, or in a caller the invoke waiting for its call to return.
     """
-    __slots__ = ("method", "code", "steps", "pool", "max_stack", "locals",
+    __slots__ = ("method", "steps", "handlers", "max_stack", "locals",
                  "stack", "pc")
 
-    def __init__(self, method, code, steps, pool, local_slots):
+    def __init__(self, method, entry, max_stack, local_slots):
         self.method = method
-        self.code = code
-        self.steps = steps
-        self.pool = pool
-        self.max_stack = code.max_stack
+        self.steps, self.handlers = entry[1], entry[3]
+        self.max_stack = max_stack
         self.locals = local_slots
         self.stack = []
         self.pc = 0
@@ -348,42 +353,13 @@ class Frame:
         del s[base:]
         return args
 
-    # --- pool operands, checked against their tables by decode ---
 
-    def pool_entry(self, operand):
-        """(Operand, table index) of a decoded pool operand."""
-        entry, idx, raw = operand
-        if idx is None:
-            raise InterpError("%s: operand %d unresolvable at %d"
-                              % (self.method, raw, self.pc))
-        return entry, idx
-
-    def member(self, operand):
-        """The field or method a symbolic member reference names (the one
-        ``_resolve`` finds), or raise."""
-        _, vidx = self.pool_entry(operand)
-        found = _resolve(self.pool, vidx)
-        if found is None:
-            handle = self.pool.a_payload[self.pool.v_value[vidx] & 0xFFFF]
-            raise InterpError("%s: unresolved %s.%s at %d"
-                              % (self.method, handle.owner.name, handle.name,
-                                 self.pc))
-        return found
-
-    def class_operand(self, operand):
-        return self.pool.a_payload[self.pool_entry(operand)[1]]
-
-
-def _resolve(pool, vidx):
-    """The field or method the member-ref cell ``vidx`` names, or None: its
+def _resolve(pool, cell):
+    """The field or method the member-ref cell ``cell`` names, or None: its
     handle's member, set when the owner linked, or else the one a lookup
     over the loaded classes finds."""
-    handle = pool.a_payload[pool.v_value[vidx] & 0xFFFF]
-    if handle.resolved is not None:
-        return handle.resolved
-    if handle.is_field:
-        return handle.owner.find_field(handle.name, handle.descriptor)
-    return handle.owner.find_method(handle.name, handle.descriptor)
+    handle = pool.a_payload[pool.v_value[cell] & 0xFFFF]
+    return handle.resolved or handle.lookup()
 
 
 class Machine:
@@ -456,7 +432,8 @@ class Machine:
             return ("f", bits_float(vz[local]))
         if kind == "i":
             return ("i", i32(vz[local]))
-        return _wide_slot(kind, (vz[local] << 32) | vz[local + 1])
+        bits = (vz[local] << 32) | vz[local + 1]
+        return (kind, i64(bits) if kind == "j" else bits_double(bits))
 
     def zone_write(self, owner_cls, zone, offset, tc, slot):
         owner, local = owner_cls.static_slot(zone, offset)
@@ -558,20 +535,16 @@ class Machine:
         entry = code.decoded
         if entry is None or entry[0] is not pool:
             entry = decoded(method, code, pool, world.registry)
-        return Frame(method, code, entry[1], pool, [*args, *entry[2][n:]])
+        return Frame(method, entry, code.max_stack, [*args, *entry[2][n:]])
 
     def _find_handler(self, f, thrown):
         """The pc of the frame's handler for the thrown exception, or None."""
-        for start, end, handler, catch in f.code.exception_table:
+        for start, end, handler, catch in f.handlers:
             if not start <= f.pc < end:
                 continue
-            if catch is None:
-                return handler
-            catch_cls = f.pool.a_payload[catch]
-            if thrown.cls is not None:
-                if thrown.cls.is_subclass_of(catch_cls):
-                    return handler
-            elif thrown.cls_name == catch_cls.name:
+            if catch is None or (thrown.cls.is_subclass_of(catch)
+                                 if thrown.cls is not None
+                                 else thrown.cls_name == catch.name):
                 return handler
         return None
 
@@ -593,11 +566,6 @@ def _u16(v):
     return v & 0xFFFF
 
 
-def _wide_slot(kind, bits):
-    """A long ("j") or double ("d") slot from its 64 bits."""
-    return (kind, i64(bits) if kind == "j" else bits_double(bits))
-
-
 _IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
 
 # op -> the slot pushed; a long or double pushes PAD after it
@@ -612,19 +580,14 @@ def _unsupported(m, f, op):
     raise UnsupportedOpcode(op, f.pc)
 
 
-def _ldc_quick(m, f, operand):
-    entry, idx = f.pool_entry(operand)
-    values = f.pool.v_value
-    if entry.want == cp.A_STRING:
-        f.push(("a", m.world.heap.intern(f.pool.a_payload[idx])))
-    elif entry.want == cp.V_INT:
-        f.push(("i", i32(values[idx])))
-    elif entry.want == cp.V_FLOAT:
-        f.push(("f", bits_float(values[idx])))
-    else:
-        bits = (values[idx] << 32) | values[idx + 1]
-        f.push_value(_wide_slot("j" if entry.want == cp.V_LONG_HI else "d",
-                                bits))
+def _unresolvable(m, f, index):
+    """A pool operand naming no entry of the kind its instruction takes."""
+    raise InterpError("%s: operand %d unresolvable at %d"
+                      % (f.method, index, f.pc))
+
+
+def _ldc_string(m, f, text):
+    f.push(("a", m.world.heap.intern(text)))
 
 
 _ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
@@ -784,8 +747,9 @@ _IF = _by_opcode({
 })
 
 
-def _switch(m, f, _):
-    return ops.switch_target(f.code.bytecode, f.pc, f.pop()[1])
+def _switch(m, f, cases):        # (default, ((key, target), ...))
+    key = f.pop()[1]
+    return next((pc for match, pc in cases[1] if match == key), cases[0])
 
 
 # op -> the kind of the value returned, or None for a void return
@@ -892,13 +856,13 @@ def _field_operand(op, owner, zone, offset, tc):
     return offset, _kind_of(tc), _FIELD_NARROW.get(tc)
 
 
-def _member_step(op, ref, pool):
+def _member_step(op, pool, cell):
     """(handler, operand) of member instruction ``op``: its quick body if
-    its pool operand ``ref`` resolves now to a member it can use, else the
-    lazy step."""
-    found = None if ref[1] is None else _resolve(pool, ref[1])
+    the member-ref cell ``cell`` of ``pool`` resolves now to a member it
+    can use, else the lazy step."""
+    found = _resolve(pool, cell)
     if found is None or (op in _INSTANCE_INVOKES and found.is_static):
-        return _lazy, (op, ref)
+        return _lazy, (op, pool, cell)
     if _QUICK[op] in _HOLDS_METHOD:
         return _QUICK[op], found
     return _QUICK[op], _field_operand(op, found.owner, found.zone,
@@ -908,17 +872,21 @@ def _member_step(op, ref, pool):
 def _lazy(m, f, operand):
     """A member instruction whose operand did not resolve at decode: each
     run resolves it again and runs the quick body, or raises as the
-    operand is unusable (``Frame.member`` first, so its faults come first)."""
-    op, ref = operand
-    handler, quick = _member_step(op, ref, f.pool)
-    if handler is _lazy:
-        raise InterpError("%s: %s of static %r at %d"
-                          % (f.method, ops.NAME[op], f.member(ref), f.pc))
-    return handler(m, f, quick)
+    operand is unusable."""
+    op, pool, cell = operand
+    handler, quick = _member_step(op, pool, cell)
+    if handler is not _lazy:
+        return handler(m, f, quick)
+    found = _resolve(pool, cell)
+    if found is None:
+        handle = pool.a_payload[pool.v_value[cell] & 0xFFFF]
+        raise InterpError("%s: unresolved %s.%s at %d"
+                          % (f.method, handle.owner.name, handle.name, f.pc))
+    raise InterpError("%s: %s of static %r at %d"
+                      % (f.method, ops.NAME[op], found, f.pc))
 
 
-def _new(m, f, operand):
-    cls = f.class_operand(operand)
+def _new(m, f, cls):
     if cls.state == lc.UNLOADED:
         raise InterpError("new of unloaded class %s" % cls.name)
     f.push(("a", m.world.heap.new_object(cls)))
@@ -928,24 +896,15 @@ _NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
                    11: "J"}
 
 
-def _newarray(m, f, atype):
-    comp = _NEWARRAY_TYPES.get(atype)
-    if comp is None:
-        raise InterpError("bad newarray type %d" % atype)
-    _push_new_array(m, f, comp)
-
-
-def _anewarray_quick(m, f, operand):
-    cls = f.class_operand(operand)
-    _push_new_array(m, f, cls.name if cls.name.startswith("[")
-                    else "L%s;" % cls.name)
-
-
-def _push_new_array(m, f, comp):
+def _newarray(m, f, comp):      # and anewarray_quick: comp is a descriptor
     length = f.pop()[1]
     if length < 0:
         m.throw_named("java/lang/NegativeArraySizeException")
     f.push(("a", m.world.heap.new_array(comp, length)))
+
+
+def _bad_newarray(m, f, atype):
+    raise InterpError("bad newarray type %d" % atype)
 
 
 def _invoke_quick(m, f, operand):
@@ -964,16 +923,14 @@ def _invoke_quick(m, f, operand):
     return _Call((table[slot], args))
 
 
-def _checkcast(m, f, operand):
-    cls = f.class_operand(operand)
+def _checkcast(m, f, cls):
     slot = f.pop()
     if slot[1] is not None and not m.is_instance(slot[1], cls):
         m.throw_named("java/lang/ClassCastException")
     f.push(slot)
 
 
-def _instanceof(m, f, operand):
-    cls = f.class_operand(operand)
+def _instanceof(m, f, cls):
     ref = f.pop()[1]
     f.push(("i", int(ref is not None and m.is_instance(ref, cls))))
 
@@ -1177,18 +1134,24 @@ def _handler_table():
         (_generated(partial(_t_pop, 0)), "nop"),
         (_generated(partial(_t_pop, 1)), "pop"),
         (_generated(partial(_t_pop, 2)), "pop2"),
-        (_generated(_t_swap), "swap"), (const[1], "bipush sipush"),
+        (_generated(_t_swap), "swap"),
+        (const[1], "bipush sipush ldc_quick_i ldc_quick_i_w"),
+        (const[2], "ldc2_quick_l"),
+        # a float or double constant is held as its bits, which, unlike
+        # the value (-0.0 == 0.0), tell apart steps that must not be shared
+        (_generated(partial(_t_push, 1, "('f', bits_float(%s))"), True),
+         "ldc_quick_f ldc_quick_f_w"),
+        (_generated(partial(_t_push, 2, "('d', bits_double(%s))"), True),
+         "ldc2_quick_d"),
+        (_ldc_string, "ldc_quick_a ldc_quick_a_w"),
         (_generated(_t_iinc, True), "iinc"),
         (_generated(_t_goto, True), "goto goto_w"),
-        (_ldc_quick, "ldc_quick_i ldc_quick_i_w ldc_quick_f ldc_quick_f_w "
-                     "ldc_quick_a ldc_quick_a_w ldc2_quick_l ldc2_quick_d"),
         (_arraylength, "arraylength"), (_switch, "tableswitch lookupswitch"),
         (_getstatic, "getstatic_quick"), (_putstatic, "putstatic_quick"),
         (_getfield, "getfield_quick"), (_putfield, "putfield_quick"),
         (_lazy, "getstatic putstatic getfield putfield invokevirtual "
                 "invokespecial invokestatic invokeinterface"),
-        (_new, "new"), (_newarray, "newarray"),
-        (_anewarray_quick, "anewarray_quick"),
+        (_new, "new"), (_newarray, "newarray anewarray_quick"),
         (_invoke_quick, "invokevirtual_quick"),
         (_checkcast, "checkcast"), (_instanceof, "instanceof"),
         (_athrow, "athrow"),
@@ -1239,62 +1202,83 @@ _FIXED = {op: (_HANDLERS[op], op,
 
 # --- decode -----------------------------------------------------------------
 
-def _operand(bc, off, op, pool, owner):
-    """What the handler of ``op`` at ``off``, in a method of ``owner``,
-    runs with, read mostly through the ``opcodes.OPERANDS`` table.  A pool
-    operand is (Operand, table index, index read); a table index that does
-    not name an entry of the kind the operand wants is None, and the
-    instruction raises when it runs."""
+def _decode(bc, off, op, pool, owner):
+    """(handler, operand) of the instruction ``op`` at ``off``, in a method
+    of ``owner``: its operand read, mostly through the ``opcodes.OPERANDS``
+    table, with the pool entry it names read too.  A table index that does
+    not name an entry of the kind the operand wants, or a bad newarray
+    type, gives a step that raises when it runs."""
+    handler = _HANDLERS[op]
+    if handler is _unsupported:
+        return handler, op
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
-    if _HANDLERS[op] is _unsupported:
-        return op
     if kind == ops.LOCAL:
         slot = ops.local_slot(bc, off)[0]
         if op != _OP["iinc"]:
-            return slot
+            return handler, slot
         if bc[off] == ops.WIDE:
-            return slot, struct.unpack_from(">h", bc, off + 4)[0]
-        return slot, _sign8(bc[off + 2])
+            return handler, (slot, struct.unpack_from(">h", bc, off + 4)[0])
+        return handler, (slot, _sign8(bc[off + 2]))
     if kind == ops.BRANCH:
-        return ops.branch_targets(bc, off)[0]
+        return handler, ops.branch_targets(bc, off)[0]
     if kind == ops.IMMEDIATE:
         offset, tc = ops.field_immediate(bc, off)
-        return _field_operand(op, owner, "a" if tc == dsc.TC_REF else "v",
-                              offset, tc)
+        return handler, _field_operand(op, owner, "a" if tc == dsc.TC_REF
+                                       else "v", offset, tc)
     if kind == ops.NARGS_SLOT:
-        return bc[off + 1], bc[off + 2]
+        return handler, (bc[off + 1], bc[off + 2])
     if kind is not None:            # TABLE
         idx = ops.read_operand(bc, off, entry.size)
-        return (entry, idx if cp.holds(pool, entry.space, idx, entry.want)
-                else None, idx)
+        if not cp.holds(pool, entry.space, idx, entry.want):
+            return _unresolvable, idx
+        if handler is _lazy:
+            return _member_step(op, pool, idx)
+        if entry.space == cp.ATABLE:    # a class, or a string's text
+            item = pool.a_payload[idx]
+            if handler is _newarray:
+                return handler, (item.name if item.name.startswith("[")
+                                 else "L%s;" % item.name)
+            return handler, item
+        values = pool.v_value
+        if entry.want == cp.V_INT:
+            return handler, ("i", i32(values[idx]))
+        if entry.want == cp.V_FLOAT:
+            return handler, values[idx]
+        bits = (values[idx] << 32) | values[idx + 1]
+        return handler, ("j", i64(bits)) if entry.want == cp.V_LONG_HI \
+            else bits
     if op == _OP["bipush"]:
-        return ("i", _sign8(bc[off + 1]))
+        return handler, ("i", _sign8(bc[off + 1]))
     if op == _OP["sipush"]:
-        return ("i", struct.unpack_from(">h", bc, off + 1)[0])
+        return handler, ("i", struct.unpack_from(">h", bc, off + 1)[0])
     if op == _OP["newarray"]:
-        return bc[off + 1]
-    return None                     # a switch reads its table as it runs
+        comp = _NEWARRAY_TYPES.get(bc[off + 1])
+        if comp is None:
+            return _bad_newarray, bc[off + 1]
+        return handler, comp
+    return handler, ops.switch_cases(bc, off)
 
 
 def decoded(method, code, pool, registry):
     """The entry record of ``method``'s body against ``pool``, built once
-    per pool: (pool, steps indexed by pc, locals pad).  A call checks the
-    pool and makes its locals from the argument slots and the pad past them.
+    per pool: (pool, steps indexed by pc, locals pad, handler table).  A
+    call checks the pool and makes its locals from the argument slots and
+    the pad past them; the handler table is the exception table with each
+    catch type the class it names, or None.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  The
     leader of a basic block may hold the block's step instead (``_block``):
-    (function, first opcode, operand, block size).  Member operands are
-    resolved here, once: resolution reads only loaded classes, whose
-    members never change.  Such a step is the quick body holding the
-    member, or, where the member does not resolve yet, the lazy step
-    (``_member_step``).  Steps and pads equal to one in the registry's
-    ``shared_steps`` are that one tuple, which keeps the decodes of a large
-    class set small; a step holding a method, which does not hash, is its
-    own.  A body with no shape yet (one reloaded from an image) gets it
-    here, so a structurally bad one raises VerifyError before any step is
-    built.  The code keeps its record until its bytecode is rewritten.
+    (function, first opcode, operand, block size).  ``_decode`` reads each
+    operand and the pool entry it names once, and resolves member operands:
+    resolution reads only loaded classes, whose members never change.
+    Steps and pads equal to one in the registry's ``shared_steps`` are that
+    one tuple, which keeps the decodes of a large class set small; a step
+    holding a method, which does not hash, is its own.  A body with no
+    shape yet (one reloaded from an image) gets it here, so a structurally
+    bad one raises VerifyError before any step is built.  The code keeps
+    its record until its bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is pool:
@@ -1309,10 +1293,7 @@ def decoded(method, code, pool, registry):
         step = _FIXED.get(op)
         if step is None:
             sub = bc[off + 1] if op == ops.WIDE else op
-            handler = _HANDLERS[sub]
-            operand = _operand(bc, off, sub, pool, method.owner)
-            if handler is _lazy:        # a member operand, resolved now
-                handler, operand = _member_step(sub, operand, pool)
+            handler, operand = _decode(bc, off, sub, pool, method.owner)
             step = (handler, op, operand, end - off)
             if handler not in _HOLDS_METHOD:
                 step = shared.setdefault(step, step)
@@ -1327,7 +1308,10 @@ def decoded(method, code, pool, registry):
         run.append(off)
     _block(run, steps, registry)
     pad = (PAD,) * code.max_locals
-    code.decoded = (pool, steps, shared.setdefault(pad, pad))
+    handlers = tuple((start, end, handler, None if catch is None
+                      else pool.a_payload[catch])
+                     for start, end, handler, catch in code.exception_table)
+    code.decoded = (pool, steps, shared.setdefault(pad, pad), handlers)
     return code.decoded
 
 

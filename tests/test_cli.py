@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import pytest
@@ -97,14 +98,20 @@ class TestRomize:
         assert code == 0
         assert "verified" in out and "methods" in out
 
-    def test_c_array_output(self, corpus_dir, out_dir):
-        img = str(out_dir / "c.rom")
+    @pytest.mark.parametrize("rom, symbol", [("c.rom", "c"),
+                                             ("9lives.rom", "rom_9lives"),
+                                             ("système.rom", "syst_me")],
+                             ids=["plain", "digit", "non-ascii"])
+    def test_c_array_output(self, corpus_dir, out_dir, rom, symbol):
+        img = str(out_dir / rom)
         c_path = str(out_dir / "rom_image.c")
         assert run_cli("romize", "--classpath", corpus_dir, "--out", img,
                        "--c-out", c_path, "corpus/Empty") == 0
         text = open(c_path).read()
         image = open(img, "rb").read()
-        assert "unsigned char c[%d]" % len(image) in text
+        declared = re.search(r"unsigned char (\S+)\[(\d+)\]", text)
+        assert re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", declared.group(1))
+        assert declared.groups() == (symbol, str(len(image)))
         first = "0x%02x" % image[0]
         assert first in text
 

@@ -94,9 +94,9 @@ def test_mutated_image_code_decodes_or_fails_with_jrom_errors(
     bodies = [m for cls in sorted(registry.loadable(), key=lambda c: c.name)
               for m in cls.methods if m.code is not None and m.code.bytecode]
     built = []                  # one entry per step decode builds
-    operand = vf._operand
-    monkeypatch.setattr(vf, "_operand",
-                        lambda *args: built.append(1) or operand(*args))
+    decode = vf._decode
+    monkeypatch.setattr(vf, "_decode",
+                        lambda *args: built.append(1) or decode(*args))
     rng = random.Random(IMAGE_SEED)
     outcomes, escaped = {}, []
     for i in range(IMAGE_MUTATIONS):

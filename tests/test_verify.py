@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrom import constpool as cp
 from jrom import lifecycle as lc
+from jrom import linker
 from jrom import romizer as rz
 from jrom import verify as vf
 from jrom import opcodes as ops
@@ -169,6 +171,58 @@ class TestBasics:
         for name in need:
             with pytest.raises(StackOverflow):
                 run_static(pipe, "vm/Full", name)
+
+    def test_arrays_past_the_heap_bound_raise(self, corpus_dir, tmp_path):
+        cb = ClassBuilder("vm/Big")
+        cb.default_init()
+        for name, lengths in (("one", [5_000_000]),
+                              ("two", [3_000_000, 3_000_000]),
+                              ("fits", [3_000_000])):
+            c = cb.method(name, "()I", ACC_PUBLIC | ACC_STATIC)
+            for length in lengths:
+                c.ldc_int(length).op("newarray", 10).op("arraylength")
+            for _ in lengths[1:]:
+                c.op("iadd")
+            c.op("ireturn")
+        d = tmp_path / "vm"
+        d.mkdir()
+        (d / "Big.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Big"], closure=True)
+        assert pipe.link_all() == []
+        for stage in (lc.LOADED, lc.LINKED):
+            for name in ("one", "two"):
+                with pytest.raises(InterpError, match="arrays of more than "
+                                   "%d elements" % vf.MAX_ARRAY_ELEMENTS):
+                    run_static(pipe, "vm/Big", name, stage=stage)
+            assert run_static(pipe, "vm/Big", "fits", stage=stage).value \
+                == ("i", 3_000_000)
+
+    def test_signed_zero_constants_stay_apart(self, corpus_dir, tmp_path):
+        # -0.0 == 0.0, so steps equal by value would be shared wrongly
+        cb = ClassBuilder("vm/Zero")
+        cb.default_init()
+        for name, v in (("fpos", 0.0), ("fneg", -0.0)):
+            c = cb.method(name, "()F", ACC_PUBLIC | ACC_STATIC)
+            c.op("iconst_0").op("pop").ldc_float(v).op("freturn")
+        for name, v in (("dpos", 0.0), ("dneg", -0.0)):
+            c = cb.method(name, "()D", ACC_PUBLIC | ACC_STATIC)
+            c.op("iconst_0").op("pop").ldc_double(v).op("dreturn")
+        d = tmp_path / "vm"
+        d.mkdir()
+        (d / "Zero.class").write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Zero"], closure=True)
+        assert pipe.link_all() == []
+        for stage in (lc.LOADED, lc.LINKED):
+            for trace in (None, _ignore):
+                ctx = vf.ExecContext(pipe.registry, stage)
+                got = {name: vf.run_method(ctx, "vm/Zero", (name, desc), [],
+                                           trace=trace)[0].value
+                       for name, desc in (("fpos", "()F"), ("fneg", "()F"),
+                                          ("dpos", "()D"), ("dneg", "()D"))}
+                assert got == {"fpos": ("f", 0), "fneg": ("f", 1 << 31),
+                               "dpos": ("d", 0), "dneg": ("d", 1 << 63)}
 
     def test_unsupported_opcode_names_offset(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Mon")
@@ -803,46 +857,60 @@ class TestMemberSteps:
     @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
     def test_decode_holds_the_member_the_lazy_resolve_finds(self, corpus_dir,
                                                             flags):
+        # and, for every other pool operand, exactly what its entry names
         pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
-        counts = {lc.LOADED: 0, lc.LINKED: 0}
+        blocks = set(pipe.registry.step_shapes.values())
+        counts = {}
         for cls in pipe.linked_classes():
             for m in cls.methods:
-                for stage in counts:
+                for stage in (lc.LOADED, lc.LINKED):
                     code, pool = m.code_at(stage), cls.pool_at(stage)
                     if code is None:
                         continue
                     steps = vf.decoded(m, code, pool, pipe.registry)[1]
-                    frame = vf.Frame(m, code, steps, pool, [])
+                    blocks.update(pipe.registry.step_shapes.values())
                     for off in code.shape.starts:
-                        op = code.bytecode[off]
-                        if op not in vf._QUICK:
+                        named = ops.pool_operand(code.bytecode, off)
+                        if named is None:
                             continue
-                        entry, idx = ops.pool_operand(code.bytecode, off)
-                        found = frame.member((entry, idx, idx))
-                        handler, _, operand, _ = steps[off]
-                        assert handler is vf._QUICK[op], (m, stage, off)
-                        if handler in vf._HOLDS_METHOD:
-                            assert operand is found, (m, stage, off)
-                        elif found.is_static:
-                            assert operand == (found.owner, found.zone,
-                                               found.offset, found.type_code)
-                        else:
-                            assert operand[:2] == (
-                                found.offset, vf._kind_of(found.type_code))
-                        counts[stage] += 1
-        assert counts[lc.LOADED] > 150 and counts[lc.LINKED] > 0, counts
+                        step = steps[off]
+                        if step[0] in blocks:   # a block led by this one
+                            step = step[2][0]
+                        op, want = code.bytecode[off], named[0].want
+                        handler = vf._QUICK.get(op, vf._HANDLERS[op])
+                        assert step[:2] == (handler, op), (m, stage, off)
+                        held = _pool_operand_held(pool, op, *named)
+                        if isinstance(held, (tuple, int, str)):
+                            assert step[2] == held, (m, stage, off)
+                        else:           # a class or a method
+                            assert step[2] is held, (m, stage, off)
+                        key = (stage, want)
+                        counts[key] = counts.get(key, 0) + 1
+        wants = {want for _, want in counts}
+        assert wants == {cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF,
+                         cp.A_CLASS, cp.A_STRING, cp.V_INT, cp.V_FLOAT,
+                         cp.V_LONG_HI, cp.V_DBL_HI}, counts
+        members = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
+        assert sum(counts.get((lc.LOADED, w), 0) for w in members) > 150
+        assert sum(counts.get((lc.LINKED, w), 0) for w in members) > 0
 
-    def test_verify_all_resolves_no_member_as_it_runs(self, corpus_dir,
-                                                      monkeypatch):
+    def test_verify_all_resolves_no_member_as_it_runs(self, corpus_dir):
         pipe = make_pipeline(corpus_dir)
-        calls = []
-        member = vf.Frame.member
-        monkeypatch.setattr(vf.Frame, "member",
-                            lambda f, ref: calls.append(ref) or member(f, ref))
         out = pipe.verify_all(seed=0, vectors=5)
         assert len(out.checked) == 168 and not out.failures
-        assert not calls
-
+        blocks = set(pipe.registry.step_shapes.values())
+        decodes = 0
+        for cls in pipe.registry.classes.values():
+            for m in cls.methods:
+                for code in (m.code_loaded, m.code):
+                    if code is None or code.decoded is None:
+                        continue
+                    decodes += 1
+                    for step in filter(None, code.decoded[1]):
+                        assert step[0] is not vf._lazy, (m, step)
+                        if step[0] in blocks:
+                            assert vf._lazy not in step[2], (m, step)
+        assert decodes >= 2 * len(out.checked), decodes
     @staticmethod
     def _member(pipe, cls_name, name):
         return next(m for m in pipe.registry.get(cls_name).methods
@@ -954,6 +1022,34 @@ class TestMemberSteps:
                     .code_at(stage).decoded[1]
                 assert any(s is not None and s[0] is handler for s in steps)
                 assert steps[0][2][-2] is handler    # the block calls it
+
+
+def _pool_operand_held(pool, op, entry, idx):
+    """What decode should hold for the pool operand ``entry`` ``idx`` of
+    ``op``: a member as ``linker._resolve`` finds it, a class, a string's
+    text, a constant's slot, or a float's or double's bits."""
+    want, values = entry.want, pool.v_value
+    if want in (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF):
+        found = linker._resolve(pool.a_payload[values[idx] & 0xFFFF])
+        if vf._QUICK[op] in vf._HOLDS_METHOD:
+            return found
+        if found.is_static:
+            return (found.owner, found.zone, found.offset, found.type_code)
+        return (found.offset, vf._kind_of(found.type_code),
+                vf._FIELD_NARROW.get(found.type_code))
+    if want == cp.A_CLASS:
+        name = pool.a_payload[idx].name
+        if op == ops.BY_NAME["anewarray_quick"]:
+            return name if name.startswith("[") else "L%s;" % name
+        return pool.a_payload[idx]
+    if want == cp.A_STRING:
+        return pool.a_payload[idx]
+    if want == cp.V_INT:
+        return ("i", vf.i32(values[idx]))
+    if want == cp.V_FLOAT:
+        return values[idx]
+    bits = (values[idx] << 32) | values[idx + 1]
+    return ("j", vf.i64(bits)) if want == cp.V_LONG_HI else bits
 
 
 def machine_run(registry, stage, method, vector, fuel, trace=None):
