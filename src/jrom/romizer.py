@@ -87,14 +87,21 @@ def snapshot_stats(cls, stage):
 # --- the image schema ---
 #
 # The image is a header, the string section and one record per class, in
-# name order.  Each is described once, below, and emit_image and load_image
-# both walk that description.  A record is fields and parts in order.  A
-# field is one fixed-size value; its type packs it and reads it back with
-# its range check, which raises Corrupt at the offset just past the value.
-# A part (array, option, union, blob) is a fixed-size head, a count, flag,
-# kind code or length, then a rest whose size the head decides.  A run of
-# fields, with the head of the part that ends it, is one struct, and an
-# array of fixed-size records is one iter_unpack.
+# name order.  Each is declared once, below, as a Record of fields and parts
+# in order, and emit_image and load_image both run code compiled from that
+# declaration.  A field is one fixed-size value; its type gives the lines
+# that check and convert it as it is read, raising Corrupt at the offset
+# just past it, and the lines that convert it as it is written.  A part
+# (array, option, union, blob) is a fixed-size head, a count, flag, kind
+# code or length, then what the head says follows; its read_after,
+# write_head and write_after give the code that reads or writes it.
+#
+# The first read of a top-level record compiles its reader, and the first
+# write its writer: each one straight-line function, with every nested part
+# inlined.  An array is a for loop, an option an if, a union an if/elif on
+# its kind and a blob one slice.  The fields between two parts, with the
+# head of the second, are one struct.  The position is a local, stored
+# back into the cursor once per record.
 
 class _Cursor:
     """A walk's place in one image, and the string section and class table
@@ -106,15 +113,59 @@ class _Cursor:
         self.missing = set()        # classes referenced but not written
 
 
+class _Source:
+    """The lines of generated functions, and the objects their code names."""
+
+    def __init__(self):
+        self.lines, self.count = [], 0
+        self.env, self.names = {"Corrupt": Corrupt, "short": _short}, {}
+
+    def name(self, obj):
+        """A global of the generated code that holds ``obj``."""
+        if id(obj) not in self.names:
+            self.names[id(obj)] = "k%d" % len(self.names)
+            self.env[self.names[id(obj)]] = obj
+        return self.names[id(obj)]
+
+    def var(self):
+        """A fresh local."""
+        self.count += 1
+        return "v%d" % self.count
+
+    def add(self, depth, *lines):
+        self.lines += ["    " * depth + line for line in lines]
+
+    def compile(self):
+        exec(compile("\n".join(self.lines), "<image record>", "exec"),
+             self.env)
+        return self.env
+
+
 class Field:
     """A fixed-size value: its struct code and the name a short image
-    reports.  A subclass converts the value as it is written (dump), and
-    checks and converts it as it is read (load)."""
-    dump = load = None
+    reports.  ``check`` holds the lines that check and convert the value
+    as it is read, ``dump`` those that convert it as it is written; in
+    them {v} is the local that holds the value, {at} the offset just past
+    it and {f} the field."""
+    check = dump = ()
 
     def __init__(self, fmt, what):
         self.fmt, self.what, self.head = fmt, what, self
-        self.layout = struct.Struct("<" + fmt)
+        self.size = struct.calcsize("<" + fmt)
+
+    def expand(self, src, lines, v, at=None):
+        """``check`` or ``dump`` as source lines for the value in ``v``."""
+        return [line.format(v=v, at=at, f=src.name(self)) for line in lines]
+
+    def load(self, cur, value, at):
+        """``check`` as a function, compiled at its first call: for a run
+        the image ends inside, and for ids read ahead of their strings."""
+        src = _Source()
+        src.add(0, "def load(cur, v, at):")
+        src.add(1, "strings, class_count = cur.strings, cur.class_count",
+                *self.expand(src, self.check, "v", "at"), "return v")
+        self.load = src.compile()["load"]
+        return self.load(cur, value, at)
 
 
 U8, U16, U32, U64 = (partial(Field, fmt) for fmt in "BHIQ")
@@ -122,177 +173,177 @@ U8, U16, U32, U64 = (partial(Field, fmt) for fmt in "BHIQ")
 
 class Expect(Field):
     """A value the image must hold, or ``error(value)`` is raised."""
+    check = ("if {v} != {f}.value:", "    raise {f}.error({v})")
 
     def __init__(self, fmt, what, value, error):
         super().__init__(fmt, what)
         self.value, self.error = value, error
 
-    def load(self, cur, value, at):
-        if value != self.value:
-            raise self.error(value)
-        return value
-
 
 class StringId(Field):
     """A string, as its index in the string section."""
+    check = ("try:", "    {v} = strings[{v}]", "except IndexError:",
+             "    raise Corrupt('bad %s string id %d' % ({f}.what, {v}),"
+             " {at}) from None")
+    dump = ("{v} = string_ids[{v}]",)
 
     def __init__(self, what, fmt="I"):
         super().__init__(fmt, what)
 
-    def dump(self, cur, text):
-        return cur.string_ids[text]
-
-    def load(self, cur, sid, at):
-        try:
-            return cur.strings[sid]
-        except IndexError:
-            raise Corrupt("bad %s string id %d" % (self.what, sid),
-                          at) from None
-
 
 class ZoneString(StringId):
     """A static zone slot holding an interned string, ("str", text)."""
-
-    def dump(self, cur, slot):
-        return cur.string_ids[slot[1]]
-
-    def load(self, cur, sid, at):
-        return "str", super().load(cur, sid, at)
+    check = StringId.check + ("{v} = 'str', {v}",)
+    dump = ("{v} = string_ids[{v}[1]]",)
 
 
 class ClassIndex(Field):
     """A class of the image, as its index in the name-sorted class table."""
+    check = ("if {v} >= class_count:",
+             "    raise Corrupt('%s %d out of range' % ({f}.label, {v}),"
+             " {at})")
+    dump = ("if {v}.name in class_index:", "    {v} = class_index[{v}.name]",
+            "else:", "    missing.add({v}.name)", "    {v} = 0")
 
     def __init__(self, what, label):
         super().__init__("H", what)
         self.label = label
 
-    def dump(self, cur, cls):
-        if cls.name not in cur.class_index:
-            cur.missing.add(cls.name)
-        return cur.class_index.get(cls.name, 0)
-
-    def load(self, cur, idx, at):
-        if idx >= cur.class_count:
-            raise Corrupt("%s %d out of range" % (self.label, idx), at)
-        return idx
-
 
 class Code(Field):
     """A kind, as its one-byte code."""
+    check = ("try:", "    {v} = {f}.kinds[{v}]", "except KeyError:",
+             "    raise Corrupt('bad %s %d' % ({f}.label, {v}), {at})"
+             " from None")
+    dump = ("{v} = {f}.codes[{v}]",)
 
     def __init__(self, codes, what, label=None):
         super().__init__("B", what)
         self.codes, self.label = codes, label or what
         self.kinds = {code: kind for kind, code in codes.items()}
 
-    def dump(self, cur, kind):
-        return self.codes[kind]
-
-    def load(self, cur, code, at):
-        if code not in self.kinds:
-            raise Corrupt("bad %s %d" % (self.label, code), at)
-        return self.kinds[code]
-
 
 class Catch(Field):
     """A catch type: an atable index, or 0xFFFF (None) for any exception."""
-
-    def dump(self, cur, catch):
-        return 0xFFFF if catch is None else catch
-
-    def load(self, cur, value, at):
-        return None if value == 0xFFFF else value
+    check = ("if {v} == 0xFFFF:", "    {v} = None")
+    dump = ("if {v} is None:", "    {v} = 0xFFFF")
 
 
 class Int32(Field):
     """An int, sign-extended to 64 bits; read back from the low 32."""
-
-    def load(self, cur, value, at):
-        value &= 0xFFFFFFFF
-        return value - (1 << 32) if value >= 1 << 31 else value
+    check = ("{v} &= 0xFFFFFFFF", "if {v} >= 0x80000000:",
+             "    {v} -= 0x100000000")
 
 
 class Record:
-    """Fields and parts in order.  Its value is the list of theirs, or for a
-    record of one member, that member's value."""
+    """Fields and parts in order.  Its value is the tuple of theirs, the
+    one member's value for a record of one member, or, with ``into`` a
+    type and its attribute names in member order, an instance of that type
+    built from them by keyword; writing then reads those attributes."""
 
-    def __init__(self, *members):
-        self.runs, run = [], []     # (layout, members, part or None)
-        for i, m in enumerate(members):
-            run.append(m)
-            if m.head is not m or i == len(members) - 1:
-                self.runs.append((
-                    struct.Struct("<" + "".join(r.head.fmt for r in run)),
-                    run, m if m.head is not m else None))
+    def __init__(self, *members, into=None):
+        self.runs, run = [], []     # (fields, the part they end with or None)
+        for m in members:
+            run.append(m.head)
+            if m.head is not m:
+                self.runs.append((run, m))
                 run = []
-        layout, run, part = self.runs[0]
-        self.single = len(members) == 1
-        # a fixed-size record: its layout, and its loads by index from the end
-        self.flat = None if part or len(self.runs) > 1 else (
-            layout, [(k - len(run), m.load)
-                     for k, m in enumerate(run) if m.load])
-        self.read, self.write = self._generate()
+        if run:
+            self.runs.append((run, None))
+        self.size = len(members)
+        self.into = into and (into[0], into[1].split())
 
-    def _generate(self):
-        """The record's read and write, generated once as straight-line
-        code: each run is one unpack into locals or one pack from them, with
-        its loads or dumps and the rest of its part.  Read by a loop over
-        the runs, a method record took a third longer."""
-        env, names, read, write = {"short": _short}, [], [], []
-        for i, (layout, members, part) in enumerate(self.runs):
-            run = ["v%d" % k for k in range(len(names),
-                                            len(names) + len(members))]
-            names += run
-            env["layout%d" % i] = layout
-            env["fields%d" % i] = [m.head for m in members]
-            read += ["    pos = cur.pos",
-                     "    cur.pos = end = pos + %d" % layout.size,
-                     "    if end > limit:",
-                     "        short(cur, pos, fields%d)" % i,
-                     "    %s, = layout%d.unpack_from(data, pos)"
-                     % (", ".join(run), i)]
-            packed, end = [], 0
-            for name, m in zip(run, members):
-                end += m.head.layout.size
-                if m.head.load:
-                    env["load_" + name] = m.head.load
-                    read.append("    %s = load_%s(cur, %s, pos + %d)"
-                                % (name, name, name, end))
-                if m.dump:
-                    env["dump_" + name] = m.dump
-                    name = "dump_%s(cur, %s)" % (name, name)
-                packed.append(name)
-            write.append("    cur.data += layout%d.pack(%s)"
-                         % (i, ", ".join(packed)))
-            if part:
-                last = run[-1]
-                env["rest_" + last] = part.rest
-                env["write_" + last] = part.write_rest
-                rest = "rest_%s(cur, %s)" % (last, last)
-                if part.empty:      # after a zero head nothing follows
-                    rest += " if %s else %s" % (last, part.empty)
-                read.append("    %s = %s" % (last, rest))
-                write.append("    write_%s(cur, %s)" % (last, last))
-        values = ", ".join(names) if self.single else "[%s]" % ", ".join(names)
-        src = "\n".join(["def read(cur):", "    data = cur.data",
-                         "    limit = len(data)"] + read
-                        + ["    return " + values,
-                           "def write(cur, value):",
-                           "    %s = value" % values] + write)
-        exec(compile(src, "<image record>", "exec"), env)
-        return env["read"], env["write"]
+    def read(self, cur):
+        """The record's value at ``cur.pos``; compiled at the first call."""
+        src = _Source()
+        src.add(0, "def read(cur):")
+        src.add(1, "data, pos = cur.data, cur.pos", "limit = len(data)",
+                "strings, class_count = cur.strings, cur.class_count")
+        src.add(1, "value = " + _value(src, self, _read(src, self, 1)),
+                "cur.pos = pos", "return value")
+        self.read = src.compile()["read"]
+        return self.read(cur)
+
+    def write(self, cur, value):
+        """Append ``value`` to ``cur.data``; compiled at the first call."""
+        src = _Source()
+        src.add(0, "def write(cur, value):")
+        src.add(1, "out, string_ids = cur.data, cur.string_ids",
+                "class_index, missing = cur.class_index, cur.missing")
+        _write(src, self, "value", 1)
+        self.write = src.compile()["write"]
+        self.write(cur, value)
+
+
+def _layout(fields):
+    return struct.Struct("<" + "".join(f.fmt for f in fields))
+
+
+def _read(src, record, depth):
+    """Add the lines reading ``record``; return the expressions of its
+    members' values, a union's as its (kind, body) pair.  A run that the
+    image ends inside goes to _short."""
+    values = []
+    for fields, part in record.runs:
+        run = [src.var() for _ in fields]
+        src.add(depth, "end = pos + %d" % sum(f.size for f in fields),
+                "if end > limit:",
+                "    short(cur, pos, %s)" % src.name(fields),
+                "%s = data[pos]" % run[0] if [f.fmt for f in fields] == ["B"]
+                else "%s, = %s.unpack_from(data, pos)"
+                % (", ".join(run), src.name(_layout(fields))))
+        at = 0
+        for f, v in zip(fields, run):
+            at += f.size
+            src.add(depth, *f.expand(src, f.check, v, "pos + %d" % at))
+        src.add(depth, "pos = end")
+        if part:
+            run[-1] = part.read_after(src, run[-1], depth)
+        values += run
+    return values
+
+
+def _value(src, record, values):
+    """The expression of a record's value, from those of its members."""
+    values = [v if isinstance(v, str) else "(%s, %s)" % v for v in values]
+    if record.into:
+        kind, names = record.into
+        return "%s(%s)" % (src.name(kind), ", ".join(
+            "%s=%s" % pair for pair in zip(names, values)))
+    return values[0] if record.size == 1 else "(%s,)" % ", ".join(values)
+
+
+def _write(src, record, value, depth):
+    """Add the lines appending local ``value`` as ``record``."""
+    values = [src.var() for _ in range(record.size)]
+    if record.into:
+        src.add(depth, "%s = %s" % (", ".join(values), ", ".join(
+            "%s.%s" % (value, name) for name in record.into[1])))
+    elif record.size == 1:
+        values = [value]
+    else:
+        src.add(depth, "%s, = %s" % (", ".join(values), value))
+    for fields, part in record.runs:
+        run, values = values[:len(fields)], values[len(fields):]
+        packed = list(run)
+        for f, v in zip(fields[:-1] if part else fields, run):
+            src.add(depth, *f.expand(src, f.dump, v))
+        if part:
+            packed[-1] = part.write_head(src, run[-1], depth)
+        src.add(depth, "out += %s.pack(%s)"
+                % (src.name(_layout(fields)), ", ".join(packed)))
+        if part:
+            part.write_after(src, run[-1], depth)
 
 
 def _short(cur, pos, fields):
     """Raise for a run the image ends inside, as reading its fields one by
     one would: check those that fit, then name the first that does not."""
     for f in fields:
-        end = pos + f.layout.size
+        end = pos + f.size
         if end > len(cur.data):
             raise Corrupt("truncated %s" % f.what, pos)
-        if f.load:
-            f.load(cur, f.layout.unpack_from(cur.data, pos)[0], end)
+        f.load(cur, struct.unpack_from("<" + f.fmt, cur.data, pos)[0], end)
         pos = end
 
 
@@ -301,103 +352,128 @@ def _record(node):
 
 
 class Array:
-    """A count, then that many elements."""
-    empty = "[]"
+    """A count, then that many elements.  With ``columns``, the elements'
+    members, or a union element's kinds and bodies, are read into one list
+    each, and the value is the tuple of those lists."""
 
-    def __init__(self, count, elem):
-        self.head, self.elem = count, _record(elem)
+    def __init__(self, count, elem, columns=False):
+        self.head, self.elem, self.columns = count, _record(elem), columns
 
-    def dump(self, cur, items):
-        return len(items)
+    def read_after(self, src, n, depth):
+        start = len(src.lines)  # the lists are made here, once they are known
+        src.add(depth, "for _ in range(%s):" % n)
+        values = _read(src, self.elem, depth + 1)
+        if not self.columns:
+            values = [_value(src, self.elem, values)]
+        elif len(values) == 1:  # a union element: kinds, then bodies
+            values = values[0]
+        lists = [src.var() for _ in values]
+        src.lines.insert(start, "    " * depth + "%s = %s" % (
+            ", ".join(lists), ", ".join("[]" for _ in lists)))
+        src.add(depth + 1, *("%s.append(%s)" % pair
+                             for pair in zip(lists, values)))
+        return "(%s,)" % ", ".join(lists) if self.columns else lists[0]
 
-    def rest(self, cur, n):
-        pos, flat, read = cur.pos, self.elem.flat, self.elem.read
-        end = pos + n * flat[0].size if flat else 0
-        if not flat or end > len(cur.data):
-            return [read(cur) for _ in range(n)]
-        rows = [list(row) for row in flat[0].iter_unpack(cur.data[pos:end])]
-        try:
-            for row in rows:
-                for k, load in flat[1]:
-                    row[k] = load(cur, row[k], end)
-        except Corrupt:         # read one by one, to raise at its offset
-            return [read(cur) for _ in range(n)]
-        cur.pos = end
-        return [row[0] for row in rows] if self.elem.single else rows
+    def write_head(self, src, items, depth):
+        return "len(%s%s)" % (items, "[0]" if self.columns else "")
 
-    def write_rest(self, cur, items):
-        write = self.elem.write
-        for item in items:
-            write(cur, item)
+    def write_after(self, src, items, depth):
+        elem = src.var()
+        src.add(depth, "for %s in %s:" % (
+            elem, "zip(*%s)" % items if self.columns else items))
+        _write(src, self.elem, elem, depth + 1)
 
 
 class Option:
     """A flag, then the body if the flag is set; None stands for no body."""
-    empty = "None"
 
     def __init__(self, flag, body):
         self.head, self.body = flag, _record(body)
 
-    def dump(self, cur, value):
-        return value is not None
+    def read_after(self, src, flag, depth):
+        src.add(depth, "if %s:" % flag)
+        src.add(depth + 1, "%s = %s" % (flag, _value(
+            src, self.body, _read(src, self.body, depth + 1))))
+        src.add(depth, "else:", "    %s = None" % flag)
+        return flag
 
-    def rest(self, cur, flag):
-        return self.body.read(cur) if flag else None
+    def write_head(self, src, value, depth):
+        return "%s is not None" % value
 
-    def write_rest(self, cur, value):
-        if value is not None:
-            self.body.write(cur, value)
+    def write_after(self, src, value, depth):
+        src.add(depth, "if %s is not None:" % value)
+        _write(src, self.body, value, depth + 1)
 
 
 class Union:
     """A kind code, then the body of that kind; the value is (kind, the
-    body's value), with None for a kind that has no body."""
-    empty = None
+    body's value), with None for a kind that has no body.  ``bodies`` has
+    one entry per kind of the code, and the kinds are str or None."""
 
     def __init__(self, code, bodies):
         self.head = code
         self.bodies = {kind: body and _record(body)
                        for kind, body in bodies.items()}
 
-    def dump(self, cur, value):
-        return self.head.dump(cur, value[0])
+    def _branches(self, src, kind, depth):
+        """The body of each kind, after adding its if, elif or else."""
+        last = len(self.bodies) - 1
+        for i, (k, body) in enumerate(self.bodies.items()):
+            src.add(depth, "else:" if i == last else "%s %s == %r:"
+                    % ("elif" if i else "if", kind, k))
+            yield body
 
-    def rest(self, cur, kind):
-        body = self.bodies[kind]
-        return kind, body and body.read(cur)
+    def read_after(self, src, kind, depth):
+        value = src.var()
+        for body in self._branches(src, kind, depth):
+            src.add(depth + 1, "%s = %s" % (value, _value(
+                src, body, _read(src, body, depth + 1)) if body else "None"))
+        return kind, value
 
-    def write_rest(self, cur, value):
-        if self.bodies[value[0]]:
-            self.bodies[value[0]].write(cur, value[1])
+    def write_head(self, src, value, depth):
+        src.add(depth, "{0}k, {0}b = {0}".format(value),
+                "{0}c = {0}k".format(value),
+                *self.head.expand(src, self.head.dump, value + "c"))
+        return value + "c"
+
+    def write_after(self, src, value, depth):
+        for body in self._branches(src, value + "k", depth):
+            if body:
+                _write(src, body, value + "b", depth + 1)
+            else:
+                src.add(depth + 1, "pass")
 
 
 class Blob:
-    """A byte length, then the bytes, or a string's UTF-8 if ``text``."""
+    """A byte length, then the bytes: as ``kind``, bytes, bytearray, or
+    str for a string's UTF-8."""
 
-    def __init__(self, length, what, text=False):
-        self.head, self.what, self.text = length, what, text
-        self.empty = "''" if text else "b''"
+    def __init__(self, length, what, kind=bytes):
+        self.head, self.what, self.kind = length, what, kind
 
-    def dump(self, cur, data):
-        return len(self._bytes(data))
+    def read_after(self, src, n, depth):
+        src.add(depth, "end = pos + %s" % n, "if end > limit:",
+                "    raise Corrupt(%r, pos)" % ("truncated " + self.what))
+        if self.kind is str:
+            src.add(depth, "try:", "    %s = data[pos:end].decode("
+                    "'utf-8', 'surrogatepass')" % n,
+                    "except UnicodeDecodeError:",
+                    "    raise Corrupt('undecodable string table entry',"
+                    " end) from None")
+        else:
+            src.add(depth, "%s = %s(data[pos:end])" % (n, src.name(self.kind)))
+        src.add(depth, "pos = end")
+        return n
 
-    def rest(self, cur, n):
-        pos = cur.pos
-        if pos + n > len(cur.data):
-            raise Corrupt("truncated %s" % self.what, pos)
-        cur.pos = pos + n
-        if not self.text:
-            return cur.data[pos:pos + n]
-        try:
-            return cur.data[pos:pos + n].decode("utf-8", "surrogatepass")
-        except UnicodeDecodeError:
-            raise Corrupt("undecodable string table entry", cur.pos) from None
+    def write_head(self, src, data, depth):
+        if self.kind is str:
+            src.add(depth, "{0}b = {0}.encode('utf-8', 'surrogatepass')"
+                    .format(data))
+            return "len(%sb)" % data
+        return "len(%s)" % data
 
-    def write_rest(self, cur, data):
-        cur.data += self._bytes(data)
-
-    def _bytes(self, data):
-        return data.encode("utf-8", "surrogatepass") if self.text else data
+    def write_after(self, src, data, depth):
+        src.add(depth, "out += %s%s" % (data, "b" if self.kind is str else ""))
 
 
 def _class_ref(what):
@@ -426,20 +502,29 @@ _HEADER = Record(
 _CLOSED_PACKAGE = StringId("closed package")
 
 _STRINGS = Record(Array(U32("string count"),
-                        Blob(U16("string length"), "string data", text=True)))
+                        Blob(U16("string length"), "string data", str)))
 
 _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
+
+# the values of a class record, in order
+_CLASS_VALUES = (
+    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
+    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
+    " zones_initial")
+_ClassValues = namedtuple("_ClassValues", _CLASS_VALUES)
 
 _CLASS = Record(
     StringId("class name"), U16("access flags"), U8("ready flag"),
     _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
     U32("raw entries"), U32("raw pool bytes"), U32("raw file bytes"),
+    # the pool's tables, as (kinds, payloads) and (kinds, cells)
     Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
         cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
         cp.A_CLASS: _class_ref("class handle"),
-        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
+        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER}), columns=True),
     Array(U16("vtable size"),
-          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
+          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell")),
+          columns=True),
     Array(U16("field count"), Record(
         StringId("field name"), StringId("field descriptor"),
         U16("field flags"), Option(U8("constant value flag"), Union(
@@ -453,20 +538,18 @@ _CLASS = Record(
         StringId("method name"), StringId("method descriptor"),
         U16("method flags"), Option(U8("code flag"), Record(
             U16("max stack"), U16("max locals"),
-            Blob(U32("code length"), "bytecode"),
+            Blob(U32("code length"), "bytecode", bytearray),
             Array(U16("exception count"), Record(
                 U16("start"), U16("end"), U16("handler"),
                 Catch("H", "catch"))),
             Option(U8("stack map flag"),
-                   Blob(U32("stack map length"), "stack maps")))))),
+                   Blob(U32("stack map length"), "stack maps")),
+            into=(lc.MethodCode, "max_stack max_locals bytecode"
+                                 " exception_table stack_maps"))))),
     Array(U16("dispatch size"), Record(
         ClassIndex("table owner", "dispatch owner"), U16("table method"))),
-    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)))
-# the values of a class record, in order
-_ClassValues = namedtuple("_ClassValues", (
-    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
-    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
-    " zones_initial"))
+    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)),
+    into=(_ClassValues, _CLASS_VALUES))
 
 
 # --- image writing ---
@@ -509,15 +592,15 @@ def _position(member, members):
     return next(i for i, m in enumerate(members) if m is member)
 
 
-def _entry(kind, payload):
+def _payload(kind, payload):
     if kind == cp.A_CLASS:
-        return kind, _ref(payload)
+        return _ref(payload)
     if kind in (cp.A_FIELD, cp.A_METHOD):
         member = payload.resolved
         owner = member.owner
         members = owner.fields if kind == cp.A_FIELD else owner.methods
-        return kind, (owner, _position(member, members))
-    return kind, payload
+        return owner, _position(member, members)
+    return payload
 
 
 def emit_image(classes, flags):
@@ -542,13 +625,12 @@ def emit_image(classes, flags):
             cls.name, cls.access_flags, int(cls.ready), _ref(cls.super_cls),
             [_ref(c) for c in cls.interfaces], raw.get("entries", 0),
             raw.get("pool_bytes", 0), raw.get("file_bytes", 0),
-            [_entry(k, p) for k, p in zip(pool.a_kind, pool.a_payload)],
-            list(zip(pool.v_kind, pool.v_value)),
+            (pool.a_kind, [_payload(k, p)
+                           for k, p in zip(pool.a_kind, pool.a_payload)]),
+            (pool.v_kind, pool.v_value),
             [(f.name, f.descriptor, f.access_flags, f.constant_value)
              for f in cls.fields],
-            [(m.name, m.descriptor, m.access_flags, m.code and (
-                m.code.max_stack, m.code.max_locals, m.code.bytecode,
-                m.code.exception_table, m.code.stack_maps))
+            [(m.name, m.descriptor, m.access_flags, m.code)
              for m in cls.methods],
             [(m.owner, _position(m, m.owner.methods))
              for m in cls.dispatch_table],
@@ -575,14 +657,19 @@ def load_image(data):
                          for sid in package_ids})
     records, classes = [], []
     for _ in range(cur.class_count):
-        rec = _ClassValues._make(_CLASS.read(cur))
-        for method in rec.methods:
-            code = method[3]
-            if code is not None:
-                method[3] = lc.MethodCode(bytearray(code[2]), code[0],
-                                          code[1], code[3], code[4])
+        start = cur.pos
+        rec = _CLASS.read(cur)
+        name = rec.name
+        # class indexes count in name order, and a synthetic (array or
+        # primitive) class belongs to the registry, not to one record
+        if name.startswith("[") or name in lc.Registry.PRIMITIVES:
+            raise Corrupt("class record names synthetic class %s" % name,
+                          start)
+        if records and name <= records[-1].name:
+            raise Corrupt("class %s is not after %s in name order"
+                          % (name, records[-1].name), start)
         records.append(rec)
-        classes.append(registry.new_unloaded(rec.name))
+        classes.append(registry.new_unloaded(name))
     end = len(data)
     if cur.pos != end:
         raise Corrupt("trailing bytes after last class record", cur.pos)
@@ -602,54 +689,46 @@ def load_image(data):
                          "file_bytes": rec.raw_file_bytes}
 
     # layout wants superclasses done first
-    record_of = {}
-    for rec in records:
-        record_of.setdefault(rec.name, rec)
+    record_of = dict(zip(classes, records))
     done = set()
-    in_progress = set()
-
-    def finish(cls, rec):
-        if cls.name in done:
-            return
-        if cls.name in in_progress:
-            raise Corrupt("superclass cycle through %s" % cls.name, end)
-        in_progress.add(cls.name)
-        sup = cls.super_cls
-        if sup is not None and not sup.synthetic:
-            if sup.name not in record_of:
+    for cls in classes:
+        chain, c = [], cls      # cls and the superclasses it waits for
+        while c not in done:
+            if c in chain:
+                raise Corrupt("superclass cycle through %s" % c.name, end)
+            chain.append(c)
+            sup = c.super_cls
+            if sup is None or sup.synthetic:
+                break
+            if sup not in record_of:
                 raise Corrupt("superclass %s of %s is not in the image"
-                              % (sup.name, cls.name), end)
-            finish(sup, record_of[sup.name])
-        in_progress.discard(cls.name)
-        done.add(cls.name)
-        lc.lay_out_class(cls, rec.fields, rec.methods)
-        cls.a_static_zone, cls.v_static_zone = rec.a_zone, rec.v_zone
-        cls.zones_initial = rec.zones_initial and tuple(rec.zones_initial)
-
-    for cls, rec in zip(classes, records):
-        finish(cls, rec)
+                              % (sup.name, c.name), end)
+            c = sup
+        for c in reversed(chain):
+            rec = record_of[c]
+            lc.lay_out_class(c, rec.fields, rec.methods)
+            c.a_static_zone, c.v_static_zone = rec.a_zone, rec.v_zone
+            c.zones_initial = rec.zones_initial
+            done.add(c)
 
     # pools last: member handles point at finished FieldRep/MethodRep
     for cls, rec in zip(classes, records):
-        a_kind, a_payload = [], []
-        for kind, value in rec.atable:
+        a_kind, a_payload = rec.atable
+        for i, kind in enumerate(a_kind):
             if kind == cp.A_CLASS:
-                value = deref(value)
+                a_payload[i] = deref(a_payload[i])
             elif kind in (cp.A_FIELD, cp.A_METHOD):
-                owner = classes[value[0]]
+                owner_idx, member_idx = a_payload[i]
+                owner = classes[owner_idx]
                 members = owner.fields if kind == cp.A_FIELD else owner.methods
-                if value[1] >= len(members):
-                    raise Corrupt("member index %d out of range" % value[1],
+                if member_idx >= len(members):
+                    raise Corrupt("member index %d out of range" % member_idx,
                                   end)
-                member = members[value[1]]
-                value = cp.MemberHandle(
+                member = members[member_idx]
+                a_payload[i] = cp.MemberHandle(
                     owner, member.name, member.descriptor,
                     is_field=(kind == cp.A_FIELD), resolved=member)
-            a_kind.append(kind)
-            a_payload.append(value)
-        cls.pool = cp.packed_pool(a_kind, a_payload,
-                                  [kind for kind, _ in rec.vtable],
-                                  [cell for _, cell in rec.vtable])
+        cls.pool = cp.packed_pool(a_kind, a_payload, *rec.vtable)
         for m in cls.methods:
             for _, _, _, catch in m.code.exception_table if m.code else ():
                 if catch is not None and not cp.holds(cls.pool, cp.ATABLE,

@@ -1,0 +1,400 @@
+"""The interpretive image reader that the compiled one replaced, kept as an
+oracle for it.
+
+Each part reads its rest through a call per element, and a record's read is
+generated per run; ``load_image`` is the loader that went with it.  It has
+no check of class record names: a record out of name order, or naming a
+synthetic class, loads here and fails in jrom.romizer.load_image.
+"""
+
+import struct
+from collections import namedtuple
+from functools import partial
+
+from jrom import constpool as cp
+from jrom import lifecycle as lc
+from jrom import linker as lk
+from jrom.errors import BadImageMagic, Corrupt, VersionMismatch
+from jrom.romizer import (_A_KIND_CODE, _V_KIND_CODE, FLAG_CLOSED_WORLD,
+                          FLAG_INTROSPECTION, FLAG_PRIVATE_OPT, IMAGE_MAGIC,
+                          IMAGE_VERSION)
+
+
+class _Cursor:
+    def __init__(self, data):
+        self.data, self.pos, self.strings, self.class_count = data, 0, [], 0
+
+
+class Field:
+    load = None
+
+    def __init__(self, fmt, what):
+        self.fmt, self.what, self.head = fmt, what, self
+        self.layout = struct.Struct("<" + fmt)
+
+
+U8, U16, U32, U64 = (partial(Field, fmt) for fmt in "BHIQ")
+
+
+class Expect(Field):
+    def __init__(self, fmt, what, value, error):
+        super().__init__(fmt, what)
+        self.value, self.error = value, error
+
+    def load(self, cur, value, at):
+        if value != self.value:
+            raise self.error(value)
+        return value
+
+
+class StringId(Field):
+    def __init__(self, what, fmt="I"):
+        super().__init__(fmt, what)
+
+    def load(self, cur, sid, at):
+        try:
+            return cur.strings[sid]
+        except IndexError:
+            raise Corrupt("bad %s string id %d" % (self.what, sid),
+                          at) from None
+
+
+class ZoneString(StringId):
+    def load(self, cur, sid, at):
+        return "str", super().load(cur, sid, at)
+
+
+class ClassIndex(Field):
+    def __init__(self, what, label):
+        super().__init__("H", what)
+        self.label = label
+
+    def load(self, cur, idx, at):
+        if idx >= cur.class_count:
+            raise Corrupt("%s %d out of range" % (self.label, idx), at)
+        return idx
+
+
+class Code(Field):
+    def __init__(self, codes, what, label=None):
+        super().__init__("B", what)
+        self.label = label or what
+        self.kinds = {code: kind for kind, code in codes.items()}
+
+    def load(self, cur, code, at):
+        if code not in self.kinds:
+            raise Corrupt("bad %s %d" % (self.label, code), at)
+        return self.kinds[code]
+
+
+class Catch(Field):
+    def load(self, cur, value, at):
+        return None if value == 0xFFFF else value
+
+
+class Int32(Field):
+    def load(self, cur, value, at):
+        value &= 0xFFFFFFFF
+        return value - (1 << 32) if value >= 1 << 31 else value
+
+
+class Record:
+    def __init__(self, *members):
+        self.runs, run = [], []     # (layout, members, part or None)
+        for i, m in enumerate(members):
+            run.append(m)
+            if m.head is not m or i == len(members) - 1:
+                self.runs.append((
+                    struct.Struct("<" + "".join(r.head.fmt for r in run)),
+                    run, m if m.head is not m else None))
+                run = []
+        layout, run, part = self.runs[0]
+        self.single = len(members) == 1
+        self.flat = None if part or len(self.runs) > 1 else (
+            layout, [(k - len(run), m.load)
+                     for k, m in enumerate(run) if m.load])
+        self.read = self._generate()
+
+    def _generate(self):
+        env, names, read = {"short": _short}, [], []
+        for i, (layout, members, part) in enumerate(self.runs):
+            run = ["v%d" % k for k in range(len(names),
+                                            len(names) + len(members))]
+            names += run
+            env["layout%d" % i] = layout
+            env["fields%d" % i] = [m.head for m in members]
+            read += ["    pos = cur.pos",
+                     "    cur.pos = end = pos + %d" % layout.size,
+                     "    if end > limit:",
+                     "        short(cur, pos, fields%d)" % i,
+                     "    %s, = layout%d.unpack_from(data, pos)"
+                     % (", ".join(run), i)]
+            end = 0
+            for name, m in zip(run, members):
+                end += m.head.layout.size
+                if m.head.load:
+                    env["load_" + name] = m.head.load
+                    read.append("    %s = load_%s(cur, %s, pos + %d)"
+                                % (name, name, name, end))
+            if part:
+                last = run[-1]
+                env["rest_" + last] = part.rest
+                rest = "rest_%s(cur, %s)" % (last, last)
+                if part.empty:
+                    rest += " if %s else %s" % (last, part.empty)
+                read.append("    %s = %s" % (last, rest))
+        values = ", ".join(names) if self.single else "[%s]" % ", ".join(names)
+        src = "\n".join(["def read(cur):", "    data = cur.data",
+                         "    limit = len(data)"] + read
+                        + ["    return " + values])
+        exec(compile(src, "<oracle record>", "exec"), env)
+        return env["read"]
+
+
+def _short(cur, pos, fields):
+    for f in fields:
+        end = pos + f.layout.size
+        if end > len(cur.data):
+            raise Corrupt("truncated %s" % f.what, pos)
+        if f.load:
+            f.load(cur, f.layout.unpack_from(cur.data, pos)[0], end)
+        pos = end
+
+
+def _record(node):
+    return node if isinstance(node, Record) else Record(node)
+
+
+class Array:
+    empty = "[]"
+
+    def __init__(self, count, elem):
+        self.head, self.elem = count, _record(elem)
+
+    def rest(self, cur, n):
+        pos, flat, read = cur.pos, self.elem.flat, self.elem.read
+        end = pos + n * flat[0].size if flat else 0
+        if not flat or end > len(cur.data):
+            return [read(cur) for _ in range(n)]
+        rows = [list(row) for row in flat[0].iter_unpack(cur.data[pos:end])]
+        try:
+            for row in rows:
+                for k, load in flat[1]:
+                    row[k] = load(cur, row[k], end)
+        except Corrupt:
+            return [read(cur) for _ in range(n)]
+        cur.pos = end
+        return [row[0] for row in rows] if self.elem.single else rows
+
+
+class Option:
+    empty = "None"
+
+    def __init__(self, flag, body):
+        self.head, self.body = flag, _record(body)
+
+    def rest(self, cur, flag):
+        return self.body.read(cur) if flag else None
+
+
+class Union:
+    empty = None
+
+    def __init__(self, code, bodies):
+        self.head = code
+        self.bodies = {kind: body and _record(body)
+                       for kind, body in bodies.items()}
+
+    def rest(self, cur, kind):
+        body = self.bodies[kind]
+        return kind, body and body.read(cur)
+
+
+class Blob:
+    def __init__(self, length, what, text=False):
+        self.head, self.what, self.text = length, what, text
+        self.empty = "''" if text else "b''"
+
+    def rest(self, cur, n):
+        pos = cur.pos
+        if pos + n > len(cur.data):
+            raise Corrupt("truncated %s" % self.what, pos)
+        cur.pos = pos + n
+        if not self.text:
+            return cur.data[pos:pos + n]
+        try:
+            return cur.data[pos:pos + n].decode("utf-8", "surrogatepass")
+        except UnicodeDecodeError:
+            raise Corrupt("undecodable string table entry", cur.pos) from None
+
+
+def _class_ref(what):
+    return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
+                      "class reference tag"),
+                 {"index": ClassIndex(what, "class index"),
+                  "synthetic": StringId(what), None: None})
+
+
+_ZONES = (Array(U16("a zone size"),
+                Option(U8("a slot tag"), ZoneString("a slot"))),
+          Array(U16("v zone size"), U32("v slot")))
+
+_HEADER = Record(
+    Expect("4s", "magic", IMAGE_MAGIC,
+           lambda _: BadImageMagic("not a romized image")),
+    Expect("H", "version", IMAGE_VERSION,
+           lambda v: VersionMismatch("image format %d, expected %d"
+                                     % (v, IMAGE_VERSION))),
+    U16("flags"), U32("class count"),
+    Array(U16("closed package count"), U32("closed package")))
+_CLOSED_PACKAGE = StringId("closed package")
+
+_STRINGS = Record(Array(U32("string count"),
+                        Blob(U16("string length"), "string data", text=True)))
+
+_MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
+
+_CLASS = Record(
+    StringId("class name"), U16("access flags"), U8("ready flag"),
+    _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
+    U32("raw entries"), U32("raw pool bytes"), U32("raw file bytes"),
+    Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+        cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
+        cp.A_CLASS: _class_ref("class handle"),
+        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
+    Array(U16("vtable size"),
+          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
+    Array(U16("field count"), Record(
+        StringId("field name"), StringId("field descriptor"),
+        U16("field flags"), Option(U8("constant value flag"), Union(
+            Code({kind: ord(kind) for kind in "ijfds"},
+                 "constant value kind"),
+            {"i": Int32("q", "constant value"),
+             "j": Field("q", "constant value"),
+             "f": U64("constant value"), "d": U64("constant value"),
+             "s": StringId("constant value", "Q")})))),
+    Array(U16("method count"), Record(
+        StringId("method name"), StringId("method descriptor"),
+        U16("method flags"), Option(U8("code flag"), Record(
+            U16("max stack"), U16("max locals"),
+            Blob(U32("code length"), "bytecode"),
+            Array(U16("exception count"), Record(
+                U16("start"), U16("end"), U16("handler"),
+                Catch("H", "catch"))),
+            Option(U8("stack map flag"),
+                   Blob(U32("stack map length"), "stack maps")))))),
+    Array(U16("dispatch size"), Record(
+        ClassIndex("table owner", "dispatch owner"), U16("table method"))),
+    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)))
+_ClassValues = namedtuple("_ClassValues", (
+    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
+    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
+    " zones_initial"))
+
+
+def load_image(data):
+    """A registry of the image's classes, or the error reading it raises."""
+    cur = _Cursor(data)
+    _, _, flag_bits, cur.class_count, package_ids = _HEADER.read(cur)
+    cur.strings = _STRINGS.read(cur)
+    registry = lc.Registry()
+    registry.image_flags = lk.LinkContext(
+        registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
+        private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
+        closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
+        closed_packages={_CLOSED_PACKAGE.load(cur, sid, cur.pos)
+                         for sid in package_ids})
+    records, classes = [], []
+    for _ in range(cur.class_count):
+        rec = _ClassValues._make(_CLASS.read(cur))
+        for method in rec.methods:
+            code = method[3]
+            if code is not None:
+                method[3] = lc.MethodCode(bytearray(code[2]), code[0],
+                                          code[1], code[3], code[4])
+        records.append(rec)
+        classes.append(registry.new_unloaded(rec.name))
+    end = len(data)
+    if cur.pos != end:
+        raise Corrupt("trailing bytes after last class record", cur.pos)
+
+    def deref(ref):
+        kind, value = ref
+        if kind == "index":
+            return classes[value]
+        return None if kind is None else registry.new_unloaded(value)
+
+    for cls, rec in zip(classes, records):
+        cls.access_flags = rec.access_flags
+        cls.super_cls = deref(rec.superclass)
+        cls.interfaces = [deref(ref) for ref in rec.interfaces]
+        cls.raw_stats = {"entries": rec.raw_entries,
+                         "pool_bytes": rec.raw_pool_bytes,
+                         "file_bytes": rec.raw_file_bytes}
+
+    record_of = {}
+    for rec in records:
+        record_of.setdefault(rec.name, rec)
+    done = set()
+    in_progress = set()
+
+    def finish(cls, rec):
+        if cls.name in done:
+            return
+        if cls.name in in_progress:
+            raise Corrupt("superclass cycle through %s" % cls.name, end)
+        in_progress.add(cls.name)
+        sup = cls.super_cls
+        if sup is not None and not sup.synthetic:
+            if sup.name not in record_of:
+                raise Corrupt("superclass %s of %s is not in the image"
+                              % (sup.name, cls.name), end)
+            finish(sup, record_of[sup.name])
+        in_progress.discard(cls.name)
+        done.add(cls.name)
+        lc.lay_out_class(cls, rec.fields, rec.methods)
+        cls.a_static_zone, cls.v_static_zone = rec.a_zone, rec.v_zone
+        cls.zones_initial = rec.zones_initial and tuple(rec.zones_initial)
+
+    for cls, rec in zip(classes, records):
+        finish(cls, rec)
+
+    for cls, rec in zip(classes, records):
+        a_kind, a_payload = [], []
+        for kind, value in rec.atable:
+            if kind == cp.A_CLASS:
+                value = deref(value)
+            elif kind in (cp.A_FIELD, cp.A_METHOD):
+                owner = classes[value[0]]
+                members = owner.fields if kind == cp.A_FIELD else owner.methods
+                if value[1] >= len(members):
+                    raise Corrupt("member index %d out of range" % value[1],
+                                  end)
+                member = members[value[1]]
+                value = cp.MemberHandle(
+                    owner, member.name, member.descriptor,
+                    is_field=(kind == cp.A_FIELD), resolved=member)
+            a_kind.append(kind)
+            a_payload.append(value)
+        cls.pool = cp.packed_pool(a_kind, a_payload,
+                                  [kind for kind, _ in rec.vtable],
+                                  [cell for _, cell in rec.vtable])
+        for m in cls.methods:
+            for _, _, _, catch in m.code.exception_table if m.code else ():
+                if catch is not None and not cp.holds(cls.pool, cp.ATABLE,
+                                                      catch, cp.A_CLASS):
+                    raise Corrupt("catch type %d of %s is not a class entry"
+                                  % (catch, m), end)
+
+        table = []
+        for owner_idx, method_idx in rec.dispatch:
+            owner = classes[owner_idx]
+            if method_idx >= len(owner.methods):
+                raise Corrupt("dispatch method index out of range", end)
+            table.append(owner.methods[method_idx])
+        cls.dispatch_table = table
+
+        cls.state = lc.LINKED
+        cls.ready = bool(rec.ready)
+
+    return registry

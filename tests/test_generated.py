@@ -82,19 +82,21 @@ def test_benchmark_spans_see_every_layer(tmp_path, capsys):
     renamed function, or one a caller bound with ``from ... import``, would
     leave its span silently at zero in the traced benchmark."""
     spans = load_perfbench("spans")
-    _, _, argv = romize_argv(tmp_path, [])
+    _, image_path, argv = romize_argv(tmp_path, [])
     pack = cp.pack
     tracer = spans.Tracer()
     tracer.install()
     try:
         rc = cli.main(argv)
+        if rc == 0:
+            rz.load_image(image_path.read_bytes())
     finally:
         tracer.uninstall()
     assert rc == 0, capsys.readouterr().err
     assert cp.pack is pack
     for name in ("classfile.parse", "constpool.prelink", "constpool.pack",
                  "lifecycle.load", "lifecycle.ready", "linker.link",
-                 "romizer.emit", "romizer.report"):
+                 "romizer.emit", "romizer.report", "romizer.load_image"):
         assert tracer.calls[name] >= 1, name
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -11,10 +12,11 @@ from jrom import cli
 from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import romizer as rz
-from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
-                         StageNotReached, VersionMismatch)
+from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, JromError,
+                         NotLinked, StageNotReached, VersionMismatch)
 from jrom.pipeline import Pipeline
 
+from . import image_oracle
 from .conftest import make_pipeline, raw_pool_byte_size
 from .corpus import build_corpus, corpus_names
 
@@ -232,6 +234,27 @@ class TestLoadImage:
                                           "corpus/Empty is not in the image"):
             rz.load_image(data)
 
+    @pytest.mark.parametrize("victim, rename, message", [
+        ("corpus/Arrays", "corpus/Arith",
+         "class corpus/Arith is not after corpus/Arith in name order"),
+        ("corpus/Arrays", "int", "class record names synthetic class int"),
+        ("corpus/Arrays", "[Lcorpus/Ar;",
+         r"class record names synthetic class \[Lcorpus/Ar;"),
+    ], ids=["duplicate", "primitive", "array"])
+    def test_class_names_out_of_order_or_synthetic_are_corrupt(
+            self, linked_pipeline, victim, rename, message):
+        # the class table is found by name order, and a synthetic class is
+        # shared by the whole registry, so neither may be a record's name
+        cls = linked_pipeline.registry.get(victim)
+        cls.name = rename
+        try:
+            data = linked_pipeline.emit_image()
+        finally:
+            cls.name = victim
+        image_oracle.load_image(data)
+        with pytest.raises(Corrupt, match="^" + message):
+            rz.load_image(data)
+
     def test_catch_type_past_the_atable_is_corrupt(self, corpus_dir):
         pipe = make_pipeline(corpus_dir)
         typed = 0
@@ -249,26 +272,56 @@ class TestLoadImage:
             rz.load_image(pipe.emit_image())
 
 
+def _outcome(load, data):
+    """The error type and message of loading ``data``, or the image its
+    registry re-emits."""
+    try:
+        registry = load(data)
+    except JromError as err:
+        return type(err), str(err)
+    try:
+        return rz.emit_image(sorted(registry.loadable(),
+                                    key=lambda c: c.name),
+                             registry.image_flags)
+    except JromError as err:
+        return "re-emit", type(err), str(err)
+
+
+# the check of class record names, which the oracle does not make
+NAME_CHECK = re.compile(r"class record names synthetic class |"
+                        r"class .* is not after .* in name order ", re.S)
+
+
 class TestImageFuzz:
+    """Damaged images against the interpretive reader the compiled one
+    replaced (tests/image_oracle.py): the same error type and message, or
+    registries that re-emit the same bytes."""
+
     def test_random_flips_fail_cleanly(self, image):
         import random
-        from jrom.errors import JromError
         rng = random.Random(0xA5)
+        loaded = 0
         for _ in range(400):
             data = bytearray(image)
             for _ in range(rng.randint(1, 4)):
                 data[rng.randrange(len(data))] = rng.randrange(256)
-            try:
-                rz.load_image(bytes(data))
-            except JromError:
-                pass
+            data = bytes(data)
+            got = _outcome(rz.load_image, data)
+            want = _outcome(image_oracle.load_image, data)
+            if got != want:
+                assert got[0] is Corrupt and NAME_CHECK.match(got[1]), \
+                    (got, want)
+            loaded += isinstance(got, bytes)
+        assert loaded > 0
 
     def test_every_truncation_fails_cleanly(self, image):
-        from jrom.errors import JromError
         for cut in range(len(image)):
             with pytest.raises(JromError) as err:
                 rz.load_image(image[:cut])
             assert isinstance(err.value, Corrupt) and err.value.offset <= cut
+            with pytest.raises(Corrupt) as want:
+                image_oracle.load_image(image[:cut])
+            assert str(err.value) == str(want.value)
         with pytest.raises(Corrupt, match=r"^truncated class count "
                                           r"\(at image offset 8\)$"):
             rz.load_image(image[:10])
