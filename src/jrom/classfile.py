@@ -183,19 +183,6 @@ class RawClassFile:
         return self.utf8(self.constant(index, TAG_CLASS))
 
 
-def read_one(layout):
-    """A ByteReader method reading one value of ``layout`` at the offset."""
-    size, unpack_from = layout.size, layout.unpack_from
-
-    def read(self, what):
-        pos = self.pos
-        if pos + size > len(self.data):
-            raise self.truncated(what)
-        self.pos = pos + size
-        return unpack_from(self.data, pos)[0]
-    return read
-
-
 _U2 = struct.Struct(">H")
 _U4 = struct.Struct(">I")
 
@@ -208,12 +195,9 @@ class ByteReader:
         self.data = data
         self.pos = 0
 
-    def truncated(self, what):
-        return Truncated("input ends inside %s" % what)
-
     def take(self, n, what):
         if self.pos + n > len(self.data):
-            raise self.truncated(what)
+            raise Truncated("input ends inside %s" % what)
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
@@ -221,12 +205,15 @@ class ByteReader:
     def unpack(self, layout, what):
         pos = self.pos
         if pos + layout.size > len(self.data):
-            raise self.truncated(what)
+            raise Truncated("input ends inside %s" % what)
         self.pos = pos + layout.size
         return layout.unpack_from(self.data, pos)
 
-    u2 = read_one(_U2)
-    u4 = read_one(_U4)
+    def u2(self, what):
+        return self.unpack(_U2, what)[0]
+
+    def u4(self, what):
+        return self.unpack(_U4, what)[0]
 
 
 _REF = struct.Struct(">HH")
@@ -341,7 +328,8 @@ def _read_members(r, pool):
         left = len(r.data) - r.pos
         if left < _MEMBER_HEADER.size:
             # name the first field that does not fit, each one a u2
-            raise r.truncated(_MEMBER_FIELDS[left // 2])
+            raise Truncated("input ends inside %s"
+                            % _MEMBER_FIELDS[left // 2])
         flags, name_index, desc_index, attr_count = \
             _MEMBER_HEADER.unpack_from(r.data, r.pos)
         r.pos += _MEMBER_HEADER.size

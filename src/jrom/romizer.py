@@ -22,7 +22,7 @@ from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                      StageNotReached, VersionMismatch)
 
 IMAGE_MAGIC = b"JRMZ"
-IMAGE_VERSION = 1
+IMAGE_VERSION = 2
 
 FLAG_INTROSPECTION = 1
 FLAG_PRIVATE_OPT = 2
@@ -185,7 +185,7 @@ class StringId(Field):
     check = ("try:", "    {v} = strings[{v}]", "except IndexError:",
              "    raise Corrupt('bad %s string id %d' % ({f}.what, {v}),"
              " {at}) from None")
-    dump = ("{v} = string_ids[{v}]",)
+    dump = ("{v} = string_ids.setdefault({v}, len(string_ids))",)
 
     def __init__(self, what, fmt="I"):
         super().__init__(fmt, what)
@@ -194,7 +194,7 @@ class StringId(Field):
 class ZoneString(StringId):
     """A static zone slot holding an interned string, ("str", text)."""
     check = StringId.check + ("{v} = 'str', {v}",)
-    dump = ("{v} = string_ids[{v}[1]]",)
+    dump = ("{v} = string_ids.setdefault({v}[1], len(string_ids))",)
 
 
 class ClassIndex(Field):
@@ -508,15 +508,13 @@ _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
 
 # the values of a class record, in order
 _CLASS_VALUES = (
-    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
-    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
-    " zones_initial")
+    "name access_flags ready superclass interfaces atable vtable fields"
+    " methods a_zone v_zone zones_initial")
 _ClassValues = namedtuple("_ClassValues", _CLASS_VALUES)
 
 _CLASS = Record(
     StringId("class name"), U16("access flags"), U8("ready flag"),
     _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
-    U32("raw entries"), U32("raw pool bytes"), U32("raw file bytes"),
     # the pool's tables, as (kinds, payloads) and (kinds, cells)
     Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
         cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
@@ -546,39 +544,11 @@ _CLASS = Record(
                    Blob(U32("stack map length"), "stack maps")),
             into=(lc.MethodCode, "max_stack max_locals bytecode"
                                  " exception_table stack_maps"))))),
-    Array(U16("dispatch size"), Record(
-        ClassIndex("table owner", "dispatch owner"), U16("table method"))),
     *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)),
     into=(_ClassValues, _CLASS_VALUES))
 
 
 # --- image writing ---
-
-def _collect_strings(classes, flags):
-    """The string section as text -> id, in first-use order; it sits ahead
-    of the class records, so every string is collected first."""
-    texts = sorted(flags.closed_packages)
-    for cls in classes:
-        pool = cls.pool
-        texts.append(cls.name)
-        texts += [payload for kind, payload in zip(pool.a_kind, pool.a_payload)
-                  if kind in (cp.A_UTF8, cp.A_STRING)]
-        for f in cls.fields:
-            texts += (f.name, f.descriptor)
-            if f.constant_value is not None and f.constant_value[0] == "s":
-                texts.append(f.constant_value[1])
-        for m in cls.methods:
-            texts += (m.name, m.descriptor)
-        for zone in (cls.a_static_zone, (cls.zones_initial or ((),))[0]):
-            texts += [slot[1] for slot in zone if isinstance(slot, tuple)]
-        texts += [payload.name for kind, payload
-                  in zip(pool.a_kind, pool.a_payload)
-                  if kind == cp.A_CLASS and payload.synthetic]
-    for cls in classes:
-        texts += [sup.name for sup in [cls.super_cls] + cls.interfaces
-                  if sup is not None and sup.synthetic]
-    return {text: i for i, text in enumerate(dict.fromkeys(texts))}
-
 
 def _ref(cls):
     if cls is None:
@@ -604,27 +574,23 @@ def _payload(kind, payload):
 
 
 def emit_image(classes, flags):
-    """Serialize a linked, closed class set; byte-identical per input set."""
+    """Serialize a linked, closed class set; byte-identical per input set.
+
+    The class records are written first: each string gets its id the first
+    time a record writes it, after the closed packages, which come first.
+    The header and string section then go in front of them."""
     ordered = sorted(classes, key=lambda c: c.name)
     for cls in ordered:
         if cls.state != lc.LINKED:
             raise NotLinked(cls.name)
-    cur = _Cursor(bytearray(), _collect_strings(ordered, flags),
+    packages = sorted(flags.closed_packages)
+    cur = _Cursor(bytearray(), {pkg: i for i, pkg in enumerate(packages)},
                   {c.name: i for i, c in enumerate(ordered)})
-    _HEADER.write(cur, (
-        IMAGE_MAGIC, IMAGE_VERSION,
-        (FLAG_INTROSPECTION if flags.introspection else 0)
-        | (FLAG_PRIVATE_OPT if flags.private_field_opt else 0)
-        | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
-        len(ordered),
-        [cur.string_ids[pkg] for pkg in sorted(flags.closed_packages)]))
-    _STRINGS.write(cur, list(cur.string_ids))
     for cls in ordered:
-        pool, raw = cls.pool, cls.raw_stats or {}
+        pool = cls.pool
         _CLASS.write(cur, _ClassValues(
             cls.name, cls.access_flags, int(cls.ready), _ref(cls.super_cls),
-            [_ref(c) for c in cls.interfaces], raw.get("entries", 0),
-            raw.get("pool_bytes", 0), raw.get("file_bytes", 0),
+            [_ref(c) for c in cls.interfaces],
             (pool.a_kind, [_payload(k, p)
                            for k, p in zip(pool.a_kind, pool.a_payload)]),
             (pool.v_kind, pool.v_value),
@@ -632,12 +598,18 @@ def emit_image(classes, flags):
              for f in cls.fields],
             [(m.name, m.descriptor, m.access_flags, m.code)
              for m in cls.methods],
-            [(m.owner, _position(m, m.owner.methods))
-             for m in cls.dispatch_table],
             cls.a_static_zone, cls.v_static_zone, cls.zones_initial))
     if cur.missing:
         raise IncompleteClosure(cur.missing)
-    return bytes(cur.data)
+    records, cur.data = cur.data, bytearray()
+    _HEADER.write(cur, (
+        IMAGE_MAGIC, IMAGE_VERSION,
+        (FLAG_INTROSPECTION if flags.introspection else 0)
+        | (FLAG_PRIVATE_OPT if flags.private_field_opt else 0)
+        | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
+        len(ordered), list(range(len(packages)))))
+    _STRINGS.write(cur, list(cur.string_ids))
+    return bytes(cur.data + records)
 
 
 # --- image reading ---
@@ -684,9 +656,6 @@ def load_image(data):
         cls.access_flags = rec.access_flags
         cls.super_cls = deref(rec.superclass)
         cls.interfaces = [deref(ref) for ref in rec.interfaces]
-        cls.raw_stats = {"entries": rec.raw_entries,
-                         "pool_bytes": rec.raw_pool_bytes,
-                         "file_bytes": rec.raw_file_bytes}
 
     # layout wants superclasses done first
     record_of = dict(zip(classes, records))
@@ -707,6 +676,11 @@ def load_image(data):
         for c in reversed(chain):
             rec = record_of[c]
             lc.lay_out_class(c, rec.fields, rec.methods)
+            sizes = len(c.a_static_zone), len(c.v_static_zone)
+            for zones in (rec.a_zone, rec.v_zone), rec.zones_initial:
+                if zones and tuple(map(len, zones)) != sizes:
+                    raise Corrupt("static zones of %s do not fit its layout"
+                                  % c.name, end)
             c.a_static_zone, c.v_static_zone = rec.a_zone, rec.v_zone
             c.zones_initial = rec.zones_initial
             done.add(c)
@@ -735,14 +709,6 @@ def load_image(data):
                                                       catch, cp.A_CLASS):
                     raise Corrupt("catch type %d of %s is not a class entry"
                                   % (catch, m), end)
-
-        table = []
-        for owner_idx, method_idx in rec.dispatch:
-            owner = classes[owner_idx]
-            if method_idx >= len(owner.methods):
-                raise Corrupt("dispatch method index out of range", end)
-            table.append(owner.methods[method_idx])
-        cls.dispatch_table = table
 
         cls.state = lc.LINKED
         cls.ready = bool(rec.ready)

@@ -3,8 +3,9 @@ oracle for it.
 
 Each part reads its rest through a call per element, and a record's read is
 generated per run; ``load_image`` is the loader that went with it.  It has
-no check of class record names: a record out of name order, or naming a
-synthetic class, loads here and fails in jrom.romizer.load_image.
+no check of class record names or static zone sizes: a record out of name
+order, naming a synthetic class, or holding zones of another size than its
+layout gives loads here and fails in jrom.romizer.load_image.
 """
 
 import struct
@@ -257,7 +258,6 @@ _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
 _CLASS = Record(
     StringId("class name"), U16("access flags"), U8("ready flag"),
     _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
-    U32("raw entries"), U32("raw pool bytes"), U32("raw file bytes"),
     Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
         cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
         cp.A_CLASS: _class_ref("class handle"),
@@ -283,13 +283,10 @@ _CLASS = Record(
                 Catch("H", "catch"))),
             Option(U8("stack map flag"),
                    Blob(U32("stack map length"), "stack maps")))))),
-    Array(U16("dispatch size"), Record(
-        ClassIndex("table owner", "dispatch owner"), U16("table method"))),
     *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)))
 _ClassValues = namedtuple("_ClassValues", (
-    "name access_flags ready superclass interfaces raw_entries raw_pool_bytes"
-    " raw_file_bytes atable vtable fields methods dispatch a_zone v_zone"
-    " zones_initial"))
+    "name access_flags ready superclass interfaces atable vtable fields"
+    " methods a_zone v_zone zones_initial"))
 
 
 def load_image(data):
@@ -328,9 +325,6 @@ def load_image(data):
         cls.access_flags = rec.access_flags
         cls.super_cls = deref(rec.superclass)
         cls.interfaces = [deref(ref) for ref in rec.interfaces]
-        cls.raw_stats = {"entries": rec.raw_entries,
-                         "pool_bytes": rec.raw_pool_bytes,
-                         "file_bytes": rec.raw_file_bytes}
 
     record_of = {}
     for rec in records:
@@ -385,14 +379,6 @@ def load_image(data):
                                                       catch, cp.A_CLASS):
                     raise Corrupt("catch type %d of %s is not a class entry"
                                   % (catch, m), end)
-
-        table = []
-        for owner_idx, method_idx in rec.dispatch:
-            owner = classes[owner_idx]
-            if method_idx >= len(owner.methods):
-                raise Corrupt("dispatch method index out of range", end)
-            table.append(owner.methods[method_idx])
-        cls.dispatch_table = table
 
         cls.state = lc.LINKED
         cls.ready = bool(rec.ready)
