@@ -9,6 +9,7 @@ kept so footprint reports can say how much was discarded.
 
 import struct
 from dataclasses import dataclass, field
+from sys import intern
 
 from .errors import (BadIndex, BadMagic, BadTag, BadUtf8, ClassFileError,
                      Truncated, UnsupportedVersion)
@@ -239,7 +240,8 @@ def _read_pool(data, pos):
     """The pool whose count is at ``pos`` as (tags, values, end offset):
     one tag (a bytearray) and one value per slot.  Slot 0 and the slot
     after a Long or Double hold TAG_PLACEHOLDER and None; a Utf8 value is
-    its text, a reference's its pair of indices, any other its number."""
+    its text, interned, so equal names and descriptors across classes are
+    one str, a reference's its pair of indices, any other its number."""
     end = len(data)
     if pos + 2 > end:
         raise Truncated("input ends inside constant pool count")
@@ -262,7 +264,7 @@ def _read_pool(data, pos):
             pos = start + ((data[pos + 1] << 8) | data[pos + 2])
             if pos > end:
                 raise Truncated("input ends inside Utf8 bytes")
-            values[i] = decode_mutf8(data[start:pos])
+            values[i] = intern(decode_mutf8(data[start:pos]))
         else:
             entry = entries.get(tag)
             if entry is None:

@@ -105,6 +105,7 @@ def cmd_romize(args):
                 print("MISMATCH %s.%s: %s" % (cls, meth, detail),
                       file=sys.stderr)
             return EXIT_CLASS_FAILURES
+    pipe.release_loaded()
     try:
         image = pipe.emit_image()
     except JromError as e:

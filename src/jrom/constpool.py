@@ -64,7 +64,7 @@ _HANDLE_KIND = {V_FIELDREF: A_FIELD, V_METHODREF: A_METHOD,
                 V_IFACEREF: A_METHOD}
 
 
-@dataclass
+@dataclass(slots=True)
 class MemberHandle:
     """Field or Method entry in the atable.
 

@@ -28,9 +28,12 @@ LINKED = "linked"
 _OP = ops.BY_NAME
 
 MAX_STATIC_OFFSET = (1 << 13) - 1
+# a new instance's field slots by type code; any other type starts at 0
+_SLOT_DEFAULTS = {desc.TC_REF: (None,), desc.TC_FLOAT: (0.0,),
+                  desc.TC_LONG: (0, None), desc.TC_DOUBLE: (0.0, None)}
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldRep:
     owner: object
     name: str
@@ -55,12 +58,12 @@ class FieldRep:
         return desc.slot_width(self.descriptor)
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodCode:
     bytecode: bytearray
     max_stack: int
     max_locals: int
-    exception_table: list   # (start, end, handler, catch atable index or None)
+    exception_table: tuple  # (start, end, handler, atable catch or None)s
     stack_maps: bytes = None
     # the body's ops.Shape (shape_of), which a clone shares; whoever moves
     # or retargets an instruction sets it back to None
@@ -81,12 +84,11 @@ class MethodCode:
 
     def clone(self):
         return MethodCode(bytearray(self.bytecode), self.max_stack,
-                          self.max_locals,
-                          [tuple(e) for e in self.exception_table],
+                          self.max_locals, tuple(self.exception_table),
                           self.stack_maps, self.shape)
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodRep:
     owner: object
     name: str
@@ -141,11 +143,11 @@ class ClassRep:
         self.dispatch_table = []
         self.a_static_zone = []
         self.v_static_zone = []
-        self.a_base = 0
-        self.v_base = 0
-        self.instance_base = 0
-        self.instance_size = 0
-        self.raw_stats = None
+        self.a_base = self.v_base = 0
+        self.instance_base = self.instance_size = 0
+        # (entries, pool bytes, class bytes) of the class file and of the
+        # loaded class, recorded at load for the footprint report
+        self.raw_stats = self.loaded_stats = None
         self.loaded_pool = None
         self.zones_initial = None
         self._defaults = None
@@ -251,17 +253,9 @@ class ClassRep:
             slots = [0] * self.instance_size
             for k in self.hierarchy():
                 for f in k.fields:
-                    if f.is_static:
-                        continue
-                    if f.type_code == desc.TC_REF:
-                        slots[f.offset] = None
-                    elif f.type_code == desc.TC_FLOAT:
-                        slots[f.offset] = 0.0
-                    elif f.type_code == desc.TC_DOUBLE:
-                        slots[f.offset] = 0.0
-                        slots[f.offset + 1] = None
-                    elif f.type_code == desc.TC_LONG:
-                        slots[f.offset + 1] = None
+                    if not f.is_static:
+                        start = _SLOT_DEFAULTS.get(f.type_code, (0,))
+                        slots[f.offset:f.offset + len(start)] = start
             self._defaults = slots
         return list(self._defaults)
 
@@ -415,13 +409,22 @@ def load_parsed(cls, raw, data, resolver, shapes=None):
         if m.code is not None:
             rewrite_load(m, pool, placement, shapes)
         m.code_loaded = m.code
-    cls.raw_stats = {
-        "entries": cf.pool_entry_count(raw),
-        "pool_bytes": raw.pool_end - raw.pool_entries_start,
-        "file_bytes": len(data) if data is not None else 0,
-    }
     cls.state = LOADED
     cls.loaded_pool = pool
+    cls.raw_stats = (cf.pool_entry_count(raw),
+                     raw.pool_end - raw.pool_entries_start, len(data))
+    cls.loaded_stats = footprint(cls, LOADED)
+
+
+def footprint(cls, stage):
+    """(entries, pool bytes, class bytes) of ``cls`` at a stage, as the
+    footprint report models them (romizer.SIZING_MODEL)."""
+    pool = cls.pool_at(stage)
+    pool_bytes = pool.byte_size()
+    codes = [m.code_at(stage) for m in cls.methods]
+    return pool.entry_count(), pool_bytes, pool_bytes + sum(
+        len(c.bytecode) + 8 * len(c.exception_table) + len(c.stack_maps or b"")
+        for c in codes if c is not None) + 8 * (len(cls.fields) + len(codes))
 
 
 def _raw_code(raw_method, placement):
@@ -433,8 +436,8 @@ def _raw_code(raw_method, placement):
     raw_code = code_attr.code
     # parse_class checked that each catch type names a Class constant, and
     # prelinking placed every one in the atable
-    table = [(start, end, handler, placement[catch][1] if catch else None)
-             for start, end, handler, catch in raw_code.exception_table]
+    table = tuple((start, end, handler, placement[catch][1] if catch else None)
+                  for start, end, handler, catch in raw_code.exception_table)
     stack_maps = None
     for a in raw_code.attributes:
         if a.retained:
@@ -613,13 +616,9 @@ def make_ready(cls, interp):
             owner.v_static_zone[local] = value & 0xFFFFFFFF
         elif kind == "f":
             owner.v_static_zone[local] = value
-        elif kind == "j":
+        elif kind in ("j", "d"):    # a double's value is its bit pattern
             bits = value & 0xFFFFFFFFFFFFFFFF
-            owner.v_static_zone[local] = bits >> 32
-            owner.v_static_zone[local + 1] = bits & 0xFFFFFFFF
-        elif kind == "d":
-            owner.v_static_zone[local] = value >> 32
-            owner.v_static_zone[local + 1] = value & 0xFFFFFFFF
+            owner.v_static_zone[local:local + 2] = divmod(bits, 1 << 32)
     cls.zones_initial = (list(cls.a_static_zone), list(cls.v_static_zone))
 
     clinit = next((m for m in cls.methods

@@ -211,5 +211,5 @@ def relink_method(code, sites, remaps):
     for off, entry, idx in sites:
         table = a_remap if entry.space == cp.ATABLE else v_remap
         ops.write_operand(bc, off, entry.size, table[idx])
-    code.exception_table = [(s, e, h, None if c is None else a_remap[c])
-                            for s, e, h, c in code.exception_table]
+    code.exception_table = tuple((s, e, h, None if c is None else a_remap[c])
+                                 for s, e, h, c in code.exception_table)

@@ -8,7 +8,7 @@ from . import linker as lk
 from . import opcodes as ops
 from . import romizer as rz
 from . import verify as vf
-from .errors import JromError, UnsupportedClinit
+from .errors import InvalidTransition, JromError, UnsupportedClinit
 
 CLINIT_FUEL = 2_000_000
 
@@ -221,13 +221,16 @@ class Pipeline:
         the zones that differ from where they started, so a reloaded image's
         starting zones are first compared with the source registry's, once.
         """
+        classes = self.linked_classes()
+        if any(cls.loaded_pool is None for cls in classes):
+            raise InvalidTransition("the loaded pools were released")
         result = VerifyOutcome()
         if after_registry is not None:
-            for cls in self.linked_classes():
+            for cls in classes:
                 detail = _zone_difference(cls, after_registry.get(cls.name))
                 if detail is not None:
                     result.failures.append((cls.name, "<static zones>", detail))
-        for cls in self.linked_classes():
+        for cls in classes:
             for m in cls.methods:
                 if only is not None and "%s.%s" % (cls.name, m.name) != only:
                     continue
@@ -299,6 +302,16 @@ class Pipeline:
     def linked_classes(self):
         return sorted((c for c in self.registry.loadable()
                        if c.state == lc.LINKED), key=lambda c: c.name)
+
+    def release_loaded(self):
+        """Drop each linked class's loaded pool, and the decodes of loaded
+        bodies against it, once no differential check will run.  The report
+        reads loaded counts recorded at load; the loaded bodies stay."""
+        for cls in self.linked_classes():
+            cls.loaded_pool = None
+            for m in cls.methods:
+                if m.code_loaded is not None:   # never the linked body
+                    m.code_loaded.decoded = None
 
     def emit_image(self):
         return rz.emit_image(self.linked_classes(), self.ctx)

@@ -52,36 +52,19 @@ class StageStats:
     class_bytes: int
 
 
-def _code_bytes(code):
-    return (len(code.bytecode) + 8 * len(code.exception_table)
-            + len(code.stack_maps or b""))
-
-
 def snapshot_stats(cls, stage):
-    """Entries, modeled pool bytes and modeled class bytes at a stage."""
-    if stage == "unloaded":
-        if cls.raw_stats is None:
-            raise StageNotReached("%s never parsed" % cls.name)
-        return StageStats(cls.raw_stats["entries"], cls.raw_stats["pool_bytes"],
-                          cls.raw_stats["file_bytes"])
-    if stage == lc.LOADED:
-        if cls.loaded_pool is None:
-            raise StageNotReached("%s has no loaded snapshot" % cls.name)
-        pool = cls.loaded_pool
-    elif stage == lc.LINKED:
+    """Entries, modeled pool bytes and modeled class bytes at a stage: the
+    class file's and the loaded class's as recorded at load, the linked
+    class's from its packed pool and linked code."""
+    if stage == lc.LINKED:
         if cls.state != lc.LINKED:
             raise StageNotReached("%s is %s" % (cls.name, cls.state))
-        pool = cls.pool
-    else:
-        raise StageNotReached("unknown stage %r" % stage)
-    pool_bytes = pool.byte_size()
-    total = pool_bytes
-    for m in cls.methods:
-        code = m.code_at(stage)
-        if code is not None:
-            total += _code_bytes(code)
-    total += 8 * (len(cls.fields) + len(cls.methods))
-    return StageStats(pool.entry_count(), pool_bytes, total)
+        return StageStats(*lc.footprint(cls, stage))
+    recorded = {lc.UNLOADED: cls.raw_stats,
+                lc.LOADED: cls.loaded_stats}.get(stage)
+    if recorded is None:
+        raise StageNotReached("%s has no %r stage stats" % (cls.name, stage))
+    return StageStats(*recorded)
 
 
 # --- the image schema ---
@@ -354,10 +337,12 @@ def _record(node):
 class Array:
     """A count, then that many elements.  With ``columns``, the elements'
     members, or a union element's kinds and bodies, are read into one list
-    each, and the value is the tuple of those lists."""
+    each, and the value is the tuple of those lists.  With ``frozen``, the
+    value is a tuple, so an empty array reads as the shared ()."""
 
-    def __init__(self, count, elem, columns=False):
+    def __init__(self, count, elem, columns=False, frozen=False):
         self.head, self.elem, self.columns = count, _record(elem), columns
+        self.frozen = frozen
 
     def read_after(self, src, n, depth):
         start = len(src.lines)  # the lists are made here, once they are known
@@ -372,7 +357,9 @@ class Array:
             ", ".join(lists), ", ".join("[]" for _ in lists)))
         src.add(depth + 1, *("%s.append(%s)" % pair
                              for pair in zip(lists, values)))
-        return "(%s,)" % ", ".join(lists) if self.columns else lists[0]
+        if self.columns:
+            return "(%s,)" % ", ".join(lists)
+        return "tuple(%s)" % lists[0] if self.frozen else lists[0]
 
     def write_head(self, src, items, depth):
         return "len(%s%s)" % (items, "[0]" if self.columns else "")
@@ -539,7 +526,7 @@ _CLASS = Record(
             Blob(U32("code length"), "bytecode", bytearray),
             Array(U16("exception count"), Record(
                 U16("start"), U16("end"), U16("handler"),
-                Catch("H", "catch"))),
+                Catch("H", "catch")), frozen=True),
             Option(U8("stack map flag"),
                    Blob(U32("stack map length"), "stack maps")),
             into=(lc.MethodCode, "max_stack max_locals bytecode"
@@ -755,15 +742,11 @@ class FootprintReport:
                       key=attrgetter("name"))
 
     def aggregate(self, stage):
-        totals = StageStats(0, 0, 0)
-        for c in self.classes:
-            s = c.stages.get(stage)
-            if s is None:
-                continue
-            totals.entries += s.entries
-            totals.pool_bytes += s.pool_bytes
-            totals.class_bytes += s.class_bytes
-        return totals
+        stats = [c.stages[stage] for c in self.classes
+                 if c.stages.get(stage) is not None]
+        return StageStats(sum(s.entries for s in stats),
+                          sum(s.pool_bytes for s in stats),
+                          sum(s.class_bytes for s in stats))
 
     def to_table(self):
         out = []
