@@ -8,11 +8,15 @@ kept so footprint reports can say how much was discarded.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 from sys import intern
+from types import SimpleNamespace
 
-from .errors import (BadIndex, BadMagic, BadTag, BadUtf8, ClassFileError,
-                     Truncated, UnsupportedVersion)
+from .errors import (BadIndex, BadMagic, BadTag, BadUtf8, Truncated,
+                     UnsupportedVersion)
+from .schema import U16, U32, Array, Blob, Field, Record, Schema, Union, \
+    read_value
 
 MAGIC = 0xCAFEBABE
 MAX_MAJOR = 49
@@ -43,25 +47,21 @@ ACC_STATIC = 0x0008
 ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400
 
-# member-level attributes kept after parsing; everything else is discarded
-RETAINED_ATTRS = frozenset({"Code", "ConstantValue"})
-# attributes kept inside a Code attribute (stack maps in either spelling)
-CODE_RETAINED_ATTRS = frozenset({"StackMapTable", "StackMap"})
-
 # tag of a ConstantValue constant -> the type char constant_value_of gives it
 CONSTANT_VALUE_KINDS = {TAG_INTEGER: "i", TAG_FLOAT: "f", TAG_LONG: "j",
                         TAG_DOUBLE: "d", TAG_STRING: "s"}
-_REF_TAGS = frozenset({TAG_FIELDREF, TAG_METHODREF, TAG_IFACEMETHODREF})
+# the pool tags of a static field's ConstantValue, by the field's type
+_FIELD_CONSTANT_TAGS = dict.fromkeys("ISCBZ", TAG_INTEGER) | {
+    "J": TAG_LONG, "F": TAG_FLOAT, "D": TAG_DOUBLE,
+    "Ljava/lang/String;": TAG_STRING}
+# a byte per tag, 1 for the tags of the constants that refer to others
+_REFERS = bytes(TAG_CLASS <= tag <= TAG_NAMEANDTYPE for tag in range(256))
 
 
 def decode_mutf8(data):
     """Decode JVM modified UTF-8; a surrogate pair becomes the character it
     encodes, lone surrogates are kept as-is."""
-    if data.isascii() and 0 not in data:
-        return data.decode("ascii")
-    out = []
-    i = 0
-    n = len(data)
+    out, i, n = [], 0, len(data)
     while i < n:
         b0 = data[i]
         if b0 == 0 or b0 >= 0xF0:
@@ -111,7 +111,7 @@ def encode_mutf8(text):
     return bytes(out)
 
 
-@dataclass
+@dataclass(slots=True)
 class RawAttribute:
     name: str
     payload: bytes          # empty when not retained
@@ -120,7 +120,7 @@ class RawAttribute:
     code: "RawCode" = None  # parsed form, Code attribute only
 
 
-@dataclass
+@dataclass(slots=True)
 class RawCode:
     max_stack: int
     max_locals: int
@@ -130,7 +130,7 @@ class RawCode:
     code_offset: int        # absolute offset of the code array in the file
 
 
-@dataclass
+@dataclass(slots=True)
 class RawMember:
     access_flags: int
     name_index: int
@@ -146,7 +146,7 @@ class RawMember:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class RawClassFile:
     minor_version: int
     major_version: int
@@ -161,8 +161,8 @@ class RawClassFile:
     attributes: list
     pool_entries_start: int = 0   # offset just past the pool count field
     pool_end: int = 0
-    name: str = field(default=None)
-    super_name: str = field(default=None)
+    name: str = None
+    super_name: str = None
 
     def constant(self, index, tag=None):
         """The value in slot ``index``, which must hold a ``tag`` constant."""
@@ -185,46 +185,11 @@ class RawClassFile:
 
 
 _U2 = struct.Struct(">H")
-_U4 = struct.Struct(">I")
-
-
-class ByteReader:
-    """Bounds-checked big-endian reads at a moving offset; a short input
-    raises Truncated."""
-
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n, what):
-        if self.pos + n > len(self.data):
-            raise Truncated("input ends inside %s" % what)
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def unpack(self, layout, what):
-        pos = self.pos
-        if pos + layout.size > len(self.data):
-            raise Truncated("input ends inside %s" % what)
-        self.pos = pos + layout.size
-        return layout.unpack_from(self.data, pos)
-
-    def u2(self, what):
-        return self.unpack(_U2, what)[0]
-
-    def u4(self, what):
-        return self.unpack(_U4, what)[0]
-
-
 _REF = struct.Struct(">HH")
-_EXCEPTION_ENTRY = _MEMBER_HEADER = struct.Struct(">HHHH")
-_MEMBER_FIELDS = ("member access flags", "member name index",
-                  "member descriptor index", "member attribute count")
 # tag -> (layout, what a truncation names) of the fixed-size pool entries
 _POOL_ENTRIES = {
     TAG_INTEGER: (struct.Struct(">i"), "Integer"),
-    TAG_FLOAT: (_U4, "Float"),
+    TAG_FLOAT: (struct.Struct(">I"), "Float"),
     TAG_LONG: (struct.Struct(">q"), "Long"),
     TAG_DOUBLE: (struct.Struct(">Q"), "Double"),
     TAG_CLASS: (_U2, "index"),
@@ -264,7 +229,9 @@ def _read_pool(data, pos):
             pos = start + ((data[pos + 1] << 8) | data[pos + 2])
             if pos > end:
                 raise Truncated("input ends inside Utf8 bytes")
-            values[i] = intern(decode_mutf8(data[start:pos]))
+            text = data[start:pos]
+            values[i] = intern(text.decode() if text.isascii() and 0 not in text
+                               else decode_mutf8(text))
         else:
             entry = entries.get(tag)
             if entry is None:
@@ -284,98 +251,102 @@ def _read_pool(data, pos):
     return tags, values, pos
 
 
-def _read_attribute(r, pool, inside_code):
-    tags, values = pool
-    name_index = r.u2("attribute name index")
-    if name_index >= len(tags) or tags[name_index] != TAG_UTF8:
-        raise BadIndex("attribute name index %d is not a Utf8 slot" % name_index)
-    name = values[name_index]
-    length = r.u4("attribute length")
-    whitelist = CODE_RETAINED_ATTRS if inside_code else RETAINED_ATTRS
-    if name in whitelist:
-        if name == "Code":
-            return RawAttribute(name, b"", True, length,
-                                code=_read_code(r, pool, length))
-        payload = r.take(length, "attribute %s" % name)
-        return RawAttribute(name, payload, True, length)
-    r.take(length, "attribute %s" % name)
-    return RawAttribute(name, b"", False, length)
+# --- the schema of what follows the constant pool ---
+
+class _Name(Field):
+    """A name, as the index of a Utf8 slot of the pool."""
+    check = ("if {v} >= len(tags) or tags[{v}] != %d:" % TAG_UTF8,
+             "    raise BadIndex('%s %d is not a Utf8 slot' % ({f}.what, {v}))",
+             "{v} = values[{v}]")
 
 
-def _read_code(r, pool, declared_len):
-    start = r.pos
-    max_stack = r.u2("max_stack")
-    max_locals = r.u2("max_locals")
-    code_length = r.u4("code length")
-    if code_length == 0:
-        raise ClassFileError("Code attribute with empty code array")
-    code_offset = r.pos
-    code = r.take(code_length, "bytecode")
-    exc_count = r.u2("exception table count")
-    table = []
-    for _ in range(exc_count):
-        table.append(r.unpack(_EXCEPTION_ENTRY, "exception table entry"))
-    attr_count = r.u2("code attribute count")
-    attrs = [_read_attribute(r, pool, inside_code=True)
-             for _ in range(attr_count)]
-    if r.pos - start != declared_len:
-        raise Truncated("Code attribute length disagrees with content")
-    return RawCode(max_stack, max_locals, code, table, attrs, code_offset)
+class _CodeLength(Field):
+    check = ("if not {v}:",
+             "    raise ClassFileError('Code attribute with empty code array')")
 
 
-def _read_members(r, pool):
-    count = r.u2("member count")
-    members = []
-    for _ in range(count):
-        left = len(r.data) - r.pos
-        if left < _MEMBER_HEADER.size:
-            # name the first field that does not fit, each one a u2
-            raise Truncated("input ends inside %s"
-                            % _MEMBER_FIELDS[left // 2])
-        flags, name_index, desc_index, attr_count = \
-            _MEMBER_HEADER.unpack_from(r.data, r.pos)
-        r.pos += _MEMBER_HEADER.size
-        attrs = [_read_attribute(r, pool, inside_code=False)
-                 for _ in range(attr_count)]
-        members.append(RawMember(flags, name_index, desc_index, attrs))
-    return members
+class _Payload:
+    """An attribute's length, then its payload: kept as bytes, skipped, or
+    read as ``code``, a record that must end where the length says.  The
+    value is the RawAttribute, named by the union it is a body of."""
+
+    def __init__(self, kept, code=None):
+        self.head, self.kept, self.code = U32("attribute length"), kept, code
+
+    def read_after(self, src, n, depth):
+        if self.code:
+            start = src.var()
+            src.add(depth, "%s = pos" % start)
+            # the bytecode follows max_stack, max_locals and the code length
+            code = read_value(src, self.code, depth, start + " + 8")
+            src.add(depth, "if pos - %s != %s:" % (start, n),
+                    "    raise Truncated('Code attribute length disagrees"
+                    " with content')", "end = pos")
+            args = "'Code', b'', True, %s, %s" % (n, code)
+        else:
+            src.add(depth, "end = pos + %s" % n, "if end > limit:",
+                    "    raise truncated('attribute ' + %s, pos)" % src.kind)
+            args = "%s, %s, %s, %s" % (
+                src.kind, "data[pos:end]" if self.kept else "b''", self.kept, n)
+        src.add(depth, "%s = %s(%s)" % (n, src.name(RawAttribute), args),
+                "pos = end")
+        return n
+
+
+def _attributes(count, kept):
+    """A count, then that many attributes, read as ``kept`` says or skipped."""
+    return Array(U16(count), Union(_Name("H", "attribute name index"),
+                                   {**kept, None: _Payload(False)}, bare=True))
+
+
+# stack maps, in either spelling, are the only attributes a Code keeps
+_CODE = Record(
+    U16("max_stack"), U16("max_locals"),
+    Blob(_CodeLength("I", "code length"), "bytecode"),
+    Array(U16("exception table count"),
+          Record(*(U16("exception table entry") for _ in range(4)))),
+    _attributes("code attribute count", {"StackMapTable": _Payload(True),
+                                         "StackMap": _Payload(True)}),
+    into=RawCode)
+
+# a member or the class keeps its Code and ConstantValue
+_KEPT = {"Code": _Payload(True, _CODE), "ConstantValue": _Payload(True)}
+
+_MEMBER = Record(
+    U16("member access flags"), U16("member name index"),
+    U16("member descriptor index"),
+    _attributes("member attribute count", _KEPT),
+    into=RawMember)
+
+_CLASS = Record(
+    U16("access flags"), U16("this class"), U16("super class"),
+    Array(U16("interface count"), U16("interface index")),
+    Array(U16("member count"), _MEMBER), Array(U16("member count"), _MEMBER),
+    _attributes("class attribute count", _KEPT),
+    schema=Schema(">", lambda what, at: Truncated("input ends inside " + what),
+                  "tags, values = cur.tags, cur.values"))
 
 
 def parse_class(data):
     """Parse .class bytes; raises a ClassFileError subclass on bad input."""
-    r = ByteReader(data)
     if len(data) < 4:
         raise Truncated("input shorter than the magic number")
-    magic = r.u4("magic")
+    magic = int.from_bytes(data[:4], "big")
     if magic != MAGIC:
         raise BadMagic("bad magic 0x%08x" % magic)
-    minor = r.u2("minor version")
-    major = r.u2("major version")
+    if len(data) < 8:
+        raise Truncated("input ends inside %s version"
+                        % ("minor" if len(data) < 6 else "major"))
+    minor, major = _REF.unpack_from(data, 4)
     if major > MAX_MAJOR:
         raise UnsupportedVersion("class file major version %d > %d"
                                  % (major, MAX_MAJOR))
-    pool_entries_start = r.pos + 2
-    tags, values, r.pos = _read_pool(data, r.pos)
-    pool = (tags, values)
-    pool_end = r.pos
-
-    access_flags = r.u2("access flags")
-    this_class = r.u2("this class")
-    super_class = r.u2("super class")
-    iface_count = r.u2("interface count")
-    interfaces = [r.u2("interface index") for _ in range(iface_count)]
-    fields = _read_members(r, pool)
-    methods = _read_members(r, pool)
-    attr_count = r.u2("class attribute count")
-    attributes = [_read_attribute(r, pool, inside_code=False)
-                  for _ in range(attr_count)]
-    if r.pos != len(data):
+    tags, values, pool_end = _read_pool(data, 8)
+    cur = SimpleNamespace(data=data, pos=pool_end, tags=tags, values=values)
+    raw = RawClassFile(minor, major, tags, values, *_CLASS.read(cur),
+                       pool_entries_start=10, pool_end=pool_end)
+    if cur.pos != len(data):
         raise Truncated("trailing bytes after class structure")
-
-    raw = RawClassFile(minor, major, tags, values, access_flags, this_class,
-                       super_class, interfaces, fields, methods, attributes,
-                       pool_entries_start=pool_entries_start,
-                       pool_end=pool_end)
     _validate(raw)
     return raw
 
@@ -385,7 +356,7 @@ def _validate(raw):
     # method that raises the error naming it
     tags, values = raw.pool_tags, raw.pool_values
     n = len(tags)
-    for tag, value in zip(tags, values):
+    for tag, value in compress(zip(tags, values), tags.translate(_REFERS)):
         if tag == TAG_CLASS or tag == TAG_STRING:
             if value >= n or tags[value] != TAG_UTF8:
                 raw.utf8(value)
@@ -393,7 +364,7 @@ def _validate(raw):
             for index in value:
                 if index >= n or tags[index] != TAG_UTF8:
                     raw.utf8(index)
-        elif tag in _REF_TAGS:
+        else:
             owner, nat = value
             if owner >= n or tags[owner] != TAG_CLASS:
                 raw.constant(owner, TAG_CLASS)
@@ -404,7 +375,6 @@ def _validate(raw):
     if raw.super_class == 0:
         if raw.name != "java/lang/Object":
             raise BadIndex("super_class 0 is only legal for java/lang/Object")
-        raw.super_name = None
     else:
         raw.super_name = raw.class_name(raw.super_class)
     for idx in raw.interfaces:
@@ -423,6 +393,10 @@ def _validate(raw):
             raw.constant(idx)
             if tags[idx] not in CONSTANT_VALUE_KINDS:
                 raise BadIndex("ConstantValue index %d has a non-value tag" % idx)
+            if m.access_flags & ACC_STATIC and \
+                    tags[idx] != _FIELD_CONSTANT_TAGS.get(m.descriptor):
+                raise BadIndex("static field %s %s has a %s ConstantValue"
+                               % (m.name, m.descriptor, TAG_NAMES[tags[idx]]))
     for m in raw.methods:
         code_attr = m.attr("Code")
         if code_attr is not None:

@@ -610,15 +610,14 @@ def make_ready(cls, interp):
             continue
         kind, value = f.constant_value
         owner, local = cls.static_slot(f.zone, f.offset)
+        # parse_class matched kind and type; a float's value is its bits
         if kind == "s":
             owner.a_static_zone[local] = ("str", value)
-        elif kind == "i":
+        elif kind in "jd":
+            owner.v_static_zone[local:local + 2] = divmod(
+                value & 0xFFFFFFFFFFFFFFFF, 1 << 32)
+        else:
             owner.v_static_zone[local] = value & 0xFFFFFFFF
-        elif kind == "f":
-            owner.v_static_zone[local] = value
-        elif kind in ("j", "d"):    # a double's value is its bit pattern
-            bits = value & 0xFFFFFFFFFFFFFFFF
-            owner.v_static_zone[local:local + 2] = divmod(bits, 1 << 32)
     cls.zones_initial = (list(cls.a_static_zone), list(cls.v_static_zone))
 
     clinit = next((m for m in cls.methods

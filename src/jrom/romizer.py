@@ -9,17 +9,18 @@ footprint reports.
 
 import bisect
 import json
-import struct
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
+from types import SimpleNamespace
 
 from . import constpool as cp
 from . import lifecycle as lc
 from . import linker as lk
 from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
                      StageNotReached, VersionMismatch)
+from .schema import (U8, U16, U32, U64, Array, Blob, Expect, Field, Option,
+                     Record, Schema, Union)
 
 IMAGE_MAGIC = b"JRMZ"
 IMAGE_VERSION = 2
@@ -67,100 +68,14 @@ def snapshot_stats(cls, stage):
     return StageStats(*recorded)
 
 
-# --- the image schema ---
-#
-# The image is a header, the string section and one record per class, in
-# name order.  Each is declared once, below, as a Record of fields and parts
-# in order, and emit_image and load_image both run code compiled from that
-# declaration.  A field is one fixed-size value; its type gives the lines
-# that check and convert it as it is read, raising Corrupt at the offset
-# just past it, and the lines that convert it as it is written.  A part
-# (array, option, union, blob) is a fixed-size head, a count, flag, kind
-# code or length, then what the head says follows; its read_after,
-# write_head and write_after give the code that reads or writes it.
-#
-# The first read of a top-level record compiles its reader, and the first
-# write its writer: each one straight-line function, with every nested part
-# inlined.  An array is a for loop, an option an if, a union an if/elif on
-# its kind and a blob one slice.  The fields between two parts, with the
-# head of the second, are one struct.  The position is a local, stored
-# back into the cursor once per record.
+# --- the image schema: a header, the string section and one record per
+# class, in name order.  A walk's cursor holds its place, and the string
+# section and class table that its string ids and class indexes name.
 
-class _Cursor:
-    """A walk's place in one image, and the string section and class table
-    that its string ids and class indexes name."""
-
-    def __init__(self, data, string_ids=None, class_index=None):
-        self.data, self.pos, self.strings, self.class_count = data, 0, [], 0
-        self.string_ids, self.class_index = string_ids, class_index
-        self.missing = set()        # classes referenced but not written
-
-
-class _Source:
-    """The lines of generated functions, and the objects their code names."""
-
-    def __init__(self):
-        self.lines, self.count = [], 0
-        self.env, self.names = {"Corrupt": Corrupt, "short": _short}, {}
-
-    def name(self, obj):
-        """A global of the generated code that holds ``obj``."""
-        if id(obj) not in self.names:
-            self.names[id(obj)] = "k%d" % len(self.names)
-            self.env[self.names[id(obj)]] = obj
-        return self.names[id(obj)]
-
-    def var(self):
-        """A fresh local."""
-        self.count += 1
-        return "v%d" % self.count
-
-    def add(self, depth, *lines):
-        self.lines += ["    " * depth + line for line in lines]
-
-    def compile(self):
-        exec(compile("\n".join(self.lines), "<image record>", "exec"),
-             self.env)
-        return self.env
-
-
-class Field:
-    """A fixed-size value: its struct code and the name a short image
-    reports.  ``check`` holds the lines that check and convert the value
-    as it is read, ``dump`` those that convert it as it is written; in
-    them {v} is the local that holds the value, {at} the offset just past
-    it and {f} the field."""
-    check = dump = ()
-
-    def __init__(self, fmt, what):
-        self.fmt, self.what, self.head = fmt, what, self
-        self.size = struct.calcsize("<" + fmt)
-
-    def expand(self, src, lines, v, at=None):
-        """``check`` or ``dump`` as source lines for the value in ``v``."""
-        return [line.format(v=v, at=at, f=src.name(self)) for line in lines]
-
-    def load(self, cur, value, at):
-        """``check`` as a function, compiled at its first call: for a run
-        the image ends inside, and for ids read ahead of their strings."""
-        src = _Source()
-        src.add(0, "def load(cur, v, at):")
-        src.add(1, "strings, class_count = cur.strings, cur.class_count",
-                *self.expand(src, self.check, "v", "at"), "return v")
-        self.load = src.compile()["load"]
-        return self.load(cur, value, at)
-
-
-U8, U16, U32, U64 = (partial(Field, fmt) for fmt in "BHIQ")
-
-
-class Expect(Field):
-    """A value the image must hold, or ``error(value)`` is raised."""
-    check = ("if {v} != {f}.value:", "    raise {f}.error({v})")
-
-    def __init__(self, fmt, what, value, error):
-        super().__init__(fmt, what)
-        self.value, self.error = value, error
+_IMAGE = Schema("<", lambda what, at: Corrupt("truncated " + what, at),
+                "strings, class_count = cur.strings, cur.class_count",
+                "string_ids, class_index, missing = cur.string_ids,"
+                " cur.class_index, cur.missing")
 
 
 class StringId(Field):
@@ -218,251 +133,6 @@ class Int32(Field):
              "    {v} -= 0x100000000")
 
 
-class Record:
-    """Fields and parts in order.  Its value is the tuple of theirs, the
-    one member's value for a record of one member, or, with ``into`` a
-    type and its attribute names in member order, an instance of that type
-    built from them by keyword; writing then reads those attributes."""
-
-    def __init__(self, *members, into=None):
-        self.runs, run = [], []     # (fields, the part they end with or None)
-        for m in members:
-            run.append(m.head)
-            if m.head is not m:
-                self.runs.append((run, m))
-                run = []
-        if run:
-            self.runs.append((run, None))
-        self.size = len(members)
-        self.into = into and (into[0], into[1].split())
-
-    def read(self, cur):
-        """The record's value at ``cur.pos``; compiled at the first call."""
-        src = _Source()
-        src.add(0, "def read(cur):")
-        src.add(1, "data, pos = cur.data, cur.pos", "limit = len(data)",
-                "strings, class_count = cur.strings, cur.class_count")
-        src.add(1, "value = " + _value(src, self, _read(src, self, 1)),
-                "cur.pos = pos", "return value")
-        self.read = src.compile()["read"]
-        return self.read(cur)
-
-    def write(self, cur, value):
-        """Append ``value`` to ``cur.data``; compiled at the first call."""
-        src = _Source()
-        src.add(0, "def write(cur, value):")
-        src.add(1, "out, string_ids = cur.data, cur.string_ids",
-                "class_index, missing = cur.class_index, cur.missing")
-        _write(src, self, "value", 1)
-        self.write = src.compile()["write"]
-        self.write(cur, value)
-
-
-def _layout(fields):
-    return struct.Struct("<" + "".join(f.fmt for f in fields))
-
-
-def _read(src, record, depth):
-    """Add the lines reading ``record``; return the expressions of its
-    members' values, a union's as its (kind, body) pair.  A run that the
-    image ends inside goes to _short."""
-    values = []
-    for fields, part in record.runs:
-        run = [src.var() for _ in fields]
-        src.add(depth, "end = pos + %d" % sum(f.size for f in fields),
-                "if end > limit:",
-                "    short(cur, pos, %s)" % src.name(fields),
-                "%s = data[pos]" % run[0] if [f.fmt for f in fields] == ["B"]
-                else "%s, = %s.unpack_from(data, pos)"
-                % (", ".join(run), src.name(_layout(fields))))
-        at = 0
-        for f, v in zip(fields, run):
-            at += f.size
-            src.add(depth, *f.expand(src, f.check, v, "pos + %d" % at))
-        src.add(depth, "pos = end")
-        if part:
-            run[-1] = part.read_after(src, run[-1], depth)
-        values += run
-    return values
-
-
-def _value(src, record, values):
-    """The expression of a record's value, from those of its members."""
-    values = [v if isinstance(v, str) else "(%s, %s)" % v for v in values]
-    if record.into:
-        kind, names = record.into
-        return "%s(%s)" % (src.name(kind), ", ".join(
-            "%s=%s" % pair for pair in zip(names, values)))
-    return values[0] if record.size == 1 else "(%s,)" % ", ".join(values)
-
-
-def _write(src, record, value, depth):
-    """Add the lines appending local ``value`` as ``record``."""
-    values = [src.var() for _ in range(record.size)]
-    if record.into:
-        src.add(depth, "%s = %s" % (", ".join(values), ", ".join(
-            "%s.%s" % (value, name) for name in record.into[1])))
-    elif record.size == 1:
-        values = [value]
-    else:
-        src.add(depth, "%s, = %s" % (", ".join(values), value))
-    for fields, part in record.runs:
-        run, values = values[:len(fields)], values[len(fields):]
-        packed = list(run)
-        for f, v in zip(fields[:-1] if part else fields, run):
-            src.add(depth, *f.expand(src, f.dump, v))
-        if part:
-            packed[-1] = part.write_head(src, run[-1], depth)
-        src.add(depth, "out += %s.pack(%s)"
-                % (src.name(_layout(fields)), ", ".join(packed)))
-        if part:
-            part.write_after(src, run[-1], depth)
-
-
-def _short(cur, pos, fields):
-    """Raise for a run the image ends inside, as reading its fields one by
-    one would: check those that fit, then name the first that does not."""
-    for f in fields:
-        end = pos + f.size
-        if end > len(cur.data):
-            raise Corrupt("truncated %s" % f.what, pos)
-        f.load(cur, struct.unpack_from("<" + f.fmt, cur.data, pos)[0], end)
-        pos = end
-
-
-def _record(node):
-    return node if isinstance(node, Record) else Record(node)
-
-
-class Array:
-    """A count, then that many elements.  With ``columns``, the elements'
-    members, or a union element's kinds and bodies, are read into one list
-    each, and the value is the tuple of those lists.  With ``frozen``, the
-    value is a tuple, so an empty array reads as the shared ()."""
-
-    def __init__(self, count, elem, columns=False, frozen=False):
-        self.head, self.elem, self.columns = count, _record(elem), columns
-        self.frozen = frozen
-
-    def read_after(self, src, n, depth):
-        start = len(src.lines)  # the lists are made here, once they are known
-        src.add(depth, "for _ in range(%s):" % n)
-        values = _read(src, self.elem, depth + 1)
-        if not self.columns:
-            values = [_value(src, self.elem, values)]
-        elif len(values) == 1:  # a union element: kinds, then bodies
-            values = values[0]
-        lists = [src.var() for _ in values]
-        src.lines.insert(start, "    " * depth + "%s = %s" % (
-            ", ".join(lists), ", ".join("[]" for _ in lists)))
-        src.add(depth + 1, *("%s.append(%s)" % pair
-                             for pair in zip(lists, values)))
-        if self.columns:
-            return "(%s,)" % ", ".join(lists)
-        return "tuple(%s)" % lists[0] if self.frozen else lists[0]
-
-    def write_head(self, src, items, depth):
-        return "len(%s%s)" % (items, "[0]" if self.columns else "")
-
-    def write_after(self, src, items, depth):
-        elem = src.var()
-        src.add(depth, "for %s in %s:" % (
-            elem, "zip(*%s)" % items if self.columns else items))
-        _write(src, self.elem, elem, depth + 1)
-
-
-class Option:
-    """A flag, then the body if the flag is set; None stands for no body."""
-
-    def __init__(self, flag, body):
-        self.head, self.body = flag, _record(body)
-
-    def read_after(self, src, flag, depth):
-        src.add(depth, "if %s:" % flag)
-        src.add(depth + 1, "%s = %s" % (flag, _value(
-            src, self.body, _read(src, self.body, depth + 1))))
-        src.add(depth, "else:", "    %s = None" % flag)
-        return flag
-
-    def write_head(self, src, value, depth):
-        return "%s is not None" % value
-
-    def write_after(self, src, value, depth):
-        src.add(depth, "if %s is not None:" % value)
-        _write(src, self.body, value, depth + 1)
-
-
-class Union:
-    """A kind code, then the body of that kind; the value is (kind, the
-    body's value), with None for a kind that has no body.  ``bodies`` has
-    one entry per kind of the code, and the kinds are str or None."""
-
-    def __init__(self, code, bodies):
-        self.head = code
-        self.bodies = {kind: body and _record(body)
-                       for kind, body in bodies.items()}
-
-    def _branches(self, src, kind, depth):
-        """The body of each kind, after adding its if, elif or else."""
-        last = len(self.bodies) - 1
-        for i, (k, body) in enumerate(self.bodies.items()):
-            src.add(depth, "else:" if i == last else "%s %s == %r:"
-                    % ("elif" if i else "if", kind, k))
-            yield body
-
-    def read_after(self, src, kind, depth):
-        value = src.var()
-        for body in self._branches(src, kind, depth):
-            src.add(depth + 1, "%s = %s" % (value, _value(
-                src, body, _read(src, body, depth + 1)) if body else "None"))
-        return kind, value
-
-    def write_head(self, src, value, depth):
-        src.add(depth, "{0}k, {0}b = {0}".format(value),
-                "{0}c = {0}k".format(value),
-                *self.head.expand(src, self.head.dump, value + "c"))
-        return value + "c"
-
-    def write_after(self, src, value, depth):
-        for body in self._branches(src, value + "k", depth):
-            if body:
-                _write(src, body, value + "b", depth + 1)
-            else:
-                src.add(depth + 1, "pass")
-
-
-class Blob:
-    """A byte length, then the bytes: as ``kind``, bytes, bytearray, or
-    str for a string's UTF-8."""
-
-    def __init__(self, length, what, kind=bytes):
-        self.head, self.what, self.kind = length, what, kind
-
-    def read_after(self, src, n, depth):
-        src.add(depth, "end = pos + %s" % n, "if end > limit:",
-                "    raise Corrupt(%r, pos)" % ("truncated " + self.what))
-        if self.kind is str:
-            src.add(depth, "try:", "    %s = data[pos:end].decode("
-                    "'utf-8', 'surrogatepass')" % n,
-                    "except UnicodeDecodeError:",
-                    "    raise Corrupt('undecodable string table entry',"
-                    " end) from None")
-        else:
-            src.add(depth, "%s = %s(data[pos:end])" % (n, src.name(self.kind)))
-        src.add(depth, "pos = end")
-        return n
-
-    def write_head(self, src, data, depth):
-        if self.kind is str:
-            src.add(depth, "{0}b = {0}.encode('utf-8', 'surrogatepass')"
-                    .format(data))
-            return "len(%sb)" % data
-        return "len(%s)" % data
-
-    def write_after(self, src, data, depth):
-        src.add(depth, "out += %s%s" % (data, "b" if self.kind is str else ""))
-
-
 def _class_ref(what):
     """A class: its index in the image, the name of a synthetic (array or
     primitive) class, or none."""
@@ -485,19 +155,20 @@ _HEADER = Record(
                                      % (v, IMAGE_VERSION))),
     U16("flags"), U32("class count"),
     # string ids, resolved once the string section after them is read
-    Array(U16("closed package count"), U32("closed package")))
+    Array(U16("closed package count"), U32("closed package")),
+    schema=_IMAGE)
 _CLOSED_PACKAGE = StringId("closed package")
 
 _STRINGS = Record(Array(U32("string count"),
-                        Blob(U16("string length"), "string data", str)))
+                        Blob(U16("string length"), "string data", str)),
+                  schema=_IMAGE)
 
 _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
 
 # the values of a class record, in order
-_CLASS_VALUES = (
-    "name access_flags ready superclass interfaces atable vtable fields"
-    " methods a_zone v_zone zones_initial")
-_ClassValues = namedtuple("_ClassValues", _CLASS_VALUES)
+_ClassValues = namedtuple("_ClassValues", "name access_flags ready superclass"
+                          " interfaces atable vtable fields methods a_zone"
+                          " v_zone zones_initial")
 
 _CLASS = Record(
     StringId("class name"), U16("access flags"), U8("ready flag"),
@@ -532,7 +203,7 @@ _CLASS = Record(
             into=(lc.MethodCode, "max_stack max_locals bytecode"
                                  " exception_table stack_maps"))))),
     *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)),
-    into=(_ClassValues, _CLASS_VALUES))
+    into=_ClassValues, schema=_IMAGE)
 
 
 # --- image writing ---
@@ -571,8 +242,10 @@ def emit_image(classes, flags):
         if cls.state != lc.LINKED:
             raise NotLinked(cls.name)
     packages = sorted(flags.closed_packages)
-    cur = _Cursor(bytearray(), {pkg: i for i, pkg in enumerate(packages)},
-                  {c.name: i for i, c in enumerate(ordered)})
+    cur = SimpleNamespace(
+        data=bytearray(), pos=0,
+        string_ids={pkg: i for i, pkg in enumerate(packages)},
+        class_index={c.name: i for i, c in enumerate(ordered)}, missing=set())
     for cls in ordered:
         pool = cls.pool
         _CLASS.write(cur, _ClassValues(
@@ -604,7 +277,7 @@ def emit_image(classes, flags):
 def load_image(data):
     """Reconstruct a registry of linked (and ready) classes from an image;
     its ``image_flags`` hold the header's flags and closed packages."""
-    cur = _Cursor(data)
+    cur = SimpleNamespace(data=data, pos=0, strings=[], class_count=0)
     _, _, flag_bits, cur.class_count, package_ids = _HEADER.read(cur)
     cur.strings = _STRINGS.read(cur)
     registry = lc.Registry()
@@ -612,7 +285,7 @@ def load_image(data):
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
-        closed_packages={_CLOSED_PACKAGE.load(cur, sid, cur.pos)
+        closed_packages={_CLOSED_PACKAGE.load(_IMAGE, cur, sid, cur.pos)
                          for sid in package_ids})
     records, classes = [], []
     for _ in range(cur.class_count):

@@ -1,7 +1,12 @@
 """Parser tests: builder-manifest oracle, error paths, fuzz safety."""
 
+import os
+import random
 import re
 import struct
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -14,10 +19,12 @@ from jrom.errors import (BadIndex, BadMagic, BadUtf8, ClassFileError,
                          Truncated, UnsupportedVersion)
 from jrom.pipeline import Pipeline
 
-from .assembler import ClassBuilder
+from . import classfile_oracle
+from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .conftest import (raw_pool, raw_pool_byte_size, read_reference_pool,
                        serialize_constant)
 from .corpus import build_corpus
+from .test_generated import load_perfbench
 
 
 def _empty_class_bytes():
@@ -394,3 +401,158 @@ def test_pool_readers_agree_on_mutated_pools(constants, draw):
     cut = draw.draw(st.integers(0, len(data)))
     _assert_readers_agree(bytes(data))
     _assert_readers_agree(bytes(data[:cut]))
+
+
+def _outcome(parse, data):
+    """What parsing ``data`` gives: the RawClassFile, or the error's type
+    and message."""
+    try:
+        return parse(data)
+    except ClassFileError as err:
+        return type(err), str(err)
+
+
+class TestOracle:
+    """The reader compiled from the class-file schema against the
+    hand-written one it replaced (tests/classfile_oracle.py)."""
+
+    def test_every_strict_prefix_fails_alike(self, corpus):
+        for name, (data, _) in corpus.items():
+            for cut in range(len(data)):
+                got = _outcome(cf.parse_class, data[:cut])
+                assert got == _outcome(classfile_oracle.parse_class,
+                                       data[:cut]), (name, cut)
+
+    def test_overwrites_past_the_pool_read_alike(self, corpus):
+        """Seed 0xC1A55, 3,000 classes, each a corpus class with 1 to 4
+        random bytes overwritten anywhere after its constant pool."""
+        rng = random.Random(0xC1A55)
+        classes = [data for data, _ in corpus.values()]
+        outcomes = Counter()
+        for _ in range(3000):
+            data = bytearray(rng.choice(classes))
+            start = cf.parse_class(bytes(data)).pool_end
+            for _ in range(rng.randint(1, 4)):
+                data[rng.randrange(start, len(data))] = rng.randrange(256)
+            got = _outcome(cf.parse_class, bytes(data))
+            assert got == _outcome(classfile_oracle.parse_class, bytes(data))
+            outcomes[got[0] if isinstance(got, tuple) else "parsed"] += 1
+        # some damage is still a class, some is short and some misnames
+        assert outcomes["parsed"] > 100 and outcomes[Truncated] > 100 \
+            and outcomes[BadIndex] > 100, outcomes
+
+    def test_corpus_and_generated_classes_read_alike(self, corpus):
+        files = [data for data, _ in corpus.values()]
+        files += load_perfbench("gen").generate(200, 1).files.values()
+        for data in files:
+            raw = cf.parse_class(data)
+            assert raw == classfile_oracle.parse_class(data)
+            assert raw.pool_entries_start == 10
+
+
+def _every_field(attrs_of, raw):
+    """(what a cut inside it names, its byte size) of each field after the
+    constant pool of ``raw``, in file order."""
+    out = [("access flags", 2), ("this class", 2), ("super class", 2),
+           ("interface count", 2)] + [("interface index", 2)] * len(
+               raw.interfaces)
+    for members in raw.fields, raw.methods:
+        out.append(("member count", 2))
+        for m in members:
+            out += [("member access flags", 2), ("member name index", 2),
+                    ("member descriptor index", 2),
+                    ("member attribute count", 2)] + attrs_of(m.attributes)
+    return out + [("class attribute count", 2)] + attrs_of(raw.attributes)
+
+
+def _attribute_fields(attrs):
+    out = []
+    for a in attrs:
+        out += [("attribute name index", 2), ("attribute length", 4)]
+        code = a.code
+        if code is None:
+            out.append(("attribute " + a.name, a.orig_len))
+            continue
+        out += [("max_stack", 2), ("max_locals", 2), ("code length", 4),
+                ("bytecode", len(code.code)), ("exception table count", 2)]
+        out += [("exception table entry", 8)] * len(code.exception_table)
+        out += [("code attribute count", 2)]
+        out += _attribute_fields(code.attributes)
+    return out
+
+
+class TestTruncationMessages:
+    """A class cut inside each field after its pool names that field.  The
+    class has an interface, a static field with a ConstantValue and a
+    method whose Code has a handler, a stack map and debug tables."""
+
+    MEMBER = ["member access flags", "member name index",
+              "member descriptor index", "member attribute count"]
+    ATTRIBUTE = ["attribute name index", "attribute length"]
+    NAMES = (["access flags", "this class", "super class", "interface count",
+              "interface index", "member count"] + MEMBER + ATTRIBUTE
+             + ["attribute ConstantValue", "member count"] + MEMBER
+             + ATTRIBUTE + ["max_stack", "max_locals", "code length",
+                            "bytecode", "exception table count",
+                            "exception table entry", "code attribute count"]
+             + ATTRIBUTE + ["attribute {stack map}"]
+             + ATTRIBUTE + ["attribute LineNumberTable"]
+             + ATTRIBUTE + ["attribute LocalVariableTable",
+                            "class attribute count"]
+             + ATTRIBUTE + ["attribute SourceFile"])
+
+    @staticmethod
+    def _class(stack_map):
+        cb = ClassBuilder("probe/Every", interfaces=["probe/Marker"])
+        cb.field("K", "I", ACC_PUBLIC | ACC_STATIC, const=("i", 7))
+        c = cb.method("run", "()I", ACC_PUBLIC | ACC_STATIC)
+        c.label("try")
+        c.op("iconst_1")
+        c.op("ireturn")
+        c.label("end")
+        c.label("handler")
+        c.op("pop")
+        c.op("iconst_0")
+        c.op("ireturn")
+        c.handler("try", "end", "handler", "java/lang/Exception")
+        c.stack_map = bytes([0, 1, 0, 7])
+        # the pool is read in order, so its text can change length
+        return cb.build().replace(b"\x00\x0dStackMapTable", struct.pack(
+            ">H", len(stack_map)) + stack_map.encode())
+
+    @pytest.mark.parametrize("stack_map", ["StackMapTable", "StackMap"])
+    def test_a_cut_names_its_field(self, stack_map):
+        data = self._class(stack_map)
+        raw = cf.parse_class(data)
+        fields = _every_field(_attribute_fields, raw)
+        assert [what for what, _ in fields] == [
+            what.format(**{"stack map": stack_map}) for what in self.NAMES]
+        at = raw.pool_end
+        for what, size in fields:
+            for cut in {at, at + size - 1}:
+                with pytest.raises(Truncated) as err:
+                    cf.parse_class(data[:cut])
+                assert str(err.value) == "input ends inside " + what, cut
+            at += size
+        assert at == len(data)
+
+
+def test_no_record_compiles_at_import():
+    """Importing the command line driver compiles no schema record: each
+    top-level record of either schema still has its compiling read and
+    write."""
+    script = (
+        "import jrom.cli\n"
+        "from jrom import classfile, romizer, schema\n"
+        "tops = [r for m in (classfile, romizer) for r in vars(m).values()\n"
+        "        if isinstance(r, schema.Record) and r.schema]\n"
+        "print(len({r.schema for r in tops}), len(tops), sum(\n"
+        "    'read' in vars(r) or 'write' in vars(r) for r in tops))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2", "4", "0"]

@@ -13,7 +13,7 @@ from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom.cli import main
 
-from .assembler import ACC_PUBLIC, ClassBuilder
+from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .corpus import corpus_names
 
 
@@ -204,6 +204,56 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == 0
         assert "ldc_quick_i" in out
+
+
+class TestConstantValueKind:
+    """A static field's ConstantValue must be of its type's kind (JVMS
+    4.7.2).  Each class below has a static field ``X`` whose constant is of
+    another kind, and a ``get()`` that reads it; the class must fail to load,
+    named, where the wrong constant once reached the static zones: an
+    IndexError from make_ready for the first two, an image load_image
+    rejects for the third, and half a long written for the fourth."""
+
+    @pytest.mark.parametrize("command", ["verify", "romize"])
+    @pytest.mark.parametrize("name, descriptor, const, ret, kind", [
+        ("p/IntFromString", "I", ("s", "text"), "ireturn", "String"),
+        ("p/StringFromInt", "Ljava/lang/String;", ("i", 7), "areturn",
+         "Integer"),
+        ("p/IntFromLong", "I", ("j", 5), "ireturn", "Long"),
+        ("p/LongFromInt", "J", ("i", 5), "lreturn", "Integer"),
+    ])
+    def test_wrong_kind_fails_the_class(self, corpus_dir, tmp_path, capsys,
+                                        command, name, descriptor, const,
+                                        ret, kind):
+        cb = ClassBuilder(name)
+        cb.field("X", descriptor, ACC_PUBLIC | ACC_STATIC, const=const)
+        cb.default_init()
+        cb.method("get", "()" + descriptor, ACC_PUBLIC | ACC_STATIC) \
+            .getstatic(name, "X", descriptor).op(ret)
+        (tmp_path / "p").mkdir()
+        (tmp_path / (name + ".class")).write_bytes(cb.build())
+        argv = [command, "--classpath", str(tmp_path), "--classpath",
+                corpus_dir, name]
+        if command == "romize":
+            argv += ["--out", str(tmp_path / "out.rom")]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "FAIL %s: BadIndex: static field X %s has a %s ConstantValue" \
+            % (name, descriptor, kind) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.rom").exists()
+
+    def test_instance_field_constant_is_ignored(self, corpus_dir, tmp_path):
+        """A ConstantValue of a non-static field is ignored, as the JVM
+        does, so its kind is not checked."""
+        cb = ClassBuilder("p/Instance")
+        cb.field("X", "I", ACC_PUBLIC, const=("s", "text"))
+        cb.default_init()
+        (tmp_path / "p").mkdir()
+        (tmp_path / "p" / "Instance.class").write_bytes(cb.build())
+        assert run_cli("romize", "--classpath", str(tmp_path), "--classpath",
+                       corpus_dir, "--out", str(tmp_path / "out.rom"),
+                       "p/Instance") == 0
 
 
 class TestClasspath:
