@@ -261,8 +261,10 @@ class _Name(Field):
 
 
 class _CodeLength(Field):
-    check = ("if not {v}:",
-             "    raise ClassFileError('Code attribute with empty code array')")
+    """A code length: 1 to 65,535 bytes (JVMS 4.7.3)."""
+    check = ("if not {v}:", "    raise ClassFileError("
+             "'Code attribute with empty code array')", "if {v} > 0xFFFF:",
+             "    raise ClassFileError('code length %d is over 65535' % {v})")
 
 
 class _Payload:

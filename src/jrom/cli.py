@@ -1,4 +1,4 @@
-"""Command line driver: report, romize and verify subcommands.
+"""Command line interface: report, romize, verify and inspect subcommands.
 
 Exit codes are stable for CI use: 0 success, 1 per-class failures,
 2 configuration or I/O errors.
@@ -154,6 +154,12 @@ def cmd_verify(args):
     return EXIT_CLASS_FAILURES if outcome.failures else EXIT_OK
 
 
+def cmd_inspect(args):
+    with open(args.image, "rb") as fh:
+        sys.stdout.write(rz.inspect_image(fh.read()))
+    return EXIT_OK
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="jrom",
@@ -185,6 +191,11 @@ def build_parser():
     p.add_argument("--corrupt", metavar="CLASS.METHOD",
                    help="test hook: flip one operand byte after linking")
     p.set_defaults(func=cmd_verify)
+
+    p = sub.add_parser("inspect", help="print an image's header and the"
+                                       " bytes of its parts")
+    p.add_argument("image", help="image path")
+    p.set_defaults(func=cmd_inspect)
     return ap
 
 

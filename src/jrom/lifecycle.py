@@ -401,8 +401,10 @@ def load_parsed(cls, raw, data, resolver, shapes=None):
     cls.pool = pool
     lay_out_class(
         cls,
-        ((fm.name, fm.descriptor, fm.access_flags, cf.constant_value_of(raw, fm))
-         for fm in raw.fields),
+        # a non-static field's ConstantValue is ignored (JVMS 4.7.2)
+        ((fm.name, fm.descriptor, fm.access_flags,
+          cf.constant_value_of(raw, fm) if fm.access_flags & cf.ACC_STATIC
+          else None) for fm in raw.fields),
         ((mm.name, mm.descriptor, mm.access_flags, _raw_code(mm, placement))
          for mm in raw.methods))
     for m in cls.methods:

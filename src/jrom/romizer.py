@@ -9,8 +9,10 @@ footprint reports.
 
 import bisect
 import json
+import struct
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -23,7 +25,7 @@ from .schema import (U8, U16, U32, U64, Array, Blob, Expect, Field, Option,
                      Record, Schema, Union)
 
 IMAGE_MAGIC = b"JRMZ"
-IMAGE_VERSION = 2
+IMAGE_VERSION = 3
 
 FLAG_INTROSPECTION = 1
 FLAG_PRIVATE_OPT = 2
@@ -68,14 +70,23 @@ def snapshot_stats(cls, stage):
     return StageStats(*recorded)
 
 
-# --- the image schema: a header, the string section and one record per
-# class, in name order.  A walk's cursor holds its place, and the string
-# section and class table that its string ids and class indexes name.
+# --- the image schema: a header, the string section, the closed packages
+# and one record per class, in name order.  A walk's cursor holds its
+# place, and the string section and class table that its string ids and
+# class indexes name.
 
 _IMAGE = Schema("<", lambda what, at: Corrupt("truncated " + what, at),
                 "strings, class_count = cur.strings, cur.class_count",
                 "string_ids, class_index, missing = cur.string_ids,"
                 " cur.class_index, cur.missing")
+
+# a string id is a u16 while the string section holds at most this many
+# strings, and a u32 beyond; the width follows from the string count alone
+U16_ID_STRINGS = 1 << 16
+
+
+def _id_format(string_count):
+    return "H" if string_count <= U16_ID_STRINGS else "I"
 
 
 class StringId(Field):
@@ -84,9 +95,6 @@ class StringId(Field):
              "    raise Corrupt('bad %s string id %d' % ({f}.what, {v}),"
              " {at}) from None")
     dump = ("{v} = string_ids.setdefault({v}, len(string_ids))",)
-
-    def __init__(self, what, fmt="I"):
-        super().__init__(fmt, what)
 
 
 class ZoneString(StringId):
@@ -127,37 +135,13 @@ class Catch(Field):
     dump = ("if {v} is None:", "    {v} = 0xFFFF")
 
 
-class Int32(Field):
-    """An int, sign-extended to 64 bits; read back from the low 32."""
-    check = ("{v} &= 0xFFFFFFFF", "if {v} >= 0x80000000:",
-             "    {v} -= 0x100000000")
-
-
-def _class_ref(what):
-    """A class: its index in the image, the name of a synthetic (array or
-    primitive) class, or none."""
-    return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
-                      "class reference tag"),
-                 {"index": ClassIndex(what, "class index"),
-                  "synthetic": StringId(what), None: None})
-
-
-_ZONES = (Array(U16("a zone size"),
-                Option(U8("a slot tag"), ZoneString("a slot"))),
-          Array(U16("v zone size"), U32("v slot")))
-
-
 _HEADER = Record(
     Expect("4s", "magic", IMAGE_MAGIC,
            lambda _: BadImageMagic("not a romized image")),
     Expect("H", "version", IMAGE_VERSION,
            lambda v: VersionMismatch("image format %d, expected %d"
                                      % (v, IMAGE_VERSION))),
-    U16("flags"), U32("class count"),
-    # string ids, resolved once the string section after them is read
-    Array(U16("closed package count"), U32("closed package")),
-    schema=_IMAGE)
-_CLOSED_PACKAGE = StringId("closed package")
+    U16("flags"), U32("class count"), schema=_IMAGE)
 
 _STRINGS = Record(Array(U32("string count"),
                         Blob(U16("string length"), "string data", str)),
@@ -170,40 +154,65 @@ _ClassValues = namedtuple("_ClassValues", "name access_flags ready superclass"
                           " interfaces atable vtable fields methods a_zone"
                           " v_zone zones_initial")
 
-_CLASS = Record(
-    StringId("class name"), U16("access flags"), U8("ready flag"),
-    _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
-    # the pool's tables, as (kinds, payloads) and (kinds, cells)
-    Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
-        cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
-        cp.A_CLASS: _class_ref("class handle"),
-        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER}), columns=True),
-    Array(U16("vtable size"),
-          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell")),
-          columns=True),
-    Array(U16("field count"), Record(
-        StringId("field name"), StringId("field descriptor"),
-        U16("field flags"), Option(U8("constant value flag"), Union(
-            Code({kind: ord(kind) for kind in "ijfds"},
-                 "constant value kind"),
-            {"i": Int32("q", "constant value"),
-             "j": Field("q", "constant value"),
-             "f": U64("constant value"), "d": U64("constant value"),
-             "s": StringId("constant value", "Q")})))),
-    Array(U16("method count"), Record(
-        StringId("method name"), StringId("method descriptor"),
-        U16("method flags"), Option(U8("code flag"), Record(
-            U16("max stack"), U16("max locals"),
-            Blob(U32("code length"), "bytecode", bytearray),
-            Array(U16("exception count"), Record(
-                U16("start"), U16("end"), U16("handler"),
-                Catch("H", "catch")), frozen=True),
-            Option(U8("stack map flag"),
-                   Blob(U32("stack map length"), "stack maps")),
-            into=(lc.MethodCode, "max_stack max_locals bytecode"
-                                 " exception_table stack_maps"))))),
-    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)),
-    into=_ClassValues, schema=_IMAGE)
+
+@cache
+def _id_records(id_format):
+    """The closed-package list and the class record whose string ids have
+    struct format ``id_format``: built, and compiled, at first use."""
+    def string(what):
+        return StringId(id_format, what)
+
+    def class_ref(what):
+        """A class: its index in the image, the name of a synthetic (array
+        or primitive) class, or none."""
+        return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
+                          "class reference tag"),
+                     {"index": ClassIndex(what, "class index"),
+                      "synthetic": string(what), None: None})
+
+    zones = (Array(U16("a zone size"),
+                   Option(U8("a slot tag"), ZoneString(id_format, "a slot"))),
+             Array(U16("v zone size"), U32("v slot")))
+    packages = Record(Array(U16("closed package count"),
+                            string("closed package")), schema=_IMAGE)
+    record = Record(
+        string("class name"), U16("access flags"), U8("ready flag"),
+        class_ref("superclass"), Array(U16("ifaces"), class_ref("interface")),
+        # the pool's tables, as (kinds, payloads) and (kinds, cells)
+        Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+            cp.A_UTF8: string("text"), cp.A_STRING: string("text"),
+            cp.A_CLASS: class_ref("class handle"),
+            cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER}), columns=True),
+        Array(U16("vtable size"),
+              Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell")),
+              columns=True),
+        Array(U16("field count"), Record(
+            string("field name"), string("field descriptor"),
+            U16("field flags"), Option(U8("constant value flag"), Union(
+                Code({kind: ord(kind) for kind in "ijfds"},
+                     "constant value kind"),
+                {"i": Field("i", "constant value"),
+                 "j": Field("q", "constant value"),
+                 "f": U32("constant value"), "d": U64("constant value"),
+                 "s": string("constant value")})))),
+        Array(U16("method count"), Record(
+            string("method name"), string("method descriptor"),
+            U16("method flags"), Option(U8("code flag"), Record(
+                U16("max stack"), U16("max locals"),
+                Blob(U16("code length"), "bytecode", bytearray),
+                Array(U16("exception count"), Record(
+                    U16("start"), U16("end"), U16("handler"),
+                    Catch("H", "catch")), frozen=True),
+                Option(U8("stack map flag"),
+                       Blob(U32("stack map length"), "stack maps")),
+                into=(lc.MethodCode, "max_stack max_locals bytecode"
+                                     " exception_table stack_maps"))))),
+        # the initial zones: none, the live zones' values, or their own
+        *zones, Union(Code({None: 0, "same": 1, "own": 2}, "initial zones",
+                           "initial zones tag"),
+                      {None: None, "same": None, "own": Record(*zones)}),
+        into=_ClassValues, schema=_IMAGE)
+    return packages, record
 
 
 # --- image writing ---
@@ -231,34 +240,61 @@ def _payload(kind, payload):
     return payload
 
 
+def _initial(cls):
+    """The initial zones as their tag and, for their own, the zones."""
+    live = cls.a_static_zone, cls.v_static_zone
+    if cls.zones_initial is None:
+        return None, None
+    if cls.zones_initial == live:
+        return "same", None
+    return "own", cls.zones_initial
+
+
+def _write_records(ordered, packages, id_format):
+    """A cursor holding the closed-package list and the class records,
+    written with string ids of ``id_format``, and the ids: each string gets
+    the next one the first time it is written.  None if an id does not fit
+    the format."""
+    packages_record, class_record = _id_records(id_format)
+    cur = SimpleNamespace(
+        data=bytearray(), pos=0, string_ids={},
+        class_index={c.name: i for i, c in enumerate(ordered)}, missing=set())
+    try:
+        packages_record.write(cur, packages)
+        for cls in ordered:
+            pool = cls.pool
+            class_record.write(cur, _ClassValues(
+                cls.name, cls.access_flags, int(cls.ready),
+                _ref(cls.super_cls), [_ref(c) for c in cls.interfaces],
+                (pool.a_kind, [_payload(k, p)
+                               for k, p in zip(pool.a_kind, pool.a_payload)]),
+                (pool.v_kind, pool.v_value),
+                [(f.name, f.descriptor, f.access_flags, f.constant_value)
+                 for f in cls.fields],
+                [(m.name, m.descriptor, m.access_flags, m.code)
+                 for m in cls.methods],
+                cls.a_static_zone, cls.v_static_zone, _initial(cls)))
+    except struct.error:
+        if _id_format(len(cur.string_ids)) == id_format:
+            raise       # not an id past the format: a count or value is
+        return None
+    return cur
+
+
 def emit_image(classes, flags):
     """Serialize a linked, closed class set; byte-identical per input set.
 
-    The class records are written first: each string gets its id the first
-    time a record writes it, after the closed packages, which come first.
-    The header and string section then go in front of them."""
+    The closed packages and class records are written first, with u16
+    string ids, and again with u32 ids if the strings they name turn out
+    too many.  The header and string section then go in front of them."""
     ordered = sorted(classes, key=lambda c: c.name)
     for cls in ordered:
         if cls.state != lc.LINKED:
             raise NotLinked(cls.name)
     packages = sorted(flags.closed_packages)
-    cur = SimpleNamespace(
-        data=bytearray(), pos=0,
-        string_ids={pkg: i for i, pkg in enumerate(packages)},
-        class_index={c.name: i for i, c in enumerate(ordered)}, missing=set())
-    for cls in ordered:
-        pool = cls.pool
-        _CLASS.write(cur, _ClassValues(
-            cls.name, cls.access_flags, int(cls.ready), _ref(cls.super_cls),
-            [_ref(c) for c in cls.interfaces],
-            (pool.a_kind, [_payload(k, p)
-                           for k, p in zip(pool.a_kind, pool.a_payload)]),
-            (pool.v_kind, pool.v_value),
-            [(f.name, f.descriptor, f.access_flags, f.constant_value)
-             for f in cls.fields],
-            [(m.name, m.descriptor, m.access_flags, m.code)
-             for m in cls.methods],
-            cls.a_static_zone, cls.v_static_zone, cls.zones_initial))
+    cur = _write_records(ordered, packages, "H")
+    if cur is None or _id_format(len(cur.string_ids)) != "H":
+        cur = _write_records(ordered, packages, "I")
     if cur.missing:
         raise IncompleteClosure(cur.missing)
     records, cur.data = cur.data, bytearray()
@@ -267,30 +303,39 @@ def emit_image(classes, flags):
         (FLAG_INTROSPECTION if flags.introspection else 0)
         | (FLAG_PRIVATE_OPT if flags.private_field_opt else 0)
         | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
-        len(ordered), list(range(len(packages)))))
+        len(ordered)))
     _STRINGS.write(cur, list(cur.string_ids))
     return bytes(cur.data + records)
 
 
 # --- image reading ---
 
-def load_image(data):
-    """Reconstruct a registry of linked (and ready) classes from an image;
-    its ``image_flags`` hold the header's flags and closed packages."""
+_Read = namedtuple("_Read", "registry classes records string_count"
+                   " strings_start strings_end records_start")
+
+
+def _read_image(data):
+    """Read an image's header, string section, closed packages and class
+    records in order: a registry holding its flags in ``image_flags`` and
+    a class per record, unloaded, the records and where the sections
+    start and end."""
     cur = SimpleNamespace(data=data, pos=0, strings=[], class_count=0)
-    _, _, flag_bits, cur.class_count, package_ids = _HEADER.read(cur)
+    _, _, flag_bits, cur.class_count = _HEADER.read(cur)
+    strings_start = cur.pos
     cur.strings = _STRINGS.read(cur)
+    strings_end = cur.pos
+    packages_record, class_record = _id_records(_id_format(len(cur.strings)))
     registry = lc.Registry()
     registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
-        closed_packages={_CLOSED_PACKAGE.load(_IMAGE, cur, sid, cur.pos)
-                         for sid in package_ids})
+        closed_packages=set(packages_record.read(cur)))
+    records_start = cur.pos
     records, classes = [], []
     for _ in range(cur.class_count):
         start = cur.pos
-        rec = _CLASS.read(cur)
+        rec = class_record.read(cur)
         name = rec.name
         # class indexes count in name order, and a synthetic (array or
         # primitive) class belongs to the registry, not to one record
@@ -302,9 +347,17 @@ def load_image(data):
                           % (name, records[-1].name), start)
         records.append(rec)
         classes.append(registry.new_unloaded(name))
-    end = len(data)
-    if cur.pos != end:
+    if cur.pos != len(data):
         raise Corrupt("trailing bytes after last class record", cur.pos)
+    return _Read(registry, classes, records, len(cur.strings),
+                 strings_start, strings_end, records_start)
+
+
+def load_image(data):
+    """Reconstruct a registry of linked (and ready) classes from an image;
+    its ``image_flags`` hold the header's flags and closed packages."""
+    registry, classes, records = _read_image(data)[:3]
+    end = len(data)
 
     def deref(ref):
         kind, value = ref
@@ -337,12 +390,15 @@ def load_image(data):
             rec = record_of[c]
             lc.lay_out_class(c, rec.fields, rec.methods)
             sizes = len(c.a_static_zone), len(c.v_static_zone)
-            for zones in (rec.a_zone, rec.v_zone), rec.zones_initial:
+            tag, initial = rec.zones_initial
+            if tag == "same":
+                initial = list(rec.a_zone), list(rec.v_zone)
+            for zones in (rec.a_zone, rec.v_zone), initial:
                 if zones and tuple(map(len, zones)) != sizes:
                     raise Corrupt("static zones of %s do not fit its layout"
                                   % c.name, end)
             c.a_static_zone, c.v_static_zone = rec.a_zone, rec.v_zone
-            c.zones_initial = rec.zones_initial
+            c.zones_initial = initial
             done.add(c)
 
     # pools last: member handles point at finished FieldRep/MethodRep
@@ -374,6 +430,31 @@ def load_image(data):
         cls.ready = bool(rec.ready)
 
     return registry
+
+
+def inspect_image(data):
+    """The header, flags and closed packages of an image, and the bytes of
+    its parts, read as load_image reads them, as ``name: value`` lines.
+    The header counts the closed-package list, which follows the string
+    section because its ids take the width the string count gives."""
+    read = _read_image(data)
+    flags = read.registry.image_flags
+    packages = read.records_start - read.strings_end
+    lines = [
+        ("format", IMAGE_VERSION), ("bytes", len(data)),
+        ("flags", " ".join(name for name, on in (
+            ("introspection", flags.introspection),
+            ("private-field-opt", flags.private_field_opt),
+            ("closed-world", flags.closed_world)) if on) or "none"),
+        ("closed packages", " ".join(sorted(flags.closed_packages))
+         or "none"),
+        ("header bytes", read.strings_start + packages),
+        ("string id bytes", struct.calcsize(_id_format(read.string_count))),
+        ("strings", read.string_count),
+        ("string bytes", read.strings_end - read.strings_start),
+        ("classes", len(read.records)),
+        ("class record bytes", len(data) - read.records_start)]
+    return "".join("%s: %s\n" % line for line in lines)
 
 
 def emit_c_array(image, symbol):

@@ -77,6 +77,8 @@ def _read_code(r, pool, declared_len):
     code_length = r.u4("code length")
     if code_length == 0:
         raise ClassFileError("Code attribute with empty code array")
+    if code_length > 0xFFFF:
+        raise ClassFileError("code length %d is over 65535" % code_length)
     code_offset = r.pos
     code = r.take(code_length, "bytecode")
     exc_count = r.u2("exception table count")

@@ -2,15 +2,17 @@
 oracle for it.
 
 Each part reads its rest through a call per element, and a record's read is
-generated per run; ``load_image`` is the loader that went with it.  It has
-no check of class record names or static zone sizes: a record out of name
-order, naming a synthetic class, or holding zones of another size than its
-layout gives loads here and fails in jrom.romizer.load_image.
+generated per run; ``load_image`` is the loader that went with it, moved to
+image format 3, whose string ids are two bytes wide up to 65,536 strings
+and four beyond.  It has no check of class record names or static zone
+sizes: a record out of name order, naming a synthetic class, or holding
+zones of another size than its layout gives loads here and fails in
+jrom.romizer.load_image.
 """
 
 import struct
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 
 from jrom import constpool as cp
 from jrom import lifecycle as lc
@@ -49,9 +51,6 @@ class Expect(Field):
 
 
 class StringId(Field):
-    def __init__(self, what, fmt="I"):
-        super().__init__(fmt, what)
-
     def load(self, cur, sid, at):
         try:
             return cur.strings[sid]
@@ -91,12 +90,6 @@ class Code(Field):
 class Catch(Field):
     def load(self, cur, value, at):
         return None if value == 0xFFFF else value
-
-
-class Int32(Field):
-    def load(self, cur, value, at):
-        value &= 0xFFFFFFFF
-        return value - (1 << 32) if value >= 1 << 31 else value
 
 
 class Record:
@@ -229,81 +222,97 @@ class Blob:
             raise Corrupt("undecodable string table entry", cur.pos) from None
 
 
-def _class_ref(what):
-    return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
-                      "class reference tag"),
-                 {"index": ClassIndex(what, "class index"),
-                  "synthetic": StringId(what), None: None})
-
-
-_ZONES = (Array(U16("a zone size"),
-                Option(U8("a slot tag"), ZoneString("a slot"))),
-          Array(U16("v zone size"), U32("v slot")))
-
 _HEADER = Record(
     Expect("4s", "magic", IMAGE_MAGIC,
            lambda _: BadImageMagic("not a romized image")),
     Expect("H", "version", IMAGE_VERSION,
            lambda v: VersionMismatch("image format %d, expected %d"
                                      % (v, IMAGE_VERSION))),
-    U16("flags"), U32("class count"),
-    Array(U16("closed package count"), U32("closed package")))
-_CLOSED_PACKAGE = StringId("closed package")
+    U16("flags"), U32("class count"))
 
 _STRINGS = Record(Array(U32("string count"),
                         Blob(U16("string length"), "string data", text=True)))
 
 _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
 
-_CLASS = Record(
-    StringId("class name"), U16("access flags"), U8("ready flag"),
-    _class_ref("superclass"), Array(U16("ifaces"), _class_ref("interface")),
-    Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
-        cp.A_UTF8: StringId("text"), cp.A_STRING: StringId("text"),
-        cp.A_CLASS: _class_ref("class handle"),
-        cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
-    Array(U16("vtable size"),
-          Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
-    Array(U16("field count"), Record(
-        StringId("field name"), StringId("field descriptor"),
-        U16("field flags"), Option(U8("constant value flag"), Union(
-            Code({kind: ord(kind) for kind in "ijfds"},
-                 "constant value kind"),
-            {"i": Int32("q", "constant value"),
-             "j": Field("q", "constant value"),
-             "f": U64("constant value"), "d": U64("constant value"),
-             "s": StringId("constant value", "Q")})))),
-    Array(U16("method count"), Record(
-        StringId("method name"), StringId("method descriptor"),
-        U16("method flags"), Option(U8("code flag"), Record(
-            U16("max stack"), U16("max locals"),
-            Blob(U32("code length"), "bytecode"),
-            Array(U16("exception count"), Record(
-                U16("start"), U16("end"), U16("handler"),
-                Catch("H", "catch"))),
-            Option(U8("stack map flag"),
-                   Blob(U32("stack map length"), "stack maps")))))),
-    *_ZONES, Option(U8("initial zones flag"), Record(*_ZONES)))
+
+@cache
+def _records(fmt):
+    """The closed-package list and the class record, with string ids of
+    struct format ``fmt``."""
+    def class_ref(what):
+        return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
+                          "class reference tag"),
+                     {"index": ClassIndex(what, "class index"),
+                      "synthetic": StringId(fmt, what), None: None})
+
+    zones = (Array(U16("a zone size"),
+                   Option(U8("a slot tag"), ZoneString(fmt, "a slot"))),
+             Array(U16("v zone size"), U32("v slot")))
+    packages = Record(Array(U16("closed package count"),
+                            StringId(fmt, "closed package")))
+    record = Record(
+        StringId(fmt, "class name"), U16("access flags"), U8("ready flag"),
+        class_ref("superclass"), Array(U16("ifaces"), class_ref("interface")),
+        Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+            cp.A_UTF8: StringId(fmt, "text"),
+            cp.A_STRING: StringId(fmt, "text"),
+            cp.A_CLASS: class_ref("class handle"),
+            cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
+        Array(U16("vtable size"),
+              Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
+        Array(U16("field count"), Record(
+            StringId(fmt, "field name"), StringId(fmt, "field descriptor"),
+            U16("field flags"), Option(U8("constant value flag"), Union(
+                Code({kind: ord(kind) for kind in "ijfds"},
+                     "constant value kind"),
+                {"i": Field("i", "constant value"),
+                 "j": Field("q", "constant value"),
+                 "f": U32("constant value"), "d": U64("constant value"),
+                 "s": StringId(fmt, "constant value")})))),
+        Array(U16("method count"), Record(
+            StringId(fmt, "method name"), StringId(fmt, "method descriptor"),
+            U16("method flags"), Option(U8("code flag"), Record(
+                U16("max stack"), U16("max locals"),
+                Blob(U16("code length"), "bytecode"),
+                Array(U16("exception count"), Record(
+                    U16("start"), U16("end"), U16("handler"),
+                    Catch("H", "catch"))),
+                Option(U8("stack map flag"),
+                       Blob(U32("stack map length"), "stack maps")))))),
+        *zones, Union(Code({None: 0, "same": 1, "own": 2}, "initial zones",
+                           "initial zones tag"),
+                      {None: None, "same": None, "own": Record(*zones)}))
+    return packages, record
+
+
 _ClassValues = namedtuple("_ClassValues", (
     "name access_flags ready superclass interfaces atable vtable fields"
     " methods a_zone v_zone zones_initial"))
 
 
+def load_strings(data):
+    """The string section of an image."""
+    cur = _Cursor(data)
+    _HEADER.read(cur)
+    return _STRINGS.read(cur)
+
+
 def load_image(data):
     """A registry of the image's classes, or the error reading it raises."""
     cur = _Cursor(data)
-    _, _, flag_bits, cur.class_count, package_ids = _HEADER.read(cur)
+    _, _, flag_bits, cur.class_count = _HEADER.read(cur)
     cur.strings = _STRINGS.read(cur)
+    packages, record = _records("H" if len(cur.strings) <= 1 << 16 else "I")
     registry = lc.Registry()
     registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
-        closed_packages={_CLOSED_PACKAGE.load(cur, sid, cur.pos)
-                         for sid in package_ids})
+        closed_packages=set(packages.read(cur)))
     records, classes = [], []
     for _ in range(cur.class_count):
-        rec = _ClassValues._make(_CLASS.read(cur))
+        rec = _ClassValues._make(record.read(cur))
         for method in rec.methods:
             code = method[3]
             if code is not None:
@@ -348,7 +357,9 @@ def load_image(data):
         done.add(cls.name)
         lc.lay_out_class(cls, rec.fields, rec.methods)
         cls.a_static_zone, cls.v_static_zone = rec.a_zone, rec.v_zone
-        cls.zones_initial = rec.zones_initial and tuple(rec.zones_initial)
+        tag, zones = rec.zones_initial
+        cls.zones_initial = ((list(rec.a_zone), list(rec.v_zone))
+                             if tag == "same" else zones and tuple(zones))
 
     for cls, rec in zip(classes, records):
         finish(cls, rec)

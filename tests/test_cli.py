@@ -11,10 +11,14 @@ from jrom import classfile as cf
 from jrom import descriptors as desc
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
+from jrom import romizer as rz
 from jrom.cli import main
 
+from . import image_oracle
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .conftest import make_pipeline
 from .corpus import corpus_names
+from .test_linker import GOLDEN_FLAGS
 
 
 def run_cli(*argv):
@@ -245,15 +249,127 @@ class TestConstantValueKind:
 
     def test_instance_field_constant_is_ignored(self, corpus_dir, tmp_path):
         """A ConstantValue of a non-static field is ignored, as the JVM
-        does, so its kind is not checked."""
-        cb = ClassBuilder("p/Instance")
-        cb.field("X", "I", ACC_PUBLIC, const=("s", "text"))
+        does: its kind is not checked, and loading drops it.  The image is
+        then the one of the same class without the attribute; the text
+        stays in it only as the class's String constant, which the linked
+        pool keeps as every string literal is kept."""
+        text = "instance-constant-text"
+        images = []
+        for const in (("s", text), None):
+            cb = ClassBuilder("p/Instance")
+            if const is None:
+                cb.pool.string(text)
+            cb.field("X", "I", ACC_PUBLIC, const=const)
+            cb.default_init()
+            root = tmp_path / ("with" if const else "without")
+            (root / "p").mkdir(parents=True)
+            (root / "p" / "Instance.class").write_bytes(cb.build())
+            out = root / "out.rom"
+            assert run_cli("romize", "--classpath", str(root), "--classpath",
+                           corpus_dir, "--out", str(out), "p/Instance") == 0
+            images.append(out.read_bytes())
+        assert images[0] == images[1]
+        assert images[0].count(text.encode()) == 1
+        cls = rz.load_image(images[0]).get("p/Instance")
+        field, = cls.fields
+        assert (field.name, field.constant_value) == ("X", None)
+        assert text in cls.pool.a_payload
+
+
+class TestCodeLength:
+    """The JVM caps a method's code at 65,535 bytes (JVMS 4.7.3), and the
+    image stores the length in two bytes."""
+
+    @staticmethod
+    def write_class(root, size):
+        """p/Long, whose static run()V is ``size - 1`` nops and a return."""
+        cb = ClassBuilder("p/Long", debug_attrs=False)
         cb.default_init()
-        (tmp_path / "p").mkdir()
-        (tmp_path / "p" / "Instance.class").write_bytes(cb.build())
+        # explicit max stack and locals: no depth simulation of 64K ops
+        code = cb.method("run", "()V", ACC_PUBLIC | ACC_STATIC,
+                         max_stack=0, max_locals=0)
+        for _ in range(size - 1):
+            code.op("nop")
+        code.op("return")
+        (root / "p").mkdir()
+        (root / "p" / "Long.class").write_bytes(cb.build())
+
+    def test_over_65535_bytes_fails_the_class(self, corpus_dir, tmp_path,
+                                              capsys):
+        self.write_class(tmp_path, 0x10000)
         assert run_cli("romize", "--classpath", str(tmp_path), "--classpath",
                        corpus_dir, "--out", str(tmp_path / "out.rom"),
-                       "p/Instance") == 0
+                       "p/Long") == 1
+        err = capsys.readouterr().err
+        assert "FAIL p/Long: ClassFileError: code length 65536 is over " \
+            "65535" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.rom").exists()
+
+    def test_65535_bytes_romize_and_round_trip(self, corpus_dir, tmp_path):
+        self.write_class(tmp_path, 0xFFFF)
+        out = tmp_path / "out.rom"
+        assert run_cli("romize", "--classpath", str(tmp_path), "--classpath",
+                       corpus_dir, "--out", str(out), "p/Long") == 0
+        image = out.read_bytes()
+        registry = rz.load_image(image)
+        run = next(m for m in registry.get("p/Long").methods
+                   if m.name == "run")
+        assert len(run.code.bytecode) == 0xFFFF
+        assert rz.emit_image(registry.loadable(), registry.image_flags) \
+            == image
+
+
+class TestInspect:
+    @staticmethod
+    def inspect(path, capsys):
+        assert run_cli("inspect", str(path)) == 0
+        return dict(line.split(": ", 1)
+                    for line in capsys.readouterr().out.splitlines())
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+    def test_parts_add_up_to_the_image(self, corpus_dir, tmp_path, capsys,
+                                       flags):
+        pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
+        image = pipe.emit_image()
+        (tmp_path / "corpus.rom").write_bytes(image)
+        info = self.inspect(tmp_path / "corpus.rom", capsys)
+        assert sum(int(info[part]) for part in (
+            "header bytes", "string bytes", "class record bytes")) \
+            == int(info["bytes"]) == len(image)
+        want = pipe.ctx
+        assert (info["format"], info["flags"], info["closed packages"],
+                info["string id bytes"], info["classes"]) == (
+            "3", " ".join(name for name, on in (
+                ("introspection", want.introspection),
+                ("private-field-opt", want.private_field_opt),
+                ("closed-world", want.closed_world)) if on) or "none",
+            "none", "2", str(len(pipe.registry.loadable())))
+        # a length and the bytes per string, after the string count
+        strings = image_oracle.load_strings(image)
+        assert int(info["strings"]) == len(strings)
+        assert int(info["string bytes"]) == 4 + sum(
+            2 + len(s.encode("utf-8", "surrogatepass")) for s in strings)
+
+    def test_closed_packages_are_header_bytes(self, corpus_dir, tmp_path,
+                                              capsys):
+        pipe = make_pipeline(corpus_dir,
+                             closed_packages={"corpus/sealed", "vm"})
+        (tmp_path / "corpus.rom").write_bytes(pipe.emit_image())
+        info = self.inspect(tmp_path / "corpus.rom", capsys)
+        assert info["closed packages"] == "corpus/sealed vm"
+        # magic, version, flags, class count; a count and two ids
+        assert info["header bytes"] == str(12 + 2 + 2 * 2)
+
+    def test_truncated_image_fails_cleanly(self, corpus_dir, tmp_path,
+                                           capsys):
+        image = make_pipeline(corpus_dir).emit_image()
+        (tmp_path / "cut.rom").write_bytes(image[:len(image) // 2])
+        assert run_cli("inspect", str(tmp_path / "cut.rom")) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL Corrupt: truncated ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestClasspath:

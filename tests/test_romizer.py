@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import struct
 
 import pytest
 
@@ -86,16 +87,16 @@ class TestEmit:
 
     # sha256 of the corpus image and its report under each flag set
     GOLDEN = {
-        (): ("856022052981877452743b32b2abbd4dc289db4f2fbee4914cb762592a7e9a83",
+        (): ("93ca4a89c22c782bd14e60a6671db72fadbd15d15fe3b87bb24e00ae5606a5fe",
              "4f8c37f75fc2808993ee54b851b18c0faec313382d02553c5fba5e42b8e6d3b5"),
         ("--no-introspection",): (
-            "0fcd7e405d12c6cca99aab93724eb5b1bff2bb121437b067776d02fb788d687a",
+            "b21cfaa6156f9ba04a742a9ab69a22bee474a5ae3cb8306d60dae516dee4f41d",
             "694cef060cf5b9ccb9302a356a84cd0b32b4bac810e81017469a18823cd11b97"),
         ("--private-field-opt",): (
-            "c6799f1f42c73f6ef39dbf2557e39394dfe75384a795847b17168d74a190cc62",
+            "816a0a71b184a7d037aaa9c178dfddbfe85692fe94260d6c9afe6c52075dc014",
             "37ae0f02c9f8de63ee50599213efb1d3c8b021ef2c6a053d04114fefb8a1a796"),
         ("--closed-world",): (
-            "d9292756a5a14fc2e65b17fb845d2c0354da5dd8142df577d9b669548edb27cc",
+            "5b2a1dbe8af23c55cc992798ac85b4ea95339e758a1e4e3fe88821bfc01824a0",
             "15b2f43369a005c3fe759861b9d1f7bead8927412d8016a64faf2bbc618ce9ca"),
     }
 
@@ -291,6 +292,118 @@ class TestLoadImage:
         assert typed > 0
         with pytest.raises(Corrupt, match="catch type 999"):
             rz.load_image(pipe.emit_image())
+
+
+class TestFormat3:
+    """String ids as wide as the string count needs, and initial zones
+    stored only where they differ from the live ones."""
+
+    @staticmethod
+    def info(image):
+        return dict(line.split(": ", 1)
+                    for line in rz.inspect_image(image).splitlines())
+
+    @staticmethod
+    def round_trip(image):
+        registry = rz.load_image(image)
+        assert rz.emit_image(registry.loadable(), registry.image_flags) \
+            == image
+        return registry
+
+    def test_forced_u32_ids_round_trip(self, linked_pipeline, image,
+                                       monkeypatch):
+        narrow_info = self.info(image)
+        monkeypatch.setattr(rz, "U16_ID_STRINGS", 0)
+        wide = linked_pipeline.emit_image()
+        wide_info = self.info(wide)
+        assert (narrow_info["string id bytes"],
+                wide_info["string id bytes"]) == ("2", "4")
+        for same in ("strings", "string bytes", "header bytes"):
+            assert wide_info[same] == narrow_info[same]
+        assert int(wide_info["class record bytes"]) > \
+            int(narrow_info["class record bytes"])
+        reloaded = self.round_trip(wide)
+        out = linked_pipeline.verify_all(vectors=1, after_registry=reloaded)
+        assert not out.failures and out.checked
+
+    def test_more_strings_than_u16_ids_widen_them(self, corpus_dir):
+        # 65,535 new strings in one class's initial zones take the image
+        # past 65,536 strings: the u16 write overflows and emit starts
+        # again with u32 ids
+        pipe = make_pipeline(corpus_dir)
+        narrow = self.info(pipe.emit_image())
+        cls = pipe.registry.get("corpus/Empty")
+        cls.zones_initial = ([("str", "s%d" % i) for i in range(0xFFFF)],
+                             list(cls.v_static_zone))
+        wide = pipe.emit_image()
+        info = self.info(wide)
+        assert int(info["strings"]) == int(narrow["strings"]) + 0xFFFF
+        assert info["string id bytes"] == "4"
+        # the zones are not the size of Empty's layout, so they load no
+        # further than the check of that
+        with pytest.raises(Corrupt, match="^static zones of corpus/Empty"):
+            rz.load_image(wide)
+
+    def test_same_as_live_zones_reload_as_copies(self, linked_pipeline,
+                                                 image):
+        reloaded = rz.load_image(image)
+        filled = 0
+        for cls in linked_pipeline.registry.loadable():
+            live = cls.a_static_zone, cls.v_static_zone
+            if cls.zones_initial != live:
+                continue
+            redone = reloaded.get(cls.name)
+            a_zone, v_zone = redone.a_static_zone, redone.v_static_zone
+            a_init, v_init = redone.zones_initial
+            assert (a_init, v_init) == live, cls.name
+            assert a_init is not a_zone and v_init is not v_zone, cls.name
+            if v_zone:
+                v_zone[0] += 1
+                assert v_init[0] == cls.v_static_zone[0], cls.name
+                filled += 1
+        assert filled > 0
+
+    def test_initial_zones_tagged_same_unless_they_differ(
+            self, linked_pipeline, image):
+        records = {r.name: r for r in rz._read_image(image).records}
+        tags = {}
+        for cls in linked_pipeline.registry.loadable():
+            live = cls.a_static_zone, cls.v_static_zone
+            tag = records[cls.name].zones_initial[0]
+            assert tag == ("same" if cls.zones_initial == live else "own")
+            tags[cls.name] = tag
+        assert "same" in tags.values()
+        # <clinit> changes the statics after their initial values are kept
+        assert tags["corpus/Clinit"] == "own"
+        original = linked_pipeline.registry.get("corpus/Clinit")
+        redone = rz.load_image(image).get("corpus/Clinit")
+        assert redone.zones_initial == original.zones_initial
+        assert redone.zones_initial != (redone.a_static_zone,
+                                        redone.v_static_zone)
+
+    def test_format_2_is_a_version_mismatch(self, image):
+        data = image[:4] + struct.pack("<H", 2) + image[6:]
+        with pytest.raises(VersionMismatch,
+                           match=r"^image format 2, expected 3$"):
+            rz.load_image(data)
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+    def test_reload_keeps_constants_and_behaviour(self, corpus_dir, flags):
+        """Int and float constants, now 4 bytes, and the rest reload as
+        they were, and the reloaded classes run as the linked ones."""
+        pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
+        reloaded = self.round_trip(pipe.emit_image())
+        kinds = set()
+        for cls in pipe.registry.loadable():
+            redone = reloaded.get(cls.name)
+            for f, g in zip(cls.fields, redone.fields, strict=True):
+                assert g.constant_value == f.constant_value, (cls.name, f)
+                if f.constant_value:
+                    kinds.add(f.constant_value[0])
+        assert kinds == set("ijfds")
+        out = pipe.verify_all(vectors=1, after_registry=reloaded)
+        assert not out.failures, out.failures[:3]
+        assert not out.skipped and out.checked
 
 
 def _outcome(load, data):
