@@ -192,8 +192,9 @@ def build_parser():
                    help="test hook: flip one operand byte after linking")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("inspect", help="print an image's header and the"
-                                       " bytes of its parts")
+    p = sub.add_parser("inspect", help="print an image's header, the bytes"
+                                       " of its parts and its pool entries"
+                                       " per kind")
     p.add_argument("image", help="image path")
     p.set_defaults(func=cmd_inspect)
     return ap

@@ -7,18 +7,20 @@ index pairs).  Each table is stored flat, as parallel lists:
 vtable, with the dead flags of every entry in ``bytearray``s, so a pool is a
 handful of containers however many entries it has.  Prelinking resolves the
 symbolic constants into direct handles; its second pass places the last of
-them and then sets the dead flags once, for the whole pool, which strips the
-NameAndType cells and most Utf8 text out of the live set.  Where each raw
-constant went is a map that build_pool returns and the passes extend; only
-loading reads it (placed), to rewrite every pool operand of the class's code
-to its table index, and nothing keeps it after the class has loaded.  The
-lookup dicts that deduplicate literals and member handles live only inside
-the pass that fills them, so a loaded pool keeps just its tables and flags.
-Nothing changes the pool after prelinking, so it is the loaded snapshot.
-Linking marks the entries its final code uses into flags of its
-own (new_marks), and pack() copies them into a new pool, rewriting the
-atable indexes that surviving cells hold, and returns the remaps that the
-bytecode rewriter applies.
+them and then sets the dead flags once, for the whole pool.  Those strip
+out of the live set every cell that names atable entries (String,
+NameAndType and member-ref cells: loading rewrites each instruction that
+names one to name the literal or member handle the cell names) and most
+Utf8 text.  Where each raw constant went is a map that build_pool returns
+and the passes extend; only loading reads it, to rewrite every pool operand
+of the class's code to its table index, and nothing keeps it after the
+class has loaded.  The lookup dicts that deduplicate literals and member
+handles live only inside the pass that fills them, so a loaded pool keeps
+just its tables and flags.  Nothing changes the pool after prelinking, so
+it is the loaded snapshot.  Linking marks the entries its final code names
+into flags of its own (new_marks), and pack() copies them into a new pool
+and returns the remaps that the bytecode rewriter applies.  No linked cell
+holds an atable index, so packing rewrites no cell.
 """
 
 from dataclasses import dataclass
@@ -53,15 +55,13 @@ V_IFACEREF = "ifaceref"
 
 _PAIR_HI = {V_LONG_HI, V_DBL_HI}
 _PAIR_LO = {V_LONG_LO, V_DBL_LO}
-_REFS = {V_FIELDREF, V_METHODREF, V_IFACEREF}
+# the cells that hold atable indexes: no loaded instruction names one
+_NAMING = {V_STRING, V_NAT, V_FIELDREF, V_METHODREF, V_IFACEREF}
 _REF_KIND = {
     cf.TAG_FIELDREF: V_FIELDREF,
     cf.TAG_METHODREF: V_METHODREF,
     cf.TAG_IFACEMETHODREF: V_IFACEREF,
 }
-# member-ref cell kind -> kind of the handle its low 16 bits name
-_HANDLE_KIND = {V_FIELDREF: A_FIELD, V_METHODREF: A_METHOD,
-                V_IFACEREF: A_METHOD}
 
 
 @dataclass(slots=True)
@@ -238,10 +238,11 @@ def prelink_pass2(pool, placement, raw):
 
     Handles are deduplicated, so two refs to the same member share one
     atable entry.  This pass places the last raw constants, so nothing
-    references a NameAndType cell or a Utf8 after it: every NameAndType
-    cell is dead, and so is every Utf8 that does not spell a name or
-    descriptor of this class's own members (those stay eligible for
-    reflection marking).
+    references a NameAndType cell or a Utf8 after it, and loading rewrites
+    each String and member-ref operand to the atable entry its cell names:
+    every String, NameAndType and member-ref cell is dead, and so is every
+    Utf8 that does not spell a name or descriptor of this class's own
+    members (those stay eligible for reflection marking).
     """
     tags, values = raw.pool_tags, raw.pool_values
     payload = pool.a_payload
@@ -272,21 +273,21 @@ def prelink_pass2(pool, placement, raw):
 
     member_texts = {text for m in raw.fields + raw.methods
                     for text in (m.name, m.descriptor)}
-    pool.v_dead = bytearray(kind == V_NAT for kind in pool.v_kind)
+    pool.v_dead = bytearray(kind in _NAMING for kind in pool.v_kind)
     pool.a_dead = bytearray(kind == A_UTF8 and text not in member_texts
                             for kind, text in zip(pool.a_kind, payload))
 
 
 def new_marks(pool):
-    """Fresh (atable, vtable) mark flags for one link of ``pool``, with
-    only the string literals set: they are always retained, since their
-    text is the runtime value."""
-    return (bytearray(kind == A_STRING for kind in pool.a_kind),
-            bytearray(len(pool.v_kind)))
+    """Fresh (atable, vtable) mark flags for one link of ``pool``, none
+    set: a string literal survives only if an instruction loads it."""
+    return bytearray(len(pool.a_kind)), bytearray(len(pool.v_kind))
 
 
 def mark(pool, marks, table, index):
-    """Mark one entry as used; index pairs propagate into the atable."""
+    """Mark one entry as used; a long or double marks both its cells.  A
+    cell that holds atable indexes cannot be kept: the pack would leave
+    them naming the old atable."""
     a_marks, v_marks = marks
     if table == ATABLE:
         if not 0 <= index < len(pool.a_kind):
@@ -298,55 +299,36 @@ def mark(pool, marks, table, index):
     if not 0 <= index < len(pool.v_kind):
         raise IndexOutOfRange("vtable index %s" % index)
     kind = pool.v_kind[index]
+    if kind in _NAMING:
+        raise InternalError("cannot keep %s cell %d" % (kind, index))
     if kind in _PAIR_LO:
         index -= 1
         kind = pool.v_kind[index]
     v_marks[index] = True
-    value = pool.v_value[index]
     if kind in _PAIR_HI:
         v_marks[index + 1] = True
-    elif kind == V_STRING:
-        a_marks[value] = True
-    elif kind == V_NAT or kind in _REFS:
-        hi, lo = _unpack16(value)
-        a_marks[hi] = True
-        a_marks[lo] = True
 
 
 def pack(pool, marks):
     """The marked entries of ``pool`` as a new pool, in their relative
     order, with the (atable, vtable) remaps from old index to new.
-
-    The surviving vtable cells that hold atable indexes are copied with
-    those indexes rewritten through the atable remap.  ``pool`` is left as
-    it was.
-    """
+    ``pool`` is left as it was."""
     a_marks, v_marks = marks
     a_remap = {old: new for new, old in
                enumerate(compress(range(len(a_marks)), a_marks))}
     v_remap = {old: new for new, old in
                enumerate(compress(range(len(v_marks)), v_marks))}
-    v_kind = list(compress(pool.v_kind, v_marks))
-    v_value = []
-    try:
-        for kind, value in zip(v_kind, compress(pool.v_value, v_marks)):
-            if kind == V_STRING:
-                value = a_remap[value]
-            elif kind == V_NAT or kind in _REFS:
-                value = _pack16(a_remap[value >> 16], a_remap[value & 0xFFFF])
-            v_value.append(value)
-    except KeyError:
-        raise InternalError("surviving cell references a swept atable entry")
     packed = packed_pool(list(compress(pool.a_kind, a_marks)),
                          list(compress(pool.a_payload, a_marks)),
-                         v_kind, v_value)
+                         list(compress(pool.v_kind, v_marks)),
+                         list(compress(pool.v_value, v_marks)))
     return packed, a_remap, v_remap
 
 
 def holds(pool, space, index, want):
     """Whether table index ``index`` names an entry of kind ``want`` (None:
-    any kind) that can be read whole: the low cell of a long or double, and
-    the member handle of a member-ref cell, are inside their tables too."""
+    any kind) that can be read whole: the low cell of a long or double is
+    inside the table too."""
     kinds = pool.kinds(space)
     if not 0 <= index < len(kinds):
         return False
@@ -354,21 +336,4 @@ def holds(pool, space, index, want):
         return True
     if kinds[index] != want:
         return False
-    if want in _PAIR_HI:
-        return index + 1 < len(kinds)
-    handle_kind = _HANDLE_KIND.get(want)
-    if handle_kind is None:
-        return True
-    handle = pool.v_value[index] & 0xFFFF
-    return handle < len(pool.a_kind) and pool.a_kind[handle] == handle_kind
-
-
-def placed(pool, placement, raw_idx, space, want):
-    """The ``space`` table index where prelinking placed raw constant
-    ``raw_idx`` (``placement`` is build_pool's map), if that entry ``holds``
-    kind ``want``; otherwise None."""
-    where = placement.get(raw_idx)
-    if where is None or where[0] != space \
-            or not holds(pool, space, where[1], want):
-        return None
-    return where[1]
+    return want not in _PAIR_HI or index + 1 < len(kinds)

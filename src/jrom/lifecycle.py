@@ -4,9 +4,11 @@ Loading parses the class file, builds and prelinks the runtime pool, lays
 out fields, builds the dispatch table, walks each method body once into
 its shape, which makes the body's structural checks, and over the shape
 rewrites every pool operand to its table index (and the constant-loading
-instructions to their quick forms).  The ready flag is orthogonal: a class
-becomes ready once its statics are initialized, which may happen while it
-is merely loaded.
+instructions to their quick forms).  An operand whose constant became a
+cell naming an atable entry, a String's literal or a member ref's handle,
+is rewritten to that entry, so no loaded instruction names such a cell.
+The ready flag is orthogonal: a class becomes ready once its statics are
+initialized, which may happen while it is merely loaded.
 """
 
 import os
@@ -510,9 +512,6 @@ def lay_out_statics(cls):
     cls.v_static_zone = [0] * (next_v - cls.v_base)
 
 
-# the instructions whose operand a class file gives as a raw pool index
-_RAW = {op: entry for op, entry in ops.OPERANDS.items()
-        if entry.kind == ops.TABLE and op < ops.FIRST_QUICK}
 _LDC_QUICK = {(cp.VTABLE, cp.V_INT): "ldc_quick_i",
               (cp.VTABLE, cp.V_FLOAT): "ldc_quick_f",
               (cp.VTABLE, cp.V_STRING): "ldc_quick_a"}
@@ -528,13 +527,30 @@ _LOAD_QUICK = {
     _OP["anewarray"]: ("anewarray operand %d is not a class constant",
                        {(cp.ATABLE, cp.A_CLASS): "anewarray_quick"}),
 }
+# the same for every instruction whose operand a class file gives as a raw
+# pool index: the others keep their opcode, and a member instruction checks
+# the kind of its member ref
+_LOAD = dict(_LOAD_QUICK)
+for _names, _key, _what in (
+        ("new checkcast instanceof multianewarray", (cp.ATABLE, cp.A_CLASS),
+         "a class"),
+        ("getstatic putstatic getfield putfield", (cp.VTABLE, cp.V_FIELDREF),
+         "a field ref"),
+        ("invokevirtual invokespecial invokestatic",
+         (cp.VTABLE, cp.V_METHODREF), "a method ref"),
+        ("invokeinterface", (cp.VTABLE, cp.V_IFACEREF),
+         "an interface method ref")):
+    for _name in _names.split():
+        _LOAD[_OP[_name]] = ("%s operand %%d is not %s constant"
+                             % (_name, _what), {_key: _name})
 
 
 def rewrite_load(m, pool, placement, shapes):
     """Over the shape of ``m``'s code, built (and checked) first and kept
     as one of ``shapes`` where equal (``MethodCode.shape_of``), rewrite
     every raw pool operand in place to the table index where prelinking
-    placed its constant, and each constant load to its quick form.
+    placed its constant, or to the atable entry its cell names, and each
+    constant load to its quick form.
 
     The one check of a class file's pool operands: an operand that does not
     place on an entry of the kind its instruction wants raises BadPoolRef,
@@ -544,32 +560,27 @@ def rewrite_load(m, pool, placement, shapes):
     bc = m.code.bytecode
     for off in m.code.shape_of(m, shapes).starts:
         op = bc[off]
-        entry = _RAW.get(op)
-        if entry is None:
+        rule = _LOAD.get(op)
+        if rule is None:
             if op >= ops.FIRST_QUICK:
                 raise BadOpcode("reserved opcode 0x%02x at offset %d" % (op, off))
             continue
-        raw_idx = ops.read_operand(bc, off, entry.size)
-        rule = _LOAD_QUICK.get(op)
-        if rule is None:
-            idx = cp.placed(pool, placement, raw_idx, entry.space, entry.want)
-            if idx is None:
-                raise BadPoolRef("operand %d at offset %d is not a %s constant"
-                                 % (raw_idx, off, entry.want))
-        else:
-            fault, forms = rule
-            where = placement.get(raw_idx)
-            if where is None:
-                raise BadPoolRef("operand %d at offset %d is not a pool constant"
-                                 % (raw_idx, off))
-            space, idx = where
-            name = forms.get((space, pool.kinds(space)[idx]))
-            if name is None:
-                raise BadPoolRef(fault % raw_idx)
-            op = _OP[name]
-            entry = ops.OPERANDS[op]
-            if entry.space != space:        # a string cell names its literal
-                idx = pool.v_value[idx]
+        fault, forms = rule
+        raw_idx = ops.read_operand(bc, off, ops.OPERANDS[op].size)
+        where = placement.get(raw_idx)
+        if where is None:
+            raise BadPoolRef("operand %d at offset %d is not a pool constant"
+                             % (raw_idx, off))
+        space, idx = where
+        name = forms.get((space, pool.kinds(space)[idx]))
+        if name is None:
+            raise BadPoolRef("%s at offset %d" % (fault % raw_idx, off))
+        op = _OP[name]
+        entry = ops.OPERANDS[op]
+        # a String or member-ref cell: its low 16 bits name the literal or
+        # the member handle
+        if entry.space != space:
+            idx = pool.v_value[idx] & 0xFFFF
         if idx >> (8 * entry.size):
             raise PoolOverflow("%s index %d does not fit %s" % (
                 ops.NAME[op], idx, "one byte" if entry.size == 1 else "two bytes"))

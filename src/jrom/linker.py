@@ -9,11 +9,14 @@ still names, into marks that live only while the class links.  The walk
 records each kept pool operand, so after the pack, which copies the
 marked entries into a new pool and leaves the loaded one as it was, the
 relink rewrites those sites through the pack remaps without decoding
-again.  All of this is built on the side: the class gets its linked code,
-its packed pool and its resolved handles only once every step has
-succeeded, so a link that fails leaves the class as loaded.  Loading
-already made the structural checks, with each body's shape, rejected
-quick opcodes and checked every pool operand, so link does not.
+again.  Loading made each member instruction name its member handle, so a
+kept one marks that handle alone: a class handle survives only where a
+class operand or a catch type names it, and a string literal only where
+a quick ldc loads it.  All of this is built on the side: the class gets
+its linked code, its packed pool and its resolved handles only once every
+step has succeeded, so a link that fails leaves the class as loaded.
+Loading already made the structural checks, with each body's shape,
+rejected quick opcodes and checked every pool operand, so link does not.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +28,6 @@ from .errors import (ClassNotFound, InvalidTransition, NoSuchField,
                      NoSuchMethod, VerifyError)
 
 _OP = ops.BY_NAME
-_MEMBER_REFS = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
 
 
 @dataclass
@@ -111,10 +113,10 @@ def link_method(m, code, pool, members, marks, ctx):
         if found is None:
             continue
         entry, idx = found
-        if entry.want in _MEMBER_REFS:
+        if entry.want in (cp.A_FIELD, cp.A_METHOD):
             op = bc[off]
-            member = members[pool.v_value[idx] & 0xFFFF]
-            _check_member(m, bc, off, member, entry.want == cp.V_FIELDREF)
+            member = members[idx]
+            _check_member(m, bc, off, member, entry.want == cp.A_FIELD)
             _rewrite_member(m, bc, off, member, ctx)
             if bc[off] != op:           # a quick form names no pool entry
                 continue

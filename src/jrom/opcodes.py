@@ -117,6 +117,9 @@ FIRST_QUICK = BY_NAME["ldc_quick_i"]
 # operand of a standard instruction (below FIRST_QUICK) as a raw
 # constant-pool index; loading rewrites each one to its table index, so in
 # loaded and linked code every TABLE operand is an atable or vtable index.
+# A member instruction's is its member handle's atable index, as a quick
+# string load's is its literal's: loading reads through the cell the
+# class file names.
 TABLE = "table"            # atable or vtable index
 LOCAL = "local"            # local variable slot
 BRANCH = "branch"          # signed offset from the instruction start
@@ -138,9 +141,9 @@ def _operand_table():
     rows = (
         ("ldc", TABLE, 1, V),
         ("ldc_w ldc2_w", TABLE, 2, V),
-        ("getstatic putstatic getfield putfield", TABLE, 2, V, cp.V_FIELDREF),
-        ("invokevirtual invokespecial invokestatic", TABLE, 2, V, cp.V_METHODREF),
-        ("invokeinterface", TABLE, 2, V, cp.V_IFACEREF),
+        ("getstatic putstatic getfield putfield", TABLE, 2, A, cp.A_FIELD),
+        ("invokevirtual invokespecial invokestatic invokeinterface", TABLE, 2,
+         A, cp.A_METHOD),
         ("new anewarray checkcast instanceof multianewarray", TABLE, 2, A,
          cp.A_CLASS),
         ("ldc_quick_i", TABLE, 1, V, cp.V_INT),

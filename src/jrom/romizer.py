@@ -10,7 +10,7 @@ footprint reports.
 import bisect
 import json
 import struct
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter
@@ -25,7 +25,7 @@ from .schema import (U8, U16, U32, U64, Array, Blob, Expect, Field, Option,
                      Record, Schema, Union)
 
 IMAGE_MAGIC = b"JRMZ"
-IMAGE_VERSION = 3
+IMAGE_VERSION = 4
 
 FLAG_INTROSPECTION = 1
 FLAG_PRIVATE_OPT = 2
@@ -33,9 +33,10 @@ FLAG_CLOSED_WORLD = 4
 
 _A_KIND_CODE = {cp.A_UTF8: 0, cp.A_STRING: 1, cp.A_CLASS: 2,
                 cp.A_FIELD: 3, cp.A_METHOD: 4}
+# a linked pool's cells are immediates: no linked instruction names a
+# cell that holds atable indexes, so the pack keeps none
 _V_KIND_CODE = {cp.V_INT: 0, cp.V_FLOAT: 1, cp.V_LONG_HI: 2, cp.V_LONG_LO: 3,
-                cp.V_DBL_HI: 4, cp.V_DBL_LO: 5, cp.V_STRING: 6, cp.V_NAT: 7,
-                cp.V_FIELDREF: 8, cp.V_METHODREF: 9, cp.V_IFACEREF: 10}
+                cp.V_DBL_HI: 4, cp.V_DBL_LO: 5}
 
 # sizing model shared by reports: text entries cost their bytes plus a
 # 2-byte length, handles and 32-bit cells cost 4 bytes each; class bytes
@@ -433,8 +434,9 @@ def load_image(data):
 
 
 def inspect_image(data):
-    """The header, flags and closed packages of an image, and the bytes of
-    its parts, read as load_image reads them, as ``name: value`` lines.
+    """The header, flags and closed packages of an image, the bytes of its
+    parts, read as load_image reads them, and the atable entries and
+    vtable cells of each kind over all classes, as ``name: value`` lines.
     The header counts the closed-package list, which follows the string
     section because its ids take the width the string count gives."""
     read = _read_image(data)
@@ -454,6 +456,10 @@ def inspect_image(data):
         ("string bytes", read.strings_end - read.strings_start),
         ("classes", len(read.records)),
         ("class record bytes", len(data) - read.records_start)]
+    for table, codes in ("atable", _A_KIND_CODE), ("vtable", _V_KIND_CODE):
+        counts = Counter(kind for rec in read.records
+                         for kind in getattr(rec, table)[0])
+        lines += [("%s %s" % (table, kind), counts[kind]) for kind in codes]
     return "".join("%s: %s\n" % line for line in lines)
 
 

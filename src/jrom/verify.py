@@ -1,9 +1,10 @@
 """Minimal stack-machine interpreter used as a differential oracle.
 
-It executes both the post-load dialect of a method body (symbolic member
-references) and the post-link one (quick forms) against a snapshot world,
-so every pipeline rewrite can be checked for semantic preservation: same
-outcome, same static-zone writes, same created objects.
+It executes both the post-load dialect of a method body (member
+instructions naming member handles) and the post-link one (quick forms)
+against a snapshot world, so every pipeline rewrite can be checked for
+semantic preservation: same outcome, same static-zone writes, same
+created objects.
 
 Each method body is decoded once per pool it runs against, the first time,
 into its entry record (``decoded``): (pool, steps, locals pad, handler
@@ -354,11 +355,11 @@ class Frame:
         return args
 
 
-def _resolve(pool, cell):
-    """The field or method the member-ref cell ``cell`` names, or None: its
-    handle's member, set when the owner linked, or else the one a lookup
-    over the loaded classes finds."""
-    handle = pool.a_payload[pool.v_value[cell] & 0xFFFF]
+def _resolve(pool, aidx):
+    """The field or method of the member handle at ``aidx``, or None: the
+    member set when the owner linked, or else the one a lookup over the
+    loaded classes finds."""
+    handle = pool.a_payload[aidx]
     return handle.resolved or handle.lookup()
 
 
@@ -856,13 +857,13 @@ def _field_operand(op, owner, zone, offset, tc):
     return offset, _kind_of(tc), _FIELD_NARROW.get(tc)
 
 
-def _member_step(op, pool, cell):
+def _member_step(op, pool, aidx):
     """(handler, operand) of member instruction ``op``: its quick body if
-    the member-ref cell ``cell`` of ``pool`` resolves now to a member it
-    can use, else the lazy step."""
-    found = _resolve(pool, cell)
+    the member handle ``aidx`` of ``pool`` resolves now to a member it can
+    use, else the lazy step."""
+    found = _resolve(pool, aidx)
     if found is None or (op in _INSTANCE_INVOKES and found.is_static):
-        return _lazy, (op, pool, cell)
+        return _lazy, (op, pool, aidx)
     if _QUICK[op] in _HOLDS_METHOD:
         return _QUICK[op], found
     return _QUICK[op], _field_operand(op, found.owner, found.zone,
@@ -873,13 +874,13 @@ def _lazy(m, f, operand):
     """A member instruction whose operand did not resolve at decode: each
     run resolves it again and runs the quick body, or raises as the
     operand is unusable."""
-    op, pool, cell = operand
-    handler, quick = _member_step(op, pool, cell)
+    op, pool, aidx = operand
+    handler, quick = _member_step(op, pool, aidx)
     if handler is not _lazy:
         return handler(m, f, quick)
-    found = _resolve(pool, cell)
+    found = _resolve(pool, aidx)
     if found is None:
-        handle = pool.a_payload[pool.v_value[cell] & 0xFFFF]
+        handle = pool.a_payload[aidx]
         raise InterpError("%s: unresolved %s.%s at %d"
                           % (f.method, handle.owner.name, handle.name, f.pc))
     raise InterpError("%s: %s of static %r at %d"

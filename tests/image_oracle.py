@@ -3,7 +3,7 @@ oracle for it.
 
 Each part reads its rest through a call per element, and a record's read is
 generated per run; ``load_image`` is the loader that went with it, moved to
-image format 3, whose string ids are two bytes wide up to 65,536 strings
+image format 4, whose string ids are two bytes wide up to 65,536 strings
 and four beyond.  It has no check of class record names or static zone
 sizes: a record out of name order, naming a synthetic class, or holding
 zones of another size than its layout gives loads here and fails in

@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from jrom import classfile as cf
+from jrom import constpool as cp
 from jrom import descriptors as desc
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
@@ -250,9 +251,9 @@ class TestConstantValueKind:
     def test_instance_field_constant_is_ignored(self, corpus_dir, tmp_path):
         """A ConstantValue of a non-static field is ignored, as the JVM
         does: its kind is not checked, and loading drops it.  The image is
-        then the one of the same class without the attribute; the text
-        stays in it only as the class's String constant, which the linked
-        pool keeps as every string literal is kept."""
+        then the one of the same class without the attribute, and the text
+        is not in it: the class's String constant is swept at link, since
+        no ldc loads it."""
         text = "instance-constant-text"
         images = []
         for const in (("s", text), None):
@@ -269,11 +270,11 @@ class TestConstantValueKind:
                            corpus_dir, "--out", str(out), "p/Instance") == 0
             images.append(out.read_bytes())
         assert images[0] == images[1]
-        assert images[0].count(text.encode()) == 1
+        assert images[0].count(text.encode()) == 0
         cls = rz.load_image(images[0]).get("p/Instance")
         field, = cls.fields
         assert (field.name, field.constant_value) == ("X", None)
-        assert text in cls.pool.a_payload
+        assert text not in cls.pool.a_payload
 
 
 class TestCodeLength:
@@ -340,7 +341,7 @@ class TestInspect:
         want = pipe.ctx
         assert (info["format"], info["flags"], info["closed packages"],
                 info["string id bytes"], info["classes"]) == (
-            "3", " ".join(name for name, on in (
+            "4", " ".join(name for name, on in (
                 ("introspection", want.introspection),
                 ("private-field-opt", want.private_field_opt),
                 ("closed-world", want.closed_world)) if on) or "none",
@@ -360,6 +361,24 @@ class TestInspect:
         assert info["closed packages"] == "corpus/sealed vm"
         # magic, version, flags, class count; a count and two ids
         assert info["header bytes"] == str(12 + 2 + 2 * 2)
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
+    def test_pool_kinds_are_the_reloaded_pools(self, corpus_dir, tmp_path,
+                                               capsys, flags):
+        image = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags]).emit_image()
+        (tmp_path / "corpus.rom").write_bytes(image)
+        info = self.inspect(tmp_path / "corpus.rom", capsys)
+        pools = [cls.pool for cls in rz.load_image(image).loadable()]
+        for table in ("atable", "vtable"):
+            shown = {name.split(" ", 1)[1]: int(count)
+                     for name, count in info.items()
+                     if name.startswith(table + " ")}
+            kinds = [k for pool in pools for k in pool.kinds(table[0])]
+            assert shown == {k: kinds.count(k) for k in shown}, table
+            assert sum(shown.values()) == len(kinds) > 0, table
+        # a linked pool keeps immediates only: no cell names the atable
+        assert set(shown) == {cp.V_INT, cp.V_FLOAT, cp.V_LONG_HI,
+                              cp.V_LONG_LO, cp.V_DBL_HI, cp.V_DBL_LO}
 
     def test_truncated_image_fails_cleanly(self, corpus_dir, tmp_path,
                                            capsys):

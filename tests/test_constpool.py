@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from jrom import classfile as cf
 from jrom import constpool as cp
-from jrom.errors import DanglingIndex, IndexOutOfRange, PoolOverflow
+from jrom.errors import (DanglingIndex, IndexOutOfRange, InternalError,
+                         PoolOverflow)
 from jrom.lifecycle import Registry
 
 from .conftest import prelinked, raw_pool, resolve
@@ -151,29 +152,23 @@ class TestMark:
                        (cf.TAG_UTF8, "s"), (cf.TAG_STRING, 7))
         return prelinked(raw)[0]
 
-    def test_ref_cell_marks_both_handles(self):
+    def test_cells_naming_the_atable_cannot_be_kept(self):
+        # a kept String, NameAndType or member-ref cell would hold atable
+        # indexes that the pack does not rewrite
         pool = self._pool()
-        vidx = pool.v_kind.index(cp.V_METHODREF)
-        a_marks, v_marks = marks = cp.new_marks(pool)
-        cp.mark(pool, marks, cp.VTABLE, vidx)
-        cell = pool.v_value[vidx]
-        assert a_marks[cell >> 16]
-        assert a_marks[cell & 0xFFFF]
+        marks = cp.new_marks(pool)
+        for kind in (cp.V_STRING, cp.V_NAT, cp.V_METHODREF):
+            with pytest.raises(InternalError):
+                cp.mark(pool, marks, "v", pool.v_kind.index(kind))
+        assert not any(marks[0]) and not any(marks[1])
 
     def test_mark_idempotent(self):
         pool = self._pool()
         marks = cp.new_marks(pool)
-        cp.mark(pool, marks, "v", 0)
+        cp.mark(pool, marks, "a", 0)
         snapshot = (bytes(marks[0]), bytes(marks[1]))
-        cp.mark(pool, marks, "v", 0)
+        cp.mark(pool, marks, "a", 0)
         assert marks == snapshot
-
-    def test_string_cell_marks_literal(self):
-        pool = self._pool()
-        vidx = pool.v_kind.index(cp.V_STRING)
-        a_marks, _ = marks = cp.new_marks(pool)
-        cp.mark(pool, marks, "v", vidx)
-        assert a_marks[pool.v_value[vidx]]
 
     def test_out_of_range(self):
         pool = self._pool()
@@ -194,19 +189,14 @@ class TestHolds:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)), (cf.TAG_LONG, 5))
         pool, _ = prelinked(raw)
-        ref = pool.v_kind.index(cp.V_METHODREF)
+        handle = pool.a_kind.index(cp.A_METHOD)
         hi = pool.v_kind.index(cp.V_LONG_HI)
-        assert cp.holds(pool, "v", ref, cp.V_METHODREF)
+        assert cp.holds(pool, "a", handle, cp.A_METHOD)
         assert cp.holds(pool, "v", hi, cp.V_LONG_HI)
-        assert cp.holds(pool, "v", ref, None)
-        assert not cp.holds(pool, "v", ref, cp.V_FIELDREF)
+        assert cp.holds(pool, "a", handle, None)
+        assert not cp.holds(pool, "a", handle, cp.A_FIELD)
         assert not cp.holds(pool, "v", len(pool.v_kind), None)
         assert not cp.holds(pool, "a", len(pool.a_kind), cp.A_CLASS)
-        # a member-ref cell whose handle is not a method handle
-        pool.v_value[ref] = (pool.v_value[ref] >> 16) * 0x10001
-        assert not cp.holds(pool, "v", ref, cp.V_METHODREF)
-        pool.v_value[ref] = len(pool.a_kind)
-        assert not cp.holds(pool, "v", ref, cp.V_METHODREF)
         # a long whose low cell is past the table
         del pool.v_kind[hi + 1:], pool.v_value[hi + 1:]
         assert not cp.holds(pool, "v", hi, cp.V_LONG_HI)
@@ -251,23 +241,6 @@ class TestPack:
         assert packed.v_kind == [cp.V_LONG_HI, cp.V_LONG_LO]
         assert resolve(packed, "v", 0) == (cp.V_LONG_HI, 1 << 40)
 
-    def test_surviving_ref_cells_are_rewritten(self):
-        raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
-                       (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
-                       (cf.TAG_NAMEANDTYPE, (3, 4)),
-                       (cf.TAG_METHODREF, (2, 5)))
-        pool, _ = prelinked(raw)
-        vidx = pool.v_kind.index(cp.V_METHODREF)
-        before = resolve(pool, "v", vidx)
-        marks = cp.new_marks(pool)
-        cp.mark(pool, marks, "v", vidx)
-        packed, _, v_remap = cp.pack(pool, marks)
-        new_vidx = v_remap[vidx]
-        assert resolve(packed, "v", new_vidx) == before
-        cell = packed.v_value[new_vidx]
-        assert (cell >> 16) < len(packed.a_kind)
-        assert (cell & 0xFFFF) < len(packed.a_kind)
-
     def test_stats_count_before_and_after(self):
         raw = raw_pool((cf.TAG_INTEGER, 1), (cf.TAG_INTEGER, 2),
                        (cf.TAG_UTF8, "z"), (cf.TAG_STRING, 3))
@@ -275,12 +248,13 @@ class TestPack:
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         packed, _, _ = cp.pack(pool, marks)
-        # live before: two ints, the string cell and its literal; the "z"
-        # Utf8 fed the String constant and died during prelinking
-        assert pool.entry_count() == 4
-        assert packed.entry_count() == 2    # one int plus the kept literal
-        assert pool.byte_size() == 4 + 4 + 4 + (2 + 1)
-        assert packed.byte_size() == 4 + (2 + 1)
+        # live before: two ints and the literal; the "z" Utf8 and the
+        # String cell died during prelinking, as loading reads through the
+        # cell to the literal.  No ldc loads the literal, so it is swept.
+        assert pool.entry_count() == 3
+        assert packed.entry_count() == 1    # the one marked int
+        assert pool.byte_size() == 4 + 4 + (2 + 1)
+        assert packed.byte_size() == 4
 
     def test_pool_left_as_it_was(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
@@ -294,7 +268,7 @@ class TestPack:
                     list(p.v_value), bytes(p.a_dead), bytes(p.v_dead))
         before = tables(pool)
         marks = cp.new_marks(pool)
-        cp.mark(pool, marks, "v", pool.v_kind.index(cp.V_METHODREF))
+        cp.mark(pool, marks, "a", pool.a_kind.index(cp.A_METHOD))
         packed, _, _ = cp.pack(pool, marks)
         assert packed is not pool and tables(pool) == before
         assert not hasattr(pool, "origin") and not hasattr(packed, "origin")
@@ -319,15 +293,18 @@ def test_pack_preserves_resolution_of_marked(marks):
     pool, _ = prelinked(raw)
     pool_marks = cp.new_marks(pool)
     targets = []
-    kinds = pool.v_kind
-    for should_mark, vidx in zip(marks, [i for i, k in enumerate(kinds)
-                                         if k != cp.V_LONG_LO]):
+    # every entry a link can keep: the ints, the long and the literal
+    entries = [("v", i) for i, k in enumerate(pool.v_kind)
+               if k in (cp.V_INT, cp.V_LONG_HI)] \
+        + [("a", pool.a_kind.index(cp.A_STRING))]
+    for should_mark, (space, idx) in zip(marks, entries):
         if should_mark:
-            cp.mark(pool, pool_marks, "v", vidx)
-            targets.append((vidx, resolve(pool, "v", vidx)))
-    packed, _, v_remap = cp.pack(pool, pool_marks)
-    for old, value in targets:
-        assert resolve(packed, "v", v_remap[old]) == value
+            cp.mark(pool, pool_marks, space, idx)
+            targets.append((space, idx, resolve(pool, space, idx)))
+    packed, *remaps = cp.pack(pool, pool_marks)
+    for space, old, value in targets:
+        remap = remaps[space == "v"]
+        assert resolve(packed, space, remap[old]) == value
 
 
 _TEXTS = ("p/A", "p/B", "x", "I", "()V")
@@ -435,10 +412,13 @@ def test_prelink_places_every_constant(raw):
             == len(handle_at))
 
     # nothing reads a NameAndType cell or a Utf8 once prelinking is done,
-    # except reflection, which reads the names and descriptors of members
+    # except reflection, which reads the names and descriptors of members;
+    # loading reads a String or member-ref cell through to the atable
+    # entry it names, so no loaded instruction names one
     member_texts = {t for m in raw.fields + raw.methods
                     for t in (m.name, m.descriptor)}
-    assert list(pool.v_dead) == [k == cp.V_NAT for k in pool.v_kind]
+    assert list(pool.v_dead) == [
+        k in (cp.V_STRING, cp.V_NAT, *_REF_KINDS.values()) for k in pool.v_kind]
     assert list(pool.a_dead) == [
         k == cp.A_UTF8 and text not in member_texts
         for k, text in zip(pool.a_kind, pool.a_payload)]

@@ -370,16 +370,20 @@ class TestRewriteLoad:
         """An operand naming a constant of another kind than its instruction
         wants fails loading, even where no path reaches it."""
         from jrom.errors import BadPoolRef
-        for op, constant in (
-                ("ldc", lambda p: p.klass("T")),
-                ("getstatic", lambda p: p.klass("T")),
-                ("invokevirtual", lambda p: p.fieldref("T", "f", "I")),
-                ("new", lambda p: p.integer(42))):
+        for op, operands in (
+                ("ldc", lambda p: (p.klass("T"),)),
+                ("getstatic", lambda p: (p.klass("T"),)),
+                ("invokevirtual", lambda p: (p.fieldref("T", "f", "I"),)),
+                # loading checks the kind of member ref, though the loaded
+                # operand names the member handle alone
+                ("invokeinterface",
+                 lambda p: (*divmod(p.methodref("T", "f", "()I"), 256), 1, 0)),
+                ("new", lambda p: (p.integer(42),))):
             cb = ClassBuilder("T")
             cb.default_init()
             c = cb.method("m", "(I)I", ACC_PUBLIC | ACC_STATIC)
             c.op("iload_0").op("ifeq", "DEAD").op("iconst_1").op("ireturn")
-            c.label("DEAD").op(op, constant(cb.pool)).op("ireturn")
+            c.label("DEAD").op(op, *operands(cb.pool)).op("ireturn")
             reg = lc.Registry()
             obj = reg.new_unloaded("java/lang/Object")
             obj.state = lc.LOADED

@@ -15,6 +15,7 @@ from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .conftest import make_pipeline, prelinked, raw_pool, resolve
+from .test_generated import load_perfbench
 
 OP = ops.BY_NAME
 
@@ -290,6 +291,49 @@ class TestLinkInvariants:
                 assert vf.in_subset(m.code_loaded) == supported, m
                 counts[supported] += 1
         assert counts[True] > 100 and counts[False] > 0
+
+
+    def test_linked_pools_hold_only_what_linked_code_names(self, pipe):
+        assert_linked_pools_hold_only_what_linked_code_names(
+            pipe.registry.loadable())
+
+
+def assert_linked_pools_hold_only_what_linked_code_names(classes):
+    """No linked cell names the atable (a String, NameAndType or member
+    ref), each linked literal is loaded by a quick ldc of its class, and
+    each linked class handle is a class operand or a catch type."""
+    named = {cp.A_STRING: 0, cp.A_CLASS: 0}
+    for cls in classes:
+        pool = cls.pool
+        assert not set(pool.v_kind) & {cp.V_STRING, cp.V_NAT, cp.V_FIELDREF,
+                                       cp.V_METHODREF, cp.V_IFACEREF}, cls
+        operands = {cp.A_STRING: set(), cp.A_CLASS: set()}
+        for m in cls.methods:
+            if m.code is None:
+                continue
+            bc = m.code.bytecode
+            for off in m.code.shape_of(m).starts:
+                found = ops.pool_operand(bc, off)
+                if found is not None and found[0].want in operands:
+                    operands[found[0].want].add(found[1])
+            operands[cp.A_CLASS].update(
+                c for *_, c in m.code.exception_table if c is not None)
+        for aidx, kind in enumerate(pool.a_kind):
+            if kind in named:
+                assert aidx in operands[kind], (cls, kind, pool.a_payload[aidx])
+                named[kind] += 1
+    assert all(named.values()), named
+
+
+def test_generated_linked_pools_hold_only_what_linked_code_names(tmp_path):
+    gen = load_perfbench("gen")
+    class_set = gen.generate(200, 1)
+    gen.write(class_set.files, str(tmp_path))
+    pipe = Pipeline([str(tmp_path)])
+    pipe.load_targets(sorted(class_set.files), closure=True)
+    assert pipe.ready_all() == [] and pipe.link_all() == []
+    assert_linked_pools_hold_only_what_linked_code_names(
+        pipe.registry.loadable())
 
 
 @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))

@@ -87,17 +87,17 @@ class TestEmit:
 
     # sha256 of the corpus image and its report under each flag set
     GOLDEN = {
-        (): ("93ca4a89c22c782bd14e60a6671db72fadbd15d15fe3b87bb24e00ae5606a5fe",
-             "4f8c37f75fc2808993ee54b851b18c0faec313382d02553c5fba5e42b8e6d3b5"),
+        (): ("c7137edf694a63da18809717b10077c515f32356690a92dcea7114a47d3a7f29",
+             "6f96949482c55eb7d5f543741bf65645fb9f81dfe69fe255b76d4ec0b1632fde"),
         ("--no-introspection",): (
-            "b21cfaa6156f9ba04a742a9ab69a22bee474a5ae3cb8306d60dae516dee4f41d",
-            "694cef060cf5b9ccb9302a356a84cd0b32b4bac810e81017469a18823cd11b97"),
+            "c208eaa66d80502b07c748764c8e029499a1cc8923ae8ac0fd40e4a6314f048d",
+            "81d9940908a0f0b05ddd91ed31e2bb3243e8e38b18ce6b393543c1df5a0a6303"),
         ("--private-field-opt",): (
-            "816a0a71b184a7d037aaa9c178dfddbfe85692fe94260d6c9afe6c52075dc014",
-            "37ae0f02c9f8de63ee50599213efb1d3c8b021ef2c6a053d04114fefb8a1a796"),
+            "8e85b2eb3c46be8647ee51a8a6359e6d67bcc02f13b10cd96fc9ce7b9951e5bb",
+            "5e20f9d5bf8bcd458c5f9057aca57cec9a27f8d01a1a29b0efd2fad265613c53"),
         ("--closed-world",): (
-            "5b2a1dbe8af23c55cc992798ac85b4ea95339e758a1e4e3fe88821bfc01824a0",
-            "15b2f43369a005c3fe759861b9d1f7bead8927412d8016a64faf2bbc618ce9ca"),
+            "d817bd8a0887d327ccd947ef3dc2fd763d973ace07dcc3c0f10b3105d5b83127",
+            "54acf20b130f06da742d767a8aa28754d207c22c4cd9a0e2480a25230b28494c"),
     }
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN),
@@ -293,6 +293,17 @@ class TestLoadImage:
         with pytest.raises(Corrupt, match="catch type 999"):
             rz.load_image(pipe.emit_image())
 
+    @pytest.mark.parametrize("code", range(6, 11))
+    def test_vtable_kind_of_a_cell_naming_the_atable_is_corrupt(
+            self, linked_pipeline, monkeypatch, code):
+        # 6-10 were format 3's String, NameAndType and member-ref cells
+        monkeypatch.setitem(rz._V_KIND_CODE, cp.V_INT, code)
+        data = linked_pipeline.emit_image()
+        monkeypatch.undo()
+        for load in (image_oracle.load_image, rz.load_image):
+            with pytest.raises(Corrupt, match="^bad vtable kind %d " % code):
+                load(data)
+
 
 class TestFormat3:
     """String ids as wide as the string count needs, and initial zones
@@ -381,11 +392,13 @@ class TestFormat3:
         assert redone.zones_initial != (redone.a_static_zone,
                                         redone.v_static_zone)
 
-    def test_format_2_is_a_version_mismatch(self, image):
-        data = image[:4] + struct.pack("<H", 2) + image[6:]
-        with pytest.raises(VersionMismatch,
-                           match=r"^image format 2, expected 3$"):
-            rz.load_image(data)
+    def test_older_formats_are_a_version_mismatch(self, image):
+        # a format-3 image's member operands name member-ref cells
+        for version in (2, 3):
+            data = image[:4] + struct.pack("<H", version) + image[6:]
+            with pytest.raises(VersionMismatch, match=r"^image format %d,"
+                               r" expected 4$" % version):
+                rz.load_image(data)
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
     def test_reload_keeps_constants_and_behaviour(self, corpus_dir, flags):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jrom import cli
 from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import linker
@@ -849,6 +850,35 @@ class TestDecode:
         assert ("corpus/Overloads", "callAll(I)I") in \
             self.reload_failures(pipe, image)
 
+    @pytest.mark.parametrize("kind", [cp.A_CLASS, cp.A_STRING])
+    def test_member_operand_naming_another_kind_in_reload_is_a_failure(
+            self, corpus_dir, monkeypatch, capsys, kind):
+        # Fields.make(I)I calls <init> through its member handle; patched
+        # to name a class handle or a literal, the reloaded call decodes to
+        # a step that raises InterpError when it runs
+        pipe = make_pipeline(corpus_dir)
+        reloaded = rz.load_image(pipe.emit_image())
+        cls = reloaded.get("corpus/Fields")
+        make = next(m for m in cls.methods if m.name == "make")
+        bc = make.code.bytecode
+        off = next(off for off in make.code.shape_of(make).starts
+                   if bc[off] == ops.BY_NAME["invokespecial"])
+        ops.write_operand(bc, off, 2, cls.pool.a_kind.index(kind))
+        image = rz.emit_image(reloaded.loadable(), reloaded.image_flags)
+        detail = "vector 0: return/None vs error/InterpError"
+        out = pipe.verify_all(vectors=1, after_registry=rz.load_image(image))
+        assert ("corpus/Fields", "make(I)I", detail) in out.failures
+        # and through the command line, with the image as the after side
+        verify_all = Pipeline.verify_all
+        monkeypatch.setattr(Pipeline, "verify_all", lambda self, **kw: (
+            verify_all(self, after_registry=rz.load_image(image), **kw)))
+        assert cli.main(["verify", "--classpath", corpus_dir,
+                         "corpus/Fields"]) == 1
+        err = capsys.readouterr().err
+        assert "MISMATCH corpus/Fields.make(I)I: %s\n" % detail in err
+        assert "Traceback" not in err
+
+
 class TestMemberSteps:
     """Decode resolves each member operand once, into a quick body that
     holds the member; an operand it cannot resolve keeps the lazy step,
@@ -887,10 +917,10 @@ class TestMemberSteps:
                         key = (stage, want)
                         counts[key] = counts.get(key, 0) + 1
         wants = {want for _, want in counts}
-        assert wants == {cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF,
-                         cp.A_CLASS, cp.A_STRING, cp.V_INT, cp.V_FLOAT,
-                         cp.V_LONG_HI, cp.V_DBL_HI}, counts
-        members = (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF)
+        assert wants == {cp.A_FIELD, cp.A_METHOD, cp.A_CLASS, cp.A_STRING,
+                         cp.V_INT, cp.V_FLOAT, cp.V_LONG_HI, cp.V_DBL_HI}, \
+            counts
+        members = (cp.A_FIELD, cp.A_METHOD)
         assert sum(counts.get((lc.LOADED, w), 0) for w in members) > 150
         assert sum(counts.get((lc.LINKED, w), 0) for w in members) > 0
 
@@ -1029,8 +1059,8 @@ def _pool_operand_held(pool, op, entry, idx):
     ``op``: a member as ``linker._resolve`` finds it, a class, a string's
     text, a constant's slot, or a float's or double's bits."""
     want, values = entry.want, pool.v_value
-    if want in (cp.V_FIELDREF, cp.V_METHODREF, cp.V_IFACEREF):
-        found = linker._resolve(pool.a_payload[values[idx] & 0xFFFF])
+    if want in (cp.A_FIELD, cp.A_METHOD):
+        found = linker._resolve(pool.a_payload[idx])
         if vf._QUICK[op] in vf._HOLDS_METHOD:
             return found
         if found.is_static:
