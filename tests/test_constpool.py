@@ -152,14 +152,19 @@ class TestMark:
                        (cf.TAG_UTF8, "s"), (cf.TAG_STRING, 7))
         return prelinked(raw)[0]
 
-    def test_cells_naming_the_atable_cannot_be_kept(self):
-        # a kept String, NameAndType or member-ref cell would hold atable
-        # indexes that the pack does not rewrite
+    def test_ref_cell_marks_both_handles(self):
+        # a kept NameAndType or member-ref cell would hold two atable
+        # indexes that the pack does not rewrite, so marking it is refused
+        # and neither handle is marked
         pool = self._pool()
         marks = cp.new_marks(pool)
-        for kind in (cp.V_STRING, cp.V_NAT, cp.V_METHODREF):
+        for kind in (cp.V_NAT, cp.V_METHODREF):
+            vidx = pool.v_kind.index(kind)
             with pytest.raises(InternalError):
-                cp.mark(pool, marks, "v", pool.v_kind.index(kind))
+                cp.mark(pool, marks, cp.VTABLE, vidx)
+            cell = pool.v_value[vidx]
+            assert not marks[0][cell >> 16]
+            assert not marks[0][cell & 0xFFFF]
         assert not any(marks[0]) and not any(marks[1])
 
     def test_mark_idempotent(self):
@@ -169,6 +174,17 @@ class TestMark:
         snapshot = (bytes(marks[0]), bytes(marks[1]))
         cp.mark(pool, marks, "a", 0)
         assert marks == snapshot
+
+    def test_string_cell_marks_literal(self):
+        # a kept String cell would hold an atable index that the pack does
+        # not rewrite, so marking it is refused and its literal stays unmarked
+        pool = self._pool()
+        vidx = pool.v_kind.index(cp.V_STRING)
+        marks = cp.new_marks(pool)
+        with pytest.raises(InternalError):
+            cp.mark(pool, marks, "v", vidx)
+        assert not marks[0][pool.v_value[vidx]]
+        assert not any(marks[0]) and not any(marks[1])
 
     def test_out_of_range(self):
         pool = self._pool()
