@@ -165,16 +165,22 @@ def _slots_of(*wanted):
     return lambda tags: compress(range(len(tags)), tags.translate(keep))
 
 
+_string_slots = _slots_of(cf.TAG_STRING)
 _build_slots = _slots_of(cf.TAG_UTF8, *_IMMEDIATES)
 _pass1_slots = _slots_of(cf.TAG_CLASS, cf.TAG_STRING, cf.TAG_NAMEANDTYPE)
 _pass2_slots = _slots_of(*_REF_KIND)
 
 
 def build_pool(raw):
-    """First loading step: Utf8 to atable, immediates to vtable.
+    """First loading step: each String's literal to the atable, then Utf8
+    to the atable and immediates to the vtable.
 
+    The literals come first, one per text in raw order, so each one's
+    atable index is below its String constant's raw index: an ldc whose
+    raw operand fits a byte still fits one once loading names the literal.
     Returns the pool and the map from raw index to (space, table index) of
-    every constant placed so far.  Symbolic constants stay pending until
+    every constant placed so far, a String's to its literal until pass 1
+    gives it its cell.  The other symbolic constants stay pending until
     the prelink passes place them into both.
     """
     pool = RuntimePool()
@@ -182,6 +188,16 @@ def build_pool(raw):
     v_kind, v_value = pool.v_kind, pool.v_value
     placement = {}
     tags, values = raw.pool_tags, raw.pool_values
+    literals = {}           # text -> atable index of its interned literal
+    for idx in _string_slots(tags):
+        utf8 = values[idx]
+        if not 0 <= utf8 < len(tags) or tags[utf8] != cf.TAG_UTF8:
+            raise DanglingIndex("raw index %s does not name a Utf8" % utf8)
+        text = values[utf8]
+        lit = literals.get(text)
+        if lit is None:
+            lit = literals[text] = pool.add_a(A_STRING, text)
+        placement[idx] = (ATABLE, lit)
     for idx in _build_slots(tags):
         tag, value = tags[idx], values[idx]
         if tag == cf.TAG_UTF8:
@@ -202,8 +218,8 @@ def prelink_pass1(pool, placement, raw, resolver):
     """Resolve Class, String and NameAndType constants.
 
     Class constants become class handles created through ``resolver``;
-    String constants become vtable cells naming an interned literal;
-    NameAndType becomes one cell packing two Utf8 atable indexes.
+    String constants become vtable cells naming the literal build_pool
+    interned; NameAndType becomes one cell packing two Utf8 atable indexes.
     """
     tags, values = raw.pool_tags, raw.pool_values
     text = pool.a_payload
@@ -215,18 +231,13 @@ def prelink_pass1(pool, placement, raw, resolver):
             raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
         return where[1]
 
-    literals = {}           # text -> atable index of its interned literal
     for idx in _pass1_slots(tags):
         tag, value = tags[idx], values[idx]
         if tag == cf.TAG_CLASS:
             cls = resolver(text[utf8_at(value)])
             placement[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
         elif tag == cf.TAG_STRING:
-            literal = text[utf8_at(value)]
-            lit = literals.get(literal)
-            if lit is None:
-                lit = literals[literal] = pool.add_a(A_STRING, literal)
-            placement[idx] = (VTABLE, pool.add_v(V_STRING, lit))
+            placement[idx] = (VTABLE, pool.add_v(V_STRING, placement[idx][1]))
         elif tag == cf.TAG_NAMEANDTYPE:
             placement[idx] = (VTABLE, pool.add_v(
                 V_NAT, _pack16(utf8_at(value[0]), utf8_at(value[1]))))

@@ -147,6 +147,11 @@ class IncompleteClosure(JromError):
         self.missing = sorted(missing)
 
 
+class NamesDropped(JromError):
+    """The classes come from an image without field names, and the image
+    being written keeps them."""
+
+
 class BadImageMagic(JromError):
     pass
 

@@ -19,13 +19,13 @@ from types import SimpleNamespace
 from . import constpool as cp
 from . import lifecycle as lc
 from . import linker as lk
-from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NotLinked,
-                     StageNotReached, VersionMismatch)
+from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NamesDropped,
+                     NotLinked, StageNotReached, VersionMismatch)
 from .schema import (U8, U16, U32, U64, Array, Blob, Expect, Field, Option,
                      Record, Schema, Union)
 
 IMAGE_MAGIC = b"JRMZ"
-IMAGE_VERSION = 4
+IMAGE_VERSION = 5
 
 FLAG_INTROSPECTION = 1
 FLAG_PRIVATE_OPT = 2
@@ -156,10 +156,24 @@ _ClassValues = namedtuple("_ClassValues", "name access_flags ready superclass"
                           " v_zone zones_initial")
 
 
+def _field_names_kept(flags):
+    """Whether an image of these flags names its fields.  In a closed world
+    without introspection nothing reads a field's name: no class loads
+    later, none is reflected on, and a field handle names its field by
+    position."""
+    return flags.introspection or not flags.closed_world
+
+
+def _nameless(descriptor, flags, constant):
+    """A field record's value where the image has no field names."""
+    return None, descriptor, flags, constant
+
+
 @cache
-def _id_records(id_format):
+def _id_records(id_format, field_names):
     """The closed-package list and the class record whose string ids have
-    struct format ``id_format``: built, and compiled, at first use."""
+    struct format ``id_format``, and whose fields are named if
+    ``field_names``: built, and compiled, at first use."""
     def string(what):
         return StringId(id_format, what)
 
@@ -187,15 +201,19 @@ def _id_records(id_format):
         Array(U16("vtable size"),
               Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell")),
               columns=True),
+        # a ConstantValue only where the record has no initial zones,
+        # which hold its value otherwise
         Array(U16("field count"), Record(
-            string("field name"), string("field descriptor"),
+            *([string("field name")] if field_names else []),
+            string("field descriptor"),
             U16("field flags"), Option(U8("constant value flag"), Union(
                 Code({kind: ord(kind) for kind in "ijfds"},
                      "constant value kind"),
                 {"i": Field("i", "constant value"),
                  "j": Field("q", "constant value"),
                  "f": U32("constant value"), "d": U64("constant value"),
-                 "s": string("constant value")})))),
+                 "s": string("constant value")})),
+            into=None if field_names else _nameless)),
         Array(U16("method count"), Record(
             string("method name"), string("method descriptor"),
             U16("method flags"), Option(U8("code flag"), Record(
@@ -251,12 +269,13 @@ def _initial(cls):
     return "own", cls.zones_initial
 
 
-def _write_records(ordered, packages, id_format):
+def _write_records(ordered, packages, id_format, field_names):
     """A cursor holding the closed-package list and the class records,
-    written with string ids of ``id_format``, and the ids: each string gets
-    the next one the first time it is written.  None if an id does not fit
-    the format."""
-    packages_record, class_record = _id_records(id_format)
+    written with string ids of ``id_format`` and, if ``field_names``, field
+    names, and the ids: each string gets the next one the first time it is
+    written.  None if an id does not fit the format."""
+    packages_record, class_record = _id_records(id_format, field_names)
+    skip = 0 if field_names else 1
     cur = SimpleNamespace(
         data=bytearray(), pos=0, string_ids={},
         class_index={c.name: i for i, c in enumerate(ordered)}, missing=set())
@@ -264,17 +283,20 @@ def _write_records(ordered, packages, id_format):
         packages_record.write(cur, packages)
         for cls in ordered:
             pool = cls.pool
+            initial = _initial(cls)
+            constants = initial[0] is None
             class_record.write(cur, _ClassValues(
                 cls.name, cls.access_flags, int(cls.ready),
                 _ref(cls.super_cls), [_ref(c) for c in cls.interfaces],
                 (pool.a_kind, [_payload(k, p)
                                for k, p in zip(pool.a_kind, pool.a_payload)]),
                 (pool.v_kind, pool.v_value),
-                [(f.name, f.descriptor, f.access_flags, f.constant_value)
+                [(f.name, f.descriptor, f.access_flags,
+                  f.constant_value if constants else None)[skip:]
                  for f in cls.fields],
                 [(m.name, m.descriptor, m.access_flags, m.code)
                  for m in cls.methods],
-                cls.a_static_zone, cls.v_static_zone, _initial(cls)))
+                cls.a_static_zone, cls.v_static_zone, initial))
     except struct.error:
         if _id_format(len(cur.string_ids)) == id_format:
             raise       # not an id past the format: a count or value is
@@ -293,11 +315,14 @@ def emit_image(classes, flags):
         if cls.state != lc.LINKED:
             raise NotLinked(cls.name)
     packages = sorted(flags.closed_packages)
-    cur = _write_records(ordered, packages, "H")
+    names = _field_names_kept(flags)
+    cur = _write_records(ordered, packages, "H", names)
     if cur is None or _id_format(len(cur.string_ids)) != "H":
-        cur = _write_records(ordered, packages, "I")
+        cur = _write_records(ordered, packages, "I", names)
     if cur.missing:
         raise IncompleteClosure(cur.missing)
+    if None in cur.string_ids:      # a field reloaded from a nameless image
+        raise NamesDropped("the classes have no field names to write")
     records, cur.data = cur.data, bytearray()
     _HEADER.write(cur, (
         IMAGE_MAGIC, IMAGE_VERSION,
@@ -325,13 +350,14 @@ def _read_image(data):
     strings_start = cur.pos
     cur.strings = _STRINGS.read(cur)
     strings_end = cur.pos
-    packages_record, class_record = _id_records(_id_format(len(cur.strings)))
     registry = lc.Registry()
-    registry.image_flags = lk.LinkContext(
+    flags = registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
-        closed_world=bool(flag_bits & FLAG_CLOSED_WORLD),
-        closed_packages=set(packages_record.read(cur)))
+        closed_world=bool(flag_bits & FLAG_CLOSED_WORLD))
+    packages_record, class_record = _id_records(
+        _id_format(len(cur.strings)), _field_names_kept(flags))
+    flags.closed_packages = set(packages_record.read(cur))
     records_start = cur.pos
     records, classes = [], []
     for _ in range(cur.class_count):
@@ -435,7 +461,8 @@ def load_image(data):
 
 def inspect_image(data):
     """The header, flags and closed packages of an image, the bytes of its
-    parts, read as load_image reads them, and the atable entries and
+    parts, read as load_image reads them, whether its fields are named, the
+    ConstantValues its class records hold, and the atable entries and
     vtable cells of each kind over all classes, as ``name: value`` lines.
     The header counts the closed-package list, which follows the string
     section because its ids take the width the string count gives."""
@@ -455,7 +482,10 @@ def inspect_image(data):
         ("strings", read.string_count),
         ("string bytes", read.strings_end - read.strings_start),
         ("classes", len(read.records)),
-        ("class record bytes", len(data) - read.records_start)]
+        ("class record bytes", len(data) - read.records_start),
+        ("field names", "kept" if _field_names_kept(flags) else "dropped"),
+        ("constant values", sum(field[3] is not None for rec in read.records
+                                for field in rec.fields))]
     for table, codes in ("atable", _A_KIND_CODE), ("vtable", _V_KIND_CODE):
         counts = Counter(kind for rec in read.records
                          for kind in getattr(rec, table)[0])

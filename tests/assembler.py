@@ -223,6 +223,9 @@ class PoolBuilder:
         return idx
 
     def utf8(self, text):
+        idx = self._index.get(("u", text))
+        if idx is not None:
+            return idx
         data = _mutf8(text)
         return self._add(("u", text), 1, struct.pack(">H", len(data)) + data)
 
@@ -283,6 +286,8 @@ class PoolBuilder:
 
 
 def _mutf8(text):
+    if text.isascii() and "\0" not in text:
+        return text.encode("ascii")
     out = bytearray()
     for ch in text:
         cp = ord(ch)

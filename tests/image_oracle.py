@@ -3,8 +3,9 @@ oracle for it.
 
 Each part reads its rest through a call per element, and a record's read is
 generated per run; ``load_image`` is the loader that went with it, moved to
-image format 4, whose string ids are two bytes wide up to 65,536 strings
-and four beyond.  It has no check of class record names or static zone
+image format 5, whose string ids are two bytes wide up to 65,536 strings
+and four beyond, and whose fields have no names in a closed world without
+introspection.  It has no check of class record names or static zone
 sizes: a record out of name order, naming a synthetic class, or holding
 zones of another size than its layout gives loads here and fails in
 jrom.romizer.load_image.
@@ -237,9 +238,9 @@ _MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
 
 
 @cache
-def _records(fmt):
+def _records(fmt, named):
     """The closed-package list and the class record, with string ids of
-    struct format ``fmt``."""
+    struct format ``fmt`` and, if ``named``, field names."""
     def class_ref(what):
         return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
                           "class reference tag"),
@@ -262,7 +263,8 @@ def _records(fmt):
         Array(U16("vtable size"),
               Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
         Array(U16("field count"), Record(
-            StringId(fmt, "field name"), StringId(fmt, "field descriptor"),
+            *([StringId(fmt, "field name")] if named else []),
+            StringId(fmt, "field descriptor"),
             U16("field flags"), Option(U8("constant value flag"), Union(
                 Code({kind: ord(kind) for kind in "ijfds"},
                      "constant value kind"),
@@ -303,7 +305,10 @@ def load_image(data):
     cur = _Cursor(data)
     _, _, flag_bits, cur.class_count = _HEADER.read(cur)
     cur.strings = _STRINGS.read(cur)
-    packages, record = _records("H" if len(cur.strings) <= 1 << 16 else "I")
+    named = bool(flag_bits & FLAG_INTROSPECTION
+                 or not flag_bits & FLAG_CLOSED_WORLD)
+    packages, record = _records("H" if len(cur.strings) <= 1 << 16 else "I",
+                                named)
     registry = lc.Registry()
     registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
@@ -313,6 +318,9 @@ def load_image(data):
     records, classes = [], []
     for _ in range(cur.class_count):
         rec = _ClassValues._make(record.read(cur))
+        if not named:
+            for field in rec.fields:
+                field.insert(0, None)
         for method in rec.methods:
             code = method[3]
             if code is not None:

@@ -15,7 +15,7 @@ from jrom import lifecycle as lc
 from jrom import linker as lk
 from jrom import opcodes as ops
 from jrom import romizer as rz
-from jrom.errors import InvalidTransition, PoolOverflow, StaticOverflow
+from jrom.errors import InvalidTransition, StaticOverflow
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -328,7 +328,8 @@ def test_criterion_8_boundary_suite(corpus_dir, tmp_path):
     with pytest.raises(StaticOverflow):
         layout(8193)
 
-    # ldc whose literal lands beyond one byte of atable is rejected
+    # a one-byte ldc of a String before 300 Utf8s: its literal still
+    # fits the byte, since literals come first in the atable
     over = ClassBuilder("bd/Ldc", debug_attrs=False)
     over.default_init()
     c = over.method("s", "()Ljava/lang/String;", ACC_PUBLIC | ACC_STATIC)
@@ -336,13 +337,16 @@ def test_criterion_8_boundary_suite(corpus_dir, tmp_path):
     for i in range(300):
         over.pool.utf8("pad%04d" % i)
     (extra / "Ldc.class").write_bytes(over.build())
-    with pytest.raises(PoolOverflow):
-        loader.ensure_loaded("bd/Ldc")
+    ldc = loader.ensure_loaded("bd/Ldc")
+    ldc_code = next(m for m in ldc.methods if m.name == "s").code.bytecode
 
     with criterion(8, "compaction at slot/nargs 255 vs 256, static offset "
-                      "8191 vs StaticOverflow at 8192, ldc PoolOverflow"):
+                      "8191 vs StaticOverflow at 8192, narrow ldc after 300"
+                      " Utf8s"):
         assert first_invoke("slot255") == OP["invokevirtual_quick"]
         assert first_invoke("slot256") == OP["invokevirtual"]
         assert first_invoke("args255") == OP["invokevirtual_quick"]
         assert first_invoke("args256") == OP["invokevirtual"]
         assert max(f.offset for f in fits.fields) == 8191
+        assert ldc_code[0] == OP["ldc_quick_a"]
+        assert ldc.pool.a_payload[ldc_code[1]] == "late"

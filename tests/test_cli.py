@@ -321,6 +321,29 @@ class TestCodeLength:
             == image
 
 
+class TestNarrowLdc:
+    def test_string_before_300_utf8s_romizes_and_verifies(
+            self, corpus_dir, tmp_path, capsys):
+        """A one-byte ldc of a String, whose raw index fits the byte, with
+        300 Utf8s after it: loading names the literal, which comes before
+        every Utf8 in the atable, so the class romizes and checks clean."""
+        cb = ClassBuilder("T")
+        cb.default_init()
+        cb.method("m", "()Ljava/lang/String;", ACC_PUBLIC | ACC_STATIC) \
+            .ldc_str("hello").op("areturn")
+        for i in range(300):
+            cb.pool.utf8("pad%04d" % i)
+        (tmp_path / "T.class").write_bytes(cb.build())
+        out = tmp_path / "out.rom"
+        assert run_cli("romize", "--classpath", str(tmp_path), "--classpath",
+                       corpus_dir, "--out", str(out), "--verify", "T") == 0
+        captured = capsys.readouterr()
+        assert "FAIL" not in captured.err and "MISMATCH" not in captured.out
+        m = next(m for m in rz.load_image(out.read_bytes()).get("T").methods
+                 if m.name == "m")
+        assert m.code.bytecode[0] == ops.BY_NAME["ldc_quick_a"]
+
+
 class TestInspect:
     @staticmethod
     def inspect(path, capsys):
@@ -341,11 +364,22 @@ class TestInspect:
         want = pipe.ctx
         assert (info["format"], info["flags"], info["closed packages"],
                 info["string id bytes"], info["classes"]) == (
-            "4", " ".join(name for name, on in (
+            "5", " ".join(name for name, on in (
                 ("introspection", want.introspection),
                 ("private-field-opt", want.private_field_opt),
                 ("closed-world", want.closed_world)) if on) or "none",
             "none", "2", str(len(pipe.registry.loadable())))
+        # every corpus class became ready, so its initial zones hold its
+        # constants; the fields are nameless only in a closed world
+        # without introspection
+        oracle = image_oracle.load_image(image)
+        named = want.introspection or not want.closed_world
+        assert info["field names"] == ("kept" if named else "dropped")
+        assert all((f.name is not None) == named
+                   for cls in oracle.loadable() for f in cls.fields)
+        assert info["constant values"] == "0" == str(sum(
+            f.constant_value is not None
+            for cls in oracle.loadable() for f in cls.fields))
         # a length and the bytes per string, after the string count
         strings = image_oracle.load_strings(image)
         assert int(info["strings"]) == len(strings)

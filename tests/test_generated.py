@@ -8,6 +8,7 @@ The generator and the spans are loaded by path, since ``perfbench/`` is not
 a package.  No time bound is set; timing belongs to the benchmark.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -75,6 +76,18 @@ def test_romize_closed_world_generated_set(tmp_path, capsys):
     assert any(op in quick for cls in reloaded.loadable()
                for m in cls.methods if m.code is not None
                for _, op, _ in ops.walk(m.code.bytecode))
+
+
+def test_generated_set_is_pinned():
+    """The generator, and the assembler under it, write these bytes: a
+    digest of every (name, class file) pair, so a change to either that
+    alters the benchmark's class sets shows here."""
+    files = load_perfbench("gen").generate(200, 1).files
+    digest = hashlib.sha256()
+    for name in sorted(files):
+        digest.update(name.encode() + b"\0" + files[name])
+    assert (len(files), digest.hexdigest()) == (
+        215, "229a03e4bbbbbff60a964e912b21b9b209afbcfeafc1f76a9033a74f610e977e")
 
 
 def test_benchmark_spans_see_every_layer(tmp_path, capsys):

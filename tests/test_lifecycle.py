@@ -12,7 +12,7 @@ from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom import romizer as rz
 from jrom.errors import (BadOpcode, InvalidName, InvalidTransition,
-                         NameMismatch, PoolOverflow, StaticOverflow, Truncated)
+                         NameMismatch, StaticOverflow, Truncated)
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -323,10 +323,17 @@ class TestRewriteLoad:
                     [o for o, _, _ in ops.walk(rewritten)]
 
     def test_ldc_string_index_overflow(self):
-        with pytest.raises(PoolOverflow):
-            _single_method_class(
-                lambda c: c.ldc_str("late").op("areturn"),
-                "()Ljava/lang/String;", pool_pad=300)
+        """A one-byte ldc's String literal is placed before every Utf8, so
+        its atable index stays below the String's raw index and fits the
+        byte however many Utf8s follow."""
+        cls, m = _single_method_class(
+            lambda c: c.ldc_str("late").op("areturn"),
+            "()Ljava/lang/String;", pool_pad=300)
+        bc = m.code.bytecode
+        assert bc[0] == OP["ldc_quick_a"]
+        assert (cls.pool.a_kind[bc[1]], cls.pool.a_payload[bc[1]]) == \
+            (cp.A_STRING, "late")
+        assert len(cls.pool.a_kind) > 300
 
     def test_unknown_opcode_rejected_at_load(self):
         cb = ClassBuilder("T")

@@ -260,7 +260,9 @@ class TestFailedLink:
 # the link flags of the golden corpus images
 GOLDEN_FLAGS = {"default": {}, "no-introspection": {"introspection": False},
                 "private-field-opt": {"private_field_opt": True},
-                "closed-world": {"closed_world": True}}
+                "closed-world": {"closed_world": True},
+                "closed-world-no-introspection": {"closed_world": True,
+                                                  "introspection": False}}
 
 
 class TestLinkInvariants:

@@ -14,12 +14,14 @@ from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import romizer as rz
 from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, JromError,
-                         NotLinked, StageNotReached, VersionMismatch)
+                         NamesDropped, NotLinked, StageNotReached,
+                         VersionMismatch)
 from jrom.pipeline import Pipeline
 
 from . import image_oracle
 from .conftest import make_pipeline, raw_pool_byte_size
 from .corpus import build_corpus, corpus_names
+from .test_generated import load_perfbench
 from .test_linker import GOLDEN_FLAGS
 
 
@@ -87,17 +89,20 @@ class TestEmit:
 
     # sha256 of the corpus image and its report under each flag set
     GOLDEN = {
-        (): ("c7137edf694a63da18809717b10077c515f32356690a92dcea7114a47d3a7f29",
+        (): ("ed504fe218840c84476398a47a84d034589f48fe9787ade999b3656cb7c692bf",
              "6f96949482c55eb7d5f543741bf65645fb9f81dfe69fe255b76d4ec0b1632fde"),
         ("--no-introspection",): (
-            "c208eaa66d80502b07c748764c8e029499a1cc8923ae8ac0fd40e4a6314f048d",
+            "772d37cb754d883159db0d81822a4fdf45297ae5d3f3472a919b7e04e85f4530",
             "81d9940908a0f0b05ddd91ed31e2bb3243e8e38b18ce6b393543c1df5a0a6303"),
         ("--private-field-opt",): (
-            "8e85b2eb3c46be8647ee51a8a6359e6d67bcc02f13b10cd96fc9ce7b9951e5bb",
+            "873781a79d9367149cbcdb9fa25a8bab158c4db8992fa3a679419cd3caf99bb0",
             "5e20f9d5bf8bcd458c5f9057aca57cec9a27f8d01a1a29b0efd2fad265613c53"),
         ("--closed-world",): (
-            "d817bd8a0887d327ccd947ef3dc2fd763d973ace07dcc3c0f10b3105d5b83127",
+            "b34243ee28b861ff97814570f59b4c601cf7e2490f09303a40fc939a0b017821",
             "54acf20b130f06da742d767a8aa28754d207c22c4cd9a0e2480a25230b28494c"),
+        ("--closed-world", "--no-introspection"): (
+            "f53f5f39e2f3c65172bac8a15cd9be21ebd8dd9dd3ff3183339be61a18f5db4f",
+            "c3b1cf3577dfb84c074d630111400044eaf1e9d9699c4aa4ba34754ae6d0721f"),
     }
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN),
@@ -393,30 +398,111 @@ class TestFormat3:
                                         redone.v_static_zone)
 
     def test_older_formats_are_a_version_mismatch(self, image):
-        # a format-3 image's member operands name member-ref cells
-        for version in (2, 3):
+        # a format-3 image's member operands name member-ref cells, and a
+        # format-4 one writes every ConstantValue and field name
+        for version in (2, 3, 4):
             data = image[:4] + struct.pack("<H", version) + image[6:]
             with pytest.raises(VersionMismatch, match=r"^image format %d,"
-                               r" expected 4$" % version):
+                               r" expected 5$" % version):
                 rz.load_image(data)
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
     def test_reload_keeps_constants_and_behaviour(self, corpus_dir, flags):
-        """Int and float constants, now 4 bytes, and the rest reload as
-        they were, and the reloaded classes run as the linked ones."""
+        """Constants of all five kinds reload in the initial zones, where
+        make_ready put them, not as ConstantValues; field names reload
+        unless the flags drop them; the reloaded classes run as the linked
+        ones."""
         pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
         reloaded = self.round_trip(pipe.emit_image())
+        named = pipe.ctx.introspection or not pipe.ctx.closed_world
         kinds = set()
         for cls in pipe.registry.loadable():
             redone = reloaded.get(cls.name)
+            assert redone.zones_initial == cls.zones_initial, cls.name
             for f, g in zip(cls.fields, redone.fields, strict=True):
-                assert g.constant_value == f.constant_value, (cls.name, f)
+                assert (g.name, g.descriptor, g.zone, g.offset) == (
+                    f.name if named else None, f.descriptor, f.zone,
+                    f.offset), (cls.name, f)
+                assert g.constant_value is None, (cls.name, f)
                 if f.constant_value:
-                    kinds.add(f.constant_value[0])
+                    kind, value = f.constant_value
+                    kinds.add(kind)
+                    words = _zone_words(kind, value)
+                    owner, local = redone.static_slot(g.zone, g.offset)
+                    zone = redone.zones_initial[g.zone == "v"]
+                    assert owner is redone, (cls.name, f)
+                    assert zone[local:local + len(words)] == words, \
+                        (cls.name, f)
         assert kinds == set("ijfds")
         out = pipe.verify_all(vectors=1, after_registry=reloaded)
         assert not out.failures, out.failures[:3]
         assert not out.skipped and out.checked
+
+    def test_constant_values_stay_without_initial_zones(self, corpus_dir):
+        """A class that never became ready has no initial zones, so its
+        record keeps its ConstantValues, and they reload as they were."""
+        pipe = Pipeline([corpus_dir])
+        pipe.load_targets(sorted(build_corpus()), closure=True)
+        assert not pipe.link_all()
+        image = pipe.emit_image()
+        written = [f.constant_value for cls in pipe.registry.loadable()
+                   for f in cls.fields if f.constant_value is not None]
+        assert set(kind for kind, _ in written) == set("ijfds")
+        assert self.info(image)["constant values"] == str(len(written))
+        reloaded = self.round_trip(image)
+        for cls in pipe.registry.loadable():
+            redone = reloaded.get(cls.name)
+            assert redone.zones_initial is None
+            assert [f.constant_value for f in cls.fields] == \
+                [g.constant_value for g in redone.fields], cls.name
+
+    def test_nameless_image_does_not_re_emit_with_names(self, corpus_dir):
+        """A registry reloaded from an image without field names re-emits
+        under its own flags, and fails cleanly under flags that keep them."""
+        flags = GOLDEN_FLAGS["closed-world-no-introspection"]
+        image = make_pipeline(corpus_dir, **flags).emit_image()
+        registry = self.round_trip(image)
+        assert self.info(image)["field names"] == "dropped"
+        for keep in ({"introspection": True}, {"closed_world": False}):
+            with pytest.raises(NamesDropped):
+                rz.emit_image(registry.loadable(), dataclasses.replace(
+                    registry.image_flags, **keep))
+
+
+@pytest.mark.parametrize("flags", ["default",
+                                   "closed-world-no-introspection"])
+def test_generated_image_reloads_and_checks_clean(tmp_path, flags):
+    """200 generated classes: the image holds no ConstantValue, since every
+    class's initial zones hold its constants, and names its fields unless
+    the flags drop them; it re-emits the same bytes, and the reloaded
+    classes run as the linked ones, with no method skipped."""
+    gen = load_perfbench("gen")
+    class_set = gen.generate(200, 1)
+    gen.write(class_set.files, str(tmp_path))
+    pipe = Pipeline([str(tmp_path)], **GOLDEN_FLAGS[flags])
+    pipe.load_targets(sorted(class_set.files), closure=True)
+    assert pipe.ready_all() == [] and pipe.link_all() == []
+    image = pipe.emit_image()
+    info = dict(line.split(": ", 1)
+                for line in rz.inspect_image(image).splitlines())
+    assert (info["field names"], info["constant values"]) == (
+        "kept" if flags == "default" else "dropped", "0")
+    reloaded = rz.load_image(image)
+    assert rz.emit_image(reloaded.loadable(), reloaded.image_flags) == image
+    out = pipe.verify_all(vectors=1, after_registry=reloaded)
+    assert not out.failures, out.failures[:3]
+    assert not out.skipped
+    assert len(out.checked) == class_set.methods_with_code
+
+
+def _zone_words(kind, value):
+    """The static zone slots a ConstantValue of ``kind`` fills: a string
+    reference, two 32-bit words for a long or double, else one word."""
+    if kind == "s":
+        return [("str", value)]
+    if kind in "jd":
+        return list(divmod(value & 0xFFFFFFFFFFFFFFFF, 1 << 32))
+    return [value & 0xFFFFFFFF]
 
 
 def _outcome(load, data):
@@ -447,6 +533,14 @@ class TestImageFuzz:
     registries that re-emit the same bytes."""
 
     def test_random_flips_fail_cleanly(self, image):
+        self.flip_randomly(image)
+
+    def test_random_flips_of_a_nameless_image_fail_cleanly(self, corpus_dir):
+        flags = GOLDEN_FLAGS["closed-world-no-introspection"]
+        self.flip_randomly(make_pipeline(corpus_dir, **flags).emit_image())
+
+    @staticmethod
+    def flip_randomly(image):
         import random
         rng = random.Random(0xA5)
         loaded = 0
