@@ -9,7 +9,6 @@ footprint reports.
 
 import bisect
 import json
-import struct
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cache
@@ -22,10 +21,10 @@ from . import linker as lk
 from .errors import (BadImageMagic, Corrupt, IncompleteClosure, NamesDropped,
                      NotLinked, StageNotReached, VersionMismatch)
 from .schema import (U8, U16, U32, U64, Array, Blob, Expect, Field, Option,
-                     Record, Schema, Union)
+                     Record, Schema, Union, Widen)
 
 IMAGE_MAGIC = b"JRMZ"
-IMAGE_VERSION = 5
+IMAGE_VERSION = 6
 
 FLAG_INTROSPECTION = 1
 FLAG_PRIVATE_OPT = 2
@@ -81,13 +80,42 @@ _IMAGE = Schema("<", lambda what, at: Corrupt("truncated " + what, at),
                 "string_ids, class_index, missing = cur.string_ids,"
                 " cur.class_index, cur.missing")
 
-# a string id is a u16 while the string section holds at most this many
-# strings, and a u32 beyond; the width follows from the string count alone
-U16_ID_STRINGS = 1 << 16
+# the fields whose width an image chooses, in the order of their bits in the
+# header's widths word: a field whose bit is set is a u16, and one whose bit
+# is clear a u8, which emit widens only for a value that does not fit
+WIDTHS = ("string length", "closed package count", "ifaces", "atable size",
+          "vtable size", "member", "field count", "field flags",
+          "method count", "max stack", "max locals", "code length",
+          "exception count", "start", "end", "handler", "catch",
+          "a zone size", "v zone size")
+
+_FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
-def _id_format(string_count):
-    return "H" if string_count <= U16_ID_STRINGS else "I"
+def _count_size(count):
+    """The bytes of an index into a table of ``count`` entries: a class
+    index takes the width the class count needs, and a string id the width
+    the string count needs, so no header field states either."""
+    return 1 if count <= 1 << 8 else 2 if count <= 1 << 16 else 4
+
+
+def _fits(size, signal="{f}.what"):
+    """Dump lines that raise Widen, naming ``signal``, for a value too large
+    for ``size`` bytes."""
+    return ("if {v} > %d:" % ((1 << 8 * size) - 1),
+            "    raise Widen(%s)" % signal)
+
+
+class Sized(Field):
+    """A count, size, pc or index: a u16 if its bit in the widths word
+    ``wide`` is set, else a u8, whose writer raises Widen naming the field
+    for a value past 255.  Nothing is wider than a u16: a larger value
+    fails the write."""
+
+    def __init__(self, what, wide):
+        super().__init__("H" if wide >> WIDTHS.index(what) & 1 else "B", what)
+        if self.size == 1:
+            self.dump = _fits(1)
 
 
 class StringId(Field):
@@ -96,6 +124,11 @@ class StringId(Field):
              "    raise Corrupt('bad %s string id %d' % ({f}.what, {v}),"
              " {at}) from None")
     dump = ("{v} = string_ids.setdefault({v}, len(string_ids))",)
+
+    def __init__(self, size, what):
+        super().__init__(_FORMATS[size], what)
+        if size < 4:
+            self.dump += _fits(size, "'string id'")
 
 
 class ZoneString(StringId):
@@ -112,8 +145,8 @@ class ClassIndex(Field):
     dump = ("if {v}.name in class_index:", "    {v} = class_index[{v}.name]",
             "else:", "    missing.add({v}.name)", "    {v} = 0")
 
-    def __init__(self, what, label):
-        super().__init__("H", what)
+    def __init__(self, size, what, label):
+        super().__init__(_FORMATS[size], what)
         self.label = label
 
 
@@ -130,10 +163,39 @@ class Code(Field):
         self.kinds = {code: kind for kind, code in codes.items()}
 
 
-class Catch(Field):
-    """A catch type: an atable index, or 0xFFFF (None) for any exception."""
-    check = ("if {v} == 0xFFFF:", "    {v} = None")
-    dump = ("if {v} is None:", "    {v} = 0xFFFF")
+class CodeKind(Code):
+    """What a method's code, a MethodCode or None, holds: no code, code, or
+    code with stack maps."""
+    kind_of = ("if {v} is not None:",
+               "    {v} = 'code' if {v}.stack_maps is None else 'maps'")
+
+    def __init__(self):
+        super().__init__({None: 0, "code": 1, "maps": 2}, "code kind")
+
+
+class Catch(Sized):
+    """A catch type: an atable index, or None for any exception, held as the
+    all-ones value of the field's width, which no index may then take."""
+
+    def __init__(self, wide):
+        super().__init__("catch", wide)
+        anything = (1 << 8 * self.size) - 1
+        self.check = ("if {v} == %d:" % anything, "    {v} = None")
+        self.dump = ("if {v} is None:", "    {v} = %d" % anything)
+        if self.size == 1:
+            self.dump += ("elif {v} >= %d:" % anything,
+                          "    raise Widen({f}.what)")
+
+
+class Bits(Field):
+    """A word of flag bits, of which only those in ``defined`` may be set."""
+    check = ("if {v} & ~{f}.defined:",
+             "    raise Corrupt('undefined %s bits %#x'"
+             " % ({f}.what, {v} & ~{f}.defined), {at})")
+
+    def __init__(self, fmt, what, defined):
+        super().__init__(fmt, what)
+        self.defined = defined
 
 
 _HEADER = Record(
@@ -142,13 +204,10 @@ _HEADER = Record(
     Expect("H", "version", IMAGE_VERSION,
            lambda v: VersionMismatch("image format %d, expected %d"
                                      % (v, IMAGE_VERSION))),
-    U16("flags"), U32("class count"), schema=_IMAGE)
-
-_STRINGS = Record(Array(U32("string count"),
-                        Blob(U16("string length"), "string data", str)),
-                  schema=_IMAGE)
-
-_MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
+    Bits("H", "flags", FLAG_INTROSPECTION | FLAG_PRIVATE_OPT
+         | FLAG_CLOSED_WORLD),
+    U32("class count"), Bits("I", "widths", (1 << len(WIDTHS)) - 1),
+    schema=_IMAGE)
 
 # the values of a class record, in order
 _ClassValues = namedtuple("_ClassValues", "name access_flags ready superclass"
@@ -170,43 +229,68 @@ def _nameless(descriptor, flags, constant):
 
 
 @cache
-def _id_records(id_format, field_names):
-    """The closed-package list and the class record whose string ids have
-    struct format ``id_format``, and whose fields are named if
+def _string_section(wide):
+    """The string section of an image whose widths word is ``wide``."""
+    return Record(Array(U32("string count"), Blob(
+        Sized("string length", wide), "string data", str)), schema=_IMAGE)
+
+
+@cache
+def _id_records(wide, id_size, index_size, field_names):
+    """The closed-package list and the class record of an image whose
+    widths word is ``wide``, whose string ids take ``id_size`` bytes and
+    class indexes ``index_size``, and whose fields are named if
     ``field_names``: built, and compiled, at first use."""
+    def sized(what):
+        return Sized(what, wide)
+
     def string(what):
-        return StringId(id_format, what)
+        return StringId(id_size, what)
 
     def class_ref(what):
         """A class: its index in the image, the name of a synthetic (array
         or primitive) class, or none."""
         return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
                           "class reference tag"),
-                     {"index": ClassIndex(what, "class index"),
+                     {"index": ClassIndex(index_size, what, "class index"),
                       "synthetic": string(what), None: None})
 
-    zones = (Array(U16("a zone size"),
-                   Option(U8("a slot tag"), ZoneString(id_format, "a slot"))),
-             Array(U16("v zone size"), U32("v slot")))
-    packages = Record(Array(U16("closed package count"),
+    def code(*stack_maps):
+        """A method's code, then ``stack_maps`` if it keeps them."""
+        return Record(
+            sized("max stack"), sized("max locals"),
+            Blob(sized("code length"), "bytecode", bytearray),
+            Array(sized("exception count"), Record(
+                sized("start"), sized("end"), sized("handler"), Catch(wide)),
+                frozen=True), *stack_maps,
+            into=(lc.MethodCode, "max_stack max_locals bytecode"
+                  " exception_table" + " stack_maps" * len(stack_maps)))
+
+    member = Record(ClassIndex(index_size, "owner", "member owner"),
+                    sized("member"))
+    zones = (Array(sized("a zone size"),
+                   Option(U8("a slot tag"), ZoneString(id_size, "a slot"))),
+             Array(sized("v zone size"), U32("v slot")))
+    packages = Record(Array(sized("closed package count"),
                             string("closed package")), schema=_IMAGE)
     record = Record(
         string("class name"), U16("access flags"), U8("ready flag"),
-        class_ref("superclass"), Array(U16("ifaces"), class_ref("interface")),
+        class_ref("superclass"),
+        Array(sized("ifaces"), class_ref("interface")),
         # the pool's tables, as (kinds, payloads) and (kinds, cells)
-        Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+        Array(sized("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
             cp.A_UTF8: string("text"), cp.A_STRING: string("text"),
             cp.A_CLASS: class_ref("class handle"),
-            cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER}), columns=True),
-        Array(U16("vtable size"),
+            cp.A_FIELD: member, cp.A_METHOD: member}), columns=True),
+        Array(sized("vtable size"),
               Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell")),
               columns=True),
         # a ConstantValue only where the record has no initial zones,
         # which hold its value otherwise
-        Array(U16("field count"), Record(
+        Array(sized("field count"), Record(
             *([string("field name")] if field_names else []),
             string("field descriptor"),
-            U16("field flags"), Option(U8("constant value flag"), Union(
+            sized("field flags"), Option(U8("constant value flag"), Union(
                 Code({kind: ord(kind) for kind in "ijfds"},
                      "constant value kind"),
                 {"i": Field("i", "constant value"),
@@ -214,18 +298,12 @@ def _id_records(id_format, field_names):
                  "f": U32("constant value"), "d": U64("constant value"),
                  "s": string("constant value")})),
             into=None if field_names else _nameless)),
-        Array(U16("method count"), Record(
+        Array(sized("method count"), Record(
             string("method name"), string("method descriptor"),
-            U16("method flags"), Option(U8("code flag"), Record(
-                U16("max stack"), U16("max locals"),
-                Blob(U16("code length"), "bytecode", bytearray),
-                Array(U16("exception count"), Record(
-                    U16("start"), U16("end"), U16("handler"),
-                    Catch("H", "catch")), frozen=True),
-                Option(U8("stack map flag"),
-                       Blob(U32("stack map length"), "stack maps")),
-                into=(lc.MethodCode, "max_stack max_locals bytecode"
-                                     " exception_table stack_maps"))))),
+            U16("method flags"), Union(CodeKind(), {
+                None: None, "code": code(),
+                "maps": code(Blob(U32("stack map length"), "stack maps"))},
+                bare=True))),
         # the initial zones: none, the live zones' values, or their own
         *zones, Union(Code({None: 0, "same": 1, "own": 2}, "initial zones",
                            "initial zones tag"),
@@ -269,56 +347,36 @@ def _initial(cls):
     return "own", cls.zones_initial
 
 
-def _write_records(ordered, packages, id_format, field_names):
-    """A cursor holding the closed-package list and the class records,
-    written with string ids of ``id_format`` and, if ``field_names``, field
-    names, and the ids: each string gets the next one the first time it is
-    written.  None if an id does not fit the format."""
-    packages_record, class_record = _id_records(id_format, field_names)
-    skip = 0 if field_names else 1
-    cur = SimpleNamespace(
-        data=bytearray(), pos=0, string_ids={},
-        class_index={c.name: i for i, c in enumerate(ordered)}, missing=set())
-    try:
-        packages_record.write(cur, packages)
-        for cls in ordered:
-            pool = cls.pool
-            initial = _initial(cls)
-            constants = initial[0] is None
-            class_record.write(cur, _ClassValues(
-                cls.name, cls.access_flags, int(cls.ready),
-                _ref(cls.super_cls), [_ref(c) for c in cls.interfaces],
-                (pool.a_kind, [_payload(k, p)
-                               for k, p in zip(pool.a_kind, pool.a_payload)]),
-                (pool.v_kind, pool.v_value),
-                [(f.name, f.descriptor, f.access_flags,
-                  f.constant_value if constants else None)[skip:]
-                 for f in cls.fields],
-                [(m.name, m.descriptor, m.access_flags, m.code)
-                 for m in cls.methods],
-                cls.a_static_zone, cls.v_static_zone, initial))
-    except struct.error:
-        if _id_format(len(cur.string_ids)) == id_format:
-            raise       # not an id past the format: a count or value is
-        return None
-    return cur
-
-
-def emit_image(classes, flags):
-    """Serialize a linked, closed class set; byte-identical per input set.
-
-    The closed packages and class records are written first, with u16
-    string ids, and again with u32 ids if the strings they name turn out
-    too many.  The header and string section then go in front of them."""
-    ordered = sorted(classes, key=lambda c: c.name)
-    for cls in ordered:
-        if cls.state != lc.LINKED:
-            raise NotLinked(cls.name)
-    packages = sorted(flags.closed_packages)
+def _write_image(ordered, class_index, flags, wide, id_size):
+    """The image of the classes ``ordered`` by name, at the class indexes
+    ``class_index`` gives their names, with the widths word ``wide`` and
+    string ids of ``id_size`` bytes.  The closed packages and class records
+    are written first, each string getting the next id the first time it
+    is written, then the header and string section go in front of them.  A
+    value too large for its field raises Widen, naming the field."""
     names = _field_names_kept(flags)
-    cur = _write_records(ordered, packages, "H", names)
-    if cur is None or _id_format(len(cur.string_ids)) != "H":
-        cur = _write_records(ordered, packages, "I", names)
+    packages_record, class_record = _id_records(
+        wide, id_size, _count_size(len(ordered)), names)
+    skip = 0 if names else 1
+    cur = SimpleNamespace(data=bytearray(), pos=0, string_ids={},
+                          class_index=class_index, missing=set())
+    packages_record.write(cur, sorted(flags.closed_packages))
+    for cls in ordered:
+        pool = cls.pool
+        initial = _initial(cls)
+        constants = initial[0] is None
+        class_record.write(cur, _ClassValues(
+            cls.name, cls.access_flags, int(cls.ready),
+            _ref(cls.super_cls), [_ref(c) for c in cls.interfaces],
+            (pool.a_kind, [_payload(k, p)
+                           for k, p in zip(pool.a_kind, pool.a_payload)]),
+            (pool.v_kind, pool.v_value),
+            [(f.name, f.descriptor, f.access_flags,
+              f.constant_value if constants else None)[skip:]
+             for f in cls.fields],
+            [(m.name, m.descriptor, m.access_flags, m.code)
+             for m in cls.methods],
+            cls.a_static_zone, cls.v_static_zone, initial))
     if cur.missing:
         raise IncompleteClosure(cur.missing)
     if None in cur.string_ids:      # a field reloaded from a nameless image
@@ -329,14 +387,38 @@ def emit_image(classes, flags):
         (FLAG_INTROSPECTION if flags.introspection else 0)
         | (FLAG_PRIVATE_OPT if flags.private_field_opt else 0)
         | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
-        len(ordered)))
-    _STRINGS.write(cur, list(cur.string_ids))
+        len(ordered), wide))
+    _string_section(wide).write(cur, list(cur.string_ids))
     return bytes(cur.data + records)
+
+
+def emit_image(classes, flags):
+    """Serialize a linked, closed class set; byte-identical per input set.
+
+    Every width field is first written narrow, and string ids as wide as
+    the class count needs, since every class name is a string.  A value
+    that does not fit stops the write, and emit writes again with its
+    field, or the string ids, one step wider."""
+    ordered = sorted(classes, key=lambda c: c.name)
+    for cls in ordered:
+        if cls.state != lc.LINKED:
+            raise NotLinked(cls.name)
+    class_index = {c.name: i for i, c in enumerate(ordered)}
+    wide, id_size = 0, _count_size(len(class_index))
+    while True:
+        try:
+            return _write_image(ordered, class_index, flags, wide, id_size)
+        except Widen as signal:
+            field, = signal.args
+            if field == "string id":
+                id_size *= 2
+            else:
+                wide |= 1 << WIDTHS.index(field)
 
 
 # --- image reading ---
 
-_Read = namedtuple("_Read", "registry classes records string_count"
+_Read = namedtuple("_Read", "registry classes records string_count wide"
                    " strings_start strings_end records_start")
 
 
@@ -346,9 +428,9 @@ def _read_image(data):
     a class per record, unloaded, the records and where the sections
     start and end."""
     cur = SimpleNamespace(data=data, pos=0, strings=[], class_count=0)
-    _, _, flag_bits, cur.class_count = _HEADER.read(cur)
+    _, _, flag_bits, cur.class_count, wide = _HEADER.read(cur)
     strings_start = cur.pos
-    cur.strings = _STRINGS.read(cur)
+    cur.strings = _string_section(wide).read(cur)
     strings_end = cur.pos
     registry = lc.Registry()
     flags = registry.image_flags = lk.LinkContext(
@@ -356,7 +438,8 @@ def _read_image(data):
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD))
     packages_record, class_record = _id_records(
-        _id_format(len(cur.strings)), _field_names_kept(flags))
+        wide, _count_size(len(cur.strings)), _count_size(cur.class_count),
+        _field_names_kept(flags))
     flags.closed_packages = set(packages_record.read(cur))
     records_start = cur.pos
     records, classes = [], []
@@ -376,7 +459,7 @@ def _read_image(data):
         classes.append(registry.new_unloaded(name))
     if cur.pos != len(data):
         raise Corrupt("trailing bytes after last class record", cur.pos)
-    return _Read(registry, classes, records, len(cur.strings),
+    return _Read(registry, classes, records, len(cur.strings), wide,
                  strings_start, strings_end, records_start)
 
 
@@ -460,9 +543,10 @@ def load_image(data):
 
 
 def inspect_image(data):
-    """The header, flags and closed packages of an image, the bytes of its
-    parts, read as load_image reads them, whether its fields are named, the
-    ConstantValues its class records hold, and the atable entries and
+    """The header, flags and closed packages of an image, the width fields
+    it writes as u16s, the bytes of its string ids and class indexes and of
+    its parts, read as load_image reads them, whether its fields are named,
+    the ConstantValues its class records hold, and the atable entries and
     vtable cells of each kind over all classes, as ``name: value`` lines.
     The header counts the closed-package list, which follows the string
     section because its ids take the width the string count gives."""
@@ -478,7 +562,10 @@ def inspect_image(data):
         ("closed packages", " ".join(sorted(flags.closed_packages))
          or "none"),
         ("header bytes", read.strings_start + packages),
-        ("string id bytes", struct.calcsize(_id_format(read.string_count))),
+        ("wide fields", ", ".join(what for i, what in enumerate(WIDTHS)
+                                  if read.wide >> i & 1) or "none"),
+        ("string id bytes", _count_size(read.string_count)),
+        ("class index bytes", _count_size(len(read.records))),
         ("strings", read.string_count),
         ("string bytes", read.strings_end - read.strings_start),
         ("classes", len(read.records)),

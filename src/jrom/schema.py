@@ -23,6 +23,11 @@ from . import errors
 _ERRORS = {n: e for n, e in vars(errors).items() if isinstance(e, type)}
 
 
+class Widen(Exception):
+    """Raised by a dump line for a value its field is too narrow to hold;
+    the argument names what the writer must widen before writing again."""
+
+
 # A format's settings: its byte order (a struct prefix), truncated(what,
 # at), the error of an input that ends inside ``what`` at offset ``at``, and
 # the lines that load the cursor attributes its checks, and dumps, use.
@@ -48,7 +53,8 @@ class _Source:
 
     def __init__(self, schema):
         self.schema, self.lines, self.count, self.kind = schema, [], 0, None
-        self.env, self.names = dict(_ERRORS, short=partial(_short, schema),
+        self.env, self.names = dict(_ERRORS, Widen=Widen,
+                                    short=partial(_short, schema),
                                     truncated=schema.truncated), {}
 
     def name(self, obj):
@@ -79,9 +85,10 @@ class _Source:
 class Field:
     """A fixed-size value: its struct code and the name a short input
     reports.  ``check`` holds the lines that check and convert the value
-    as it is read, ``dump`` those that convert it as it is written; in
-    them {v} is the local that holds the value, {at} the offset just past
-    it and {f} the field."""
+    as it is read, ``dump`` those that convert it as it is written, and
+    may raise Widen for a value too large for ``fmt``; in them {v} is the
+    local that holds the value, {at} the offset just past it and {f} the
+    field."""
     check = dump = ()
 
     def __init__(self, fmt, what):
@@ -224,6 +231,17 @@ def _record(node):
     return node if isinstance(node, Record) else Record(node)
 
 
+def _head(src, head, expr, depth):
+    """The expression of a count or length head written as ``expr``, after
+    the head's dump lines where it has any."""
+    if not head.dump:
+        return expr
+    value = src.var()
+    src.add(depth, "%s = %s" % (value, expr),
+            *head.expand(src, head.dump, value))
+    return value
+
+
 class Array:
     """A count, then that many elements.  With ``columns``, the elements'
     members, or a union element's kinds and bodies, are read into one list
@@ -252,7 +270,8 @@ class Array:
         return "tuple(%s)" % lists[0] if self.frozen else lists[0]
 
     def write_head(self, src, items, depth):
-        return "len(%s%s)" % (items, "[0]" if self.columns else "")
+        return _head(src, self.head, "len(%s%s)"
+                     % (items, "[0]" if self.columns else ""), depth)
 
     def write_after(self, src, items, depth):
         elem = src.var()
@@ -284,8 +303,9 @@ class Option:
 class Union:
     """A kind code, then the body of that kind; the value is (kind, the
     body's value), with None for a kind that has no body, or, with
-    ``bare``, the body's value alone.  ``bodies`` has one entry per kind of
-    the code, and the last one is taken for any kind not before it."""
+    ``bare``, the body's value alone, which the code's ``kind_of`` lines
+    turn into its kind as it is written.  ``bodies`` has one entry per kind
+    of the code, and the last one is taken for any kind not before it."""
 
     def __init__(self, code, bodies, bare=False):
         self.head, self.bare = code, bare
@@ -309,8 +329,12 @@ class Union:
         return value if self.bare else (kind, value)
 
     def write_head(self, src, value, depth):
-        src.add(depth, "{0}k, {0}b = {0}".format(value),
-                "{0}c = {0}k".format(value),
+        if self.bare:
+            src.add(depth, "{0}k = {0}b = {0}".format(value),
+                    *self.head.expand(src, self.head.kind_of, value + "k"))
+        else:
+            src.add(depth, "{0}k, {0}b = {0}".format(value))
+        src.add(depth, "{0}c = {0}k".format(value),
                 *self.head.expand(src, self.head.dump, value + "c"))
         return value + "c"
 
@@ -347,8 +371,8 @@ class Blob:
         if self.kind is str:
             src.add(depth, "{0}b = {0}.encode('utf-8', 'surrogatepass')"
                     .format(data))
-            return "len(%sb)" % data
-        return "len(%s)" % data
+            return _head(src, self.head, "len(%sb)" % data, depth)
+        return _head(src, self.head, "len(%s)" % data, depth)
 
     def write_after(self, src, data, depth):
         src.add(depth, "out += %s%s" % (data, "b" if self.kind is str else ""))

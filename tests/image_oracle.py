@@ -3,12 +3,14 @@ oracle for it.
 
 Each part reads its rest through a call per element, and a record's read is
 generated per run; ``load_image`` is the loader that went with it, moved to
-image format 5, whose string ids are two bytes wide up to 65,536 strings
-and four beyond, and whose fields have no names in a closed world without
-introspection.  It has no check of class record names or static zone
-sizes: a record out of name order, naming a synthetic class, or holding
-zones of another size than its layout gives loads here and fails in
-jrom.romizer.load_image.
+image format 6.  It declares the format on its own: the header's widths
+word makes each count, size, pc and index field it names one byte wide or
+two, string ids and class indexes are 1, 2 or 4 bytes as the string and
+class counts need, a method's kind byte says whether code and stack maps
+follow, and fields have no names in a closed world without introspection.
+It has no check of class record names or static zone sizes: a record out
+of name order, naming a synthetic class, or holding zones of another size
+than its layout gives loads here and fails in jrom.romizer.load_image.
 """
 
 import struct
@@ -66,8 +68,8 @@ class ZoneString(StringId):
 
 
 class ClassIndex(Field):
-    def __init__(self, what, label):
-        super().__init__("H", what)
+    def __init__(self, fmt, what, label):
+        super().__init__(fmt, what)
         self.label = label
 
     def load(self, cur, idx, at):
@@ -90,7 +92,19 @@ class Code(Field):
 
 class Catch(Field):
     def load(self, cur, value, at):
-        return None if value == 0xFFFF else value
+        return None if value == (1 << 8 * self.layout.size) - 1 else value
+
+
+class Bits(Field):
+    def __init__(self, fmt, what, defined):
+        super().__init__(fmt, what)
+        self.defined = defined
+
+    def load(self, cur, value, at):
+        if value & ~self.defined:
+            raise Corrupt("undefined %s bits %#x"
+                          % (self.what, value & ~self.defined), at)
+        return value
 
 
 class Record:
@@ -223,65 +237,93 @@ class Blob:
             raise Corrupt("undecodable string table entry", cur.pos) from None
 
 
+# the fields the widths word sizes, in the order of its bits from bit 0
+_SIZED = ("string length", "closed package count", "ifaces", "atable size",
+          "vtable size", "member", "field count", "field flags",
+          "method count", "max stack", "max locals", "code length",
+          "exception count", "start", "end", "handler", "catch",
+          "a zone size", "v zone size")
+
 _HEADER = Record(
     Expect("4s", "magic", IMAGE_MAGIC,
            lambda _: BadImageMagic("not a romized image")),
     Expect("H", "version", IMAGE_VERSION,
            lambda v: VersionMismatch("image format %d, expected %d"
                                      % (v, IMAGE_VERSION))),
-    U16("flags"), U32("class count"))
+    Bits("H", "flags", FLAG_INTROSPECTION | FLAG_PRIVATE_OPT
+         | FLAG_CLOSED_WORLD),
+    U32("class count"), Bits("I", "widths", (1 << len(_SIZED)) - 1))
 
-_STRINGS = Record(Array(U32("string count"),
-                        Blob(U16("string length"), "string data", text=True)))
 
-_MEMBER = Record(ClassIndex("owner", "member owner"), U16("member"))
+def _width(count):
+    """The struct format of an index into a table of ``count`` entries."""
+    return "B" if count <= 256 else "H" if count <= 65536 else "I"
+
+
+def _sized(widths, what, kind=Field):
+    return kind("H" if widths & 1 << _SIZED.index(what) else "B", what)
 
 
 @cache
-def _records(fmt, named):
-    """The closed-package list and the class record, with string ids of
-    struct format ``fmt`` and, if ``named``, field names."""
+def _strings(widths):
+    return Record(Array(U32("string count"), Blob(
+        _sized(widths, "string length"), "string data", text=True)))
+
+
+@cache
+def _records(widths, fmt, index, named):
+    """The closed-package list and the class record of the widths word
+    ``widths``, with string ids of struct format ``fmt``, class indexes of
+    ``index`` and, if ``named``, field names."""
+    def n(what):
+        return _sized(widths, what)
+
     def class_ref(what):
         return Union(Code({"index": 0, "synthetic": 1, None: 2}, what,
                           "class reference tag"),
-                     {"index": ClassIndex(what, "class index"),
+                     {"index": ClassIndex(index, what, "class index"),
                       "synthetic": StringId(fmt, what), None: None})
 
-    zones = (Array(U16("a zone size"),
+    def code(*maps):
+        return Record(
+            n("max stack"), n("max locals"),
+            Blob(n("code length"), "bytecode"),
+            Array(n("exception count"), Record(
+                n("start"), n("end"), n("handler"),
+                _sized(widths, "catch", Catch))), *maps)
+
+    member = Record(ClassIndex(index, "owner", "member owner"), n("member"))
+    zones = (Array(n("a zone size"),
                    Option(U8("a slot tag"), ZoneString(fmt, "a slot"))),
-             Array(U16("v zone size"), U32("v slot")))
-    packages = Record(Array(U16("closed package count"),
+             Array(n("v zone size"), U32("v slot")))
+    packages = Record(Array(n("closed package count"),
                             StringId(fmt, "closed package")))
     record = Record(
         StringId(fmt, "class name"), U16("access flags"), U8("ready flag"),
-        class_ref("superclass"), Array(U16("ifaces"), class_ref("interface")),
-        Array(U16("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
+        class_ref("superclass"), Array(n("ifaces"), class_ref("interface")),
+        Array(n("atable size"), Union(Code(_A_KIND_CODE, "atable kind"), {
             cp.A_UTF8: StringId(fmt, "text"),
             cp.A_STRING: StringId(fmt, "text"),
             cp.A_CLASS: class_ref("class handle"),
-            cp.A_FIELD: _MEMBER, cp.A_METHOD: _MEMBER})),
-        Array(U16("vtable size"),
+            cp.A_FIELD: member, cp.A_METHOD: member})),
+        Array(n("vtable size"),
               Record(Code(_V_KIND_CODE, "vtable kind"), U32("cell"))),
-        Array(U16("field count"), Record(
+        Array(n("field count"), Record(
             *([StringId(fmt, "field name")] if named else []),
             StringId(fmt, "field descriptor"),
-            U16("field flags"), Option(U8("constant value flag"), Union(
+            n("field flags"), Option(U8("constant value flag"), Union(
                 Code({kind: ord(kind) for kind in "ijfds"},
                      "constant value kind"),
                 {"i": Field("i", "constant value"),
                  "j": Field("q", "constant value"),
                  "f": U32("constant value"), "d": U64("constant value"),
                  "s": StringId(fmt, "constant value")})))),
-        Array(U16("method count"), Record(
+        Array(n("method count"), Record(
             StringId(fmt, "method name"), StringId(fmt, "method descriptor"),
-            U16("method flags"), Option(U8("code flag"), Record(
-                U16("max stack"), U16("max locals"),
-                Blob(U16("code length"), "bytecode"),
-                Array(U16("exception count"), Record(
-                    U16("start"), U16("end"), U16("handler"),
-                    Catch("H", "catch"))),
-                Option(U8("stack map flag"),
-                       Blob(U32("stack map length"), "stack maps")))))),
+            U16("method flags"), Union(
+                Code({None: 0, "code": 1, "maps": 2}, "code kind"),
+                {None: None, "code": code(), "maps": code(
+                    Blob(U32("stack map length"), "stack maps"))}))),
         *zones, Union(Code({None: 0, "same": 1, "own": 2}, "initial zones",
                            "initial zones tag"),
                       {None: None, "same": None, "own": Record(*zones)}))
@@ -296,19 +338,18 @@ _ClassValues = namedtuple("_ClassValues", (
 def load_strings(data):
     """The string section of an image."""
     cur = _Cursor(data)
-    _HEADER.read(cur)
-    return _STRINGS.read(cur)
+    return _strings(_HEADER.read(cur)[4]).read(cur)
 
 
 def load_image(data):
     """A registry of the image's classes, or the error reading it raises."""
     cur = _Cursor(data)
-    _, _, flag_bits, cur.class_count = _HEADER.read(cur)
-    cur.strings = _STRINGS.read(cur)
+    _, _, flag_bits, cur.class_count, widths = _HEADER.read(cur)
+    cur.strings = _strings(widths).read(cur)
     named = bool(flag_bits & FLAG_INTROSPECTION
                  or not flag_bits & FLAG_CLOSED_WORLD)
-    packages, record = _records("H" if len(cur.strings) <= 1 << 16 else "I",
-                                named)
+    packages, record = _records(widths, _width(len(cur.strings)),
+                                _width(cur.class_count), named)
     registry = lc.Registry()
     registry.image_flags = lk.LinkContext(
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
@@ -322,10 +363,10 @@ def load_image(data):
             for field in rec.fields:
                 field.insert(0, None)
         for method in rec.methods:
-            code = method[3]
-            if code is not None:
-                method[3] = lc.MethodCode(bytearray(code[2]), code[0],
-                                          code[1], code[3], code[4])
+            kind, code = method[3]
+            method[3] = code and lc.MethodCode(
+                bytearray(code[2]), code[0], code[1], code[3],
+                code[4] if kind == "maps" else None)
         records.append(rec)
         classes.append(registry.new_unloaded(rec.name))
     end = len(data)

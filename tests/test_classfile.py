@@ -540,8 +540,8 @@ class TestTruncationMessages:
 def test_no_record_compiles_at_import():
     """Importing the command line driver compiles no schema record: each
     top-level record of either schema still has its compiling read and
-    write, and the image's records of either string-id width are not yet
-    built."""
+    write, and none of the image's records that its header's widths and
+    counts select is yet built."""
     script = (
         "import jrom.cli\n"
         "from jrom import classfile, romizer, schema\n"
@@ -549,7 +549,8 @@ def test_no_record_compiles_at_import():
         "        if isinstance(r, schema.Record) and r.schema]\n"
         "print(len({r.schema for r in tops}), len(tops), sum(\n"
         "    'read' in vars(r) or 'write' in vars(r) for r in tops),\n"
-        "    romizer._id_records.cache_info().currsize)\n")
+        "    romizer._id_records.cache_info().currsize,\n"
+        "    romizer._string_section.cache_info().currsize)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -557,4 +558,4 @@ def test_no_record_compiles_at_import():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["2", "3", "0", "0"]
+    assert done.stdout.split() == ["2", "2", "0", "0", "0"]

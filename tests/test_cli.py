@@ -363,12 +363,13 @@ class TestInspect:
             == int(info["bytes"]) == len(image)
         want = pipe.ctx
         assert (info["format"], info["flags"], info["closed packages"],
-                info["string id bytes"], info["classes"]) == (
-            "5", " ".join(name for name, on in (
+                info["wide fields"], info["string id bytes"],
+                info["class index bytes"], info["classes"]) == (
+            "6", " ".join(name for name, on in (
                 ("introspection", want.introspection),
                 ("private-field-opt", want.private_field_opt),
                 ("closed-world", want.closed_world)) if on) or "none",
-            "none", "2", str(len(pipe.registry.loadable())))
+            "none", "max locals", "1", "1", str(len(pipe.registry.loadable())))
         # every corpus class became ready, so its initial zones hold its
         # constants; the fields are nameless only in a closed world
         # without introspection
@@ -380,11 +381,11 @@ class TestInspect:
         assert info["constant values"] == "0" == str(sum(
             f.constant_value is not None
             for cls in oracle.loadable() for f in cls.fields))
-        # a length and the bytes per string, after the string count
+        # a one-byte length and the bytes per string, after the string count
         strings = image_oracle.load_strings(image)
         assert int(info["strings"]) == len(strings)
         assert int(info["string bytes"]) == 4 + sum(
-            2 + len(s.encode("utf-8", "surrogatepass")) for s in strings)
+            1 + len(s.encode("utf-8", "surrogatepass")) for s in strings)
 
     def test_closed_packages_are_header_bytes(self, corpus_dir, tmp_path,
                                               capsys):
@@ -393,8 +394,8 @@ class TestInspect:
         (tmp_path / "corpus.rom").write_bytes(pipe.emit_image())
         info = self.inspect(tmp_path / "corpus.rom", capsys)
         assert info["closed packages"] == "corpus/sealed vm"
-        # magic, version, flags, class count; a count and two ids
-        assert info["header bytes"] == str(12 + 2 + 2 * 2)
+        # magic, version, flags, class count, widths; a count and two ids
+        assert info["header bytes"] == str(16 + 1 + 2 * 1)
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
     def test_pool_kinds_are_the_reloaded_pools(self, corpus_dir, tmp_path,

@@ -19,6 +19,7 @@ from jrom.errors import (BadImageMagic, Corrupt, IncompleteClosure, JromError,
 from jrom.pipeline import Pipeline
 
 from . import image_oracle
+from .assembler import ClassBuilder
 from .conftest import make_pipeline, raw_pool_byte_size
 from .corpus import build_corpus, corpus_names
 from .test_generated import load_perfbench
@@ -89,19 +90,19 @@ class TestEmit:
 
     # sha256 of the corpus image and its report under each flag set
     GOLDEN = {
-        (): ("ed504fe218840c84476398a47a84d034589f48fe9787ade999b3656cb7c692bf",
+        (): ("ff8e3c81ad17429a4f9c7deaffa640c3d1a22ed8b121bf201295155d1f047ff8",
              "6f96949482c55eb7d5f543741bf65645fb9f81dfe69fe255b76d4ec0b1632fde"),
         ("--no-introspection",): (
-            "772d37cb754d883159db0d81822a4fdf45297ae5d3f3472a919b7e04e85f4530",
+            "ed78a592c552abea54b9c981464a07f4cbaf83aba981e740340f6c58474c3bb6",
             "81d9940908a0f0b05ddd91ed31e2bb3243e8e38b18ce6b393543c1df5a0a6303"),
         ("--private-field-opt",): (
-            "873781a79d9367149cbcdb9fa25a8bab158c4db8992fa3a679419cd3caf99bb0",
+            "1d1cdc76cd919410128a09bfc8bc0d742ed9fda903561c7b8cbea9591d6b7aa7",
             "5e20f9d5bf8bcd458c5f9057aca57cec9a27f8d01a1a29b0efd2fad265613c53"),
         ("--closed-world",): (
-            "b34243ee28b861ff97814570f59b4c601cf7e2490f09303a40fc939a0b017821",
+            "9636822f8e9d14fcb442ab88d87c05efb314069abf68db35f510af9e2c989773",
             "54acf20b130f06da742d767a8aa28754d207c22c4cd9a0e2480a25230b28494c"),
         ("--closed-world", "--no-introspection"): (
-            "f53f5f39e2f3c65172bac8a15cd9be21ebd8dd9dd3ff3183339be61a18f5db4f",
+            "a2430fa0247ad174168b71944000e2c92a9663b6ce94229a073b5829cd41c1e9",
             "c3b1cf3577dfb84c074d630111400044eaf1e9d9699c4aa4ba34754ae6d0721f"),
     }
 
@@ -326,35 +327,47 @@ class TestFormat3:
             == image
         return registry
 
-    def test_forced_u32_ids_round_trip(self, linked_pipeline, image,
-                                       monkeypatch):
-        narrow_info = self.info(image)
-        monkeypatch.setattr(rz, "U16_ID_STRINGS", 0)
-        wide = linked_pipeline.emit_image()
-        wide_info = self.info(wide)
-        assert (narrow_info["string id bytes"],
-                wide_info["string id bytes"]) == ("2", "4")
-        for same in ("strings", "string bytes", "header bytes"):
-            assert wide_info[same] == narrow_info[same]
-        assert int(wide_info["class record bytes"]) > \
-            int(narrow_info["class record bytes"])
+    def test_forced_u32_ids_round_trip(self, corpus_dir):
+        # 65,536 new strings, as Utf8 entries that no instruction names at
+        # the end of two classes' atables, take the image past 65,536
+        # strings; it still reloads, re-emits and runs as the linked set
+        pipe = make_pipeline(corpus_dir)
+        narrow = self.info(pipe.emit_image())
+        for name, first in ("corpus/Arith", 0), ("corpus/Empty", 1):
+            pool = pipe.registry.get(name).pool
+            texts = ["pad/%d" % i for i in range(first, 1 << 16, 2)]
+            pool.a_kind += [cp.A_UTF8] * len(texts)
+            pool.a_payload += texts
+            pool.a_dead += bytes(len(texts))
+        wide = pipe.emit_image()
+        info = self.info(wide)
+        assert (narrow["string id bytes"], info["string id bytes"]) == \
+            ("1", "4")
+        assert int(info["strings"]) == int(narrow["strings"]) + (1 << 16)
+        assert info["wide fields"] == "atable size, max locals"
         reloaded = self.round_trip(wide)
-        out = linked_pipeline.verify_all(vectors=1, after_registry=reloaded)
+        out = pipe.verify_all(vectors=1, after_registry=reloaded)
         assert not out.failures and out.checked
 
-    def test_more_strings_than_u16_ids_widen_them(self, corpus_dir):
+    def test_more_strings_than_u16_ids_widen_them(self, corpus_dir,
+                                                  monkeypatch):
         # 65,535 new strings in one class's initial zones take the image
-        # past 65,536 strings: the u16 write overflows and emit starts
-        # again with u32 ids
+        # past 65,536 strings: each write stops at the first value too wide
+        # for its field, and emit writes again with that field, or the
+        # string ids, one step wider
         pipe = make_pipeline(corpus_dir)
         narrow = self.info(pipe.emit_image())
         cls = pipe.registry.get("corpus/Empty")
         cls.zones_initial = ([("str", "s%d" % i) for i in range(0xFFFF)],
                              list(cls.v_static_zone))
+        writes = spy_writes(monkeypatch)
         wide = pipe.emit_image()
         info = self.info(wide)
         assert int(info["strings"]) == int(narrow["strings"]) + 0xFFFF
         assert info["string id bytes"] == "4"
+        assert writes == [((), 1), (("a zone size",), 1),
+                          (("a zone size",), 2), (("a zone size",), 4),
+                          (("max locals", "a zone size"), 4)]
         # the zones are not the size of Empty's layout, so they load no
         # further than the check of that
         with pytest.raises(Corrupt, match="^static zones of corpus/Empty"):
@@ -398,12 +411,13 @@ class TestFormat3:
                                         redone.v_static_zone)
 
     def test_older_formats_are_a_version_mismatch(self, image):
-        # a format-3 image's member operands name member-ref cells, and a
-        # format-4 one writes every ConstantValue and field name
-        for version in (2, 3, 4):
+        # a format-3 image's member operands name member-ref cells, a
+        # format-4 one writes every ConstantValue and field name, and a
+        # format-5 one has no widths word and every count a u16
+        for version in (2, 3, 4, 5):
             data = image[:4] + struct.pack("<H", version) + image[6:]
             with pytest.raises(VersionMismatch, match=r"^image format %d,"
-                               r" expected 5$" % version):
+                               r" expected 6$" % version):
                 rz.load_image(data)
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_FLAGS))
@@ -469,13 +483,140 @@ class TestFormat3:
                     registry.image_flags, **keep))
 
 
+def spy_writes(monkeypatch):
+    """The list that each write emit makes appends to, as its (wide
+    fields, string id bytes): the first write's widths, and each later
+    write's after the field or ids that stopped the one before widened."""
+    writes, write = [], rz._write_image
+
+    def spy(*args):
+        *_, wide, id_size = args
+        writes.append((tuple(what for i, what in enumerate(rz.WIDTHS)
+                             if wide >> i & 1), id_size))
+        return write(*args)
+    monkeypatch.setattr(rz, "_write_image", spy)
+    return writes
+
+
+class TestFormat6:
+    """Each count, size, pc and index field one byte wide unless a value
+    of it in the image needs two, string ids and class indexes as wide as
+    their table's count needs, and a header that defines every bit it
+    sets."""
+
+    def test_corpus_widens_max_locals_alone(self, corpus_dir, monkeypatch):
+        # one corpus method has 301 locals; every other value fits a byte
+        pipe = make_pipeline(corpus_dir)
+        writes = spy_writes(monkeypatch)
+        image = pipe.emit_image()
+        assert writes == [((), 1), (("max locals",), 1)]
+        assert max(m.code.max_locals for cls in pipe.registry.loadable()
+                   for m in cls.methods if m.code) == 301
+        info = TestFormat3.info(image)
+        assert (info["wide fields"], info["string id bytes"],
+                info["class index bytes"]) == ("max locals", "1", "1")
+        reloaded = TestFormat3.round_trip(image)
+        out = pipe.verify_all(vectors=1, after_registry=reloaded)
+        assert not out.failures, out.failures[:3]
+        assert not out.skipped and out.checked
+
+    @pytest.mark.parametrize("index, wide", [
+        (254, "max locals"), (255, "atable size, max locals, catch")])
+    def test_catch_index_of_the_narrow_sentinel_widens_catch(
+            self, corpus_dir, index, wide):
+        # a typed catch moved to atable index ``index``: 255 is the one-byte
+        # field's "any exception", so it takes a two-byte catch field, whose
+        # "any" is 0xFFFF
+        pipe = make_pipeline(corpus_dir)
+        cls, m, at = next(
+            (cls, m, at) for cls in pipe.registry.loadable()
+            for m in cls.methods if m.code
+            for at, entry in enumerate(m.code.exception_table)
+            if entry[3] is not None)
+        pool = cls.pool
+        pad = index - len(pool.a_kind)
+        pool.a_kind += [cp.A_UTF8] * pad + [cp.A_CLASS]
+        pool.a_payload += ["pad/%d" % i for i in range(pad)] + \
+            [pool.a_payload[m.code.exception_table[at][3]]]
+        pool.a_dead += bytes(pad + 1)
+        table = list(m.code.exception_table)
+        table[at] = table[at][:3] + (index,)
+        m.code.exception_table = tuple(table)
+        image = pipe.emit_image()
+        assert TestFormat3.info(image)["wide fields"] == wide
+        reloaded = TestFormat3.round_trip(image)
+        catches = [[entry[3] for entry in m.code.exception_table]
+                   for cls in pipe.registry.loadable()
+                   for m in cls.methods if m.code]
+        assert catches == [
+            [entry[3] for entry in m.code.exception_table]
+            for cls in pipe.registry.loadable()
+            for m in reloaded.get(cls.name).methods if m.code]
+        assert index in sum(catches, []) and None in sum(catches, [])
+
+    def test_count_past_a_u16_fails_the_write(self, corpus_dir):
+        # a wide field has no wider form to widen to: an atable of 65,536
+        # entries fails as it did with every count a u16, and does not
+        # widen the same field again and again
+        pipe = make_pipeline(corpus_dir)
+        pool = pipe.registry.get("corpus/Empty").pool
+        pad = (1 << 16) - len(pool.a_kind)
+        pool.a_kind += [cp.A_UTF8] * pad
+        pool.a_payload += ["pad/%d" % i for i in range(pad)]
+        pool.a_dead += bytes(pad)
+        with pytest.raises(struct.error):
+            pipe.emit_image()
+
+    @pytest.mark.parametrize("classes, index_bytes, writes", [
+        (256, "1", [((), 1), ((), 2)]), (257, "2", [((), 2)])])
+    def test_class_indexes_take_the_width_the_class_count_needs(
+            self, corpus_dir, tmp_path, monkeypatch, classes, index_bytes,
+            writes):
+        # trivial classes and java/lang/Object: more than 256 strings, so
+        # two-byte ids, which the first write already has for 257 classes
+        names = ["p/C%03d" % i for i in range(classes - 1)]
+        (tmp_path / "p").mkdir()
+        for name in names:
+            cb = ClassBuilder(name)
+            cb.default_init()
+            (tmp_path / (name + ".class")).write_bytes(cb.build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(names, closure=True)
+        assert pipe.ready_all() == [] and pipe.link_all() == []
+        spied = spy_writes(monkeypatch)
+        image = pipe.emit_image()
+        assert spied == writes
+        info = TestFormat3.info(image)
+        assert (info["classes"], info["class index bytes"],
+                info["string id bytes"], info["wide fields"]) == (
+            str(classes), index_bytes, "2", "none")
+        TestFormat3.round_trip(image)
+
+    @pytest.mark.parametrize("word, fmt, offset, defined", [
+        ("flags", "<H", 6, 3), ("widths", "<I", 12, len(rz.WIDTHS))])
+    def test_undefined_header_bits_are_corrupt(self, image, word, fmt,
+                                               offset, defined):
+        # an undefined bit would load and re-emit as another image
+        value, = struct.unpack_from(fmt, image, offset)
+        for bit in range(defined, 8 * struct.calcsize(fmt)):
+            data = bytearray(image)
+            struct.pack_into(fmt, data, offset, value | 1 << bit)
+            for load in rz.load_image, image_oracle.load_image:
+                with pytest.raises(Corrupt, match=r"^undefined %s bits %#x "
+                                   r"\(at image offset %d\)$" % (
+                                       word, 1 << bit,
+                                       offset + struct.calcsize(fmt))):
+                    load(bytes(data))
+
+
 @pytest.mark.parametrize("flags", ["default",
                                    "closed-world-no-introspection"])
 def test_generated_image_reloads_and_checks_clean(tmp_path, flags):
     """200 generated classes: the image holds no ConstantValue, since every
-    class's initial zones hold its constants, and names its fields unless
-    the flags drop them; it re-emits the same bytes, and the reloaded
-    classes run as the linked ones, with no method skipped."""
+    class's initial zones hold its constants, names its fields unless the
+    flags drop them, and writes every width field one byte wide; it
+    re-emits the same bytes, and the reloaded classes run as the linked
+    ones, with no method skipped."""
     gen = load_perfbench("gen")
     class_set = gen.generate(200, 1)
     gen.write(class_set.files, str(tmp_path))
@@ -485,8 +626,9 @@ def test_generated_image_reloads_and_checks_clean(tmp_path, flags):
     image = pipe.emit_image()
     info = dict(line.split(": ", 1)
                 for line in rz.inspect_image(image).splitlines())
-    assert (info["field names"], info["constant values"]) == (
-        "kept" if flags == "default" else "dropped", "0")
+    assert (info["field names"], info["constant values"],
+            info["wide fields"]) == (
+        "kept" if flags == "default" else "dropped", "0", "none")
     reloaded = rz.load_image(image)
     assert rz.emit_image(reloaded.loadable(), reloaded.image_flags) == image
     out = pipe.verify_all(vectors=1, after_registry=reloaded)
