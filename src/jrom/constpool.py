@@ -1,26 +1,26 @@
 """Two-table runtime constant pool with prelinking, marking and packing.
 
 A parsed pool is split into an atable of reference entries (text, class
-handles, member handles) and a vtable of 32-bit cells (immediates and packed
-index pairs).  Each table is stored flat, as parallel lists:
-``a_kind``/``a_payload`` for the atable and ``v_kind``/``v_value`` for the
-vtable, with the dead flags of every entry in ``bytearray``s, so a pool is a
-handful of containers however many entries it has.  Prelinking resolves the
-symbolic constants into direct handles; its second pass places the last of
-them and then sets the dead flags once, for the whole pool.  Those strip
-out of the live set every cell that names atable entries (String,
-NameAndType and member-ref cells: loading rewrites each instruction that
-names one to name the literal or member handle the cell names) and most
-Utf8 text.  Where each raw constant went is a map that build_pool returns
-and the passes extend; only loading reads it, to rewrite every pool operand
-of the class's code to its table index, and nothing keeps it after the
-class has loaded.  The lookup dicts that deduplicate literals and member
-handles live only inside the pass that fills them, so a loaded pool keeps
-just its tables and flags.  Nothing changes the pool after prelinking, so
-it is the loaded snapshot.  Linking marks the entries its final code names
-into flags of its own (new_marks), and pack() copies them into a new pool
-and returns the remaps that the bytecode rewriter applies.  No linked cell
-holds an atable index, so packing rewrites no cell.
+handles, member handles) and a vtable of 32-bit immediates.  Each table is
+stored flat, as parallel lists: ``a_kind``/``a_payload`` for the atable and
+``v_kind``/``v_value`` for the vtable, so a pool is a handful of containers
+however many entries it has.  Prelinking builds only what outlives loading.
+Each String constant becomes its interned literal and each member ref its
+deduplicated member handle, since loading rewrites every instruction that
+names one to name that entry.  A NameAndType becomes nothing: the second
+pass reads its name and descriptor from the raw pool.  Of the Utf8 text,
+only what spells a name or descriptor of the class's own fields and
+methods goes into the atable, since that is all reflection marking can
+keep.  Where each raw constant went is a list, indexed by raw index, of
+table indexes that build_pool returns and the passes fill; only loading
+reads it, to rewrite every pool operand of the class's code, and nothing
+keeps it after the class has loaded.  The lookup dicts that deduplicate
+literals and member handles live only inside the pass that fills them.
+Nothing changes the pool after prelinking, so it is the loaded snapshot.
+Linking marks the entries its final code names into flags of its own
+(new_marks), and pack() copies them into a new pool and returns the remaps
+that the bytecode rewriter applies.  No cell holds an atable index, so
+packing rewrites no cell.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from itertools import compress
 
 from . import classfile as cf
 from .classfile import encode_mutf8
-from .errors import DanglingIndex, IndexOutOfRange, InternalError, PoolOverflow
+from .errors import DanglingIndex, IndexOutOfRange
 
 ATABLE = "a"
 VTABLE = "v"
@@ -47,21 +47,9 @@ V_LONG_HI = "long_hi"
 V_LONG_LO = "long_lo"
 V_DBL_HI = "dbl_hi"
 V_DBL_LO = "dbl_lo"
-V_STRING = "string"
-V_NAT = "nat"
-V_FIELDREF = "fieldref"
-V_METHODREF = "methodref"
-V_IFACEREF = "ifaceref"
 
 _PAIR_HI = {V_LONG_HI, V_DBL_HI}
 _PAIR_LO = {V_LONG_LO, V_DBL_LO}
-# the cells that hold atable indexes: no loaded instruction names one
-_NAMING = {V_STRING, V_NAT, V_FIELDREF, V_METHODREF, V_IFACEREF}
-_REF_KIND = {
-    cf.TAG_FIELDREF: V_FIELDREF,
-    cf.TAG_METHODREF: V_METHODREF,
-    cf.TAG_IFACEMETHODREF: V_IFACEREF,
-}
 
 
 @dataclass(slots=True)
@@ -84,40 +72,16 @@ class MemberHandle:
         return find(self.name, self.descriptor)
 
 
-def _pack16(hi, lo):
-    if hi > 0xFFFF or lo > 0xFFFF:
-        raise PoolOverflow("atable index does not fit 16 bits")
-    return (hi << 16) | lo
-
-
-def _unpack16(value):
-    return value >> 16, value & 0xFFFF
-
-
 class RuntimePool:
     """Atable entry i is (a_kind[i], a_payload[i]): a str for text, a
     ClassRep or a MemberHandle.  Vtable cell i is (v_kind[i], v_value[i]),
-    the value an unsigned 32-bit bit pattern."""
+    the value an unsigned 32-bit bit pattern.  Every entry is live."""
 
-    def __init__(self):
-        self.a_kind = []
-        self.a_payload = []
-        self.v_kind = []
-        self.v_value = []
-        self.a_dead = bytearray()   # resolved-away at load, excluded from
-        self.v_dead = bytearray()   # stats; set once, by prelink_pass2
-
-    # --- construction helpers ---
-
-    def add_a(self, kind, payload):
-        self.a_kind.append(kind)
-        self.a_payload.append(payload)
-        return len(self.a_kind) - 1
-
-    def add_v(self, kind, value):
-        self.v_kind.append(kind)
-        self.v_value.append(value)
-        return len(self.v_kind) - 1
+    def __init__(self, a_kind=None, a_payload=None, v_kind=None, v_value=None):
+        self.a_kind = [] if a_kind is None else a_kind
+        self.a_payload = [] if a_payload is None else a_payload
+        self.v_kind = [] if v_kind is None else v_kind
+        self.v_value = [] if v_value is None else v_value
 
     def kinds(self, space):
         """The kind list of the atable or the vtable."""
@@ -126,30 +90,19 @@ class RuntimePool:
     # --- stats ---
 
     def entry_count(self):
-        """Live entries: pair cells count once, dead entries not at all."""
-        return (self.a_dead.count(0)
-                + sum(1 for kind, dead in zip(self.v_kind, self.v_dead)
-                      if not dead and kind not in _PAIR_LO))
+        """Entries, a long or double counting once."""
+        v_kind = self.v_kind
+        return (len(self.a_kind) + len(v_kind)
+                - v_kind.count(V_LONG_LO) - v_kind.count(V_DBL_LO))
 
     def byte_size(self):
         """Modeled footprint: text = 2+len, handles = 4, each 32-bit cell = 4."""
-        total = 4 * (self.a_dead.count(0) + self.v_dead.count(0))
-        for kind, payload, dead in zip(self.a_kind, self.a_payload, self.a_dead):
-            if not dead and kind in (A_UTF8, A_STRING):
+        total = 4 * (len(self.a_kind) + len(self.v_kind))
+        for kind, payload in zip(self.a_kind, self.a_payload):
+            if kind in (A_UTF8, A_STRING):
                 plain = payload.isascii() and "\0" not in payload   # its own mUTF-8
                 total += (len(payload) if plain else len(encode_mutf8(payload))) - 2
         return total
-
-
-def packed_pool(a_kind, a_payload, v_kind, v_value):
-    """A pool of these tables, every entry live, as pack() and image
-    loading build it."""
-    pool = RuntimePool()
-    pool.a_kind, pool.a_payload = a_kind, a_payload
-    pool.v_kind, pool.v_value = v_kind, v_value
-    pool.a_dead = bytearray(len(a_kind))
-    pool.v_dead = bytearray(len(v_kind))
-    return pool
 
 
 # immediate tag -> its vtable cell kinds, high word first
@@ -166,48 +119,54 @@ def _slots_of(*wanted):
 
 
 _string_slots = _slots_of(cf.TAG_STRING)
-_build_slots = _slots_of(cf.TAG_UTF8, *_IMMEDIATES)
-_pass1_slots = _slots_of(cf.TAG_CLASS, cf.TAG_STRING, cf.TAG_NAMEANDTYPE)
-_pass2_slots = _slots_of(*_REF_KIND)
+_utf8_slots = _slots_of(cf.TAG_UTF8)
+_immediate_slots = _slots_of(*_IMMEDIATES)
+_class_slots = _slots_of(cf.TAG_CLASS)
+_ref_slots = _slots_of(cf.TAG_FIELDREF, cf.TAG_METHODREF,
+                       cf.TAG_IFACEMETHODREF)
 
 
 def build_pool(raw):
-    """First loading step: each String's literal to the atable, then Utf8
-    to the atable and immediates to the vtable.
+    """First loading step: each String's literal to the atable, then the
+    Utf8 text of the class's own member names and descriptors to the
+    atable, and immediates to the vtable.
 
     The literals come first, one per text in raw order, so each one's
     atable index is below its String constant's raw index: an ldc whose
     raw operand fits a byte still fits one once loading names the literal.
-    Returns the pool and the map from raw index to (space, table index) of
-    every constant placed so far, a String's to its literal until pass 1
-    gives it its cell.  The other symbolic constants stay pending until
-    the prelink passes place them into both.
+    Returns the pool and the list, by raw index, of the table index where
+    each String and immediate went (None elsewhere); the prelink passes
+    place the Class constants and member refs into both.
     """
     pool = RuntimePool()
     a_kind, a_payload = pool.a_kind, pool.a_payload
     v_kind, v_value = pool.v_kind, pool.v_value
-    placement = {}
     tags, values = raw.pool_tags, raw.pool_values
+    n = len(tags)
+    placement = [None] * n
     literals = {}           # text -> atable index of its interned literal
     for idx in _string_slots(tags):
         utf8 = values[idx]
-        if not 0 <= utf8 < len(tags) or tags[utf8] != cf.TAG_UTF8:
-            raise DanglingIndex("raw index %s does not name a Utf8" % utf8)
+        if not 0 <= utf8 < n or tags[utf8] != cf.TAG_UTF8:
+            raise DanglingIndex("String %d names raw index %s, not a Utf8"
+                                % (idx, utf8))
         text = values[utf8]
         lit = literals.get(text)
         if lit is None:
-            lit = literals[text] = pool.add_a(A_STRING, text)
-        placement[idx] = (ATABLE, lit)
-    for idx in _build_slots(tags):
-        tag, value = tags[idx], values[idx]
-        if tag == cf.TAG_UTF8:
-            placement[idx] = (ATABLE, len(a_kind))
-            a_kind.append(A_UTF8)
-            a_payload.append(value)
-            continue
-        kinds = _IMMEDIATES[tag]
-        placement[idx] = (VTABLE, len(v_kind))
-        v_kind.extend(kinds)
+            lit = literals[text] = len(a_payload)
+            a_payload.append(text)
+        placement[idx] = lit
+    a_kind += [A_STRING] * len(a_payload)
+    member_texts = {text for m in raw.fields + raw.methods
+                    for text in (m.name, m.descriptor)}
+    texts = [values[idx] for idx in _utf8_slots(tags)
+             if values[idx] in member_texts]
+    a_kind += [A_UTF8] * len(texts)
+    a_payload += texts
+    for idx in _immediate_slots(tags):
+        kinds, value = _IMMEDIATES[tags[idx]], values[idx]
+        placement[idx] = len(v_kind)
+        v_kind += kinds
         if len(kinds) == 2:
             v_value.append((value >> 32) & 0xFFFFFFFF)
         v_value.append(value & 0xFFFFFFFF)
@@ -215,78 +174,58 @@ def build_pool(raw):
 
 
 def prelink_pass1(pool, placement, raw, resolver):
-    """Resolve Class, String and NameAndType constants.
-
-    Class constants become class handles created through ``resolver``;
-    String constants become vtable cells naming the literal build_pool
-    interned; NameAndType becomes one cell packing two Utf8 atable indexes.
-    """
+    """Resolve each Class constant into a class handle created through
+    ``resolver``."""
     tags, values = raw.pool_tags, raw.pool_values
-    text = pool.a_payload
-
-    def utf8_at(raw_idx):
-        # build_pool placed every raw Utf8, and nothing else, as atable text
-        where = placement.get(raw_idx)
-        if where is None or tags[raw_idx] != cf.TAG_UTF8:
-            raise DanglingIndex("raw index %s does not name a placed Utf8" % raw_idx)
-        return where[1]
-
-    for idx in _pass1_slots(tags):
-        tag, value = tags[idx], values[idx]
-        if tag == cf.TAG_CLASS:
-            cls = resolver(text[utf8_at(value)])
-            placement[idx] = (ATABLE, pool.add_a(A_CLASS, cls))
-        elif tag == cf.TAG_STRING:
-            placement[idx] = (VTABLE, pool.add_v(V_STRING, placement[idx][1]))
-        elif tag == cf.TAG_NAMEANDTYPE:
-            placement[idx] = (VTABLE, pool.add_v(
-                V_NAT, _pack16(utf8_at(value[0]), utf8_at(value[1]))))
+    n = len(tags)
+    a_payload = pool.a_payload
+    start = len(a_payload)
+    for idx in _class_slots(tags):
+        utf8 = values[idx]
+        if not 0 <= utf8 < n or tags[utf8] != cf.TAG_UTF8:
+            raise DanglingIndex("Class %d names raw index %s, not a Utf8"
+                                % (idx, utf8))
+        placement[idx] = len(a_payload)
+        a_payload.append(resolver(values[utf8]))
+    pool.a_kind += [A_CLASS] * (len(a_payload) - start)
 
 
 def prelink_pass2(pool, placement, raw):
-    """Resolve member refs into (class handle, member handle) index pairs,
-    then set the dead flags of the whole pool.
+    """Resolve each member ref into a member handle of the class handle its
+    Class constant became and the name and descriptor its NameAndType
+    spells.
 
     Handles are deduplicated, so two refs to the same member share one
-    atable entry.  This pass places the last raw constants, so nothing
-    references a NameAndType cell or a Utf8 after it, and loading rewrites
-    each String and member-ref operand to the atable entry its cell names:
-    every String, NameAndType and member-ref cell is dead, and so is every
-    Utf8 that does not spell a name or descriptor of this class's own
-    members (those stay eligible for reflection marking).
+    atable entry.  This pass places the last raw constants.
     """
     tags, values = raw.pool_tags, raw.pool_values
-    payload = pool.a_payload
-    handles = {}            # (class aidx, name, descriptor, kind) -> aidx
-    for idx in _pass2_slots(tags):
-        tag, (class_raw, nat_raw) = tags[idx], values[idx]
-        # pass 1 placed every raw Class and NameAndType, and nothing else,
-        # as class handles and NameAndType cells
-        class_at = placement.get(class_raw)
-        if class_at is None or tags[class_raw] != cf.TAG_CLASS:
-            raise DanglingIndex("member ref %d names a missing Class constant" % idx)
-        nat_at = placement.get(nat_raw)
-        if nat_at is None or tags[nat_raw] != cf.TAG_NAMEANDTYPE:
-            raise DanglingIndex("member ref %d names a missing NameAndType" % idx)
-        class_aidx = class_at[1]
-        n_aidx, d_aidx = _unpack16(pool.v_value[nat_at[1]])
-        name = payload[n_aidx]
-        desc = payload[d_aidx]
-        kind = A_FIELD if tag == cf.TAG_FIELDREF else A_METHOD
-        key = (class_aidx, name, desc, kind)
+    n = len(tags)
+    a_kind, a_payload = pool.a_kind, pool.a_payload
+    handles = {}            # (class aidx, name, descriptor, is field) -> aidx
+    for idx in _ref_slots(tags):
+        class_raw, nat_raw = values[idx]
+        if not 0 <= class_raw < n or tags[class_raw] != cf.TAG_CLASS:
+            raise DanglingIndex("member ref %d names a missing Class constant"
+                                % idx)
+        if not 0 <= nat_raw < n or tags[nat_raw] != cf.TAG_NAMEANDTYPE:
+            raise DanglingIndex("member ref %d names a missing NameAndType"
+                                % idx)
+        name_raw, desc_raw = values[nat_raw]
+        if not (0 <= name_raw < n and 0 <= desc_raw < n
+                and tags[name_raw] == tags[desc_raw] == cf.TAG_UTF8):
+            raise DanglingIndex("NameAndType %d does not name two Utf8s"
+                                % nat_raw)
+        name, desc = values[name_raw], values[desc_raw]
+        class_aidx = placement[class_raw]
+        is_field = tags[idx] == cf.TAG_FIELDREF
+        key = (class_aidx, name, desc, is_field)
         handle_aidx = handles.get(key)
         if handle_aidx is None:
-            handle = MemberHandle(payload[class_aidx], name, desc,
-                                  is_field=(kind == A_FIELD))
-            handle_aidx = handles[key] = pool.add_a(kind, handle)
-        placement[idx] = (VTABLE, pool.add_v(
-            _REF_KIND[tag], _pack16(class_aidx, handle_aidx)))
-
-    member_texts = {text for m in raw.fields + raw.methods
-                    for text in (m.name, m.descriptor)}
-    pool.v_dead = bytearray(kind in _NAMING for kind in pool.v_kind)
-    pool.a_dead = bytearray(kind == A_UTF8 and text not in member_texts
-                            for kind, text in zip(pool.a_kind, payload))
+            handle_aidx = handles[key] = len(a_kind)
+            a_kind.append(A_FIELD if is_field else A_METHOD)
+            a_payload.append(MemberHandle(a_payload[class_aidx], name, desc,
+                                          is_field))
+        placement[idx] = handle_aidx
 
 
 def new_marks(pool):
@@ -296,9 +235,7 @@ def new_marks(pool):
 
 
 def mark(pool, marks, table, index):
-    """Mark one entry as used; a long or double marks both its cells.  A
-    cell that holds atable indexes cannot be kept: the pack would leave
-    them naming the old atable."""
+    """Mark one entry as used; a long or double marks both its cells."""
     a_marks, v_marks = marks
     if table == ATABLE:
         if not 0 <= index < len(pool.a_kind):
@@ -310,8 +247,6 @@ def mark(pool, marks, table, index):
     if not 0 <= index < len(pool.v_kind):
         raise IndexOutOfRange("vtable index %s" % index)
     kind = pool.v_kind[index]
-    if kind in _NAMING:
-        raise InternalError("cannot keep %s cell %d" % (kind, index))
     if kind in _PAIR_LO:
         index -= 1
         kind = pool.v_kind[index]
@@ -329,7 +264,7 @@ def pack(pool, marks):
                enumerate(compress(range(len(a_marks)), a_marks))}
     v_remap = {old: new for new, old in
                enumerate(compress(range(len(v_marks)), v_marks))}
-    packed = packed_pool(list(compress(pool.a_kind, a_marks)),
+    packed = RuntimePool(list(compress(pool.a_kind, a_marks)),
                          list(compress(pool.a_payload, a_marks)),
                          list(compress(pool.v_kind, v_marks)),
                          list(compress(pool.v_value, v_marks)))

@@ -105,10 +105,6 @@ class NoSuchMethod(JromError):
     pass
 
 
-class InternalError(JromError):
-    """Invariant breach that indicates a bug in the toolchain itself."""
-
-
 # --- interpreter ---
 
 class InterpError(JromError):

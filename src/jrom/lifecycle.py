@@ -2,12 +2,12 @@
 
 Loading parses the class file, builds and prelinks the runtime pool, lays
 out fields, builds the dispatch table, walks each method body once into
-its shape, which makes the body's structural checks, and over the shape
-rewrites every pool operand to its table index (and the constant-loading
-instructions to their quick forms).  An operand whose constant became a
-cell naming an atable entry, a String's literal or a member ref's handle,
-is rewritten to that entry, so no loaded instruction names such a cell.
-The ready flag is orthogonal: a class becomes ready once its statics are
+its shape, which makes the body's structural checks and records the
+instructions that name the pool, and at those rewrites every pool operand
+to the table index where prelinking placed its constant (and the
+constant-loading instructions to their quick forms).  A String operand
+names its literal and a member ref operand its member handle.  The ready
+flag is orthogonal: a class becomes ready once its statics are
 initialized, which may happen while it is merely loaded.
 """
 
@@ -383,7 +383,7 @@ def load(cls, data, resolver):
 
 
 def load_parsed(cls, raw, data, resolver, shapes=None):
-    # raw pool index -> (space, table index): read only while the class loads
+    # raw pool index -> table index: read only while the class loads
     pool, placement = cp.build_pool(raw)
     cp.prelink_pass1(pool, placement, raw, resolver)
     cp.prelink_pass2(pool, placement, raw)
@@ -411,7 +411,7 @@ def load_parsed(cls, raw, data, resolver, shapes=None):
          for mm in raw.methods))
     for m in cls.methods:
         if m.code is not None:
-            rewrite_load(m, pool, placement, shapes)
+            rewrite_load(m, raw.pool_tags, placement, shapes)
         m.code_loaded = m.code
     cls.state = LOADED
     cls.loaded_pool = pool
@@ -440,7 +440,7 @@ def _raw_code(raw_method, placement):
     raw_code = code_attr.code
     # parse_class checked that each catch type names a Class constant, and
     # prelinking placed every one in the atable
-    table = tuple((start, end, handler, placement[catch][1] if catch else None)
+    table = tuple((start, end, handler, placement[catch] if catch else None)
                   for start, end, handler, catch in raw_code.exception_table)
     stack_maps = None
     for a in raw_code.attributes:
@@ -512,80 +512,78 @@ def lay_out_statics(cls):
     cls.v_static_zone = [0] * (next_v - cls.v_base)
 
 
-_LDC_QUICK = {(cp.VTABLE, cp.V_INT): "ldc_quick_i",
-              (cp.VTABLE, cp.V_FLOAT): "ldc_quick_f",
-              (cp.VTABLE, cp.V_STRING): "ldc_quick_a"}
-# symbolic opcode -> (fault message, {(space, kind of the entry named):
-# quick form}); the quick form of ldc_w is the wide one
+_LDC_QUICK = {cf.TAG_INTEGER: "ldc_quick_i", cf.TAG_FLOAT: "ldc_quick_f",
+              cf.TAG_STRING: "ldc_quick_a"}
+# symbolic opcode -> (fault message, {tag of the raw constant named: quick
+# form}); the quick form of ldc_w is the wide one
 _LOAD_QUICK = {
     _OP["ldc"]: ("ldc operand %d is not an int/float/string", _LDC_QUICK),
     _OP["ldc_w"]: ("ldc operand %d is not an int/float/string",
                    {k: v + "_w" for k, v in _LDC_QUICK.items()}),
     _OP["ldc2_w"]: ("ldc2_w operand %d is not a long/double",
-                    {(cp.VTABLE, cp.V_LONG_HI): "ldc2_quick_l",
-                     (cp.VTABLE, cp.V_DBL_HI): "ldc2_quick_d"}),
+                    {cf.TAG_LONG: "ldc2_quick_l",
+                     cf.TAG_DOUBLE: "ldc2_quick_d"}),
     _OP["anewarray"]: ("anewarray operand %d is not a class constant",
-                       {(cp.ATABLE, cp.A_CLASS): "anewarray_quick"}),
+                       {cf.TAG_CLASS: "anewarray_quick"}),
 }
 # the same for every instruction whose operand a class file gives as a raw
 # pool index: the others keep their opcode, and a member instruction checks
 # the kind of its member ref
 _LOAD = dict(_LOAD_QUICK)
-for _names, _key, _what in (
-        ("new checkcast instanceof multianewarray", (cp.ATABLE, cp.A_CLASS),
-         "a class"),
-        ("getstatic putstatic getfield putfield", (cp.VTABLE, cp.V_FIELDREF),
+for _names, _tag, _what in (
+        ("new checkcast instanceof multianewarray", cf.TAG_CLASS, "a class"),
+        ("getstatic putstatic getfield putfield", cf.TAG_FIELDREF,
          "a field ref"),
-        ("invokevirtual invokespecial invokestatic",
-         (cp.VTABLE, cp.V_METHODREF), "a method ref"),
-        ("invokeinterface", (cp.VTABLE, cp.V_IFACEREF),
-         "an interface method ref")):
+        ("invokevirtual invokespecial invokestatic", cf.TAG_METHODREF,
+         "a method ref"),
+        ("invokeinterface", cf.TAG_IFACEMETHODREF, "an interface method ref")):
     for _name in _names.split():
         _LOAD[_OP[_name]] = ("%s operand %%d is not %s constant"
-                             % (_name, _what), {_key: _name})
+                             % (_name, _what), {_tag: _name})
 
 
-def rewrite_load(m, pool, placement, shapes):
-    """Over the shape of ``m``'s code, built (and checked) first and kept
-    as one of ``shapes`` where equal (``MethodCode.shape_of``), rewrite
-    every raw pool operand in place to the table index where prelinking
-    placed its constant, or to the atable entry its cell names, and each
+def rewrite_load(m, tags, placement, shapes):
+    """Build (and check) the shape of ``m``'s code, kept as one of
+    ``shapes`` where equal (``MethodCode.shape_of``), and at each of its
+    pool sites rewrite the raw pool operand in place to the table index
+    ``placement`` gives its constant, whose tag ``tags`` holds, and each
     constant load to its quick form.
 
     The one check of a class file's pool operands: an operand that does not
-    place on an entry of the kind its instruction wants raises BadPoolRef,
-    and a quick opcode, which only jrom writes, raises BadOpcode.  Every
-    replacement keeps the instruction's byte length, so the shape holds.
+    name a constant of a tag its instruction takes raises BadPoolRef, and a
+    quick opcode at any instruction start, which only jrom writes, raises
+    BadOpcode.  Every replacement keeps the instruction's byte length, so
+    the shape holds.
     """
     bc = m.code.bytecode
-    for off in m.code.shape_of(m, shapes).starts:
+    shape = m.code.shape_of(m, shapes)
+    # only a body holding a byte in the quick range can hold a quick opcode
+    # at a start: it is walked whole, so the first fault in code order wins
+    quick = bc and max(bc) >= ops.FIRST_QUICK
+    for off in shape.starts if quick else shape.sites:
         op = bc[off]
         rule = _LOAD.get(op)
         if rule is None:
             if op >= ops.FIRST_QUICK:
-                raise BadOpcode("reserved opcode 0x%02x at offset %d" % (op, off))
+                raise BadOpcode("reserved opcode 0x%02x at offset %d"
+                                % (op, off))
             continue
         fault, forms = rule
-        raw_idx = ops.read_operand(bc, off, ops.OPERANDS[op].size)
-        where = placement.get(raw_idx)
-        if where is None:
-            raise BadPoolRef("operand %d at offset %d is not a pool constant"
-                             % (raw_idx, off))
-        space, idx = where
-        name = forms.get((space, pool.kinds(space)[idx]))
+        size = ops.OPERANDS[op].size    # every form keeps it
+        raw_idx = ops.read_operand(bc, off, size)
+        tag = tags[raw_idx] if raw_idx < len(tags) else cf.TAG_PLACEHOLDER
+        name = forms.get(tag)
         if name is None:
+            if tag == cf.TAG_PLACEHOLDER:
+                raise BadPoolRef("operand %d at offset %d is not a pool "
+                                 "constant" % (raw_idx, off))
             raise BadPoolRef("%s at offset %d" % (fault % raw_idx, off))
-        op = _OP[name]
-        entry = ops.OPERANDS[op]
-        # a String or member-ref cell: its low 16 bits name the literal or
-        # the member handle
-        if entry.space != space:
-            idx = pool.v_value[idx] & 0xFFFF
-        if idx >> (8 * entry.size):
+        idx = placement[raw_idx]
+        if idx >> (8 * size):
             raise PoolOverflow("%s index %d does not fit %s" % (
-                ops.NAME[op], idx, "one byte" if entry.size == 1 else "two bytes"))
-        bc[off] = op
-        ops.write_operand(bc, off, entry.size, idx)
+                name, idx, "one byte" if size == 1 else "two bytes"))
+        bc[off] = _OP[name]
+        ops.write_operand(bc, off, size, idx)
 
 
 def build_dispatch_table(cls):

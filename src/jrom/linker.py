@@ -2,17 +2,17 @@
 
 Linking a class loads everything its pool mentions and resolves every
 member handle to a real field or method.  Each method's loaded code is
-then cloned and walked once over its shape (link_method): per instruction,
-the checks that need resolution, the rewrite to a quick form where one
-needs no pool entry, and the marking of the entry the final instruction
-still names, into marks that live only while the class links.  The walk
-records each kept pool operand, so after the pack, which copies the
-marked entries into a new pool and leaves the loaded one as it was, the
-relink rewrites those sites through the pack remaps without decoding
-again.  Loading made each member instruction name its member handle, so a
-kept one marks that handle alone: a class handle survives only where a
-class operand or a catch type names it, and a string literal only where
-a quick ldc loads it.  All of this is built on the side: the class gets
+then cloned and walked once over the pool sites of its shape
+(link_method): per site, the checks that need resolution, the rewrite to
+a quick form where one needs no pool entry, and the marking of the entry
+the final instruction still names, into marks that live only while the
+class links.  The walk records each kept pool operand, so after the pack,
+which copies the marked entries into a new pool and leaves the loaded one
+as it was, the relink rewrites those sites through the pack remaps
+without decoding again.  Loading made each member instruction name its
+member handle, so a kept one marks that handle alone: a class handle
+survives only where a class operand or a catch type names it, and a
+string literal only where a quick ldc loads it.  All of this is built on the side: the class gets
 its linked code, its packed pool and its resolved handles only once every
 step has succeeded, so a link that fails leaves the class as loaded.
 Loading already made the structural checks, with each body's shape,
@@ -97,9 +97,10 @@ def _resolve(handle):
 
 
 def link_method(m, code, pool, members, marks, ctx):
-    """One pass over the shape of ``code``, a clone of the loaded code.
+    """One pass over the pool sites of the shape of ``code``, a clone of
+    the loaded code, which shares the loaded shape.
 
-    Per instruction: the checks that need resolution (a static instruction
+    Per site: the checks that need resolution (a static instruction
     names a static member and an instance one an instance member, the pad
     byte of invokeinterface is zero); the rewrite to a quick form that
     needs no pool entry; the marking of the entry the final instruction
@@ -108,7 +109,7 @@ def link_method(m, code, pool, members, marks, ctx):
     """
     bc = code.bytecode
     sites = []
-    for off in code.shape_of(m).starts:
+    for off in code.shape_of(m).sites:
         found = ops.pool_operand(bc, off)
         if found is None:
             continue
@@ -190,16 +191,15 @@ def _field_rewritable(f, cls, ctx):
 def mark_reflection(pool, marks, ctx):
     """Keep member name and descriptor text alive when introspection is on.
 
-    Prelinking left live exactly the Utf8s that spell a name or descriptor
-    of the class's own members; the first of each text is kept.
+    Prelinking put into the atable exactly the Utf8s that spell a name or
+    descriptor of the class's own members; the first of each text is kept.
     """
     if not ctx.introspection:
         return
     a_marks = marks[0]
     seen = set()
-    for aidx, (kind, text, dead) in enumerate(
-            zip(pool.a_kind, pool.a_payload, pool.a_dead)):
-        if kind == cp.A_UTF8 and not dead and text not in seen:
+    for aidx, (kind, text) in enumerate(zip(pool.a_kind, pool.a_payload)):
+        if kind == cp.A_UTF8 and text not in seen:
             seen.add(text)
             a_marks[aidx] = True
 

@@ -285,6 +285,21 @@ class Shape(NamedTuple):
     starts: tuple           # instruction start offsets, in code order
     targets: tuple          # each branch and switch target and handler pc,
                             # once (a tuple is a quarter of a small set)
+    sites: tuple            # the starts whose instruction had a TABLE
+                            # operand when the shape was built
+
+
+# the byte length of each fixed-length instruction by opcode, 0 for the
+# ones whose length size_at works out (a switch, wide or an unknown opcode)
+LENGTHS = bytes(1 + OPERAND_BYTES[op] if op in OPERAND_BYTES else 0
+                for op in range(256))
+# by opcode: 1 if it names the pool, 2 if the shape checks its operands (a
+# BRANCH or LOCAL operand, or a variable length), 0 otherwise
+_ROLES = bytes(
+    1 if entry and entry.kind == TABLE
+    else 2 if entry and entry.kind in (BRANCH, LOCAL) or not LENGTHS[op]
+    else 0
+    for op, entry in ((op, OPERANDS.get(op)) for op in range(256)))
 
 
 def method_shape(code, method):
@@ -298,10 +313,20 @@ def method_shape(code, method):
     """
     bc = code.bytecode
     end = len(bc)
-    starts = [offset for offset, _, _ in walk(bc)]
+    starts, sites, checked = [], [], []
+    offset = 0
+    while offset < end:
+        op = bc[offset]
+        starts.append(offset)
+        role = _ROLES[op]
+        if role:
+            (sites if role == 1 else checked).append(offset)
+        offset += LENGTHS[op] or size_at(bc, offset)
+    if offset > end:        # only the last instruction can run past the end
+        size_at(bc, starts[-1])
     boundary = set(starts)
     targets = set()
-    for offset in starts:
+    for offset in checked:
         for target in branch_targets(bc, offset):
             if target not in boundary:
                 raise VerifyError("%s: branch from %d to non-boundary %d"
@@ -322,7 +347,7 @@ def method_shape(code, method):
             raise VerifyError("%s: exception range end %d not on an "
                               "instruction" % (method, stop))
         targets.add(handler)
-    return Shape(tuple(starts), tuple(targets))
+    return Shape(tuple(starts), tuple(targets), tuple(sites))
 
 
 def branch_targets(code, offset):

@@ -112,16 +112,7 @@ def resolve(pool, space, index):
         return (kind, value)
     if kind in (cp.V_LONG_HI, cp.V_DBL_HI):
         return (kind, (value << 32) | pool.v_value[index + 1])
-    if kind in (cp.V_LONG_LO, cp.V_DBL_LO):
-        return (pool.v_kind[index - 1],
-                (pool.v_value[index - 1] << 32) | value)
-    if kind == cp.V_STRING:
-        return (cp.V_STRING, pool.a_payload[value])
-    hi, lo = value >> 16, value & 0xFFFF
-    if kind == cp.V_NAT:
-        return (cp.V_NAT, pool.a_payload[hi], pool.a_payload[lo])
-    return ((kind,) + resolve(pool, cp.ATABLE, hi)[1:]
-            + resolve(pool, cp.ATABLE, lo)[1:])
+    return (pool.v_kind[index - 1], (pool.v_value[index - 1] << 32) | value)
 
 
 def raw_pool(*constants):
@@ -138,8 +129,8 @@ def raw_pool(*constants):
 
 
 def prelinked(raw, registry=None):
-    """The prelinked pool of ``raw`` and the map from raw index to (space,
-    table index) that loading rewrites operands through."""
+    """The prelinked pool of ``raw`` and the list, by raw index, of the
+    table indexes that loading rewrites operands to."""
     registry = registry or Registry()
     pool, placement = cp.build_pool(raw)
     cp.prelink_pass1(pool, placement, raw, registry.resolve)

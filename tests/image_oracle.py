@@ -430,7 +430,7 @@ def load_image(data):
                     is_field=(kind == cp.A_FIELD), resolved=member)
             a_kind.append(kind)
             a_payload.append(value)
-        cls.pool = cp.packed_pool(a_kind, a_payload,
+        cls.pool = cp.RuntimePool(a_kind, a_payload,
                                   [kind for kind, _ in rec.vtable],
                                   [cell for _, cell in rec.vtable])
         for m in cls.methods:

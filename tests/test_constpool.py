@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from jrom import classfile as cf
 from jrom import constpool as cp
-from jrom.errors import (DanglingIndex, IndexOutOfRange, InternalError,
-                         PoolOverflow)
+from jrom import lifecycle as lc
+from jrom import opcodes as ops
+from jrom.errors import DanglingIndex, IndexOutOfRange, PoolOverflow
 from jrom.lifecycle import Registry
 
 from .conftest import prelinked, raw_pool, resolve
@@ -32,8 +33,15 @@ class TestBuildPool:
         assert rebuilt == (-2) & 0xFFFFFFFFFFFFFFFF
 
     def test_utf8_goes_to_atable(self):
-        pool, _ = cp.build_pool(raw_pool((cf.TAG_UTF8, "hi")))
-        assert list(zip(pool.a_kind, pool.a_payload)) == [(cp.A_UTF8, "hi")]
+        # only text that names one of the class's own members: reflection
+        # marking can keep nothing else, and the passes read the raw pool
+        raw = raw_pool((cf.TAG_UTF8, "hi"), (cf.TAG_UTF8, "lo"),
+                       (cf.TAG_UTF8, "()V"))
+        raw.methods = [cf.RawMember(0, 1, 3, [], "hi", "()V")]
+        pool, placement = cp.build_pool(raw)
+        assert list(zip(pool.a_kind, pool.a_payload)) == [
+            (cp.A_UTF8, "hi"), (cp.A_UTF8, "()V")]
+        assert placement == [None] * 4
 
 
 class TestPass1:
@@ -44,8 +52,8 @@ class TestPass1:
                    if k == cp.A_CLASS]
         assert len(handles) == 1
         assert handles[0].name == "java/lang/Object"
-        # nothing else references the Utf8: dropped from the live set
-        assert pool.a_dead[0]
+        # the Utf8 names no member, so only the handle is built
+        assert pool.a_kind == [cp.A_CLASS]
         assert pool.entry_count() == 1
 
     def test_empty_pool_is_noop(self):
@@ -59,20 +67,29 @@ class TestPass1:
                        (cf.TAG_STRING, 1))
         pool, placement = cp.build_pool(raw)
         cp.prelink_pass1(pool, placement, raw, Registry().resolve)
-        cells = [v for k, v in zip(pool.v_kind, pool.v_value)
-                 if k == cp.V_STRING]
-        assert len(cells) == 2
-        assert cells[0] == cells[1]
-        assert pool.a_kind[cells[0]] == cp.A_STRING \
-            and pool.a_payload[cells[0]] == "a"
+        # both String constants are placed at the one literal of their text
+        assert placement[2] == placement[3] == 0
+        assert list(zip(pool.a_kind, pool.a_payload)) == [(cp.A_STRING, "a")]
+        assert pool.v_kind == []
 
-    def test_nat_packs_two_indexes(self):
+    def test_nat_makes_no_cell(self):
+        # pass 2 reads a NameAndType's name and descriptor from the raw pool
         raw = raw_pool((cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (1, 2)))
+        pool, placement = prelinked(raw)
+        assert pool.a_kind == [] and pool.v_kind == []
+        assert placement == [None] * 4
+
+    def test_dangling_nat_name(self):
+        raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
+                       (cf.TAG_INTEGER, 3), (cf.TAG_UTF8, "()V"),
+                       (cf.TAG_NAMEANDTYPE, (3, 4)),
+                       (cf.TAG_METHODREF, (2, 5)))
         pool, placement = cp.build_pool(raw)
         cp.prelink_pass1(pool, placement, raw, Registry().resolve)
-        nat = pool.v_value[pool.v_kind.index(cp.V_NAT)]
-        assert (nat >> 16, nat & 0xFFFF) == (0, 1)
+        with pytest.raises(DanglingIndex,
+                           match="NameAndType 5 does not name two Utf8s"):
+            cp.prelink_pass2(pool, placement, raw)
 
     def test_dangling_class_index(self):
         raw = raw_pool((cf.TAG_CLASS, 9))
@@ -87,17 +104,17 @@ class TestPass2:
                        (cf.TAG_UTF8, "f"), (cf.TAG_UTF8, "()V"),
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)))
-        pool, _ = prelinked(raw)
-        ref = pool.v_value[pool.v_kind.index(cp.V_METHODREF)]
-        class_aidx, member_aidx = ref >> 16, ref & 0xFFFF
-        assert pool.a_kind[class_aidx] == cp.A_CLASS
+        pool, placement = prelinked(raw)
+        # the ref is placed at its member handle, which holds the class
+        # handle's class; the NameAndType fed the ref and left nothing
+        class_aidx, member_aidx = placement[2], placement[6]
+        assert pool.a_kind == [cp.A_CLASS, cp.A_METHOD]
         handle = pool.a_payload[member_aidx]
-        assert pool.a_kind[member_aidx] == cp.A_METHOD
+        assert handle.owner is pool.a_payload[class_aidx]
         assert handle.name == "f"
         assert handle.descriptor == "()V"
-        # the NameAndType fed the ref and died
-        nat_idx = pool.v_kind.index(cp.V_NAT)
-        assert pool.v_dead[nat_idx]
+        assert not handle.is_field
+        assert placement[5] is None and pool.v_kind == []
 
     def test_two_fieldrefs_share_one_handle(self):
         raw = raw_pool((cf.TAG_UTF8, "A"), (cf.TAG_CLASS, 1),
@@ -105,11 +122,9 @@ class TestPass2:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_FIELDREF, (2, 5)),
                        (cf.TAG_FIELDREF, (2, 5)))
-        pool, _ = prelinked(raw)
-        refs = [v for k, v in zip(pool.v_kind, pool.v_value)
-                if k == cp.V_FIELDREF]
-        assert len(refs) == 2
-        assert refs[0] == refs[1]
+        pool, placement = prelinked(raw)
+        assert placement[6] == placement[7]
+        assert pool.a_kind[placement[6]] == cp.A_FIELD
         assert pool.a_kind.count(cp.A_FIELD) == 1
 
     def test_no_refs_is_identity(self):
@@ -139,7 +154,7 @@ class TestByteSize:
         "", "java/lang/Object", "nul\0inside", "caf\u00e9", "\u20ac\u0416",
         "astral \U0001f600", "\ud800 lone"])
     def test_text_is_sized_as_its_modified_utf8(self, text):
-        pool = cp.packed_pool([cp.A_UTF8, cp.A_STRING], [text, text], [], [])
+        pool = cp.RuntimePool([cp.A_UTF8, cp.A_STRING], [text, text], [], [])
         assert pool.byte_size() == 2 * (2 + len(cf.encode_mutf8(text)))
 
 
@@ -150,44 +165,40 @@ class TestMark:
                        (cf.TAG_NAMEANDTYPE, (3, 4)),
                        (cf.TAG_METHODREF, (2, 5)),
                        (cf.TAG_UTF8, "s"), (cf.TAG_STRING, 7))
-        return prelinked(raw)[0]
+        return prelinked(raw)
 
-    def test_ref_cell_marks_both_handles(self):
-        # a kept NameAndType or member-ref cell would hold two atable
-        # indexes that the pack does not rewrite, so marking it is refused
-        # and neither handle is marked
-        pool = self._pool()
+    def test_member_ref_marks_its_handle_alone(self):
+        # a member instruction names the handle its ref was placed at:
+        # keeping it keeps that handle, and not the class handle the
+        # handle's owner came from
+        pool, placement = self._pool()
         marks = cp.new_marks(pool)
-        for kind in (cp.V_NAT, cp.V_METHODREF):
-            vidx = pool.v_kind.index(kind)
-            with pytest.raises(InternalError):
-                cp.mark(pool, marks, cp.VTABLE, vidx)
-            cell = pool.v_value[vidx]
-            assert not marks[0][cell >> 16]
-            assert not marks[0][cell & 0xFFFF]
-        assert not any(marks[0]) and not any(marks[1])
+        cp.mark(pool, marks, cp.ATABLE, placement[6])
+        assert [i for i, m in enumerate(marks[0]) if m] == [placement[6]]
+        assert pool.a_kind[placement[6]] == cp.A_METHOD
+        assert not marks[0][placement[2]] and not any(marks[1])
 
     def test_mark_idempotent(self):
-        pool = self._pool()
+        pool, _ = self._pool()
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "a", 0)
         snapshot = (bytes(marks[0]), bytes(marks[1]))
         cp.mark(pool, marks, "a", 0)
         assert marks == snapshot
 
-    def test_string_cell_marks_literal(self):
-        # a kept String cell would hold an atable index that the pack does
-        # not rewrite, so marking it is refused and its literal stays unmarked
-        pool = self._pool()
-        vidx = pool.v_kind.index(cp.V_STRING)
+    def test_string_marks_its_literal(self):
+        # a quick ldc names the literal its String was placed at: keeping
+        # it keeps the literal alone
+        pool, placement = self._pool()
         marks = cp.new_marks(pool)
-        with pytest.raises(InternalError):
-            cp.mark(pool, marks, "v", vidx)
-        assert not marks[0][pool.v_value[vidx]]
-        assert not any(marks[0]) and not any(marks[1])
+        cp.mark(pool, marks, cp.ATABLE, placement[8])
+        assert (pool.a_kind[placement[8]], pool.a_payload[placement[8]]) \
+            == (cp.A_STRING, "s")
+        assert [i for i, m in enumerate(marks[0]) if m] == [placement[8]]
+        assert not any(marks[1])
 
     def test_out_of_range(self):
-        pool = self._pool()
+        pool, _ = self._pool()
         marks = cp.new_marks(pool)
         with pytest.raises(IndexOutOfRange):
             cp.mark(pool, marks, "v", 99)
@@ -264,9 +275,9 @@ class TestPack:
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "v", 0)
         packed, _, _ = cp.pack(pool, marks)
-        # live before: two ints and the literal; the "z" Utf8 and the
-        # String cell died during prelinking, as loading reads through the
-        # cell to the literal.  No ldc loads the literal, so it is swept.
+        # before: two ints and the literal; the "z" Utf8 names no member
+        # and the String is placed at its literal, so prelinking builds
+        # neither.  No ldc loads the literal, so it is swept.
         assert pool.entry_count() == 3
         assert packed.entry_count() == 1    # the one marked int
         assert pool.byte_size() == 4 + 4 + (2 + 1)
@@ -281,7 +292,7 @@ class TestPack:
 
         def tables(p):
             return (list(p.a_kind), list(p.a_payload), list(p.v_kind),
-                    list(p.v_value), bytes(p.a_dead), bytes(p.v_dead))
+                    list(p.v_value))
         before = tables(pool)
         marks = cp.new_marks(pool)
         cp.mark(pool, marks, "a", pool.a_kind.index(cp.A_METHOD))
@@ -291,13 +302,21 @@ class TestPack:
         assert len(packed.v_kind) < len(pool.v_kind)
 
     def test_atable_overflow_rejected(self):
-        # a NameAndType cannot pack an index above 16 bits
-        constants = [(cf.TAG_UTF8, "u%d" % i) for i in range(70000)]
-        constants.append((cf.TAG_NAMEANDTYPE, (69999, 70000)))
+        # a two-byte operand cannot name an atable index above 16 bits: a
+        # Class constant at raw index 1 whose handle follows 70,000 literals
+        constants = [(cf.TAG_CLASS, 2), (cf.TAG_UTF8, "A")]
+        for i in range(70000):
+            constants += [(cf.TAG_UTF8, "u%d" % i),
+                          (cf.TAG_STRING, 2 * i + 3)]
         raw = raw_pool(*constants)
-        pool, placement = cp.build_pool(raw)
-        with pytest.raises(PoolOverflow):
-            cp.prelink_pass1(pool, placement, raw, Registry().resolve)
+        pool, placement = prelinked(raw)
+        assert placement[1] == 70000
+        new = bytes([ops.BY_NAME["new"], 0, 1, ops.BY_NAME["areturn"]])
+        m = lc.MethodRep(None, "m", "()V", 0, 0,
+                         lc.MethodCode(bytearray(new), 1, 0, ()))
+        with pytest.raises(PoolOverflow,
+                           match="new index 70000 does not fit two bytes"):
+            lc.rewrite_load(m, raw.pool_tags, placement, None)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,8 +343,9 @@ def test_pack_preserves_resolution_of_marked(marks):
 
 
 _TEXTS = ("p/A", "p/B", "x", "I", "()V")
-_REF_KINDS = {cf.TAG_FIELDREF: cp.V_FIELDREF, cf.TAG_METHODREF: cp.V_METHODREF,
-              cf.TAG_IFACEMETHODREF: cp.V_IFACEREF}
+# member ref tag -> the kind of handle it is placed at
+_REF_KINDS = {cf.TAG_FIELDREF: cp.A_FIELD, cf.TAG_METHODREF: cp.A_METHOD,
+              cf.TAG_IFACEMETHODREF: cp.A_METHOD}
 
 
 @st.composite
@@ -377,64 +397,72 @@ def _class_files(draw):
 
 
 def _denotes(raw, idx):
-    """What raw constant ``idx`` means, in ``resolve``'s terms."""
+    """What raw constant ``idx`` places as, in ``resolve``'s terms, and in
+    which table; None for a constant that places nothing."""
     tag, value = raw.pool_tags[idx], raw.pool_values[idx]
-    if tag == cf.TAG_UTF8:
-        return (cp.A_UTF8, value)
+    if tag in (cf.TAG_UTF8, cf.TAG_NAMEANDTYPE):
+        return None
     if tag in (cf.TAG_INTEGER, cf.TAG_LONG):
         kind, bits = ((cp.V_INT, 32) if tag == cf.TAG_INTEGER
                       else (cp.V_LONG_HI, 64))
-        return (kind, value & ((1 << bits) - 1))
+        return cp.VTABLE, (kind, value & ((1 << bits) - 1))
     if tag in (cf.TAG_FLOAT, cf.TAG_DOUBLE):
-        return (cp.V_FLOAT if tag == cf.TAG_FLOAT else cp.V_DBL_HI, value)
+        return cp.VTABLE, (cp.V_FLOAT if tag == cf.TAG_FLOAT
+                           else cp.V_DBL_HI, value)
     if tag == cf.TAG_CLASS:
-        return (cp.A_CLASS, raw.utf8(value))
+        return cp.ATABLE, (cp.A_CLASS, raw.utf8(value))
     if tag == cf.TAG_STRING:
-        return (cp.V_STRING, raw.utf8(value))
-    if tag == cf.TAG_NAMEANDTYPE:
-        return (cp.V_NAT, raw.utf8(value[0]), raw.utf8(value[1]))
+        return cp.ATABLE, (cp.A_STRING, raw.utf8(value))
     owner = raw.class_name(value[0])
-    _, name, desc = _denotes(raw, value[1])
-    return (_REF_KINDS[tag], owner, owner, name, desc)
+    name, desc = (raw.utf8(i) for i in raw.pool_values[value[1]])
+    return cp.ATABLE, (_REF_KINDS[tag], owner, name, desc)
 
 
 @settings(max_examples=150, deadline=None)
 @given(raw=_class_files())
 def test_prelink_places_every_constant(raw):
     pool, placement = prelinked(raw)
-    constants = [i for i, tag in enumerate(raw.pool_tags)
-                 if tag != cf.TAG_PLACEHOLDER]
-    assert sorted(placement) == constants
-    for i in constants:
-        assert resolve(pool, *placement[i]) == _denotes(raw, i), i
+    assert len(placement) == len(raw.pool_tags)
+    for i, tag in enumerate(raw.pool_tags):
+        denoted = None if tag == cf.TAG_PLACEHOLDER else _denotes(raw, i)
+        if denoted is None:
+            assert placement[i] is None, i
+        else:
+            space, value = denoted
+            assert resolve(pool, space, placement[i]) == value, i
 
-    # equal literals share one atable entry
-    literal_at = {}
-    for kind, value in zip(pool.v_kind, pool.v_value):
-        if kind == cp.V_STRING:
-            assert literal_at.setdefault(pool.a_payload[value], value) == value
-    assert pool.a_kind.count(cp.A_STRING) == len(literal_at)
+    # the atable holds the literals, then the Utf8s that spell this
+    # class's own member names and descriptors, in raw order (nothing
+    # else reads text once prelinking is done, and reflection keeps only
+    # those), then the class handles and the member handles; the vtable
+    # holds immediates only, so no cell names the atable
+    member_texts = {t for m in raw.fields + raw.methods
+                    for t in (m.name, m.descriptor)}
+    member_utf8 = [v for t, v in zip(raw.pool_tags, raw.pool_values)
+                   if t == cf.TAG_UTF8 and v in member_texts]
+    order = [cp.A_STRING, cp.A_UTF8, cp.A_CLASS, cp.A_FIELD]
+    ranks = [order.index(cp.A_FIELD if k == cp.A_METHOD else k)
+             for k in pool.a_kind]
+    assert ranks == sorted(ranks)
+    assert [p for k, p in zip(pool.a_kind, pool.a_payload)
+            if k == cp.A_UTF8] == member_utf8
+    assert set(pool.v_kind) <= {cp.V_INT, cp.V_FLOAT, cp.V_LONG_HI,
+                                cp.V_LONG_LO, cp.V_DBL_HI, cp.V_DBL_LO}
+
+    # equal literals share one atable entry, and every literal is placed
+    literals = [placement[i] for i, t in enumerate(raw.pool_tags)
+                if t == cf.TAG_STRING]
+    assert len(set(literals)) == pool.a_kind.count(cp.A_STRING)
+    assert len({pool.a_payload[a] for a in literals}) == len(set(literals))
 
     # equal member refs (one Class constant, one name, descriptor and kind)
     # share one handle, and no two handles are equal
     handle_at = {}
-    for kind, value in zip(pool.v_kind, pool.v_value):
-        if kind in _REF_KINDS.values():
-            handle = value & 0xFFFF
-            key = (value >> 16, pool.a_kind[handle]) \
+    for i, tag in enumerate(raw.pool_tags):
+        if tag in _REF_KINDS:
+            handle = placement[i]
+            key = (raw.pool_values[i][0], pool.a_kind[handle]) \
                 + resolve(pool, cp.ATABLE, handle)[2:]
             assert handle_at.setdefault(key, handle) == handle
     assert (pool.a_kind.count(cp.A_FIELD) + pool.a_kind.count(cp.A_METHOD)
             == len(handle_at))
-
-    # nothing reads a NameAndType cell or a Utf8 once prelinking is done,
-    # except reflection, which reads the names and descriptors of members;
-    # loading reads a String or member-ref cell through to the atable
-    # entry it names, so no loaded instruction names one
-    member_texts = {t for m in raw.fields + raw.methods
-                    for t in (m.name, m.descriptor)}
-    assert list(pool.v_dead) == [
-        k in (cp.V_STRING, cp.V_NAT, *_REF_KINDS.values()) for k in pool.v_kind]
-    assert list(pool.a_dead) == [
-        k == cp.A_UTF8 and text not in member_texts
-        for k, text in zip(pool.a_kind, pool.a_payload)]

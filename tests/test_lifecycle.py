@@ -11,8 +11,9 @@ from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom import romizer as rz
-from jrom.errors import (BadOpcode, InvalidName, InvalidTransition,
-                         NameMismatch, StaticOverflow, Truncated)
+from jrom.errors import (BadOpcode, BadPoolRef, InvalidName,
+                         InvalidTransition, NameMismatch, StaticOverflow,
+                         Truncated)
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -151,8 +152,8 @@ class TestLoad:
     def test_loaded_snapshot_unchanged_by_linking(self, corpus, corpus_dir,
                                                   monkeypatch):
         """The pool loading builds is the loaded snapshot itself; linking
-        packs into a new pool, leaves the loaded one's lists and dead flags
-        as they were, and neither pool keeps a raw-index map."""
+        packs into a new pool, leaves the loaded one's lists as they were,
+        and neither pool keeps a raw-index map."""
         built = {}
         build_pool = cp.build_pool
 
@@ -165,8 +166,8 @@ class TestLoad:
         def snapshot(cls):
             pool = cls.loaded_pool
             return ([id(p) for p in pool.a_payload], list(pool.a_kind),
-                    list(pool.v_kind), list(pool.v_value), bytes(pool.a_dead),
-                    bytes(pool.v_dead), rz.snapshot_stats(cls, lc.LOADED))
+                    list(pool.v_kind), list(pool.v_value),
+                    rz.snapshot_stats(cls, lc.LOADED))
         pipe = Pipeline([corpus_dir])
         pipe.load_targets(sorted(corpus), closure=True)
         loaded = pipe.registry.loadable()
@@ -229,11 +230,11 @@ def _single_method_class(build, descriptor="()I", pool_pad=0):
     cb.default_init()
     code = cb.method("m", descriptor, ACC_PUBLIC | ACC_STATIC)
     build(code)
-    if pool_pad:
-        # unreferenced Utf8 constants after the code's own entries, so a
-        # narrow ldc index maps to an atable slot beyond one byte
-        for i in range(pool_pad):
-            cb.pool.utf8("pad%04d" % i)
+    # fields whose names come after the code's own entries: member text
+    # stays in the atable, so a narrow ldc index could map to an atable
+    # slot beyond one byte
+    for i in range(pool_pad):
+        cb.field("pad%04d" % i, "I", ACC_PUBLIC)
     reg = lc.Registry()
     obj = reg.new_unloaded("java/lang/Object")
     obj.state = lc.LOADED
@@ -415,6 +416,84 @@ class TestRewriteLoad:
                     entry, idx = found
                     assert cp.holds(cls.loaded_pool, entry.space, idx,
                                     entry.want)
+
+
+# each instruction whose class-file operand is a raw pool index: the fault
+# text loading gives when the operand names a constant of another kind, and
+# the kinds of constant it takes
+_LOAD_FAULTS = {
+    "ldc": ("ldc operand %d is not an int/float/string",
+            {"Integer", "String"}),
+    "ldc_w": ("ldc operand %d is not an int/float/string",
+              {"Integer", "String"}),
+    "ldc2_w": ("ldc2_w operand %d is not a long/double", {"Long"}),
+    **{name: ("%s operand %%d is not a class constant" % name, {"Class"})
+       for name in ("anewarray", "new", "checkcast", "instanceof",
+                    "multianewarray")},
+    **{name: ("%s operand %%d is not a field ref constant" % name, set())
+       for name in ("getstatic", "putstatic", "getfield", "putfield")},
+    **{name: ("%s operand %%d is not a method ref constant" % name, set())
+       for name in ("invokevirtual", "invokespecial", "invokestatic")},
+    "invokeinterface": (
+        "invokeinterface operand %d is not an interface method ref constant",
+        set()),
+}
+# what an operand names -> the raw index it gets in ``pool``, and whether
+# loading gives the rule's text (a constant) or the generic one (no constant)
+_NAMED = {
+    "Utf8": (lambda p, _: p.utf8("x"), True),
+    "NameAndType": (lambda p, _: p.nat("f", "I"), True),
+    "Class": (lambda p, _: p.klass("T"), True),
+    "String": (lambda p, _: p.string("s"), True),
+    "Integer": (lambda p, _: p.integer(7), True),
+    "Long": (lambda p, _: p.long_(1 << 40), True),
+    # a field instruction names a method ref, any other a field ref
+    "member ref of the wrong kind": (
+        lambda p, name: p.methodref("T", "f", "()I")
+        if name.startswith(("get", "put", "invokeinterface"))
+        else p.fieldref("T", "f", "I"), True),
+    "slot after a Long": (lambda p, _: p.long_(1 << 41) + 1, False),
+    "slot past the pool": (lambda p, _: 250, False),
+}
+
+
+@pytest.mark.parametrize("name, named", [
+    (name, named) for name, (_, takes) in _LOAD_FAULTS.items()
+    for named in _NAMED if named not in takes])
+def test_load_fault_names_its_rule(name, named):
+    """An operand naming a constant its instruction does not take fails
+    loading with the instruction's own fault text, whether or not loading
+    keeps that constant; one naming no constant gets the generic text."""
+    assert set(_LOAD_FAULTS) == {ops.NAME[op] for op in lc._LOAD}
+    cb = ClassBuilder("T")
+    cb.default_init()
+    make, of_rule = _NAMED[named]
+    idx = make(cb.pool, name)
+    c = cb.method("m", "(I)I", ACC_PUBLIC | ACC_STATIC)
+    c.op("iload_0").op("ifeq", "DEAD").op("iconst_1").op("ireturn")
+    c.label("DEAD")
+    if name == "invokeinterface":
+        c.op(name, *divmod(idx, 256), 1, 0)
+    elif name == "multianewarray":      # the assembler has no such op
+        c.op("new", idx).op("nop")
+    else:
+        c.op(name, idx)
+    c.op("ireturn")
+    data = cb.build()
+    if name == "multianewarray":
+        tail = [OP["iconst_1"], OP["ireturn"], OP["new"], *divmod(idx, 256)]
+        assert data.count(bytes(tail + [OP["nop"]])) == 1
+        data = data.replace(bytes(tail + [OP["nop"]]),
+                            bytes(tail[:2] + [OP[name]] + tail[3:] + [1]))
+    reg = lc.Registry()
+    reg.new_unloaded("java/lang/Object").state = lc.LOADED
+    cls = reg.new_unloaded("T")
+    fault = _LOAD_FAULTS[name][0] % idx if of_rule else \
+        "operand %d at offset 6 is not a pool constant" % idx
+    with pytest.raises(BadPoolRef) as err:
+        lc.load(cls, data, reg.resolve)
+    assert str(err.value) == (fault + " at offset 6" if of_rule else fault)
+    assert cls.state == lc.UNLOADED
 
 
 class TestDispatchTable:

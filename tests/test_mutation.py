@@ -1,13 +1,14 @@
 """Fixed-seed mutation gates for loading, linking and reloaded code.
 
 Each mutation overwrites one to three random bytes inside one corpus
-method's code array.  Through a class file, that class is then loaded with
-its closure and everything loaded is linked: whatever the bytes say, the
-class either links or fails with a JromError, no other exception may
-escape, and a class whose link fails stays exactly as loaded.  Through a
-reloaded image, the method's body is decoded: it either decodes or fails
-with a JromError, and a body without a valid shape fails before decode
-builds any step.
+method's code array, or inside the index fields of one Class, String,
+NameAndType or member-ref constant of a corpus class.  Through a class
+file, that class is then loaded with its closure and everything loaded is
+linked: whatever the bytes say, the class either links or fails with a
+JromError, no other exception may escape, and a class whose link fails
+stays exactly as loaded.  Through a reloaded image, a method's body is
+decoded: it either decodes or fails with a JromError, and a body without a
+valid shape fails before decode builds any step.
 """
 
 import os
@@ -20,8 +21,12 @@ from jrom import verify as vf
 from jrom.errors import JromError
 from jrom.pipeline import Pipeline
 
+from .conftest import serialize_constant
+
 SEED = 8
 MUTATIONS = 2000
+POOL_SEED = 10
+POOL_MUTATIONS = 5000
 IMAGE_SEED = 9
 IMAGE_MUTATIONS = 20000
 
@@ -37,10 +42,29 @@ def code_arrays(corpus):
     return sites
 
 
-def mutations(corpus, seed, count):
-    """(class name, mutated class file bytes), ``count`` times."""
+def pool_indexes(corpus):
+    """(class name, file offset, length) of the index fields of every
+    constant that names other constants: a Class, String, NameAndType or
+    member ref."""
+    naming = (cf.TAG_CLASS, cf.TAG_STRING, cf.TAG_NAMEANDTYPE,
+              cf.TAG_FIELDREF, cf.TAG_METHODREF, cf.TAG_IFACEMETHODREF)
+    sites = []
+    for name in sorted(corpus):
+        raw = cf.parse_class(corpus[name][0])
+        at = raw.pool_entries_start
+        for tag, value in zip(raw.pool_tags, raw.pool_values):
+            size = len(serialize_constant(tag, value))
+            if tag in naming:
+                sites.append((name, at + 1, size - 1))     # past the tag
+            at += size
+        assert at == raw.pool_end, name
+    return sites
+
+
+def mutations(corpus, sites, seed, count):
+    """(class name, class file bytes with one of ``sites`` mutated),
+    ``count`` times."""
     rng = random.Random(seed)
-    sites = code_arrays(corpus)
     for _ in range(count):
         name, start, length = rng.choice(sites)
         data = bytearray(corpus[name][0])
@@ -68,10 +92,11 @@ def load_and_link(classpath, name):
     return "link failure" if failures else "linked"
 
 
-def test_mutated_code_fails_only_with_jrom_errors(corpus, corpus_dir,
-                                                  tmp_path):
+def gate(corpus, corpus_dir, tmp_path, sites, seed, count):
+    """The tally of load_and_link outcomes over the mutations of ``sites``;
+    no exception but a JromError may escape."""
     outcomes, escaped = {}, []
-    for i, (name, data) in enumerate(mutations(corpus, SEED, MUTATIONS)):
+    for i, (name, data) in enumerate(mutations(corpus, sites, seed, count)):
         path = tmp_path / (name + ".class")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
@@ -83,9 +108,28 @@ def test_mutated_code_fails_only_with_jrom_errors(corpus, corpus_dir,
         finally:
             os.remove(path)
     assert not escaped, escaped[:5]
+    return outcomes
+
+
+def test_mutated_code_fails_only_with_jrom_errors(corpus, corpus_dir,
+                                                  tmp_path):
+    outcomes = gate(corpus, corpus_dir, tmp_path, code_arrays(corpus), SEED,
+                    MUTATIONS)
     # the gate exercises both sides: code that still links, and code that
     # loading or linking rejects
     assert outcomes["linked"] > 0 and len(outcomes) > 3, outcomes
+
+
+def test_mutated_pool_fails_only_with_jrom_errors(corpus, corpus_dir,
+                                                  tmp_path):
+    """Prelinking reads each NameAndType and Utf8 straight from the raw
+    pool: a constant that names the wrong slot, or another valid one,
+    still fails only with a JromError."""
+    outcomes = gate(corpus, corpus_dir, tmp_path, pool_indexes(corpus),
+                    POOL_SEED, POOL_MUTATIONS)
+    # classes that still link, parse faults, and faults past parsing
+    assert outcomes["linked"] > 0 and outcomes["BadIndex"] > 0, outcomes
+    assert len(outcomes) > 3, outcomes
 
 
 def test_mutated_image_code_decodes_or_fails_with_jrom_errors(

@@ -4,10 +4,13 @@ import re
 
 import pytest
 
+from jrom import classfile as cf
 from jrom import constpool as cp
 from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom.errors import VerifyError
+
+from .test_generated import load_perfbench
 
 
 def _expected_kind(name):
@@ -64,7 +67,40 @@ def test_wide_operands_come_from_the_table():
     assert ops.local_slot(code, 4) == (3, 2)
     assert ops.branch_targets(code, 5) == [0]
     body = lc.MethodCode(bytearray(code), 0, 0x104, [])
-    assert ops.method_shape(body, "m") == ops.Shape((0, 4, 5), (0,))
+    assert ops.method_shape(body, "m") == ops.Shape((0, 4, 5), (0,), ())
     body.max_locals -= 1        # the wide dload's pair reaches past it
     with pytest.raises(VerifyError, match="m: local 258 out of range at 0"):
         ops.method_shape(body, "m")
+
+
+def test_length_table_agrees_with_operand_bytes():
+    for op in range(256):
+        fixed = op in ops.OPERAND_BYTES
+        assert ops.LENGTHS[op] == (1 + ops.OPERAND_BYTES[op] if fixed else 0)
+    assert not (ops.LENGTHS[ops.TABLESWITCH] or ops.LENGTHS[ops.LOOKUPSWITCH]
+                or ops.LENGTHS[ops.WIDE])
+
+
+def test_shape_walk_agrees_with_walk(corpus):
+    """Over every class-file body of the corpus and of a generated set, the
+    shape's starts are the ones ops.walk steps through, and its sites the
+    starts whose instruction names the pool."""
+    files = [data for data, _ in corpus.values()]
+    files += load_perfbench("gen").generate(200, 7).files.values()
+    bodies = 0
+    for data in files:
+        for m in cf.parse_class(data).methods:
+            attr = m.attr("Code")
+            if attr is None:
+                continue
+            raw = attr.code
+            code = lc.MethodCode(bytearray(raw.code), raw.max_stack,
+                                 raw.max_locals, raw.exception_table)
+            shape = ops.method_shape(code, m.name)
+            starts = tuple(off for off, _, _ in ops.walk(code.bytecode))
+            assert shape.starts == starts, m.name
+            assert shape.sites == tuple(
+                off for off in starts
+                if ops.pool_operand(code.bytecode, off) is not None), m.name
+            bodies += 1
+    assert bodies > 1000

@@ -338,7 +338,6 @@ class TestFormat3:
             texts = ["pad/%d" % i for i in range(first, 1 << 16, 2)]
             pool.a_kind += [cp.A_UTF8] * len(texts)
             pool.a_payload += texts
-            pool.a_dead += bytes(len(texts))
         wide = pipe.emit_image()
         info = self.info(wide)
         assert (narrow["string id bytes"], info["string id bytes"]) == \
@@ -504,6 +503,20 @@ class TestFormat6:
     their table's count needs, and a header that defines every bit it
     sets."""
 
+    def test_only_finished_and_read_widths_keep_their_records(
+            self, corpus_dir, monkeypatch):
+        # the corpus emit writes once narrow and once with max locals wide:
+        # the narrow key's compiled records are dropped, and the key that
+        # finished the image is kept, as the same key is when it is read
+        monkeypatch.setattr(rz, "_ID_RECORDS", {})
+        image = make_pipeline(corpus_dir).emit_image()
+        wide = 1 << rz.WIDTHS.index("max locals")
+        assert list(rz._ID_RECORDS) == [(wide, 1, 1, True)]
+        kept = rz._ID_RECORDS[wide, 1, 1, True]
+        rz.load_image(image)
+        assert list(rz._ID_RECORDS) == [(wide, 1, 1, True)]
+        assert rz._ID_RECORDS[wide, 1, 1, True] is kept
+
     def test_corpus_widens_max_locals_alone(self, corpus_dir, monkeypatch):
         # one corpus method has 301 locals; every other value fits a byte
         pipe = make_pipeline(corpus_dir)
@@ -538,7 +551,6 @@ class TestFormat6:
         pool.a_kind += [cp.A_UTF8] * pad + [cp.A_CLASS]
         pool.a_payload += ["pad/%d" % i for i in range(pad)] + \
             [pool.a_payload[m.code.exception_table[at][3]]]
-        pool.a_dead += bytes(pad + 1)
         table = list(m.code.exception_table)
         table[at] = table[at][:3] + (index,)
         m.code.exception_table = tuple(table)
@@ -563,7 +575,6 @@ class TestFormat6:
         pad = (1 << 16) - len(pool.a_kind)
         pool.a_kind += [cp.A_UTF8] * pad
         pool.a_payload += ["pad/%d" % i for i in range(pad)]
-        pool.a_dead += bytes(pad)
         with pytest.raises(struct.error):
             pipe.emit_image()
 
