@@ -551,16 +551,12 @@ def rewrite_load(m, tags, placement, shapes):
 
     The one check of a class file's pool operands: an operand that does not
     name a constant of a tag its instruction takes raises BadPoolRef, and a
-    quick opcode at any instruction start, which only jrom writes, raises
-    BadOpcode.  Every replacement keeps the instruction's byte length, so
-    the shape holds.
+    quick opcode, which only jrom writes and the shape counts among its
+    sites, raises BadOpcode at any instruction start.  Every replacement
+    keeps the instruction's byte length, so the shape holds.
     """
     bc = m.code.bytecode
-    shape = m.code.shape_of(m, shapes)
-    # only a body holding a byte in the quick range can hold a quick opcode
-    # at a start: it is walked whole, so the first fault in code order wins
-    quick = bc and max(bc) >= ops.FIRST_QUICK
-    for off in shape.starts if quick else shape.sites:
+    for off in m.code.shape_of(m, shapes).sites:
         op = bc[off]
         rule = _LOAD.get(op)
         if rule is None:

@@ -12,9 +12,10 @@ as it was, the relink rewrites those sites through the pack remaps
 without decoding again.  Loading made each member instruction name its
 member handle, so a kept one marks that handle alone: a class handle
 survives only where a class operand or a catch type names it, and a
-string literal only where a quick ldc loads it.  All of this is built on the side: the class gets
-its linked code, its packed pool and its resolved handles only once every
-step has succeeded, so a link that fails leaves the class as loaded.
+string literal only where a quick ldc loads it.  All of this is built on
+the side: the class gets its linked code, its packed pool and its resolved
+handles only once every step has succeeded, so a link that fails leaves
+the class as loaded.
 Loading already made the structural checks, with each body's shape,
 rejected quick opcodes and checked every pool operand, so link does not.
 """

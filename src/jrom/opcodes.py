@@ -118,8 +118,8 @@ FIRST_QUICK = BY_NAME["ldc_quick_i"]
 # constant-pool index; loading rewrites each one to its table index, so in
 # loaded and linked code every TABLE operand is an atable or vtable index.
 # A member instruction's is its member handle's atable index, as a quick
-# string load's is its literal's: loading reads through the cell the
-# class file names.
+# string load's is its literal's: loading writes the table index where
+# prelinking placed the constant the class file names.
 TABLE = "table"            # atable or vtable index
 LOCAL = "local"            # local variable slot
 BRANCH = "branch"          # signed offset from the instruction start
@@ -286,17 +286,19 @@ class Shape(NamedTuple):
     targets: tuple          # each branch and switch target and handler pc,
                             # once (a tuple is a quarter of a small set)
     sites: tuple            # the starts whose instruction had a TABLE
-                            # operand when the shape was built
+                            # operand, or a quick opcode, when the shape
+                            # was built
 
 
 # the byte length of each fixed-length instruction by opcode, 0 for the
 # ones whose length size_at works out (a switch, wide or an unknown opcode)
 LENGTHS = bytes(1 + OPERAND_BYTES[op] if op in OPERAND_BYTES else 0
                 for op in range(256))
-# by opcode: 1 if it names the pool, 2 if the shape checks its operands (a
-# BRANCH or LOCAL operand, or a variable length), 0 otherwise
+# by opcode: 1 if it names the pool or is a quick opcode, which loading
+# rejects, 2 if the shape checks its operands (a BRANCH or LOCAL operand, or
+# a variable length), 0 otherwise
 _ROLES = bytes(
-    1 if entry and entry.kind == TABLE
+    1 if op >= FIRST_QUICK or entry and entry.kind == TABLE
     else 2 if entry and entry.kind in (BRANCH, LOCAL) or not LENGTHS[op]
     else 0
     for op, entry in ((op, OPERANDS.get(op)) for op in range(256)))

@@ -235,22 +235,12 @@ def _string_section(wide):
         Sized("string length", wide), "string data", str)), schema=_IMAGE)
 
 
-# (widths word, id size, index size, field names) -> the records of each
-# key that finished an image or was read; a key that an emit tried and
-# widened past is not kept
-_ID_RECORDS = {}
-
-
+@cache
 def _id_records(wide, id_size, index_size, field_names):
     """The closed-package list and the class record of an image whose
     widths word is ``wide``, whose string ids take ``id_size`` bytes and
     class indexes ``index_size``, and whose fields are named if
-    ``field_names``: kept ones from _ID_RECORDS, others built, and
-    compiled, at first use."""
-    kept = _ID_RECORDS.get((wide, id_size, index_size, field_names))
-    if kept is not None:
-        return kept
-
+    ``field_names``: built, and compiled, at first use."""
     def sized(what):
         return Sized(what, wide)
 
@@ -365,8 +355,8 @@ def _write_image(ordered, class_index, flags, wide, id_size):
     is written, then the header and string section go in front of them.  A
     value too large for its field raises Widen, naming the field."""
     names = _field_names_kept(flags)
-    key = (wide, id_size, _count_size(len(ordered)), names)
-    packages_record, class_record = records = _id_records(*key)
+    packages_record, class_record = _id_records(
+        wide, id_size, _count_size(len(ordered)), names)
     skip = 0 if names else 1
     cur = SimpleNamespace(data=bytearray(), pos=0, string_ids={},
                           class_index=class_index, missing=set())
@@ -391,7 +381,7 @@ def _write_image(ordered, class_index, flags, wide, id_size):
         raise IncompleteClosure(cur.missing)
     if None in cur.string_ids:      # a field reloaded from a nameless image
         raise NamesDropped("the classes have no field names to write")
-    written, cur.data = cur.data, bytearray()
+    records, cur.data = cur.data, bytearray()
     _HEADER.write(cur, (
         IMAGE_MAGIC, IMAGE_VERSION,
         (FLAG_INTROSPECTION if flags.introspection else 0)
@@ -399,8 +389,7 @@ def _write_image(ordered, class_index, flags, wide, id_size):
         | (FLAG_CLOSED_WORLD if flags.closed_world else 0),
         len(ordered), wide))
     _string_section(wide).write(cur, list(cur.string_ids))
-    _ID_RECORDS[key] = records
-    return bytes(cur.data + written)
+    return bytes(cur.data + records)
 
 
 def emit_image(classes, flags):
@@ -448,9 +437,9 @@ def _read_image(data):
         registry, introspection=bool(flag_bits & FLAG_INTROSPECTION),
         private_field_opt=bool(flag_bits & FLAG_PRIVATE_OPT),
         closed_world=bool(flag_bits & FLAG_CLOSED_WORLD))
-    key = (wide, _count_size(len(cur.strings)), _count_size(cur.class_count),
-           _field_names_kept(flags))
-    packages_record, class_record = _ID_RECORDS[key] = _id_records(*key)
+    packages_record, class_record = _id_records(
+        wide, _count_size(len(cur.strings)), _count_size(cur.class_count),
+        _field_names_kept(flags))
     flags.closed_packages = set(packages_record.read(cur))
     records_start = cur.pos
     records, classes = [], []

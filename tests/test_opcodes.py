@@ -84,7 +84,7 @@ def test_length_table_agrees_with_operand_bytes():
 def test_shape_walk_agrees_with_walk(corpus):
     """Over every class-file body of the corpus and of a generated set, the
     shape's starts are the ones ops.walk steps through, and its sites the
-    starts whose instruction names the pool."""
+    starts whose instruction names the pool or is a quick opcode."""
     files = [data for data, _ in corpus.values()]
     files += load_perfbench("gen").generate(200, 7).files.values()
     bodies = 0
@@ -101,6 +101,7 @@ def test_shape_walk_agrees_with_walk(corpus):
             assert shape.starts == starts, m.name
             assert shape.sites == tuple(
                 off for off in starts
-                if ops.pool_operand(code.bytecode, off) is not None), m.name
+                if ops.pool_operand(code.bytecode, off) is not None
+                or code.bytecode[off] >= ops.FIRST_QUICK), m.name
             bodies += 1
     assert bodies > 1000

@@ -503,20 +503,6 @@ class TestFormat6:
     their table's count needs, and a header that defines every bit it
     sets."""
 
-    def test_only_finished_and_read_widths_keep_their_records(
-            self, corpus_dir, monkeypatch):
-        # the corpus emit writes once narrow and once with max locals wide:
-        # the narrow key's compiled records are dropped, and the key that
-        # finished the image is kept, as the same key is when it is read
-        monkeypatch.setattr(rz, "_ID_RECORDS", {})
-        image = make_pipeline(corpus_dir).emit_image()
-        wide = 1 << rz.WIDTHS.index("max locals")
-        assert list(rz._ID_RECORDS) == [(wide, 1, 1, True)]
-        kept = rz._ID_RECORDS[wide, 1, 1, True]
-        rz.load_image(image)
-        assert list(rz._ID_RECORDS) == [(wide, 1, 1, True)]
-        assert rz._ID_RECORDS[wide, 1, 1, True] is kept
-
     def test_corpus_widens_max_locals_alone(self, corpus_dir, monkeypatch):
         # one corpus method has 301 locals; every other value fits a byte
         pipe = make_pipeline(corpus_dir)
