@@ -1,16 +1,21 @@
-"""Opcode tables, the operand table and instruction stream walking.
+"""Opcode tables, the operand and effect tables, and instruction stream
+walking.
 
 Covers the pre-Java-5 instruction set plus the quick forms introduced by the
 load/link rewriters.  Quick opcodes live in the unassigned range starting at
 203; the ``*_w`` variants exist because a quick replacement must keep the
 exact byte length of the instruction it replaces, and ``ldc``/``ldc_w``
-differ in operand width.
+differ in operand width.  The operand table (``OPERANDS``) says what each
+instruction's operand names; the effect table (``EFFECTS``) says what each
+instruction the interpreter runs pops and pushes, and the interpreter
+writes its steps from it.
 """
 
 import struct
 from typing import NamedTuple
 
 from . import constpool as cp
+from . import descriptors as dsc
 from .errors import BadOpcode, Truncated, VerifyError
 
 # mnemonic -> opcode value, and the operand byte count (None = variable)
@@ -178,6 +183,112 @@ def _operand_table():
 
 
 OPERANDS = _operand_table()
+
+
+# --- effect table --------------------------------------------------------
+# What each instruction the interpreter runs pops and pushes (JVMS §6.5):
+# the kinds of the values, bottom of the stack first.  i, j, f, d and a are
+# an int, long, float, double and reference, and a long or double fills two
+# slots.  A digit is one slot of any kind, named so that a stack shuffle can
+# say where each copy goes.  A field access's row is a function of the
+# field's type code, and an invoke's a function of the called method's
+# descriptor (for invokevirtual_quick, the descriptor of the method at its
+# dispatch slot).  wide has no row, since decode folds it into the opcode it
+# modifies; neither has an opcode that loading rewrites (ldc, ldc_w, ldc2_w,
+# anewarray) or that the interpreter does not run.
+
+class Effect(NamedTuple):
+    pops: str
+    pushes: str
+
+
+TYPE_KINDS = "aifjdiii"     # by descriptors.TC_* type code
+# the kind a mnemonic's type letter names (iadd, l2f, baload)
+_LETTER_KINDS = {"i": "i", "l": "j", "f": "f", "d": "d", "a": "a", "b": "i",
+                 "c": "i", "s": "i"}
+
+
+def _kind(descriptor):
+    return TYPE_KINDS[dsc.type_code(descriptor)]
+
+
+def _field_effect(pops, pushes):
+    """A field access's row: the function of the field's type code that
+    puts the field's kind for x."""
+    return tuple(Effect(pops.replace("x", kind), pushes.replace("x", kind))
+                 for kind in TYPE_KINDS).__getitem__
+
+
+def _invoke_effect(receiver):
+    """An invoke's row: the function of the called method's descriptor."""
+    def effect(descriptor):
+        params, ret = dsc.parse_method_descriptor(descriptor)
+        return Effect(receiver + "".join(map(_kind, params)),
+                      "" if ret == "V" else _kind(ret))
+    return effect
+
+
+def _effect_table():
+    # (mnemonics, pops, pushes); x and y are the kinds a mnemonic's first
+    # and third letters name (ladd: j; l2f: j and f)
+    rows = (
+        ("nop iinc goto goto_w return", "", ""),
+        ("aconst_null new ldc_quick_a ldc_quick_a_w", "", "a"),
+        ("iconst_m1 iconst_0 iconst_1 iconst_2 iconst_3 iconst_4 iconst_5 "
+         "bipush sipush ldc_quick_i ldc_quick_i_w", "", "i"),
+        ("lconst_0 lconst_1 ldc2_quick_l", "", "j"),
+        ("fconst_0 fconst_1 fconst_2 ldc_quick_f ldc_quick_f_w", "", "f"),
+        ("dconst_0 dconst_1 ldc2_quick_d", "", "d"),
+        ("iload lload fload dload aload", "", "x"),
+        ("istore lstore fstore dstore astore", "x", ""),
+        ("iaload laload faload daload aaload baload caload saload", "ai", "x"),
+        ("iastore lastore fastore dastore aastore bastore castore sastore",
+         "aix", ""),
+        ("iadd ladd fadd dadd isub lsub fsub dsub imul lmul fmul dmul "
+         "idiv ldiv fdiv ddiv irem lrem frem drem iand land ior lor ixor "
+         "lxor", "xx", "x"),
+        ("ishl lshl ishr lshr iushr lushr", "xi", "x"),
+        ("ineg lneg fneg dneg", "x", "x"),
+        ("i2l i2f i2d l2i l2f l2d f2i f2l f2d d2i d2l d2f i2b i2c i2s",
+         "x", "y"),
+        ("lcmp fcmpl fcmpg dcmpl dcmpg", "xx", "i"),
+        ("ifeq ifne iflt ifge ifgt ifle tableswitch lookupswitch", "i", ""),
+        ("if_icmpeq if_icmpne if_icmplt if_icmpge if_icmpgt if_icmple",
+         "ii", ""),
+        ("if_acmpeq if_acmpne", "aa", ""),
+        ("ifnull ifnonnull athrow", "a", ""),
+        ("ireturn lreturn freturn dreturn areturn", "x", ""),
+        ("arraylength instanceof", "a", "i"),
+        ("newarray anewarray_quick", "i", "a"),
+        ("checkcast", "a", "a"),
+        ("pop", "1", ""), ("pop2", "21", ""), ("swap", "21", "12"),
+        ("dup", "1", "11"), ("dup_x1", "21", "121"), ("dup_x2", "321", "1321"),
+        ("dup2", "21", "2121"), ("dup2_x1", "321", "21321"),
+        ("dup2_x2", "4321", "214321"),
+    )
+    table = {}
+    for names, pops, pushes in rows:
+        for name in names.split():
+            x, y = (_LETTER_KINDS.get(name[k], "") for k in (0, 2))
+            table[BY_NAME[name]] = Effect(
+                pops.replace("x", x), pushes.replace("x", x).replace("y", y))
+    for op, entry in OPERANDS.items():         # xload_0 .. xstore_3
+        if entry.kind == LOCAL and entry.size == 0:
+            table[op] = table[BY_NAME[NAME[op][:-2]]]
+    for names, row in (
+            ("getstatic getstatic_quick", _field_effect("", "x")),
+            ("putstatic putstatic_quick", _field_effect("x", "")),
+            ("getfield getfield_quick", _field_effect("a", "x")),
+            ("putfield putfield_quick", _field_effect("ax", "")),
+            ("invokestatic", _invoke_effect("")),
+            ("invokevirtual invokespecial invokeinterface "
+             "invokevirtual_quick", _invoke_effect("a"))):
+        for name in names.split():
+            table[BY_NAME[name]] = row
+    return table
+
+
+EFFECTS = _effect_table()
 
 # opcodes legal under "wide": the one-byte local forms (iinc has 6 bytes)
 _WIDE_OK = {op for op, e in OPERANDS.items() if e.kind == LOCAL and e.size == 1}

@@ -9,43 +9,51 @@ created objects.
 Each method body is decoded once per pool it runs against, the first time,
 into its entry record (``decoded``): (pool, steps, locals pad, handler
 table), which a call checks once.  The steps are a list indexed by pc; an
-instruction's entry holds its handler, its opcode, its size and its
-operand, and any other pc holds None, so dispatch is one list index per
+instruction's entry holds its step, its opcode, its size and its operand,
+and any other pc holds None, so dispatch is one list index per
 instruction.  Decode is the one place that reads an operand (``_decode``):
-a local slot, a branch target, a switch's targets, the row of its family's
-table (a family of opcodes, such as the array loads or the divisions,
-shares one handler), or what a pool entry names: a member, a class, a
-constant, a string's text.  A member that does not resolve yet gives a
-lazy step that resolves as it runs.  The handler table holds each catch
-type as its class.  So no step reads the pool or the bytecode.  Decode
-walks no bytecode either: it reads the body's shape, checked at load or,
-for a reloaded body, at its first decode.  Zones are read and objects
-made when an instruction runs, and an operand that cannot be used raises
-only if its instruction runs.
+a local slot, a branch target, a switch's targets, a constant, or what a
+pool entry names: a member, a class, a string's text.  A member that does
+not resolve yet gives a lazy step that resolves as it runs.  The handler
+table holds each catch type as its class.  So no step reads the pool or
+the bytecode.  Decode walks no bytecode either: it reads the body's shape,
+checked at load or, for a reloaded body, at its first decode.  Zones are
+read and objects made when an instruction runs, and an operand that cannot
+be used raises only if its instruction runs.
+
+What an instruction pops and pushes is written once, in its row of
+``opcodes.EFFECTS``.  A template writes an instruction's Python source from
+that row and from the source of what it computes, which its family's table
+here holds; run alone, that source is the instruction's single step,
+compiled the first time decode asks for it.  A field access's row and
+source follow the field's type code, so decode picks its step by the type
+code of the field it names, and no step checks a kind at run time.  Only
+the invokes, the lazy member step and the steps that only raise are
+written by hand.
 
 Decode also splits the body into basic blocks: a leader is pc 0, one of
 the shape's jump targets, or the instruction after one that is not
 straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
-unary or binary operator).  Those families, the conditional branches, goto
-and the returns are each one template that writes Python source, and a
-template run alone is its instruction's step.  Where templates write two or
-more of a block's instructions, its leader holds one generated step:
-statements over Python temporaries, ending in an inline test and return or
-in a call of the last instruction's handler once ``f.pc`` is set to it.
-The step first checks that the machine has fuel for the whole block, that
-no trace is set, and that the stack depth stays within [need, max_stack -
+unary or binary operator).  Where templates write two or more of a block's
+instructions, its leader holds one generated step: statements over Python
+temporaries, ending in an inline test and return (a branch, goto or
+return) or in a call of the last instruction's step once ``f.pc`` is set
+to it (any other instruction, such as one that can throw or calls).  The
+step first checks that the machine has fuel for the whole block, that no
+trace is set, and that the stack depth stays within [need, max_stack -
 top]; if not, it runs only its first instruction, so trace lines,
 fuel-outs, stack errors and ``Machine.fuel`` are those of single steps.
 Each block shape is compiled once per registry (``Registry.step_shapes``).
 
 One loop in ``Machine.call`` runs a method and every call it makes: a call
 pushes the caller's frame on a list instead of recursing in Python.  An
-opcode without a handler (jsr/ret, the monitors, multianewarray, and the
-symbolic ldc forms and anewarray, which loading always rewrites) puts a
-method outside the subset the machine runs; ``in_subset`` asks the same
-table.
+opcode without a step (jsr/ret, the monitors, multianewarray, and the
+symbolic ldc forms and anewarray, which loading always rewrites) has no
+effect row and puts a method outside the subset the machine runs;
+``in_subset`` asks the same table.
 """
 
+import functools
 import math
 import random
 import struct
@@ -323,28 +331,6 @@ class Frame:
     def where(self):
         return "%s at %d" % (self.method, self.pc)
 
-    def push(self, slot):
-        self.stack.append(slot)
-        if len(self.stack) > self.max_stack:
-            raise StackOverflow(self.where())
-
-    def push_value(self, slot):
-        """Push a typed value; a long or double takes a padding slot too."""
-        self.push(slot)
-        if slot[0] in "jd":
-            self.push(PAD)
-
-    def pop(self):
-        if not self.stack:
-            raise StackUnderflow(self.where())
-        return self.stack.pop()
-
-    def pop_value(self, kind):
-        """Pop a value of this slot tag; a long or double drops its padding."""
-        if kind in "jd":
-            self.pop()
-        return self.pop()
-
     def pop_args(self, n):
         s = self.stack
         base = len(s) - n
@@ -422,33 +408,6 @@ class Machine:
         if cls.synthetic and not cls.dispatch_table and cls.super_cls is not None:
             return cls.super_cls.dispatch_table
         return cls.dispatch_table
-
-    def zone_read(self, owner_cls, zone, offset, tc):
-        owner, local = owner_cls.static_slot(zone, offset)
-        az, vz = self.world.zone(owner)
-        kind = _kind_of(tc)
-        if kind == "a":
-            return ("a", az[local])
-        if kind == "f":
-            return ("f", bits_float(vz[local]))
-        if kind == "i":
-            return ("i", i32(vz[local]))
-        bits = (vz[local] << 32) | vz[local + 1]
-        return (kind, i64(bits) if kind == "j" else bits_double(bits))
-
-    def zone_write(self, owner_cls, zone, offset, tc, slot):
-        owner, local = owner_cls.static_slot(zone, offset)
-        az, vz = self.world.zone(owner)
-        kind, v = _kind_of(tc), slot[1]
-        if kind == "a":
-            az[local] = v
-        elif kind == "f":
-            vz[local] = float_bits(v)
-        elif kind == "i":
-            vz[local] = u32(_FIELD_NARROW.get(tc, _same)(v))
-        else:
-            bits = v & M64 if kind == "j" else double_bits(v)
-            vz[local], vz[local + 1] = bits >> 32, bits & M32
 
     def object_at(self, ref):
         if ref is None:
@@ -550,26 +509,26 @@ class Machine:
         return None
 
 
-# --- instruction handlers ---------------------------------------------------
-# handler(machine, frame, operand) runs one instruction; decode read its
+# --- instruction steps ------------------------------------------------------
+# step(machine, frame, operand) runs one instruction; decode read its
 # operand.  It returns None to go on at the next instruction, a pc to branch
 # to, a _Call to make, or a 1-tuple holding the method's result (None for a
-# void return).  A family of opcodes shares one handler, and its operand is
-# the row, keyed by opcode, of what sets the members apart.  The handlers of
-# the straight-line families and of the jumps are generated from templates
-# (see "generated steps" below), so their tables hold source text.
+# void return).  The invokes' steps, the lazy member step and the steps that
+# only raise are written by hand.  Every other step is generated (see
+# "generated steps" below) from what its instruction pops and pushes, which
+# its row of ``opcodes.EFFECTS`` says, and from the source of what it
+# computes, which the family tables here hold.
 
 def _by_opcode(table):
-    return {_OP[name]: value for name, value in table.items()}
+    return {_OP[name]: value for names, value in table.items()
+            for name in names.split()}
 
 
 def _u16(v):
     return v & 0xFFFF
 
 
-_IALOAD, _IASTORE = _OP["iaload"], _OP["iastore"]
-
-# op -> the slot pushed; a long or double pushes PAD after it
+# op -> the slot pushed, which is the operand of its step
 _CONSTANTS = _by_opcode({
     "aconst_null": ("a", None), "lconst_0": ("j", 0), "lconst_1": ("j", 1),
     "fconst_0": ("f", 0.0), "fconst_1": ("f", 1.0), "fconst_2": ("f", 2.0),
@@ -587,34 +546,8 @@ def _unresolvable(m, f, index):
                       % (f.method, index, f.pc))
 
 
-def _ldc_string(m, f, text):
-    f.push(("a", m.world.heap.intern(text)))
-
-
-_ARRAY_KINDS = "ijfdabcs"   # element kinds of xaload and xastore, in order
-_NARROW = {"b": _sign8, "c": _u16, "s": _sign16, "f": f32}
-
-
-def _array_load(m, f, kind):
-    index = f.pop()[1]
-    arr = m.element_of(f.pop()[1], index)
-    f.push_value(("i" if kind in "bcs" else kind, arr.elems[index]))
-
-
-def _array_store(m, f, kind):
-    value = f.pop_value(kind)[1]
-    index = f.pop()[1]
-    arr = m.element_of(f.pop()[1], index)
-    arr.elems[index] = _NARROW.get(kind, _same)(value)
-
-
-def _arraylength(m, f, _):
-    f.push(("i", len(m.object_at(f.pop()[1]).elems)))
-
-
-# (slots copied, depth below the top they are inserted at)
-_DUPS = _by_opcode({"dup": (1, 1), "dup_x1": (1, 2), "dup_x2": (1, 3),
-         "dup2": (2, 2), "dup2_x1": (2, 3), "dup2_x2": (2, 4)})
+def _bad_newarray(m, f, atype):
+    raise InterpError("bad newarray type %d" % atype)
 
 
 def _fdiv(a, b):
@@ -654,160 +587,112 @@ def _to_int(v, bits):
     return int(v)
 
 
-def _same(v):
-    return v
-
-
-# op -> (operand kind, or the kinds of {a} and {b}, result kind, the
-# result's source in the values {a} and {b})
-_BINARY = _by_opcode({
-    "iadd": ("i", "i", "i32({a} + {b})"),
-    "isub": ("i", "i", "i32({a} - {b})"),
-    "imul": ("i", "i", "i32({a} * {b})"),
-    "ishl": ("i", "i", "i32({a} << ({b} & 31))"),
-    "ishr": ("i", "i", "{a} >> ({b} & 31)"),
-    "iushr": ("i", "i", "i32(u32({a}) >> ({b} & 31))"),
-    "iand": ("i", "i", "i32(u32({a}) & u32({b}))"),
-    "ior": ("i", "i", "i32(u32({a}) | u32({b}))"),
-    "ixor": ("i", "i", "i32(u32({a}) ^ u32({b}))"),
-    "ladd": ("j", "j", "i64({a} + {b})"),
-    "lsub": ("j", "j", "i64({a} - {b})"),
-    "lmul": ("j", "j", "i64({a} * {b})"),
-    "land": ("j", "j", "i64(({a} & M64) & ({b} & M64))"),
-    "lor": ("j", "j", "i64(({a} & M64) | ({b} & M64))"),
-    "lxor": ("j", "j", "i64(({a} & M64) ^ ({b} & M64))"),
-    "lshl": ("ji", "j", "i64({a} << ({b} & 63))"),
-    "lshr": ("ji", "j", "{a} >> ({b} & 63)"),
-    "lushr": ("ji", "j", "i64(({a} & M64) >> ({b} & 63))"),
-    "fadd": ("f", "f", "f32({a} + {b})"),
-    "fsub": ("f", "f", "f32({a} - {b})"),
-    "fmul": ("f", "f", "f32({a} * {b})"),
-    "fdiv": ("f", "f", "f32(_fdiv({a}, {b}))"),
-    "frem": ("f", "f", "f32(_frem({a}, {b}))"),
-    "dadd": ("d", "d", "{a} + {b}"),
-    "dsub": ("d", "d", "{a} - {b}"),
-    "dmul": ("d", "d", "{a} * {b}"),
-    "ddiv": ("d", "d", "_fdiv({a}, {b})"),
-    "drem": ("d", "d", "_frem({a}, {b})"),
-    "lcmp": ("j", "i", "_compare({a}, {b})"),
-    "fcmpl": ("f", "i", "_fcompare({a}, {b}, -1)"),
-    "fcmpg": ("f", "i", "_fcompare({a}, {b}, 1)"),
-    "dcmpl": ("d", "i", "_fcompare({a}, {b}, -1)"),
-    "dcmpg": ("d", "i", "_fcompare({a}, {b}, 1)"),
-})
-
-# op -> (operand kind, result kind, the result's source in the value {v})
-_UNARY = _by_opcode({
-    "ineg": ("i", "i", "i32(-{v})"),
-    "lneg": ("j", "j", "i64(-{v})"),
-    "fneg": ("f", "f", "f32(-{v})"),
-    "dneg": ("d", "d", "-{v}"),
-    "i2l": ("i", "j", "{v}"),
-    "i2f": ("i", "f", "f32(float({v}))"),
-    "i2d": ("i", "d", "float({v})"),
-    "l2i": ("j", "i", "i32({v})"),
-    "l2f": ("j", "f", "l2f({v})"),
-    "l2d": ("j", "d", "float({v})"),
-    "f2i": ("f", "i", "_to_int({v}, 31)"),
-    "f2l": ("f", "j", "_to_int({v}, 63)"),
-    "f2d": ("f", "d", "{v}"),
-    "d2i": ("d", "i", "_to_int({v}, 31)"),
-    "d2l": ("d", "j", "_to_int({v}, 63)"),
-    "d2f": ("d", "f", "f32({v})"),
-    "i2b": ("i", "i", "_sign8({v})"),
-    "i2c": ("i", "i", "_u16({v})"),
-    "i2s": ("i", "i", "_sign16({v})"),
-})
-
-# op -> (operand kind, wrap to width, remainder instead of quotient)
-_DIVIDES = _by_opcode({"idiv": ("i", i32, False), "irem": ("i", i32, True),
-            "ldiv": ("j", i64, False), "lrem": ("j", i64, True)})
-
-def _divide(m, f, row):
-    kind, wrap, remainder = row
-    b = f.pop_value(kind)[1]
-    a = f.pop_value(kind)[1]
-    if b == 0:
-        m.throw_named("java/lang/ArithmeticException")
+def _quotient(a, b):
+    """a / b rounded toward zero."""
     q = abs(a) // abs(b)
-    if (a < 0) != (b < 0):
-        q = -q
-    f.push_value((kind, wrap(a - q * b if remainder else q)))
+    return -q if (a < 0) != (b < 0) else q
 
 
-# op -> (comparison, the source of what the popped value is compared with,
-# or None for a second popped value, the one above it)
-_IF = _by_opcode({
-    "ifeq": ("==", "0"), "ifne": ("!=", "0"), "iflt": ("<", "0"),
-    "ifge": (">=", "0"), "ifgt": (">", "0"), "ifle": ("<=", "0"),
-    "if_icmpeq": ("==", None), "if_icmpne": ("!=", None),
-    "if_icmplt": ("<", None), "if_icmpge": (">=", None),
-    "if_icmpgt": (">", None), "if_icmple": ("<=", None),
-    "if_acmpeq": ("==", None), "if_acmpne": ("!=", None),
-    "ifnull": ("is", "None"), "ifnonnull": ("is not", "None"),
+# by type letter: the source that wraps a result to its width
+_WRAP = {"i": "i32(%s)", "l": "i64(%s)", "f": "f32(%s)", "d": "%s"}
+_BITWISE = (("and", "&"), ("or", "|"), ("xor", "^"))
+# op -> the source of a straight-line operator's result, in the values it
+# pops, {0} the lowest
+_VALUES = _by_opcode({
+    **{t + name: _WRAP[t] % source for t in "ilfd" for name, source in (
+        ("add", "{0} + {1}"), ("sub", "{0} - {1}"), ("mul", "{0} * {1}"),
+        ("neg", "-{0}"))},
+    **{t + name: _WRAP[t] % source for t in "fd" for name, source in (
+        ("div", "_fdiv({0}, {1})"), ("rem", "_frem({0}, {1})"))},
+    **{"i" + name: "i32(u32({0}) %s u32({1}))" % op for name, op in _BITWISE},
+    **{"l" + name: "i64(({0} & M64) %s ({1} & M64))" % op
+       for name, op in _BITWISE},
+    "ishl": "i32({0} << ({1} & 31))", "lshl": "i64({0} << ({1} & 63))",
+    "ishr": "{0} >> ({1} & 31)", "lshr": "{0} >> ({1} & 63)",
+    "iushr": "i32(u32({0}) >> ({1} & 31))",
+    "lushr": "i64(({0} & M64) >> ({1} & 63))",
+    "lcmp": "_compare({0}, {1})",
+    "fcmpl dcmpl": "_fcompare({0}, {1}, -1)",
+    "fcmpg dcmpg": "_fcompare({0}, {1}, 1)",
+    "i2l f2d": "{0}", "i2f": "f32(float({0}))", "i2d l2d": "float({0})",
+    "l2i": "i32({0})", "l2f": "l2f({0})", "d2f": "f32({0})",
+    "f2i d2i": "_to_int({0}, 31)", "f2l d2l": "_to_int({0}, 63)",
+    "i2b": "_sign8({0})", "i2c": "_u16({0})", "i2s": "_sign16({0})",
 })
 
+_TESTS = (("eq", "=="), ("ne", "!="), ("lt", "<"), ("ge", ">="), ("gt", ">"),
+          ("le", "<="))
+# op -> a conditional branch's test, in the values it pops
+_IF = _by_opcode({
+    **{"if" + name: "{0} %s 0" % test for name, test in _TESTS},
+    **{"if_icmp" + name: "{0} %s {1}" % test for name, test in _TESTS},
+    "if_acmpeq": "{0} == {1}", "if_acmpne": "{0} != {1}",
+    "ifnull": "{0} is None", "ifnonnull": "{0} is not None"})
 
-def _switch(m, f, cases):        # (default, ((key, target), ...))
-    key = f.pop()[1]
-    return next((pc for match, pc in cases[1] if match == key), cases[0])
+_NULL_CHECK = "if {0} is None: m.throw_named('java/lang/NullPointerException')"
+_ZERO_CHECK = "if {1} == 0: m.throw_named('java/lang/ArithmeticException')"
+_NARROW_STORE = {"b": "_sign8({2})", "c": "_u16({2})", "s": "_sign16({2})",
+                 "f": "f32({2})"}
+# op -> the lines of a step that a block calls rather than writes inline,
+# that of an instruction that can throw or reads or makes objects:
+# statements in the values it pops ({0} the lowest) and its operand o, then
+# the source of its result if it pushes one
+_CALLED = _by_opcode({
+    "ldc_quick_a ldc_quick_a_w": ("m.world.heap.intern(o)",),
+    "arraylength": ("len(m.object_at({0}).elems)",),
+    "idiv": (_ZERO_CHECK, "i32(_quotient({0}, {1}))"),
+    "irem": (_ZERO_CHECK, "i32({0} - _quotient({0}, {1}) * {1})"),
+    "ldiv": (_ZERO_CHECK, "i64(_quotient({0}, {1}))"),
+    "lrem": (_ZERO_CHECK, "i64({0} - _quotient({0}, {1}) * {1})"),
+    "new": ("if o.state == lc.UNLOADED: "
+            "raise InterpError('new of unloaded class %s' % o.name)",
+            "m.world.heap.new_object(o)"),
+    "newarray anewarray_quick": (
+        "if {0} < 0: m.throw_named('java/lang/NegativeArraySizeException')",
+        "m.world.heap.new_array(o, {0})"),
+    "checkcast": ("if {0} is not None and not m.is_instance({0}, o): "
+                  "m.throw_named('java/lang/ClassCastException')", "{0}"),
+    "instanceof": ("int({0} is not None and m.is_instance({0}, o))",),
+    "athrow": (_NULL_CHECK, "raise _Thrown({0}, *m.class_of_ref({0}))"),
+    **{t + "aload": ("m.element_of({0}, {1}).elems[{1}]",) for t in "ilfdabcs"},
+    **{t + "astore": ("arr = m.element_of({0}, {1})",
+                      "arr.elems[{1}] = " + _NARROW_STORE.get(t, "{2}"))
+       for t in "ilfdabcs"},
+})
+
+_NARROWS = {dsc.TC_BYTE: "_sign8", dsc.TC_CHAR: "_u16", dsc.TC_SHORT: "_sign16"}
+_WIDE_STORE = "vz[k], vz[k + 1] = w >> 32, w & M32"
+# kind -> the source of a static's value, then the lines storing {v} in it
+_STATIC_LINES = {
+    "a": ("az[k]", "az[k] = {v}"),
+    "i": ("i32(vz[k])", "vz[k] = u32({v})"),
+    "f": ("bits_float(vz[k])", "vz[k] = float_bits({v})"),
+    "j": ("i64(vz[k] << 32 | vz[k + 1])", "w = {v} & M64", _WIDE_STORE),
+    "d": ("bits_double(vz[k] << 32 | vz[k + 1])", "w = double_bits({v})",
+          _WIDE_STORE),
+}
 
 
-# op -> the kind of the value returned, or None for a void return
-_RETURNS = _by_opcode({"ireturn": "i", "lreturn": "j", "freturn": "f",
-                       "dreturn": "d", "areturn": "a", "return": None})
-
-
-_TYPE_KIND = {dsc.TC_REF: "a", dsc.TC_FLOAT: "f", dsc.TC_LONG: "j",
-              dsc.TC_DOUBLE: "d"}
-_FIELD_NARROW = {dsc.TC_BYTE: _sign8, dsc.TC_CHAR: _u16, dsc.TC_SHORT: _sign16}
-
-
-def _kind_of(type_code):
-    """Slot tag of a field type code."""
-    return _TYPE_KIND.get(type_code, "i")
-
-
-# The quick bodies of the member instructions: each holds what decode read
-# from the resolved member (``_member_step``), or from a quick form's operand.
-
-def _getstatic(m, f, operand):
-    f.push_value(m.zone_read(*operand))
-
-
-def _putstatic(m, f, operand):
-    m.zone_write(*operand, f.pop_value(_kind_of(operand[3])))
-
-
-def _getfield(m, f, operand):
-    offset, kind, _ = operand
-    s = f.stack
-    if not s:
-        raise StackUnderflow(f.where())
-    ref = s.pop()[1]
-    if ref is None:
-        m.throw_named("java/lang/NullPointerException")
-    s.append((kind, m.world.heap.get(ref).slots[offset]))
-    if kind in "jd":
-        f.push(PAD)
-
-
-def _putfield(m, f, operand):
-    offset, kind, narrow = operand
-    s = f.stack
-    wide = kind in "jd"
-    if len(s) < 2 + wide:
-        raise StackUnderflow(f.where())
-    if wide:
-        s.pop()
-    v = s.pop()[1]
-    ref = s.pop()[1]
-    if ref is None:
-        m.throw_named("java/lang/NullPointerException")
-    slots = m.world.heap.get(ref).slots
-    slots[offset] = v if narrow is None else narrow(v)
-    if wide:
-        slots[offset + 1] = None
+def _field_lines(op, type_code):
+    """The _CALLED lines of quick field access ``op``, for a field of this
+    type code: a byte, char or short is narrowed as it is stored."""
+    name, kind = ops.NAME[op], ops.TYPE_KINDS[type_code]
+    value = "{1}" if name == "putfield_quick" else "{0}"
+    if type_code in _NARROWS:
+        value = "%s(%s)" % (_NARROWS[type_code], value)
+    if name == "getfield_quick":
+        return _NULL_CHECK, "m.world.heap.get({0}).slots[o]"
+    if name == "putfield_quick":
+        return (_NULL_CHECK, "slots = m.world.heap.get({0}).slots",
+                "slots[o] = " + value) + (("slots[o + 1] = None",)
+                                          if kind in "jd" else ())
+    # o: (class, zone, offset) names the static in the class's hierarchy
+    find = ("owner, k = o[0].static_slot(o[1], o[2])",
+            "az, vz = m.world.zone(owner)")
+    read, *write = _STATIC_LINES[kind]
+    if name == "getstatic_quick":
+        return (*find, read)
+    return (*find, *(line.replace("{v}", value) for line in write))
 
 
 def _invokestatic(m, f, target):
@@ -838,76 +723,6 @@ def _invoke_virtual(m, f, target):
     return _Call((found, args))
 
 
-_QUICK = _by_opcode({
-    "getstatic": _getstatic, "putstatic": _putstatic,
-    "getfield": _getfield, "putfield": _putfield,
-    "invokestatic": _invokestatic, "invokespecial": _invokespecial,
-    "invokevirtual": _invoke_virtual, "invokeinterface": _invoke_virtual})
-_HOLDS_METHOD = {_invokestatic, _invokespecial, _invoke_virtual}
-_STATICS = {_OP[name] for name in ("getstatic", "putstatic", "getstatic_quick",
-                                   "putstatic_quick")}
-_INSTANCE_INVOKES = {_OP[name] for name in ("invokevirtual", "invokespecial",
-                                            "invokeinterface")}
-
-
-def _field_operand(op, owner, zone, offset, tc):
-    """The operand of the body of field instruction ``op``."""
-    if op in _STATICS:
-        return owner, zone, offset, tc
-    return offset, _kind_of(tc), _FIELD_NARROW.get(tc)
-
-
-def _member_step(op, pool, aidx):
-    """(handler, operand) of member instruction ``op``: its quick body if
-    the member handle ``aidx`` of ``pool`` resolves now to a member it can
-    use, else the lazy step."""
-    found = _resolve(pool, aidx)
-    if found is None or (op in _INSTANCE_INVOKES and found.is_static):
-        return _lazy, (op, pool, aidx)
-    if _QUICK[op] in _HOLDS_METHOD:
-        return _QUICK[op], found
-    return _QUICK[op], _field_operand(op, found.owner, found.zone,
-                                      found.offset, found.type_code)
-
-
-def _lazy(m, f, operand):
-    """A member instruction whose operand did not resolve at decode: each
-    run resolves it again and runs the quick body, or raises as the
-    operand is unusable."""
-    op, pool, aidx = operand
-    handler, quick = _member_step(op, pool, aidx)
-    if handler is not _lazy:
-        return handler(m, f, quick)
-    found = _resolve(pool, aidx)
-    if found is None:
-        handle = pool.a_payload[aidx]
-        raise InterpError("%s: unresolved %s.%s at %d"
-                          % (f.method, handle.owner.name, handle.name, f.pc))
-    raise InterpError("%s: %s of static %r at %d"
-                      % (f.method, ops.NAME[op], found, f.pc))
-
-
-def _new(m, f, cls):
-    if cls.state == lc.UNLOADED:
-        raise InterpError("new of unloaded class %s" % cls.name)
-    f.push(("a", m.world.heap.new_object(cls)))
-
-
-_NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
-                   11: "J"}
-
-
-def _newarray(m, f, comp):      # and anewarray_quick: comp is a descriptor
-    length = f.pop()[1]
-    if length < 0:
-        m.throw_named("java/lang/NegativeArraySizeException")
-    f.push(("a", m.world.heap.new_array(comp, length)))
-
-
-def _bad_newarray(m, f, atype):
-    raise InterpError("bad newarray type %d" % atype)
-
-
 def _invoke_quick(m, f, operand):
     nargs, slot = operand
     args = f.pop_args(nargs)
@@ -924,24 +739,56 @@ def _invoke_quick(m, f, operand):
     return _Call((table[slot], args))
 
 
-def _checkcast(m, f, cls):
-    slot = f.pop()
-    if slot[1] is not None and not m.is_instance(slot[1], cls):
-        m.throw_named("java/lang/ClassCastException")
-    f.push(slot)
+_INVOKES = _by_opcode({"invokestatic": _invokestatic,
+                       "invokespecial": _invokespecial,
+                       "invokevirtual invokeinterface": _invoke_virtual})
+_HOLDS_METHOD = set(_INVOKES.values())
+_STATICS = {_OP[name] for name in ("getstatic", "putstatic", "getstatic_quick",
+                                   "putstatic_quick")}
+_INSTANCE_INVOKES = {_OP[name] for name in ("invokevirtual", "invokespecial",
+                                            "invokeinterface")}
+# member field instruction -> the quick form whose steps it runs
+_FIELD_QUICK = {_OP[name]: _OP[name + "_quick"]
+                for name in ("getstatic", "putstatic", "getfield", "putfield")}
 
 
-def _instanceof(m, f, cls):
-    ref = f.pop()[1]
-    f.push(("i", int(ref is not None and m.is_instance(ref, cls))))
+def _field_operand(op, owner, zone, offset):
+    """The operand of the step of field instruction ``op``."""
+    return (owner, zone, offset) if op in _STATICS else offset
 
 
-def _athrow(m, f, _):
-    ref = f.pop()[1]
-    if ref is None:
-        m.throw_named("java/lang/NullPointerException")
-    cls, name = m.class_of_ref(ref)
-    raise _Thrown(ref, cls, name)
+def _member_step(op, pool, aidx):
+    """(step, operand) of member instruction ``op``: its quick step if the
+    member handle ``aidx`` of ``pool`` resolves now to a member it can use,
+    else the lazy step."""
+    found = _resolve(pool, aidx)
+    if found is None or (op in _INSTANCE_INVOKES and found.is_static):
+        return _lazy, (op, pool, aidx)
+    if op in _INVOKES:
+        return _INVOKES[op], found
+    return (_step(_FIELD_QUICK[op], found.type_code),
+            _field_operand(op, found.owner, found.zone, found.offset))
+
+
+def _lazy(m, f, operand):
+    """A member instruction whose operand did not resolve at decode: each
+    run resolves it again and runs the quick step, or raises as the operand
+    is unusable."""
+    op, pool, aidx = operand
+    handler, quick = _member_step(op, pool, aidx)
+    if handler is not _lazy:
+        return handler(m, f, quick)
+    found = _resolve(pool, aidx)
+    if found is None:
+        handle = pool.a_payload[aidx]
+        raise InterpError("%s: unresolved %s.%s at %d"
+                          % (f.method, handle.owner.name, handle.name, f.pc))
+    raise InterpError("%s: %s of static %r at %d"
+                      % (f.method, ops.NAME[op], found, f.pc))
+
+
+_NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
+                   11: "J"}
 
 
 # --- generated steps --------------------------------------------------------
@@ -970,6 +817,22 @@ class _Source:
     def push(self, slot):
         self.stack.append(slot)
         self.top = max(self.top, len(self.stack) - self.below)
+
+    def take(self, kinds):
+        """Pop values of these kinds, a long or double with its padding;
+        the source of each value, the lowest first."""
+        values = []
+        for kind in reversed(kinds):
+            if kind in "jd":
+                self.pop()
+            values.append(self.pop() + "[1]")
+        return values[::-1]
+
+    def give(self, kind, value):
+        """Push a value of this kind, a long or double with its padding."""
+        self.push(self.temp("(%r, %s)" % (kind, value)))
+        if kind in "jd":
+            self.push("PAD")
 
     def temp(self, source):
         name = "t%d" % len(self.lines)
@@ -1037,183 +900,184 @@ def _compile(body):
     return scope["step"]
 
 
-# template(row..., g, operand): it writes on the _Source g, and gets the
-# instruction's operand, if it takes one, as Python source
+@functools.cache
+def _compiled(body):
+    """The function of a single step's body: steps of the same source, such
+    as iload's and aload's, are one function."""
+    return _compile(body)
 
-def _t_push(width, form, g, part):
-    g.push(form % part)
-    if width == 2:
+
+# template(effect, source, g, operand): it writes on the _Source g what an
+# instruction of this effect row and family source does, and gets the
+# instruction's operand, if it takes one, as Python source.  The steps of
+# _t_switch and _t_called are only ever single steps, whose operand is o.
+
+def _t_push(effect, form, g, part):
+    """Push the slot ``form`` writes from the operand: a constant that the
+    operand holds, a local, or a constant held as its bits."""
+    kind = effect.pushes
+    g.push(form.format(o=part, kind=kind))
+    if kind in "jd":
         g.push("PAD")
 
 
-def _t_store(width, g, slot):
-    if width == 2:
+def _t_store(effect, _, g, slot):
+    kind = effect.pops
+    if kind in "jd":
         g.pop()
     g.store(slot, g.pop())
-    if width == 2:
+    if kind in "jd":
         g.store(slot + " + 1", "PAD")
 
 
-def _t_iinc(g, operand):         # (slot, delta)
+def _t_iinc(effect, _, g, operand):         # (slot, delta)
     g.store(operand + "[0]",
             "('i', i32(L[%s[0]][1] + %s[1]))" % (operand, operand))
 
 
-def _t_pop(count, g):
-    for _ in range(count):
-        g.pop()
+def _t_shuffle(effect, _, g):
+    """Move slots of any kind, as the digits of the effect row name them."""
+    slots = {}
+    for name in reversed(effect.pops):
+        slots[name] = g.pop()
+    for name in effect.pushes:
+        g.push(slots[name])
 
 
-def _t_dup(count, depth, g):
-    slots = [g.pop() for _ in range(depth)][::-1]
-    for slot in slots[-count:] + slots:
-        g.push(slot)
+def _t_value(effect, source, g):
+    g.give(effect.pushes, source.format(*g.take(effect.pops)))
 
 
-def _t_swap(g):
-    top, under = g.pop(), g.pop()
-    g.push(top)
-    g.push(under)
+def _t_if(effect, test, g, target):
+    g.end("return " + target, test=test.format(*g.take(effect.pops)))
 
 
-def _value(g, kind):
-    """Pop a value of this slot tag; the source of its Python value."""
-    if kind in "jd":
-        g.pop()
-    return g.pop() + "[1]"
-
-
-def _t_unary(kind, result, source, g):
-    g.push(g.temp("(%r, %s)" % (result, source.format(v=_value(g, kind)))))
-    if result in "jd":
-        g.push("PAD")
-
-
-def _t_binary(kind, result, source, g):
-    b, a = _value(g, kind[-1]), _value(g, kind[0])
-    g.push(g.temp("(%r, %s)" % (result, source.format(a=a, b=b))))
-    if result in "jd":
-        g.push("PAD")
-
-
-def _t_if(test, other, g, target):
-    other = other or g.pop() + "[1]"
-    g.end("return " + target, test="%s[1] %s %s" % (g.pop(), test, other))
-
-
-def _t_goto(g, target):
+def _t_goto(effect, _, g, target):
     g.end("return " + target)
 
 
-def _t_return(kind, g):
-    g.end("return (%s,)" % ("None" if kind is None else
-                            "(%r, %s)" % (kind, _value(g, kind))),
-          write=False)
+def _t_return(effect, _, g):
+    kind = effect.pops
+    g.end("return (%s,)" % ("(%r, %s)" % (kind, *g.take(kind)) if kind
+                            else "None"), write=False)
 
 
-_TEMPLATES = {}     # generated step -> (template, whether it takes an operand)
+def _t_switch(effect, _, g):        # o: (default, ((key, target), ...))
+    key = g.temp(*g.take(effect.pops))
+    g.end("return next((pc for match, pc in o[1] if match == %s), o[0])"
+          % key)
+
+
+def _t_called(effect, lines, g):
+    """Run ``lines`` over the values popped: the last is the source of the
+    result, if the instruction pushes one."""
+    values = [g.temp(v) for v in g.take(effect.pops)]
+    lines = [line.format(*values) for line in lines]
+    result = lines.pop() if effect.pushes else None
+    g.lines += lines
+    if result is not None:
+        g.give(effect.pushes, result)
+
+
+# the templates a block writes inline -> whether each takes an operand
+_INLINE = {_t_push: True, _t_store: True, _t_iinc: True, _t_shuffle: False,
+           _t_value: False, _t_if: True, _t_goto: True, _t_return: False}
+_TEMPLATES = {}     # inline step -> (its writer, whether it takes an operand)
 _STRAIGHT = set()   # the generated steps of straight-line instructions
 
 
-def _generated(template, operand=False):
-    """The single step of a template."""
+def _handler_table():
+    """opcode -> its hand-written step, or the (template, source) its steps
+    are written from; a quick field access's source is a function of the
+    field's type code."""
+    table = [_unsupported] * 256
+    rows = (
+        (_t_shuffle, "nop pop pop2 dup dup_x1 dup_x2 dup2 dup2_x1 dup2_x2 "
+                     "swap", None),
+        (_t_push, "bipush sipush ldc_quick_i ldc_quick_i_w ldc2_quick_l",
+         "{o}"),
+        # a float or double constant is held as its bits, which, unlike
+        # the value (-0.0 == 0.0), tell apart steps that must not be shared
+        (_t_push, "ldc_quick_f ldc_quick_f_w", "({kind!r}, bits_float({o}))"),
+        (_t_push, "ldc2_quick_d", "({kind!r}, bits_double({o}))"),
+        (_t_iinc, "iinc", None),
+        (_t_goto, "goto goto_w", None),
+        (_t_return, "ireturn lreturn freturn dreturn areturn return", None),
+        (_t_switch, "tableswitch lookupswitch", None),
+    )
+    for template, names, source in rows:
+        for name in names.split():
+            table[_OP[name]] = (template, source)
+    for op in (*_INVOKES, *_FIELD_QUICK):
+        table[op] = _lazy
+    table[_OP["invokevirtual_quick"]] = _invoke_quick
+    for template, family in ((_t_value, _VALUES), (_t_if, _IF),
+                             (_t_called, _CALLED)):
+        for op, source in family.items():
+            table[op] = (template, source)
+    for op in _CONSTANTS:
+        table[op] = (_t_push, "{o}")
+    for op in _FIELD_QUICK.values():
+        table[op] = (_t_called, partial(_field_lines, op))
+    for op, entry in ops.OPERANDS.items():
+        if entry.kind == ops.LOCAL and op not in (_OP["ret"], _OP["iinc"]):
+            table[op] = ((_t_push, "L[{o}]") if "load" in ops.NAME[op]
+                         else (_t_store, None))
+    table[ops.WIDE] = None      # decode folds it into the opcode it modifies
+    return table
+
+
+_HANDLERS = _handler_table()
+
+
+@functools.cache
+def _step(op, type_code=None):
+    """The step of ``op``, for a quick field access the one of a field of
+    this type code: its hand-written handler, or else the single step its
+    template writes from its effect row, compiled when first asked for."""
+    handler = _HANDLERS[op]
+    if handler.__class__ is not tuple:
+        return handler
+    template, source = handler
+    effect = ops.EFFECTS[op]
+    if type_code is not None:
+        effect, source = effect(type_code), source(type_code)
+    write, operand = partial(template, effect, source), _INLINE.get(template)
     g = _Source()
-    template(g, *(["o"] if operand else []))
+    write(g, *(["o"] if operand else []))
     straight = g.ended is None
-    step = _compile(g.single())
-    _TEMPLATES[step] = (template, operand)
-    if straight:
-        _STRAIGHT.add(step)
+    step = _compiled(tuple(g.single()))
+    if operand is not None:
+        _TEMPLATES.setdefault(step, (write, operand))
+        if straight:
+            _STRAIGHT.add(step)
     return step
 
 
-def _handler_table():
-    """opcode -> handler, and opcode -> the row of its family's table."""
-    table = [_unsupported] * 256
-    const = {w: _generated(partial(_t_push, w, "%s"), True) for w in (1, 2)}
-    named = (
-        (_generated(partial(_t_pop, 0)), "nop"),
-        (_generated(partial(_t_pop, 1)), "pop"),
-        (_generated(partial(_t_pop, 2)), "pop2"),
-        (_generated(_t_swap), "swap"),
-        (const[1], "bipush sipush ldc_quick_i ldc_quick_i_w"),
-        (const[2], "ldc2_quick_l"),
-        # a float or double constant is held as its bits, which, unlike
-        # the value (-0.0 == 0.0), tell apart steps that must not be shared
-        (_generated(partial(_t_push, 1, "('f', bits_float(%s))"), True),
-         "ldc_quick_f ldc_quick_f_w"),
-        (_generated(partial(_t_push, 2, "('d', bits_double(%s))"), True),
-         "ldc2_quick_d"),
-        (_ldc_string, "ldc_quick_a ldc_quick_a_w"),
-        (_generated(_t_iinc, True), "iinc"),
-        (_generated(_t_goto, True), "goto goto_w"),
-        (_arraylength, "arraylength"), (_switch, "tableswitch lookupswitch"),
-        (_getstatic, "getstatic_quick"), (_putstatic, "putstatic_quick"),
-        (_getfield, "getfield_quick"), (_putfield, "putfield_quick"),
-        (_lazy, "getstatic putstatic getfield putfield invokevirtual "
-                "invokespecial invokestatic invokeinterface"),
-        (_new, "new"), (_newarray, "newarray anewarray_quick"),
-        (_invoke_quick, "invokevirtual_quick"),
-        (_checkcast, "checkcast"), (_instanceof, "instanceof"),
-        (_athrow, "athrow"),
-    )
-    for handler, names in named:
-        for name in names.split():
-            table[_OP[name]] = handler
-    for template, family, operand in ((_t_binary, _BINARY, False),
-                                      (_t_unary, _UNARY, False),
-                                      (_t_dup, _DUPS, False),
-                                      (_t_if, _IF, True)):
-        for op, row in family.items():
-            table[op] = _generated(partial(template, *row), operand)
-    for op, kind in _RETURNS.items():
-        table[op] = _generated(partial(_t_return, kind))
-    rows = dict(_CONSTANTS)
-    for op, slot in _CONSTANTS.items():
-        table[op] = const[2 if slot[0] in "jd" else 1]
-    for handler, family in (
-            (_divide, _DIVIDES),
-            (_array_load, {_IALOAD + k: kind
-                           for k, kind in enumerate(_ARRAY_KINDS)}),
-            (_array_store, {_IASTORE + k: kind
-                            for k, kind in enumerate(_ARRAY_KINDS)})):
-        for op, row in family.items():
-            table[op] = handler
-            rows[op] = row
-    local = {}      # (load, width) -> step
-    for op, entry in ops.OPERANDS.items():
-        if entry.kind == ops.LOCAL and op not in (_OP["ret"], _OP["iinc"]):
-            key = ("load" in ops.NAME[op], entry.want)
-            if key not in local:
-                local[key] = _generated(
-                    partial(_t_push, entry.want, "L[%s]") if key[0]
-                    else partial(_t_store, entry.want), True)
-            table[op] = local[key]
-    table[ops.WIDE] = None      # decode folds it into the opcode it modifies
-    return table, rows
-
-
-_HANDLERS, _ROWS = _handler_table()
-# op -> its step, for the one-byte opcodes whose step the opcode alone fixes
-_FIXED = {op: (_HANDLERS[op], op,
-               op if _HANDLERS[op] is _unsupported else _ROWS.get(op), 1)
-          for op, nbytes in ops.OPERAND_BYTES.items()
-          if nbytes == 0 and op not in ops.OPERANDS}
+# op -> its step, for the one-byte opcodes whose step the opcode alone
+# fixes, each put here by its first decode
+_FIXED = {}
+_NO_OPERAND = frozenset(op for op, nbytes in ops.OPERAND_BYTES.items()
+                        if nbytes == 0 and op not in ops.OPERANDS)
 
 
 # --- decode -----------------------------------------------------------------
 
 def _decode(bc, off, op, pool, owner):
-    """(handler, operand) of the instruction ``op`` at ``off``, in a method
-    of ``owner``: its operand read, mostly through the ``opcodes.OPERANDS``
+    """(step, operand) of the instruction ``op`` at ``off``, in a method of
+    ``owner``: its operand read, mostly through the ``opcodes.OPERANDS``
     table, with the pool entry it names read too.  A table index that does
     not name an entry of the kind the operand wants, or a bad newarray
     type, gives a step that raises when it runs."""
-    handler = _HANDLERS[op]
-    if handler is _unsupported:
-        return handler, op
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
+    if kind == ops.IMMEDIATE:
+        offset, tc = ops.field_immediate(bc, off)
+        return _step(op, tc), _field_operand(op, owner, "a" if tc == dsc.TC_REF
+                                             else "v", offset)
+    handler = _step(op)
+    if handler is _unsupported:
+        return handler, op
     if kind == ops.LOCAL:
         slot = ops.local_slot(bc, off)[0]
         if op != _OP["iinc"]:
@@ -1223,10 +1087,6 @@ def _decode(bc, off, op, pool, owner):
         return handler, (slot, _sign8(bc[off + 2]))
     if kind == ops.BRANCH:
         return handler, ops.branch_targets(bc, off)[0]
-    if kind == ops.IMMEDIATE:
-        offset, tc = ops.field_immediate(bc, off)
-        return handler, _field_operand(op, owner, "a" if tc == dsc.TC_REF
-                                       else "v", offset, tc)
     if kind == ops.NARGS_SLOT:
         return handler, (bc[off + 1], bc[off + 2])
     if kind is not None:            # TABLE
@@ -1237,7 +1097,7 @@ def _decode(bc, off, op, pool, owner):
             return _member_step(op, pool, idx)
         if entry.space == cp.ATABLE:    # a class, or a string's text
             item = pool.a_payload[idx]
-            if handler is _newarray:
+            if op == _OP["anewarray_quick"]:
                 return handler, (item.name if item.name.startswith("[")
                                  else "L%s;" % item.name)
             return handler, item
@@ -1258,7 +1118,9 @@ def _decode(bc, off, op, pool, owner):
         if comp is None:
             return _bad_newarray, bc[off + 1]
         return handler, comp
-    return handler, ops.switch_cases(bc, off)
+    if op in (ops.TABLESWITCH, ops.LOOKUPSWITCH):
+        return handler, ops.switch_cases(bc, off)
+    return handler, _CONSTANTS.get(op)
 
 
 def decoded(method, code, pool, registry):
@@ -1296,7 +1158,9 @@ def decoded(method, code, pool, registry):
             sub = bc[off + 1] if op == ops.WIDE else op
             handler, operand = _decode(bc, off, sub, pool, method.owner)
             step = (handler, op, operand, end - off)
-            if handler not in _HOLDS_METHOD:
+            if op in _NO_OPERAND:
+                _FIXED[op] = step
+            elif handler not in _HOLDS_METHOD:
                 step = shared.setdefault(step, step)
         steps[off] = step
         if step[0] not in _STRAIGHT:

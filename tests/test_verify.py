@@ -1,6 +1,10 @@
 """Interpreter tests: direct execution, differential pairs, fuel behavior."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from jrom import cli
 from jrom import constpool as cp
+from jrom import descriptors as dsc
 from jrom import lifecycle as lc
 from jrom import linker
 from jrom import romizer as rz
@@ -443,6 +448,162 @@ def test_every_post_load_opcode_has_a_handler():
         code = lc.MethodCode(
             bytearray(_single_instruction(ops.WIDE, ops.BY_NAME[name])), 2, 4, [])
         assert vf.in_subset(code) == (name != "ret"), name
+
+
+class TestEffects:
+    """``opcodes.EFFECTS`` says what each instruction pops and pushes; the
+    interpreter writes its generated steps from those rows, so each step
+    leaves on the stack what its row says."""
+
+    UNRUN = ("wide", "ldc", "ldc_w", "ldc2_w", "anewarray", "jsr", "jsr_w",
+             "ret", "monitorenter", "monitorexit", "multianewarray")
+
+    def test_every_handled_opcode_has_one_row(self):
+        handled = {op for op, handler in enumerate(vf._HANDLERS)
+                   if handler not in (vf._unsupported, None)}
+        assert handled == set(ops.EFFECTS)
+        assert set(ops.NAME) - handled == {ops.BY_NAME[n] for n in self.UNRUN}
+        for op, row in ops.EFFECTS.items():
+            if not isinstance(row, ops.Effect):
+                name = ops.NAME[op]
+                if op in vf._FIELD_QUICK or op in vf._FIELD_QUICK.values():
+                    for desc, kind in _DESCRIPTOR_KINDS.items():
+                        r = row(dsc.type_code(desc))
+                        assert (r.pushes or r.pops[-1]) == kind, (name, desc)
+                else:
+                    rows = [row("(IJ[ILjava/lang/String;)D"), row("()V")]
+                    receiver = "" if name == "invokestatic" else "a"
+                    assert rows == [ops.Effect(receiver + "ijaa", "d"),
+                                    ops.Effect(receiver, "")], name
+            elif row.pops.isdigit():        # a shuffle names its slots
+                assert set(row.pushes) <= set(row.pops), ops.NAME[op]
+            else:
+                assert set(row.pops + row.pushes) <= set("ijfda"), \
+                    ops.NAME[op]
+
+    def test_single_steps_leave_what_their_rows_push(self, linked_pipeline):
+        # every step written from a row that its operand does not decide,
+        # and the quick field accesses for each type code
+        registry = linked_pipeline.registry
+        cls = registry.get("corpus/Empty")
+        checked = set()
+        for op, row in sorted(ops.EFFECTS.items()):
+            if vf._HANDLERS[op].__class__ is not tuple:
+                continue        # the invokes and the lazy member steps
+            for tc in (range(8) if callable(row) else [None]):
+                effect = row(tc) if callable(row) else row
+                step = vf._step(op) if tc is None else vf._step(op, tc)
+                self._check(registry, cls, op, effect, step)
+                checked.add(op)
+        expected = {op for op, h in enumerate(vf._HANDLERS)
+                    if h.__class__ is tuple}
+        assert checked == expected and len(checked) > 180
+
+    @staticmethod
+    def _check(registry, cls, op, effect, step):
+        name = ops.NAME[op]
+        m = vf.Machine(vf.World(registry, lc.LINKED), 10)
+        heap = m.world.heap
+        obj = heap._add(vf.Obj(cls, cls.name, [0, 0]))
+        values = {"i": ("i", 1), "j": ("j", 1), "f": ("f", 1.0),
+                  "d": ("d", 1.0), "a": ("a", obj)}
+        if name in _ARRAY_COMPONENTS:   # pops an array first
+            array = heap.new_array(_ARRAY_COMPONENTS[name], 2)
+        # the static zones of the class _effect_operand names
+        m.world.zones[_STATICS_OWNER.name] = [[obj], [0, 0]]
+        stack = []
+        for k, kind in enumerate(effect.pops):
+            if kind.isdigit():
+                stack.append(("i", int(kind)))
+            elif k == 0 and name in _ARRAY_COMPONENTS:
+                stack.append(("a", array))
+            else:
+                stack += [values[kind]] + ([vf.PAD] if kind in "jd" else [])
+        local = ops.OPERANDS.get(op)
+        slot = local.slot or 0 if local and local.kind == ops.LOCAL else 0
+        locals_ = [vf.PAD] * 6
+        if name.endswith("load") or "load_" in name or name == "iinc":
+            kind = effect.pushes or "i"
+            locals_[slot] = values[kind]
+        entry = (None, [], (), ())
+        f = vf.Frame("probe %s" % name, entry, 16, locals_)
+        f.stack = list(stack)
+        operand = _effect_operand(op, cls)
+        if name == "athrow":
+            with pytest.raises(vf._Thrown) as thrown:
+                step(m, f, operand)
+            assert thrown.value.ref is obj
+            return
+        result = step(m, f, operand)
+        if name.endswith("return"):
+            assert result[0] == (None if not effect.pops
+                                 else values[effect.pops]), name
+            return
+        assert result is None or result.__class__ is int, name
+        if effect.pops.isdigit() or not effect.pops + effect.pushes:
+            named = dict(zip(effect.pops, stack))
+            assert f.stack == [named[d] for d in effect.pushes], name
+        else:
+            assert "".join(s[0] for s in f.stack) == "".join(
+                k + "~" if k in "jd" else k for k in effect.pushes), name
+
+
+_DESCRIPTOR_KINDS = {"I": "i", "Z": "i", "B": "i", "C": "i", "S": "i",
+                     "F": "f", "J": "j", "D": "d", "Lp/X;": "a", "[I": "a"}
+# the instructions that pop an array first -> its component type
+_ARRAY_COMPONENTS = {"arraylength": "I", **{
+    t + suffix: comp
+    for t, comp in zip("ilfdabcs", ("I", "J", "F", "D", "Ljava/lang/Object;",
+                                    "B", "C", "S"))
+    for suffix in ("aload", "astore")}}
+
+
+# a class whose static at any offset is its own first
+_STATICS_OWNER = types.SimpleNamespace(
+    name="probe/Statics", static_slot=lambda zone, offset: (_STATICS_OWNER, 0))
+
+
+def _effect_operand(op, cls):
+    """An operand for ``op`` that lets its step run without throwing."""
+    name, entry = ops.NAME[op], ops.OPERANDS.get(op)
+    if op in vf._CONSTANTS:
+        return vf._CONSTANTS[op]
+    if entry is not None and entry.kind == ops.LOCAL:
+        return (0, 1) if name == "iinc" else entry.slot or 0
+    if entry is not None and entry.kind == ops.BRANCH:
+        return 7
+    if op in (ops.TABLESWITCH, ops.LOOKUPSWITCH):
+        return 7, ((1, 9),)
+    if name in ("getstatic_quick", "putstatic_quick"):
+        return _STATICS_OWNER, "v", 0
+    return {"bipush": ("i", 1), "sipush": ("i", 1), "ldc_quick_i": ("i", 1),
+            "ldc_quick_i_w": ("i", 1), "ldc2_quick_l": ("j", 1),
+            "ldc_quick_f": vf.float_bits(1.0),
+            "ldc_quick_f_w": vf.float_bits(1.0),
+            "ldc2_quick_d": vf.double_bits(1.0), "ldc_quick_a": "text",
+            "ldc_quick_a_w": "text", "new": cls, "checkcast": cls,
+            "instanceof": cls, "newarray": "I",
+            "anewarray_quick": "Ljava/lang/Object;",
+            "getfield_quick": 0, "putfield_quick": 0}.get(name)
+
+
+def test_no_step_compiles_at_import():
+    """Importing the command line driver compiles no interpreter step: each
+    single step is compiled the first time decode asks for it."""
+    script = (
+        "import jrom.cli\n"
+        "from jrom import verify as vf\n"
+        "print(vf._step.cache_info().currsize,\n"
+        "      vf._compiled.cache_info().currsize, len(vf._TEMPLATES),\n"
+        "      len(vf._FIXED))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "0", "0", "0"]
 
 
 class TestDifferentialPairs:
@@ -907,9 +1068,8 @@ class TestMemberSteps:
                         if step[0] in blocks:   # a block led by this one
                             step = step[2][0]
                         op, want = code.bytecode[off], named[0].want
-                        handler = vf._QUICK.get(op, vf._HANDLERS[op])
+                        handler, held = _pool_operand_held(pool, op, *named)
                         assert step[:2] == (handler, op), (m, stage, off)
-                        held = _pool_operand_held(pool, op, *named)
                         if isinstance(held, (tuple, int, str)):
                             assert step[2] == held, (m, stage, off)
                         else:           # a class or a method
@@ -1046,8 +1206,11 @@ class TestMemberSteps:
                                            [("null",)][:method.nargs],
                                            trace=trace)
                     assert (out.kind, out.value) == ("return", ("i", value))
-            for name, handler in (("get", vf._getfield),
-                                  ("put", vf._putfield)):
+            for name in ("get", "put"):
+                # the quick step of an int field, which the member form
+                # runs once it resolves
+                handler = vf._step(ops.BY_NAME[name + "field_quick"],
+                                   dsc.TC_INT)
                 steps = self._member(pipe, "vm/Nul", name) \
                     .code_at(stage).decoded[1]
                 assert any(s is not None and s[0] is handler for s in steps)
@@ -1055,31 +1218,34 @@ class TestMemberSteps:
 
 
 def _pool_operand_held(pool, op, entry, idx):
-    """What decode should hold for the pool operand ``entry`` ``idx`` of
-    ``op``: a member as ``linker._resolve`` finds it, a class, a string's
-    text, a constant's slot, or a float's or double's bits."""
+    """(step, operand) decode should hold for the pool operand ``entry``
+    ``idx`` of ``op``: an invoke's step and the method ``linker._resolve``
+    finds; the quick step for the type code of the field it finds, and the
+    field's place; or the opcode's own step and a class, a string's text, a
+    constant's slot, or a float's or double's bits."""
     want, values = entry.want, pool.v_value
-    if want in (cp.A_FIELD, cp.A_METHOD):
+    if want == cp.A_METHOD:
+        return vf._INVOKES[op], linker._resolve(pool.a_payload[idx])
+    if want == cp.A_FIELD:
         found = linker._resolve(pool.a_payload[idx])
-        if vf._QUICK[op] in vf._HOLDS_METHOD:
-            return found
-        if found.is_static:
-            return (found.owner, found.zone, found.offset, found.type_code)
-        return (found.offset, vf._kind_of(found.type_code),
-                vf._FIELD_NARROW.get(found.type_code))
+        quick = ops.BY_NAME[ops.NAME[op] + "_quick"]
+        return vf._step(quick, found.type_code), (
+            (found.owner, found.zone, found.offset) if found.is_static
+            else found.offset)
+    step = vf._step(op)
     if want == cp.A_CLASS:
         name = pool.a_payload[idx].name
         if op == ops.BY_NAME["anewarray_quick"]:
-            return name if name.startswith("[") else "L%s;" % name
-        return pool.a_payload[idx]
+            return step, name if name.startswith("[") else "L%s;" % name
+        return step, pool.a_payload[idx]
     if want == cp.A_STRING:
-        return pool.a_payload[idx]
+        return step, pool.a_payload[idx]
     if want == cp.V_INT:
-        return ("i", vf.i32(values[idx]))
+        return step, ("i", vf.i32(values[idx]))
     if want == cp.V_FLOAT:
-        return values[idx]
+        return step, values[idx]
     bits = (values[idx] << 32) | values[idx + 1]
-    return ("j", vf.i64(bits)) if want == cp.V_LONG_HI else bits
+    return step, ("j", vf.i64(bits)) if want == cp.V_LONG_HI else bits
 
 
 def machine_run(registry, stage, method, vector, fuel, trace=None):
