@@ -853,7 +853,9 @@ class _Source:
                                                     for ln in ending]
         self.ended = len(self.lines)
         listed = "(%s)" % "".join(slot + ", " for slot in self.stack)
-        if write and self.below:
+        if write and self.below == len(self.stack) == 1:    # the fast form
+            self.lines.append("s[-1] = " + self.stack[0])
+        elif write and self.below:
             self.lines.append("s[-%d:] = %s" % (self.below, listed))
         elif write and self.stack:
             self.lines.append("s += " + listed)
