@@ -70,8 +70,8 @@ class MethodCode:
     # the body's ops.Shape (shape_of), which a clone shares; whoever moves
     # or retargets an instruction sets it back to None
     shape: ops.Shape = dc_field(default=None, repr=False, compare=False)
-    # verify's entry record of the body against one pool (verify.decoded);
-    # whoever rewrites the bytecode in place sets it back to None
+    # verify's entry record of the body against one pool (verify.decoded),
+    # sizes too; whoever rewrites the bytecode or sizes sets it to None
     decoded: tuple = dc_field(default=None, repr=False, compare=False)
 
     def shape_of(self, method, shared=None):

@@ -8,28 +8,26 @@ created objects.
 
 Each method body is decoded once per pool it runs against, the first time,
 into its entry record (``decoded``): (pool, steps, locals pad, handler
-table), which a call checks once.  The steps are a list indexed by pc; an
-instruction's entry holds its step, its opcode, its size and its operand,
-and any other pc holds None, so dispatch is one list index per
-instruction.  Decode is the one place that reads an operand (``_decode``):
-a local slot, a branch target, a switch's targets, a constant, or what a
-pool entry names: a member, a class, a string's text.  A member that does
-not resolve yet gives a lazy step that resolves as it runs.  The handler
-table holds each catch type as its class.  So no step reads the pool or
-the bytecode.  Decode walks no bytecode either: it reads the body's shape,
-checked at load or, for a reloaded body, at its first decode.  Zones are
-read and objects made when an instruction runs, and an operand that cannot
-be used raises only if its instruction runs.
+table, max_locals, max_stack).  The steps are a list indexed by pc, so
+dispatch is one list index per instruction.  Decode is the one place that
+reads an operand (``_decode``): a local slot, a branch target, a switch's
+targets, a constant, or what a pool entry names: a member, a class, a
+string's text.  A member that does not resolve yet gives a lazy step that
+resolves as it runs; the handler table holds each catch type as its class.
+So no step reads the pool or the bytecode, and decode reads the body's
+shape, checked at load or at a reloaded body's first decode.  An operand
+that cannot be used raises only if its instruction runs.
 
 What an instruction pops and pushes is written once, in its row of
 ``opcodes.EFFECTS``.  A template writes an instruction's Python source from
 that row and from the source of what it computes, which its family's table
 here holds; run alone, that source is the instruction's single step,
-compiled the first time decode asks for it.  A field access's row and
-source follow the field's type code, so decode picks its step by the type
-code of the field it names, and no step checks a kind at run time.  Only
-the invokes, the lazy member step and the steps that only raise are
-written by hand.
+compiled the first time decode asks for it.  Decode picks a field access's
+step by the type code of the field it names, and a direct call's
+(invokestatic, invokespecial) by the kinds a call of the method it names
+pops, so no step checks a kind at run time.  Only the virtual invokes,
+which pick their callee as they run, the lazy member step and the steps
+that only raise are written by hand.
 
 Decode also splits the body into basic blocks: a leader is pc 0, one of
 the shape's jump targets, or the instruction after one that is not
@@ -37,20 +35,20 @@ straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
 unary or binary operator).  Where templates write two or more of a block's
 instructions, its leader holds one generated step: statements over Python
 temporaries, ending in an inline test and return (a branch, goto or
-return) or in a call of the last instruction's step once ``f.pc`` is set
-to it (any other instruction, such as one that can throw or calls).  The
-step first checks that the machine has fuel for the whole block, that no
-trace is set, and that the stack depth stays within [need, max_stack -
-top]; if not, it runs only its first instruction, so trace lines,
-fuel-outs, stack errors and ``Machine.fuel`` are those of single steps.
-Each block shape is compiled once per registry (``Registry.step_shapes``).
+return), a direct call given the temporaries as its arguments, or a call
+of the last instruction's step (one that can throw, say), once ``f.pc`` is
+set to it.  The step first checks that the machine has fuel for the whole
+block, that no trace is set, and that the stack depth stays within [need,
+max_stack - top]; if not, it runs only its first instruction, so trace
+lines, fuel-outs, stack errors and ``Machine.fuel`` are those of single
+steps.  Each block shape is compiled once per registry.
 
-One loop in ``Machine.call`` runs a method and every call it makes: a call
-pushes the caller's frame on a list instead of recursing in Python.  An
-opcode without a step (jsr/ret, the monitors, multianewarray, and the
-symbolic ldc forms and anewarray, which loading always rewrites) has no
-effect row and puts a method outside the subset the machine runs;
-``in_subset`` asks the same table.
+One loop in ``Machine.call`` runs a method and every call it makes, and
+makes every frame from the callee's entry record, pushed on a list instead
+of recursing in Python.  An opcode without a step (jsr/ret, the monitors,
+multianewarray, and the symbolic ldc forms and anewarray, which loading
+always rewrites) has no effect row and puts a method outside the subset the
+machine runs; ``in_subset`` asks the same table.
 """
 
 import functools
@@ -292,7 +290,8 @@ class _FuelOut(Exception):
 
 
 class _Call(tuple):
-    """What an invoke handler returns: (method, argument slots) to run."""
+    """What an invoke step returns: (method, argument slots) to run, the
+    slots in a list of the step's own, which becomes the callee's locals."""
     __slots__ = ()
 
 
@@ -305,40 +304,27 @@ def in_subset(code):
         starts = code.shape_of(None).starts     # no error message is shown
     except JromError:
         return False
-    for off in starts:
-        op = bc[off]
-        if _HANDLERS[bc[off + 1] if op == ops.WIDE else op] is _unsupported:
-            return False
-    return True
+    return all(_HANDLERS[bc[off + 1] if bc[off] == ops.WIDE else bc[off]]
+               is not _unsupported for off in starts)
 
 
 class Frame:
-    """One activation: a method's decoded steps and handler table (its
-    entry record's), locals and stack.  ``pc`` is the instruction being
-    run, or in a caller the invoke waiting for its call to return.
-    """
+    """One activation: its entry record's steps, handler table and
+    max_stack, locals and stack.  ``pc`` is the instruction being run, or
+    in a caller the invoke waiting for its call to return."""
     __slots__ = ("method", "steps", "handlers", "max_stack", "locals",
                  "stack", "pc")
 
-    def __init__(self, method, entry, max_stack, local_slots):
+    def __init__(self, method, entry, local_slots):
         self.method = method
         self.steps, self.handlers = entry[1], entry[3]
-        self.max_stack = max_stack
+        self.max_stack = entry[5]
         self.locals = local_slots
         self.stack = []
         self.pc = 0
 
     def where(self):
         return "%s at %d" % (self.method, self.pc)
-
-    def pop_args(self, n):
-        s = self.stack
-        base = len(s) - n
-        if base < 0:
-            raise StackUnderflow(self.where())
-        args = s[base:]
-        del s[base:]
-        return args
 
 
 def _resolve(pool, aidx):
@@ -404,11 +390,6 @@ class Machine:
         src_cls, src_name = self.class_of_ref(ref)
         return self.assignable(src_name, src_cls, cls)
 
-    def dispatch_table(self, cls):
-        if cls.synthetic and not cls.dispatch_table and cls.super_cls is not None:
-            return cls.super_cls.dispatch_table
-        return cls.dispatch_table
-
     def object_at(self, ref):
         if ref is None:
             self.throw_named("java/lang/NullPointerException")
@@ -425,77 +406,75 @@ class Machine:
 
     def call(self, method, args):
         """Run a method and the calls it makes; returns the (tag, value)
-        result or None for void.  A call pushes the caller on a list rather
-        than recursing, so Python's stack stays flat however deep calls go.
-        """
-        trace = self.trace
-        callers = []        # frames waiting for a call to return, innermost last
-        f = self._frame(method, args, 0)
-        steps, pc = f.steps, 0
+        result or None for void.  A call checks the callee's entry record
+        (``decoded``) and pushes its frame on a list rather than recursing,
+        so Python's stack stays flat however deep calls go."""
+        trace, world = self.trace, self.world
+        loaded = world.stage == lc.LOADED   # which body and pool a call runs
+        frames = []         # the active frames, the running one last
+        f, result = None, _Call((method, list(args)))
         while True:
             try:
-                handler, op, operand, size = steps[pc]
-            except IndexError:      # the shape puts every jump on a step
-                raise InterpError("%s: fell off the end of the code"
-                                  % (f.method,)) from None
-            if self.fuel <= 0:
-                raise _FuelOut()
-            self.fuel -= 1
-            if trace is not None:
-                trace("%5d %-20s depth=%d" % (pc, ops.mnemonic(op), len(f.stack)))
-            f.pc = pc
-            try:
-                result = handler(self, f, operand)
                 if result is None:
                     pc += size
-                    continue
-                if result.__class__ is _Call:
-                    callee = self._frame(*result, len(callers) + 1)
-                    callers.append(f)
-                    f, steps, pc = callee, callee.steps, 0
-                    continue
+                elif result.__class__ is int:
+                    pc = result
+                elif result.__class__ is _Call:
+                    method, args = result
+                    code = method.code_loaded if loaded else method.code
+                    if code is None:
+                        raise InterpError("no bytecode for %s" % (method,))
+                    if len(frames) >= MAX_CALL_DEPTH:
+                        self.throw_named("java/lang/StackOverflowError")
+                    owner, n = method.owner, len(args)
+                    pool = owner.loaded_pool if loaded else owner.pool
+                    entry = code.decoded
+                    if entry is None or entry[0] is not pool or n > entry[4]:
+                        if pool is None:    # raises InvalidTransition
+                            owner.pool_at(world.stage)
+                        if n > code.max_locals:
+                            raise InterpError(
+                                "%s: %d argument slots > max_locals %d"
+                                % (method, n, code.max_locals))
+                        entry = decoded(method, code, pool, world.registry)
+                    args += entry[2][n:]    # a call's own list: the locals
+                    f = Frame(method, entry, args)
+                    frames.append(f)
+                    steps, pc = entry[1], 0
+                else:
+                    value = result[0]
+                    frames.pop()
+                    if not frames:
+                        return value
+                    f = frames[-1]      # back to the invoke that made the call
+                    steps, pc = f.steps, f.pc
+                    pc += steps[pc][3]
+                    if value is not None:
+                        s = f.stack
+                        s += (value, PAD) if value[0] in "jd" else (value,)
+                        if len(s) > f.max_stack:
+                            raise StackOverflow(f.where())
+                try:
+                    handler, op, operand, size = steps[pc]
+                except IndexError:  # the shape puts every jump on a step
+                    raise InterpError("%s: fell off the end of the code"
+                                      % (f.method,)) from None
+                if self.fuel <= 0:
+                    raise _FuelOut()
+                self.fuel -= 1
+                if trace is not None:
+                    trace("%5d %-20s depth=%d"
+                          % (pc, ops.mnemonic(op), len(f.stack)))
+                f.pc = pc
+                result = handler(self, f, operand)
             except _Thrown as t:
                 while (target := self._find_handler(f, t)) is None:
-                    if not callers:
+                    frames.pop()
+                    if not frames:
                         raise
-                    f = callers.pop()
+                    f = frames[-1]
                 f.stack[:] = [("a", t.ref)]
-                steps, pc = f.steps, target
-                continue
-            if result.__class__ is int:
-                pc = result
-                continue
-            value = result[0]
-            if not callers:
-                return value
-            f = callers.pop()           # back to the invoke that made the call
-            steps, pc = f.steps, f.pc
-            pc += steps[pc][3]
-            if value is not None:
-                s = f.stack
-                s += (value, PAD) if value[0] in "jd" else (value,)
-                if len(s) > f.max_stack:
-                    raise StackOverflow(f.where())
-
-    def _frame(self, method, args, depth):
-        """A new activation of ``method`` under ``depth`` active ones: one
-        check of its body's entry record (``decoded``), and its locals as
-        the argument slots and the record's pad past them."""
-        world = self.world
-        code = method.code_at(world.stage)
-        if code is None:
-            raise InterpError("no bytecode for %s" % (method,))
-        if depth >= MAX_CALL_DEPTH:
-            self.throw_named("java/lang/StackOverflowError")
-        pool = method.owner.pool_at(world.stage)
-        n = len(args)
-        if n > code.max_locals:
-            raise InterpError("%s: %d argument slots > max_locals %d"
-                              % (method, n, code.max_locals))
-        entry = code.decoded
-        if entry is None or entry[0] is not pool:
-            entry = decoded(method, code, pool, world.registry)
-        return Frame(method, entry, code.max_stack, [*args, *entry[2][n:]])
+                steps, result = f.steps, target
 
     def _find_handler(self, f, thrown):
         """The pc of the frame's handler for the thrown exception, or None."""
@@ -513,10 +492,10 @@ class Machine:
 # step(machine, frame, operand) runs one instruction; decode read its
 # operand.  It returns None to go on at the next instruction, a pc to branch
 # to, a _Call to make, or a 1-tuple holding the method's result (None for a
-# void return).  The invokes' steps, the lazy member step and the steps that
-# only raise are written by hand.  Every other step is generated (see
-# "generated steps" below) from what its instruction pops and pushes, which
-# its row of ``opcodes.EFFECTS`` says, and from the source of what it
+# void return).  The virtual invokes' steps, the lazy member step and the
+# steps that only raise are written by hand.  Every other step is generated
+# (see "generated steps" below) from what its instruction pops and pushes,
+# which its row of ``opcodes.EFFECTS`` says, and from the source of what it
 # computes, which the family tables here hold.
 
 def _by_opcode(table):
@@ -695,25 +674,23 @@ def _field_lines(op, type_code):
     return (*find, *(line.replace("{v}", value) for line in write))
 
 
-def _invokestatic(m, f, target):
-    return _Call((target, f.pop_args(target.nargs)))
-
-
-def _invokespecial(m, f, target):
-    args = f.pop_args(target.nargs)
+def _virtual_call(m, f, nargs):
+    """Pop a virtual call's arguments: them, the receiver's class, its name."""
+    s = f.stack
+    base = len(s) - nargs
+    if base < 0:
+        raise StackUnderflow(f.where())
+    args = s[base:]
+    del s[base:]
     if args[0][1] is None:
         m.throw_named("java/lang/NullPointerException")
-    return _Call((target, args))
+    return (args, *m.class_of_ref(args[0][1]))
 
 
 def _invoke_virtual(m, f, target):
     """invokevirtual and invokeinterface: the receiver's class's method of
     the resolved method's name and descriptor."""
-    args = f.pop_args(target.nargs)
-    recv = args[0][1]
-    if recv is None:
-        m.throw_named("java/lang/NullPointerException")
-    rc, rc_name = m.class_of_ref(recv)
+    args, rc, rc_name = _virtual_call(m, f, target.nargs)
     if rc is None or rc.state == lc.UNLOADED:
         raise InterpError("receiver class %s not loaded" % rc_name)
     found = rc.find_method(target.name, target.descriptor)
@@ -725,24 +702,23 @@ def _invoke_virtual(m, f, target):
 
 def _invoke_quick(m, f, operand):
     nargs, slot = operand
-    args = f.pop_args(nargs)
-    recv = args[0][1]
-    if recv is None:
-        m.throw_named("java/lang/NullPointerException")
-    rc, rc_name = m.class_of_ref(recv)
+    args, rc, rc_name = _virtual_call(m, f, nargs)
     if rc is None:
         raise InterpError("receiver class %s not loaded" % rc_name)
-    table = m.dispatch_table(rc)
+    table = rc.dispatch_table
+    if rc.synthetic and not table and rc.super_cls is not None:
+        table = rc.super_cls.dispatch_table
     if slot >= len(table):
         raise InterpError("dispatch slot %d out of range on %s"
                           % (slot, rc_name))
     return _Call((table[slot], args))
 
 
-_INVOKES = _by_opcode({"invokestatic": _invokestatic,
-                       "invokespecial": _invokespecial,
-                       "invokevirtual invokeinterface": _invoke_virtual})
-_HOLDS_METHOD = set(_INVOKES.values())
+_INVOKES = _by_opcode({"invokevirtual invokeinterface": _invoke_virtual})
+# member invoke whose callee decode fixes -> the check its generated step
+# makes of the receiver ({0}), if any
+_DIRECT_CALLS = _by_opcode({"invokestatic": None,
+                            "invokespecial": _NULL_CHECK})
 _STATICS = {_OP[name] for name in ("getstatic", "putstatic", "getstatic_quick",
                                    "putstatic_quick")}
 _INSTANCE_INVOKES = {_OP[name] for name in ("invokevirtual", "invokespecial",
@@ -764,6 +740,13 @@ def _member_step(op, pool, aidx):
     found = _resolve(pool, aidx)
     if found is None or (op in _INSTANCE_INVOKES and found.is_static):
         return _lazy, (op, pool, aidx)
+    if op in _DIRECT_CALLS:
+        # the kinds a call of ``found`` pops: a receiver unless it is
+        # static, so its nargs slots whatever the opcode
+        row = ops.EFFECTS[_OP["invokestatic" if found.is_static
+                              else "invokespecial"]](found.descriptor)
+        return _generated(_t_invoke, ops.Effect(row.pops, ""),
+                          _DIRECT_CALLS[op]), found
     if op in _INVOKES:
         return _INVOKES[op], found
     return (_step(_FIELD_QUICK[op], found.type_code),
@@ -807,6 +790,7 @@ class _Source:
         self.below = 0          # slots read from below the entry depth
         self.top = -1           # highest depth a push reaches, or -1
         self.ended = None       # where the end of the step starts
+        self.pc = 0             # the offset of a call that ends the step
 
     def pop(self):
         if self.stack:
@@ -970,6 +954,18 @@ def _t_switch(effect, _, g):        # o: (default, ((key, target), ...))
           % key)
 
 
+def _t_invoke(effect, check, g, method):
+    """End the step at the call: ``method`` gets the slots the row pops (a
+    long or double with its padding) once ``check`` of the receiver passes."""
+    width = sum(2 if kind in "jd" else 1 for kind in effect.pops)
+    slots = [g.pop() for _ in range(width)][::-1]
+    args = g.temp("[%s]" % "".join(slot + ", " for slot in slots))
+    ending = ["f.pc += %d" % g.pc] if g.pc else []
+    if check is not None:
+        ending.append(check.format(args + "[0][1]"))
+    g.end(*ending, "return _Call((%s, %s))" % (method, args))
+
+
 def _t_called(effect, lines, g):
     """Run ``lines`` over the values popped: the last is the source of the
     result, if the instruction pushes one."""
@@ -983,7 +979,8 @@ def _t_called(effect, lines, g):
 
 # the templates a block writes inline -> whether each takes an operand
 _INLINE = {_t_push: True, _t_store: True, _t_iinc: True, _t_shuffle: False,
-           _t_value: False, _t_if: True, _t_goto: True, _t_return: False}
+           _t_value: False, _t_if: True, _t_goto: True, _t_return: False,
+           _t_invoke: True}
 _TEMPLATES = {}     # inline step -> (its writer, whether it takes an operand)
 _STRAIGHT = set()   # the generated steps of straight-line instructions
 
@@ -1010,7 +1007,7 @@ def _handler_table():
     for template, names, source in rows:
         for name in names.split():
             table[_OP[name]] = (template, source)
-    for op in (*_INVOKES, *_FIELD_QUICK):
+    for op in (*_INVOKES, *_DIRECT_CALLS, *_FIELD_QUICK):
         table[op] = _lazy
     table[_OP["invokevirtual_quick"]] = _invoke_quick
     for template, family in ((_t_value, _VALUES), (_t_if, _IF),
@@ -1036,7 +1033,7 @@ _HANDLERS = _handler_table()
 def _step(op, type_code=None):
     """The step of ``op``, for a quick field access the one of a field of
     this type code: its hand-written handler, or else the single step its
-    template writes from its effect row, compiled when first asked for."""
+    template writes from its effect row."""
     handler = _HANDLERS[op]
     if handler.__class__ is not tuple:
         return handler
@@ -1044,6 +1041,13 @@ def _step(op, type_code=None):
     effect = ops.EFFECTS[op]
     if type_code is not None:
         effect, source = effect(type_code), source(type_code)
+    return _generated(template, effect, source)
+
+
+@functools.cache
+def _generated(template, effect, source):
+    """The single step a template writes from a row and a source, compiled
+    when first asked for."""
     write, operand = partial(template, effect, source), _INLINE.get(template)
     g = _Source()
     write(g, *(["o"] if operand else []))
@@ -1127,10 +1131,9 @@ def _decode(bc, off, op, pool, owner):
 
 def decoded(method, code, pool, registry):
     """The entry record of ``method``'s body against ``pool``, built once
-    per pool: (pool, steps indexed by pc, locals pad, handler table).  A
-    call checks the pool and makes its locals from the argument slots and
-    the pad past them; the handler table is the exception table with each
-    catch type the class it names, or None.
+    per pool: (pool, steps indexed by pc, locals pad, handler table,
+    max_locals, max_stack), all that a call reads of the body.  The handler
+    table is the exception table with each catch type its class, or None.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
     folded into the opcode it modifies, and any other pc holds None.  The
@@ -1162,7 +1165,7 @@ def decoded(method, code, pool, registry):
             step = (handler, op, operand, end - off)
             if op in _NO_OPERAND:
                 _FIXED[op] = step
-            elif handler not in _HOLDS_METHOD:
+            elif operand.__class__ is not lc.MethodRep:
                 step = shared.setdefault(step, step)
         steps[off] = step
         if step[0] not in _STRAIGHT:
@@ -1178,17 +1181,18 @@ def decoded(method, code, pool, registry):
     handlers = tuple((start, end, handler, None if catch is None
                       else pool.a_payload[catch])
                      for start, end, handler, catch in code.exception_table)
-    code.decoded = (pool, steps, shared.setdefault(pad, pad), handlers)
+    code.decoded = (pool, steps, shared.setdefault(pad, pad), handlers,
+                    code.max_locals, code.max_stack)
     return code.decoded
 
 
 def _block(run, steps, registry):
     """Put a basic block's step at its leader, where templates write two or
-    more of its instructions (one and a call save a dispatch, less than the
-    step costs to form where methods run a few times each).  The shape is
-    each handler, but for a last one run by its handler, its pc in the
-    block.  The operand is the first instruction's single step, then every
-    operand, and that handler, in order."""
+    more of its instructions (one and a step it calls save a dispatch, less
+    than the step costs to form where methods run a few times each).  The
+    shape is each handler, but for a last one run by its handler its pc in
+    the block, which a direct call has before it.  The operand is the first
+    instruction's single step, then every operand, and that handler."""
     if len(run) - (steps[run[-1]][0] not in _TEMPLATES) < 2:
         return
     start = run[0]
@@ -1200,6 +1204,8 @@ def _block(run, steps, registry):
             shape.append(off - start)
             site += (handler, operand)
         else:
+            if operand.__class__ is lc.MethodRep:   # a call, and its pc
+                shape.append(off - start)
             shape.append(handler)
             if spec[1]:
                 site.append(operand)
@@ -1209,7 +1215,7 @@ def _block(run, steps, registry):
         fn = registry.step_shapes[shape] = _block_step(shape)
     step = (fn, steps[start][1], tuple(site),
             run[-1] + steps[run[-1]][3] - start)
-    if steps[run[-1]][0] not in _HOLDS_METHOD:
+    if steps[run[-1]][2].__class__ is not lc.MethodRep:
         step = registry.shared_steps.setdefault(step, step)
     steps[start] = step
 
@@ -1222,23 +1228,23 @@ def _block_step(shape):
         params.append("o%d" % (len(params) + 1))
         return params[-1]
     for item in shape:
-        if item.__class__ is int:       # the last, run by its handler
-            g.end("f.pc += %d" % item,
-                  "return %s(m, f, %s)" % (param(), param()))
+        if item.__class__ is int:       # where the last instruction is
+            g.pc = item
         else:
             template, operand = _TEMPLATES[item]
             template(g, *([param()] if operand else []))
-    return _compile(g.block(len(shape), params))
+    called = shape[-1].__class__ is int     # the last, run by its handler
+    if called:
+        g.end("f.pc += %d" % g.pc, "return %s(m, f, %s)" % (param(), param()))
+    return _compile(g.block(called + sum(item.__class__ is not int
+                                         for item in shape), params))
 
 
 def execute(entry, args, world, fuel=DEFAULT_FUEL):
-    """Run one method to completion; never raises for in-language faults.
-
-    Returns an Outcome: a typed return value, a thrown exception class
-    name, or fuel exhaustion.  Interpreter-level problems (unsupported
-    opcodes, stack misuse) still raise, since they indicate either an
-    out-of-subset method or a transformation bug.
-    """
+    """Run one method to completion: an Outcome of a typed return value, a
+    thrown exception class name, or fuel exhaustion.  Only interpreter-level
+    problems (unsupported opcodes, stack misuse) raise: they mean an
+    out-of-subset method or a transformation bug."""
     machine = Machine(world, fuel)
     try:
         result = machine.call(entry, args)
@@ -1351,8 +1357,7 @@ def materialize_args(method, vector, world):
         elif kind == "str":
             args.append(("a", world.heap.intern(item[1])))
         elif kind in ("j", "d"):
-            args.append((kind, item[1]))
-            args.append(PAD)
+            args += ((kind, item[1]), PAD)
         else:
             args.append((kind, item[1]))
     return args
@@ -1363,6 +1368,7 @@ def seeded_vectors(method, seed, count=5):
     label = "%s.%s%s" % (method.owner.name, method.name, method.descriptor)
     rng = random.Random((zlib.crc32(label.encode()) << 1) ^ seed)
     params, _ = dsc.parse_method_descriptor(method.descriptor)
+    ints = {"Z": (0, 1), "B": (-128, 127), "C": (0, 255), "S": (-3000, 3000)}
     vectors = []
     for _ in range(count):
         vec = []
@@ -1380,14 +1386,8 @@ def seeded_vectors(method, seed, count=5):
             elif c == "D":
                 vec.append(("d", rng.choice([0.0, 1.0, -2.5,
                                              float(rng.randint(-999, 999))])))
-            elif c == "Z":
-                vec.append(("i", rng.randint(0, 1)))
-            elif c == "B":
-                vec.append(("i", rng.randint(-128, 127)))
-            elif c == "C":
-                vec.append(("i", rng.randint(0, 255)))
-            elif c == "S":
-                vec.append(("i", rng.randint(-3000, 3000)))
+            elif c in ints:
+                vec.append(("i", rng.randint(*ints[c])))
             elif p == "Ljava/lang/String;":
                 vec.append(("str", "s%d" % rng.randint(0, 9)))
             else:

@@ -22,7 +22,7 @@ from jrom.errors import (InterpError, JromError, StackOverflow,
                          StackUnderflow, UnsupportedOpcode, VerifyError)
 from jrom.pipeline import Pipeline, _world_difference
 
-from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .assembler import ACC_PRIVATE, ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .conftest import make_pipeline
 from .test_linker import GOLDEN_FLAGS
 
@@ -525,8 +525,8 @@ class TestEffects:
         if name.endswith("load") or "load_" in name or name == "iinc":
             kind = effect.pushes or "i"
             locals_[slot] = values[kind]
-        entry = (None, [], (), ())
-        f = vf.Frame("probe %s" % name, entry, 16, locals_)
+        entry = (None, [], (), (), len(locals_), 16)
+        f = vf.Frame("probe %s" % name, entry, locals_)
         f.stack = list(stack)
         operand = _effect_operand(op, cls)
         if name == "athrow":
@@ -1160,6 +1160,38 @@ class TestMemberSteps:
                 ctx = vf.ExecContext(pipe.registry, lc.LOADED)
                 vf.run_method(ctx, "vm/Stat", ("v", "()I"), [], trace=trace)
 
+    def test_fib_blocks_make_their_calls(self, linked_pipeline):
+        # each of fib's two calls ends a block, which holds fib as its
+        # last operand; the call's own single step never runs
+        reg = linked_pipeline.registry
+        fib = self._member(linked_pipeline, "corpus/Recurse", "fib")
+        code = fib.code
+        steps = vf.decoded(fib, code, fib.owner.pool, reg)[1]
+        shapes = set(reg.step_shapes.values())
+        calls = [off for off in code.shape.starts
+                 if code.bytecode[off] == ops.BY_NAME["invokestatic"]]
+        assert len(calls) == 2
+        for call in calls:
+            blocks = [step for pc, step in enumerate(steps)
+                      if step is not None and step[0] in shapes
+                      and pc + step[3] == call + 3]
+            assert len(blocks) == 1, call
+            assert blocks[0][2][-1] is fib
+            assert steps[call][0] not in blocks[0][2]
+        kept = [steps[call] for call in calls]
+
+        def never(m, f, o):
+            raise AssertionError("single call step ran at %d" % f.pc)
+        try:
+            for call in calls:
+                steps[call] = (never,) + steps[call][1:]
+            end, _, _ = machine_run(reg, lc.LINKED, fib, [("i", 10)],
+                                    100_000)
+        finally:
+            for call, step in zip(calls, kept):
+                steps[call] = step
+        assert end == ("return", ("i", 55))
+
     @pytest.mark.parametrize("closed_world", [False, True])
     def test_null_field_access_throws_where_it_is_caught(
             self, corpus_dir, tmp_path, closed_world):
@@ -1220,12 +1252,18 @@ class TestMemberSteps:
 def _pool_operand_held(pool, op, entry, idx):
     """(step, operand) decode should hold for the pool operand ``entry``
     ``idx`` of ``op``: an invoke's step and the method ``linker._resolve``
-    finds; the quick step for the type code of the field it finds, and the
+    finds, where a direct call's step is the one written from its row's
+    pops; the quick step for the type code of the field it finds, and the
     field's place; or the opcode's own step and a class, a string's text, a
     constant's slot, or a float's or double's bits."""
     want, values = entry.want, pool.v_value
     if want == cp.A_METHOD:
-        return vf._INVOKES[op], linker._resolve(pool.a_payload[idx])
+        found = linker._resolve(pool.a_payload[idx])
+        if op not in vf._DIRECT_CALLS:
+            return vf._INVOKES[op], found
+        pops = ops.EFFECTS[op](found.descriptor).pops
+        return vf._generated(vf._t_invoke, ops.Effect(pops, ""),
+                             vf._DIRECT_CALLS[op]), found
     if want == cp.A_FIELD:
         found = linker._resolve(pool.a_payload[idx])
         quick = ops.BY_NAME[ops.NAME[op] + "_quick"]
@@ -1318,6 +1356,93 @@ class TestBlocks:
                 assert fuel == 100 - pc - 1
             steps = method.code.decoded[1]
             assert steps[0][3] == len(method.code.bytecode)    # one block
+
+    @pytest.mark.parametrize("fuel", [10_000, 6])
+    def test_calls_that_end_blocks_run_as_single_steps(self, corpus_dir,
+                                                       tmp_path, fuel):
+        static, calls = ACC_PUBLIC | ACC_STATIC, "vm/Calls"
+        cb = ClassBuilder(calls)
+        cb.default_init()
+        c = cb.method("sum3", "(III)I", static)
+        c.op("iload_0").op("iload_1").op("iadd").op("iload_2").op("iadd")
+        c.op("ireturn")
+        c = cb.method("mix", "(JDI)J", static)
+        c.op("lload_0").op("dload_2").op("d2l").op("ladd").op("iload", 4)
+        c.op("i2l").op("lsub").op("lreturn")
+        c = cb.method("twice", "(I)I", ACC_PRIVATE)
+        c.op("iload_1").op("iload_1").op("iadd").op("ireturn")
+        cb.method("tight", "(I)I", static, max_locals=0) \
+            .op("iconst_0").op("ireturn")
+        c = cb.method("deep", "(I)I", static)
+        c.op("iload_0").op("iconst_1").op("iadd")
+        c.invoke("invokestatic", calls, "deep", "(I)I").op("ireturn")
+        # two arguments from below the block at L, one from inside it
+        c = cb.method("below", "(I)I", static)
+        c.op("iload_0").op("bipush", 5).op("goto", "L").label("L")
+        c.op("iload_0").op("iconst_3").op("iadd")
+        c.invoke("invokestatic", calls, "sum3", "(III)I").op("ireturn")
+        c = cb.method("fromLocals", "(I)I", static)
+        c.op("iload_0").op("iload_0").op("iload_0")
+        c.invoke("invokestatic", calls, "sum3", "(III)I").op("ireturn")
+        # a long and its padding from below the block, a double from inside
+        c = cb.method("wide", "(JD)J", static)
+        c.op("lload_0").op("goto", "L").label("L").op("dload_2")
+        c.op("bipush", 7).invoke("invokestatic", calls, "mix", "(JDI)J")
+        c.op("lreturn")
+        # a block of templates, then the call alone in its range, so only
+        # the call's own pc finds the handler
+        c = cb.method("special", "(Lvm/Calls;)I", static)
+        c.op("iconst_0").op("pop").op("aload_0").op("bipush", 4).label("A")
+        c.invoke("invokespecial", calls, "twice", "(I)I").label("B")
+        c.op("ireturn").label("H").op("pop").op("iconst_m1").op("ireturn")
+        c.handler("A", "B", "H", "java/lang/NullPointerException")
+        c = cb.method("fresh", "()I", static)
+        c.new(calls).op("dup").invoke("invokespecial", calls, "<init>", "()V")
+        c.op("bipush", 4).invoke("invokespecial", calls, "twice", "(I)I")
+        c.op("ireturn")
+        c = cb.method("past", "(I)I", static)
+        c.op("iload_0").op("iconst_1").op("iadd")
+        c.invoke("invokestatic", calls, "tight", "(I)I").op("ireturn")
+        c = cb.method("catchDeep", "()I", static)
+        c.label("A").op("iconst_0").op("iconst_0").op("pop")
+        c.invoke("invokestatic", calls, "deep", "(I)I").label("B")
+        c.op("ireturn").label("H").op("pop").op("bipush", 9).op("ireturn")
+        c.handler("A", "B", "H", "java/lang/StackOverflowError")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets([calls], closure=True)
+        assert pipe.link_all() == []
+        past = "<method vm/Calls.tight(I)I>: 1 argument slots > max_locals 0"
+        cases = {
+            "below": ([("i", 2)], ("return", ("i", 12))),
+            "fromLocals": ([("i", 4)], ("return", ("i", 12))),
+            "wide": ([("j", 10), ("d", 2.5)], ("return", ("j", 5))),
+            "special": ([("null",)], ("return", ("i", -1))),
+            "fresh": ([], ("return", ("i", 8))),
+            "past": ([("i", 1)], (InterpError, past)),
+            "deep": ([("i", 0)], ("throw", "java/lang/StackOverflowError")),
+            "catchDeep": ([], ("return", ("i", 9))),
+        }
+        shapes = set()
+        for name, (vector, expected) in cases.items():
+            method = next(m for m in pipe.registry.get(calls).methods
+                          if m.name == name)
+            for stage in (lc.LOADED, lc.LINKED):
+                blocks = machine_run(pipe.registry, stage, method, vector,
+                                     fuel)
+                single = machine_run(pipe.registry, stage, method, vector,
+                                     fuel, trace=_ignore)
+                assert blocks == single, (name, stage)
+                if fuel > 1000:
+                    assert blocks[0] == expected, (name, stage)
+                # the block that ends in the call holds its callee last and
+                # makes the call itself, through no step of its operand
+                shapes.update(pipe.registry.step_shapes.values())
+                steps = method.code_at(stage).decoded[1]
+                assert any(step[0] in shapes
+                           and isinstance(step[2][-1], lc.MethodRep)
+                           and not any(map(callable, step[2][1:]))
+                           for step in steps if step is not None), name
 
     @pytest.fixture(autouse=True)
     def _stash_pipeline(self, linked_pipeline):
