@@ -146,9 +146,10 @@ def cmd_verify(args):
     if not outcome.checked and not outcome.failures:
         print("warning: 0 methods checked (%d skipped)" % len(outcome.skipped))
         return EXIT_OK
-    print("checked %d methods, %d skipped, %d mismatches"
+    print("checked %d methods, %d skipped, %d mismatches; %d runs per side, "
+          "%d repeated vectors skipped"
           % (len(outcome.checked), len(outcome.skipped),
-             len(outcome.failures)))
+             len(outcome.failures), outcome.runs, outcome.repeats))
     for cls, meth, detail in outcome.failures:
         print("MISMATCH %s.%s: %s" % (cls, meth, detail), file=sys.stderr)
     return EXIT_CLASS_FAILURES if outcome.failures else EXIT_OK

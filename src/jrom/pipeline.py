@@ -18,6 +18,8 @@ class VerifyOutcome:
     checked: list = field(default_factory=list)     # (class, method) pairs
     skipped: list = field(default_factory=list)
     failures: list = field(default_factory=list)    # (class, method, detail)
+    runs: int = 0           # vectors run, on each side
+    repeats: int = 0        # vectors not run again: equal to an earlier one
 
     @property
     def ok(self):
@@ -216,10 +218,11 @@ class Pipeline:
                    after_registry=None, trace=None, only=None):
         """Differential check of every subset-supported method.
 
-        Compares the post-load dialect against the post-link one, or against
-        ``after_registry`` (a reloaded image) when given.  Worlds digest only
-        the zones that differ from where they started, so a reloaded image's
-        starting zones are first compared with the source registry's, once.
+        Each distinct argument vector runs once per side: the post-load
+        dialect, then the post-link one or ``after_registry`` (a reloaded
+        image).  Worlds digest only the zones that differ from where they
+        started, so a reloaded image's zones are first compared with the
+        source registry's, once.
         """
         classes = self.linked_classes()
         if any(cls.loaded_pool is None for cls in classes):
@@ -249,7 +252,7 @@ class Pipeline:
                     after = vf.ExecContext(self.registry, lc.LINKED, base)
                 vecs = vf.seeded_vectors(m, seed, vectors)
                 verdict = self._diff_method(cls.name, m.key, before, after,
-                                            vecs, fuel, trace)
+                                            vecs, fuel, trace, result)
                 if verdict is None:
                     result.checked.append((cls.name, m.name + m.descriptor))
                 elif verdict == "skip":
@@ -259,9 +262,20 @@ class Pipeline:
                                             verdict))
         return result
 
-    def _diff_method(self, cls_name, key, before, after, vecs, fuel, trace):
-        """None = equal, "skip" = unexecutable on both sides, str = failure."""
+    def _diff_method(self, cls_name, key, before, after, vecs, fuel, trace,
+                     result):
+        """None = equal, "skip" = unexecutable on both sides, str = failure.
+        A run is a pure function of its vector, so each distinct vector runs
+        once per side (floats compared by bits); ``k`` stays its position."""
+        seen = set()
         for k, vec in enumerate(vecs):
+            vid = tuple(tuple(("fp", vf.double_bits(x)) if isinstance(x, float)
+                              else x for x in item) for item in vec)
+            if vid in seen:
+                result.repeats += 1
+                continue
+            seen.add(vid)
+            result.runs += 1
             out_a, dig_a = self._run_side(before, cls_name, key, vec, fuel, trace)
             out_b, dig_b = self._run_side(after, cls_name, key, vec, fuel, trace)
             if out_a.kind == "error" or out_b.kind == "error":

@@ -128,6 +128,15 @@ class TestVerify:
         assert code == 0
         assert "0 mismatches" in out
 
+    def test_summary_counts_runs_and_repeats(self, corpus_dir, capsys):
+        assert run_cli("verify", "--classpath", corpus_dir,
+                       "corpus/Recurse") == 0
+        summary = re.search(r"checked (\d+) methods, 0 skipped, 0 mismatches; "
+                            r"(\d+) runs per side, (\d+) repeated vectors "
+                            r"skipped", capsys.readouterr().out)
+        checked, runs, repeats = map(int, summary.groups())
+        assert runs + repeats == 5 * checked and repeats > 0
+
     def test_corruption_detected_nonzero(self, corpus_dir, capsys):
         code = run_cli("verify", "--classpath", corpus_dir,
                        "--corrupt", "corpus/Constants.intConst",

@@ -126,6 +126,6 @@ def test_benchmark_harness_smoke():
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
-    assert metrics["verify.instructions"] == 830_504
-    assert metrics["verify.fuel_outs"] == 8
+    assert metrics["verify.instructions"] == 422_964
+    assert metrics["verify.fuel_outs"] == 4
     assert metrics["verify.methods_checked"] == 168

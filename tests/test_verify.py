@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 import types
@@ -20,7 +21,7 @@ from jrom import verify as vf
 from jrom import opcodes as ops
 from jrom.errors import (InterpError, JromError, StackOverflow,
                          StackUnderflow, UnsupportedOpcode, VerifyError)
-from jrom.pipeline import Pipeline, _world_difference
+from jrom.pipeline import Pipeline, VerifyOutcome, _world_difference
 
 from .assembler import ACC_PRIVATE, ACC_PUBLIC, ACC_STATIC, ClassBuilder
 from .conftest import make_pipeline
@@ -699,6 +700,69 @@ class TestDifferentialPairs:
         assert not out.failures and not out.skipped
 
 
+def _diff(pipe, cls_name, method_name, vecs):
+    """_diff_method's verdict on ``vecs``, and the runs and repeats it
+    counted."""
+    m = next(x for x in pipe.registry.get(cls_name).methods
+             if x.name == method_name)
+    out = VerifyOutcome()
+    verdict = pipe._diff_method(
+        cls_name, m.key, vf.ExecContext(pipe.registry, lc.LOADED),
+        vf.ExecContext(pipe.registry, lc.LINKED), vecs,
+        Pipeline.VERIFY_FUEL, None, out)
+    return verdict, (out.runs, out.repeats)
+
+
+class TestRepeatedVectors:
+    """Each distinct vector of a method runs once per side, and a mismatch
+    is reported under its vector's place in the list."""
+
+    @staticmethod
+    def _pipe(corpus_dir, tmp_path):
+        cb = ClassBuilder("vm/Rep")
+        cb.default_init()
+        cb.method("same", "(F)F", ACC_PUBLIC | ACC_STATIC) \
+            .op("fload_0").op("freturn")
+        cb.method("times5", "(I)I", ACC_PUBLIC | ACC_STATIC) \
+            .op("iload_0").op("bipush", 5).op("imul").op("ireturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Rep"], closure=True)
+        assert pipe.ready_all() == []
+        assert pipe.link_all() == []
+        return pipe
+
+    def test_floats_are_equal_by_their_bits(self, corpus_dir, tmp_path):
+        pipe = self._pipe(corpus_dir, tmp_path)
+        zeros = [[("f", 0.0)], [("f", -0.0)], [("f", 0.0)]]
+        assert _diff(pipe, "vm/Rep", "same", zeros) == (None, (2, 1))
+        nans = [[("f", vf.bits_float(0x7FC00000))],
+                [("f", vf.bits_float(0x7FC00000))],
+                [("f", vf.bits_float(0x7FC00001))]]
+        assert _diff(pipe, "vm/Rep", "same", nans) == (None, (2, 1))
+
+    def test_mismatch_after_a_repeat_keeps_its_index(self, corpus_dir,
+                                                     tmp_path):
+        pipe = self._pipe(corpus_dir, tmp_path)
+        assert pipe.corrupt("vm/Rep", "times5") == "vm/Rep.times5+2"
+        vecs = [[("i", 0)], [("i", 0)], [("i", 3)], [("i", 3)]]
+        verdict, counts = _diff(pipe, "vm/Rep", "times5", vecs)
+        assert verdict.startswith("vector 2: outcome "), verdict
+        assert "('i', 15)" in verdict and "('i', 12)" in verdict, verdict
+        assert counts == (2, 1)
+
+    def test_sentinel_of_criterion_3_at_vector_0(self, corpus_dir):
+        # intConst takes no arguments: its five vectors are one
+        pipe = make_pipeline(corpus_dir)
+        only = "corpus/Constants.intConst"
+        out = pipe.verify_all(only=only)
+        assert out.checked and (out.runs, out.repeats) == (1, 4)
+        pipe.corrupt("corpus/Constants", "intConst")
+        out = pipe.verify_all(only=only)
+        [(_, method, detail)] = out.failures
+        assert method == "intConst()I" and detail.startswith("vector 0: ")
+
+
 class TestMismatchDetail:
     def test_static_slot_difference_is_named(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Slots")
@@ -736,7 +800,52 @@ class TestMismatchDetail:
         assert detail.endswith("vs 'absent'")
 
 
+def _seeded_runs(pipe, seed=0, count=5):
+    """(class name, method, base, seeded vectors) of each method that
+    verify_all compares, in its order."""
+    for cls in pipe.linked_classes():
+        for m in cls.methods:
+            if m.code is not None and vf.in_subset(m.code_loaded):
+                base = "init" if m.name == "<clinit>" else "live"
+                yield cls.name, m, base, vf.seeded_vectors(m, seed, count)
+
+
+def _first_draws(vecs):
+    """For each vector, whether no earlier one in ``vecs`` equals it item
+    by item, floats compared by their bits."""
+    seen, first = set(), []
+    for vec in vecs:
+        ident = tuple(tuple(struct.pack(">d", x) if isinstance(x, float)
+                            else x for x in item) for item in vec)
+        first.append(ident not in seen)
+        seen.add(ident)
+    return first
+
+
 class TestDeterminismAndFuel:
+    def test_a_second_run_repeats_the_first(self, linked_pipeline):
+        # verify_all runs each distinct vector once per side, which holds
+        # only while a run is a pure function of its inputs: a second run
+        # of a vector, on a warm decode, gives the first's outcome and world
+        pipe = linked_pipeline
+        reloaded = rz.load_image(pipe.emit_image())
+        distinct = 0
+        for cls_name, m, base, vecs in _seeded_runs(pipe):
+            contexts = (vf.ExecContext(pipe.registry, lc.LOADED, base),
+                        vf.ExecContext(pipe.registry, lc.LINKED, base),
+                        vf.ExecContext(reloaded, lc.LINKED, base))
+            for vec, first in zip(vecs, _first_draws(vecs)):
+                if not first:
+                    continue
+                distinct += 1
+                for ctx in contexts:
+                    once = vf.run_method(ctx, cls_name, m.key, vec,
+                                         Pipeline.VERIFY_FUEL)
+                    again = vf.run_method(ctx, cls_name, m.key, vec,
+                                          Pipeline.VERIFY_FUEL)
+                    assert once == again, (ctx.stage, cls_name, m.name, vec)
+        assert distinct == 437
+
     def test_execute_is_deterministic(self, linked_pipeline):
         a = run_static(linked_pipeline, "corpus/app/Tour", "boxTour",
                        [("i", 4)])
@@ -868,11 +977,43 @@ class TestLazyWorld:
         assert after_read.value == plain.value
 
 
-# the whole trace stream of verify_all(seed=0) on the linked corpus: any
-# change to which instructions run, in what order, at what stack depth shows
+# the trace stream of every seeded run (seed 0, 5 vectors) of every method
+# verify_all compares on the linked corpus, loaded then linked, in its order:
+# any change to which instructions run, in what order, at what stack depth
+# shows
 GOLDEN_TRACE_LINES = 830_358
 GOLDEN_TRACE_SHA256 = \
     "f5fb82c6e00d4c889ebcb8370daedeee1ab645afbff853fb1826d99bd56e32a3"
+
+
+class _TraceDigest:
+    """A trace sink that keeps only the count and SHA-256 of its lines."""
+
+    def __init__(self):
+        self.lines, self.sha = 0, hashlib.sha256()
+
+    def __call__(self, line):
+        self.lines += 1
+        self.sha.update(line.encode() + b"\n")
+
+
+@pytest.fixture(scope="module")
+def golden_streams(corpus_dir):
+    """Traces of every seeded run, and of the runs of each method's
+    distinct vectors alone, driven through run_method."""
+    pipe = make_pipeline(corpus_dir)
+    every, distinct = _TraceDigest(), _TraceDigest()
+
+    def both(line):
+        every(line)
+        distinct(line)
+    for cls_name, m, base, vecs in _seeded_runs(pipe):
+        for vec, first in zip(vecs, _first_draws(vecs)):
+            for stage in (lc.LOADED, lc.LINKED):
+                vf.run_method(vf.ExecContext(pipe.registry, stage, base),
+                              cls_name, m.key, vec, Pipeline.VERIFY_FUEL,
+                              trace=both if first else every)
+    return every, distinct
 
 
 def _write_class(root, cb):
@@ -885,16 +1026,20 @@ class TestDecode:
     """Decoding each body once keeps every outcome, error and trace line of
     reading each operand as its instruction runs."""
 
-    def test_golden_trace(self, corpus_dir):
-        digest, lines = hashlib.sha256(), []
+    def test_golden_trace(self, golden_streams):
+        every, _ = golden_streams
+        assert every.lines == GOLDEN_TRACE_LINES
+        assert every.sha.hexdigest() == GOLDEN_TRACE_SHA256
 
-        def trace(line):
-            lines.append(None)
-            digest.update(line.encode() + b"\n")
-        out = make_pipeline(corpus_dir).verify_all(seed=0, trace=trace)
+    def test_verify_all_traces_each_distinct_run_once(self, corpus_dir,
+                                                      golden_streams):
+        _, distinct = golden_streams
+        sink = _TraceDigest()
+        out = make_pipeline(corpus_dir).verify_all(seed=0, trace=sink)
         assert len(out.checked) == 168 and not out.failures
-        assert len(lines) == GOLDEN_TRACE_LINES
-        assert digest.hexdigest() == GOLDEN_TRACE_SHA256
+        assert (out.runs, out.repeats) == (437, 403)
+        assert sink.lines == distinct.lines < GOLDEN_TRACE_LINES
+        assert sink.sha.hexdigest() == distinct.sha.hexdigest()
 
     def test_dead_operands_raise_only_when_run(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Lazy")
