@@ -208,16 +208,18 @@ class ClassRep:
         return None
 
     def find_field(self, name, descriptor):
-        """Resolution order: own fields, then interfaces, then superclass."""
-        for f in self.fields:
-            if f.name == name and f.descriptor == descriptor:
-                return f
-        for iface in self.interfaces:
-            found = iface.find_field(name, descriptor)
-            if found is not None:
-                return found
-        if self.super_cls is not None:
-            return self.super_cls.find_field(name, descriptor)
+        """Resolution order: own fields, then the superinterfaces depth
+        first, then the superclass, each class searched once."""
+        stack, seen = [self], set()
+        while stack:
+            k = stack.pop()
+            if k is None or k.name in seen:
+                continue
+            seen.add(k.name)
+            for f in k.fields:
+                if f.name == name and f.descriptor == descriptor:
+                    return f
+            stack += [k.super_cls, *reversed(k.interfaces)]
         return None
 
     def hierarchy(self):
@@ -336,35 +338,40 @@ class Loader:
         self.classpath = classpath
         self.registry = registry
         self.failed = {}    # name -> the error its load raised, raised again
-        self._in_progress = []
 
     def ensure_loaded(self, name):
-        cls = self.registry.new_unloaded(name)
-        if cls.state != UNLOADED:
-            return cls
-        if name in self.failed:
-            raise self.failed[name]
-        if name in self._in_progress:
-            raise HierarchyCycle(" -> ".join(self._in_progress + [name]))
-        self._in_progress.append(name)
+        """Load a class, its superclasses first: walk up their names,
+        parsing each class, to one that is loaded, then load back down.  A
+        class the walk leaves unloaded records the error that stopped it."""
+        first = cls = self.registry.new_unloaded(name)
+        path, parsed = {}, []   # the walk from ``name`` up: name -> class
         try:
-            data = self.classpath.find(name)
-            if data is None:
-                raise ClassNotFound(name)
-            raw = cf.parse_class(data)
-            if raw.name != name:
-                raise NameMismatch("file declares %s, expected %s"
-                                   % (raw.name, name))
-            if raw.super_name is not None:
-                self.ensure_loaded(raw.super_name)
-            load_parsed(cls, raw, data, self.registry.resolve,
-                        self.registry.shared_shapes)
+            while cls.state == UNLOADED:
+                if name in self.failed:
+                    raise self.failed[name]
+                if name in path:
+                    raise HierarchyCycle(" -> ".join([*path, name]))
+                path[name] = cls
+                data = self.classpath.find(name)
+                if data is None:
+                    raise ClassNotFound(name)
+                raw = cf.parse_class(data)
+                if raw.name != name:
+                    raise NameMismatch("file declares %s, expected %s"
+                                       % (raw.name, name))
+                parsed.append((cls, raw, data))
+                if raw.super_name is None:
+                    break
+                name = raw.super_name
+                cls = self.registry.new_unloaded(name)
+            for cls, raw, data in reversed(parsed):
+                load_parsed(cls, raw, data, self.registry.resolve,
+                            self.registry.shared_shapes)
         except JromError as e:
-            self.failed[name] = e
+            self.failed.update((n, e) for n, c in path.items()
+                               if c.state == UNLOADED)
             raise
-        finally:
-            self._in_progress.pop()
-        return cls
+        return first
 
 
 def load(cls, data, resolver):

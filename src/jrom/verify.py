@@ -23,11 +23,10 @@ What an instruction pops and pushes is written once, in its row of
 that row and from the source of what it computes, which its family's table
 here holds; run alone, that source is the instruction's single step,
 compiled the first time decode asks for it.  Decode picks a field access's
-step by the type code of the field it names, and a direct call's
-(invokestatic, invokespecial) by the kinds a call of the method it names
-pops, so no step checks a kind at run time.  Only the virtual invokes,
-which pick their callee as they run, the lazy member step and the steps
-that only raise are written by hand.
+step by the type code of the field it names, and a call's by the number of
+argument slots it passes, so no step checks a kind at run time.  A virtual
+call's step picks its callee from the receiver's class as it runs.  Only
+the lazy member step and the steps that only raise are written by hand.
 
 Decode also splits the body into basic blocks: a leader is pc 0, one of
 the shape's jump targets, or the instruction after one that is not
@@ -35,7 +34,7 @@ straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
 unary or binary operator).  Where templates write two or more of a block's
 instructions, its leader holds one generated step: statements over Python
 temporaries, ending in an inline test and return (a branch, goto or
-return), a direct call given the temporaries as its arguments, or a call
+return), a call given the temporaries as its arguments, or a call
 of the last instruction's step (one that can throw, say), once ``f.pc`` is
 set to it.  The step first checks that the machine has fuel for the whole
 block, that no trace is set, and that the stack depth stays within [need,
@@ -492,8 +491,8 @@ class Machine:
 # step(machine, frame, operand) runs one instruction; decode read its
 # operand.  It returns None to go on at the next instruction, a pc to branch
 # to, a _Call to make, or a 1-tuple holding the method's result (None for a
-# void return).  The virtual invokes' steps, the lazy member step and the
-# steps that only raise are written by hand.  Every other step is generated
+# void return).  The lazy member step and the steps that only raise are
+# written by hand.  Every other step is generated
 # (see "generated steps" below) from what its instruction pops and pushes,
 # which its row of ``opcodes.EFFECTS`` says, and from the source of what it
 # computes, which the family tables here hold.
@@ -525,8 +524,9 @@ def _unresolvable(m, f, index):
                       % (f.method, index, f.pc))
 
 
-def _bad_newarray(m, f, atype):
-    raise InterpError("bad newarray type %d" % atype)
+def _bad_operand(m, f, what):
+    """An operand that decode read but no step can run with."""
+    raise InterpError("bad %s" % what)
 
 
 def _fdiv(a, b):
@@ -674,35 +674,21 @@ def _field_lines(op, type_code):
     return (*find, *(line.replace("{v}", value) for line in write))
 
 
-def _virtual_call(m, f, nargs):
-    """Pop a virtual call's arguments: them, the receiver's class, its name."""
-    s = f.stack
-    base = len(s) - nargs
-    if base < 0:
-        raise StackUnderflow(f.where())
-    args = s[base:]
-    del s[base:]
-    if args[0][1] is None:
-        m.throw_named("java/lang/NullPointerException")
-    return (args, *m.class_of_ref(args[0][1]))
-
-
-def _invoke_virtual(m, f, target):
-    """invokevirtual and invokeinterface: the receiver's class's method of
-    the resolved method's name and descriptor."""
-    args, rc, rc_name = _virtual_call(m, f, target.nargs)
+def _virtual_target(m, receiver, target):
+    """invokevirtual's and invokeinterface's callee, by name and type."""
+    rc, rc_name = m.class_of_ref(receiver)
     if rc is None or rc.state == lc.UNLOADED:
         raise InterpError("receiver class %s not loaded" % rc_name)
     found = rc.find_method(target.name, target.descriptor)
     if found is None:
         raise InterpError("no %s%s on %s"
                           % (target.name, target.descriptor, rc_name))
-    return _Call((found, args))
+    return found
 
 
-def _invoke_quick(m, f, operand):
-    nargs, slot = operand
-    args, rc, rc_name = _virtual_call(m, f, nargs)
+def _quick_target(m, receiver, slot):
+    """invokevirtual_quick's callee, at a slot of the receiver's table."""
+    rc, rc_name = m.class_of_ref(receiver)
     if rc is None:
         raise InterpError("receiver class %s not loaded" % rc_name)
     table = rc.dispatch_table
@@ -711,18 +697,19 @@ def _invoke_quick(m, f, operand):
     if slot >= len(table):
         raise InterpError("dispatch slot %d out of range on %s"
                           % (slot, rc_name))
-    return _Call((table[slot], args))
+    return table[slot]
 
 
-_INVOKES = _by_opcode({"invokevirtual invokeinterface": _invoke_virtual})
-# member invoke whose callee decode fixes -> the check its generated step
-# makes of the receiver ({0}), if any
-_DIRECT_CALLS = _by_opcode({"invokestatic": None,
-                            "invokespecial": _NULL_CHECK})
+# invoke -> the check its step makes of the receiver ({0}), if any, and the
+# source of the method it calls, from the receiver and its operand o
+_CALLS = _by_opcode({
+    "invokestatic": (None, "{o}"), "invokespecial": (_NULL_CHECK, "{o}"),
+    "invokevirtual invokeinterface": (_NULL_CHECK,
+                                      "_virtual_target(m, {0}, {o})"),
+    "invokevirtual_quick": (_NULL_CHECK, "_quick_target(m, {0}, {o})")})
 _STATICS = {_OP[name] for name in ("getstatic", "putstatic", "getstatic_quick",
                                    "putstatic_quick")}
-_INSTANCE_INVOKES = {_OP[name] for name in ("invokevirtual", "invokespecial",
-                                            "invokeinterface")}
+_INSTANCE_INVOKES = {op for op, (check, _) in _CALLS.items() if check}
 # member field instruction -> the quick form whose steps it runs
 _FIELD_QUICK = {_OP[name]: _OP[name + "_quick"]
                 for name in ("getstatic", "putstatic", "getfield", "putfield")}
@@ -733,22 +720,20 @@ def _field_operand(op, owner, zone, offset):
     return (owner, zone, offset) if op in _STATICS else offset
 
 
+def _call_step(op, nargs):
+    """The step of invoke ``op`` passing ``nargs`` slots of any kinds."""
+    return _generated(_t_invoke, ops.Effect("1" * nargs, ""), _CALLS[op])
+
+
 def _member_step(op, pool, aidx):
-    """(step, operand) of member instruction ``op``: its quick step if the
-    member handle ``aidx`` of ``pool`` resolves now to a member it can use,
-    else the lazy step."""
+    """(step, operand) of member instruction ``op``: if the member handle
+    ``aidx`` of ``pool`` resolves now to a member it can use, the step of a
+    call of that method or the field's quick step, else the lazy step."""
     found = _resolve(pool, aidx)
     if found is None or (op in _INSTANCE_INVOKES and found.is_static):
         return _lazy, (op, pool, aidx)
-    if op in _DIRECT_CALLS:
-        # the kinds a call of ``found`` pops: a receiver unless it is
-        # static, so its nargs slots whatever the opcode
-        row = ops.EFFECTS[_OP["invokestatic" if found.is_static
-                              else "invokespecial"]](found.descriptor)
-        return _generated(_t_invoke, ops.Effect(row.pops, ""),
-                          _DIRECT_CALLS[op]), found
-    if op in _INVOKES:
-        return _INVOKES[op], found
+    if op in _CALLS:
+        return _call_step(op, found.nargs), found
     return (_step(_FIELD_QUICK[op], found.type_code),
             _field_operand(op, found.owner, found.zone, found.offset))
 
@@ -954,16 +939,17 @@ def _t_switch(effect, _, g):        # o: (default, ((key, target), ...))
           % key)
 
 
-def _t_invoke(effect, check, g, method):
-    """End the step at the call: ``method`` gets the slots the row pops (a
-    long or double with its padding) once ``check`` of the receiver passes."""
-    width = sum(2 if kind in "jd" else 1 for kind in effect.pops)
-    slots = [g.pop() for _ in range(width)][::-1]
+def _t_invoke(effect, call, g, operand):
+    """End the step at the call: once ``call``'s check of the receiver
+    passes, the callee it names gets the slots the row pops as its locals."""
+    check, callee = call
+    slots = [g.pop() for _ in effect.pops][::-1]
     args = g.temp("[%s]" % "".join(slot + ", " for slot in slots))
     ending = ["f.pc += %d" % g.pc] if g.pc else []
     if check is not None:
         ending.append(check.format(args + "[0][1]"))
-    g.end(*ending, "return _Call((%s, %s))" % (method, args))
+    g.end(*ending, "return _Call((%s, %s))"
+          % (callee.format(args + "[0][1]", o=operand), args))
 
 
 def _t_called(effect, lines, g):
@@ -1007,9 +993,10 @@ def _handler_table():
     for template, names, source in rows:
         for name in names.split():
             table[_OP[name]] = (template, source)
-    for op in (*_INVOKES, *_DIRECT_CALLS, *_FIELD_QUICK):
+    for op in (*_CALLS, *_FIELD_QUICK):
         table[op] = _lazy
-    table[_OP["invokevirtual_quick"]] = _invoke_quick
+    quick = _OP["invokevirtual_quick"]  # decode writes it from its nargs
+    table[quick] = (_t_invoke, _CALLS[quick])
     for template, family in ((_t_value, _VALUES), (_t_if, _IF),
                              (_t_called, _CALLED)):
         for op, source in family.items():
@@ -1073,14 +1060,19 @@ def _decode(bc, off, op, pool, owner):
     """(step, operand) of the instruction ``op`` at ``off``, in a method of
     ``owner``: its operand read, mostly through the ``opcodes.OPERANDS``
     table, with the pool entry it names read too.  A table index that does
-    not name an entry of the kind the operand wants, or a bad newarray
-    type, gives a step that raises when it runs."""
+    not name an entry of the kind the operand wants, a bad newarray type,
+    or a virtual call passing no receiver gives a step that raises when it
+    runs."""
     entry = ops.OPERANDS.get(op)
     kind = entry.kind if entry is not None else None
     if kind == ops.IMMEDIATE:
         offset, tc = ops.field_immediate(bc, off)
         return _step(op, tc), _field_operand(op, owner, "a" if tc == dsc.TC_REF
                                              else "v", offset)
+    if kind == ops.NARGS_SLOT:      # argument slots, dispatch slot
+        if bc[off + 1] == 0:
+            return _bad_operand, "%s of no argument slots" % ops.NAME[op]
+        return _call_step(op, bc[off + 1]), bc[off + 2]
     handler = _step(op)
     if handler is _unsupported:
         return handler, op
@@ -1093,8 +1085,6 @@ def _decode(bc, off, op, pool, owner):
         return handler, (slot, _sign8(bc[off + 2]))
     if kind == ops.BRANCH:
         return handler, ops.branch_targets(bc, off)[0]
-    if kind == ops.NARGS_SLOT:
-        return handler, (bc[off + 1], bc[off + 2])
     if kind is not None:            # TABLE
         idx = ops.read_operand(bc, off, entry.size)
         if not cp.holds(pool, entry.space, idx, entry.want):
@@ -1122,7 +1112,7 @@ def _decode(bc, off, op, pool, owner):
     if op == _OP["newarray"]:
         comp = _NEWARRAY_TYPES.get(bc[off + 1])
         if comp is None:
-            return _bad_newarray, bc[off + 1]
+            return _bad_operand, "newarray type %d" % bc[off + 1]
         return handler, comp
     if op in (ops.TABLESWITCH, ops.LOOKUPSWITCH):
         return handler, ops.switch_cases(bc, off)
@@ -1140,13 +1130,15 @@ def decoded(method, code, pool, registry):
     leader of a basic block may hold the block's step instead (``_block``):
     (function, first opcode, operand, block size).  ``_decode`` reads each
     operand and the pool entry it names once, and resolves member operands:
-    resolution reads only loaded classes, whose members never change.
-    Steps and pads equal to one in the registry's ``shared_steps`` are that
-    one tuple, which keeps the decodes of a large class set small; a step
-    holding a method, which does not hash, is its own.  A body with no
-    shape yet (one reloaded from an image) gets it here, so a structurally
-    bad one raises VerifyError before any step is built.  The code keeps
-    its record until its bytecode is rewritten.
+    resolution reads only loaded classes, whose members never change.  A
+    call's step is that of its number of argument slots, its operand the
+    method resolved or a quick call's dispatch slot.  Steps and pads equal
+    to one in the registry's ``shared_steps`` are that one tuple, which
+    keeps the decodes of a large class set small; a step holding a method,
+    which does not hash, is its own.  A body with no shape yet (one
+    reloaded from an image) gets it here, so a structurally bad one raises
+    VerifyError before any step is built.  The code keeps its record until
+    its bytecode is rewritten.
     """
     cached = code.decoded
     if cached is not None and cached[0] is pool:
@@ -1191,7 +1183,7 @@ def _block(run, steps, registry):
     more of its instructions (one and a step it calls save a dispatch, less
     than the step costs to form where methods run a few times each).  The
     shape is each handler, but for a last one run by its handler its pc in
-    the block, which a direct call has before it.  The operand is the first
+    the block, which a call has before it.  The operand is the first
     instruction's single step, then every operand, and that handler."""
     if len(run) - (steps[run[-1]][0] not in _TEMPLATES) < 2:
         return
@@ -1204,7 +1196,7 @@ def _block(run, steps, registry):
             shape.append(off - start)
             site += (handler, operand)
         else:
-            if operand.__class__ is lc.MethodRep:   # a call, and its pc
+            if spec[0].func is _t_invoke:   # a call, and its pc
                 shape.append(off - start)
             shape.append(handler)
             if spec[1]:

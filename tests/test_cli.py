@@ -492,3 +492,75 @@ class TestClosureFailures:
         if command == "report":
             text = open(out).read()
             assert "corpus/Empty" in text and "probe/T" not in text
+
+
+def _write_chain(root, depth):
+    """A superclass chain ``depth`` classes deep, deep/C0 a subclass of
+    Object with a static X, each the superclass of the next; the last has
+    x()I, which reads X through its own name.  Returns the last's name."""
+    for k in range(depth):
+        cb = ClassBuilder("deep/C%d" % k, super_name="deep/C%d" % (k - 1)
+                          if k else "java/lang/Object")
+        cb.default_init()
+        if k == 0:
+            cb.field("X", "I", ACC_PUBLIC | ACC_STATIC, const=("i", 7))
+        if k == depth - 1:
+            cb.method("x", "()I", ACC_PUBLIC | ACC_STATIC) \
+                .getstatic(cb.name, "X", "I").op("ireturn")
+        path = root / (cb.name + ".class")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(cb.build())
+    return "deep/C%d" % (depth - 1)
+
+
+class TestDeepHierarchy:
+    """Loading walks a superclass chain, and field resolution searches
+    one, in a loop: a chain deeper than Python's recursion limit loads,
+    links, checks and romizes."""
+
+    @pytest.mark.parametrize("command, depth", [
+        ("report", 2000), ("romize", 2000), ("verify", 1200)])
+    def test_deep_superclass_chain(self, corpus_dir, tmp_path, capsys,
+                                   command, depth):
+        top = _write_chain(tmp_path / "chain", depth)
+        argv = [command, "--classpath", str(tmp_path / "chain"),
+                "--classpath", corpus_dir, top]
+        if command == "romize":
+            argv[1:1] = ["--out", str(tmp_path / "deep.rom")]
+        assert run_cli(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        if command == "verify":
+            assert "checked %d methods, 0 skipped, 0 mismatches" \
+                % (depth + 5) in out
+
+
+class TestIllTypedProbes:
+    """Ill-typed bytecode that escapes the command line as a Python error
+    rather than failing as a class.  Each probe is a static ()I method
+    with max_stack 4 and max_locals 4; once a type checker rejects them,
+    these tests pass and their marks must go."""
+
+    @pytest.mark.xfail(strict=True, raises=(TypeError, AttributeError),
+                       reason="no type checker rejects ill-typed bytecode")
+    @pytest.mark.parametrize("body", [
+        (("aconst_null",), ("iconst_1",), ("iadd",)),
+        (("iinc", 3, 1), ("iload_3",)),
+        (("lconst_1",), ("iconst_1",), ("iadd",)),
+        (("iconst_1",), ("arraylength",)),
+        (("iconst_1",), ("iconst_0",), ("iaload",)),
+    ], ids=["null_iadd", "iinc_unset", "long_iadd", "int_arraylength",
+            "int_iaload"])
+    def test_probe_fails_as_a_class(self, corpus_dir, tmp_path, capsys,
+                                    body):
+        cb = ClassBuilder("probe/Ill")
+        c = cb.method("m", "()I", ACC_PUBLIC | ACC_STATIC, max_stack=4,
+                      max_locals=4)
+        for op in body:
+            c.op(*op)
+        c.op("ireturn")
+        (tmp_path / "probe").mkdir()
+        (tmp_path / "probe" / "Ill.class").write_bytes(cb.build())
+        assert run_cli("verify", "--classpath", str(tmp_path),
+                       "--classpath", corpus_dir, "probe/Ill") == 1
+        assert "probe/Ill" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -98,8 +99,42 @@ class TestLoad:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(cb.build())
         reg, loader = fresh_world(corpus_dir, str(tmp_path))
-        with pytest.raises(lc.HierarchyCycle):
+        with pytest.raises(lc.HierarchyCycle,
+                           match="^cyc/A -> cyc/B -> cyc/A$") as cycle:
             loader.ensure_loaded("cyc/A")
+        # each class on the cycle records the one failure, raised again
+        assert loader.failed == {"cyc/A": cycle.value, "cyc/B": cycle.value}
+        with pytest.raises(lc.HierarchyCycle) as again:
+            loader.ensure_loaded("cyc/B")
+        assert again.value is cycle.value
+
+    def test_find_field_order(self):
+        """JVMS 5.4.3.2: a class's own fields, then its superinterfaces
+        depth first, then its superclass.  C extends B implements I1, I2;
+        I1 and I2 extend J; B implements K.  A chain of 5,000 interfaces
+        is searched without recursing."""
+        def field_of(declaring):
+            reps = {n: lc.ClassRep(n) for n in ("C", "B", "I1", "I2", "J",
+                                                 "K", "Object")}
+            for n, rep in reps.items():
+                rep.fields = [types.SimpleNamespace(
+                    name="f", descriptor="I", owner=n)] * (n in declaring)
+            reps["C"].super_cls, reps["B"].super_cls = reps["B"], \
+                reps["Object"]
+            reps["C"].interfaces = [reps["I1"], reps["I2"]]
+            reps["I1"].interfaces = reps["I2"].interfaces = [reps["J"]]
+            reps["B"].interfaces = [reps["K"]]
+            found = reps["C"].find_field("f", "I")
+            return found and found.owner
+        order = ["C", "I1", "J", "I2", "B", "K", "Object"]
+        for k, owner in enumerate(order):
+            assert field_of(order[k:]) == owner
+        assert field_of([]) is None
+        chain = [lc.ClassRep("I%d" % k) for k in range(5000)]
+        for sub, sup in zip(chain, chain[1:]):
+            sub.interfaces = [sup]
+        chain[-1].fields = [types.SimpleNamespace(name="f", descriptor="I")]
+        assert chain[0].find_field("f", "I") is chain[-1].fields[0]
 
     @pytest.mark.parametrize("name, super_name", [
         ("java/lang/Object", "[Ljava/lang/Object;"),

@@ -23,7 +23,8 @@ from jrom.errors import (InterpError, JromError, StackOverflow,
                          StackUnderflow, UnsupportedOpcode, VerifyError)
 from jrom.pipeline import Pipeline, VerifyOutcome, _world_difference
 
-from .assembler import ACC_PRIVATE, ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .assembler import (ACC_ABSTRACT, ACC_INTERFACE, ACC_PRIVATE, ACC_PUBLIC,
+                        ACC_STATIC, ClassBuilder)
 from .conftest import make_pipeline
 from .test_linker import GOLDEN_FLAGS
 
@@ -487,17 +488,20 @@ class TestEffects:
         # and the quick field accesses for each type code
         registry = linked_pipeline.registry
         cls = registry.get("corpus/Empty")
+        quick_call = ops.BY_NAME["invokevirtual_quick"]
         checked = set()
         for op, row in sorted(ops.EFFECTS.items()):
-            if vf._HANDLERS[op].__class__ is not tuple:
-                continue        # the invokes and the lazy member steps
+            if vf._HANDLERS[op].__class__ is not tuple or op == quick_call:
+                # the lazy member steps, and the quick call, whose step
+                # decode writes from the number of slots it passes
+                continue
             for tc in (range(8) if callable(row) else [None]):
                 effect = row(tc) if callable(row) else row
                 step = vf._step(op) if tc is None else vf._step(op, tc)
                 self._check(registry, cls, op, effect, step)
                 checked.add(op)
         expected = {op for op, h in enumerate(vf._HANDLERS)
-                    if h.__class__ is tuple}
+                    if h.__class__ is tuple and op != quick_call}
         assert checked == expected and len(checked) > 180
 
     @staticmethod
@@ -1059,6 +1063,27 @@ class TestDecode:
                 run_static(pipe, "vm/Lazy", "badType", [("i", 0)],
                            stage=lc.LOADED)
 
+    def test_quick_call_of_no_argument_slots_raises_only_when_run(
+            self, linked_pipeline):
+        # castArea(I)I: 0 iload_0; 1 invokestatic make; 4 checkcast Shape;
+        # 7 invokevirtual_quick area, whose argument-slot byte is set to 0.
+        # make(1) is a Box, which the handler of the failed cast returns -4
+        # for; make(0) is a Circle, whose call of area runs the bad operand.
+        reloaded = rz.load_image(linked_pipeline.emit_image())
+        code = reloaded.get("corpus/Casts").declared_method(
+            ("castArea", "(I)I")).code
+        assert code.bytecode[7] == ops.BY_NAME["invokevirtual_quick"]
+        code.bytecode[8] = 0
+        ctx = vf.ExecContext(reloaded, lc.LINKED)
+        for trace in (None, _ignore):
+            out, _ = vf.run_method(ctx, "corpus/Casts", ("castArea", "(I)I"),
+                                   [("i", 1)], trace=trace)
+            assert (out.kind, out.value) == ("return", ("i", -4))
+            with pytest.raises(InterpError, match="bad invokevirtual_quick "
+                               "of no argument slots"):
+                vf.run_method(ctx, "corpus/Casts", ("castArea", "(I)I"),
+                              [("i", 0)], trace=trace)
+
     def test_branch_off_an_instruction_boundary(self, corpus_dir, tmp_path):
         # 0: bipush 7; 2: goto +3; 5: ireturn
         cb = ClassBuilder("vm/Jump")
@@ -1396,19 +1421,16 @@ class TestMemberSteps:
 
 def _pool_operand_held(pool, op, entry, idx):
     """(step, operand) decode should hold for the pool operand ``entry``
-    ``idx`` of ``op``: an invoke's step and the method ``linker._resolve``
-    finds, where a direct call's step is the one written from its row's
-    pops; the quick step for the type code of the field it finds, and the
-    field's place; or the opcode's own step and a class, a string's text, a
-    constant's slot, or a float's or double's bits."""
+    ``idx`` of ``op``: the step of a call passing the argument slots of the
+    method ``linker._resolve`` finds, and that method; the quick step for
+    the type code of the field it finds, and the field's place; or the
+    opcode's own step and a class, a string's text, a constant's slot, or a
+    float's or double's bits."""
     want, values = entry.want, pool.v_value
     if want == cp.A_METHOD:
         found = linker._resolve(pool.a_payload[idx])
-        if op not in vf._DIRECT_CALLS:
-            return vf._INVOKES[op], found
-        pops = ops.EFFECTS[op](found.descriptor).pops
-        return vf._generated(vf._t_invoke, ops.Effect(pops, ""),
-                             vf._DIRECT_CALLS[op]), found
+        return vf._generated(vf._t_invoke, ops.Effect("1" * found.nargs, ""),
+                             vf._CALLS[op]), found
     if want == cp.A_FIELD:
         found = linker._resolve(pool.a_payload[idx])
         quick = ops.BY_NAME[ops.NAME[op] + "_quick"]
@@ -1506,7 +1528,12 @@ class TestBlocks:
     def test_calls_that_end_blocks_run_as_single_steps(self, corpus_dir,
                                                        tmp_path, fuel):
         static, calls = ACC_PUBLIC | ACC_STATIC, "vm/Calls"
-        cb = ClassBuilder(calls)
+        npe = "java/lang/NullPointerException"
+        iface = ClassBuilder("vm/Twice",
+                             flags=ACC_PUBLIC | ACC_INTERFACE | ACC_ABSTRACT)
+        iface.method("twiceV", "(I)I", ACC_PUBLIC | ACC_ABSTRACT)
+        _write_class(tmp_path, iface)
+        cb = ClassBuilder(calls, interfaces=("vm/Twice",))
         cb.default_init()
         c = cb.method("sum3", "(III)I", static)
         c.op("iload_0").op("iload_1").op("iadd").op("iload_2").op("iadd")
@@ -1553,11 +1580,54 @@ class TestBlocks:
         c.invoke("invokestatic", calls, "deep", "(I)I").label("B")
         c.op("ireturn").label("H").op("pop").op("bipush", 9).op("ireturn")
         c.handler("A", "B", "H", "java/lang/StackOverflowError")
+        # virtual calls, which link makes invokevirtual_quick, and an
+        # interface call, each ending a block
+        c = cb.method("twiceV", "(I)I")
+        c.op("iload_1").op("iload_1").op("iadd").op("ireturn")
+        c = cb.method("vmix", "(JDI)J")
+        c.op("lload_1").op("dload_3").op("d2l").op("ladd").op("iload", 5)
+        c.op("i2l").op("lsub").op("lreturn")
+        cb.method("hash", "()I").op("aload_0") \
+            .invoke("invokevirtual", calls, "hashCode", "()I").op("ireturn")
+        c = cb.method("iface", "()I")
+        c.op("aload_0").op("bipush", 4)
+        c.invoke("invokeinterface", "vm/Twice", "twiceV", "(I)I").op("ireturn")
+        # a null receiver, with only the call's own pc in the handler range
+        for name, op, owner in (("virtualNull", "invokevirtual", calls),
+                                ("ifaceNull", "invokeinterface", "vm/Twice")):
+            c = cb.method(name, "(Lvm/Calls;)I", static)
+            c.op("iconst_0").op("pop").op("aload_0").op("bipush", 4)
+            c.label("A").invoke(op, owner, "twiceV", "(I)I").label("B")
+            c.op("ireturn").label("H").op("pop").op("iconst_m1")
+            c.op("ireturn").handler("A", "B", "H", npe)
+        # an array receiver: Object's method, through its dispatch table
+        c = cb.method("array", "()I", static)
+        c.op("iconst_2").op("newarray", 10).op("astore_0").op("aload_0")
+        c.invoke("invokevirtual", "java/lang/Object", "hashCode", "()I")
+        c.op("ireturn")
+        # a pseudo-object receiver: the ArithmeticException that idiv
+        # throws, of a class this set does not load, caught by any handler
+        c = cb.method("pseudo", "()I", static)
+        c.label("A").op("iconst_1").op("iconst_0").op("idiv").op("ireturn")
+        c.label("B").label("H").op("bipush", 4)
+        c.invoke("invokevirtual", calls, "twiceV", "(I)I").op("ireturn")
+        c.handler("A", "B", "H", None)
+        c = cb.method("vdeep", "(I)I")
+        c.op("aload_0").op("iload_1").op("iconst_1").op("iadd")
+        c.invoke("invokevirtual", calls, "vdeep", "(I)I").op("ireturn")
+        # the receiver and a long from below the block, a double from inside
+        c = cb.method("vwide", "(JD)J")
+        c.op("aload_0").op("lload_1").op("goto", "L").label("L")
+        c.op("dload_3").op("bipush", 7)
+        c.invoke("invokevirtual", calls, "vmix", "(JDI)J").op("lreturn")
         _write_class(tmp_path, cb)
         pipe = Pipeline([str(tmp_path), corpus_dir])
         pipe.load_targets([calls], closure=True)
         assert pipe.link_all() == []
         past = "<method vm/Calls.tight(I)I>: 1 argument slots > max_locals 0"
+        pseudo = ("receiver class java/lang/ArithmeticException not loaded")
+        hash_code = pipe.registry.get("java/lang/Object") \
+            .declared_method(("hashCode", "()I"))
         cases = {
             "below": ([("i", 2)], ("return", ("i", 12))),
             "fromLocals": ([("i", 4)], ("return", ("i", 12))),
@@ -1567,6 +1637,14 @@ class TestBlocks:
             "past": ([("i", 1)], (InterpError, past)),
             "deep": ([("i", 0)], ("throw", "java/lang/StackOverflowError")),
             "catchDeep": ([], ("return", ("i", 9))),
+            "hash": ([], ("return", ("i", 0))),
+            "iface": ([], ("return", ("i", 8))),
+            "virtualNull": ([("null",)], ("return", ("i", -1))),
+            "ifaceNull": ([("null",)], ("return", ("i", -1))),
+            "array": ([], ("return", ("i", 0))),
+            "pseudo": ([], (InterpError, pseudo)),
+            "vdeep": ([("i", 0)], ("throw", "java/lang/StackOverflowError")),
+            "vwide": ([("j", 10), ("d", 2.5)], ("return", ("j", 5))),
         }
         shapes = set()
         for name, (vector, expected) in cases.items():
@@ -1580,14 +1658,27 @@ class TestBlocks:
                 assert blocks == single, (name, stage)
                 if fuel > 1000:
                     assert blocks[0] == expected, (name, stage)
-                # the block that ends in the call holds its callee last and
-                # makes the call itself, through no step of its operand
+                # a block ends at the call and makes it itself, through no
+                # step of its operand
                 shapes.update(pipe.registry.step_shapes.values())
-                steps = method.code_at(stage).decoded[1]
-                assert any(step[0] in shapes
-                           and isinstance(step[2][-1], lc.MethodRep)
+                code = method.code_at(stage)
+                steps = code.decoded[1]
+                ends = {off + ops.size_at(code.bytecode, off)
+                        for off in code.shape.starts
+                        if ops.NAME[code.bytecode[off]].startswith("invoke")}
+                assert any(step[0] in shapes and pc + step[3] in ends
                            and not any(map(callable, step[2][1:]))
-                           for step in steps if step is not None), name
+                           for pc, step in enumerate(steps)
+                           if step is not None), (name, stage)
+                if name == "hash":
+                    # aload_0 and the call are one block, which holds the
+                    # callee last: the method, or in the quick form its slot
+                    quick = stage == lc.LINKED
+                    assert ops.NAME[code.bytecode[1]] == (
+                        "invokevirtual_quick" if quick else "invokevirtual")
+                    assert steps[0][0] in shapes and steps[0][3] == 4
+                    assert steps[0][2][-1] == (hash_code.dispatch_slot
+                                               if quick else hash_code)
 
     @pytest.fixture(autouse=True)
     def _stash_pipeline(self, linked_pipeline):
