@@ -229,8 +229,11 @@ class ClassRep:
             k = k.super_cls
 
     def is_subclass_of(self, other):
+        """Whether ``other`` is this class, a superclass or one of their
+        superinterfaces, each interface searched once."""
         if other.name == "java/lang/Object":
             return True
+        seen = set()
         for k in self.hierarchy():
             if k is other:
                 return True
@@ -239,7 +242,9 @@ class ClassRep:
                 iface = stack.pop()
                 if iface is other:
                     return True
-                stack.extend(iface.interfaces)
+                if iface.name not in seen:
+                    seen.add(iface.name)
+                    stack.extend(iface.interfaces)
         return False
 
     def static_slot(self, zone, offset):
@@ -277,7 +282,6 @@ class Registry:
         # ops.Shapes of loading and decode, are each kept as one
         self.shared_steps = {}
         self.shared_shapes = {}
-        self.step_shapes = {}       # block shape -> its compiled verify step
         for p in self.PRIMITIVES:
             self.classes[p] = ClassRep(p, synthetic=True)
 

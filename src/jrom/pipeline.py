@@ -136,7 +136,15 @@ class Pipeline:
         failures = []
         classes = [c for c in self.registry.loadable()
                    if c.state in (lc.LOADED, lc.LINKED) and not c.ready]
-        classes.sort(key=lambda c: (sum(1 for _ in c.hierarchy()), c.name))
+        depth = {None: 0}   # class -> the length of its superclass chain
+        for k in classes:
+            chain = []
+            while k not in depth:
+                chain.append(k)
+                k = k.super_cls
+            for k in reversed(chain):
+                depth[k] = depth[k.super_cls] + 1
+        classes.sort(key=lambda c: (depth[c], c.name))
         for cls in classes:
             try:
                 lc.make_ready(cls, self._clinit_interp)
@@ -164,14 +172,12 @@ class Pipeline:
             for slot in a_rt:
                 if slot is None:
                     new_a.append(None)
+                elif isinstance(slot, vf.Str):
+                    new_a.append(("str", slot.text))
                 else:
-                    item = world.heap.get(slot)
-                    if isinstance(item, vf.Str):
-                        new_a.append(("str", item.text))
-                    else:
-                        raise UnsupportedClinit(
-                            "%s.<clinit> stored a non-string reference into "
-                            "a static of %s" % (cls.name, name))
+                    raise UnsupportedClinit(
+                        "%s.<clinit> stored a non-string reference into "
+                        "a static of %s" % (cls.name, name))
             persisted[name] = (new_a, list(v_rt))
         for name, (new_a, new_v) in persisted.items():
             target = self.registry.get(name)

@@ -40,7 +40,7 @@ set to it.  The step first checks that the machine has fuel for the whole
 block, that no trace is set, and that the stack depth stays within [need,
 max_stack - top]; if not, it runs only its first instruction, so trace
 lines, fuel-outs, stack errors and ``Machine.fuel`` are those of single
-steps.  Each block shape is compiled once per registry.
+steps.  Each block shape is compiled once per process.
 
 One loop in ``Machine.call`` runs a method and every call it makes, and
 makes every frame from the callee's entry record, pushed on a list instead
@@ -137,36 +137,21 @@ def _sign16(v):
     return v - 65536 if v >= 32768 else v
 
 
-class Ref:
-    """Heap reference; distinguishable from primitive slot values."""
-    __slots__ = ("id",)
-
-    def __init__(self, rid):
-        self.id = rid
-
-    def __eq__(self, other):
-        return isinstance(other, Ref) and other.id == self.id
-
-    def __hash__(self):
-        return hash(("ref", self.id))
-
-    def __repr__(self):
-        return "@%d" % self.id
-
-
 class Obj:
-    __slots__ = ("cls", "cls_name", "slots")
+    __slots__ = ("id", "cls", "cls_name", "slots")
 
-    def __init__(self, cls, cls_name, slots):
+    def __init__(self, rid, cls, cls_name, slots):
+        self.id = rid
         self.cls = cls
         self.cls_name = cls_name
         self.slots = slots
 
 
 class Arr:
-    __slots__ = ("comp", "elems")
+    __slots__ = ("id", "comp", "elems")
 
-    def __init__(self, comp, elems):
+    def __init__(self, rid, comp, elems):
+        self.id = rid
         self.comp = comp
         self.elems = elems
 
@@ -179,29 +164,29 @@ class Str:
 
 
 class MiniHeap:
-    """Objects, arrays and interned strings; ids are never reused.
+    """Objects, arrays and interned strings; a reference slot holds the
+    item itself, and two references are equal only if they are one item.
 
-    Objects and arrays count up from 1 and interned strings down from -1,
-    so object ids do not depend on which strings a run happened to intern.
+    Objects and arrays carry ids that count up from 1 in the order they
+    are made.  An interned string is one Str per text and has no id, so
+    object ids do not depend on which strings a run happened to intern.
     """
 
     def __init__(self):
-        self.items = {}
-        self._next = 1
+        self.made = []      # the objects and arrays, in creation order
         self._interned = {}
         self._elements = 0
 
-    def _add(self, item):
-        rid = self._next
-        self._next += 1
-        self.items[rid] = item
-        return Ref(rid)
+    def _add(self, kind, *fields):
+        item = kind(len(self.made) + 1, *fields)
+        self.made.append(item)
+        return item
 
     def new_object(self, cls):
-        return self._add(Obj(cls, cls.name, cls.instance_defaults()))
+        return self._add(Obj, cls, cls.name, cls.instance_defaults())
 
     def new_pseudo(self, cls_name):
-        return self._add(Obj(None, cls_name, []))
+        return self._add(Obj, None, cls_name, [])
 
     def new_array(self, comp, length):
         self._elements += length
@@ -214,18 +199,13 @@ class MiniHeap:
             elems = [None] * length
         else:
             elems = [0] * length
-        return self._add(Arr(comp, elems))
+        return self._add(Arr, comp, elems)
 
     def intern(self, text):
-        ref = self._interned.get(text)
-        if ref is None:
-            ref = Ref(-1 - len(self._interned))
-            self.items[ref.id] = Str(text)
-            self._interned[text] = ref
-        return ref
-
-    def get(self, ref):
-        return self.items[ref.id]
+        item = self._interned.get(text)
+        if item is None:
+            item = self._interned[text] = Str(text)
+        return item
 
 
 def base_zones(cls, base):
@@ -343,13 +323,12 @@ class Machine:
     # --- helpers ---
 
     def class_of_ref(self, ref):
-        item = self.world.heap.get(ref)
-        if isinstance(item, Str):
+        if isinstance(ref, Str):
             return self.world.registry.get("java/lang/String"), "java/lang/String"
-        if isinstance(item, Arr):
-            name = "[" + item.comp
+        if isinstance(ref, Arr):
+            name = "[" + ref.comp
             return self.world.registry.new_unloaded(name), name
-        return item.cls, item.cls_name
+        return ref.cls, ref.cls_name
 
     def throw_named(self, name):
         cls = self.world.registry.get(name)
@@ -389,14 +368,10 @@ class Machine:
         src_cls, src_name = self.class_of_ref(ref)
         return self.assignable(src_name, src_cls, cls)
 
-    def object_at(self, ref):
-        if ref is None:
+    def element_of(self, arr, index):
+        """The array, once it is checked not null and ``index`` in range."""
+        if arr is None:
             self.throw_named("java/lang/NullPointerException")
-        return self.world.heap.get(ref)
-
-    def element_of(self, aref, index):
-        """The array and a checked index into it."""
-        arr = self.object_at(aref)
         if not 0 <= index < len(arr.elems):
             self.throw_named("java/lang/ArrayIndexOutOfBoundsException")
         return arr
@@ -618,7 +593,7 @@ _NARROW_STORE = {"b": "_sign8({2})", "c": "_u16({2})", "s": "_sign16({2})",
 # the source of its result if it pushes one
 _CALLED = _by_opcode({
     "ldc_quick_a ldc_quick_a_w": ("m.world.heap.intern(o)",),
-    "arraylength": ("len(m.object_at({0}).elems)",),
+    "arraylength": (_NULL_CHECK, "len({0}.elems)"),
     "idiv": (_ZERO_CHECK, "i32(_quotient({0}, {1}))"),
     "irem": (_ZERO_CHECK, "i32({0} - _quotient({0}, {1}) * {1})"),
     "ldiv": (_ZERO_CHECK, "i64(_quotient({0}, {1}))"),
@@ -660,9 +635,9 @@ def _field_lines(op, type_code):
     if type_code in _NARROWS:
         value = "%s(%s)" % (_NARROWS[type_code], value)
     if name == "getfield_quick":
-        return _NULL_CHECK, "m.world.heap.get({0}).slots[o]"
+        return _NULL_CHECK, "{0}.slots[o]"
     if name == "putfield_quick":
-        return (_NULL_CHECK, "slots = m.world.heap.get({0}).slots",
+        return (_NULL_CHECK, "slots = {0}.slots",
                 "slots[o] = " + value) + (("slots[o + 1] = None",)
                                           if kind in "jd" else ())
     # o: (class, zone, offset) names the static in the class's hierarchy
@@ -968,6 +943,7 @@ _INLINE = {_t_push: True, _t_store: True, _t_iinc: True, _t_shuffle: False,
            _t_value: False, _t_if: True, _t_goto: True, _t_return: False,
            _t_invoke: True}
 _TEMPLATES = {}     # inline step -> (its writer, whether it takes an operand)
+_BLOCKS = {}        # block shape -> the function of its step
 _STRAIGHT = set()   # the generated steps of straight-line instructions
 
 
@@ -1202,9 +1178,9 @@ def _block(run, steps, registry):
             if spec[1]:
                 site.append(operand)
     shape = tuple(shape)
-    fn = registry.step_shapes.get(shape)
+    fn = _BLOCKS.get(shape)
     if fn is None:
-        fn = registry.step_shapes[shape] = _block_step(shape)
+        fn = _BLOCKS[shape] = _block_step(shape)
     step = (fn, steps[start][1], tuple(site),
             run[-1] + steps[run[-1]][3] - start)
     if steps[run[-1]][2].__class__ is not lc.MethodRep:
@@ -1246,10 +1222,10 @@ def execute(entry, args, world, fuel=DEFAULT_FUEL):
         return Outcome("fuel")
     if result is None:
         return Outcome("return")
-    return Outcome("return", value=normalize_slot(result, world.heap))
+    return Outcome("return", value=normalize_slot(result))
 
 
-def normalize_slot(slot, heap):
+def normalize_slot(slot):
     tag, v = slot
     if tag == "f":
         return (tag, float_bits(v))       # NaN-safe, bit-exact comparison
@@ -1257,12 +1233,11 @@ def normalize_slot(slot, heap):
         return (tag, double_bits(v))
     if tag != "a" or v is None:
         return (tag, v)
-    item = heap.get(v)
-    if isinstance(item, Str):
-        return ("a", ("str", item.text))
-    if isinstance(item, Arr):
-        return ("a", ("arr", v.id, item.comp))
-    return ("a", ("obj", v.id, item.cls_name))
+    if isinstance(v, Str):
+        return ("a", ("str", v.text))
+    if isinstance(v, Arr):
+        return ("a", ("arr", v.id, v.comp))
+    return ("a", ("obj", v.id, v.cls_name))
 
 
 def world_digest(world):
@@ -1275,10 +1250,9 @@ def world_digest(world):
     Interned strings compare by text and stay out of the heap part.
     """
     def norm(v):
-        if isinstance(v, Ref):
-            item = world.heap.get(v)
-            if isinstance(item, Str):
-                return ("str", item.text)
+        if isinstance(v, Str):
+            return ("str", v.text)
+        if isinstance(v, (Obj, Arr)):
             return ("ref", v.id)
         if isinstance(v, float):
             return ("fp", double_bits(v))
@@ -1292,13 +1266,12 @@ def world_digest(world):
         if a != list(a_src) or v != list(v_src):
             zones[name] = (tuple(a), tuple(v))
     heap = []
-    for rid in sorted(world.heap.items):
-        item = world.heap.items[rid]
+    for item in world.heap.made:
         if isinstance(item, Arr):
-            heap.append((rid, "arr", item.comp,
+            heap.append((item.id, "arr", item.comp,
                          tuple(norm(e) for e in item.elems)))
-        elif isinstance(item, Obj):
-            heap.append((rid, "obj", item.cls_name,
+        else:
+            heap.append((item.id, "obj", item.cls_name,
                          tuple(norm(s) for s in item.slots)))
     return (zones, tuple(heap))
 

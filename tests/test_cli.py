@@ -16,7 +16,8 @@ from jrom import romizer as rz
 from jrom.cli import main
 
 from . import image_oracle
-from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
+from .assembler import (ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC,
+                        ACC_STATIC, ACC_SUPER, ClassBuilder)
 from .conftest import make_pipeline
 from .corpus import corpus_names
 from .test_linker import GOLDEN_FLAGS
@@ -513,13 +514,46 @@ def _write_chain(root, depth):
     return "deep/C%d" % (depth - 1)
 
 
+def _write_interfaces(root, supers):
+    """Interfaces p/<name> extending the interfaces ``supers`` maps each
+    to, p/K implementing the first, and an abstract class p/A with a
+    concrete method, whose check looks for a concrete subclass of p/A
+    among every loaded class.  Returns the names to check."""
+    for name, interfaces in supers.items():
+        cb = ClassBuilder("p/" + name, flags=ACC_PUBLIC | ACC_INTERFACE
+                          | ACC_ABSTRACT, interfaces=["p/" + i
+                                                      for i in interfaces])
+        (root / "p").mkdir(parents=True, exist_ok=True)
+        (root / "p" / (name + ".class")).write_bytes(cb.build())
+    cb = ClassBuilder("p/K", interfaces=["p/" + next(iter(supers))])
+    (root / "p" / "K.class").write_bytes(cb.default_init().build())
+    cb = ClassBuilder("p/A", flags=ACC_PUBLIC | ACC_SUPER | ACC_ABSTRACT)
+    cb.default_init()
+    cb.method("x", "()I").op("iconst_1").op("ireturn")
+    (root / "p" / "A.class").write_bytes(cb.build())
+    return ["p/A", "p/K"]
+
+
+def _diamonds(levels):
+    """T0 extends L0 and R0, each extending T1, and so on: a class
+    implementing T0 reaches T<levels> along 2**levels paths."""
+    supers = {}
+    for k in range(levels):
+        supers["T%d" % k] = ["L%d" % k, "R%d" % k]
+        supers["L%d" % k] = supers["R%d" % k] = ["T%d" % (k + 1)]
+    supers["T%d" % levels] = []
+    return supers
+
+
 class TestDeepHierarchy:
     """Loading walks a superclass chain, and field resolution searches
     one, in a loop: a chain deeper than Python's recursion limit loads,
-    links, checks and romizes."""
+    links, checks and romizes.  A subclass test searches each interface
+    once, so interface cycles and diamonds end, and end fast."""
 
     @pytest.mark.parametrize("command, depth", [
-        ("report", 2000), ("romize", 2000), ("verify", 1200)])
+        ("report", 2000), ("report", 5000), ("romize", 2000),
+        ("verify", 1200)])
     def test_deep_superclass_chain(self, corpus_dir, tmp_path, capsys,
                                    command, depth):
         top = _write_chain(tmp_path / "chain", depth)
@@ -533,6 +567,15 @@ class TestDeepHierarchy:
         if command == "verify":
             assert "checked %d methods, 0 skipped, 0 mismatches" \
                 % (depth + 5) in out
+
+    @pytest.mark.parametrize("supers", [
+        {"I1": ["I2"], "I2": ["I1"]}, _diamonds(30)],
+        ids=["cycle", "diamonds"])
+    def test_interface_graph(self, corpus_dir, tmp_path, capsys, supers):
+        targets = _write_interfaces(tmp_path / "ifaces", supers)
+        assert run_cli("verify", "--classpath", str(tmp_path / "ifaces"),
+                       "--classpath", corpus_dir, *targets) in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestIllTypedProbes:

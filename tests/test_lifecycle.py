@@ -622,6 +622,26 @@ class TestMakeReady:
         owner, local = cls.static_slot(f.zone, f.offset)
         assert owner.v_static_zone[local] == 3
 
+    def test_ready_all_runs_shallower_classes_first(self, corpus_dir,
+                                                    tmp_path, monkeypatch):
+        # by depth of superclass chain, then by name: not name order
+        supers = {"ro/A": "ro/B", "ro/B": None, "ro/C": None, "ro/D": None,
+                  "ro/E": "ro/A"}
+        for name, sup in supers.items():
+            cb = ClassBuilder(name, super_name=sup or "java/lang/Object")
+            (tmp_path / "ro").mkdir(exist_ok=True)
+            (tmp_path / (name + ".class")).write_bytes(
+                cb.default_init().build())
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(sorted(supers), closure=True)
+        order, make_ready = [], lc.make_ready
+        monkeypatch.setattr(lc, "make_ready", lambda cls, interp: (
+            order.append(cls.name), make_ready(cls, interp)))
+        assert pipe.ready_all() == []
+        assert [n for n in order if n.startswith("ro/")] == [
+            "ro/B", "ro/C", "ro/D", "ro/A", "ro/E"]
+        assert order[0] == "java/lang/Object"
+
     def test_ready_is_idempotent(self, corpus_dir):
         reg, loader = fresh_world(corpus_dir)
         cls = loader.ensure_loaded("corpus/Empty")

@@ -277,6 +277,18 @@ def _instance_fields(c):
     c.op("l2i").op("iadd").op("ireturn")
 
 
+def _same_object(c):
+    """if_acmpeq of an object against itself when argument 0 is 0, else
+    against a second object made alike."""
+    for second in (False, True):
+        c.new("vm/Ops").op("dup")
+        c.invoke("invokespecial", "vm/Ops", "<init>", "()V")
+        if not second:
+            c.op("dup").op("iload_0").op("ifeq", "S").op("pop")
+    c.label("S")
+    _branch("if_acmpeq")(c)
+
+
 F, D = vf.float_bits, vf.double_bits
 
 # Every opcode the corpus never executes, and ifnull/ifnonnull, which it
@@ -362,6 +374,8 @@ OPCODE_CASES = [
     ("if_acmpne", "(Ljava/lang/String;)I",
      lambda c: (c.op("aload_0").op("aconst_null"), _branch("if_acmpne")(c)),
      [([("null",)], ("i", 0)), ([("str", "x")], ("i", 1))], (), False),
+    ("if_acmpeq", "(I)I", _same_object,
+     [([("i", 0)], ("i", 1)), ([("i", 1)], ("i", 0))], (), False),
     ("ifnull", "(Ljava/lang/String;)I",
      lambda c: (c.op("aload_0"), _branch("ifnull")(c)),
      [([("null",)], ("i", 1)), ([("str", "x")], ("i", 0))], (), False),
@@ -509,7 +523,7 @@ class TestEffects:
         name = ops.NAME[op]
         m = vf.Machine(vf.World(registry, lc.LINKED), 10)
         heap = m.world.heap
-        obj = heap._add(vf.Obj(cls, cls.name, [0, 0]))
+        obj = vf.Obj(1, cls, cls.name, [0, 0])  # a reference is its object
         values = {"i": ("i", 1), "j": ("j", 1), "f": ("f", 1.0),
                   "d": ("d", 1.0), "a": ("a", obj)}
         if name in _ARRAY_COMPONENTS:   # pops an array first
@@ -958,14 +972,21 @@ class TestLazyWorld:
 
     def test_object_ids_ignore_string_static_reads(self, corpus_dir,
                                                    tmp_path):
+        # objects and arrays count from 1 in the order a run makes them,
+        # and the digest lists them in that order
         cb = ClassBuilder("vm/Ids")
         cb.field("S", "Ljava/lang/String;", ACC_PUBLIC | ACC_STATIC,
                  const=("s", "static text"))
         cb.default_init()
-        for name, read_first in (("plain", False), ("afterRead", True)):
+        for name, read_first in (("plain", False), ("afterRead", True),
+                                 ("mixed", True)):
             c = cb.method(name, "()Lvm/Ids;", ACC_PUBLIC | ACC_STATIC)
             if read_first:
                 c.getstatic("vm/Ids", "S", "Ljava/lang/String;").op("pop")
+            if name == "mixed":
+                c.ldc_str("literal").op("pop")
+                c.new("vm/Ids").op("pop").op("iconst_2")
+                c.op("newarray", 10).op("pop")
             c.new("vm/Ids").op("dup")
             c.invoke("invokespecial", "vm/Ids", "<init>", "()V")
             c.op("areturn")
@@ -977,8 +998,14 @@ class TestLazyWorld:
         assert pipe.link_all() == []
         plain = run_static(pipe, "vm/Ids", "plain")
         after_read = run_static(pipe, "vm/Ids", "afterRead")
-        assert plain.value[1][0] == "obj"
+        assert plain.value == ("a", ("obj", 1, "vm/Ids"))
         assert after_read.value == plain.value
+        ctx = vf.ExecContext(pipe.registry, lc.LINKED)
+        out, (_, heap) = vf.run_method(ctx, "vm/Ids", ("mixed", "()Lvm/Ids;"),
+                                       [])
+        assert out.value == ("a", ("obj", 3, "vm/Ids"))
+        assert heap == ((1, "obj", "vm/Ids", ()), (2, "arr", "I", (0, 0)),
+                        (3, "obj", "vm/Ids", ()))
 
 
 # the trace stream of every seeded run (seed 0, 5 vectors) of every method
@@ -1220,7 +1247,7 @@ class TestMemberSteps:
                                                             flags):
         # and, for every other pool operand, exactly what its entry names
         pipe = make_pipeline(corpus_dir, **GOLDEN_FLAGS[flags])
-        blocks = set(pipe.registry.step_shapes.values())
+        blocks = set(vf._BLOCKS.values())
         counts = {}
         for cls in pipe.linked_classes():
             for m in cls.methods:
@@ -1229,7 +1256,7 @@ class TestMemberSteps:
                     if code is None:
                         continue
                     steps = vf.decoded(m, code, pool, pipe.registry)[1]
-                    blocks.update(pipe.registry.step_shapes.values())
+                    blocks.update(vf._BLOCKS.values())
                     for off in code.shape.starts:
                         named = ops.pool_operand(code.bytecode, off)
                         if named is None:
@@ -1258,7 +1285,7 @@ class TestMemberSteps:
         pipe = make_pipeline(corpus_dir)
         out = pipe.verify_all(seed=0, vectors=5)
         assert len(out.checked) == 168 and not out.failures
-        blocks = set(pipe.registry.step_shapes.values())
+        blocks = set(vf._BLOCKS.values())
         decodes = 0
         for cls in pipe.registry.classes.values():
             for m in cls.methods:
@@ -1337,7 +1364,7 @@ class TestMemberSteps:
         fib = self._member(linked_pipeline, "corpus/Recurse", "fib")
         code = fib.code
         steps = vf.decoded(fib, code, fib.owner.pool, reg)[1]
-        shapes = set(reg.step_shapes.values())
+        shapes = set(vf._BLOCKS.values())
         calls = [off for off in code.shape.starts
                  if code.bytecode[off] == ops.BY_NAME["invokestatic"]]
         assert len(calls) == 2
@@ -1464,7 +1491,7 @@ def machine_run(registry, stage, method, vector, fuel, trace=None):
     machine = vf.Machine(world, fuel)
     try:
         result = machine.call(method, args)
-        end = ("return", result and vf.normalize_slot(result, world.heap))
+        end = ("return", result and vf.normalize_slot(result))
     except vf._Thrown as t:
         end = ("throw", t.cls_name)
     except vf._FuelOut:
@@ -1497,7 +1524,11 @@ class TestBlocks:
                                              trace=_ignore)
                         assert blocks == single, (m, stage, vector)
                         runs += 1
-        assert runs > 1500 and reg.step_shapes
+        blocks = set(vf._BLOCKS.values())
+        assert runs > 1500 and any(
+            step is not None and step[0] in blocks
+            for cls in linked_pipeline.linked_classes() for m in cls.methods
+            if m.code and m.code.decoded for step in m.code.decoded[1])
 
     def test_stack_errors_name_the_instruction(self, corpus_dir, tmp_path):
         cb = ClassBuilder("vm/Blocks")
@@ -1660,7 +1691,7 @@ class TestBlocks:
                     assert blocks[0] == expected, (name, stage)
                 # a block ends at the call and makes it itself, through no
                 # step of its operand
-                shapes.update(pipe.registry.step_shapes.values())
+                shapes.update(vf._BLOCKS.values())
                 code = method.code_at(stage)
                 steps = code.decoded[1]
                 ends = {off + ops.size_at(code.bytecode, off)
