@@ -18,21 +18,21 @@ TC_BYTE = 5     # also boolean
 TC_CHAR = 6
 TC_SHORT = 7
 
+MAX_DIMENSIONS = 255   # of an array type (JVMS 4.3.2)
+MAX_ARG_SLOTS = 255    # of a method, its receiver too (JVMS 4.3.3)
+
 _PRIM_CODES = {
     "I": TC_INT, "F": TC_FLOAT, "J": TC_LONG, "D": TC_DOUBLE,
     "B": TC_BYTE, "Z": TC_BYTE, "C": TC_CHAR, "S": TC_SHORT,
 }
 
 
+@functools.lru_cache(maxsize=4096)
 def type_code(descriptor):
-    """3-bit type code for a field descriptor."""
-    c = descriptor[:1]
-    if c in ("L", "["):
-        return TC_REF
-    try:
-        return _PRIM_CODES[c]
-    except KeyError:
-        raise ClassFileError("bad field descriptor %r" % descriptor) from None
+    """3-bit type code for a field descriptor, one whole field type."""
+    if _scan_one(descriptor, 0) != len(descriptor):
+        raise ClassFileError("bad field descriptor %r" % descriptor)
+    return _PRIM_CODES.get(descriptor[0], TC_REF)
 
 
 def slot_width(descriptor):
@@ -43,6 +43,13 @@ def slot_width(descriptor):
 
 
 def _scan_one(desc, i):
+    """The end of the field type that starts at ``i`` of ``desc``."""
+    start = i
+    while i < len(desc) and desc[i] == "[":
+        i += 1
+    if i - start > MAX_DIMENSIONS:
+        raise ClassFileError("array type of %d dimensions, over %d"
+                             % (i - start, MAX_DIMENSIONS))
     if i >= len(desc):
         raise ClassFileError("truncated descriptor %r" % desc)
     c = desc[i]
@@ -53,8 +60,6 @@ def _scan_one(desc, i):
         if end < 0:
             raise ClassFileError("unterminated class type in %r" % desc)
         return end + 1
-    if c == "[":
-        return _scan_one(desc, i + 1)
     raise ClassFileError("bad descriptor char %r in %r" % (c, desc))
 
 
@@ -66,8 +71,11 @@ def parse_method_descriptor(desc):
 
 def arg_slots(desc, include_receiver):
     """32-bit argument slots of a method, counting long/double as two."""
-    n = _method(desc)[2]
-    return n + 1 if include_receiver else n
+    n = _method(desc)[2] + bool(include_receiver)
+    if n > MAX_ARG_SLOTS:
+        raise ClassFileError("%d argument slots, over %d, in %r"
+                             % (n, MAX_ARG_SLOTS, desc))
+    return n
 
 
 @functools.lru_cache(maxsize=4096)

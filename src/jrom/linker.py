@@ -165,7 +165,7 @@ def _rewrite_member(m, bc, off, member, ctx):
     op = bc[off]
     if op == _OP["invokevirtual"]:
         slot = member.dispatch_slot
-        if slot is not None and slot < 256 and member.nargs < 256:
+        if slot is not None and slot < 256:    # nargs < 256 at load
             bc[off:off + 3] = bytes((_OP["invokevirtual_quick"], member.nargs,
                                      slot))
         return

@@ -28,19 +28,18 @@ argument slots it passes, so no step checks a kind at run time.  A virtual
 call's step picks its callee from the receiver's class as it runs.  Only
 the lazy member step and the steps that only raise are written by hand.
 
-Decode also splits the body into basic blocks: a leader is pc 0, one of
-the shape's jump targets, or the instruction after one that is not
-straight-line (a load, store, constant, iinc, pop, pop2, nop, shuffle, or
-unary or binary operator).  Where templates write two or more of a block's
-instructions, its leader holds one generated step: statements over Python
-temporaries, ending in an inline test and return (a branch, goto or
-return), a call given the temporaries as its arguments, or a call
-of the last instruction's step (one that can throw, say), once ``f.pc`` is
-set to it.  The step first checks that the machine has fuel for the whole
-block, that no trace is set, and that the stack depth stays within [need,
-max_stack - top]; if not, it runs only its first instruction, so trace
-lines, fuel-outs, stack errors and ``Machine.fuel`` are those of single
-steps.  Each block shape is compiled once per process.
+Decode also gives each leader (pc 0, a jump target, or the instruction
+after one that ends a path) one generated step for its path (``_block``):
+statements over Python temporaries, with each conditional branch a side
+exit that writes the stack back and returns its target.  The step charges
+its path's fuel on entry, gives back that of the instructions it did not
+run at a side exit or a raise, and sets ``f.pc`` before each instruction
+that can throw or call.  A path that jumps back to its leader with the
+stack as it found it runs as a loop, each iteration charged before it
+starts.  Without fuel for the path, with a trace set, or with the stack
+depth outside [need, max_stack - top], the step runs only its first
+instruction, so trace lines, fuel-outs, stack errors and ``Machine.fuel``
+are those of single steps.  Each block shape is compiled once per process.
 
 One loop in ``Machine.call`` runs a method and every call it makes, and
 makes every frame from the callee's entry record, pushed on a list instead
@@ -587,27 +586,25 @@ _NULL_CHECK = "if {0} is None: m.throw_named('java/lang/NullPointerException')"
 _ZERO_CHECK = "if {1} == 0: m.throw_named('java/lang/ArithmeticException')"
 _NARROW_STORE = {"b": "_sign8({2})", "c": "_u16({2})", "s": "_sign16({2})",
                  "f": "f32({2})"}
-# op -> the lines of a step that a block calls rather than writes inline,
-# that of an instruction that can throw or reads or makes objects:
-# statements in the values it pops ({0} the lowest) and its operand o, then
-# the source of its result if it pushes one
+# op -> the lines of an instruction that can throw or reads or makes
+# objects: statements in the values it pops ({0} the lowest) and its operand
+# {o}, then the source of its result if it pushes one
 _CALLED = _by_opcode({
-    "ldc_quick_a ldc_quick_a_w": ("m.world.heap.intern(o)",),
+    "ldc_quick_a ldc_quick_a_w": ("m.world.heap.intern({o})",),
     "arraylength": (_NULL_CHECK, "len({0}.elems)"),
     "idiv": (_ZERO_CHECK, "i32(_quotient({0}, {1}))"),
     "irem": (_ZERO_CHECK, "i32({0} - _quotient({0}, {1}) * {1})"),
     "ldiv": (_ZERO_CHECK, "i64(_quotient({0}, {1}))"),
     "lrem": (_ZERO_CHECK, "i64({0} - _quotient({0}, {1}) * {1})"),
-    "new": ("if o.state == lc.UNLOADED: "
-            "raise InterpError('new of unloaded class %s' % o.name)",
-            "m.world.heap.new_object(o)"),
+    "new": ("if {o}.state == lc.UNLOADED: "
+            "raise InterpError('new of unloaded class %s' % {o}.name)",
+            "m.world.heap.new_object({o})"),
     "newarray anewarray_quick": (
         "if {0} < 0: m.throw_named('java/lang/NegativeArraySizeException')",
-        "m.world.heap.new_array(o, {0})"),
-    "checkcast": ("if {0} is not None and not m.is_instance({0}, o): "
+        "m.world.heap.new_array({o}, {0})"),
+    "checkcast": ("if {0} is not None and not m.is_instance({0}, {o}): "
                   "m.throw_named('java/lang/ClassCastException')", "{0}"),
-    "instanceof": ("int({0} is not None and m.is_instance({0}, o))",),
-    "athrow": (_NULL_CHECK, "raise _Thrown({0}, *m.class_of_ref({0}))"),
+    "instanceof": ("int({0} is not None and m.is_instance({0}, {o}))",),
     **{t + "aload": ("m.element_of({0}, {1}).elems[{1}]",) for t in "ilfdabcs"},
     **{t + "astore": ("arr = m.element_of({0}, {1})",
                       "arr.elems[{1}] = " + _NARROW_STORE.get(t, "{2}"))
@@ -635,13 +632,13 @@ def _field_lines(op, type_code):
     if type_code in _NARROWS:
         value = "%s(%s)" % (_NARROWS[type_code], value)
     if name == "getfield_quick":
-        return _NULL_CHECK, "{0}.slots[o]"
+        return _NULL_CHECK, "{0}.slots[{o}]"
     if name == "putfield_quick":
         return (_NULL_CHECK, "slots = {0}.slots",
-                "slots[o] = " + value) + (("slots[o + 1] = None",)
-                                          if kind in "jd" else ())
+                "slots[{o}] = " + value) + (("slots[{o} + 1] = None",)
+                                            if kind in "jd" else ())
     # o: (class, zone, offset) names the static in the class's hierarchy
-    find = ("owner, k = o[0].static_slot(o[1], o[2])",
+    find = ("owner, k = {o}[0].static_slot({o}[1], {o}[2])",
             "az, vz = m.world.zone(owner)")
     read, *write = _STATIC_LINES[kind]
     if name == "getstatic_quick":
@@ -737,20 +734,26 @@ _NEWARRAY_TYPES = {4: "Z", 5: "C", 6: "F", 7: "D", 8: "B", 9: "S", 10: "I",
 # --- generated steps --------------------------------------------------------
 # A template writes the Python source of one instruction on a _Source.  Run
 # on its own, it gives that instruction's single step; run one after
-# another over a basic block, templates give the block's step (``_block``).
+# another along a path, templates give the path's block step (``_block``).
 
 class _Source:
     """The source of one generated step, as its templates write it: a
     symbolic stack of slot sources (operand parts, PAD, locals, temporaries,
     and s[-k] for the k-th slot below the depth the step started at), which
-    the step writes back to the frame's stack once, at its end."""
+    the step writes back to the frame's stack where it leaves its path."""
 
     def __init__(self):
         self.lines, self.stack = [], []
         self.below = 0          # slots read from below the entry depth
         self.top = -1           # highest depth a push reaches, or -1
         self.ended = None       # where the end of the step starts
-        self.pc = 0             # the offset of a call that ends the step
+        # in a block: the offset of the last instruction marked, the count
+        # of instructions after the one being written, and whether its
+        # jump goes back to the leader
+        self.pc, self.left, self.back = None, 0, False
+        self.loop = None        # the test of a jump back that loops, if any
+        self.marked = False     # whether an instruction can throw or call
+        self.refunds = {}       # offset -> fuel given back if it raises
 
     def pop(self):
         if self.stack:
@@ -789,21 +792,45 @@ class _Source:
         self.stack = [self.temp(s) if s[0] == "L" else s for s in self.stack]
         self.lines.append("L[%s] = %s" % (slot, source))
 
-    def end(self, *ending, test=None, write=True):
-        """End the step with the lines ``ending``, run only if ``test`` is
-        true, after writing the stack back unless the frame ends with them."""
-        if test is not None:
-            ending = ["if %s:" % self.temp(test)] + ["    " + ln
-                                                    for ln in ending]
-        self.ended = len(self.lines)
+    def mark(self):
+        """At an instruction that can throw or call, a block step sets
+        ``f.pc``, and notes the fuel to give back if it raises."""
+        self.marked = True
+        if self.pc is not None:
+            self.lines.append("f.pc = pc + %d" % self.pc)
+            if self.left:
+                self.refunds[self.pc] = self.left
+
+    def written(self):
+        """The lines that write the symbolic stack back."""
         listed = "(%s)" % "".join(slot + ", " for slot in self.stack)
-        if write and self.below == len(self.stack) == 1:    # the fast form
-            self.lines.append("s[-1] = " + self.stack[0])
-        elif write and self.below:
-            self.lines.append("s[-%d:] = %s" % (self.below, listed))
-        elif write and self.stack:
-            self.lines.append("s += " + listed)
+        if self.below == len(self.stack) == 1:      # the fast form
+            return ["s[-1] = " + self.stack[0]]
+        if self.below:
+            return ["s[-%d:] = %s" % (self.below, listed)]
+        return ["s += " + listed] if self.stack else []
+
+    def end(self, *ending, write=True):
+        """End the step with the lines ``ending``, after writing the stack
+        back unless the frame ends with them."""
+        self.ended = len(self.lines)
+        if write:
+            self.lines += self.written()
         self.lines += ending
+
+    def branch(self, test, target):
+        """Go to ``target`` if ``test`` holds, or always if it is None,
+        giving back the fuel of the instructions after this one.  A jump
+        back to the leader that leaves the stack at its entry depth, having
+        read nothing below it, makes the block a loop."""
+        if self.back and not self.stack and not self.below:
+            self.loop = test or "True"
+        elif test is None:
+            self.end("return " + target)
+        else:
+            refund = ["m.fuel += %d" % self.left] if self.left else []
+            self.lines += ["if %s:" % test] + _indent(
+                refund + self.written() + ["return " + target])
 
     def single(self):
         """A single step's body: it checks the stack as the handler of one
@@ -821,27 +848,43 @@ class _Source:
 
     def block(self, n, params):
         """A block step's body: with fuel for its ``n`` instructions, no
-        trace, and the stack in bounds throughout, it runs them all; if
-        not, it runs only the first, by its single step."""
+        trace, and the stack in bounds all along its path, it runs them; if
+        not, it runs only the first, by its single step.  A loop returns
+        the leader's pc when the fuel left cannot cover one more turn."""
         if self.ended is None:
             self.end()
+        body = self.lines
+        if self.loop is not None:
+            test = [] if self.loop == "True" else [
+                "if not (%s): return" % self.loop]
+            body = ["while True:"] + _indent(body + test + [
+                "if m.fuel < %d: return pc" % n, "m.fuel -= %d" % n])
+        if self.refunds:
+            body = ["try:"] + _indent(body) + [
+                "except Exception:",
+                "    m.fuel += %r.get(f.pc - pc, 0)" % self.refunds,
+                "    raise"]
         return ["s, L = f.stack, f.locals",
                 "if m.trace is not None or m.fuel < %d or not %d <= len(s) "
                 "<= f.max_stack - %d:" % (n - 1, self.below, self.top),
                 "    return _first_step(m, f, o[0])",
-                "m.fuel -= %d" % (n - 1),
-                "_, %s = o" % "".join(p + ", " for p in params)] + self.lines
+                "m.fuel -= %d" % (n - 1), "pc = f.pc",
+                "_, %s = o" % "".join(p + ", " for p in params)] + body
+
+
+def _indent(lines):
+    return ["    " + ln for ln in lines]
 
 
 def _first_step(m, f, step):
-    """Run a block's first instruction alone; returns the pc after it."""
-    step[0](m, f, step[2])
-    return f.pc + step[3]
+    """Run a block's first instruction alone; returns where to go on."""
+    result = step[0](m, f, step[2])
+    return f.pc + step[3] if result is None else result
 
 
 def _compile(body):
     scope = {}
-    source = "\n".join(["def step(m, f, o):"] + ["    " + ln for ln in body])
+    source = "\n".join(["def step(m, f, o):"] + _indent(body))
     exec(compile(source, "<generated step>", "exec"), globals(), scope)
     return scope["step"]
 
@@ -855,8 +898,7 @@ def _compiled(body):
 
 # template(effect, source, g, operand): it writes on the _Source g what an
 # instruction of this effect row and family source does, and gets the
-# instruction's operand, if it takes one, as Python source.  The steps of
-# _t_switch and _t_called are only ever single steps, whose operand is o.
+# instruction's operand, if it takes one, as Python source.
 
 def _t_push(effect, form, g, part):
     """Push the slot ``form`` writes from the operand: a constant that the
@@ -895,11 +937,11 @@ def _t_value(effect, source, g):
 
 
 def _t_if(effect, test, g, target):
-    g.end("return " + target, test=test.format(*g.take(effect.pops)))
+    g.branch(test.format(*g.take(effect.pops)), target)
 
 
 def _t_goto(effect, _, g, target):
-    g.end("return " + target)
+    g.branch(None, target)
 
 
 def _t_return(effect, _, g):
@@ -908,10 +950,10 @@ def _t_return(effect, _, g):
                             else "None"), write=False)
 
 
-def _t_switch(effect, _, g):        # o: (default, ((key, target), ...))
+def _t_switch(effect, _, g, cases):     # (default, ((key, target), ...))
     key = g.temp(*g.take(effect.pops))
-    g.end("return next((pc for match, pc in o[1] if match == %s), o[0])"
-          % key)
+    g.end("return next((to for match, to in %s[1] if match == %s), %s[0])"
+          % (cases, key, cases))
 
 
 def _t_invoke(effect, call, g, operand):
@@ -920,31 +962,41 @@ def _t_invoke(effect, call, g, operand):
     check, callee = call
     slots = [g.pop() for _ in effect.pops][::-1]
     args = g.temp("[%s]" % "".join(slot + ", " for slot in slots))
-    ending = ["f.pc += %d" % g.pc] if g.pc else []
-    if check is not None:
-        ending.append(check.format(args + "[0][1]"))
+    g.mark()
+    ending = [] if check is None else [check.format(args + "[0][1]")]
     g.end(*ending, "return _Call((%s, %s))"
           % (callee.format(args + "[0][1]", o=operand), args))
 
 
-def _t_called(effect, lines, g):
+def _t_called(effect, lines, g, operand):
     """Run ``lines`` over the values popped: the last is the source of the
     result, if the instruction pushes one."""
     values = [g.temp(v) for v in g.take(effect.pops)]
-    lines = [line.format(*values) for line in lines]
+    g.mark()
+    lines = [line.format(*values, o=operand) for line in lines]
     result = lines.pop() if effect.pushes else None
     g.lines += lines
     if result is not None:
         g.give(effect.pushes, result)
 
 
-# the templates a block writes inline -> whether each takes an operand
-_INLINE = {_t_push: True, _t_store: True, _t_iinc: True, _t_shuffle: False,
-           _t_value: False, _t_if: True, _t_goto: True, _t_return: False,
-           _t_invoke: True}
-_TEMPLATES = {}     # inline step -> (its writer, whether it takes an operand)
+def _t_throw(effect, _, g):
+    ref = g.temp(*g.take(effect.pops))
+    g.mark()
+    g.end(_NULL_CHECK.format(ref),
+          "raise _Thrown(%s, *m.class_of_ref(%s))" % (ref, ref), write=False)
+
+
+# each template -> whether it takes an operand
+_TAKES_OPERAND = {_t_push: True, _t_store: True, _t_iinc: True,
+                  _t_shuffle: False, _t_value: False, _t_if: True,
+                  _t_goto: True, _t_return: False, _t_switch: True,
+                  _t_invoke: True, _t_called: True, _t_throw: False}
+_TEMPLATES = {}     # generated step -> (its writer, takes an operand, marks)
 _BLOCKS = {}        # block shape -> the function of its step
-_STRAIGHT = set()   # the generated steps of straight-line instructions
+_PASSES = set()     # the generated steps a path goes on past
+_BACK = "back"      # ends a block shape whose last jump is to its leader
+_PATH_CAP = 64      # the most instructions in one block's path
 
 
 def _handler_table():
@@ -965,6 +1017,7 @@ def _handler_table():
         (_t_goto, "goto goto_w", None),
         (_t_return, "ireturn lreturn freturn dreturn areturn return", None),
         (_t_switch, "tableswitch lookupswitch", None),
+        (_t_throw, "athrow", None),
     )
     for template, names, source in rows:
         for name in names.split():
@@ -1011,15 +1064,15 @@ def _step(op, type_code=None):
 def _generated(template, effect, source):
     """The single step a template writes from a row and a source, compiled
     when first asked for."""
-    write, operand = partial(template, effect, source), _INLINE.get(template)
+    write = partial(template, effect, source)
+    operand = _TAKES_OPERAND[template]
     g = _Source()
     write(g, *(["o"] if operand else []))
-    straight = g.ended is None
+    passes = g.ended is None
     step = _compiled(tuple(g.single()))
-    if operand is not None:
-        _TEMPLATES.setdefault(step, (write, operand))
-        if straight:
-            _STRAIGHT.add(step)
+    _TEMPLATES.setdefault(step, (write, operand, g.marked))
+    if passes:
+        _PASSES.add(step)
     return step
 
 
@@ -1102,9 +1155,9 @@ def decoded(method, code, pool, registry):
     table is the exception table with each catch type its class, or None.
 
     An instruction's pc holds (handler, opcode, operand, size), with ``wide``
-    folded into the opcode it modifies, and any other pc holds None.  The
-    leader of a basic block may hold the block's step instead (``_block``):
-    (function, first opcode, operand, block size).  ``_decode`` reads each
+    folded into the opcode it modifies, and any other pc holds None.  A
+    leader may hold the step of its path instead (``_block``): (function,
+    first opcode, operand, path size).  ``_decode`` reads each
     operand and the pool entry it names once, and resolves member operands:
     resolution reads only loaded classes, whose members never change.  A
     call's step is that of its number of argument slots, its operand the
@@ -1123,7 +1176,7 @@ def decoded(method, code, pool, registry):
     shared = registry.shared_steps
     bc = code.bytecode
     steps = [None] * len(bc)
-    starts, leaders = shape.starts, set(shape.targets)
+    starts, leaders = shape.starts, {0, *shape.targets}
     for off, end in zip(starts, starts[1:] + (len(bc),)):
         op = bc[off]
         step = _FIXED.get(op)
@@ -1136,15 +1189,11 @@ def decoded(method, code, pool, registry):
             elif operand.__class__ is not lc.MethodRep:
                 step = shared.setdefault(step, step)
         steps[off] = step
-        if step[0] not in _STRAIGHT:
+        if step[0] not in _PASSES:
             leaders.add(end)
-    run = []            # the basic block so far
-    for off in starts:
-        if off in leaders and run:
-            _block(run, steps, registry)
-            run = []
-        run.append(off)
-    _block(run, steps, registry)
+    for i, off in enumerate(starts):
+        if off in leaders:
+            leaders.add(_block(starts, i, steps, registry))
     pad = (PAD,) * code.max_locals
     handlers = tuple((start, end, handler, None if catch is None
                       else pool.a_payload[catch])
@@ -1154,58 +1203,61 @@ def decoded(method, code, pool, registry):
     return code.decoded
 
 
-def _block(run, steps, registry):
-    """Put a basic block's step at its leader, where templates write two or
-    more of its instructions (one and a step it calls save a dispatch, less
-    than the step costs to form where methods run a few times each).  The
-    shape is each handler, but for a last one run by its handler its pc in
-    the block, which a call has before it.  The operand is the first
-    instruction's single step, then every operand, and that handler."""
-    if len(run) - (steps[run[-1]][0] not in _TEMPLATES) < 2:
-        return
-    start = run[0]
-    shape, site = [], [steps[start]]
-    for off in run:
-        handler, _, operand, _ = steps[off]
+def _block(starts, i, steps, registry):
+    """Put the step of the leader ``starts[i]``'s path there, if templates
+    write two or more of its instructions; returns the pc after the path.
+    The path follows the fall-through, past leaders, to an instruction no
+    template writes (left out), one that ends it, a jump back to the
+    leader, or the length cap.  The shape is each step, after its offset if
+    it can throw or call, then _BACK for a jump back; the operand is the
+    leader's single step, then every operand."""
+    start = end = starts[i]
+    shape, site, n = [], [steps[start]], 0
+    for off in starts[i:]:
+        handler, _, operand, size = steps[off]
         spec = _TEMPLATES.get(handler)
         if spec is None:
+            break
+        write, takes, marks = spec
+        if marks:
             shape.append(off - start)
-            site += (handler, operand)
-        else:
-            if spec[0].func is _t_invoke:   # a call, and its pc
-                shape.append(off - start)
-            shape.append(handler)
-            if spec[1]:
-                site.append(operand)
+        shape.append(handler)
+        if takes:
+            site.append(operand)
+        n, end = n + 1, off + size
+        if write.func in (_t_if, _t_goto) and operand == start:
+            shape.append(_BACK)
+            break
+        if handler not in _PASSES or n == _PATH_CAP:
+            break
+    if n < 2:
+        return end
     shape = tuple(shape)
     fn = _BLOCKS.get(shape)
     if fn is None:
         fn = _BLOCKS[shape] = _block_step(shape)
-    step = (fn, steps[start][1], tuple(site),
-            run[-1] + steps[run[-1]][3] - start)
-    if steps[run[-1]][2].__class__ is not lc.MethodRep:
+    step = (fn, steps[start][1], tuple(site), end - start)
+    if site[-1].__class__ is not lc.MethodRep:     # a call's, if any
         step = registry.shared_steps.setdefault(step, step)
     steps[start] = step
+    return end
 
 
 def _block_step(shape):
     """The function of a block shape's step, from its templates."""
     g, params = _Source(), []
-
-    def param():
-        params.append("o%d" % (len(params) + 1))
-        return params[-1]
+    g.left = n = sum(map(callable, shape))
     for item in shape:
-        if item.__class__ is int:       # where the last instruction is
+        if item.__class__ is int:       # where the next instruction is
             g.pc = item
-        else:
-            template, operand = _TEMPLATES[item]
-            template(g, *([param()] if operand else []))
-    called = shape[-1].__class__ is int     # the last, run by its handler
-    if called:
-        g.end("f.pc += %d" % g.pc, "return %s(m, f, %s)" % (param(), param()))
-    return _compile(g.block(called + sum(item.__class__ is not int
-                                         for item in shape), params))
+        elif item is not _BACK:
+            write, takes, _ = _TEMPLATES[item]
+            g.left -= 1
+            g.back = not g.left and shape[-1] is _BACK
+            if takes:
+                params.append("o%d" % (len(params) + 1))
+            write(g, *params[-1:] if takes else ())
+    return _compile(g.block(n, params))
 
 
 def execute(entry, args, world, fuel=DEFAULT_FUEL):
@@ -1231,13 +1283,13 @@ def normalize_slot(slot):
         return (tag, float_bits(v))       # NaN-safe, bit-exact comparison
     if tag == "d":
         return (tag, double_bits(v))
-    if tag != "a" or v is None:
-        return (tag, v)
-    if isinstance(v, Str):
-        return ("a", ("str", v.text))
+    if isinstance(v, Str):      # by its class, whatever the tag says
+        return (tag, ("str", v.text))
     if isinstance(v, Arr):
-        return ("a", ("arr", v.id, v.comp))
-    return ("a", ("obj", v.id, v.cls_name))
+        return (tag, ("arr", v.id, v.comp))
+    if isinstance(v, Obj):
+        return (tag, ("obj", v.id, v.cls_name))
+    return (tag, v)
 
 
 def world_digest(world):

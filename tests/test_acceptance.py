@@ -15,7 +15,7 @@ from jrom import lifecycle as lc
 from jrom import linker as lk
 from jrom import opcodes as ops
 from jrom import romizer as rz
-from jrom.errors import InvalidTransition, StaticOverflow
+from jrom.errors import ClassFileError, InvalidTransition, StaticOverflow
 from jrom.pipeline import Pipeline
 
 from .assembler import ACC_PUBLIC, ACC_STATIC, ClassBuilder
@@ -264,35 +264,39 @@ def test_criterion_7_state_machine(corpus_dir):
 
 def test_criterion_8_boundary_suite(corpus_dir, tmp_path):
     # invokevirtual compaction: dispatch slot 255 compacts, 256 does not;
-    # the argument-count boundary methods come first so their own dispatch
-    # slots stay small and only nargs decides their fate
+    # the argument-count boundary method comes first so its own dispatch
+    # slot stays small and only nargs decides its fate.  A method of 256
+    # argument slots does not load (JVMS 4.3.3).
     many = ClassBuilder("bd/Many", debug_attrs=False)
     many.default_init()
     nargs_ok = "(" + "I" * 254 + ")I"       # 254 + receiver = 255 slots
     nargs_over = "(" + "I" * 255 + ")I"     # 256 slots
     c = many.method("fits", nargs_ok, ACC_PUBLIC)
     c.op("iconst_1").op("ireturn")
-    c = many.method("wide", nargs_over, ACC_PUBLIC)
-    c.op("iconst_2").op("ireturn")
     for i in range(300):
         c = many.method("m%04d" % i, "()I", ACC_PUBLIC)
         c.op("iconst_0").op("ireturn")
+    wide = ClassBuilder("bd/Wide", debug_attrs=False)
+    wide.default_init()
+    wide.method("wide", nargs_over, ACC_PUBLIC).op("iconst_2").op("ireturn")
 
     extra = tmp_path / "bd"
     extra.mkdir(parents=True)
     (extra / "Many.class").write_bytes(many.build())
+    (extra / "Wide.class").write_bytes(wide.build())
     reg = lc.Registry()
     loader = lc.Loader(lc.Classpath([str(tmp_path), corpus_dir]), reg)
     ctx = lk.LinkContext(reg, loader=loader)
     many_cls = loader.ensure_loaded("bd/Many")
+    with pytest.raises(ClassFileError, match="256 argument slots"):
+        loader.ensure_loaded("bd/Wide")
     slots = {m.dispatch_slot: m for m in many_cls.methods if m.is_virtual}
 
     caller = ClassBuilder("bd/Caller", debug_attrs=False)
     caller.default_init()
     for tag, target, pushes in (("slot255", slots[255].name, 0),
                                 ("slot256", slots[256].name, 0),
-                                ("args255", "fits", 254),
-                                ("args256", "wide", 255)):
+                                ("args255", "fits", 254)):
         c = caller.method(tag, "()I", ACC_PUBLIC | ACC_STATIC,
                           max_stack=pushes + 4)
         c.new("bd/Many").op("dup")
@@ -340,13 +344,12 @@ def test_criterion_8_boundary_suite(corpus_dir, tmp_path):
     ldc = loader.ensure_loaded("bd/Ldc")
     ldc_code = next(m for m in ldc.methods if m.name == "s").code.bytecode
 
-    with criterion(8, "compaction at slot/nargs 255 vs 256, static offset "
-                      "8191 vs StaticOverflow at 8192, narrow ldc after 300"
-                      " Utf8s"):
+    with criterion(8, "compaction at slot 255 vs 256 and at nargs 255, "
+                      "static offset 8191 vs StaticOverflow at 8192, narrow "
+                      "ldc after 300 Utf8s"):
         assert first_invoke("slot255") == OP["invokevirtual_quick"]
         assert first_invoke("slot256") == OP["invokevirtual"]
         assert first_invoke("args255") == OP["invokevirtual_quick"]
-        assert first_invoke("args256") == OP["invokevirtual"]
         assert max(f.offset for f in fits.fields) == 8191
         assert ldc_code[0] == OP["ldc_quick_a"]
         assert ldc.pool.a_payload[ldc_code[1]] == "late"

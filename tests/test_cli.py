@@ -14,6 +14,7 @@ from jrom import lifecycle as lc
 from jrom import opcodes as ops
 from jrom import romizer as rz
 from jrom.cli import main
+from jrom.errors import JromError
 
 from . import image_oracle
 from .assembler import (ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC,
@@ -576,6 +577,100 @@ class TestDeepHierarchy:
         assert run_cli("verify", "--classpath", str(tmp_path / "ifaces"),
                        "--classpath", corpus_dir, *targets) in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _write_limits(root, field=None, method=None, static=True, body=None):
+    """lim/D, with a field of descriptor ``field`` and a method ``m`` of
+    descriptor ``method``, if given, whose body is ``body`` (by default
+    iconst_0, ireturn)."""
+    cb = ClassBuilder("lim/D")
+    cb.default_init()
+    if field is not None:
+        cb.field("f", field, ACC_PUBLIC | ACC_STATIC)
+    if method is not None:
+        flags = ACC_PUBLIC | (ACC_STATIC if static else 0)
+        c = cb.method("m", method, flags, max_locals=255)
+        for op in body or (("iconst_0",),):
+            c.op(*op)
+        c.op("ireturn")
+    path = root / "lim" / "D.class"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(cb.build())
+    return "lim/D"
+
+
+class TestDescriptorLimits:
+    """An array type has at most 255 dimensions (JVMS 4.3.2) and a method
+    at most 255 argument slots, its receiver's too (JVMS 4.3.3).  Past
+    either, the class fails to load, as a class; at either, it loads and
+    runs."""
+
+    @staticmethod
+    def _run(command, corpus_dir, tmp_path, target):
+        argv = [command, "--classpath", str(tmp_path), "--classpath",
+                corpus_dir, target]
+        if command == "romize":
+            argv[1:1] = ["--out", str(tmp_path / "lim.rom")]
+        return run_cli(*argv)
+
+    @pytest.mark.parametrize("command", ["report", "romize", "verify"])
+    @pytest.mark.parametrize("where, dims", [
+        ("method", 5000), ("method", 256), ("field", 300)])
+    def test_deep_array_types_fail_as_a_class(self, corpus_dir, tmp_path,
+                                              capsys, command, where, dims):
+        array = "[" * dims + "I"
+        target = _write_limits(tmp_path, **(
+            {"field": array} if where == "field"
+            else {"method": "(%s)I" % array}))
+        assert self._run(command, corpus_dir, tmp_path, target) == 1
+        err = capsys.readouterr().err
+        assert "array type of %d dimensions, over 255" % dims in err
+        assert "Traceback" not in err
+
+    def test_255_dimensions_load(self, corpus_dir, tmp_path, capsys):
+        array = "[" * 255 + "I"
+        target = _write_limits(tmp_path, field=array,
+                               method="(%s)I" % array)
+        assert self._run("verify", corpus_dir, tmp_path, target) == 0
+        assert re.search(r"checked \d+ methods, 0 skipped, 0 mismatches",
+                         capsys.readouterr().out)
+
+    @pytest.mark.parametrize("static, params", [
+        (True, "J" * 200), (True, "J" * 127 + "II"), (False, "I" * 255)],
+        ids=["400", "256", "receiver-256"])
+    def test_past_255_argument_slots_fail_as_a_class(
+            self, corpus_dir, tmp_path, capsys, static, params):
+        target = _write_limits(tmp_path, method="(%s)I" % params,
+                               static=static)
+        assert self._run("verify", corpus_dir, tmp_path, target) == 1
+        err = capsys.readouterr().err
+        assert "argument slots, over 255" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("static, params", [
+        (True, "J" * 127 + "I"), (False, "I" * 254)],
+        ids=["255", "receiver-255"])
+    def test_255_argument_slots_load_and_run(self, corpus_dir, tmp_path,
+                                             capsys, static, params):
+        # m returns its last argument, in slot 254
+        target = _write_limits(tmp_path, method="(%s)I" % params,
+                               static=static, body=(("iload", 254),))
+        assert self._run("verify", corpus_dir, tmp_path, target) == 0
+        assert re.search(r"checked \d+ methods, 0 skipped, 0 mismatches",
+                         capsys.readouterr().out)
+        image = tmp_path / "lim.rom"
+        assert self._run("romize", corpus_dir, tmp_path, target) == 0
+        data = image.read_bytes()
+        method = rz.load_image(data).get(target) \
+            .declared_method(("m", "(%s)I" % params))
+        assert method.nargs == 255
+        # image loading checks it too: its last parameter made a long
+        at = data.find(params.encode() + b")I")
+        assert at > 0
+        bad = data[:at] + params[:-1].encode() + b"J" \
+            + data[at + len(params):]
+        with pytest.raises(JromError, match="256 argument slots, over 255"):
+            rz.load_image(bad)
 
 
 class TestIllTypedProbes:

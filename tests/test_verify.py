@@ -932,6 +932,18 @@ class TestWorldDigest:
         _, dig_b = vf.run_method(ctx, "corpus/Arrays", m.key, [("i", 4)])
         assert dig_a != dig_b
 
+    def test_results_name_heap_items_whatever_their_tag(self):
+        # ill-typed code (aload_0; ireturn, say) can tag a reference "i":
+        # two runs that return alike must still give equal outcomes
+        for _ in range(2):
+            heap = vf.MiniHeap()
+            obj, arr = heap.new_pseudo("p/X"), heap.new_array("I", 2)
+            assert vf.normalize_slot(("i", obj)) == ("i", ("obj", 1, "p/X"))
+            assert vf.normalize_slot(("j", arr)) == ("j", ("arr", 2, "I"))
+            assert vf.normalize_slot(("i", heap.intern("s"))) \
+                == ("i", ("str", "s"))
+            assert vf.normalize_slot(("a", None)) == ("a", None)
+
 
 def method_key_of(reg, cls_name, method_name):
     return next(m.key for m in reg.get(cls_name).methods
@@ -1440,10 +1452,13 @@ class TestMemberSteps:
                 # runs once it resolves
                 handler = vf._step(ops.BY_NAME[name + "field_quick"],
                                    dsc.TC_INT)
-                steps = self._member(pipe, "vm/Nul", name) \
-                    .code_at(stage).decoded[1]
+                code = self._member(pipe, "vm/Nul", name).code_at(stage)
+                steps = code.decoded[1]
                 assert any(s is not None and s[0] is handler for s in steps)
-                assert steps[0][2][-2] is handler    # the block calls it
+                # one block runs the access itself, up to the return
+                assert steps[0][0] in set(vf._BLOCKS.values())
+                assert steps[0][3] == code.exception_table[0][2]
+                assert handler not in steps[0][2]
 
 
 def _pool_operand_held(pool, op, entry, idx):
@@ -1710,6 +1725,124 @@ class TestBlocks:
                     assert steps[0][0] in shapes and steps[0][3] == 4
                     assert steps[0][2][-1] == (hash_code.dispatch_slot
                                                if quick else hash_code)
+
+    def test_loops_run_as_single_steps(self, corpus_dir, tmp_path):
+        # at every fuel from 1 to past each loop's exit
+        static, aioobe = ACC_PUBLIC | ACC_STATIC, \
+            "java/lang/ArrayIndexOutOfBoundsException"
+        cb = ClassBuilder("vm/Loops")
+        cb.default_init()
+        # the test at the top, a goto back
+        c = cb.method("top", "(I)I", static)
+        c.op("iconst_0").op("istore_1").op("iconst_0").op("istore_2")
+        c.label("L").op("iload_1").op("iload_0").op("if_icmpge", "X")
+        c.op("iload_2").op("iload_1").op("iadd").op("istore_2")
+        c.op("iinc", 1, 1).op("goto", "L")
+        c.label("X").op("iload_2").op("ireturn")
+        # as javac writes it: a goto to the test, a conditional branch back
+        c = cb.method("javac", "(I)I", static)
+        c.op("iconst_0").op("istore_1").op("iconst_1").op("istore_2")
+        c.op("goto", "T")
+        c.label("B").op("iload_2").op("iload_2").op("iadd").op("istore_2")
+        c.op("iinc", 1, 1)
+        c.label("T").op("iload_1").op("iload_0").op("if_icmplt", "B")
+        c.op("iload_2").op("ireturn")
+        # iaload throws past the array's end, into a handler of this method
+        c = cb.method("caught", "(I)I", static)
+        c.op("iconst_4").op("newarray", 10).op("astore_1")
+        c.op("iconst_0").op("istore_2").op("iload_0").op("istore_3")
+        c.label("A").op("aload_1").op("iload_3").op("iaload")
+        c.op("iload_2").op("iadd").op("istore_2").op("iinc", 3, 1)
+        c.op("goto", "A").label("E")
+        c.label("H").op("pop").op("iload_2").op("iload_3").op("iadd")
+        c.op("ireturn").handler("A", "E", "H", aioobe)
+        # one value left on the stack by each iteration, past max_stack
+        # once there are more than seven
+        c = cb.method("leaves", "(I)I", static, max_stack=8)
+        c.op("iconst_0")
+        c.label("L").op("iload_0").op("ifle", "X").op("iinc", 0, -1)
+        c.op("iload_0").op("goto", "L")
+        c.label("X").op("ireturn")
+        # long and double locals
+        c = cb.method("wide", "(I)J", static)
+        c.op("lconst_0").op("lstore_1").op("dconst_0").op("dstore_3")
+        c.label("L").op("iload_0").op("ifle", "X")
+        c.op("lload_1").op("iload_0").op("i2l").op("ladd").op("lstore_1")
+        c.op("dload_3").op("dconst_1").op("dadd").op("dstore_3")
+        c.op("iinc", 0, -1).op("goto", "L")
+        c.label("X").op("lload_1").op("dload_3").op("d2l").op("ladd")
+        c.op("lreturn")
+        _write_class(tmp_path, cb)
+        pipe = Pipeline([str(tmp_path), corpus_dir])
+        pipe.load_targets(["vm/Loops"], closure=True)
+        assert pipe.link_all() == []
+        cases = {
+            "top": ([0, 5], [("i", 0), ("i", 10)]),
+            "javac": ([0, 4], [("i", 1), ("i", 16)]),
+            "caught": ([-1, 1], [("i", -1), ("i", 4)]),
+            "leaves": ([2, 9], [("i", 0), (StackOverflow, None)]),
+            "wide": ([0, 3], [("j", 0), ("j", 9)]),
+        }
+        big = 10_000
+        for name, (args, expected) in cases.items():
+            method = next(m for m in pipe.registry.get("vm/Loops").methods
+                          if m.name == name)
+            for arg, want in zip(args, expected):
+                vector = [("i", arg)]
+                for stage in (lc.LOADED, lc.LINKED):
+                    end, _, left = machine_run(pipe.registry, stage, method,
+                                               vector, big)
+                    assert end[0] == want[0] if want[0] is StackOverflow \
+                        else end == ("return", want), (name, arg, end)
+                    for fuel in range(1, big - left + 2):
+                        blocks = machine_run(pipe.registry, stage, method,
+                                             vector, fuel)
+                        single = machine_run(pipe.registry, stage, method,
+                                             vector, fuel, trace=_ignore)
+                        assert blocks == single, (name, arg, stage, fuel)
+
+    def test_sum_int_loops_run_inside_their_blocks(self, linked_pipeline):
+        # every single step inside sumInt's two loops, from the target of
+        # each goto back to the goto, is replaced by one that raises
+        reg = linked_pipeline.registry
+        method = next(m for m in reg.get("corpus/Arrays").methods
+                      if m.name == "sumInt")
+        code = method.code
+        steps = vf.decoded(method, code, method.owner.pool, reg)[1]
+        shapes = set(vf._BLOCKS.values())
+        loops = [(ops.branch_targets(code.bytecode, off)[0], off)
+                 for off in code.shape.starts
+                 if code.bytecode[off] == ops.BY_NAME["goto"]]
+        inside = [off for off in code.shape.starts
+                  if any(top <= off <= goto for top, goto in loops)
+                  and steps[off][0] not in shapes]
+        assert len(loops) == 2 and len(inside) > 15
+        # and each loop's block is run once, however many times it loops
+        tops = [top for top, _ in loops]
+        assert all(steps[top][0] in shapes for top in tops)
+        kept = {off: steps[off] for off in inside + tops}
+        runs = []
+
+        def never(m, f, o):
+            raise AssertionError("single step ran at %d" % f.pc)
+
+        def counted(block):
+            def step(m, f, o):
+                runs.append(f.pc)
+                return block(m, f, o)
+            return step
+        try:
+            for off in inside:
+                steps[off] = (never,) + steps[off][1:]
+            for top in tops:
+                steps[top] = (counted(steps[top][0]),) + steps[top][1:]
+            end, _, _ = machine_run(reg, lc.LINKED, method, [("i", 50)],
+                                    100_000)
+        finally:
+            for off, step in kept.items():
+                steps[off] = step
+        assert end == ("return", ("i", 2450))
+        assert sorted(runs) == tops
 
     @pytest.fixture(autouse=True)
     def _stash_pipeline(self, linked_pipeline):
